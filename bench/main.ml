@@ -12,8 +12,8 @@
      dune exec bench/main.exe -- ablation
      dune exec bench/main.exe -- timing  # Bechamel micro-benchmarks
 
-   [--hist] additionally prints each traced run's per-span wall-time
-   histogram (count / p50 / p90 / max).
+   Per-bench traces and wall-time histograms come from
+   `sbm bench --suite table1|table2 --histograms`.
 
    Absolute numbers cannot match the paper (our substrate regenerates
    the benchmarks rather than starting from the suite's heavily
@@ -25,54 +25,12 @@
 module Aig = Sbm_aig.Aig
 module Epfl = Sbm_epfl.Epfl
 module Flow = Sbm_core.Flow
-module Obs = Sbm_obs
 module Rng = Sbm_util.Rng
 
 let time f =
   let t0 = Unix.gettimeofday () in
   let r = f () in
   (r, Unix.gettimeofday () -. t0)
-
-(* Every traced flow run lands here; [write_bench_json] renders the
-   whole batch as BENCH_sbm.json when the harness exits. *)
-let bench_traces : (string * string * Obs.trace) list ref = ref []
-
-let traced ~experiment ~bench aig f =
-  let trace = Obs.create () in
-  let root = Obs.root ~size:(Aig.size aig) ~depth:(Aig.depth aig) trace bench in
-  let result = f root in
-  Obs.close ~size:(Aig.size result) ~depth:(Aig.depth result) root;
-  bench_traces := (experiment, bench, trace) :: !bench_traces;
-  result
-
-let print_histograms () =
-  List.iter
-    (fun (experiment, bench, trace) ->
-      Fmt.pr "@.-- %s/%s wall-time histogram --@." experiment bench;
-      Fmt.pr "%a" Obs.pp_histograms trace)
-    (List.rev !bench_traces)
-
-let write_bench_json () =
-  match List.rev !bench_traces with
-  | [] -> ()
-  | runs ->
-    let buf = Buffer.create 4096 in
-    (* Wrapper version 2: the embedded traces carry the v2 schema
-       (per-span GC deltas, top-level histograms). *)
-    Buffer.add_string buf "{\"version\":2,\"runs\":[";
-    List.iteri
-      (fun i (experiment, bench, trace) ->
-        if i > 0 then Buffer.add_char buf ',';
-        Buffer.add_string buf
-          (Printf.sprintf "{\"experiment\":%S,\"bench\":%S,\"trace\":%s}" experiment
-             bench (Obs.to_json trace)))
-      runs;
-    Buffer.add_string buf "]}";
-    let oc = open_out "BENCH_sbm.json" in
-    output_string oc (Buffer.contents buf);
-    close_out oc;
-    Fmt.pr "@.telemetry for %d runs written to BENCH_sbm.json@."
-      (List.length runs)
 
 (* Sanity gate: heavy random simulation catches real bugs instantly;
    the SAT proof gets a bounded budget, because miters over arithmetic
@@ -130,10 +88,10 @@ let fig1 () =
    [--full] uses the paper's exact widths. *)
 let default_scale = Epfl.default_scale
 
-let optimize ?obs ~effort aig =
+let optimize ~effort aig =
   match effort with
-  | `Low -> Flow.sbm_once ?obs ~effort:Flow.Low aig
-  | `High -> Flow.sbm ?obs ~effort:Flow.High aig
+  | `Low -> Flow.sbm_once ~effort:Flow.Low aig
+  | `High -> Flow.sbm ~effort:Flow.High aig
 
 let table1 ~full ~effort () =
   Fmt.pr "@.== Table I: EPFL area category (LUT-6 count / levels) ==@.";
@@ -144,9 +102,7 @@ let table1 ~full ~effort () =
       let scale = if full then 1.0 else default_scale b in
       let aig = Epfl.generate ~scale b in
       let (optimized, dt) =
-        time (fun () ->
-            traced ~experiment:"table1" ~bench:(Epfl.name b) aig (fun obs ->
-                optimize ~obs ~effort aig))
+        time (fun () -> optimize ~effort aig)
       in
       check_equiv aig optimized (Epfl.name b);
       let baseline = Flow.baseline aig in
@@ -174,9 +130,7 @@ let table2 ~full ~effort () =
       let scale = if full then 1.0 else default_scale b in
       let aig = Epfl.generate ~scale b in
       let (optimized, dt) =
-        time (fun () ->
-            traced ~experiment:"table2" ~bench:(Epfl.name b) aig (fun obs ->
-                optimize ~obs ~effort aig))
+        time (fun () -> optimize ~effort aig)
       in
       check_equiv aig optimized (Epfl.name b);
       let paper =
@@ -469,7 +423,6 @@ let () =
   let args = Array.to_list Sys.argv |> List.tl in
   let flag f = List.mem f args in
   let full = flag "--full" in
-  let hist = flag "--hist" in
   let effort = if flag "--high" then `High else `Low in
   let commands = List.filter (fun a -> not (String.length a > 2 && String.sub a 0 2 = "--")) args in
   let run = function
@@ -482,7 +435,7 @@ let () =
     | "timing" -> timing ()
     | other -> Fmt.epr "unknown experiment: %s@." other
   in
-  (match commands with
+  match commands with
   | [] ->
     fig1 ();
     table1 ~full ~effort ();
@@ -490,6 +443,4 @@ let () =
     table3 ();
     sec3b ();
     ablation ()
-  | cmds -> List.iter run cmds);
-  if hist then print_histograms ();
-  write_bench_json ()
+  | cmds -> List.iter run cmds

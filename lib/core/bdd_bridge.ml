@@ -88,23 +88,21 @@ let flush_stats ?(engine = "bdd") t obs =
   let bs = Bdd.stats t.man in
   let upct = hit_pct bs.Bdd.unique_hits bs.Bdd.unique_misses in
   let cpct = hit_pct bs.Bdd.cache_hits bs.Bdd.cache_misses in
-  (* Load gauges update even without a span sink: the ledger consumes
-     them through the registry alone. flush_stats runs on the main
-     domain in ascending partition order in every execution path, so
-     the maxima are job-count independent. *)
+  (* The ledger consumes the load gauges through the registry alone.
+     flush_stats runs on the main domain in ascending partition order
+     in every execution path, so the maxima are job-count
+     independent. *)
   M.set_max m_unique_load_pct
     (100 * (bs.Bdd.nodes - 2) / bs.Bdd.unique_capacity);
   M.set_max m_cache_load_pct (100 * bs.Bdd.cache_occupied / bs.Bdd.cache_slots);
-  if Obs.enabled obs then begin
-    Obs.bump obs m_nodes bs.Bdd.nodes;
-    Obs.bump obs m_unique_hits bs.Bdd.unique_hits;
-    Obs.bump obs m_unique_misses bs.Bdd.unique_misses;
-    Obs.bump obs m_cache_hits bs.Bdd.cache_hits;
-    Obs.bump obs m_cache_misses bs.Bdd.cache_misses;
-    Obs.bump obs m_unique_hit_pct upct;
-    Obs.bump obs m_cache_hit_pct cpct;
-    Obs.bump obs m_limit_bails t.bails
-  end;
+  Obs.bump obs m_nodes bs.Bdd.nodes;
+  Obs.bump obs m_unique_hits bs.Bdd.unique_hits;
+  Obs.bump obs m_unique_misses bs.Bdd.unique_misses;
+  Obs.bump obs m_cache_hits bs.Bdd.cache_hits;
+  Obs.bump obs m_cache_misses bs.Bdd.cache_misses;
+  Obs.bump obs m_unique_hit_pct upct;
+  Obs.bump obs m_cache_hit_pct cpct;
+  Obs.bump obs m_limit_bails t.bails;
   if
     FR.enabled ()
     && bs.Bdd.cache_hits + bs.Bdd.cache_misses >= 10_000

@@ -10,10 +10,6 @@ let m_gain =
     "AIG nodes saved by in-place algebraic steps (rewrite/refactor/\
      resub/collapse-decompose)"
 
-let m_pass_ms =
-  M.histogram ~engine:"flow" ~unit_:"ms" "flow.pass_ms"
-    "wall time of scripted flow passes"
-
 let m_dead_node_pct =
   M.gauge ~engine:"aig" ~unit_:"pct" "aig.dead_node_pct"
     "dead (unreferenced) AIG node slots at the last pass boundary"
@@ -120,50 +116,25 @@ let check_injected_failure name =
            name n)
   | None -> ()
 
-module FR = Obs.Flight_recorder
-
-(* Wrap one scripted pass in a span recording wall time and the
+(* Wrap one scripted pass in a pass span recording wall time and the
    size/depth delta. Measurement (Aig.depth is O(n)) only happens when
    the span is live; with observability off this is a direct call.
    Every node the pass builds is stamped with the pass's origin. The
-   watchdog tracks the pass for its deadline rule, and the flight
-   recorder gets a boundary event on each side. A pass that raises
-   stays on the watchdog/recorder stacks — exactly what the
-   post-mortem dump should show. *)
+   pass-boundary consumers (recorder, audit trail, ledger, watchdog)
+   hang off the span's open and close. A pass that raises stays on the
+   span stack — exactly what the post-mortem dump should show. *)
 let pass obs name f aig =
   Aig.set_origin aig (origin_of_pass name);
-  Obs.Watchdog.pass_started name;
-  let ledger = Obs.Ledger.enabled () in
-  let fp = Obs.Fingerprint.enabled () in
-  Obs.Fingerprint.pass_started name;
-  if (not (Obs.enabled obs)) && not ledger && not fp then begin
+  if not (Obs.enabled obs) then begin
     check_injected_failure name;
     let aig = f Obs.null aig in
     Aig.compact_arenas aig;
-    Obs.Watchdog.pass_ended name;
     aig
   end
   else begin
-    let size0 = Aig.size aig in
-    let depth0 = Aig.depth aig in
-    (* Live node-count gauge: only set where size is already computed
-       (Aig.size is an O(live-nodes) traversal, not a field read). *)
-    M.set M.live_aig_nodes size0;
-    let t0 = Obs.monotonic_ns () in
-    let sp = Obs.span ~size:size0 ~depth:depth0 obs name in
-    if FR.enabled () then
-      FR.record ~severity:FR.Info ~engine:"flow" ~id:name
-        ~metrics:[ ("size", size0) ]
-        "pass start";
-    Obs.Ledger.pass_started name;
+    let sp = Obs.pass ~size:(Aig.size aig) ~depth:(Aig.depth aig) obs name in
     check_injected_failure name;
     let aig = f sp aig in
-    let size1 = Aig.size aig in
-    let depth1 = Aig.depth aig in
-    Obs.close ~size:size1 ~depth:depth1 sp;
-    M.set M.live_aig_nodes size1;
-    M.observe m_pass_ms
-      (Int64.to_int (Int64.div (Int64.sub (Obs.monotonic_ns ()) t0) 1_000_000L));
     let dead = dead_node_pct aig in
     M.set m_dead_node_pct dead;
     (* Arena occupancy is sampled before the boundary compaction, so
@@ -173,31 +144,25 @@ let pass obs name f aig =
     M.set m_arena_live_pct
       (if acap = 0 then 100 else 100 * Aig.arena_live_words aig / acap);
     Aig.compact_arenas aig;
-    M.set_max M.peak_heap_words (Gc.quick_stat ()).Gc.heap_words;
-    (* Trail record first, so the chain value can ride on the ledger
-       row; the ledger's own counter delta then includes the trail's
-       record counter — consistently at any --jobs, hence still
-       deterministic. *)
-    let fingerprint =
-      if fp then Obs.Fingerprint.pass_ended ~structure:(Aig.fold_hash aig)
-      else 0L
-    in
-    if ledger then begin
-      let luts, levels =
-        match !ledger_qor_probe with
-        | Some probe -> probe aig
-        | None -> (-1, -1)
-      in
-      Obs.Ledger.pass_ended ~fingerprint ~size_before:size0 ~size_after:size1
-        ~depth_before:depth0 ~depth_after:depth1 ~luts ~levels
-        ~dead_node_pct:dead ()
-    end;
-    if FR.enabled () then
-      FR.record ~severity:FR.Info ~engine:"flow" ~id:name
-        ~metrics:[ ("size", size1); ("gain", size0 - size1) ]
-        "pass end";
-    Obs.Watchdog.pass_ended name;
+    Obs.close_pass ~size:(Aig.size aig) ~depth:(Aig.depth aig)
+      ~dead_node_pct:dead
+      ~structure:(fun () -> Aig.fold_hash aig)
+      ~qor:(fun () ->
+        match !ledger_qor_probe with Some probe -> probe aig | None -> (-1, -1))
+      sp;
     aig
+  end
+
+(* The pass-boundary consumers read the span stack, so a flow they
+   observe always runs under a span, even when the caller passed
+   none. *)
+let observed obs name f =
+  if Obs.enabled obs || not (Obs.observing ()) then f obs
+  else begin
+    let root = Obs.root (Obs.create ()) name in
+    let r = f root in
+    Obs.close root;
+    r
   end
 
 (* Like [pass], but skips the O(n) depth measurement — used for the
@@ -329,11 +294,11 @@ let sbm_iteration ~obs ~explain ~effort ~ecfg aig0 =
         (Sbm_sat.Redundancy.run ~obs:sp
            ~max_candidates:(match effort with Low -> 50 | High -> 200)
            ?on_cex a);
-      (match bank with
-      | Some b when Obs.enabled sp ->
-        Obs.bump sp Prefilter.m_cex_refinements
-          (Prefilter.refinements b - refinements0)
-      | _ -> ());
+      Option.iter
+        (fun b ->
+          Obs.bump sp Prefilter.m_cex_refinements
+            (Prefilter.refinements b - refinements0))
+        bank;
       fst (Aig.compact a));
   !aig
 
@@ -342,12 +307,14 @@ let iteration_pass obs explain name effort ecfg aig =
 
 let sbm_once ?(obs = Obs.null) ?explain ?(effort = High) ?(prefilter = true)
     ?(sim_words = Prefilter.default_words) aig0 =
+  observed obs (to_string (Sbm effort)) @@ fun obs ->
   let aig, _ = Aig.compact aig0 in
   let ecfg = engine_config ~prefilter ~sim_words in
   iteration_pass obs explain "iteration-1" effort ecfg aig
 
 let sbm ?(obs = Obs.null) ?explain ?(effort = High) ?(prefilter = true)
     ?(sim_words = Prefilter.default_words) aig0 =
+  observed obs (to_string (Sbm effort)) @@ fun obs ->
   (* The optimization flow is iterated twice, with different
      efforts (Section V-A). One bank serves both iterations:
      counterexamples found by iteration-1's SAT passes sharpen
@@ -359,6 +326,7 @@ let sbm ?(obs = Obs.null) ?explain ?(effort = High) ?(prefilter = true)
 
 let run ?(obs = Obs.null) ?explain ?(prefilter = true)
     ?(sim_words = Prefilter.default_words) script aig =
+  observed obs (to_string script) @@ fun obs ->
   let ecfg () = engine_config ~prefilter ~sim_words in
   match script with
   | Baseline ->

@@ -191,15 +191,15 @@ let optimize ?(obs = Obs.null) ?(explain = fun (_ : event) -> ())
        gradient engine's, attributed to the specific move. *)
     Aig.set_origin target
       (Aig.Origin.make ~pass:("gradient/" ^ m.name) m.kind);
-    if not (Obs.enabled obs) then m.apply Obs.null target
-    else begin
-      let sp = Obs.span ~size:(Aig.size target) obs m.name in
-      let next, gain = m.apply sp target in
-      Obs.bump sp m_move_cost m.cost;
-      Obs.bump sp m_move_gain gain;
-      Obs.close ~size:(Aig.size next) sp;
-      (next, gain)
-    end
+    let traced = Obs.enabled obs in
+    let sp =
+      if traced then Obs.span ~size:(Aig.size target) obs m.name else Obs.null
+    in
+    let next, gain = m.apply sp target in
+    Obs.bump sp m_move_cost m.cost;
+    Obs.bump sp m_move_gain gain;
+    if traced then Obs.close ~size:(Aig.size next) sp;
+    (next, gain)
   in
   let continue_ = ref true in
   let round = ref 0 in

@@ -167,9 +167,9 @@ val note : counts -> verdict -> unit
 (** [rejected counts] is the total of both rejection kinds. *)
 val rejected : counts -> int
 
-(** [flush obs counts] bumps the three registered counters — span tree
-    and metrics registry both (call only on prefilter-enabled runs, so
-    disabled runs carry no [prefilter.*] keys at all). *)
+(** [flush obs counts] bumps the three registered counters (call only
+    on prefilter-enabled runs, so disabled runs carry no [prefilter.*]
+    keys at all). *)
 val flush : Sbm_obs.span -> counts -> unit
 
 (** Registered handle for [prefilter.cex_refinements], bumped by the

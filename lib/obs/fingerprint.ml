@@ -81,8 +81,7 @@ type state = {
   mutable records : record list; (* newest first *)
   mutable seq : int;
   mutable chain : int64;
-  mutable stack : string list; (* open pass names, innermost first *)
-  mutable baseline : (string * int) list; (* counters at enable *)
+  mutable baseline : Metrics.snapshot; (* counters at enable *)
   mutable out : out_channel option; (* streaming sink *)
   mutable bank_source : (unit -> int64 * int64) option;
 }
@@ -93,8 +92,7 @@ let state =
     records = [];
     seq = 0;
     chain = chain_init;
-    stack = [];
-    baseline = [];
+    baseline = Metrics.snapshot ();
     out = None;
     bank_source = None;
   }
@@ -144,35 +142,16 @@ let inject_mask = h64 0xbadc0ffee0ddf00dL
 
 (* --- record assembly --- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let record_to_json (r : record) =
   let b = Buffer.create 256 in
   Buffer.add_string b
     (Printf.sprintf
        "{\"seq\":%d,\"kind\":\"%s\",\"label\":\"%s\",\"structure\":\"%016Lx\",\"counters\":\"%016Lx\",\"bank\":\"%016Lx\",\"seeds\":\"%016Lx\",\"chain\":\"%016Lx\""
-       r.seq (kind_to_string r.kind) (json_escape r.label) r.structure
+       r.seq (kind_to_string r.kind) (Json_out.escape r.label) r.structure
        r.counters_digest r.bank r.seeds r.chain);
   if r.counters <> [] then begin
-    Buffer.add_string b ",\"counter_values\":{";
-    List.iteri
-      (fun i (k, v) ->
-        if i > 0 then Buffer.add_char b ',';
-        Buffer.add_string b (Printf.sprintf "\"%s\":%d" (json_escape k) v))
-      r.counters;
-    Buffer.add_char b '}'
+    Buffer.add_string b ",\"counter_values\":";
+    Json_out.buf_counters b r.counters
   end;
   Buffer.add_char b '}';
   Buffer.contents b
@@ -209,8 +188,10 @@ let emit kind label structure counters =
     flush oc);
   r
 
+(* Nonzero counter deltas since [enable], sorted by name. *)
 let counters_since_enable () =
-  Metrics.counters_delta state.baseline (Metrics.counters_now ())
+  Metrics.activity state.baseline (Metrics.snapshot ())
+  |> List.filter_map (fun (k, v, _) -> if v <> 0 then Some (k, v) else None)
 
 (* --- lifecycle --- *)
 
@@ -218,8 +199,7 @@ let reset () =
   state.records <- [];
   state.seq <- 0;
   state.chain <- chain_init;
-  state.stack <- [];
-  state.baseline <- []
+  state.baseline <- Metrics.snapshot ()
 
 let close_out () =
   match state.out with
@@ -234,7 +214,7 @@ let enable ?path () =
   (match path with
   | None -> ()
   | Some p -> state.out <- Some (open_out p));
-  state.baseline <- Metrics.counters_now ();
+  state.baseline <- Metrics.snapshot ();
   state.enabled <- true
 
 let disable () =
@@ -247,29 +227,21 @@ let set_bank_source f = state.bank_source <- f
 
 (* --- boundaries --- *)
 
-let pass_started name =
-  if state.enabled then state.stack <- name :: state.stack
-
-let path_of_stack stack =
-  match stack with
+(* Labels come from the open pass frames of the one span stack. *)
+let pass_path () =
+  match Span_stack.names ~passes_only:true () with
   | [] -> "?"
-  | f :: rest -> List.fold_left (fun acc g -> g ^ "/" ^ acc) f rest
+  | names -> String.concat "/" names
 
-let pass_ended ~structure =
+let record_pass ~structure =
   if not state.enabled then 0L
-  else begin
-    match state.stack with
-    | [] -> 0L (* unbalanced end: drop rather than corrupt the trail *)
-    | _ :: rest ->
-      let label = path_of_stack state.stack in
-      state.stack <- rest;
-      let r = emit Pass label structure (counters_since_enable ()) in
-      r.chain
-  end
+  else (emit Pass (pass_path ()) structure (counters_since_enable ())).chain
 
 let record_merge ~engine ~partition ~structure =
   if state.enabled then begin
-    let inner = match state.stack with [] -> engine | n :: _ -> n in
+    let inner =
+      match Span_stack.passes () with [] -> engine | f :: _ -> f.name
+    in
     let structure =
       match injection () with
       | Some (pass, n)
@@ -279,7 +251,7 @@ let record_merge ~engine ~partition ~structure =
       | _ -> structure
     in
     let prefix =
-      match state.stack with [] -> "" | s -> path_of_stack s ^ "/"
+      match Span_stack.passes () with [] -> "" | _ -> pass_path () ^ "/"
     in
     let label = Printf.sprintf "%s%s-partition-%d" prefix engine partition in
     ignore (emit Merge label structure (counters_since_enable ()))

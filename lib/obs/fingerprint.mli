@@ -1,7 +1,8 @@
 (** Determinism audit trail: streaming state fingerprints.
 
-    While enabled, [Flow] and the partitioned engines report every
-    pass boundary and every partition merge boundary here; the trail
+    While enabled, closing pass spans and the partitioned engines
+    report every pass boundary and every partition merge boundary
+    here; the trail
     accumulates one {!record} per boundary, each a composite 64-bit
     fingerprint of (structure, counter deltas, prefilter bank, seeds)
     plus a running chain value that commits to the whole prefix.
@@ -51,21 +52,15 @@ val disable : unit -> unit
 
 val enabled : unit -> bool
 
-val reset : unit -> unit
-(** Clear records and open passes; keeps the enabled flag and sink. *)
-
 val set_bank_source : (unit -> int64 * int64) option -> unit
 (** Install the provider of the (bank digest, seeds) components —
     [Flow] points this at the live prefilter bank; [None] (the
     default) records [0L] for both. *)
 
-val pass_started : string -> unit
-(** Open a pass frame (mirrors [Ledger.pass_started]). No-op while
-    disabled. *)
-
-val pass_ended : structure:int64 -> int64
-(** Close the innermost frame into a [Pass] record; [structure] is the
-    caller-computed structural hash at the boundary. Returns the
+val record_pass : structure:int64 -> int64
+(** Append a [Pass] record for the innermost open pass frame of
+    {!Span_stack}, labelled with the open pass names; [structure] is
+    the caller-computed structural hash at the boundary. Returns the
     record's chain value (embedded into the matching ledger row), or
     [0L] while disabled. *)
 

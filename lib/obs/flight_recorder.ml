@@ -1,10 +1,3 @@
-(* The external is also declared in sbm_obs.ml; duplicate external
-   declarations of the same C symbol are fine and avoid a dependency
-   cycle (Sbm_obs aliases this module). *)
-external monotonic_ns : unit -> (int64[@unboxed])
-  = "sbm_obs_monotonic_ns_byte" "sbm_obs_monotonic_ns"
-[@@noalloc]
-
 type severity = Debug | Info | Warn | Error
 
 let severity_to_string = function
@@ -29,10 +22,9 @@ type state = {
   mutable ring : event array;
   mutable seq : int; (* next sequence number = total recorded *)
   mutable t0 : int64; (* enable time *)
-  mutable stack : (string * int64) list; (* open spans, innermost first *)
 }
 
-let st = { ring = [||]; seq = 0; t0 = 0L; stack = [] }
+let st = { ring = [||]; seq = 0; t0 = 0L }
 
 let enabled () = st.ring != [||]
 
@@ -43,18 +35,16 @@ let dummy =
 let enable ?(capacity = 512) () =
   st.ring <- Array.make (max 16 capacity) dummy;
   st.seq <- 0;
-  st.t0 <- monotonic_ns ();
-  st.stack <- []
+  st.t0 <- Span_stack.monotonic_ns ()
 
 let disable () =
   st.ring <- [||];
-  st.seq <- 0;
-  st.stack <- []
+  st.seq <- 0
 
 let capacity () = Array.length st.ring
 
 let elapsed_ns () =
-  if enabled () then Int64.sub (monotonic_ns ()) st.t0 else 0L
+  if enabled () then Int64.sub (Span_stack.monotonic_ns ()) st.t0 else 0L
 
 let t0_ns () = if enabled () then st.t0 else 0L
 
@@ -112,20 +102,3 @@ let events () =
 
 let recorded () = st.seq
 let dropped () = max 0 (st.seq - Array.length st.ring)
-
-let span_opened name =
-  if enabled () then st.stack <- (name, elapsed_ns ()) :: st.stack
-
-let span_closed name =
-  if enabled () then begin
-    let rec drop = function
-      | (n, _) :: rest when n = name -> Some rest
-      | _ :: rest -> drop rest
-      | [] -> None
-    in
-    match drop st.stack with
-    | Some rest -> st.stack <- rest
-    | None -> ()
-  end
-
-let span_stack () = st.stack

@@ -96,21 +96,3 @@ val recorded : unit -> int
 val dropped : unit -> int
 (** Events overwritten by ring wraparound:
     [recorded () - List.length (events ())]. *)
-
-(** {1 Span stack}
-
-    {!Sbm_obs} notifies the recorder when spans open and close, so at
-    any instant — in particular, at crash time — the stack of open
-    spans is known without freezing the trace. *)
-
-val span_opened : string -> unit
-(** Push a span (records the open time). No-op when disabled. *)
-
-val span_closed : string -> unit
-(** Pop the innermost occurrence of the named span (entries opened
-    under it are discarded — defensive against out-of-order closes).
-    Unknown names are ignored. *)
-
-val span_stack : unit -> (string * int64) list
-(** Open spans, innermost first, with their open time (monotonic,
-    since {!enable}). *)

@@ -1,13 +1,14 @@
 (* Per-pass resource ledger.
 
-   One row per completed flow pass: QoR before/after, wall time, the
-   registry counter deltas attributable to the pass, GC allocation,
-   a peak-heap sample, and the BDD table / AIG occupancy gauges.
+   One row per completed flow pass, projected from the closing pass
+   span: QoR before/after, wall time, the registry counter deltas
+   attributable to the pass, GC allocation, a peak-heap sample, and
+   the BDD table / AIG occupancy gauges.
 
    Determinism contract: every field except the resource samples
    (wall_ns, minor/major words, heap_words) is bit-identical at any
-   --jobs. Counter deltas are differences of [Metrics.counters_now]
-   taken at pass boundaries on the main domain — worker shards have
+   --jobs. Counter deltas are the pass span's registry activity,
+   snapshotted at pass boundaries on the main domain — worker shards have
    already been replayed through the deterministic Par_merge order by
    then. The BDD load gauges are written by [Bdd_bridge.flush_stats],
    which only runs in [finish_partition] on the main domain in
@@ -15,10 +16,6 @@
    job-count independent. [row_to_json ~stable:true] projects a row
    onto the deterministic fields only; the jobs-identity test compares
    that projection byte-for-byte. *)
-
-external monotonic_ns : unit -> (int64[@unboxed])
-  = "sbm_obs_monotonic_ns_byte" "sbm_obs_monotonic_ns"
-[@@noalloc]
 
 type row = {
   path : string; (* slash-joined pass path, e.g. "iteration-1/mspf" *)
@@ -40,33 +37,17 @@ type row = {
   dead_node_pct : int; (* dead AIG slots after the pass *)
 }
 
-(* An open (started, not yet ended) pass. [u_max]/[c_max] accumulate
-   the BDD load gauges: the gauges are drained into every open frame
-   and reset whenever a pass starts or ends, so each frame sees the
-   maximum over exactly its own extent, nesting included. *)
-type frame = {
-  name : string;
-  t0 : int64;
-  counters0 : (string * int) list;
-  minor0 : float;
-  major0 : float;
-  mutable u_max : int;
-  mutable c_max : int;
-}
-
 type state = {
   mutable enabled : bool;
-  mutable stack : frame list; (* innermost first *)
   mutable rows : row list; (* newest first *)
   mutable next_index : int;
 }
 
-let state = { enabled = false; stack = []; rows = []; next_index = 0 }
+let state = { enabled = false; rows = []; next_index = 0 }
 
 let enabled () = state.enabled
 
 let reset () =
-  state.stack <- [];
   state.rows <- [];
   state.next_index <- 0
 
@@ -78,101 +59,67 @@ let disable () =
   state.enabled <- false;
   reset ()
 
-let find_gauge = Metrics.find
-
 (* Read-and-reset a gauge registered elsewhere (bdd_bridge); absent
    until the BDD layer is linked, hence the option. *)
 let drain name =
-  match find_gauge name with
+  match Metrics.find name with
   | None -> 0
   | Some m ->
     let v = Metrics.value m in
     Metrics.set m 0;
     v
 
+(* The BDD load gauges are drained into every open pass frame whenever
+   a pass opens or closes, so each frame sees the maximum over exactly
+   its own extent, nesting included. *)
 let drain_gauges () =
-  let u = drain "bdd.unique_load_pct" in
-  let c = drain "bdd.cache_load_pct" in
-  if u > 0 || c > 0 then
-    List.iter
-      (fun f ->
-        if u > f.u_max then f.u_max <- u;
-        if c > f.c_max then f.c_max <- c)
-      state.stack
-
-let pass_started name =
   if state.enabled then begin
-    drain_gauges ();
-    let q = Gc.quick_stat () in
-    state.stack <-
-      {
-        name;
-        t0 = monotonic_ns ();
-        counters0 = Metrics.counters_now ();
-        minor0 = q.Gc.minor_words;
-        major0 = q.Gc.major_words;
-        u_max = 0;
-        c_max = 0;
-      }
-      :: state.stack
+    let u = drain "bdd.unique_load_pct" in
+    let c = drain "bdd.cache_load_pct" in
+    if u > 0 || c > 0 then
+      List.iter
+        (fun (f : Span_stack.frame) ->
+          if u > f.unique_max then f.unique_max <- u;
+          if c > f.cache_max then f.cache_max <- c)
+        (Span_stack.passes ())
   end
 
-let counter_delta = Metrics.counters_delta
-
-let pass_ended ?(fingerprint = 0L) ~size_before ~size_after ~depth_before
-    ~depth_after ~luts ~levels ~dead_node_pct () =
+let record ?(fingerprint = 0L) ~luts ~levels ~dead_node_pct
+    (f : Span_stack.frame) =
   if state.enabled then begin
-    match state.stack with
-    | [] -> () (* unbalanced end: drop rather than corrupt the ledger *)
-    | f :: rest ->
-      drain_gauges ();
-      state.stack <- rest;
-      let q = Gc.quick_stat () in
-      let path =
-        List.fold_left (fun acc g -> g.name ^ "/" ^ acc) f.name rest
-      in
-      let row =
-        {
-          path;
-          index = state.next_index;
-          size_before;
-          size_after;
-          depth_before;
-          depth_after;
-          luts;
-          levels;
-          fingerprint;
-          wall_ns = Int64.sub (monotonic_ns ()) f.t0;
-          counters = counter_delta f.counters0 (Metrics.counters_now ());
-          minor_words = q.Gc.minor_words -. f.minor0;
-          major_words = q.Gc.major_words -. f.major0;
-          heap_words = q.Gc.heap_words;
-          unique_load_pct = f.u_max;
-          cache_load_pct = f.c_max;
-          dead_node_pct;
-        }
-      in
-      state.next_index <- state.next_index + 1;
-      state.rows <- row :: state.rows
+    drain_gauges ();
+    let gc1 = match f.gc1 with Some g -> g | None -> Gc.quick_stat () in
+    let row =
+      {
+        path = String.concat "/" (Span_stack.names ~passes_only:true ());
+        index = state.next_index;
+        size_before = f.size0;
+        size_after = f.size1;
+        depth_before = f.depth0;
+        depth_after = f.depth1;
+        luts;
+        levels;
+        fingerprint;
+        wall_ns = Int64.sub f.t1 f.t0;
+        counters =
+          List.filter_map
+            (fun (k, v, _) -> if v <> 0 then Some (k, v) else None)
+            f.delta;
+        minor_words = gc1.Gc.minor_words -. f.gc0.Gc.minor_words;
+        major_words = gc1.Gc.major_words -. f.gc0.Gc.major_words;
+        heap_words = gc1.Gc.heap_words;
+        unique_load_pct = f.unique_max;
+        cache_load_pct = f.cache_max;
+        dead_node_pct;
+      }
+    in
+    state.next_index <- state.next_index + 1;
+    state.rows <- row :: state.rows
   end
 
 let rows () = List.rev state.rows
 
 (* --- JSON --- *)
-
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
 
 (* [stable] omits the resource samples that legitimately vary run to
    run (wall, GC words, heap); everything else is covered by the
@@ -181,7 +128,7 @@ let buf_row ?(stable = false) b r =
   Buffer.add_string b
     (Printf.sprintf
        "{\"path\":\"%s\",\"index\":%d,\"size_before\":%d,\"size_after\":%d,\"depth_before\":%d,\"depth_after\":%d,\"luts\":%d,\"levels\":%d"
-       (json_escape r.path) r.index r.size_before r.size_after r.depth_before
+       (Json_out.escape r.path) r.index r.size_before r.size_after r.depth_before
        r.depth_after r.luts r.levels);
   (* Additive field: emitted only when the audit trail was live, so
      pre-fingerprint readers and snapshots are unaffected. The chain
@@ -197,14 +144,10 @@ let buf_row ?(stable = false) b r =
   end;
   Buffer.add_string b
     (Printf.sprintf
-       ",\"unique_load_pct\":%d,\"cache_load_pct\":%d,\"dead_node_pct\":%d,\"counters\":{"
+       ",\"unique_load_pct\":%d,\"cache_load_pct\":%d,\"dead_node_pct\":%d,\"counters\":"
        r.unique_load_pct r.cache_load_pct r.dead_node_pct);
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (Printf.sprintf "\"%s\":%d" (json_escape k) v))
-    r.counters;
-  Buffer.add_string b "}}"
+  Json_out.buf_counters b r.counters;
+  Buffer.add_char b '}'
 
 let row_to_json ?stable r =
   let b = Buffer.create 256 in
@@ -213,11 +156,5 @@ let row_to_json ?stable r =
 
 let rows_to_json ?stable rows =
   let b = Buffer.create 4096 in
-  Buffer.add_char b '[';
-  List.iteri
-    (fun i r ->
-      if i > 0 then Buffer.add_char b ',';
-      buf_row ?stable b r)
-    rows;
-  Buffer.add_char b ']';
+  Json_out.buf_list b (buf_row ?stable) rows;
   Buffer.contents b

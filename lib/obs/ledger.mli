@@ -1,9 +1,9 @@
 (** Per-pass resource ledger.
 
-    While enabled, [Flow] reports every pass boundary here and the
-    ledger accumulates one {!row} per completed pass: QoR
-    before/after, wall time, registry counter deltas, GC allocation, a
-    peak-heap sample and the BDD/AIG occupancy gauges. Rows are
+    While enabled, every closing pass span is projected into one {!row}
+    (see [Sbm_obs.close_pass]): QoR before/after, wall time, registry
+    counter deltas, GC allocation, a peak-heap sample and the BDD/AIG
+    occupancy gauges. Rows are
     deterministic at any [--jobs] except for the resource samples;
     [row_to_json ~stable:true] projects onto the deterministic subset
     (the jobs-identity test compares that projection byte-for-byte).
@@ -45,25 +45,20 @@ val disable : unit -> unit
 
 val enabled : unit -> bool
 
-val reset : unit -> unit
-(** Clear rows and open passes; keeps the enabled flag. *)
+val drain_gauges : unit -> unit
+(** Fold the BDD load gauges into every open pass frame and reset
+    them. Runs whenever a pass opens or closes, so each frame's maxima
+    cover exactly its own extent. No-op while disabled. *)
 
-val pass_started : string -> unit
-(** [pass_started name] opens a pass frame. Nested passes produce
-    slash-joined paths. No-op while disabled. *)
-
-val pass_ended :
+val record :
   ?fingerprint:int64 ->
-  size_before:int ->
-  size_after:int ->
-  depth_before:int ->
-  depth_after:int ->
   luts:int ->
   levels:int ->
   dead_node_pct:int ->
-  unit ->
+  Span_stack.frame ->
   unit
-(** Close the innermost open frame into a {!row}. Pass [-1] for
+(** Project a stopped pass frame, still on the stack, into a {!row}:
+    its path is the open pass names, slash-joined. Pass [-1] for
     [luts]/[levels] when no LUT probe ran; [fingerprint] is the audit
     trail chain value at this boundary (default [0L] = no trail).
     No-op while disabled. *)

@@ -1,10 +1,10 @@
 (* Process-global typed metrics registry.
 
-   Every counter the engines report used to be an ad-hoc
-   [(string * int)] pair living only inside a span tree; the registry
-   gives each one a single registration point with kind/unit/engine/
-   description metadata, a process-global value cell, and a stable
-   catalog ([sbm metrics]) that CI can gate against DESIGN.md.
+   The one counter store: every counter the engines report has a
+   single registration point with kind/unit/engine/description
+   metadata, a process-global value cell, and a place in a stable
+   catalog ([sbm metrics]) that CI can gate against DESIGN.md. Spans
+   hold no counters; they keep the registry's [activity] while open.
 
    Value cells are [Atomic.t] so the live-telemetry sampler (a
    separate domain, see {!Status}) can read a coherent snapshot while
@@ -39,6 +39,7 @@ type t = {
   engine : string;
   description : string;
   cell : int Atomic.t; (* counter total / gauge value *)
+  bumps : int Atomic.t; (* counter: [add] calls, so "bumped by 0" shows *)
   hcount : int Atomic.t;
   hsum : int Atomic.t;
   hmin : int Atomic.t; (* max_int while empty *)
@@ -48,6 +49,11 @@ type t = {
 
 let registry : (string, t) Hashtbl.t = Hashtbl.create 64
 let next_id = ref 0
+
+(* Counters in registration order: the layout of a snapshot.
+   Registration only appends, so an older snapshot is a prefix of a
+   newer one. *)
+let counters : t array ref = ref [||]
 
 (* Registration happens at module-initialization time on the main
    domain (each library registers its metrics as top-level bindings),
@@ -65,6 +71,7 @@ let register ?(engine = "") ?(unit_ = "count") ?sample kind name description =
       engine;
       description;
       cell = Atomic.make 0;
+      bumps = Atomic.make 0;
       hcount = Atomic.make 0;
       hsum = Atomic.make 0;
       hmin = Atomic.make max_int;
@@ -74,6 +81,7 @@ let register ?(engine = "") ?(unit_ = "count") ?sample kind name description =
   in
   incr next_id;
   Hashtbl.replace registry name m;
+  if kind = Counter then counters := Array.append !counters [| m |];
   m
 
 let counter ?engine ?unit_ name description =
@@ -115,7 +123,9 @@ let add m n =
     match Hashtbl.find_opt tbl m.name with
     | Some cell -> cell := !cell + n
     | None -> Hashtbl.add tbl m.name (ref n))
-  | None -> ignore (Atomic.fetch_and_add m.cell n)
+  | None ->
+    ignore (Atomic.fetch_and_add m.cell n);
+    Atomic.incr m.bumps
 
 let incr m = add m 1
 
@@ -178,7 +188,9 @@ let replay deltas =
   List.iter
     (fun (n, v) ->
       match Hashtbl.find_opt registry n with
-      | Some m -> ignore (Atomic.fetch_and_add m.cell v)
+      | Some m ->
+        ignore (Atomic.fetch_and_add m.cell v);
+        Atomic.incr m.bumps
       | None -> ())
     deltas
 
@@ -192,23 +204,28 @@ let by_kind k =
 let counters_now () = by_kind Counter
 let gauges_now () = by_kind Gauge
 
-let counters_delta before now =
-  (* Both lists are sorted by name (counters_now) and [now] can only
-     have grown relative to [before] — registration happens at module
-     init, values are monotonic. Shared by the per-pass ledger and the
-     fingerprint trail. *)
-  let rec go before now acc =
-    match (before, now) with
-    | _, [] -> List.rev acc
-    | [], (k, v) :: now -> go [] now (if v <> 0 then (k, v) :: acc else acc)
-    | (kb, vb) :: before', (kn, vn) :: now' ->
-      let c = String.compare kb kn in
-      if c = 0 then
-        go before' now' (if vn <> vb then (kn, vn - vb) :: acc else acc)
-      else if c > 0 then go before now' (if vn <> 0 then (kn, vn) :: acc else acc)
-      else go before' now acc
-  in
-  go before now []
+(* Two cells per counter: value, bumps. *)
+type snapshot = int array
+
+let snapshot () =
+  let cs = !counters in
+  let s = Array.make (2 * Array.length cs) 0 in
+  Array.iteri
+    (fun i m ->
+      s.(2 * i) <- Atomic.get m.cell;
+      s.((2 * i) + 1) <- Atomic.get m.bumps)
+    cs;
+  s
+
+let activity before now =
+  let at s i = if i < Array.length s then s.(i) else 0 in
+  List.init (Array.length now / 2) Fun.id
+  |> List.filter_map (fun i ->
+         let bumps = now.((2 * i) + 1) - at before ((2 * i) + 1) in
+         if bumps > 0 then
+           Some ((!counters).(i).name, now.(2 * i) - at before (2 * i), bumps)
+         else None)
+  |> List.sort (fun (a, _, _) (b, _, _) -> String.compare a b)
 
 let hists_now () =
   List.filter_map
@@ -219,6 +236,7 @@ let reset_values () =
   Hashtbl.iter
     (fun _ m ->
       Atomic.set m.cell 0;
+      Atomic.set m.bumps 0;
       Atomic.set m.hcount 0;
       Atomic.set m.hsum 0;
       Atomic.set m.hmin max_int;

@@ -6,6 +6,9 @@
     the registry doubles as the authoritative metric catalog behind
     [sbm metrics], so silent shadowing would hide drift.
 
+    The registry is the only counter store: a span's counters are the
+    registry's {!activity} while it was open (see {!Sbm_obs}).
+
     Counter bumps normally go straight to a process-global atomic cell
     (all engine flush sites run on the main domain). Code running on a
     worker domain wraps its work in {!capture}, which redirects bumps
@@ -88,11 +91,17 @@ val gauges_now : unit -> (string * int) list
 val hists_now : unit -> (string * hstats) list
 (** Sorted-by-name snapshots of every metric of the given kind. *)
 
-val counters_delta :
-  (string * int) list -> (string * int) list -> (string * int) list
-(** [counters_delta before now] is the sorted list of nonzero counter
-    differences between two {!counters_now} snapshots. Shared by the
-    per-pass ledger and the fingerprint trail. *)
+type snapshot
+(** Every counter's value and bump count at one instant. Spans take
+    one when they open and one when they close. *)
+
+val snapshot : unit -> snapshot
+
+val activity : snapshot -> snapshot -> (string * int * int) list
+(** [activity before now] is [(name, value delta, bumps)] for every
+    counter bumped at least once between the two snapshots, sorted by
+    name. A bump by 0 counts, so a span can report a counter it
+    touched without moving it. *)
 
 (** {1 Worker shards} *)
 
@@ -118,14 +127,15 @@ val reset_values : unit -> unit
 (** {1 Built-in process metrics} *)
 
 val live_aig_nodes : t
-(** Gauge, set by [Flow] at pass boundaries where the node count is
-    already computed ([Aig.size] is a live-node traversal, not O(1)). *)
+(** Gauge, set when a pass span opens or closes, where the node count
+    is already computed ([Aig.size] is a live-node traversal, not
+    O(1)). *)
 
 val pool_queue_depth : t
 (** Gauge, set by the [lib/par] pool as batch items are claimed. *)
 
 val peak_heap_words : t
-(** Gauge, raised via {!set_max} by [Flow] at pass boundaries and by
+(** Gauge, raised via {!set_max} when a pass span closes and by
     pool workers as they claim jobs; the per-pass ledger reads it as a
     peak-heap sample. *)
 

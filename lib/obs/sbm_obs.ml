@@ -4,105 +4,105 @@ module Metrics = Metrics
 module Status = Status
 module Ledger = Ledger
 module Fingerprint = Fingerprint
+module Span_stack = Span_stack
+module Json_out = Json_out
 
-external monotonic_ns : unit -> (int64[@unboxed])
-  = "sbm_obs_monotonic_ns_byte" "sbm_obs_monotonic_ns"
-[@@noalloc]
+let monotonic_ns () = Span_stack.monotonic_ns ()
 
-type rec_ = {
-  r_name : string;
-  r_t0 : int64;
-  mutable r_t1 : int64; (* 0L while open *)
-  mutable r_size0 : int;
-  mutable r_size1 : int; (* -1 = unset *)
-  mutable r_depth0 : int;
-  mutable r_depth1 : int;
-  r_gc0 : Gc.stat; (* quick_stat at open *)
-  mutable r_gc1 : Gc.stat option; (* quick_stat at close *)
-  mutable r_counters : (string, int ref) Hashtbl.t option;
-  mutable r_children : rec_ list; (* reversed *)
-}
+type span = Noop | Span of Span_stack.frame
 
-type span = Noop | Span of rec_
-
-type trace = { mutable roots : rec_ list (* reversed *) }
+type trace = { mutable roots : Span_stack.frame list (* reversed *) }
 
 let null = Noop
 let enabled = function Noop -> false | Span _ -> true
 
 let create () = { roots = [] }
 
-let fresh ?(size = -1) ?(depth = -1) name =
-  {
-    r_name = name;
-    r_t0 = monotonic_ns ();
-    r_t1 = 0L;
-    r_size0 = size;
-    r_size1 = -1;
-    r_depth0 = depth;
-    r_depth1 = -1;
-    r_gc0 = Gc.quick_stat ();
-    r_gc1 = None;
-    r_counters = None;
-    r_children = [];
-  }
-
-(* Live spans double as the flight recorder's notion of "where the
-   run is": open/close notify its span stack (one branch when the
-   recorder is off), so a crash dump can report the open spans without
-   freezing the trace. *)
+(* Every live span is a frame on the one span stack from open to
+   close, so the recorder, watchdog, ledger, audit trail and status
+   sampler all see the same "where the run is". *)
 let root ?size ?depth trace name =
-  let r = fresh ?size ?depth name in
-  trace.roots <- r :: trace.roots;
-  if Flight_recorder.enabled () then Flight_recorder.span_opened name;
-  Span r
+  let f = Span_stack.push ~root:true ?size ?depth name in
+  trace.roots <- f :: trace.roots;
+  Span f
 
-let span ?size ?depth parent name =
+let child ~pass ?size ?depth parent name =
   match parent with
   | Noop -> Noop
   | Span p ->
-    let r = fresh ?size ?depth name in
-    p.r_children <- r :: p.r_children;
-    if Flight_recorder.enabled () then Flight_recorder.span_opened name;
-    Span r
+    let f = Span_stack.push ~pass ?size ?depth name in
+    p.children <- f :: p.children;
+    Span f
+
+let span ?size ?depth parent name = child ~pass:false ?size ?depth parent name
+
+let finish ?size ?depth (f : Span_stack.frame) =
+  Span_stack.stop f;
+  (match size with Some s -> f.size1 <- s | None -> ());
+  (match depth with Some d -> f.depth1 <- d | None -> ())
 
 let close ?size ?depth = function
   | Noop -> ()
-  | Span r ->
-    if r.r_t1 = 0L then begin
-      r.r_t1 <- monotonic_ns ();
-      r.r_gc1 <- Some (Gc.quick_stat ());
-      if Flight_recorder.enabled () then Flight_recorder.span_closed r.r_name
-    end;
-    (match size with Some s -> r.r_size1 <- s | None -> ());
-    (match depth with Some d -> r.r_depth1 <- d | None -> ())
+  | Span f ->
+    finish ?size ?depth f;
+    Span_stack.pop f
 
-let add span name n =
-  match span with
+(* The registry is the one counter store: a span's counters are the
+   registry's activity while it was open, so the span argument only
+   says where the bump happens. *)
+let bump _span m n = Metrics.add m n
+
+(* --- pass spans --- *)
+
+let m_pass_ms =
+  Metrics.histogram ~engine:"flow" ~unit_:"ms" "flow.pass_ms"
+    "wall time of scripted flow passes"
+
+let observing () =
+  Ledger.enabled () || Fingerprint.enabled () || Watchdog.enabled ()
+  || Flight_recorder.enabled () || Status.active ()
+
+let pass ~size ~depth parent name =
+  match parent with
+  | Noop -> Noop
+  | Span _ ->
+    Ledger.drain_gauges ();
+    Metrics.set Metrics.live_aig_nodes size;
+    let sp = child ~pass:true ~size ~depth parent name in
+    if Flight_recorder.enabled () then
+      Flight_recorder.record ~severity:Flight_recorder.Info ~engine:"flow"
+        ~id:name ~metrics:[ ("size", size) ] "pass start";
+    sp
+
+let close_pass ~size ~depth ?(dead_node_pct = 0) ?(structure = fun () -> 0L)
+    ?(qor = fun () -> (-1, -1)) = function
   | Noop -> ()
-  | Span r ->
-    let tbl =
-      match r.r_counters with
-      | Some t -> t
-      | None ->
-        let t = Hashtbl.create 8 in
-        r.r_counters <- Some t;
-        t
+  | Span f ->
+    Metrics.set Metrics.live_aig_nodes size;
+    Metrics.observe m_pass_ms
+      (Int64.to_int (Int64.div (Int64.sub (monotonic_ns ()) f.t0) 1_000_000L));
+    Metrics.set_max Metrics.peak_heap_words (Gc.quick_stat ()).Gc.heap_words;
+    (* Trail record before the span stops: its chain value rides on the
+       ledger row, and the record's own counter lands in the pass's
+       registry delta — consistently at any --jobs, hence still
+       deterministic. *)
+    let fingerprint =
+      if Fingerprint.enabled () then
+        Fingerprint.record_pass ~structure:(structure ())
+      else 0L
     in
-    (match Hashtbl.find_opt tbl name with
-    | Some cell -> cell := !cell + n
-    | None -> Hashtbl.add tbl name (ref n))
-
-let incr span name = add span name 1
-
-(* A bump through a registered metric handle feeds both sinks: the
-   process-global registry (always — the live-telemetry sampler reads
-   it even when span tracing is off) and the span counter tree (when a
-   span is open — the BENCH snapshot totals come from there and stay
-   byte-identical to the pre-registry flush sites). *)
-let bump span m n =
-  Metrics.add m n;
-  add span (Metrics.name m) n
+    finish ~size ~depth f;
+    if Ledger.enabled () then begin
+      let luts, levels = qor () in
+      Ledger.record ~fingerprint ~luts ~levels ~dead_node_pct f
+    end;
+    if Flight_recorder.enabled () then
+      Flight_recorder.record ~severity:Flight_recorder.Info ~engine:"flow"
+        ~id:f.name
+        ~metrics:[ ("size", size); ("gain", f.size0 - size) ]
+        "pass end";
+    Watchdog.clear_abort ();
+    Span_stack.pop f
 
 (* --- freezing --- *)
 
@@ -135,45 +135,66 @@ let gc_delta_of (g0 : Gc.stat) (g1 : Gc.stat) =
     major_collections = max 0 (g1.Gc.major_collections - g0.Gc.major_collections);
   }
 
-let rec freeze now gc_now r =
-  let stop = if r.r_t1 = 0L then now else r.r_t1 in
-  let gc_stop = match r.r_gc1 with Some g -> g | None -> gc_now in
-  let counters =
-    match r.r_counters with
-    | None -> []
-    | Some tbl ->
-      Hashtbl.fold (fun k cell acc -> (k, !cell) :: acc) tbl []
-      |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  in
+(* Registry activity of a frame: stamped at close, or up to [now]
+   while it is still open. *)
+let delta_at now (f : Span_stack.frame) =
+  if f.t1 = 0L then Metrics.activity f.counters0 now else f.delta
+
+(* A span's own counters: its registry delta minus its children's. A
+   counter stays listed while a bump is left to the span, even one
+   by 0. *)
+let self_counters delta children =
+  let tbl = Hashtbl.create 16 in
+  List.iter (fun (k, v, b) -> Hashtbl.replace tbl k (v, b)) delta;
+  List.iter
+    (List.iter (fun (k, v, b) ->
+         match Hashtbl.find_opt tbl k with
+         | Some (v0, b0) -> Hashtbl.replace tbl k (v0 - v, b0 - b)
+         | None -> ()))
+    children;
+  List.filter_map
+    (fun (k, _, _) ->
+      let v, b = Hashtbl.find tbl k in
+      if b > 0 then Some (k, v) else None)
+    delta
+
+let rec freeze now snap gc_now (f : Span_stack.frame) =
+  let stop = if f.t1 = 0L then now else f.t1 in
+  let gc_stop = match f.gc1 with Some g -> g | None -> gc_now in
   {
-    name = r.r_name;
-    wall_ns = Int64.max 0L (Int64.sub stop r.r_t0);
-    size_before = opt_of_int r.r_size0;
-    size_after = opt_of_int r.r_size1;
-    depth_before = opt_of_int r.r_depth0;
-    depth_after = opt_of_int r.r_depth1;
-    gc = gc_delta_of r.r_gc0 gc_stop;
-    counters;
-    (* [r_children] is stored newest-first; [rev_map] restores opening
+    name = f.name;
+    wall_ns = Int64.max 0L (Int64.sub stop f.t0);
+    size_before = opt_of_int f.size0;
+    size_after = opt_of_int f.size1;
+    depth_before = opt_of_int f.depth0;
+    depth_after = opt_of_int f.depth1;
+    gc = gc_delta_of f.gc0 gc_stop;
+    counters =
+      self_counters (delta_at snap f) (List.map (delta_at snap) f.children);
+    (* [children] is stored newest-first; [rev_map] restores opening
        order. *)
-    children = List.rev_map (freeze now gc_now) r.r_children;
+    children = List.rev_map (freeze now snap gc_now) f.children;
   }
 
 let spans trace =
   let now = monotonic_ns () in
+  let snap = Metrics.snapshot () in
   let gc_now = Gc.quick_stat () in
-  List.rev_map (freeze now gc_now) trace.roots
+  List.rev_map (freeze now snap gc_now) trace.roots
 
+(* The registry delta over the roots — the sum of every span's own
+   counters. *)
 let totals trace =
+  let snap = Metrics.snapshot () in
   let acc : (string, int) Hashtbl.t = Hashtbl.create 32 in
-  let rec walk n =
-    List.iter
-      (fun (k, v) ->
-        Hashtbl.replace acc k (v + Option.value ~default:0 (Hashtbl.find_opt acc k)))
-      n.counters;
-    List.iter walk n.children
-  in
-  List.iter walk (spans trace);
+  List.iter
+    (fun f ->
+      List.iter
+        (fun (k, v, _) ->
+          Hashtbl.replace acc k
+            (v + Option.value ~default:0 (Hashtbl.find_opt acc k)))
+        (delta_at snap f))
+    trace.roots;
   Hashtbl.fold (fun k v l -> (k, v) :: l) acc []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
@@ -266,30 +287,7 @@ let pp ppf trace =
   in
   List.iter (go 0) (spans trace)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let buf_counters b counters =
-  Buffer.add_char b '{';
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (Printf.sprintf "\"%s\":%d" (json_escape k) v))
-    counters;
-  Buffer.add_char b '}'
+let esc = Json_out.escape
 
 let buf_span_fields b n =
   Buffer.add_string b (Printf.sprintf "\"wall_ms\":%.6f" (ms_of_ns n.wall_ns));
@@ -309,91 +307,69 @@ let buf_span_fields b n =
        n.gc.major_collections);
   if n.counters <> [] then begin
     Buffer.add_string b ",\"counters\":";
-    buf_counters b n.counters
+    Json_out.buf_counters b n.counters
   end
+
+(* The one event and verdict serializers, shared by the trace document
+   and the post-mortem dump. [t0] adds the absolute clock reading. *)
+let buf_event ?t0 b (e : Flight_recorder.event) =
+  Buffer.add_string b
+    (Printf.sprintf "{\"seq\":%d,\"t_ms\":%.3f" e.seq (ms_of_ns e.t_ns));
+  Option.iter
+    (fun t0 ->
+      Buffer.add_string b (Printf.sprintf ",\"t_ns\":%Ld" (Int64.add t0 e.t_ns)))
+    t0;
+  Buffer.add_string b
+    (Printf.sprintf
+       ",\"severity\":\"%s\",\"engine\":\"%s\",\"id\":\"%s\",\"message\":\"%s\",\"metrics\":"
+       (Flight_recorder.severity_to_string e.severity)
+       (esc e.engine) (esc e.id) (esc e.message));
+  Json_out.buf_counters b e.metrics;
+  Buffer.add_char b '}'
+
+let buf_verdict b (v : Watchdog.verdict) =
+  Buffer.add_string b
+    (Printf.sprintf
+       "{\"rule\":\"%s\",\"detail\":\"%s\",\"action\":\"%s\",\"t_ms\":%.3f}"
+       (esc v.rule) (esc v.detail)
+       (match v.action with Watchdog.Note -> "note" | Watchdog.Abort -> "abort")
+       (ms_of_ns v.t_ns))
 
 let to_json trace =
   let b = Buffer.create 4096 in
-  let rec go n =
-    Buffer.add_string b (Printf.sprintf "{\"name\":\"%s\"," (json_escape n.name));
+  let rec go b n =
+    Buffer.add_string b (Printf.sprintf "{\"name\":\"%s\"," (esc n.name));
     buf_span_fields b n;
-    Buffer.add_string b ",\"children\":[";
-    List.iteri
-      (fun i c ->
-        if i > 0 then Buffer.add_char b ',';
-        go c)
-      n.children;
-    Buffer.add_string b "]}"
+    Buffer.add_string b ",\"children\":";
+    Json_out.buf_list b go n.children;
+    Buffer.add_char b '}'
   in
   Buffer.add_string b "{\"version\":2,\"totals\":";
-  buf_counters b (totals trace);
-  Buffer.add_string b ",\"histograms\":{";
-  List.iteri
-    (fun i (name, d) ->
-      if i > 0 then Buffer.add_char b ',';
+  Json_out.buf_counters b (totals trace);
+  Buffer.add_string b ",\"histograms\":";
+  Json_out.buf_obj b
+    (fun b d ->
       Buffer.add_string b
         (Printf.sprintf
-           "\"%s\":{\"count\":%d,\"total_ms\":%.6f,\"p50_ms\":%.6f,\"p90_ms\":%.6f,\"max_ms\":%.6f}"
-           (json_escape name) d.count d.total_ms d.p50_ms d.p90_ms d.max_ms))
+           "{\"count\":%d,\"total_ms\":%.6f,\"p50_ms\":%.6f,\"p90_ms\":%.6f,\"max_ms\":%.6f}"
+           d.count d.total_ms d.p50_ms d.p90_ms d.max_ms))
     (histograms trace);
-  Buffer.add_string b "},\"spans\":[";
-  List.iteri
-    (fun i n ->
-      if i > 0 then Buffer.add_char b ',';
-      go n)
-    (spans trace);
-  Buffer.add_char b ']';
+  Buffer.add_string b ",\"spans\":";
+  Json_out.buf_list b go (spans trace);
   (* Additive live-telemetry payloads (trace version stays 2: readers
      that only know "spans" ignore these keys). Emitted only when the
      corresponding subsystem ran, so plain traces are unchanged. *)
-  let samples = Status.samples () in
-  if samples <> [] then begin
-    Buffer.add_string b ",\"samples\":[";
-    List.iteri
-      (fun i s ->
-        if i > 0 then Buffer.add_char b ',';
-        Buffer.add_string b (Status.sample_to_json s))
-      samples;
-    Buffer.add_char b ']'
-  end;
-  let events = Flight_recorder.events () in
-  if events <> [] then begin
-    Buffer.add_string b ",\"events\":[";
-    List.iteri
-      (fun i (e : Flight_recorder.event) ->
-        if i > 0 then Buffer.add_char b ',';
-        Buffer.add_string b
-          (Printf.sprintf
-             "{\"seq\":%d,\"t_ms\":%.3f,\"severity\":\"%s\",\"engine\":\"%s\",\"id\":\"%s\",\"message\":\"%s\",\"metrics\":"
-             e.Flight_recorder.seq
-             (Int64.to_float e.Flight_recorder.t_ns /. 1e6)
-             (Flight_recorder.severity_to_string e.Flight_recorder.severity)
-             (json_escape e.Flight_recorder.engine)
-             (json_escape e.Flight_recorder.id)
-             (json_escape e.Flight_recorder.message));
-        buf_counters b e.Flight_recorder.metrics;
-        Buffer.add_char b '}')
-      events;
-    Buffer.add_char b ']'
-  end;
-  let verdicts = Watchdog.verdicts () in
-  if verdicts <> [] then begin
-    Buffer.add_string b ",\"verdicts\":[";
-    List.iteri
-      (fun i (v : Watchdog.verdict) ->
-        if i > 0 then Buffer.add_char b ',';
-        Buffer.add_string b
-          (Printf.sprintf
-             "{\"rule\":\"%s\",\"detail\":\"%s\",\"action\":\"%s\",\"t_ms\":%.3f}"
-             (json_escape v.Watchdog.rule)
-             (json_escape v.Watchdog.detail)
-             (match v.Watchdog.action with
-             | Watchdog.Note -> "note"
-             | Watchdog.Abort -> "abort")
-             (Int64.to_float v.Watchdog.t_ns /. 1e6)))
-      verdicts;
-    Buffer.add_char b ']'
-  end;
+  let optional key f = function
+    | [] -> ()
+    | l ->
+      Buffer.add_string b (Printf.sprintf ",\"%s\":" key);
+      Json_out.buf_list b f l
+  in
+  optional "samples"
+    (fun b s -> Buffer.add_string b (Status.sample_to_json s))
+    (Status.samples ());
+  optional "events" (buf_event ?t0:None) (Flight_recorder.events ());
+  optional "verdicts" buf_verdict (Watchdog.verdicts ());
   Buffer.add_char b '}';
   Buffer.contents b
 
@@ -401,7 +377,7 @@ let to_jsonl trace =
   let b = Buffer.create 4096 in
   let rec go path n =
     let path = if path = "" then n.name else path ^ "/" ^ n.name in
-    Buffer.add_string b (Printf.sprintf "{\"path\":\"%s\"," (json_escape path));
+    Buffer.add_string b (Printf.sprintf "{\"path\":\"%s\"," (esc path));
     buf_span_fields b n;
     Buffer.add_string b "}\n";
     List.iter (go path) n.children
@@ -511,13 +487,12 @@ module Snapshot = struct
       Buffer.add_string b
         (Printf.sprintf ",\"passes_version\":%d" passes_version);
     Buffer.add_string b
-      (Printf.sprintf ",\"label\":\"%s\",\"seed\":%d,\"entries\":["
-         (json_escape t.label) t.seed);
-    List.iteri
-      (fun i e ->
-        if i > 0 then Buffer.add_char b ',';
+      (Printf.sprintf ",\"label\":\"%s\",\"seed\":%d,\"entries\":"
+         (esc t.label) t.seed);
+    Json_out.buf_list b
+      (fun b e ->
         Buffer.add_string b
-          (Printf.sprintf "{\"bench\":\"%s\"" (json_escape e.bench));
+          (Printf.sprintf "{\"bench\":\"%s\"" (esc e.bench));
         (* Additive key (old readers ignore it): the input AIG node
            count, making the suite's effective scale visible in the
            snapshot itself. -1 = unrecorded. *)
@@ -528,14 +503,14 @@ module Snapshot = struct
           (Printf.sprintf
              ",\"size\":%d,\"depth\":%d,\"luts\":%d,\"levels\":%d,\"wall_ms\":%.3f,\"counters\":"
              e.qor.size e.qor.depth e.qor.luts e.qor.levels e.wall_ms);
-        buf_counters b e.counters;
+        Json_out.buf_counters b e.counters;
         if e.passes <> [] then begin
           Buffer.add_string b ",\"passes\":";
           Buffer.add_string b (Ledger.rows_to_json e.passes)
         end;
         Buffer.add_char b '}')
       t.entries;
-    Buffer.add_string b "]}";
+    Buffer.add_char b '}';
     Buffer.contents b
 
   let write t path =
@@ -560,15 +535,14 @@ module Postmortem = struct
     (match dir with Some d -> setup.dir <- d | None -> ());
     match trace with Some t -> setup.trace <- Some t | None -> ()
 
-  let ms ns = Int64.to_float ns /. 1e6
-
   let to_json ~reason () =
     let b = Buffer.create 4096 in
     Buffer.add_string b
       (Printf.sprintf "{\"version\":%d,\"reason\":\"%s\",\"pid\":%d"
-         current_version (json_escape reason) (Unix.getpid ()));
+         current_version (esc reason) (Unix.getpid ()));
     Buffer.add_string b
-      (Printf.sprintf ",\"elapsed_ms\":%.3f" (ms (Flight_recorder.elapsed_ns ())));
+      (Printf.sprintf ",\"elapsed_ms\":%.3f"
+         (ms_of_ns (Flight_recorder.elapsed_ns ())));
     (* Absolute monotonic origin of the run: event [t_ms] values are
        relative to it; [t_ns = t0_ns + t_ms*1e6] recovers absolute
        clock readings for cross-process correlation ([--abs]). *)
@@ -576,50 +550,25 @@ module Postmortem = struct
       (Printf.sprintf ",\"t0_ns\":%Ld" (Flight_recorder.t0_ns ()));
     (* Open spans, outermost first: the path from the flow root down
        to wherever the run died. *)
-    Buffer.add_string b ",\"span_stack\":[";
-    List.iteri
-      (fun i (name, t0) ->
-        if i > 0 then Buffer.add_char b ',';
+    Buffer.add_string b ",\"span_stack\":";
+    Json_out.buf_list b
+      (fun b (f : Span_stack.frame) ->
         Buffer.add_string b
           (Printf.sprintf "{\"name\":\"%s\",\"opened_ms\":%.3f}"
-             (json_escape name) (ms t0)))
-      (List.rev (Flight_recorder.span_stack ()));
-    Buffer.add_string b "],\"watchdog\":[";
-    List.iteri
-      (fun i (v : Watchdog.verdict) ->
-        if i > 0 then Buffer.add_char b ',';
-        Buffer.add_string b
-          (Printf.sprintf
-             "{\"rule\":\"%s\",\"detail\":\"%s\",\"action\":\"%s\",\"t_ms\":%.3f}"
-             (json_escape v.Watchdog.rule)
-             (json_escape v.Watchdog.detail)
-             (match v.Watchdog.action with
-             | Watchdog.Note -> "note"
-             | Watchdog.Abort -> "abort")
-             (ms v.Watchdog.t_ns)))
-      (Watchdog.verdicts ());
-    Buffer.add_string b "],\"counters\":";
-    buf_counters b (match setup.trace with Some t -> totals t | None -> []);
+             (esc f.name)
+             (ms_of_ns (Int64.sub f.t0 (Flight_recorder.t0_ns ())))))
+      (List.rev (Span_stack.frames ()));
+    Buffer.add_string b ",\"watchdog\":";
+    Json_out.buf_list b buf_verdict (Watchdog.verdicts ());
+    Buffer.add_string b ",\"counters\":";
+    Json_out.buf_counters b (match setup.trace with Some t -> totals t | None -> []);
     Buffer.add_string b
-      (Printf.sprintf ",\"recorded\":%d,\"dropped\":%d,\"events\":["
+      (Printf.sprintf ",\"recorded\":%d,\"dropped\":%d,\"events\":"
          (Flight_recorder.recorded ()) (Flight_recorder.dropped ()));
-    List.iteri
-      (fun i (e : Flight_recorder.event) ->
-        if i > 0 then Buffer.add_char b ',';
-        Buffer.add_string b
-          (Printf.sprintf
-             "{\"seq\":%d,\"t_ms\":%.3f,\"t_ns\":%Ld,\"severity\":\"%s\",\"engine\":\"%s\",\"id\":\"%s\",\"message\":\"%s\",\"metrics\":"
-             e.Flight_recorder.seq
-             (ms e.Flight_recorder.t_ns)
-             (Int64.add (Flight_recorder.t0_ns ()) e.Flight_recorder.t_ns)
-             (Flight_recorder.severity_to_string e.Flight_recorder.severity)
-             (json_escape e.Flight_recorder.engine)
-             (json_escape e.Flight_recorder.id)
-             (json_escape e.Flight_recorder.message));
-        buf_counters b e.Flight_recorder.metrics;
-        Buffer.add_char b '}')
+    Json_out.buf_list b
+      (buf_event ~t0:(Flight_recorder.t0_ns ()))
       (Flight_recorder.events ());
-    Buffer.add_string b "]}";
+    Buffer.add_char b '}';
     Buffer.contents b
 
   let path () =

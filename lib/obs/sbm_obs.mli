@@ -2,11 +2,17 @@
 
     A {!trace} collects a forest of hierarchical {!span}s. Each span
     records a name, monotonic-clock wall time, optional network
-    size/depth before and after, and a bag of named integer counters
-    (BDD unique-table traffic, SAT decisions/conflicts/propagations,
-    resubstitution candidates tried vs. accepted, gradient move
-    costs, ...). Engines receive a span through their optional [?obs]
-    argument; the flow scripts open one child span per scripted pass.
+    size/depth before and after, and its own counters (BDD unique-table
+    traffic, SAT decisions/conflicts/propagations, resubstitution
+    candidates tried vs. accepted, gradient move costs, ...). Engines
+    receive a span through their optional [?obs] argument; the flow
+    scripts open one pass span per scripted pass.
+
+    An open span is a frame on the one process-global {!Span_stack}.
+    Counters live only in the {!Metrics} registry: a span snapshots the
+    registry when it opens, and its own counters are its registry delta
+    minus its children's. A counter a span bumped by 0 is still
+    listed.
 
     Observability is disabled by default and designed to cost nothing
     when off: {!null} is a no-op sink, every operation on it returns
@@ -21,8 +27,7 @@
 
 module Flight_recorder = Flight_recorder
 (** In-flight bounded ring buffer of structured events; see
-    {!Flight_recorder}. Live spans notify its span stack, so the open
-    span path is known at any instant. *)
+    {!Flight_recorder}. *)
 
 module Watchdog = Watchdog
 (** Threshold evaluation, heartbeats and graceful aborts; see
@@ -31,12 +36,11 @@ module Watchdog = Watchdog
 module Metrics = Metrics
 (** Process-global typed metrics registry (counters/gauges/histograms
     with name/kind/unit/engine/description metadata); see {!Metrics}.
-    Engines bump registered handles through {!bump} so the same event
-    feeds both the span tree and the live registry. *)
+    It is the only counter store: spans report registry deltas. *)
 
 module Status = Status
 (** Periodic sampler writing an atomic-rename JSONL status file from
-    the registry + open-span stack + watchdog state; see {!Status}. *)
+    the registry + {!Span_stack} + watchdog state; see {!Status}. *)
 
 module Ledger = Ledger
 (** Per-pass resource ledger: one row per completed flow pass with
@@ -47,6 +51,12 @@ module Fingerprint = Fingerprint
 (** Determinism audit trail: chained 64-bit state fingerprints at
     every pass and partition-merge boundary, streamed as JSONL and
     aligned by `sbm audit`; see {!Fingerprint}. *)
+
+module Span_stack = Span_stack
+(** The one process-global stack of open spans; see {!Span_stack}. *)
+
+module Json_out = Json_out
+(** The JSON writer every emitter shares; see {!Json_out}. *)
 
 type trace
 (** A collector of closed spans. *)
@@ -60,8 +70,8 @@ val monotonic_ns : unit -> int64
 
 (** {1 Collection} *)
 
-(** The no-op sink: spans opened under it are no-ops, counters on it
-    are dropped. This is the default [?obs] everywhere. *)
+(** The no-op sink: spans opened under it are no-ops. This is the
+    default [?obs] everywhere. *)
 val null : span
 
 (** [enabled s] is [false] exactly on {!null} and spans derived from
@@ -72,32 +82,61 @@ val enabled : span -> bool
 val create : unit -> trace
 
 (** [root trace name] opens a top-level span. [size]/[depth] record
-    the network entering the span. *)
+    the network entering the span. A root starts a fresh
+    {!Span_stack}: frames a crashed run left open are dropped. *)
 val root : ?size:int -> ?depth:int -> trace -> string -> span
 
 (** [span parent name] opens a child span; on {!null} it returns
     {!null}. [size]/[depth] record the network entering the span. *)
 val span : ?size:int -> ?depth:int -> span -> string -> span
 
-(** [close span] stops the span's clock; [size]/[depth] record the
-    network leaving the span. Closing {!null} or closing twice is a
+(** [close span] stops the span's clock and takes it, with anything
+    still open above it, off the {!Span_stack}; [size]/[depth] record
+    the network leaving the span. Closing {!null} or closing twice is a
     no-op (the first close wins). *)
 val close : ?size:int -> ?depth:int -> span -> unit
 
-(** [add span name n] adds [n] to the span's counter [name]
-    (created at 0). No-op on {!null}. *)
-val add : span -> string -> int -> unit
-
-(** [incr span name] is [add span name 1]. *)
-val incr : span -> string -> unit
-
-(** [bump span m n] feeds one event to both sinks: the process-global
-    {!Metrics} registry (always, so live telemetry sees untraced runs
-    too) and the span counter under the metric's registered name (when
-    [span] is live — snapshot totals are unchanged relative to calling
-    {!add} directly). Inside {!Metrics.capture} the registry half
-    lands in the worker shard for deterministic replay. *)
+(** [bump span m n] adds [n] to the registered counter [m]. The
+    {!Metrics} registry is the only counter store: every open span sees
+    the bump in its registry delta, and the innermost one reports it as
+    its own. A bump on {!null} counts all the same, so counters never
+    depend on tracing. Inside {!Metrics.capture} the bump lands in the
+    worker shard for deterministic replay. *)
 val bump : span -> Metrics.t -> int -> unit
+
+(** {1 Pass spans}
+
+    [Flow.pass] opens one {!pass} span per scripted pass and closes it
+    with {!close_pass}. Both are no-ops on {!null}. The pass-boundary
+    consumers hang off these two calls: the flight recorder's pass
+    events, the audit-trail record, the ledger row, the watchdog's
+    abort reset and the pass gauges ([process.live_aig_nodes],
+    [flow.pass_ms], [process.peak_heap_words]). *)
+
+(** [observing ()] is whether a pass-boundary consumer is on (ledger,
+    audit trail, watchdog, flight recorder or status sampler). A flow
+    that is observed but was handed {!null} opens a root of its own, so
+    the consumers always read one span stack. *)
+val observing : unit -> bool
+
+(** [pass ~size ~depth parent name] opens a pass span: a child span
+    flagged as a pass on {!Span_stack}. *)
+val pass : size:int -> depth:int -> span -> string -> span
+
+(** [close_pass ~size ~depth sp] closes a pass span. In order: the
+    audit trail records the boundary ([structure ()] is the network's
+    structural hash, asked for only when the trail is on); the span
+    stops; the ledger projects its row from the span ([qor ()] gives
+    LUT count and levels, asked for only when the ledger is on;
+    default [(-1, -1)]); the span leaves the stack. *)
+val close_pass :
+  size:int ->
+  depth:int ->
+  ?dead_node_pct:int ->
+  ?structure:(unit -> int64) ->
+  ?qor:(unit -> int * int) ->
+  span ->
+  unit
 
 (** {1 Introspection}
 
@@ -124,7 +163,9 @@ type node = {
   depth_before : int option;
   depth_after : int option;
   gc : gc_delta;  (** GC activity inside the span (children included) *)
-  counters : (string * int) list;  (** sorted by name *)
+  counters : (string * int) list;
+      (** the span's own registry delta (its delta minus its
+          children's), sorted by name *)
   children : node list;  (** in opening order *)
 }
 
@@ -132,8 +173,8 @@ type node = {
     Spans still open are frozen with the current clock. *)
 val spans : trace -> node list
 
-(** [totals trace] aggregates every counter over the whole forest,
-    sorted by name. *)
+(** [totals trace] is the registry delta over the roots — the sum of
+    every span's own counters — sorted by name. *)
 val totals : trace -> (string * int) list
 
 (** [total trace name] is the aggregate value of one counter (0 if
@@ -260,7 +301,7 @@ end
     When a run dies — uncaught exception, SIGINT, SIGTERM — the
     post-mortem module freezes the black box into a versioned JSON
     document: the flight recorder's ring buffer (plus how much of it
-    was lost to wraparound), the open span stack at the instant of
+    was lost to wraparound), the {!Span_stack} at the instant of
     death, every watchdog verdict, and the live counter totals of the
     attached trace. [sbm inspect] renders the dump; the schema is
     documented in DESIGN.md (section "In-flight observability"). *)

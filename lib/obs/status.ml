@@ -1,5 +1,5 @@
 (* Live run telemetry: a sampler domain that periodically snapshots
-   the metrics registry + flight-recorder span stack + watchdog
+   the metrics registry + the open-span stack + watchdog
    verdicts and rewrites a JSONL status file via atomic rename, so an
    external `sbm top` can tail a consistent view of a run in flight.
 
@@ -8,10 +8,6 @@
    rewriting the whole file through rename means a reader never sees a
    torn line — it either opens the previous complete file or the new
    complete file. *)
-
-external monotonic_ns : unit -> (int64[@unboxed])
-  = "sbm_obs_monotonic_ns_byte" "sbm_obs_monotonic_ns"
-[@@noalloc]
 
 type sample = {
   seq : int;
@@ -27,52 +23,27 @@ type sample = {
 
 let max_history = 600
 
-(* --- JSON emission (same minimal escaper as Sbm_obs reporters) --- *)
-
-let buf_escape b s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s
+(* --- JSON emission --- *)
 
 let add_pairs b key pairs =
-  Buffer.add_string b (Printf.sprintf ",\"%s\":{" key);
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_char b '"';
-      buf_escape b k;
-      Buffer.add_string b (Printf.sprintf "\":%d" v))
-    pairs;
-  Buffer.add_char b '}'
+  Buffer.add_string b (Printf.sprintf ",\"%s\":" key);
+  Json_out.buf_counters b pairs
 
 let sample_to_json s =
   let b = Buffer.create 512 in
   Buffer.add_string b
-    (Printf.sprintf "{\"seq\":%d,\"t_ms\":%.3f,\"pass\":\"" s.seq s.t_ms);
-  buf_escape b s.pass;
-  Buffer.add_char b '"';
+    (Printf.sprintf "{\"seq\":%d,\"t_ms\":%.3f,\"pass\":\"%s\"" s.seq s.t_ms
+       (Json_out.escape s.pass));
   add_pairs b "counters" s.counters;
   add_pairs b "gauges" s.gauges;
   if s.hists <> [] then begin
-    Buffer.add_string b ",\"hists\":{";
-    List.iteri
-      (fun i (k, (h : Metrics.hstats)) ->
-        if i > 0 then Buffer.add_char b ',';
-        Buffer.add_char b '"';
-        buf_escape b k;
+    Buffer.add_string b ",\"hists\":";
+    Json_out.buf_obj b
+      (fun b (h : Metrics.hstats) ->
         Buffer.add_string b
-          (Printf.sprintf "\":{\"count\":%d,\"sum\":%d,\"min\":%d,\"max\":%d}"
+          (Printf.sprintf "{\"count\":%d,\"sum\":%d,\"min\":%d,\"max\":%d}"
              h.h_count h.h_sum h.h_min h.h_max))
-      s.hists;
-    Buffer.add_char b '}'
+      s.hists
   end;
   Buffer.add_string b
     (Printf.sprintf ",\"verdicts\":%d,\"abort\":%b,\"finished\":%b}" s.verdicts
@@ -96,11 +67,9 @@ let current : st option ref = ref None
 
 let take_sample st ~finished =
   let t_ms =
-    Int64.to_float (Int64.sub (monotonic_ns ()) st.t0) /. 1_000_000.
+    Int64.to_float (Int64.sub (Span_stack.monotonic_ns ()) st.t0) /. 1_000_000.
   in
-  let pass =
-    Flight_recorder.span_stack () |> List.rev_map fst |> String.concat ">"
-  in
+  let pass = String.concat ">" (Span_stack.names ()) in
   let s =
     {
       seq = st.seq;
@@ -131,7 +100,7 @@ let write_file st =
   Unix.rename tmp st.path
 
 let tick st ~finished =
-  (* span_stack/verdicts are written by the main domain without
+  (* The span stack and verdicts are written by the main domain without
      synchronization; the sampler reads immutable list cells, so the
      worst case is a one-tick-stale pass path, which is fine for a
      human dashboard. *)
@@ -165,13 +134,11 @@ let active () = !current <> None
 let start ?(interval_ms = 500.) path =
   if !current <> None then
     invalid_arg "Sbm_obs.Status.start: sampler already running";
-  (* the pass path comes from the recorder's span-stack mirror *)
-  if not (Flight_recorder.enabled ()) then Flight_recorder.enable ();
   let st =
     {
       path;
       interval_ms = Float.max 20. interval_ms;
-      t0 = monotonic_ns ();
+      t0 = Span_stack.monotonic_ns ();
       seq = 0;
       history = [];
       stop_flag = Atomic.make false;

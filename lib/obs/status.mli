@@ -1,7 +1,7 @@
 (** Live run telemetry sink.
 
     {!start} spawns a sampler domain that every [interval_ms] snapshots
-    the {!Metrics} registry, the {!Flight_recorder} open-span stack and
+    the {!Metrics} registry, the {!Span_stack} of open spans and
     the {!Watchdog} verdict count into a JSONL status file — the full
     retained history, one object per line, oldest first — replaced by
     atomic rename so an external reader ([sbm top]) never observes a
@@ -35,8 +35,8 @@ val active : unit -> bool
 val start : ?interval_ms:float -> string -> unit
 (** [start ~interval_ms path] writes an immediate first sample, then
     samples every [interval_ms] (default 500, clamped ≥ 20) from a
-    dedicated domain. Enables the {!Flight_recorder} if needed (the
-    pass path comes from its span-stack mirror).
+    dedicated domain. While it runs, flows open a span even when the
+    caller passed none, so the pass path is always known.
     @raise Invalid_argument if a sampler is already running. *)
 
 val stop : unit -> unit

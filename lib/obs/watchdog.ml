@@ -23,17 +23,8 @@ let default_config =
 
 type verdict = { rule : string; detail : string; action : action; t_ns : int64 }
 
-(* One stack entry per open scripted pass. [deadline_fired] keeps the
-   deadline rule from refiring on every poll of a stuck pass. *)
-type pass_frame = {
-  p_name : string;
-  p_t0 : int64; (* FR.elapsed_ns at open *)
-  mutable deadline_fired : bool;
-}
-
 type state = {
   mutable config : config option; (* None = disarmed *)
-  mutable passes : pass_frame list; (* innermost first *)
   mutable bail_streak : int;
   mutable stall_streak : int;
   mutable heap_fired : bool;
@@ -49,7 +40,6 @@ type state = {
 let st =
   {
     config = None;
-    passes = [];
     bail_streak = 0;
     stall_streak = 0;
     heap_fired = false;
@@ -79,7 +69,6 @@ let enabled () = st.config <> None
 let arm config =
   if not (FR.enabled ()) then FR.enable ();
   st.config <- Some config;
-  st.passes <- [];
   st.bail_streak <- 0;
   st.stall_streak <- 0;
   st.heap_fired <- false;
@@ -91,7 +80,6 @@ let arm config =
 
 let disarm () =
   st.config <- None;
-  st.passes <- [];
   Atomic.set st.abort false
 
 let verdicts () = List.rev st.verdicts
@@ -103,31 +91,6 @@ let fire (config : config) rule detail =
   st.verdicts <- v :: st.verdicts;
   FR.record ~severity:Warn ~engine:"watchdog" ~id:rule detail;
   if config.action = Abort then Atomic.set st.abort true
-
-let pass_started name =
-  match st.config with
-  | None -> ()
-  | Some _ ->
-    st.passes <-
-      { p_name = name; p_t0 = FR.elapsed_ns (); deadline_fired = false }
-      :: st.passes
-
-let pass_ended name =
-  match st.config with
-  | None -> ()
-  | Some _ ->
-    (* Pop the innermost matching frame (frames opened under it are
-       discarded — defensive against a pass dying without closing its
-       children). A pending abort applied to the pass winding down. *)
-    let rec drop = function
-      | f :: rest when f.p_name = name -> Some rest
-      | _ :: rest -> drop rest
-      | [] -> None
-    in
-    (match drop st.passes with
-    | Some rest -> st.passes <- rest
-    | None -> ());
-    Atomic.set st.abort false
 
 let ms_of_ns ns = Int64.to_float ns /. 1e6
 
@@ -173,9 +136,9 @@ let heartbeat config now =
   | None -> ()
   | Some interval ->
     let where =
-      match st.passes with
+      match Span_stack.names ~passes_only:true () with
       | [] -> "-"
-      | fs -> String.concat ">" (List.rev_map (fun f -> f.p_name) fs)
+      | names -> String.concat ">" names
     in
     let interval_due = ms_of_ns (Int64.sub now st.last_beat_ns) >= interval in
     (* Interactive stderr: pulse every interval. Piped stderr: only
@@ -204,19 +167,21 @@ let poll () =
     | Some deadline ->
       (* Any open pass past its deadline fires, deepest first; a pass
          that is slow because a child is slow still gets its own
-         verdict once the child's fired. *)
+         verdict once the child's fired. [deadline_fired] keeps a
+         stuck pass from refiring on every poll. *)
+      let clock = Span_stack.monotonic_ns () in
       List.iter
-        (fun f ->
+        (fun (f : Span_stack.frame) ->
           if not f.deadline_fired then begin
-            let open_ms = ms_of_ns (Int64.sub now f.p_t0) in
+            let open_ms = ms_of_ns (Int64.sub clock f.t0) in
             if open_ms > deadline then begin
               f.deadline_fired <- true;
               fire config "pass-deadline"
                 (Printf.sprintf "pass '%s' open for %.0fms (deadline %.0fms)"
-                   f.p_name open_ms deadline)
+                   f.name open_ms deadline)
             end
           end)
-        st.passes);
+        (Span_stack.passes ()));
     (match config.max_heap_mb with
     | None -> ()
     | Some limit ->

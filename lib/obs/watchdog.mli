@@ -18,7 +18,8 @@
 
     Rule table (rule name → trigger → fires):
     - [pass-deadline]: an open pass exceeds [pass_deadline_ms]
-      (checked by {!poll}; once per pass activation).
+      (checked by {!poll} against the pass frames of {!Span_stack};
+      once per pass activation).
     - [bail-streak]: [max_bail_streak] consecutive partitions each
       bail on the BDD node budget at least once ({!note_partition}).
     - [gradient-stall]: [stall_rounds] consecutive zero-gain gradient
@@ -52,7 +53,7 @@ type verdict = {
 val enabled : unit -> bool
 
 val arm : config -> unit
-(** Arm with fresh state (streaks, verdicts, pass stack cleared). Also
+(** Arm with fresh state (streaks and verdicts cleared). Also
     enables the {!Flight_recorder} if it is not already on, so
     verdicts always land somewhere. *)
 
@@ -66,15 +67,10 @@ val abort_requested : unit -> bool
     ends (or {!clear_abort}). *)
 
 val clear_abort : unit -> unit
+(** Called when a pass span closes: a pending abort applied to the
+    pass that just wound down. *)
 
 (** {1 Signals from the flow and the engines} *)
-
-val pass_started : string -> unit
-(** A scripted pass opened (pushes onto the watchdog's pass stack). *)
-
-val pass_ended : string -> unit
-(** A scripted pass closed; pops its stack entry and clears a pending
-    abort — the abort applied to the pass that just wound down. *)
 
 val note_partition : engine:string -> bails:int -> unit
 (** A partition finished with [bails] BDD budget bail-outs; [bails= 0]

@@ -112,24 +112,10 @@ let pp ppf t =
   Fmt.pf ppf "@.";
   pp_rows ~header:"pass" ppf t.rows
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let row_to_json r =
   Printf.sprintf
     "{\"pass\":\"%s\",\"kind\":\"%s\",\"created\":%d,\"live\":%d,\"live_pct\":%.3f,\"luts\":%d,\"lut_pct\":%.3f}"
-    (json_escape r.pass)
+    (Sbm_obs.Json_out.escape r.pass)
     (Aig.Origin.kind_to_string r.kind)
     r.created r.live r.live_pct r.luts r.lut_pct
 

@@ -31,33 +31,19 @@ let to_text () =
   Buffer.add_string b (Printf.sprintf "%d metrics registered\n" (List.length rows));
   Buffer.contents b
 
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let to_json () =
+  let esc = Sbm_obs.Json_out.escape in
   let b = Buffer.create 4096 in
-  Buffer.add_string b "{\"version\":1,\"metrics\":[";
-  List.iteri
-    (fun i m ->
+  Buffer.add_string b "{\"version\":1,\"metrics\":";
+  Sbm_obs.Json_out.buf_list b
+    (fun b m ->
       let n, k, u, e, d = row m in
-      if i > 0 then Buffer.add_char b ',';
       Buffer.add_string b
         (Printf.sprintf
            "{\"name\":\"%s\",\"kind\":\"%s\",\"unit\":\"%s\",\"engine\":\"%s\",\"description\":\"%s\"}"
-           (escape n) (escape k) (escape u) (escape e) (escape d)))
+           (esc n) (esc k) (esc u) (esc e) (esc d)))
     (M.all ());
-  Buffer.add_string b "]}\n";
+  Buffer.add_string b "}\n";
   Buffer.contents b
 
 (* DESIGN.md drift gate. The documented table uses rows of the form

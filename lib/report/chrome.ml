@@ -17,20 +17,7 @@
    untraced slack between siblings — which Perfetto shows as idle
    space inside the parent, exactly where it was. *)
 
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+let escape = Sbm_obs.Json_out.escape
 
 (* One emitted trace event. [ts] is microseconds, the format's native
    unit. *)
@@ -53,32 +40,33 @@ let event b ~first ~ph ~name ~ts ?dur ?(pid = 1) ?(tid = 1) ?scope ?args () =
   | None -> ());
   Buffer.add_char b '}'
 
-let span_args j =
-  let b = Buffer.create 64 in
-  Buffer.add_char b '{';
-  let first = ref true in
-  let add k v =
-    if not !first then Buffer.add_char b ',';
-    first := false;
-    Buffer.add_string b (Printf.sprintf "\"%s\":%s" k v)
-  in
-  List.iter
-    (fun key ->
-      match Json.to_int (Json.member key j) with
-      | Some v -> add key (string_of_int v)
-      | None -> ())
-    [ "size_before"; "size_after"; "depth_before"; "depth_after" ];
-  (match Json.member "counters" j with
+(* The numeric members of object [key] of [j], in document order. *)
+let num_fields key j =
+  match Json.member key j with
   | Some (Json.Obj fields) ->
-    List.iter
-      (fun (k, v) ->
-        match v with
-        | Json.Num n -> add (escape k) (Printf.sprintf "%g" n)
-        | _ -> ())
+    List.filter_map
+      (fun (k, v) -> match v with Json.Num n -> Some (k, n) | _ -> None)
       fields
-  | _ -> ());
-  Buffer.add_char b '}';
-  if !first then None else Some (Buffer.contents b)
+  | _ -> []
+
+(* An args object from already-rendered member values. *)
+let args_of pairs =
+  Printf.sprintf "{%s}"
+    (String.concat ","
+       (List.map (fun (k, v) -> Printf.sprintf "\"%s\":%s" (escape k) v) pairs))
+
+let span_args j =
+  let sizes =
+    List.filter_map
+      (fun key ->
+        Option.map (fun v -> (key, string_of_int v))
+          (Json.to_int (Json.member key j)))
+      [ "size_before"; "size_after"; "depth_before"; "depth_after" ]
+  in
+  let counters =
+    List.map (fun (k, n) -> (k, Printf.sprintf "%g" n)) (num_fields "counters" j)
+  in
+  match sizes @ counters with [] -> None | pairs -> Some (args_of pairs)
 
 (* Spans: B at the synthesized start, E at start + wall_ms. Children
    are laid out sequentially from the parent's start (v2 stores no
@@ -112,43 +100,22 @@ let emit_samples b ~first samples =
         Option.value ~default:0.0 (Json.to_float (Json.member "t_ms" s))
       in
       let series key =
-        match Json.member key s with
-        | Some (Json.Obj fields) ->
-          List.iter
-            (fun (k, v) ->
-              match v with
-              | Json.Num n ->
-                event b ~first:!first ~ph:"C" ~name:k ~ts:(t_ms *. 1000.)
-                  ~args:(Printf.sprintf "{\"value\":%g}" n)
-                  ();
-                first := false
-              | _ -> ())
-            fields
-        | _ -> ()
+        List.iter
+          (fun (k, n) ->
+            event b ~first:!first ~ph:"C" ~name:k ~ts:(t_ms *. 1000.)
+              ~args:(Printf.sprintf "{\"value\":%g}" n)
+              ();
+            first := false)
+          (num_fields key s)
       in
       series "counters";
       series "gauges")
     samples
 
 let metric_args ?(extra = []) j =
-  let b = Buffer.create 64 in
-  Buffer.add_char b '{';
-  let first = ref true in
-  let add k v =
-    if not !first then Buffer.add_char b ',';
-    first := false;
-    Buffer.add_string b (Printf.sprintf "\"%s\":%s" (escape k) v)
-  in
-  List.iter (fun (k, v) -> add k v) extra;
-  (match Json.member "metrics" j with
-  | Some (Json.Obj fields) ->
-    List.iter
-      (fun (k, v) ->
-        match v with Json.Num n -> add k (Printf.sprintf "%g" n) | _ -> ())
-      fields
-  | _ -> ());
-  Buffer.add_char b '}';
-  Buffer.contents b
+  args_of
+    (extra
+    @ List.map (fun (k, n) -> (k, Printf.sprintf "%g" n)) (num_fields "metrics" j))
 
 let emit_events b ~first events =
   List.iter

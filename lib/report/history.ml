@@ -3,8 +3,8 @@
    The ledger file is append-only JSONL: one line per bench run,
    wrapping the full QoR snapshot (passes included) with run identity
    — timestamp, commit, flow, job count. Append-only means a torn
-   final line is possible if a run dies mid-write; [load] skips
-   unparsable lines instead of failing, like the status-file reader. *)
+   final line is possible if a run dies mid-write; [Json.load_lines]
+   skips it. *)
 
 module Snapshot = Sbm_obs.Snapshot
 
@@ -18,24 +18,10 @@ type run = {
   snapshot : Snapshot.t;
 }
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let run_to_json r =
   Printf.sprintf
     "{\"schema\":%d,\"t\":%.0f,\"commit\":\"%s\",\"flow\":\"%s\",\"jobs\":%d,\"snapshot\":%s}"
-    schema_version r.t (json_escape r.commit) (json_escape r.flow) r.jobs
+    schema_version r.t (Sbm_obs.Json_out.escape r.commit) (Sbm_obs.Json_out.escape r.flow) r.jobs
     (Snapshot.to_json r.snapshot)
 
 let append_run ~path r =
@@ -49,46 +35,31 @@ let append_run ~path r =
         output_char oc '\n');
     Ok ()
 
-let run_of_json line =
-  match Json.parse line with
-  | exception Json.Bad _ -> None
-  | j -> (
-    match Json.(to_int (member "schema" j)) with
-    | Some v when v > schema_version -> None
-    | _ -> (
-      match Json.member "snapshot" j with
-      | None -> None
-      | Some sj -> (
-        (* Reuse the snapshot parser on the nested document: re-render
-           is avoided by parsing the raw substring — Json has no
-           printer, so round-trip through the typed form instead. *)
-        match Report.snapshot_of_json_value sj with
-        | Error _ -> None
-        | Ok snapshot ->
-          Some
-            {
-              t = Option.value ~default:0.0 Json.(to_float (member "t" j));
-              commit =
-                Option.value ~default:"" Json.(to_str (member "commit" j));
-              flow = Option.value ~default:"" Json.(to_str (member "flow" j));
-              jobs = Option.value ~default:1 Json.(to_int (member "jobs" j));
-              snapshot;
-            })))
+let run_of_value j =
+  match Json.(to_int (member "schema" j)) with
+  | Some v when v > schema_version -> None
+  | _ -> (
+    match Json.member "snapshot" j with
+    | None -> None
+    | Some sj -> (
+      (* Reuse the snapshot parser on the nested document: re-render
+         is avoided by parsing the raw substring — Json has no
+         printer, so round-trip through the typed form instead. *)
+      match Report.snapshot_of_json_value sj with
+      | Error _ -> None
+      | Ok snapshot ->
+        Some
+          {
+            t = Option.value ~default:0.0 Json.(to_float (member "t" j));
+            commit =
+              Option.value ~default:"" Json.(to_str (member "commit" j));
+            flow = Option.value ~default:"" Json.(to_str (member "flow" j));
+            jobs = Option.value ~default:1 Json.(to_int (member "jobs" j));
+            snapshot;
+          }))
 
 let load path =
-  match open_in_bin path with
-  | exception Sys_error msg -> Error msg
-  | ic ->
-    let s =
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
-    Ok
-      (String.split_on_char '\n' s
-      |> List.filter_map (fun line ->
-             let line = String.trim line in
-             if line = "" then None else run_of_json line))
+  Result.map (List.filter_map run_of_value) (Json.load_lines path)
 
 (* --- trend tables --- *)
 

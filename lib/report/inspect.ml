@@ -100,13 +100,9 @@ let of_json s =
           }))
 
 let load path =
-  match Json.read_source path with
-  | Error msg -> Error msg
-  | Ok s -> (
-    let label = if path = "-" then "stdin" else path in
-    match of_json s with
-    | Ok _ as ok -> ok
-    | Error msg -> Error (label ^ ": " ^ msg))
+  Result.bind (Json.read_source path) (fun s ->
+      let label = if path = "-" then "stdin" else path in
+      Result.map_error (fun msg -> label ^ ": " ^ msg) (of_json s))
 
 (* --- rendering --- *)
 
@@ -177,29 +173,9 @@ let pp ?(last = 20) ?(abs = false) ppf d =
 
 (* --- canonical re-emission (--json) --- *)
 
-let escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+module Json_out = Sbm_obs.Json_out
 
-let buf_counters b counters =
-  Buffer.add_char b '{';
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (Printf.sprintf "\"%s\":%d" (escape k) v))
-    counters;
-  Buffer.add_char b '}'
+let escape = Json_out.escape
 
 let to_json d =
   let b = Buffer.create 4096 in
@@ -210,31 +186,28 @@ let to_json d =
   (match d.t0_ns with
   | Some t0 -> Buffer.add_string b (Printf.sprintf ",\"t0_ns\":%.0f" t0)
   | None -> ());
-  Buffer.add_string b ",\"span_stack\":[";
-  List.iteri
-    (fun i f ->
-      if i > 0 then Buffer.add_char b ',';
+  Buffer.add_string b ",\"span_stack\":";
+  Json_out.buf_list b
+    (fun b f ->
       Buffer.add_string b
         (Printf.sprintf "{\"name\":\"%s\",\"opened_ms\":%.3f}"
            (escape f.frame_name) f.opened_ms))
     d.span_stack;
-  Buffer.add_string b "],\"watchdog\":[";
-  List.iteri
-    (fun i v ->
-      if i > 0 then Buffer.add_char b ',';
+  Buffer.add_string b ",\"watchdog\":";
+  Json_out.buf_list b
+    (fun b v ->
       Buffer.add_string b
         (Printf.sprintf
            "{\"rule\":\"%s\",\"detail\":\"%s\",\"action\":\"%s\",\"t_ms\":%.3f}"
            (escape v.rule) (escape v.detail) (escape v.action) v.v_t_ms))
     d.verdicts;
-  Buffer.add_string b "],\"counters\":";
-  buf_counters b d.counters;
+  Buffer.add_string b ",\"counters\":";
+  Json_out.buf_counters b d.counters;
   Buffer.add_string b
-    (Printf.sprintf ",\"recorded\":%d,\"dropped\":%d,\"events\":[" d.recorded
+    (Printf.sprintf ",\"recorded\":%d,\"dropped\":%d,\"events\":" d.recorded
        d.dropped);
-  List.iteri
-    (fun i e ->
-      if i > 0 then Buffer.add_char b ',';
+  Json_out.buf_list b
+    (fun b e ->
       Buffer.add_string b (Printf.sprintf "{\"seq\":%d,\"t_ms\":%.3f" e.seq e.t_ms);
       (match e.t_ns with
       | Some ns -> Buffer.add_string b (Printf.sprintf ",\"t_ns\":%.0f" ns)
@@ -244,8 +217,8 @@ let to_json d =
            ",\"severity\":\"%s\",\"engine\":\"%s\",\"id\":\"%s\",\"message\":\"%s\",\"metrics\":"
            (escape e.severity) (escape e.engine) (escape e.id)
            (escape e.message));
-      buf_counters b e.metrics;
+      Json_out.buf_counters b e.metrics;
       Buffer.add_char b '}')
     d.events;
-  Buffer.add_string b "]}";
+  Buffer.add_char b '}';
   Buffer.contents b

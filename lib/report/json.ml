@@ -164,6 +164,15 @@ let read_source source =
     | exception Sys_error msg -> Error msg
     | ic -> Ok (Fun.protect ~finally:(fun () -> close_in ic) (fun () -> read_all ic))
 
+let load_lines path =
+  match In_channel.with_open_bin path In_channel.input_all with
+  | exception Sys_error msg -> Error msg
+  | src ->
+    Ok
+      (String.split_on_char '\n' src
+      |> List.filter_map (fun line ->
+             match parse line with v -> Some v | exception Bad _ -> None))
+
 let member key = function Obj fields -> List.assoc_opt key fields | _ -> None
 
 let to_float = function Some (Num f) -> Some f | _ -> None

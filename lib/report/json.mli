@@ -24,6 +24,13 @@ val parse : string -> t
     system message on open failure. *)
 val read_source : string -> (string, string) result
 
+(** [load_lines path] parses a JSON-lines file: one value per line,
+    oldest first. Blank lines and lines that do not parse are skipped —
+    a writer killed mid-append leaves a torn final line, and the
+    complete records before it must survive. [Error] carries the
+    system message when the file cannot be read. *)
+val load_lines : string -> (t list, string) result
+
 (** {1 Accessors} — total functions returning options/defaults so
     callers can probe optional fields without matching. *)
 

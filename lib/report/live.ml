@@ -40,25 +40,16 @@ let view_of_json j =
   }
 
 (* Parse the status file into views, oldest first. Lines that fail to
-   parse are skipped, whatever the failure: the atomic-rename protocol
+   parse are skipped ([Json.load_lines]): the atomic-rename protocol
    makes torn lines impossible from the sampler itself, but a reader
    racing a rewriting/appending writer (NFS, a copied file, a ledger
    tail) can still see a truncated final line, and an unrelated file
    should degrade, not crash. *)
 let load path =
-  match In_channel.with_open_bin path In_channel.input_all with
-  | exception Sys_error msg -> Error msg
-  | src ->
-    let views =
-      String.split_on_char '\n' src
-      |> List.filter_map (fun line ->
-             if String.trim line = "" then None
-             else
-               match view_of_json (Json.parse line) with
-               | v -> Some v
-               | exception _ -> None)
-    in
-    if views = [] then Error (path ^ ": no samples") else Ok views
+  match Json.load_lines path with
+  | Error _ as e -> e
+  | Ok [] -> Error (path ^ ": no samples")
+  | Ok js -> Ok (List.map view_of_json js)
 
 let fmt_rate r =
   if Float.abs r >= 10_000. then Printf.sprintf "%.0f/s" r

@@ -19,16 +19,11 @@ let of_json s =
     | Some _ -> Error "not a trace: \"spans\" is not an array")
 
 let load path =
-  match Json.read_source path with
-  | Error msg -> Error msg
-  | Ok s -> (
-    let label = if path = "-" then "stdin" else path in
-    match String.trim s with
-    | "" -> Error (label ^ ": empty input")
-    | s -> (
-      match of_json s with
-      | Ok _ as ok -> ok
-      | Error msg -> Error (label ^ ": " ^ msg)))
+  Result.bind (Json.read_source path) (fun s ->
+      let label = if path = "-" then "stdin" else path in
+      match String.trim s with
+      | "" -> Error (label ^ ": empty input")
+      | s -> Result.map_error (fun msg -> label ^ ": " ^ msg) (of_json s))
 
 (* --- aggregation --- *)
 

@@ -110,17 +110,8 @@ let snapshot_of_json s =
   | json -> snapshot_of_json_value json
 
 let load_snapshot path =
-  match open_in_bin path with
-  | exception Sys_error msg -> Error msg
-  | ic ->
-    let s =
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
-    (match snapshot_of_json (String.trim s) with
-    | Ok _ as ok -> ok
-    | Error msg -> Error (path ^ ": " ^ msg))
+  Result.bind (Json.read_source path) (fun s ->
+      Result.map_error (fun msg -> path ^ ": " ^ msg) (snapshot_of_json s))
 
 (* --- diffing --- *)
 
@@ -334,31 +325,20 @@ let verdict_to_string = function
   | Tolerated -> "tolerated"
   | Regressed -> "regressed"
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+let esc = Sbm_obs.Json_out.escape
+
+(* Shared by [to_json] and [passes_to_json]. *)
+let delta_json (dl : delta) =
+  Printf.sprintf
+    "{\"metric\":\"%s\",\"old\":%g,\"new\":%g,\"pct\":%.3f,\"verdict\":\"%s\"}"
+    (esc dl.metric) dl.old_value dl.new_value dl.pct
+    (verdict_to_string dl.verdict)
+
+let counter_json (c : counter_delta) =
+  Printf.sprintf "{\"counter\":\"%s\",\"old\":%d,\"new\":%d}"
+    (esc c.counter) c.old_count c.new_count
 
 let to_json d =
-  let delta_json (dl : delta) =
-    Printf.sprintf
-      "{\"metric\":\"%s\",\"old\":%g,\"new\":%g,\"pct\":%.3f,\"verdict\":\"%s\"}"
-      (json_escape dl.metric) dl.old_value dl.new_value dl.pct
-      (verdict_to_string dl.verdict)
-  in
-  let counter_json (c : counter_delta) =
-    Printf.sprintf "{\"counter\":\"%s\",\"old\":%d,\"new\":%d}"
-      (json_escape c.counter) c.old_count c.new_count
-  in
   let row_json (r : row) =
     let size_in =
       match r.size_in with
@@ -367,13 +347,13 @@ let to_json d =
     in
     Printf.sprintf
       "{\"bench\":\"%s\",%s\"verdict\":\"%s\",\"deltas\":[%s],\"counters\":[%s]}"
-      (json_escape r.bench) size_in
+      (esc r.bench) size_in
       (verdict_to_string r.verdict)
       (String.concat "," (List.map delta_json r.deltas))
       (String.concat "," (List.map counter_json r.counter_deltas))
   in
   let strings l =
-    String.concat "," (List.map (fun s -> "\"" ^ json_escape s ^ "\"") l)
+    String.concat "," (List.map (fun s -> "\"" ^ esc s ^ "\"") l)
   in
   Printf.sprintf
     "{\"verdict\":\"%s\",\"rows\":[%s],\"only_old\":[%s],\"only_new\":[%s]}"
@@ -601,20 +581,10 @@ let passes_exit_code (d : passes_diff) =
   if d.verdict = Regressed then 1 else 0
 
 let passes_to_json (d : passes_diff) =
-  let delta_json (dl : delta) =
-    Printf.sprintf
-      "{\"metric\":\"%s\",\"old\":%g,\"new\":%g,\"pct\":%.3f,\"verdict\":\"%s\"}"
-      (json_escape dl.metric) dl.old_value dl.new_value dl.pct
-      (verdict_to_string dl.verdict)
-  in
-  let counter_json (c : counter_delta) =
-    Printf.sprintf "{\"counter\":\"%s\",\"old\":%d,\"new\":%d}"
-      (json_escape c.counter) c.old_count c.new_count
-  in
   let pass_json (r : pass_row) =
     Printf.sprintf
       "{\"path\":\"%s\",\"index\":%d,\"verdict\":\"%s\",\"deltas\":[%s],\"counters\":[%s]}"
-      (json_escape r.path) r.index
+      (esc r.path) r.index
       (verdict_to_string r.verdict)
       (String.concat "," (List.map delta_json r.deltas))
       (String.concat "," (List.map counter_json r.counter_deltas))
@@ -622,10 +592,10 @@ let passes_to_json (d : passes_diff) =
   let bench_json (b : bench_passes) =
     Printf.sprintf
       "{\"bench\":\"%s\",\"verdict\":\"%s\"%s,\"passes\":[%s]}"
-      (json_escape b.bench)
+      (esc b.bench)
       (verdict_to_string b.verdict)
       (match b.note with
-      | Some note -> Printf.sprintf ",\"note\":\"%s\"" (json_escape note)
+      | Some note -> Printf.sprintf ",\"note\":\"%s\"" (esc note)
       | None -> "")
       (String.concat "," (List.map pass_json b.rows))
   in

@@ -113,8 +113,6 @@ let run ?(obs = Sbm_obs.null) ?(sim_rounds = 4) ?(conflict_limit = 1000) ?on_cex
            ("merged", !merged); ("restarts", Solver.num_restarts solver) ]
        "sweep done");
   Sbm_obs.Watchdog.poll ();
-  (* Registered-handle bumps feed the span tree (when tracing) and the
-     process-global registry (always, for live telemetry). *)
   Sbm_obs.bump obs Sat_metrics.sweep_classes (Hashtbl.length classes);
   Sbm_obs.bump obs Sat_metrics.sweep_sat_calls !sat_calls;
   Sbm_obs.bump obs Sat_metrics.sweep_merged !merged;

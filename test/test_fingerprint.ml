@@ -69,18 +69,29 @@ let test_fold_hash_distinguishes () =
 
 (* --- trail mechanics --- *)
 
+(* The trail labels its records from the open pass frames of the one
+   span stack, so trail tests open pass spans under a root. *)
 let with_trail f =
   FP.enable ();
-  Fun.protect ~finally:FP.disable f
+  Fun.protect ~finally:FP.disable (fun () ->
+      let root = Obs.root (Obs.create ()) "t" in
+      let r = f root in
+      Obs.close root;
+      r)
+
+let pass parent name = Obs.pass ~size:0 ~depth:0 parent name
+
+let close_pass structure sp =
+  Obs.close_pass ~size:0 ~depth:0 ~structure:(fun () -> structure) sp
 
 let test_trail_labels () =
-  with_trail (fun () ->
-      FP.pass_started "iteration-1";
-      FP.pass_started "mspf";
+  with_trail (fun root ->
+      let it = pass root "iteration-1" in
+      let m = pass it "mspf" in
       FP.record_merge ~engine:"mspf" ~partition:0 ~structure:3L;
       FP.record_merge ~engine:"mspf" ~partition:1 ~structure:4L;
-      ignore (FP.pass_ended ~structure:5L);
-      ignore (FP.pass_ended ~structure:6L);
+      close_pass 5L m;
+      close_pass 6L it;
       let rs = FP.records () in
       Alcotest.(check int) "record count" 4 (List.length rs);
       Alcotest.(check (list int)) "seq in trail order" [ 0; 1; 2; 3 ]
@@ -102,11 +113,9 @@ let test_trail_labels () =
    records' own components are identical. *)
 let test_chain_commits_to_prefix () =
   let trail s0 =
-    with_trail (fun () ->
-        FP.pass_started "a";
-        ignore (FP.pass_ended ~structure:s0);
-        FP.pass_started "b";
-        ignore (FP.pass_ended ~structure:2L);
+    with_trail (fun root ->
+        close_pass s0 (pass root "a");
+        close_pass 2L (pass root "b");
         FP.records ())
   in
   let t1 = trail 1L and t1' = trail 1L and t9 = trail 9L in
@@ -123,9 +132,12 @@ let test_chain_commits_to_prefix () =
 
 let test_disabled_is_noop () =
   FP.disable ();
-  FP.pass_started "ghost";
-  Alcotest.(check int64) "pass_ended returns 0 while disabled" 0L
-    (FP.pass_ended ~structure:1L);
+  let root = Obs.root (Obs.create ()) "t" in
+  let ghost = pass root "ghost" in
+  Alcotest.(check int64) "record_pass returns 0 while disabled" 0L
+    (FP.record_pass ~structure:1L);
+  close_pass 1L ghost;
+  Obs.close root;
   FP.record_merge ~engine:"ghost" ~partition:0 ~structure:1L;
   Alcotest.(check int) "no records while disabled" 0
     (List.length (FP.records ()))
@@ -134,12 +146,12 @@ let test_disabled_is_noop () =
 
 let test_injection_localized () =
   let run () =
-    with_trail (fun () ->
-        FP.pass_started "mspf";
+    with_trail (fun root ->
+        let m = pass root "mspf" in
         FP.record_merge ~engine:"mspf" ~partition:0 ~structure:10L;
         FP.record_merge ~engine:"mspf" ~partition:1 ~structure:11L;
         FP.record_merge ~engine:"mspf" ~partition:2 ~structure:12L;
-        ignore (FP.pass_ended ~structure:13L);
+        close_pass 13L m;
         FP.records ())
   in
   let clean = run () in
@@ -168,11 +180,9 @@ let test_injection_localized () =
 
 let test_audit_identical_and_truncated () =
   let trail () =
-    with_trail (fun () ->
-        FP.pass_started "a";
-        ignore (FP.pass_ended ~structure:1L);
-        FP.pass_started "b";
-        ignore (FP.pass_ended ~structure:2L);
+    with_trail (fun root ->
+        close_pass 1L (pass root "a");
+        close_pass 2L (pass root "b");
         FP.records ())
   in
   let t = trail () and t' = trail () in
@@ -199,12 +209,12 @@ let test_audit_identical_and_truncated () =
 
 let test_jsonl_roundtrip () =
   let rs =
-    with_trail (fun () ->
-        FP.pass_started "iteration-1";
-        FP.pass_started "diff";
+    with_trail (fun root ->
+        let it = pass root "iteration-1" in
+        let d = pass it "diff" in
         FP.record_merge ~engine:"diff" ~partition:0 ~structure:7L;
-        ignore (FP.pass_ended ~structure:8L);
-        ignore (FP.pass_ended ~structure:9L);
+        close_pass 8L d;
+        close_pass 9L it;
         FP.records ())
   in
   List.iter
@@ -249,19 +259,34 @@ let test_jsonl_roundtrip () =
 (* --- end to end: a flow run streams a trail and the auditor pins an
    injected divergence to the exact merge boundary --- *)
 
-let run_flow_trail () =
-  with_trail (fun () ->
-      let rng = Rng.create 42 in
-      let aig = Helpers.random_xor_aig ~inputs:8 ~gates:60 ~outputs:4 rng in
-      let trace = Obs.create () in
-      let root =
-        Obs.root ~size:(Aig.size aig) ~depth:(Aig.depth aig) trace "t"
-      in
-      let optimized =
-        Sbm_core.Flow.run ~obs:root (Sbm_core.Flow.Sbm Sbm_core.Flow.Low) aig
-      in
-      Obs.close ~size:(Aig.size optimized) ~depth:(Aig.depth optimized) root;
+(* A flow's trail, traced under a caller's root or run with the null
+   sink (the flow then opens a root of its own for the trail). *)
+let run_flow_trail ?(traced = true) () =
+  let rng = Rng.create 42 in
+  let aig = Helpers.random_xor_aig ~inputs:8 ~gates:60 ~outputs:4 rng in
+  FP.enable ();
+  Fun.protect ~finally:FP.disable (fun () ->
+      let flow = Sbm_core.Flow.Sbm Sbm_core.Flow.Low in
+      if traced then begin
+        let trace = Obs.create () in
+        let root =
+          Obs.root ~size:(Aig.size aig) ~depth:(Aig.depth aig) trace "t"
+        in
+        let optimized = Sbm_core.Flow.run ~obs:root flow aig in
+        Obs.close ~size:(Aig.size optimized) ~depth:(Aig.depth optimized) root
+      end
+      else ignore (Sbm_core.Flow.run flow aig);
       FP.records ())
+
+(* Counters never depend on tracing, so neither does the trail. *)
+let test_untraced_trail_equals_traced () =
+  let traced = run_flow_trail () in
+  let untraced = run_flow_trail ~traced:false () in
+  Alcotest.(check bool) "the flow produced merge records" true
+    (List.exists (fun r -> r.FP.kind = FP.Merge) traced);
+  match Audit.compare_trails traced untraced with
+  | Audit.Identical n -> Alcotest.(check int) "every record" (List.length traced) n
+  | Audit.Diverged d -> Alcotest.failf "trails diverge: %s" (Audit.describe d)
 
 (* "engine-partition-N" from the last label segment. *)
 let parse_merge_label label =
@@ -330,4 +355,6 @@ let suite =
       test_jsonl_roundtrip;
     Alcotest.test_case "flow: audit pins an injected merge divergence." `Slow
       test_flow_injection_end_to_end;
+    Alcotest.test_case "flow: untraced trail equals traced trail." `Quick
+      test_untraced_trail_equals_traced;
   ]

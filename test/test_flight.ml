@@ -9,12 +9,21 @@ module Aig = Sbm_aig.Aig
 module Obs = Sbm_obs
 module FR = Sbm_obs.Flight_recorder
 module Wd = Sbm_obs.Watchdog
+module Ledger = Sbm_obs.Ledger
+module FP = Sbm_obs.Fingerprint
 module Inspect = Sbm_report.Inspect
 
 let teardown () =
   Wd.disarm ();
   FR.disable ();
+  Ledger.disable ();
+  FP.disable ();
   Sbm_core.Flow.inject_failure_after := None
+
+(* Pass spans opened by hand, the way [Flow.pass] opens them. *)
+let pass parent name = Obs.pass ~size:10 ~depth:3 parent name
+let close_pass sp = Obs.close_pass ~size:9 ~depth:3 sp
+let fresh_root name = Obs.root (Obs.create ()) name
 
 let protecting f () = Fun.protect ~finally:teardown f
 
@@ -42,9 +51,11 @@ let test_disabled_is_noop () =
   FR.disable ();
   Alcotest.(check bool) "off by default" false (FR.enabled ());
   FR.record ~engine:"test" "ignored";
-  FR.span_opened "ghost";
-  Alcotest.(check int) "nothing recorded" 0 (FR.recorded ());
-  Alcotest.(check (list (pair string int64))) "no stack" [] (FR.span_stack ());
+  let root = fresh_root "flow" in
+  close_pass (pass root "ghost");
+  Obs.close root;
+  Alcotest.(check int) "nothing recorded, pass events included" 0
+    (FR.recorded ());
   Alcotest.(check int) "no capacity" 0 (FR.capacity ())
 
 let test_event_fields () =
@@ -70,18 +81,15 @@ let test_event_fields () =
 
 let test_span_stack_follows_obs () =
   FR.enable ();
+  let names () = Obs.Span_stack.names () in
   let trace = Obs.create () in
   let root = Obs.root trace "flow" in
   let child = Obs.span root "mspf" in
-  Alcotest.(check (list string))
-    "innermost first" [ "mspf"; "flow" ]
-    (List.map fst (FR.span_stack ()));
+  Alcotest.(check (list string)) "outermost first" [ "flow"; "mspf" ] (names ());
   Obs.close child;
-  Alcotest.(check (list string))
-    "pop on close" [ "flow" ]
-    (List.map fst (FR.span_stack ()));
+  Alcotest.(check (list string)) "pop on close" [ "flow" ] (names ());
   Obs.close root;
-  Alcotest.(check (list (pair string int64))) "empty at end" [] (FR.span_stack ())
+  Alcotest.(check (list string)) "empty at end" [] (names ())
 
 (* --- watchdog rules --- *)
 
@@ -91,14 +99,19 @@ let rules () = List.map (fun v -> v.Wd.rule) (Wd.verdicts ())
 
 let test_deadline_fires_once_per_pass () =
   arm_with (fun c -> { c with Wd.pass_deadline_ms = Some 0.0 });
-  Wd.pass_started "mspf";
+  let root = fresh_root "flow" in
+  let sp = pass root "mspf" in
+  Unix.sleepf 0.001;
   Wd.poll ();
   Wd.poll ();
   Alcotest.(check (list string)) "one verdict per frame" [ "pass-deadline" ] (rules ());
-  Wd.pass_ended "mspf";
-  Wd.pass_started "mspf";
+  close_pass sp;
+  let sp = pass root "mspf" in
+  Unix.sleepf 0.001;
   Wd.poll ();
   Alcotest.(check int) "re-fires for a new activation" 2 (List.length (rules ()));
+  close_pass sp;
+  Obs.close root;
   (* The verdict also landed in the recorder (arm enables it). *)
   Alcotest.(check bool) "verdict recorded as event" true
     (List.exists (fun e -> e.FR.engine = "watchdog") (FR.events ()))
@@ -125,12 +138,14 @@ let test_gradient_stall () =
 let test_abort_lifecycle () =
   arm_with (fun c ->
       { c with Wd.max_bail_streak = Some 1; action = Wd.Abort });
-  Wd.pass_started "mspf";
+  let root = fresh_root "flow" in
+  let sp = pass root "mspf" in
   Alcotest.(check bool) "no abort yet" false (Wd.abort_requested ());
   Wd.note_partition ~engine:"mspf" ~bails:1;
   Alcotest.(check bool) "abort requested" true (Wd.abort_requested ());
-  Wd.pass_ended "mspf";
+  close_pass sp;
   Alcotest.(check bool) "pass end clears abort" false (Wd.abort_requested ());
+  Obs.close root;
   Wd.disarm ();
   (* Disarmed hooks are no-ops. *)
   Wd.note_partition ~engine:"mspf" ~bails:9;
@@ -146,7 +161,7 @@ let test_dump_round_trip () =
   Obs.Postmortem.configure ~trace ();
   let root = Obs.root trace "sbm" in
   let sp = Obs.span root "gradient" in
-  Obs.add sp "gradient.rounds" 3;
+  Obs.bump sp (Option.get (Obs.Metrics.find "gradient.rounds")) 3;
   FR.record ~severity:FR.Debug ~id:"round-1" ~engine:"gradient"
     ~metrics:[ ("gain", 7) ]
     "round done";
@@ -225,7 +240,56 @@ let test_injected_failure_dumps () =
          (fun e ->
            e.Inspect.engine = "flow" && e.Inspect.id = "gradient"
            && e.Inspect.message = "pass start")
-         d.Inspect.events)
+         d.Inspect.events);
+    (* Closing the root takes the crashed pass off the stack too. *)
+    Obs.close root;
+    Alcotest.(check (list string)) "stack cleared" [] (Obs.Span_stack.names ())
+
+(* --- one stack: every pass-boundary consumer reads the same frames --- *)
+
+let test_one_stack_feeds_every_consumer () =
+  FR.enable ();
+  arm_with (fun c -> { c with Wd.pass_deadline_ms = Some 0.0 });
+  Ledger.enable ();
+  FP.enable ();
+  let trace = Obs.create () in
+  Obs.Postmortem.configure ~trace ();
+  let root = Obs.root trace "flow" in
+  let outer = pass root "iteration-1" in
+  (* A plain span between the passes: on the stack, not a pass. *)
+  let step = Obs.span outer "step" in
+  let inner = pass step "mspf" in
+  FP.record_merge ~engine:"mspf" ~partition:0 ~structure:1L;
+  Unix.sleepf 0.001;
+  Wd.poll ();
+  let stack = Obs.Span_stack.names () in
+  Alcotest.(check (list string))
+    "the one stack" [ "flow"; "iteration-1"; "step"; "mspf" ] stack;
+  (match Inspect.of_json (Obs.Postmortem.to_json ~reason:"probe" ()) with
+  | Error msg -> Alcotest.failf "dump does not parse: %s" msg
+  | Ok d ->
+    Alcotest.(check (list string))
+      "post-mortem span_stack is the stack" stack
+      (List.map (fun f -> f.Inspect.frame_name) d.Inspect.span_stack));
+  close_pass inner;
+  Obs.close step;
+  close_pass outer;
+  Obs.close root;
+  Alcotest.(check (list string))
+    "ledger paths are the pass frames" [ "iteration-1/mspf"; "iteration-1" ]
+    (List.map (fun (r : Ledger.row) -> r.Ledger.path) (Ledger.rows ()));
+  Alcotest.(check (list string))
+    "trail labels are the pass frames"
+    [ "iteration-1/mspf/mspf-partition-0"; "iteration-1/mspf"; "iteration-1" ]
+    (List.map (fun (r : FP.record) -> r.FP.label) (FP.records ()));
+  Alcotest.(check (list string))
+    "deadline verdicts name the pass frames, deepest first"
+    [ "mspf"; "iteration-1" ]
+    (List.map
+       (fun (v : Wd.verdict) ->
+         List.nth (String.split_on_char '\'' v.Wd.detail) 1)
+       (Wd.verdicts ()));
+  Alcotest.(check (list string)) "empty at end" [] (Obs.Span_stack.names ())
 
 let suite =
   [
@@ -244,4 +308,6 @@ let suite =
       (protecting test_inspect_rejects_bad_input);
     Alcotest.test_case "injected failure dumps" `Quick
       (protecting test_injected_failure_dumps);
+    Alcotest.test_case "one span stack feeds every consumer" `Quick
+      (protecting test_one_stack_feeds_every_consumer);
   ]

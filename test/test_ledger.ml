@@ -60,18 +60,23 @@ let row ?(counters = []) ?(size = 100) ?(luts = -1) ?(levels = -1)
 
 (* --- frame bookkeeping --- *)
 
+(* Ledger rows are projected from closing pass spans; paths are the
+   open pass frames of the one span stack, skipping plain spans. *)
+let run_passes () =
+  let root = Obs.root (Obs.create ()) "flow" in
+  let pass parent name = Obs.pass ~size:10 ~depth:4 parent name in
+  let close sp = Obs.close_pass ~size:9 ~depth:4 sp in
+  let it = pass root "iteration-1" in
+  close (pass it "mspf");
+  let step = Obs.span it "step" in
+  close (pass step "rewrite");
+  Obs.close step;
+  close it;
+  Obs.close root
+
 let test_ledger_paths () =
   with_ledger (fun () ->
-      let close () =
-        Ledger.pass_ended ~size_before:10 ~size_after:9 ~depth_before:4
-          ~depth_after:4 ~luts:(-1) ~levels:(-1) ~dead_node_pct:0 ()
-      in
-      Ledger.pass_started "iteration-1";
-      Ledger.pass_started "mspf";
-      close ();
-      Ledger.pass_started "rewrite";
-      close ();
-      close ();
+      run_passes ();
       let rows = Ledger.rows () in
       Alcotest.(check (list string))
         "nested slash-joined paths, completion order"
@@ -80,13 +85,16 @@ let test_ledger_paths () =
       Alcotest.(check (list int))
         "indices follow completion order" [ 0; 1; 2 ]
         (List.map (fun (r : Ledger.row) -> r.Ledger.index) rows);
+      Alcotest.(check (list (pair int int)))
+        "sizes come from the span" [ (10, 9); (10, 9); (10, 9) ]
+        (List.map
+           (fun (r : Ledger.row) -> (r.Ledger.size_before, r.Ledger.size_after))
+           rows);
       (* enable resets. *)
       Ledger.enable ();
       Alcotest.(check int) "enable clears" 0 (List.length (Ledger.rows ())));
   (* While disabled the ledger records nothing. *)
-  Ledger.pass_started "stray";
-  Ledger.pass_ended ~size_before:1 ~size_after:1 ~depth_before:1 ~depth_after:1
-    ~luts:(-1) ~levels:(-1) ~dead_node_pct:0 ();
+  run_passes ();
   Alcotest.(check bool) "disabled is inert" true (Ledger.rows () = [])
 
 let test_stable_projection () =

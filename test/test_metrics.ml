@@ -1,6 +1,6 @@
 (* Metrics registry, live telemetry and exporters: registration
    semantics (duplicates are hard errors, kinds are enforced), worker
-   capture/replay, Obs.bump feeding both span totals and the registry,
+   capture/replay, Obs.bump reaching span totals through the registry,
    catalog coverage of a real flow run, the status-file atomic-rename
    protocol under a concurrent reader, the Chrome trace exporter's
    structural invariants, the DESIGN.md drift gate, inspect's
@@ -116,7 +116,7 @@ let test_capture_replay () =
   (* Unknown names are ignored, not errors. *)
   M.replay [ ("test.never-registered", 3) ]
 
-(* --- Obs.bump: one call, two sinks --- *)
+(* --- Obs.bump: the registry is the one sink --- *)
 
 let test_bump_dual_sink () =
   let v0 = M.value c_bump in
@@ -127,8 +127,8 @@ let test_bump_dual_sink () =
   Alcotest.(check int) "registry side" (v0 + 3) (M.value c_bump);
   Alcotest.(check (option int)) "span-totals side" (Some 3)
     (List.assoc_opt "test.bump" (Obs.totals trace));
-  (* On the Noop span only the registry half fires — untraced runs
-     still feed the dashboard. *)
+  (* On the Noop span the bump still lands — untraced runs still feed
+     the dashboard. *)
   Obs.bump Obs.null c_bump 2;
   Alcotest.(check int) "noop span still bumps registry" (v0 + 5)
     (M.value c_bump)
@@ -399,16 +399,18 @@ let test_heartbeat_throttle () =
       Wd.force_tty := Some false;
       Wd.arm config;
       Alcotest.(check int) "armed fresh" 0 (Wd.beats ());
-      Wd.pass_started "alpha";
+      let root = Obs.root (Obs.create ()) "flow" in
+      let pass parent name = Obs.pass ~size:1 ~depth:1 parent name in
+      let alpha = pass root "alpha" in
       Wd.poll ();
       Wd.poll ();
       Wd.poll ();
       Alcotest.(check int) "piped: one beat per pass path" 1 (Wd.beats ());
-      Wd.pass_started "beta";
+      let beta = pass alpha "beta" in
       Wd.poll ();
       Wd.poll ();
       Alcotest.(check int) "piped: new pass, one more beat" 2 (Wd.beats ());
-      Wd.pass_ended "beta";
+      Obs.close_pass ~size:1 ~depth:1 beta;
       Wd.poll ();
       Alcotest.(check int) "piped: popping back counts as a change" 3 (Wd.beats ());
       (* A TTY pulses on every due interval regardless of the pass. *)
@@ -416,7 +418,8 @@ let test_heartbeat_throttle () =
       Wd.poll ();
       Wd.poll ();
       Alcotest.(check int) "tty: every due poll beats" 5 (Wd.beats ());
-      Wd.pass_ended "alpha")
+      Obs.close_pass ~size:1 ~depth:1 alpha;
+      Obs.close root)
 
 (* --- live dashboard parsing/rendering --- *)
 

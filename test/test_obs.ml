@@ -8,6 +8,19 @@ module Aig = Sbm_aig.Aig
 module Obs = Sbm_obs
 module Rng = Sbm_util.Rng
 module Json = Sbm_report.Json
+module M = Sbm_obs.Metrics
+
+(* Counters live only in the registry, so the span tests bump
+   registered handles like real call sites do. *)
+let counter name = M.counter ~engine:"test" ("test.obs." ^ name) name
+let m_x = counter "x"
+let m_conflicts = counter "conflicts"
+let m_decisions = counter "decisions"
+let m_nodes = counter "nodes"
+let m_store = counter "store"
+let m_plain = counter "plain"
+let m_weird = counter "weird;name=x"
+let m_backslash = counter "back\\slash"
 
 (* --- span mechanics --- *)
 
@@ -16,9 +29,10 @@ let test_null_sink () =
   let child = Obs.span Obs.null "child" in
   Alcotest.(check bool) "children of null disabled" false (Obs.enabled child);
   (* All operations on the sink are no-ops and must not raise. *)
-  Obs.add child "x" 5;
-  Obs.incr child "x";
-  Obs.close child
+  Obs.bump child m_x 5;
+  Obs.bump child m_x 1;
+  Obs.close child;
+  Obs.close_pass ~size:1 ~depth:1 (Obs.pass ~size:1 ~depth:1 Obs.null "p")
 
 let test_span_nesting () =
   let trace = Obs.create () in
@@ -47,19 +61,54 @@ let test_span_nesting () =
 let test_counter_totals () =
   let trace = Obs.create () in
   let root = Obs.root trace "r" in
-  Obs.add root "sat.conflicts" 3;
+  Obs.bump root m_conflicts 3;
   let child = Obs.span root "c" in
-  Obs.add child "sat.conflicts" 4;
-  Obs.incr child "sat.decisions";
-  Obs.add child "sat.decisions" 9;
+  Obs.bump child m_conflicts 4;
+  Obs.bump child m_decisions 1;
+  Obs.bump child m_decisions 9;
   Obs.close child;
   Obs.close root;
-  Alcotest.(check int) "summed over tree" 7 (Obs.total trace "sat.conflicts");
-  Alcotest.(check int) "incr + add" 10 (Obs.total trace "sat.decisions");
+  Alcotest.(check int) "summed over tree" 7 (Obs.total trace "test.obs.conflicts");
+  Alcotest.(check int) "incr + add" 10 (Obs.total trace "test.obs.decisions");
   Alcotest.(check int) "untouched counter" 0 (Obs.total trace "nope");
   let totals = Obs.totals trace in
   Alcotest.(check (list string))
-    "totals sorted" [ "sat.conflicts"; "sat.decisions" ] (List.map fst totals)
+    "totals sorted" [ "test.obs.conflicts"; "test.obs.decisions" ]
+    (List.map fst totals)
+
+(* The registry is the one counter store: a span's own counters are
+   its registry delta minus its children's, the totals are the delta
+   over the root, and a bump on the null sink still counts. *)
+let test_counter_store () =
+  let v0 = M.value m_store in
+  let trace = Obs.create () in
+  let root = Obs.root trace "r" in
+  Obs.bump root m_store 2;
+  let child = Obs.span root "c" in
+  Obs.bump child m_store 5;
+  Obs.bump Obs.null m_store 1;
+  let grandchild = Obs.span child "g" in
+  Obs.bump grandchild m_store 0;
+  Obs.close grandchild;
+  Obs.close child;
+  Obs.close root;
+  let own (n : Obs.node) = List.assoc_opt "test.obs.store" n.Obs.counters in
+  (match Obs.spans trace with
+  | [ r ] ->
+    let c = List.hd r.Obs.children in
+    let g = List.hd c.Obs.children in
+    Alcotest.(check (option int)) "root: delta minus child" (Some 2) (own r);
+    Alcotest.(check (option int))
+      "child: its delta, null bumps included, minus grandchild" (Some 6) (own c);
+    Alcotest.(check (option int)) "a bump by 0 is still listed" (Some 0) (own g)
+  | l -> Alcotest.failf "expected 1 root, got %d" (List.length l));
+  Alcotest.(check (list (pair string int)))
+    "totals are the registry delta over the root"
+    [ ("test.obs.store", M.value m_store - v0) ]
+    (Obs.totals trace);
+  Obs.bump Obs.null m_store 4;
+  Alcotest.(check int) "a bump on null reaches the registry" (v0 + 12)
+    (M.value m_store)
 
 let test_monotonic_clock () =
   let t0 = Obs.monotonic_ns () in
@@ -72,8 +121,8 @@ let sample_trace () =
   let trace = Obs.create () in
   let root = Obs.root ~size:50 ~depth:7 trace "sbm" in
   let a = Obs.span ~size:50 root "pa\"ss" in
-  Obs.add a "bdd.nodes" 12;
-  Obs.add a "sat.conflicts" 2;
+  Obs.bump a m_nodes 12;
+  Obs.bump a m_conflicts 2;
   Obs.close ~size:44 a;
   Obs.close ~size:44 ~depth:6 root;
   trace
@@ -84,8 +133,8 @@ let test_json_round_trip () =
   Alcotest.(check (option int)) "version" (Some 2) Json.(to_int (member "version" json));
   let totals = Json.member "totals" json in
   Alcotest.(check (option int))
-    "total bdd.nodes" (Some 12)
-    Json.(to_int (Option.bind totals (member "bdd.nodes")));
+    "total test.obs.nodes" (Some 12)
+    Json.(to_int (Option.bind totals (member "test.obs.nodes")));
   (match Json.to_list (Json.member "spans" json) with
   | [ root ] ->
     Alcotest.(check (option string)) "root name" (Some "sbm")
@@ -100,7 +149,7 @@ let test_json_round_trip () =
       Alcotest.(check (option string)) "escaped name" (Some "pa\"ss")
         Json.(to_str (member "name" child));
       Alcotest.(check (option int)) "counter" (Some 2)
-        Json.(to_int (Option.bind (Json.member "counters" child) (Json.member "sat.conflicts")))
+        Json.(to_int (Option.bind (Json.member "counters" child) (Json.member "test.obs.conflicts")))
     | l -> Alcotest.failf "expected 1 child, got %d" (List.length l))
   | l -> Alcotest.failf "expected 1 span, got %d" (List.length l))
 
@@ -298,9 +347,9 @@ let parse_counters_cell cell =
 let test_csv_escaping_round_trip () =
   let trace = Obs.create () in
   let root = Obs.root ~size:10 trace "pass,one" in
-  Obs.add root "weird;name=x" 7;
-  Obs.add root "plain" 3;
-  Obs.add root "back\\slash" 1;
+  Obs.bump root m_weird 7;
+  Obs.bump root m_plain 3;
+  Obs.bump root m_backslash 1;
   Obs.close ~size:8 root;
   let csv = Obs.to_csv trace in
   match List.filter (fun l -> l <> "") (String.split_on_char '\n' csv) with
@@ -316,7 +365,10 @@ let test_csv_escaping_round_trip () =
       Alcotest.(check string) "size after" "8" size_after;
       Alcotest.(check (list (pair string int)))
         "counters unpack exactly"
-        [ ("back\\slash", 1); ("plain", 3); ("weird;name=x", 7) ]
+        [
+          ("test.obs.back\\slash", 1); ("test.obs.plain", 3);
+          ("test.obs.weird;name=x", 7);
+        ]
         (parse_counters_cell counters)
     | cells -> Alcotest.failf "expected 7 cells, got %d" (List.length cells))
   | lines -> Alcotest.failf "expected 2 csv lines, got %d" (List.length lines)
@@ -402,6 +454,7 @@ let suite =
     Alcotest.test_case "null sink" `Quick test_null_sink;
     Alcotest.test_case "span nesting" `Quick test_span_nesting;
     Alcotest.test_case "counter totals" `Quick test_counter_totals;
+    Alcotest.test_case "registry is the counter store" `Quick test_counter_store;
     Alcotest.test_case "monotonic clock" `Quick test_monotonic_clock;
     Alcotest.test_case "json round-trip" `Quick test_json_round_trip;
     Alcotest.test_case "json gc and histograms" `Quick test_json_gc_and_histograms;
