@@ -34,8 +34,6 @@ type config = {
   monolithic : bool;
   overlap : float;
   prefilter : Prefilter.bank option;
-  jobs : int option;
-  watchdog_poll : bool;
   objective : [ `Size | `Depth ];
 }
 
@@ -49,8 +47,6 @@ let default_config =
     monolithic = false;
     overlap = 0.0;
     prefilter = None;
-    jobs = None;
-    watchdog_poll = true;
     objective = `Size;
   }
 
@@ -367,80 +363,27 @@ let optimize_stats ?(obs = Sbm_obs.null) ?(config = default_config) aig =
     else Partition.compute aig config.limits
   in
   let store = Option.map (fun bank -> Prefilter.attach bank aig) config.prefilter in
-  let skipped = ref 0 in
-  let poll () = if config.watchdog_poll then Sbm_obs.Watchdog.poll () in
-  let jobs =
-    match config.jobs with Some j -> max 1 j | None -> Sbm_par.Jobs.get ()
-  in
-  if jobs <= 1 || List.length parts <= 1 then
-    (* Sequential path: byte-for-byte the historical behaviour. *)
-    List.iteri
-      (fun i part ->
-        poll ();
-        if Sbm_obs.Watchdog.abort_requested () then incr skipped
-        else run_partition aig config counters obs store part i total)
-      parts
-  else begin
-    (* Parallel path: workers analyze partitions on private AIG
-       snapshots; results are applied in ascending index. A clean
-       (zero-rewrite, not-stale) analysis is merged verbatim —
-       counters, prefilter tallies, BDD stats, flight-recorder events
-       and speculative origin-created counts, exactly what the
-       sequential run would have produced; anything else is redone
-       sequentially on the live AIG. *)
-    let analyze _i part =
-      if Sbm_obs.Watchdog.abort_requested () then None
-      else begin
-        let snap = Aig.copy aig in
-        let wstore = Option.map (fun st -> Prefilter.fork st snap) store in
-        let wc = zero_counters () in
-        let wtotal = ref 0 in
-        let before = Aig.origin_stats snap in
-        (* Metrics.capture mirrors FR.capture: any registry bump a
-           worker makes lands in a domain-local shard, replayed on the
-           main domain only when this analysis merges cleanly. *)
-        let (ctx, events), mdeltas =
-          M.capture (fun () ->
-              FR.capture (fun () ->
-                  run_partition_analysis snap config wc wstore part wtotal))
-        in
-        Some
-          ( wc, ctx, events, mdeltas,
-            Par_merge.created_delta ~before ~after:(Aig.origin_stats snap) )
-      end
-    in
-    let apply index part result ~dirty =
-      poll ();
-      if Sbm_obs.Watchdog.abort_requested () then begin
-        incr skipped;
-        false
-      end
-      else
-        match result with
-        | Some (wc, ctx, events, mdeltas, created)
-          when (not dirty) && wc.c_rewrites = 0 ->
-          counters.c_pairs <- counters.c_pairs + wc.c_pairs;
-          counters.c_diffs <- counters.c_diffs + wc.c_diffs;
-          Par_merge.merge_prefilter counters.pf wc.pf;
-          Par_merge.merge_created aig created;
-          Par_merge.merge_metrics mdeltas;
-          FR.replay events;
-          finish_partition aig ctx obs ~index ~rewrites_delta:0
-            ~pf_rejected:(Prefilter.rejected wc.pf);
-          false
-        | Some _ | None ->
-          let r0 = counters.c_rewrites in
-          run_partition aig config counters obs store part index total;
-          counters.c_rewrites > r0
-    in
-    let go pool =
-      Sbm_par.Sched.run_ordered pool (Array.of_list parts) ~analyze ~apply
-    in
-    if jobs = Sbm_par.Jobs.get () then go (Sbm_par.Pool.global ())
-    else Sbm_par.Pool.with_pool ~jobs go
-  end;
-  if !skipped > 0 then
-    Sbm_obs.bump obs Engine_intf.m_partitions_skipped !skipped;
+  (* Clean (zero-rewrite) worker analyses merge verbatim — counters,
+     prefilter tallies, BDD stats and speculative origin-created
+     counts, exactly what the sequential run would have produced;
+     anything else is redone on the live AIG. *)
+  Sbm_par.Sched.partitions parts
+    ~analyze:(fun _ part ->
+      Par_merge.on_snapshot aig store (fun snap wstore ->
+          let wc = zero_counters () in
+          (wc, run_partition_analysis snap config wc wstore part (ref 0))))
+    ~clean:(fun ((wc, _), _) -> wc.c_rewrites = 0)
+    ~merge:(fun index _ ((wc, ctx), created) ->
+      counters.c_pairs <- counters.c_pairs + wc.c_pairs;
+      counters.c_diffs <- counters.c_diffs + wc.c_diffs;
+      Par_merge.merge_prefilter counters.pf wc.pf;
+      Par_merge.merge_created aig created;
+      finish_partition aig ctx obs ~index ~rewrites_delta:0
+        ~pf_rejected:(Prefilter.rejected wc.pf))
+    ~redo:(fun index part ->
+      let r0 = counters.c_rewrites in
+      run_partition aig config counters obs store part index total;
+      counters.c_rewrites > r0);
   Sbm_obs.bump obs m_partitions (List.length parts);
   Sbm_obs.bump obs m_pairs_tried counters.c_pairs;
   Sbm_obs.bump obs m_differences_built counters.c_diffs;
@@ -478,8 +421,6 @@ module Engine = struct
           ~default:default_config.bdd_node_limit;
       accept_zero = c.Engine_intf.effort = Engine_intf.High;
       prefilter = c.Engine_intf.prefilter;
-      jobs = c.Engine_intf.jobs;
-      watchdog_poll = c.Engine_intf.watchdog_poll;
     }
 
   let stats_of (s : stats) =

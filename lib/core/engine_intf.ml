@@ -11,13 +11,6 @@
 
 module Aig = Sbm_aig.Aig
 
-(* Shared by every partitioned engine (diff/mspf/kernel): partitions
-   skipped because a watchdog abort was pending at their boundary. *)
-let m_partitions_skipped =
-  Sbm_obs.Metrics.counter ~engine:"watchdog" ~unit_:"partitions"
-    "watchdog.partitions_skipped"
-    "partitions skipped at their boundary under a pending watchdog abort"
-
 type effort = Low | High
 
 type config = {
@@ -27,10 +20,8 @@ type config = {
       (* partition size: max member nodes (BDD engines) or SOP chunk
          size (kernel engine); None = engine default *)
   bdd_node_limit : int option;  (* BDD manager budget; None = default *)
-  jobs : int option;  (* worker domains; None = the global Jobs.get () *)
   prefilter : Prefilter.bank option;
       (* simulation prefilter pattern bank; None = filtering off *)
-  watchdog_poll : bool;  (* poll the watchdog at partition boundaries *)
 }
 
 let default =
@@ -39,9 +30,7 @@ let default =
     effort = Low;
     partition_nodes = None;
     bdd_node_limit = None;
-    jobs = None;
     prefilter = None;
-    watchdog_poll = true;
   }
 
 (* Uniform run statistics: the size gain plus the engine's own

@@ -124,9 +124,9 @@ let rebuilding name kind cost build =
 
 (* The Boolean-engine moves dispatch through the unified
    {!Engine_intf.S} interface: the gradient config carries one engine
-   config ([prefilter] bank, jobs override, watchdog discipline) that
-   every engine move inherits, with only the move-specific partition
-   size overridden per call site. *)
+   config (effort, BDD budget, [prefilter] bank) that every engine
+   move inherits, with only the move-specific partition size
+   overridden per call site. *)
 let moves ~zero_gain ~engine =
   let ecfg obs partition_nodes =
     { engine with Engine_intf.obs; partition_nodes }

@@ -23,9 +23,9 @@ type config = {
           current tier and applies the best. *)
   zero_gain_moves : bool; (** allow network-reshaping zero-gain moves *)
   engine : Engine_intf.config;
-      (** shared engine config (prefilter bank, jobs override,
-          watchdog discipline) inherited by every Boolean-engine move;
-          the per-move partition sizes stay with the move table *)
+      (** shared engine config (effort, BDD budget, prefilter bank)
+          inherited by every Boolean-engine move; the per-move
+          partition sizes stay with the move table *)
 }
 
 val default_config : config

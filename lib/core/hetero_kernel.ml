@@ -26,8 +26,6 @@ type config = {
   max_cubes : int;
   extract_passes : int;
   prefilter : Prefilter.bank option;
-  jobs : int option;
-  watchdog_poll : bool;
 }
 
 let default_config =
@@ -37,8 +35,6 @@ let default_config =
     max_cubes = 64;
     extract_passes = 20;
     prefilter = None;
-    jobs = None;
-    watchdog_poll = true;
   }
 
 type stats = {
@@ -209,7 +205,6 @@ let run ?(obs = Sbm_obs.null) ?(config = default_config) aig =
   let parts = partitions_of net config.partition_size in
   let trials = ref 0 in
   let improved = ref 0 in
-  let skipped = ref 0 in
   let note idx part t i =
     trials := !trials + t;
     if i then incr improved;
@@ -228,61 +223,23 @@ let run ?(obs = Sbm_obs.null) ?(config = default_config) aig =
       Sbm_obs.Fingerprint.record_merge ~engine:"kernel" ~partition:idx
         ~structure:(Network.fold_hash net)
   in
-  let poll () = if config.watchdog_poll then Sbm_obs.Watchdog.poll () in
-  let jobs =
-    match config.jobs with Some j -> max 1 j | None -> Sbm_par.Jobs.get ()
-  in
-  if jobs <= 1 || List.length parts <= 1 then
-    (* Sequential path: byte-for-byte the historical behaviour. *)
-    List.iteri
-      (fun idx part ->
-        poll ();
-        if Sbm_obs.Watchdog.abort_requested () then incr skipped
-        else begin
-          let t, i = optimize_partition net config part in
-          note idx part t i
-        end)
-      parts
-  else begin
-    (* Parallel path: workers run the threshold trials on a private
-       network copy. A partition whose best trial did not improve
-       leaves the live network's covers untouched, so when no earlier
-       partition of the chunk committed either, the worker's verdict
-       transfers verbatim; improved or stale partitions are redone on
-       the live network in index order. *)
-    let analyze _i part =
-      if Sbm_obs.Watchdog.abort_requested () then None
-      else Some (optimize_partition (Network.copy net) config part)
-    in
-    let apply idx part result ~dirty =
-      poll ();
-      if Sbm_obs.Watchdog.abort_requested () then begin
-        incr skipped;
-        false
-      end
-      else
-        match result with
-        | Some (t, false) when not dirty ->
-          note idx part t false;
-          false
-        | Some _ | None ->
-          let t, i = optimize_partition net config part in
-          note idx part t i;
-          i
-    in
-    let go pool =
-      Sbm_par.Sched.run_ordered pool (Array.of_list parts) ~analyze ~apply
-    in
-    if jobs = Sbm_par.Jobs.get () then go (Sbm_par.Pool.global ())
-    else Sbm_par.Pool.with_pool ~jobs go
-  end;
+  (* Workers run the threshold trials on a private network copy. A
+     partition whose best trial did not improve leaves the live
+     network's covers untouched, so its verdict transfers verbatim;
+     improved or stale partitions are redone on the live network. *)
+  Sbm_par.Sched.partitions parts
+    ~analyze:(fun _ part -> optimize_partition (Network.copy net) config part)
+    ~clean:(fun (_, improved) -> not improved)
+    ~merge:(fun idx part (t, _) -> note idx part t false)
+    ~redo:(fun idx part ->
+      let t, i = optimize_partition net config part in
+      note idx part t i;
+      i);
   let lits_after = Network.num_lits net in
   Sbm_obs.bump obs m_partitions (List.length parts);
   Sbm_obs.bump obs m_trials !trials;
   Sbm_obs.bump obs m_improved_partitions !improved;
   Sbm_obs.bump obs m_lits_saved (lits_before - lits_after);
-  if !skipped > 0 then
-    Sbm_obs.bump obs Engine_intf.m_partitions_skipped !skipped;
   if config.prefilter <> None then Prefilter.flush obs pf_counts;
   ( Network.to_aig ~provenance:(aig, fallback) net,
     {
@@ -304,8 +261,6 @@ module Engine = struct
         Option.value c.Engine_intf.partition_nodes
           ~default:default_config.partition_size;
       prefilter = c.Engine_intf.prefilter;
-      jobs = c.Engine_intf.jobs;
-      watchdog_poll = c.Engine_intf.watchdog_poll;
     }
 
   let stats_of ~gain (s : stats) =

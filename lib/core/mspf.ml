@@ -34,8 +34,6 @@ type config = {
   bdd_node_limit : int;
   max_candidates : int;
   prefilter : Prefilter.bank option;
-  jobs : int option;
-  watchdog_poll : bool;
 }
 
 let default_config =
@@ -44,8 +42,6 @@ let default_config =
     bdd_node_limit = 200_000;
     max_candidates = 64;
     prefilter = None;
-    jobs = None;
-    watchdog_poll = true;
   }
 
 type stats = {
@@ -353,73 +349,25 @@ let optimize_stats ?(obs = Obs.null) ?(config = default_config) aig =
   let counters = zero_counters () in
   let parts = Partition.compute aig config.limits in
   let store = Option.map (fun bank -> Prefilter.attach bank aig) config.prefilter in
-  let skipped = ref 0 in
-  let poll () = if config.watchdog_poll then Obs.Watchdog.poll () in
-  let jobs =
-    match config.jobs with Some j -> max 1 j | None -> Sbm_par.Jobs.get ()
-  in
-  if jobs <= 1 || List.length parts <= 1 then
-    (* Sequential path: byte-for-byte the historical behaviour. *)
-    List.iteri
-      (fun i part ->
-        poll ();
-        if Obs.Watchdog.abort_requested () then incr skipped
-        else run_partition aig config counters obs store part i total)
-      parts
-  else begin
-    (* Parallel path: see Diff_resub — clean (zero-substitution,
-       not-stale) worker analyses are merged verbatim, the rest redone
-       sequentially in partition order. *)
-    let module FR = Obs.Flight_recorder in
-    let analyze _i part =
-      if Obs.Watchdog.abort_requested () then None
-      else begin
-        let snap = Aig.copy aig in
-        let wstore = Option.map (fun st -> Prefilter.fork st snap) store in
-        let wc = zero_counters () in
-        let wtotal = ref 0 in
-        let before = Aig.origin_stats snap in
-        let (ctx, events), mdeltas =
-          M.capture (fun () ->
-              FR.capture (fun () ->
-                  run_partition_analysis snap config wc wstore part wtotal))
-        in
-        Some
-          ( wc, ctx, events, mdeltas,
-            Par_merge.created_delta ~before ~after:(Aig.origin_stats snap) )
-      end
-    in
-    let apply index part result ~dirty =
-      poll ();
-      if Obs.Watchdog.abort_requested () then begin
-        incr skipped;
-        false
-      end
-      else
-        match result with
-        | Some (wc, ctx, events, mdeltas, created)
-          when (not dirty) && wc.c_subst = 0 ->
-          counters.c_mspf <- counters.c_mspf + wc.c_mspf;
-          counters.c_cands <- counters.c_cands + wc.c_cands;
-          Par_merge.merge_prefilter counters.pf wc.pf;
-          Par_merge.merge_created aig created;
-          Par_merge.merge_metrics mdeltas;
-          FR.replay events;
-          finish_partition aig ctx obs ~index ~subst_delta:0
-            ~pf_rejected:(Prefilter.rejected wc.pf);
-          false
-        | Some _ | None ->
-          let s0 = counters.c_subst in
-          run_partition aig config counters obs store part index total;
-          counters.c_subst > s0
-    in
-    let go pool =
-      Sbm_par.Sched.run_ordered pool (Array.of_list parts) ~analyze ~apply
-    in
-    if jobs = Sbm_par.Jobs.get () then go (Sbm_par.Pool.global ())
-    else Sbm_par.Pool.with_pool ~jobs go
-  end;
-  if !skipped > 0 then Obs.bump obs Engine_intf.m_partitions_skipped !skipped;
+  (* See Diff_resub: clean (zero-substitution) worker analyses merge
+     verbatim, the rest are redone on the live AIG. *)
+  Sbm_par.Sched.partitions parts
+    ~analyze:(fun _ part ->
+      Par_merge.on_snapshot aig store (fun snap wstore ->
+          let wc = zero_counters () in
+          (wc, run_partition_analysis snap config wc wstore part (ref 0))))
+    ~clean:(fun ((wc, _), _) -> wc.c_subst = 0)
+    ~merge:(fun index _ ((wc, ctx), created) ->
+      counters.c_mspf <- counters.c_mspf + wc.c_mspf;
+      counters.c_cands <- counters.c_cands + wc.c_cands;
+      Par_merge.merge_prefilter counters.pf wc.pf;
+      Par_merge.merge_created aig created;
+      finish_partition aig ctx obs ~index ~subst_delta:0
+        ~pf_rejected:(Prefilter.rejected wc.pf))
+    ~redo:(fun index part ->
+      let s0 = counters.c_subst in
+      run_partition aig config counters obs store part index total;
+      counters.c_subst > s0);
   Obs.bump obs m_partitions (List.length parts);
   Obs.bump obs m_computed counters.c_mspf;
   Obs.bump obs m_candidates_examined counters.c_cands;
@@ -458,8 +406,6 @@ module Engine = struct
         Option.value c.Engine_intf.bdd_node_limit
           ~default:default_config.bdd_node_limit;
       prefilter = c.Engine_intf.prefilter;
-      jobs = c.Engine_intf.jobs;
-      watchdog_poll = c.Engine_intf.watchdog_poll;
     }
 
   let stats_of (s : stats) =

@@ -29,8 +29,6 @@ type config = {
           candidate before its BDD conjunctions are built; rejection
           is provably sound, so QoR is bit-identical with the filter
           on or off *)
-  jobs : int option;  (** worker domains; [None] = global [Jobs.get ()] *)
-  watchdog_poll : bool;  (** poll the watchdog at partition boundaries *)
 }
 
 val default_config : config

@@ -1,6 +1,7 @@
 module Aig = Sbm_aig.Aig
 
-(* Provenance bookkeeping for the parallel merge path.
+(* Provenance bookkeeping for the parallel merge path of the AIG
+   partition engines (diff, MSPF).
 
    A worker analyzing a partition on a private AIG snapshot still
    builds (and discards) speculative candidate cones, and the origin
@@ -23,6 +24,17 @@ let created_delta ~before ~after =
 let merge_created aig deltas =
   List.iter (fun (o, n) -> Aig.note_created aig o n) deltas
 
+(* A worker's analysis step: [analyze snap store] runs on a private
+   copy of [aig] (with a fork of the prefilter store), and the copy's
+   origin-created deltas come back beside its result for
+   [merge_created]. *)
+let on_snapshot aig store analyze =
+  let snap = Aig.copy aig in
+  let wstore = Option.map (fun st -> Prefilter.fork st snap) store in
+  let before = Aig.origin_stats snap in
+  let r = analyze snap wstore in
+  (r, created_delta ~before ~after:(Aig.origin_stats snap))
+
 (* Prefilter verdict tallies ride the same per-partition flush path
    as the BDD manager stats: a clean worker analysis contributes its
    counts verbatim, a redone partition contributes the sequential
@@ -33,12 +45,3 @@ let merge_prefilter (dst : Prefilter.counts) (src : Prefilter.counts) =
   dst.Prefilter.rejected_const <-
     dst.Prefilter.rejected_const + src.Prefilter.rejected_const;
   dst.Prefilter.survivors <- dst.Prefilter.survivors + src.Prefilter.survivors
-
-(* Registry counter deltas captured on a worker domain
-   ([Metrics.capture] around the analysis) are applied here, on the
-   main domain, in ascending partition order — the same merge-or-redo
-   contract as flight-recorder events, so registry totals stay
-   bit-identical at any job count. A redone partition re-bumps on the
-   main domain and its captured deltas are dropped by the caller. *)
-let merge_metrics (deltas : Sbm_obs.Metrics.delta) =
-  Sbm_obs.Metrics.replay deltas

@@ -1,33 +1,60 @@
-(* Deterministic snapshot/analyze/apply driver for partition engines.
+(* The partition driver (contract in the .mli). The chunk boundary is
+   a barrier, so every snapshot in a chunk sees all edits applied by
+   earlier chunks; within a chunk, [dirty] marks analyses made stale
+   by an earlier partition's committed edit. *)
 
-   Partitions are processed in chunks. Each chunk is analyzed in
-   parallel by [analyze] (workers operate on private snapshots of the
-   host structure; the chunk boundary is a barrier, so every snapshot
-   in a chunk sees all edits applied by earlier chunks). Results are
-   then applied strictly in ascending partition index by [apply],
-   which receives the dirty flag: [dirty = false] means no earlier
-   partition of the chunk committed an edit, i.e. the worker's
-   snapshot still equals the live structure and its conclusion can be
-   merged as-is; [dirty = true] means the analysis is stale and the
-   engine must redo the partition sequentially. [apply] returns
-   whether it committed edits. *)
+module M = Sbm_obs.Metrics
+module FR = Sbm_obs.Flight_recorder
+module Watchdog = Sbm_obs.Watchdog
 
-let run_ordered ?chunk pool parts ~analyze ~apply =
+let m_partitions_skipped =
+  M.counter ~engine:"watchdog" ~unit_:"partitions"
+    "watchdog.partitions_skipped"
+    "partitions skipped at their boundary under a pending watchdog abort"
+
+let partitions parts ~analyze ~clean ~merge ~redo =
+  let parts = Array.of_list parts in
   let n = Array.length parts in
-  let chunk =
-    match chunk with Some c -> max 1 c | None -> max 1 (2 * Pool.jobs pool)
+  let jobs = Jobs.get () in
+  let skipped = ref 0 in
+  let skip () =
+    Watchdog.poll ();
+    let abort = Watchdog.abort_requested () in
+    if abort then incr skipped;
+    abort
   in
-  let i = ref 0 in
-  while !i < n do
-    let base = !i in
-    let count = min chunk (n - base) in
-    let results =
-      Pool.run pool count (fun k -> analyze (base + k) parts.(base + k))
+  if jobs <= 1 || n <= 1 then
+    Array.iteri (fun i p -> if not (skip ()) then ignore (redo i p)) parts
+  else begin
+    let pool = Pool.global () in
+    let analyze i =
+      if Watchdog.abort_requested () then None
+      else
+        let (r, events), deltas =
+          M.capture (fun () -> FR.capture (fun () -> analyze i parts.(i)))
+        in
+        Some (r, events, deltas)
     in
-    let dirty = ref false in
-    Array.iteri
-      (fun k r ->
-        if apply (base + k) parts.(base + k) r ~dirty:!dirty then dirty := true)
-      results;
-    i := base + count
-  done
+    let base = ref 0 in
+    while !base < n do
+      let b = !base in
+      let count = min (2 * jobs) (n - b) in
+      let results = Pool.run pool count (fun k -> analyze (b + k)) in
+      let dirty = ref false in
+      Array.iteri
+        (fun k result ->
+          let i = b + k in
+          if not (skip ()) then
+            match result with
+            | Some (r, events, deltas) when (not !dirty) && clean r ->
+              (* Replay first: the engine's merge records the
+                 merge-boundary fingerprint, which reads the registry. *)
+              M.replay deltas;
+              FR.replay events;
+              merge i parts.(i) r
+            | Some _ | None -> if redo i parts.(i) then dirty := true)
+        results;
+      base := b + count
+    done
+  end;
+  if !skipped > 0 then M.add m_partitions_skipped !skipped

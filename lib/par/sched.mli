@@ -1,22 +1,32 @@
-(** Deterministic chunked snapshot/analyze/apply schedule.
+(** The one partition driver behind every partition engine.
 
-    [run_ordered pool parts ~analyze ~apply] analyzes [parts] in
-    parallel, a chunk at a time (default chunk: twice the pool's job
-    count), then applies results sequentially in ascending partition
-    index. [analyze i part] runs on a worker domain and must only read
-    shared state (or mutate private snapshots). [apply i part result
-    ~dirty] runs on the calling domain in index order; [dirty] is true
-    iff an earlier partition of the same chunk committed an edit
-    (worker analyses after that point are stale). [apply] returns
-    [true] when it committed edits to the live structure.
+    [partitions parts ~analyze ~clean ~merge ~redo] processes [parts]
+    at the global job count ({!Jobs.get}):
 
-    With this contract, a run at any job count applies the exact same
-    edits in the exact same order as a sequential run: clean analyses
-    are merged verbatim, stale ones are redone sequentially. *)
-val run_ordered :
-  ?chunk:int ->
-  Pool.t ->
-  'p array ->
+    - with one job or at most one partition, it calls [redo i part] in
+      index order — the sequential path, no snapshot, no capture;
+    - otherwise it analyzes chunks of [2 × jobs] partitions on
+      {!Pool.global}: [analyze i part] runs on a worker domain and must
+      only read shared state (or mutate a private snapshot); its
+      registry bumps and flight-recorder events are captured. Results
+      are applied on the calling domain in ascending index: when the
+      result is [clean] and no earlier partition of the chunk
+      committed an edit, the captured telemetry is replayed and
+      [merge i part result] is called; otherwise [redo i part] redoes
+      the partition on the live structure.
+
+    [redo] returns [true] when it committed edits to the live
+    structure. Before each partition the driver polls the watchdog; a
+    pending abort skips the partition and counts it in
+    [watchdog.partitions_skipped].
+
+    With this contract a run at any job count applies the exact same
+    edits, counters and events in the exact same order as a sequential
+    run. *)
+val partitions :
+  'p list ->
   analyze:(int -> 'p -> 'a) ->
-  apply:(int -> 'p -> 'a -> dirty:bool -> bool) ->
+  clean:('a -> bool) ->
+  merge:(int -> 'p -> 'a -> unit) ->
+  redo:(int -> 'p -> bool) ->
   unit

@@ -8,7 +8,6 @@
 
 module Aig = Sbm_aig.Aig
 module Epfl = Sbm_epfl.Epfl
-module Jobs = Sbm_par.Jobs
 module Obs = Sbm_obs
 module Ledger = Sbm_obs.Ledger
 module Snapshot = Sbm_obs.Snapshot
@@ -20,10 +19,6 @@ module Json = Sbm_report.Json
 let with_ledger f =
   Ledger.enable ();
   Fun.protect ~finally:Ledger.disable f
-
-let with_jobs n f =
-  Jobs.set n;
-  Fun.protect ~finally:(fun () -> Jobs.set 1) f
 
 let entry ?(counters = []) ?(wall_ms = 100.0) ?(passes = []) bench size depth
     luts levels =
@@ -307,7 +302,7 @@ let test_per_pass_ignore_time () =
 (* --- determinism: per-pass rows at jobs=4 equal jobs=1 --- *)
 
 let stable_rows jobs b =
-  with_jobs jobs (fun () ->
+  Helpers.with_jobs jobs (fun () ->
       with_ledger (fun () ->
           let aig = Epfl.generate b in
           let trace = Obs.create () in

@@ -12,10 +12,7 @@ module FR = Sbm_obs.Flight_recorder
 module Jobs = Sbm_par.Jobs
 module Obs = Sbm_obs
 module Pool = Sbm_par.Pool
-
-let with_jobs n f =
-  Jobs.set n;
-  Fun.protect ~finally:(fun () -> Jobs.set 1) f
+module Engine_intf = Sbm_core.Engine_intf
 
 (* --- pool --- *)
 
@@ -71,12 +68,22 @@ let test_pool_exception () =
       Alcotest.(check int) "usable after failure" 8 (Array.length r))
 
 let test_jobs_setting () =
-  with_jobs 1 (fun () ->
+  Helpers.with_jobs 1 (fun () ->
       Jobs.set 3;
       Alcotest.(check int) "set wins" 3 (Jobs.get ());
       Alcotest.check_raises "rejects zero"
         (Invalid_argument "Sbm_par.Jobs.set: jobs must be >= 1") (fun () ->
           Jobs.set 0))
+
+(* Nested job-count overrides unwind to the enclosing count, not to
+   1: under SBM_JOBS=2 every later suite must still run at 2. *)
+let test_with_jobs_restores () =
+  let outer = Jobs.get () in
+  Helpers.with_jobs 3 (fun () ->
+      Helpers.with_jobs 2 (fun () ->
+          Alcotest.(check int) "inside" 2 (Jobs.get ()));
+      Alcotest.(check int) "inner override restored" 3 (Jobs.get ()));
+  Alcotest.(check int) "outer override restored" outer (Jobs.get ())
 
 (* --- flight recorder worker buffering --- *)
 
@@ -121,7 +128,7 @@ type run_fingerprint = {
 }
 
 let fingerprint jobs b =
-  with_jobs jobs (fun () ->
+  Helpers.with_jobs jobs (fun () ->
       Obs.Fingerprint.enable ();
       Fun.protect ~finally:Obs.Fingerprint.disable (fun () ->
           let aig = Epfl.generate b in
@@ -184,6 +191,63 @@ let check_deterministic b =
 let test_determinism_quick_set () =
   List.iter check_deterministic Epfl.quick_set
 
+(* --- watchdog abort: skipped partitions are jobs-independent --- *)
+
+(* A heap rule of 0 MB fires on the driver's first poll, so an
+   Abort-armed watchdog skips every partition. The skip must look the
+   same at any job count: same network, same registry deltas, and
+   every partition counted in watchdog.partitions_skipped. At jobs 4
+   the 11 partitions span two chunks: the first chunk's analyses are
+   dropped unreplayed, the second chunk's workers see the flag. *)
+let abort_run (module E : Engine_intf.S) input jobs =
+  Helpers.with_jobs jobs (fun () ->
+      Fun.protect
+        ~finally:(fun () ->
+          Obs.Watchdog.disarm ();
+          FR.disable ())
+        (fun () ->
+          Obs.Watchdog.arm
+            {
+              Obs.Watchdog.default_config with
+              max_heap_mb = Some 0.;
+              action = Obs.Watchdog.Abort;
+            };
+          let before = Obs.Metrics.counters_now () in
+          let config =
+            { Engine_intf.default with Engine_intf.partition_nodes = Some 10 }
+          in
+          let out, stats = E.run config input in
+          let deltas =
+            List.filter_map
+              (fun (name, v) ->
+                let d = v - Option.value ~default:0 (List.assoc_opt name before) in
+                if d <> 0 then Some (name, d) else None)
+              (Obs.Metrics.counters_now ())
+          in
+          ( Sbm_aig.Aiger.write out,
+            deltas,
+            List.assoc "partitions" stats.Engine_intf.details )))
+
+let test_abort_skips_partitions () =
+  let input = Epfl.generate Epfl.Ctrl in
+  List.iter
+    (fun name ->
+      let engine = Option.get (Sbm_core.Engines.find name) in
+      let out1, deltas1, parts = abort_run engine input 1 in
+      let out4, deltas4, parts4 = abort_run engine input 4 in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %d partitions (>= 2)" name parts)
+        true (parts >= 2);
+      Alcotest.(check int) (name ^ ": partitions at jobs 4") parts parts4;
+      Alcotest.(check string) (name ^ ": network") out1 out4;
+      Alcotest.(check (list (pair string int)))
+        (name ^ ": registry deltas") deltas1 deltas4;
+      Alcotest.(check (option int))
+        (name ^ ": every partition skipped")
+        (Some parts)
+        (List.assoc_opt "watchdog.partitions_skipped" deltas1))
+    [ "diff"; "mspf"; "kernel" ]
+
 (* --- BDD manager allocation stays bounded --- *)
 
 (* The computed cache and unique table are flat preallocated arrays
@@ -217,10 +281,14 @@ let suite =
     Alcotest.test_case "pool: exception cancels and re-raises." `Quick
       test_pool_exception;
     Alcotest.test_case "jobs: setting and validation." `Quick test_jobs_setting;
+    Alcotest.test_case "jobs: with_jobs restores the enclosing count." `Quick
+      test_with_jobs_restores;
     Alcotest.test_case "flight recorder: capture and replay." `Quick
       test_fr_capture_replay;
     Alcotest.test_case "determinism: jobs=4 equals jobs=1 on the quick set."
       `Slow test_determinism_quick_set;
+    Alcotest.test_case "watchdog: abort skips partitions at any job count."
+      `Quick test_abort_skips_partitions;
     Alcotest.test_case "bdd: dec-sized allocation bounded." `Slow
       test_bdd_allocation_bounded;
   ]

@@ -266,10 +266,9 @@ let engine_identity bench =
             Engine_intf.default with
             Engine_intf.prefilter =
               (if prefilter then Some (Prefilter.create_bank ()) else None);
-            jobs = Some jobs;
           }
         in
-        let result, stats = E.run config input in
+        let result, stats = Helpers.with_jobs jobs (fun () -> E.run config input) in
         (Sbm_aig.Aiger.write result, stats.Engine_intf.gain)
       in
       let reference = run ~prefilter:false ~jobs:1 in
