@@ -54,37 +54,20 @@ let partition_lits net ~member ~mark =
     0
     (Network.internal_nodes net)
 
-(* Fanout map over live internal nodes. *)
-let fanout_map net =
-  let map : (int, int list) Hashtbl.t = Hashtbl.create 256 in
-  List.iter
-    (fun n ->
-      List.iter
-        (fun c ->
-          Array.iter
-            (fun l ->
-              let v = Sop.var_of l in
-              let prev = Option.value ~default:[] (Hashtbl.find_opt map v) in
-              if not (List.mem n prev) then Hashtbl.replace map v (n :: prev))
-            c)
-        (Network.cover net n))
-    (Network.internal_nodes net);
-  map
-
 let optimize_partition net config part_nodes =
   let member_set = Hashtbl.create 64 in
   List.iter (fun n -> Hashtbl.replace member_set n ()) part_nodes;
   let member n = Hashtbl.mem member_set n in
-  let fanouts = fanout_map net in
-  (* A node may be eliminated only when its fanouts stay inside the
-     partition (so rollbacks touch member covers only). *)
+  (* A node may be eliminated only when its fanouts at partition start
+     stay inside the partition (so rollbacks touch member covers only);
+     nodes created by the trials are always eligible. *)
   let mark = Network.mark net in
-  let eliminable n =
-    (member n || n >= mark)
-    && List.for_all
-         (fun m -> member m || m >= mark)
-         (Option.value ~default:[] (Hashtbl.find_opt fanouts n))
-  in
+  let inside = Hashtbl.create 64 in
+  List.iter
+    (fun n ->
+      if List.for_all member (Network.fanouts net n) then Hashtbl.replace inside n ())
+    part_nodes;
+  let eliminable n = n >= mark || Hashtbl.mem inside n in
   let snapshot () =
     List.filter_map
       (fun n -> if member n then Some (n, Network.cover net n) else None)
@@ -92,12 +75,12 @@ let optimize_partition net config part_nodes =
   in
   let saved = snapshot () in
   let rollback () =
-    Network.truncate net mark;
     List.iter
       (fun (n, cv) ->
         Network.revive net n;
         Network.set_cover net n cv)
-      saved
+      saved;
+    Network.truncate net mark
   in
   let trial threshold =
     ignore

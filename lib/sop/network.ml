@@ -11,6 +11,20 @@ type node = {
   (* Provenance carried from the source AIG ([of_aig]); [None] for
      nodes created inside the SOP domain (kernel/cube extraction). *)
   mutable origin : Aig.Origin.t option;
+  mutable is_output : bool; (* some primary output refers to the node *)
+  (* Fanout structure, kept current by [replace_cover] (the only
+     cover write): [fanins] is [Sop.support cover]; [users] lists
+     every node whose cover mentions this one, reachable or not;
+     [refs] counts the outputs referring to this node plus the
+     reachable nodes whose cover mentions it, so the node is
+     reachable from the outputs iff [refs > 0]. *)
+  mutable fanins : node_id list;
+  mutable users : node_id list;
+  mutable refs : int;
+  (* Memo of [kernels] (below) with the cover it was computed from;
+     valid while that cover is physically the current one (covers are
+     replaced wholesale, never mutated in place). *)
+  mutable kernels : (Sop.cover * (Sop.cube list * Sop.cube) list) option;
 }
 
 type t = {
@@ -18,19 +32,23 @@ type t = {
   mutable n : int;
   inputs : int array; (* node ids, by PI index *)
   mutable outs : (node_id * bool) array; (* node id, complemented *)
-  (* Caches over the reachable-cover structure, rebuilt lazily and
-     dropped by [invalidate] on any cover mutation. [topo_cache] is
-     the [internal_nodes] DFS order; [occ_cache.(v)] lists the
-     internal nodes whose cover references [v], in topological order
-     (exactly the fanout scan [eliminate_trial] used to recompute per
-     candidate, which made elimination quadratic in network size). *)
+  (* The [internal_nodes] DFS order, dropped whenever a reachable
+     cover changes. *)
   mutable topo_cache : node_id list option;
-  mutable occ_cache : int list array option;
 }
 
-let invalidate t =
-  t.topo_cache <- None;
-  t.occ_cache <- None
+let fresh kind =
+  {
+    kind;
+    cover = [];
+    alive = true;
+    origin = None;
+    is_output = false;
+    fanins = [];
+    users = [];
+    refs = 0;
+    kernels = None;
+  }
 
 let num_inputs t = Array.length t.inputs
 let num_outputs t = Array.length t.outs
@@ -41,27 +59,69 @@ let node t id =
 
 let cover t id = (node t id).cover
 
+(* [diff a b] is [a] minus [b], both sorted without duplicates. *)
+let rec diff a b =
+  match (a, b) with
+  | [], _ -> []
+  | _, [] -> a
+  | (x : int) :: a', y :: b' ->
+    if x < y then x :: diff a' b else if x > y then diff a b' else diff a' b'
+
+(* A node entering (leaving) the reachable set references (releases)
+   its fanins. *)
+let rec incr_ref t v =
+  let nd = t.nodes.(v) in
+  nd.refs <- nd.refs + 1;
+  if nd.refs = 1 then List.iter (incr_ref t) nd.fanins
+
+let rec decr_ref t v =
+  let nd = t.nodes.(v) in
+  nd.refs <- nd.refs - 1;
+  if nd.refs = 0 then List.iter (decr_ref t) nd.fanins
+
+(* The one cover write: moves [n] between the [users] lists of its old
+   and new fanins and, when [n] is reachable, refs the added fanins
+   before releasing the removed ones (so a fanin reachable both ways
+   never transits through zero). *)
+let replace_cover t n cv =
+  let nd = node t n in
+  if cv != nd.cover then begin
+    let fanins = Sop.support cv in
+    let added = diff fanins nd.fanins and removed = diff nd.fanins fanins in
+    List.iter (fun v -> let u = node t v in u.users <- n :: u.users) added;
+    List.iter
+      (fun v -> let u = t.nodes.(v) in u.users <- List.filter (fun m -> m <> n) u.users)
+      removed;
+    nd.cover <- cv;
+    nd.fanins <- fanins;
+    if nd.refs > 0 then begin
+      List.iter (incr_ref t) added;
+      List.iter (decr_ref t) removed;
+      t.topo_cache <- None
+    end
+  end
+
 let alloc t kind cover =
   if t.n >= Array.length t.nodes then begin
-    let bigger = Array.make (2 * Array.length t.nodes) { kind = Internal; cover = []; alive = false; origin = None } in
+    let bigger = Array.make (2 * Array.length t.nodes) (fresh Internal) in
     Array.blit t.nodes 0 bigger 0 t.n;
     t.nodes <- bigger
   end;
   let id = t.n in
   t.n <- id + 1;
-  t.nodes.(id) <- { kind; cover; alive = true; origin = None };
+  t.nodes.(id) <- fresh kind;
+  replace_cover t id cover;
   id
 
 let of_aig aig =
   let cap = Aig.num_nodes aig + 2 in
   let t =
     {
-      nodes = Array.make cap { kind = Internal; cover = []; alive = false; origin = None };
+      nodes = Array.make cap (fresh Internal);
       n = 0;
       inputs = Array.make (Aig.num_inputs aig) (-1);
       outs = [||];
       topo_cache = None;
-      occ_cache = None;
     }
   in
   let map = Array.make (Aig.num_nodes aig) (-1) in
@@ -89,6 +149,11 @@ let of_aig aig =
     Array.map
       (fun l -> (map.(Aig.node_of l), Aig.is_compl l))
       (Aig.outputs aig);
+  Array.iter
+    (fun (id, _) ->
+      t.nodes.(id).is_output <- true;
+      incr_ref t id)
+    t.outs;
   t
 
 let internal_nodes t =
@@ -115,48 +180,15 @@ let internal_nodes t =
     t.topo_cache <- Some order;
     order
 
-(* [occurrences t].(v) lists the reachable internal nodes whose cover
-   references [v], topologically ordered. *)
-let occurrences t =
-  match t.occ_cache with
-  | Some occ when Array.length occ = t.n -> occ
-  | Some _ | None ->
-    let occ = Array.make t.n [] in
-    List.iter
-      (fun m ->
-        let seen = Hashtbl.create 8 in
-        List.iter
-          (fun c ->
-            Array.iter
-              (fun l ->
-                let v = Sop.var_of l in
-                if not (Hashtbl.mem seen v) then begin
-                  Hashtbl.add seen v ();
-                  occ.(v) <- m :: occ.(v)
-                end)
-              c)
-          (cover t m))
-      (internal_nodes t);
-    Array.iteri (fun v l -> occ.(v) <- List.rev l) occ;
-    t.occ_cache <- Some occ;
-    occ
-
 let num_internal t = List.length (internal_nodes t)
 
 let num_lits t =
   List.fold_left (fun acc id -> acc + Sop.num_lits (cover t id)) 0 (internal_nodes t)
 
-let fanout_count t id =
-  let live = internal_nodes t in
-  List.fold_left
-    (fun acc m ->
-      let refs =
-        List.exists (fun c -> Array.exists (fun l -> Sop.var_of l = id) c) (cover t m)
-      in
-      if refs && m <> id then acc + 1 else acc)
-    0 live
+let is_output t id = (node t id).is_output
 
-let is_output t id = Array.exists (fun (o, _) -> o = id) t.outs
+let fanouts t id =
+  List.filter (fun m -> m <> id && t.nodes.(m).refs > 0) (node t id).users
 
 (* Substitute node [n]'s cover into cover [cv]; None on cube-count
    explosion or un-complementable negative occurrences. *)
@@ -173,54 +205,47 @@ let substitute ~max_cubes cv n cover_n =
         (fun c -> not (Array.exists (fun l -> l = pos || l = neg) c))
         cv
     in
+    (* Products stay unnormalized: absorption over the union keeps the
+       same minimal cubes as absorbing each product first, and the
+       bounded pass stops at the first cube past [max_cubes]. *)
+    let product a b =
+      List.concat_map (fun ca -> List.filter_map (fun cb -> Sop.cube_mul ca cb) b) a
+    in
     let neg_part =
       if not has_neg then Some []
       else
         match Sop.complement ~max_cubes cover_n with
         | None -> None
-        | Some compl_n -> Some (Sop.mul q_neg compl_n)
+        | Some compl_n -> Some (product q_neg compl_n)
     in
     match neg_part with
     | None -> None
     | Some neg_cubes ->
-      let pos_cubes = if has_pos then Sop.mul q_pos cover_n else [] in
-      let merged = Sop.normalize (rest @ pos_cubes @ neg_cubes) in
-      if List.length merged > max_cubes then None else Some merged
+      let pos_cubes = if has_pos then product q_pos cover_n else [] in
+      Sop.normalize_bounded ~max_cubes (rest @ pos_cubes @ neg_cubes)
   end
 
+(* The fanout covers collapsing [n] would write and the literal
+   variation, or None when [n] cannot be collapsed. The variation is a
+   sum and the writes go to distinct nodes, so fanout order does not
+   matter. *)
 let eliminate_trial t n ~max_cubes =
   let nd = node t n in
   match nd.kind with
   | Pi _ -> None
   | Internal ->
-    if is_output t n || not nd.alive then None
+    if nd.is_output || not nd.alive then None
     else begin
-      let fanouts = List.filter (fun m -> m <> n) (occurrences t).(n) in
-      if fanouts = [] then Some ([], - (Sop.num_lits nd.cover))
-      else begin
-        let rec go acc delta = function
-          | [] -> Some (acc, delta - Sop.num_lits nd.cover)
-          | m :: rest -> (
-            match substitute ~max_cubes (cover t m) n nd.cover with
-            | None -> None
-            | Some cv ->
-              go ((m, cv) :: acc) (delta + Sop.num_lits cv - Sop.num_lits (cover t m)) rest)
-        in
-        go [] 0 fanouts
-      end
+      let rec go acc delta = function
+        | [] -> Some (acc, delta - Sop.num_lits nd.cover)
+        | m :: rest -> (
+          let cv = cover t m in
+          match substitute ~max_cubes cv n nd.cover with
+          | None -> None
+          | Some cv' -> go ((m, cv') :: acc) (delta + Sop.num_lits cv' - Sop.num_lits cv) rest)
+      in
+      go [] 0 (fanouts t n)
     end
-
-let eliminate_value t n ~max_cubes =
-  Option.map snd (eliminate_trial t n ~max_cubes)
-
-let eliminate_node t n ~max_cubes =
-  match eliminate_trial t n ~max_cubes with
-  | None -> None
-  | Some (updates, delta) ->
-    List.iter (fun (m, cv) -> (node t m).cover <- cv) updates;
-    (node t n).alive <- false;
-    invalidate t;
-    Some delta
 
 let eliminate t ~threshold ~max_cubes ?(only = fun _ -> true) () =
   let eliminated = ref 0 in
@@ -231,13 +256,12 @@ let eliminate t ~threshold ~max_cubes ?(only = fun _ -> true) () =
     List.iter
       (fun n ->
         if only n && not (is_output t n) then begin
-          match eliminate_value t n ~max_cubes with
-          | Some v when v < threshold -> (
-            match eliminate_node t n ~max_cubes with
-            | Some _ ->
-              incr eliminated;
-              changed := true
-            | None -> ())
+          match eliminate_trial t n ~max_cubes with
+          | Some (updates, v) when v < threshold ->
+            List.iter (fun (m, cv) -> replace_cover t m cv) updates;
+            (node t n).alive <- false;
+            incr eliminated;
+            changed := true
           | Some _ | None -> ()
         end)
       candidates
@@ -258,6 +282,23 @@ let kernel_value k occs =
   in
   per_occ - lits_k
 
+(* The kernels extraction can use: [Sop.kernels_bounded ~limit:30]
+   restricted to multi-cube kernels, in canonical form. *)
+let kernels t n =
+  let nd = node t n in
+  match nd.kernels with
+  | Some (cv, ks) when cv == nd.cover -> ks
+  | Some _ | None ->
+    let ks =
+      if List.length nd.cover < 2 then []
+      else
+        List.filter_map
+          (fun (k, cok) -> if List.length k >= 2 then Some (Sop.canonical k, cok) else None)
+          (Sop.kernels_bounded ~limit:30 nd.cover)
+    in
+    nd.kernels <- Some (nd.cover, ks);
+    ks
+
 let extract_kernels t ?(only = fun _ -> true) ~max_passes () =
   let created = ref 0 in
   let continue_ = ref true in
@@ -269,16 +310,11 @@ let extract_kernels t ?(only = fun _ -> true) ~max_passes () =
     let nodes = List.filter only (internal_nodes t) in
     List.iter
       (fun n ->
-        let cv = cover t n in
-        if List.length cv >= 2 then
-          List.iter
-            (fun (k, cok) ->
-              if List.length k >= 2 then begin
-                let key = Sop.canonical k in
-                let prev = Option.value ~default:[] (Hashtbl.find_opt table key) in
-                Hashtbl.replace table key ((n, cok) :: prev)
-              end)
-            (Sop.kernels_bounded ~limit:30 cv))
+        List.iter
+          (fun (key, cok) ->
+            let prev = Option.value ~default:[] (Hashtbl.find_opt table key) in
+            Hashtbl.replace table key ((n, cok) :: prev))
+          (kernels t n))
       nodes;
     (* Pick the best-value kernel. *)
     let best = ref None in
@@ -304,8 +340,7 @@ let extract_kernels t ?(only = fun _ -> true) ~max_passes () =
             let newq = List.filter_map (fun c -> Sop.cube_mul c [| y_lit |]) q in
             let candidate = Sop.normalize (newq @ r) in
             if Sop.num_lits candidate + 1 < Sop.num_lits cv then begin
-              (node t n).cover <- candidate;
-              invalidate t;
+              replace_cover t n candidate;
               applied := true
             end
           end)
@@ -314,7 +349,10 @@ let extract_kernels t ?(only = fun _ -> true) ~max_passes () =
         incr created;
         continue_ := true
       end
-      else (node t y).alive <- false
+      else begin
+        replace_cover t y [];
+        (node t y).alive <- false
+      end
   done;
   !created
 
@@ -368,9 +406,9 @@ let extract_cubes t ?(only = fun _ -> true) ~max_passes () =
                 else c)
               cv
           in
-          (node t n).cover <- Sop.normalize replaced)
+          let cv' = Sop.normalize replaced in
+          if cv' <> cv then replace_cover t n cv')
         nodes;
-      invalidate t;
       incr created;
       continue_ := true
   done;
@@ -467,34 +505,31 @@ let to_aig ?provenance t =
     Aig.set_origin aig (Aig.current_origin src));
   aig
 
-(* Deep copy for parallel analysis: node records are fresh (covers are
-   replaced wholesale, never mutated in place, so sharing the cube
-   lists themselves is safe), caches start cold. *)
+(* Deep copy for parallel analysis: node records are fresh; covers,
+   fanin/user lists, kernel memos and the topological order are
+   immutable values and are shared. *)
 let copy t =
   {
     nodes =
-      Array.init (Array.length t.nodes) (fun i ->
-          let nd = t.nodes.(i) in
-          { kind = nd.kind; cover = nd.cover; alive = nd.alive; origin = nd.origin });
+      Array.mapi (fun i nd -> if i < t.n then { nd with alive = nd.alive } else nd) t.nodes;
     n = t.n;
     inputs = Array.copy t.inputs;
     outs = Array.copy t.outs;
-    topo_cache = None;
-    occ_cache = None;
+    topo_cache = t.topo_cache;
   }
 
 let mark t = t.n
 
-let set_cover t n cv =
-  (node t n).cover <- cv;
-  invalidate t
+let set_cover = replace_cover
 
 let revive t n = (node t n).alive <- true
 
 let truncate t m =
-  invalidate t;
   for id = m to t.n - 1 do
-    t.nodes.(id).alive <- false
+    let nd = t.nodes.(id) in
+    nd.alive <- false;
+    replace_cover t id [];
+    nd.kernels <- None
   done
 
 let check t =
@@ -520,7 +555,31 @@ let check t =
       state.(id) <- 2
     end
   in
-  Array.iter (fun (id, _) -> visit id) t.outs
+  Array.iter (fun (id, _) -> visit id) t.outs;
+  (* Recompute the fanout structure from the covers; [state = 2] marks
+     exactly the nodes reachable from the outputs. *)
+  let refs = Array.make t.n 0 and users = Array.make t.n [] in
+  Array.iter (fun (id, _) -> refs.(id) <- refs.(id) + 1) t.outs;
+  for m = 0 to t.n - 1 do
+    let fanins = Sop.support t.nodes.(m).cover in
+    if fanins <> t.nodes.(m).fanins then
+      failwith (Printf.sprintf "Network.check: node %d: stale fanins" m);
+    List.iter
+      (fun v ->
+        if v < 0 || v >= t.n then failwith "Network.check: bad reference";
+        users.(v) <- m :: users.(v);
+        if state.(m) = 2 then refs.(v) <- refs.(v) + 1)
+      fanins
+  done;
+  for v = 0 to t.n - 1 do
+    let nd = t.nodes.(v) in
+    let fail what = failwith (Printf.sprintf "Network.check: node %d: %s" v what) in
+    if nd.refs <> refs.(v) then
+      fail (Printf.sprintf "refs %d, recomputed %d" nd.refs refs.(v));
+    if List.sort Int.compare nd.users <> List.rev users.(v) then fail "stale users";
+    if nd.is_output <> Array.exists (fun (o, _) -> o = v) t.outs then
+      fail "stale output flag"
+  done
 
 let eval t bits =
   if Array.length bits <> num_inputs t then invalid_arg "Network.eval";

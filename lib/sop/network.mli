@@ -44,23 +44,13 @@ val internal_nodes : t -> node_id list
 (** [cover t n] is the cover of internal node [n]. *)
 val cover : t -> node_id -> Sop.cover
 
-(** [fanout_count t n] is the number of internal nodes whose cover
-    references [n] (output references excluded). *)
-val fanout_count : t -> node_id -> int
-
 (** [is_output t n] is true when some primary output refers to [n]. *)
 val is_output : t -> node_id -> bool
 
-(** [eliminate_node t n ~max_cubes] collapses node [n] into all its
-    fanouts if every substitution stays below [max_cubes] cubes;
-    returns [Some delta_literals] (the achieved literal variation,
-    negative = improvement) or [None] when the collapse was not
-    possible (output node, PI, or explosion). *)
-val eliminate_node : t -> node_id -> max_cubes:int -> int option
-
-(** [eliminate_value t n ~max_cubes] computes the literal variation
-    that {!eliminate_node} would achieve, without committing. *)
-val eliminate_value : t -> node_id -> max_cubes:int -> int option
+(** [fanouts t n] lists the nodes reachable from the outputs whose
+    cover references [n], in no particular order. It reads the
+    incrementally maintained fanout structure: no whole-network scan. *)
+val fanouts : t -> node_id -> node_id list
 
 (** [eliminate t ~threshold ~max_cubes ?only] repeatedly collapses
     nodes whose literal variation is below [threshold] until a fixed
@@ -85,10 +75,12 @@ val extract_cubes : t -> ?only:(node_id -> bool) -> max_passes:int -> unit -> in
     the same partition and keeps the best (paper, Section IV-B); these
     hooks let it roll back a trial. *)
 
-(** [copy t] is a deep, independent copy (shared covers are safe:
-    covers are replaced wholesale, never mutated in place). Used by
-    the parallel scheduler to analyze partitions on private
-    snapshots. *)
+(** [copy t] is a deep, independent copy: mutating either network
+    leaves the other unchanged. Covers, the fanout structure, the
+    per-node kernel memos and the cached topological order carry over
+    (they are immutable values, shared safely across domains), so a
+    copy starts as warm as its source. Used by the parallel scheduler
+    to analyze partitions on private snapshots. *)
 val copy : t -> t
 
 (** [mark t] is a checkpoint covering node allocation. *)
@@ -100,12 +92,17 @@ val set_cover : t -> node_id -> Sop.cover -> unit
 (** [revive t n] marks an eliminated node alive again (rollback). *)
 val revive : t -> node_id -> unit
 
-(** [truncate t mark] kills every node allocated at or after [mark];
-    callers must first restore any cover referencing them. *)
+(** [truncate t mark] kills every node allocated at or after [mark]
+    and clears its cover; callers must first restore any cover
+    referencing them. *)
 val truncate : t -> int -> unit
 
 (** [check t] validates structural invariants (acyclicity, live
-    references); raises [Failure] on violation. *)
+    references) and recomputes the fanout structure from scratch:
+    per node, the reference count (outputs plus reachable covers
+    mentioning it), the list of covers mentioning it and the output
+    flag must equal the incrementally maintained ones. Raises
+    [Failure], naming the node, on any violation. *)
 val check : t -> unit
 
 (** [eval t bits] evaluates all outputs on one input assignment

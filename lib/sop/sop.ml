@@ -96,13 +96,29 @@ let cube_compare (a : cube) (b : cube) =
     go 0
   end
 
-let normalize cover =
+(* Absorption: cube [c] is redundant when some other cube's literals
+   are a subset of [c]'s. Such a cube is strictly shorter, and
+   [cube_compare] orders by length first, so only the prefix of
+   shorter cubes of the sorted cover can absorb [c]. *)
+let rec absorbed c = function
+  | [] -> false
+  | d :: rest ->
+    Array.length d < Array.length c && (cube_contains c d || absorbed c rest)
+
+(* Survivors are final as soon as they are found, so the count can
+   stop at the first survivor past the bound. *)
+let normalize_bounded ~max_cubes cover =
   let sorted = List.sort_uniq cube_compare cover in
-  (* Absorption: cube [c] is redundant when some other cube's literals
-     are a subset of [c]'s. *)
-  List.filter
-    (fun c -> not (List.exists (fun d -> d != c && cube_contains c d) sorted))
-    sorted
+  let rec keep n acc = function
+    | [] -> Some (List.rev acc)
+    | c :: rest ->
+      if absorbed c sorted then keep n acc rest
+      else if n = max_cubes then None
+      else keep (n + 1) (c :: acc) rest
+  in
+  keep 0 [] sorted
+
+let normalize cover = Option.get (normalize_bounded ~max_cubes:max_int cover)
 
 let is_const0 cover = cover = []
 let is_const1 cover = List.exists (fun c -> Array.length c = 0) cover
@@ -242,8 +258,7 @@ let rec complement ~max_cubes cover =
         | Some n1, Some n0 ->
           let c1 = List.filter_map (fun c -> cube_mul [| lp |] c) n1 in
           let c0 = List.filter_map (fun c -> cube_mul [| ln |] c) n0 in
-          let r = normalize (c1 @ c0) in
-          if List.length r > max_cubes then None else Some r
+          normalize_bounded ~max_cubes (c1 @ c0)
         | _ -> None))
 
 let eval cover assignment =

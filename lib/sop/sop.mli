@@ -49,6 +49,11 @@ val common_cube : cover -> cube
     single-cube-contained cubes (absorption). *)
 val normalize : cover -> cover
 
+(** [normalize_bounded ~max_cubes cover] is [Some (normalize cover)]
+    when that has at most [max_cubes] cubes and [None] otherwise,
+    without finishing the absorption pass in the [None] case. *)
+val normalize_bounded : max_cubes:int -> cover -> cover option
+
 val is_const0 : cover -> bool
 val is_const1 : cover -> bool
 

@@ -116,6 +116,112 @@ let test_snapshot_rollback () =
   Network.check net;
   assert_network_matches_aig aig net
 
+(* Truth table of every output over all minterms: the function a
+   mutation of a copy must leave unchanged in the original. *)
+let outputs_table net =
+  let n = Network.num_inputs net in
+  List.init (1 lsl n) (fun m -> Network.eval net (Array.init n (fun i -> (m lsr i) land 1 = 1)))
+
+(* Random edit scripts. After every step the maintained fanout
+   structure must match a from-scratch recomputation ([check]), the
+   function must be preserved, and a mutated copy must leave its
+   source untouched. *)
+let random_step rng net =
+  let internal = Array.of_list (Network.internal_nodes net) in
+  let only =
+    let keep = Hashtbl.create 16 in
+    Array.iter (fun n -> if Rng.int rng 3 > 0 then Hashtbl.replace keep n ()) internal;
+    if Rng.bool rng then fun _ -> true else fun n -> Hashtbl.mem keep n
+  in
+  match Rng.int rng 4 with
+  | 0 ->
+    let threshold = [| -1; 2; 5; 20; 100 |].(Rng.int rng 5) in
+    ignore (Network.eliminate net ~threshold ~max_cubes:(8 + Rng.int rng 60) ~only ())
+  | 1 -> ignore (Network.extract_kernels net ~only ~max_passes:(1 + Rng.int rng 5) ())
+  | 2 -> ignore (Network.extract_cubes net ~only ~max_passes:(1 + Rng.int rng 5) ())
+  | _ ->
+    (* A trial rolled back the way the heterogeneous engine does it. *)
+    let mark = Network.mark net in
+    let saved = List.map (fun n -> (n, Network.cover net n)) (Network.internal_nodes net) in
+    ignore (Network.eliminate net ~threshold:50 ~max_cubes:64 ());
+    ignore (Network.extract_kernels net ~max_passes:3 ());
+    ignore (Network.extract_cubes net ~max_passes:3 ());
+    Network.check net;
+    List.iter
+      (fun (n, cv) ->
+        Network.revive net n;
+        Network.set_cover net n cv)
+      saved;
+    Network.truncate net mark
+
+let test_incremental_fanouts () =
+  let rng = Rng.create 35 in
+  for _ = 1 to 12 do
+    let aig = Helpers.random_xor_aig ~inputs:7 ~gates:40 ~outputs:5 rng in
+    let net = Network.of_aig aig in
+    Network.check net;
+    for _ = 1 to 6 do
+      random_step rng net;
+      Network.check net;
+      assert_network_matches_aig aig net;
+      let table = outputs_table net and hash = Network.fold_hash net in
+      let lits = Network.num_lits net in
+      let c = Network.copy net in
+      random_step rng c;
+      Network.check c;
+      assert_network_matches_aig aig c;
+      Network.check net;
+      if outputs_table net <> table || Network.fold_hash net <> hash || Network.num_lits net <> lits
+      then Alcotest.fail "mutating a copy changed its source"
+    done
+  done
+
+let test_fanouts_query () =
+  (* fanouts = the reachable nodes whose cover mentions the node. *)
+  let rng = Rng.create 36 in
+  let aig = Helpers.random_xor_aig ~inputs:6 ~gates:30 ~outputs:3 rng in
+  let net = Network.of_aig aig in
+  ignore (Network.eliminate net ~threshold:5 ~max_cubes:64 ());
+  ignore (Network.extract_kernels net ~max_passes:4 ());
+  let live = Network.internal_nodes net in
+  List.iter
+    (fun n ->
+      let expected =
+        List.filter
+          (fun m ->
+            m <> n
+            && List.exists
+                 (fun c -> Array.exists (fun l -> Sbm_sop.Sop.var_of l = n) c)
+                 (Network.cover net m))
+          live
+      in
+      Alcotest.(check (list int))
+        (Printf.sprintf "fanouts of %d" n)
+        expected
+        (List.sort compare (Network.fanouts net n)))
+    live
+
+(* Pinned exactness: the heterogeneous engine's result on a control
+   circuit, recorded before the fanout structure became incremental.
+   Any change of elimination or extraction order shows here. *)
+let test_kernel_pinned () =
+  let module HK = Sbm_core.Hetero_kernel in
+  let aig =
+    Sbm_core.Flow.baseline
+      (Sbm_epfl.Epfl.random_control ~seed:0x3E3E ~inputs:105 ~outputs:105 ~gates:700)
+  in
+  List.iter
+    (fun jobs ->
+      Helpers.with_jobs jobs (fun () ->
+          let out, s = HK.run aig in
+          let msg what = Printf.sprintf "jobs %d: %s" jobs what in
+          Alcotest.(check int64) (msg "fold_hash") 0x5c21d6cdfa47ff1L (Aig.fold_hash out);
+          Alcotest.(check (list int))
+            (msg "partitions, trials, improved, lits before/after")
+            [ 5; 40; 5; 914; 788 ]
+            [ s.HK.partitions; s.trials; s.improved_partitions; s.lits_before; s.lits_after ]))
+    [ 1; 2 ]
+
 let suite =
   [
     Alcotest.test_case "aig round-trip" `Quick test_roundtrip;
@@ -124,4 +230,9 @@ let suite =
     Alcotest.test_case "eliminate collapses chains" `Quick test_eliminate_reduces_nodes;
     Alcotest.test_case "kernel extraction shares logic" `Quick test_kernel_extraction_shares;
     Alcotest.test_case "snapshot rollback" `Quick test_snapshot_rollback;
+    Alcotest.test_case "incremental fanouts under random edit scripts" `Quick
+      test_incremental_fanouts;
+    Alcotest.test_case "fanouts query" `Quick test_fanouts_query;
+    Alcotest.test_case "hetero-kernel pinned result at jobs 1 and 2" `Quick
+      test_kernel_pinned;
   ]

@@ -39,6 +39,34 @@ let test_normalize_preserves =
   Helpers.qcheck_case "normalize preserves semantics" gen_cover (fun (c, n) ->
       semantically_equal n c (Sop.normalize c))
 
+(* Reference absorption scans all other cubes; [normalize] scans only
+   the shorter ones. Both must agree, and [normalize_bounded] must
+   agree with them at every bound. *)
+let gen_wide_cover =
+  QCheck2.Gen.(
+    let* seed = int_bound 1_000_000 in
+    let* ncubes = int_range 0 40 in
+    let rng = Rng.create seed in
+    return (random_cover rng 5 ncubes 4))
+
+let test_normalize_bounded =
+  Helpers.qcheck_case "normalize keeps the minimal cubes; bounded agrees" gen_wide_cover
+    (fun c ->
+      let sorted = Sop.canonical c in
+      let reference =
+        List.filter
+          (fun x ->
+            not (List.exists (fun d -> d != x && Sop.cube_contains x d) sorted))
+          sorted
+      in
+      let n = Sop.normalize c in
+      n = reference
+      && List.for_all
+           (fun max_cubes ->
+             Sop.normalize_bounded ~max_cubes c
+             = if List.length n <= max_cubes then Some n else None)
+           [ 0; 1; 2; 5; 10; 40 ])
+
 let test_division_identity =
   Helpers.qcheck_case "f = q*d + r (algebraic division)"
     QCheck2.Gen.(pair gen_cover gen_cover)
@@ -142,6 +170,7 @@ let test_textbook_kernels () =
 let suite =
   [
     test_normalize_preserves;
+    test_normalize_bounded;
     test_division_identity;
     test_divide_by_cube;
     test_kernels_are_cube_free;
