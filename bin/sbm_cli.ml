@@ -32,6 +32,19 @@ let output_arg =
   let doc = "Write the result to $(docv)." in
   Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"OUT.aag" ~doc)
 
+(* Output files open before any work starts: an unwritable path ends
+   in one "sbm: cannot write WHAT: MSG" line (exit 124), not in an
+   uncaught exception after the run. *)
+let open_output what = function
+  | None -> Ok None
+  | Some path -> (
+    match open_out path with
+    | oc -> Ok (Some oc)
+    | exception Sys_error msg ->
+      Error (Printf.sprintf "cannot write %s: %s" what msg))
+
+let ( let* ) = Result.bind
+
 let logs_arg =
   let env = Cmd.Env.info "SBM_VERBOSITY" in
   Logs_cli.level ~env ()
@@ -245,7 +258,9 @@ let setup_common c =
   (* The trail is always collected under `sbm bench` (the bench
      command re-enables with its own sink); elsewhere it costs one
      structural hash per boundary, so it is opt-in via the flag. *)
-  Option.iter (fun p -> Sbm_obs.Fingerprint.enable ~path:p ()) c.fingerprint
+  match Option.iter (fun p -> Sbm_obs.Fingerprint.enable ~path:p ()) c.fingerprint with
+  | () -> Ok ()
+  | exception Sys_error msg -> Error ("cannot write fingerprint trail: " ^ msg)
 
 (* --- stats --- *)
 
@@ -282,15 +297,19 @@ let generate_cmd =
   let run name scale seed output =
     match Sbm_epfl.Epfl.of_name name with
     | None -> `Error (false, "unknown benchmark: " ^ name)
-    | Some b ->
-      let aig = Sbm_epfl.Epfl.generate ~scale ?seed b in
-      let text = Sbm_aig.Aiger.write aig in
-      (match output with
-      | Some path ->
-        Sbm_aig.Aiger.write_file aig path;
-        Fmt.pr "%s: %a -> %s@." name Sbm_aig.Aig.pp_stats aig path
-      | None -> print_string text);
-      `Ok ()
+    | Some b -> (
+      match open_output "output AIG" output with
+      | Error msg -> `Error (false, msg)
+      | Ok oc ->
+        let aig = Sbm_epfl.Epfl.generate ~scale ?seed b in
+        let text = Sbm_aig.Aiger.write aig in
+        (match (oc, output) with
+        | Some oc, Some path ->
+          output_string oc text;
+          close_out oc;
+          Fmt.pr "%s: %a -> %s@." name Sbm_aig.Aig.pp_stats aig path
+        | _ -> print_string text);
+        `Ok ())
   in
   let term =
     Term.(ret (const run $ bench_arg $ scale_arg $ seed_arg $ output_arg))
@@ -337,79 +356,98 @@ let opt_cmd =
   in
   let run level common path flow verify trace report explain output =
     setup_logs level;
-    setup_common common;
-    let obs_opts = common.obs in
-    let aig = read_aig path in
-    let before = Sbm_aig.Aig.size aig in
-    (* Recorder/watchdog runs always collect: a crash dump without the
-       span stack and counters would be useless. *)
-    let collecting = trace || report <> None || obs_active obs_opts in
-    let collector = if collecting then Some (Sbm_obs.create ()) else None in
-    setup_obs obs_opts collector;
-    let obs =
-      match collector with
-      | None -> Sbm_obs.null
-      | Some t ->
-        Sbm_obs.root ~size:before ~depth:(Sbm_aig.Aig.depth aig) t
-          (Sbm_core.Flow.to_string flow)
+    let opened =
+      let* () = setup_common common in
+      (* Read before the outputs open: [-o] may name the input. *)
+      let aig = read_aig path in
+      let* explain_oc = open_output "gradient explain stream" explain in
+      (* The report is rendered by path at the end; opening it here
+         only checks that it can be written. *)
+      let* report_oc = open_output "telemetry report" report in
+      Option.iter close_out report_oc;
+      let* output_oc = open_output "output AIG" output in
+      Ok (aig, explain_oc, output_oc)
     in
-    let explain_oc = Option.map open_out explain in
-    let explain_count = ref 0 in
-    let explain_cb =
-      Option.map
-        (fun oc (e : Sbm_core.Gradient.event) ->
-          incr explain_count;
-          output_string oc (Sbm_core.Gradient.event_to_json e);
-          output_char oc '\n')
-        explain_oc
-    in
-    let t0 = Unix.gettimeofday () in
-    let optimized =
-      guarded obs_opts (fun () ->
-          Sbm_core.Flow.run ~obs ?explain:explain_cb
-            ~prefilter:common.prefilter ~sim_words:common.sim_words flow aig)
-    in
-    let dt = Unix.gettimeofday () -. t0 in
-    Option.iter close_out explain_oc;
-    Option.iter
-      (fun file ->
-        Fmt.pr "gradient explain stream (%d records) written to %s@."
-          !explain_count file)
-      explain;
-    Sbm_obs.close ~size:(Sbm_aig.Aig.size optimized)
-      ~depth:(Sbm_aig.Aig.depth optimized) obs;
-    (* Final sample + sampler wind-down before the trace is written, so
-       the report embeds the full live-telemetry history. *)
-    Sbm_obs.Status.stop ();
-    Fmt.pr "size: %d -> %d (%.1f%%), depth %d, %.2fs@." before
-      (Sbm_aig.Aig.size optimized)
-      (100.0
-      *. float_of_int (before - Sbm_aig.Aig.size optimized)
-      /. float_of_int (max 1 before))
-      (Sbm_aig.Aig.depth optimized) dt;
-    Option.iter
-      (fun t ->
-        if trace then Fmt.pr "%a@." Sbm_obs.pp t;
-        Option.iter
-          (fun file ->
-            match Sbm_obs.write t file with
-            | () -> Fmt.pr "telemetry written to %s@." file
-            | exception Sys_error msg ->
-              Fmt.epr "sbm: cannot write telemetry report: %s@." msg)
-          report)
-      collector;
-    if verify then begin
-      match Sbm_cec.Cec.check aig optimized with
-      | Sbm_cec.Cec.Equivalent -> Fmt.pr "equivalence: proven@."
-      | Sbm_cec.Cec.Counterexample _ -> Fmt.pr "equivalence: FAILED@."
-      | Sbm_cec.Cec.Unknown -> Fmt.pr "equivalence: unknown (budget)@."
-    end;
-    Option.iter (Sbm_aig.Aiger.write_file optimized) output
+    match opened with
+    | Error msg -> `Error (false, msg)
+    | Ok (aig, explain_oc, output_oc) ->
+      let obs_opts = common.obs in
+      let before = Sbm_aig.Aig.size aig in
+      (* Recorder/watchdog runs always collect: a crash dump without
+         the span stack and counters would be useless. *)
+      let collecting = trace || report <> None || obs_active obs_opts in
+      let collector = if collecting then Some (Sbm_obs.create ()) else None in
+      setup_obs obs_opts collector;
+      let obs =
+        match collector with
+        | None -> Sbm_obs.null
+        | Some t ->
+          Sbm_obs.root ~size:before ~depth:(Sbm_aig.Aig.depth aig) t
+            (Sbm_core.Flow.to_string flow)
+      in
+      let explain_count = ref 0 in
+      let explain_cb =
+        Option.map
+          (fun oc (e : Sbm_core.Gradient.event) ->
+            incr explain_count;
+            output_string oc (Sbm_core.Gradient.event_to_json e);
+            output_char oc '\n')
+          explain_oc
+      in
+      let t0 = Unix.gettimeofday () in
+      let optimized =
+        guarded obs_opts (fun () ->
+            Sbm_core.Flow.run ~obs ?explain:explain_cb
+              ~prefilter:common.prefilter ~sim_words:common.sim_words flow aig)
+      in
+      let dt = Unix.gettimeofday () -. t0 in
+      Option.iter close_out explain_oc;
+      Option.iter
+        (fun file ->
+          Fmt.pr "gradient explain stream (%d records) written to %s@."
+            !explain_count file)
+        explain;
+      Sbm_obs.close ~size:(Sbm_aig.Aig.size optimized)
+        ~depth:(Sbm_aig.Aig.depth optimized) obs;
+      (* Final sample + sampler wind-down before the trace is written,
+         so the report embeds the full live-telemetry history. *)
+      Sbm_obs.Status.stop ();
+      Fmt.pr "size: %d -> %d (%.1f%%), depth %d, %.2fs@." before
+        (Sbm_aig.Aig.size optimized)
+        (100.0
+        *. float_of_int (before - Sbm_aig.Aig.size optimized)
+        /. float_of_int (max 1 before))
+        (Sbm_aig.Aig.depth optimized) dt;
+      let reported =
+        match (collector, report) with
+        | Some t, file -> (
+          if trace then Fmt.pr "%a@." Sbm_obs.pp t;
+          match Option.iter (Sbm_obs.write t) file with
+          | () ->
+            Option.iter (Fmt.pr "telemetry written to %s@.") file;
+            `Ok ()
+          | exception Sys_error msg ->
+            `Error (false, "cannot write telemetry report: " ^ msg))
+        | None, _ -> `Ok ()
+      in
+      if verify then begin
+        match Sbm_cec.Cec.check aig optimized with
+        | Sbm_cec.Cec.Equivalent -> Fmt.pr "equivalence: proven@."
+        | Sbm_cec.Cec.Counterexample _ -> Fmt.pr "equivalence: FAILED@."
+        | Sbm_cec.Cec.Unknown -> Fmt.pr "equivalence: unknown (budget)@."
+      end;
+      Option.iter
+        (fun oc ->
+          output_string oc (Sbm_aig.Aiger.write optimized);
+          close_out oc)
+        output_oc;
+      reported
   in
   let term =
     Term.(
-      const run $ logs_arg $ common_opts_term $ aig_arg $ flow_arg
-      $ verify_arg $ trace_arg $ report_arg $ explain_arg $ output_arg)
+      ret
+        (const run $ logs_arg $ common_opts_term $ aig_arg $ flow_arg
+        $ verify_arg $ trace_arg $ report_arg $ explain_arg $ output_arg))
   in
   Cmd.v (Cmd.info "opt" ~doc:"Optimize a network") term
 
@@ -556,7 +594,7 @@ let bench_cmd =
   in
   let run level common names suite flow seed scale label out hist repeat ledger =
     setup_logs level;
-    setup_common common;
+    let setup = setup_common common in
     let obs_opts = common.obs in
     setup_obs obs_opts None;
     let repeat = max 1 repeat in
@@ -568,12 +606,15 @@ let bench_cmd =
       | None -> `Bad n
     in
     let resolved = List.map resolve names in
-    match List.filter_map (function `Bad n -> Some n | `Ok _ -> None) resolved with
-    | bad :: _ -> `Error (false, "unknown benchmark: " ^ bad)
-    | [] when suite <> None && names <> [] ->
+    match
+      (setup, List.filter_map (function `Bad n -> Some n | `Ok _ -> None) resolved)
+    with
+    | Error msg, _ -> `Error (false, msg)
+    | _, bad :: _ -> `Error (false, "unknown benchmark: " ^ bad)
+    | _, [] when suite <> None && names <> [] ->
       `Error (false, "--suite and positional benchmark names are mutually \
                       exclusive")
-    | [] ->
+    | Ok (), [] ->
       (* Named suites run each benchmark at its harness default scale
          (times --scale); explicit names and the bare default keep the
          uniform --scale, so the committed quick-set baseline is
@@ -902,34 +943,36 @@ let attribute_cmd =
   in
   let run level common input flow scale seed k json =
     setup_logs level;
-    setup_common common;
-    setup_obs common.obs None;
-    let aig =
-      match Sbm_epfl.Epfl.of_name input with
-      | Some b -> `Ok (Sbm_epfl.Epfl.generate ~scale ?seed b)
-      | None ->
-        if Sys.file_exists input then `Ok (read_aig input)
-        else `Bad ("unknown benchmark or missing file: " ^ input)
-    in
-    match aig with
-    | `Bad msg -> `Error (false, msg)
-    | `Ok aig ->
-      let optimized =
-        guarded common.obs (fun () ->
-            Sbm_core.Flow.run ~prefilter:common.prefilter
-              ~sim_words:common.sim_words flow aig)
+    match setup_common common with
+    | Error msg -> `Error (false, msg)
+    | Ok () -> (
+      setup_obs common.obs None;
+      let aig =
+        match Sbm_epfl.Epfl.of_name input with
+        | Some b -> `Ok (Sbm_epfl.Epfl.generate ~scale ?seed b)
+        | None ->
+          if Sys.file_exists input then `Ok (read_aig input)
+          else `Bad ("unknown benchmark or missing file: " ^ input)
       in
-      let mapping = Sbm_lutmap.Lut_map.map ~k optimized in
-      let att = Sbm_report.Attribution.compute optimized mapping in
-      if json then print_endline (Sbm_report.Attribution.to_json att)
-      else begin
-        Fmt.pr "%s, flow %s: size %d -> %d@.@." input
-          (Sbm_core.Flow.to_string flow) (Sbm_aig.Aig.size aig)
-          (Sbm_aig.Aig.size optimized);
-        Fmt.pr "%a" Sbm_report.Attribution.pp att
-      end;
-      Sbm_obs.Status.stop ();
-      `Ok ()
+      match aig with
+      | `Bad msg -> `Error (false, msg)
+      | `Ok aig ->
+        let optimized =
+          guarded common.obs (fun () ->
+              Sbm_core.Flow.run ~prefilter:common.prefilter
+                ~sim_words:common.sim_words flow aig)
+        in
+        let mapping = Sbm_lutmap.Lut_map.map ~k optimized in
+        let att = Sbm_report.Attribution.compute optimized mapping in
+        if json then print_endline (Sbm_report.Attribution.to_json att)
+        else begin
+          Fmt.pr "%s, flow %s: size %d -> %d@.@." input
+            (Sbm_core.Flow.to_string flow) (Sbm_aig.Aig.size aig)
+            (Sbm_aig.Aig.size optimized);
+          Fmt.pr "%a" Sbm_report.Attribution.pp att
+        end;
+        Sbm_obs.Status.stop ();
+        `Ok ())
   in
   let term =
     Term.(

@@ -1,7 +1,6 @@
 module Aig = Sbm_aig.Aig
 module Bdd = Sbm_bdd.Bdd
 module Partition = Sbm_partition.Partition
-module FR = Sbm_obs.Flight_recorder
 module M = Sbm_obs.Metrics
 
 let m_partitions =
@@ -317,29 +316,16 @@ let run_partition_analysis aig config counters store part total =
     members;
   ctx
 
-(* Main-domain bookkeeping for a finished partition: flush the BDD
-   stats into the span, feed the watchdog, record the flight-recorder
-   summary, and append the merge-boundary fingerprint (the audit
-   trail's merge records must come from the main domain in ascending
-   partition index — exactly this function's contract). Shared by the
+(* Main-domain bookkeeping for a finished partition, shared by the
    sequential path and the parallel merge path (which runs it against
    a worker's context but the live [aig]). *)
 let finish_partition aig ctx obs ~index ~rewrites_delta ~pf_rejected =
   Bdd_bridge.flush_stats ~engine:"diff" ctx obs;
   let bails = Bdd_bridge.limit_bails ctx in
-  Sbm_obs.Watchdog.note_partition ~engine:"diff" ~bails;
-  if FR.enabled () then
-    FR.record
-      ~severity:(if bails > 0 then FR.Warn else FR.Debug)
-      ~engine:"diff"
-      ~id:(Printf.sprintf "partition-%d" index)
-      ~metrics:
-        [ ("members", Array.length (Bdd_bridge.members ctx)); ("bails", bails);
-          ("rewrites", rewrites_delta); ("pf_rejected", pf_rejected) ]
-      "partition done";
-  if Sbm_obs.Fingerprint.enabled () then
-    Sbm_obs.Fingerprint.record_merge ~engine:"diff" ~partition:index
-      ~structure:(Aig.fold_hash aig)
+  Sbm_obs.partition_done ~bails ~engine:"diff" ~index
+    ~structure:(fun () -> Aig.fold_hash aig)
+    [ ("members", Array.length (Bdd_bridge.members ctx)); ("bails", bails);
+      ("rewrites", rewrites_delta); ("pf_rejected", pf_rejected) ]
 
 let run_partition aig config counters obs store part index total =
   let rewrites0 = counters.c_rewrites in
@@ -404,38 +390,3 @@ let run ?obs ?config aig =
   let copy = Aig.copy aig in
   let stats = optimize_stats ?obs ?config copy in
   (fst (Aig.compact copy), stats)
-
-module Engine = struct
-  let name = "diff"
-  let default_origin = Aig.Origin.make ~pass:"boolean-difference" Aig.Origin.Diff
-
-  let config_of (c : Engine_intf.config) =
-    {
-      default_config with
-      limits =
-        (match c.Engine_intf.partition_nodes with
-        | None -> default_config.limits
-        | Some n -> { default_config.limits with Partition.max_nodes = n });
-      bdd_node_limit =
-        Option.value c.Engine_intf.bdd_node_limit
-          ~default:default_config.bdd_node_limit;
-      accept_zero = c.Engine_intf.effort = Engine_intf.High;
-      prefilter = c.Engine_intf.prefilter;
-    }
-
-  let stats_of (s : stats) =
-    {
-      Engine_intf.gain = s.gain;
-      details =
-        [ ("partitions", s.partitions); ("pairs_tried", s.pairs_tried);
-          ("differences_built", s.differences_built); ("rewrites", s.rewrites) ];
-    }
-
-  let run (c : Engine_intf.config) aig =
-    let aig', s = run ~obs:c.Engine_intf.obs ~config:(config_of c) aig in
-    (aig', stats_of s)
-
-  let optimize (c : Engine_intf.config) aig =
-    let s = optimize_stats ~obs:c.Engine_intf.obs ~config:(config_of c) aig in
-    (aig, stats_of s)
-end

@@ -53,7 +53,3 @@ val run :
     the total size gain (the engine behind {!run}; flow scripts use
     it between passes). *)
 val optimize : ?obs:Sbm_obs.span -> ?config:config -> Sbm_aig.Aig.t -> int
-
-(** The engine behind the unified {!Engine_intf.S} interface; flows
-    and the gradient optimizer dispatch through it. *)
-module Engine : Engine_intf.S

@@ -208,7 +208,7 @@ let baseline ?(obs = Obs.null) aig0 =
 (* The engine configuration of one flow run: a single pattern bank
    shared by every Boolean-engine pass (and both SBM iterations), so
    counterexamples folded back by the SAT passes refine every later
-   pass's filtering. *)
+   pass's filtering. [None] = filtering off. *)
 let engine_config ~prefilter ~sim_words =
   if prefilter then begin
     let bank = Prefilter.create_bank ~sim_words () in
@@ -219,19 +219,14 @@ let engine_config ~prefilter ~sim_words =
     Obs.Fingerprint.set_bank_source
       (Some
          (fun () -> (Prefilter.bank_digest bank, Prefilter.bank_seeds bank)));
-    {
-      Engine_intf.default with
-      Engine_intf.prefilter = Some bank;
-    }
+    Some bank
   end
   else begin
     Obs.Fingerprint.set_bank_source None;
-    Engine_intf.default
+    None
   end
 
-let engine_effort = function Low -> Engine_intf.Low | High -> Engine_intf.High
-
-let sbm_iteration ~obs ~explain ~effort ~ecfg aig0 =
+let sbm_iteration ~obs ~explain ~effort ~prefilter aig0 =
   let aig = ref aig0 in
   let checkpoint name =
     Logs.debug (fun m -> m "flow: %s -> size %d" name (Aig.size !aig))
@@ -249,7 +244,7 @@ let sbm_iteration ~obs ~explain ~effort ~ecfg aig0 =
   run_pass "gradient" (fun sp a ->
       let optimized, _stats =
         Gradient.optimize ~obs:sp ?explain
-          ~config:{ Gradient.default_config with budget; engine = ecfg }
+          ~config:{ Gradient.default_config with budget; prefilter }
           a
       in
       keep_better a optimized);
@@ -257,10 +252,14 @@ let sbm_iteration ~obs ~explain ~effort ~ecfg aig0 =
      medium-large partitions. *)
   run_pass "hetero-kernel" (fun sp a ->
       keep_better a
-        (fst (Hetero_kernel.Engine.run { ecfg with Engine_intf.obs = sp } a)));
+        (fst
+           (Hetero_kernel.run ~obs:sp
+              ~config:{ Hetero_kernel.default_config with prefilter }
+              a)));
   (* 3. Enhanced MSPF computation on medium partitions with BDDs. *)
   run_pass "mspf" (fun sp a ->
-      ignore (Mspf.Engine.optimize { ecfg with Engine_intf.obs = sp } a);
+      ignore
+        (Mspf.optimize ~obs:sp ~config:{ Mspf.default_config with prefilter } a);
       fst (Aig.compact a));
   (* 4. Collapse and Boolean decomposition on reconvergent MFFCs. *)
   run_pass "collapse-decompose" (fun sp a ->
@@ -275,19 +274,23 @@ let sbm_iteration ~obs ~explain ~effort ~ecfg aig0 =
      rewrites and escape local minima. *)
   run_pass "boolean-difference" (fun sp a ->
       ignore
-        (Diff_resub.Engine.optimize
-           { ecfg with Engine_intf.obs = sp; effort = engine_effort effort }
+        (Diff_resub.optimize ~obs:sp
+           ~config:
+             {
+               Diff_resub.default_config with
+               accept_zero = (effort = High);
+               prefilter;
+             }
            a);
       fst (Aig.compact a));
   (* 6. SAT sweeping and redundancy removal. Disproved candidate
      equivalences flow back into the pattern bank so the engines of
      the next iteration never chase the same false positive. *)
   run_pass "sat-sweep" (fun sp a ->
-      let bank = ecfg.Engine_intf.prefilter in
       let refinements0 =
-        match bank with Some b -> Prefilter.refinements b | None -> 0
+        match prefilter with Some b -> Prefilter.refinements b | None -> 0
       in
-      let on_cex = Option.map (fun b bits -> Prefilter.refine b bits) bank in
+      let on_cex = Option.map (fun b bits -> Prefilter.refine b bits) prefilter in
       let swept, _ = Sbm_sat.Sweep.run ~obs:sp ?on_cex a in
       let a = keep_better a swept in
       ignore
@@ -298,19 +301,21 @@ let sbm_iteration ~obs ~explain ~effort ~ecfg aig0 =
         (fun b ->
           Obs.bump sp Prefilter.m_cex_refinements
             (Prefilter.refinements b - refinements0))
-        bank;
+        prefilter;
       fst (Aig.compact a));
   !aig
 
-let iteration_pass obs explain name effort ecfg aig =
-  pass obs name (fun sp a -> sbm_iteration ~obs:sp ~explain ~effort ~ecfg a) aig
+let iteration_pass obs explain name effort prefilter aig =
+  pass obs name
+    (fun sp a -> sbm_iteration ~obs:sp ~explain ~effort ~prefilter a)
+    aig
 
 let sbm_once ?(obs = Obs.null) ?explain ?(effort = High) ?(prefilter = true)
     ?(sim_words = Prefilter.default_words) aig0 =
   observed obs (to_string (Sbm effort)) @@ fun obs ->
   let aig, _ = Aig.compact aig0 in
-  let ecfg = engine_config ~prefilter ~sim_words in
-  iteration_pass obs explain "iteration-1" effort ecfg aig
+  let bank = engine_config ~prefilter ~sim_words in
+  iteration_pass obs explain "iteration-1" effort bank aig
 
 let sbm ?(obs = Obs.null) ?explain ?(effort = High) ?(prefilter = true)
     ?(sim_words = Prefilter.default_words) aig0 =
@@ -320,14 +325,14 @@ let sbm ?(obs = Obs.null) ?explain ?(effort = High) ?(prefilter = true)
      counterexamples found by iteration-1's SAT passes sharpen
      iteration-2's filtering. *)
   let aig, _ = Aig.compact aig0 in
-  let ecfg = engine_config ~prefilter ~sim_words in
-  let aig = iteration_pass obs explain "iteration-1" Low ecfg aig in
-  iteration_pass obs explain "iteration-2" effort ecfg aig
+  let bank = engine_config ~prefilter ~sim_words in
+  let aig = iteration_pass obs explain "iteration-1" Low bank aig in
+  iteration_pass obs explain "iteration-2" effort bank aig
 
 let run ?(obs = Obs.null) ?explain ?(prefilter = true)
     ?(sim_words = Prefilter.default_words) script aig =
   observed obs (to_string script) @@ fun obs ->
-  let ecfg () = engine_config ~prefilter ~sim_words in
+  let bank () = engine_config ~prefilter ~sim_words in
   match script with
   | Baseline ->
     (* No engine config, hence no bank: make sure a source installed
@@ -336,21 +341,26 @@ let run ?(obs = Obs.null) ?explain ?(prefilter = true)
     pass obs "baseline" (fun sp a -> baseline ~obs:sp a) aig
   | Sbm effort -> sbm ~obs ?explain ~effort ~prefilter ~sim_words aig
   | Gradient ->
-    let ecfg = ecfg () in
+    let prefilter = bank () in
     pass obs "gradient"
       (fun sp a ->
         fst
           (Gradient.run ~obs:sp ?explain
-             ~config:{ Gradient.default_config with engine = ecfg }
+             ~config:{ Gradient.default_config with prefilter }
              a))
       aig
   | Diff ->
-    let ecfg = ecfg () in
+    let prefilter = bank () in
     pass obs "boolean-difference"
-      (fun sp a -> fst (Diff_resub.Engine.run { ecfg with Engine_intf.obs = sp } a))
+      (fun sp a ->
+        fst
+          (Diff_resub.run ~obs:sp
+             ~config:{ Diff_resub.default_config with prefilter }
+             a))
       aig
   | Mspf ->
-    let ecfg = ecfg () in
+    let prefilter = bank () in
     pass obs "mspf"
-      (fun sp a -> fst (Mspf.Engine.run { ecfg with Engine_intf.obs = sp } a))
+      (fun sp a ->
+        fst (Mspf.run ~obs:sp ~config:{ Mspf.default_config with prefilter } a))
       aig

@@ -1,5 +1,6 @@
 module Aig = Sbm_aig.Aig
 module Obs = Sbm_obs
+module Partition = Sbm_partition.Partition
 module M = Sbm_obs.Metrics
 
 let m_move_cost =
@@ -51,7 +52,7 @@ type config = {
   min_gradient : float;
   selection : selection;
   zero_gain_moves : bool;
-  engine : Engine_intf.config;
+  prefilter : Prefilter.bank option;
 }
 
 let default_config =
@@ -61,7 +62,7 @@ let default_config =
     min_gradient = 0.03;
     selection = Waterfall;
     zero_gain_moves = true;
-    engine = Engine_intf.default;
+    prefilter = None;
   }
 
 type stats = {
@@ -122,14 +123,17 @@ let rebuilding name kind cost build =
         if after <= before then (candidate, before - after) else (aig, 0));
   }
 
-(* The Boolean-engine moves dispatch through the unified
-   {!Engine_intf.S} interface: the gradient config carries one engine
-   config (effort, BDD budget, [prefilter] bank) that every engine
-   move inherits, with only the move-specific partition size
-   overridden per call site. *)
-let moves ~zero_gain ~engine =
-  let ecfg obs partition_nodes =
-    { engine with Engine_intf.obs; partition_nodes }
+(* The Boolean-engine moves call each engine through its own config:
+   every move shares the run's [prefilter] bank, and the move table
+   sets the per-move partition sizes. *)
+let moves ~zero_gain ~prefilter =
+  let kernel = { Hetero_kernel.default_config with prefilter } in
+  let mspf =
+    {
+      Mspf.default_config with
+      limits = { Mspf.default_config.limits with Partition.max_nodes = 150 };
+      prefilter;
+    }
   in
   [
     in_place "rewrite" Aig.Origin.Rewrite 1 (fun _ aig -> Sbm_aig.Rewrite.run aig);
@@ -140,20 +144,22 @@ let moves ~zero_gain ~engine =
         if zero_gain then Sbm_aig.Rewrite.run ~zero_gain:true aig
         else Sbm_aig.Rewrite.run aig);
     rebuilding "eliminate & kernel" Aig.Origin.Kernel 3 (fun obs aig ->
-        fst (Hetero_kernel.Engine.run (ecfg obs (Some 60)) aig));
+        fst (Hetero_kernel.run ~obs ~config:{ kernel with partition_size = 60 } aig));
     in_place "refactor -h" Aig.Origin.Refactor 4 (fun _ aig -> Sbm_aig.Refactor.run ~max_leaves:12 ~min_mffc:2 aig);
     in_place "resub -h" Aig.Origin.Resub 5 (fun _ aig ->
         Sbm_aig.Resub.run ~max_leaves:9 ~max_divisors:60 aig);
     in_place "mspf resub" Aig.Origin.Mspf 6 (fun obs aig ->
-        (snd (Mspf.Engine.optimize (ecfg obs (Some 150)) aig)).Engine_intf.gain);
+        Mspf.optimize ~obs ~config:mspf aig);
     rebuilding "eliminate & kernel -h" Aig.Origin.Kernel 6 (fun obs aig ->
-        fst (Hetero_kernel.Engine.run (ecfg obs None) aig));
+        fst (Hetero_kernel.run ~obs ~config:kernel aig));
   ]
 
 let optimize ?(obs = Obs.null) ?(explain = fun (_ : event) -> ())
     ?(config = default_config) aig0 =
   let aig = ref aig0 in
-  let all_moves = moves ~zero_gain:config.zero_gain_moves ~engine:config.engine in
+  let all_moves =
+    moves ~zero_gain:config.zero_gain_moves ~prefilter:config.prefilter
+  in
   let max_cost = List.fold_left (fun acc m -> max acc m.cost) 1 all_moves in
   let success : (string, int * int) Hashtbl.t = Hashtbl.create 16 in
   let stat name gained =
@@ -363,35 +369,3 @@ let optimize ?(obs = Obs.null) ?(explain = fun (_ : event) -> ())
 let run ?obs ?explain ?config aig =
   let optimized, stats = optimize ?obs ?explain ?config (Aig.copy aig) in
   (fst (Aig.compact optimized), stats)
-
-module Engine = struct
-  let name = "gradient"
-  let default_origin = Aig.Origin.make ~pass:"gradient" Aig.Origin.Other
-
-  (* The engine config rides inside the gradient config; [effort]
-     maps onto the budget the flow scripts historically used (12 for
-     the low-effort iteration, 30 for the high-effort one). *)
-  let config_of (c : Engine_intf.config) =
-    {
-      default_config with
-      budget = (match c.Engine_intf.effort with Engine_intf.Low -> 12 | Engine_intf.High -> 30);
-      engine = c;
-    }
-
-  let stats_of (s : stats) =
-    {
-      Engine_intf.gain = s.total_gain;
-      details =
-        [ ("moves_tried", s.moves_tried); ("moves_gained", s.moves_gained);
-          ("budget_spent", s.budget_spent);
-          ("budget_extensions", s.budget_extensions) ];
-    }
-
-  let run (c : Engine_intf.config) aig =
-    let aig', s = run ~obs:c.Engine_intf.obs ~config:(config_of c) aig in
-    (aig', stats_of s)
-
-  let optimize (c : Engine_intf.config) aig =
-    let aig', s = optimize ~obs:c.Engine_intf.obs ~config:(config_of c) aig in
-    (aig', stats_of s)
-end

@@ -22,10 +22,9 @@ type config = {
           recommended tradeoff); [Parallel] evaluates all moves at the
           current tier and applies the best. *)
   zero_gain_moves : bool; (** allow network-reshaping zero-gain moves *)
-  engine : Engine_intf.config;
-      (** shared engine config (effort, BDD budget, prefilter bank)
-          inherited by every Boolean-engine move; the per-move
-          partition sizes stay with the move table *)
+  prefilter : Prefilter.bank option;
+      (** simulation pattern bank shared by every Boolean-engine move;
+          [None] = filtering off *)
 }
 
 val default_config : config
@@ -91,9 +90,3 @@ val optimize :
   ?config:config ->
   Sbm_aig.Aig.t ->
   Sbm_aig.Aig.t * stats
-
-(** The engine behind the unified {!Engine_intf.S} interface.
-    [effort] selects the historical flow budgets (Low = 12,
-    High = 30); the engine config itself is threaded through to every
-    Boolean-engine move. *)
-module Engine : Engine_intf.S

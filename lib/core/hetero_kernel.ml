@@ -188,23 +188,16 @@ let run ?(obs = Sbm_obs.null) ?(config = default_config) aig =
   let parts = partitions_of net config.partition_size in
   let trials = ref 0 in
   let improved = ref 0 in
+  (* [note] runs on the main domain in ascending partition index in
+     both paths. This engine operates on the SOP network, so the
+     trail's structure component is the network-side digest. *)
   let note idx part t i =
     trials := !trials + t;
     if i then incr improved;
-    if FR.enabled () then
-      FR.record ~severity:FR.Debug ~engine:"kernel"
-        ~id:(Printf.sprintf "partition-%d" idx)
-        ~metrics:
-          [ ("members", List.length part); ("trials", t);
-            ("improved", if i then 1 else 0) ]
-        "partition done";
-    (* Merge-boundary fingerprint: [note] runs on the main domain in
-       ascending partition index in both paths. This engine operates
-       on the SOP network, so the structure component is the
-       network-side digest. *)
-    if Sbm_obs.Fingerprint.enabled () then
-      Sbm_obs.Fingerprint.record_merge ~engine:"kernel" ~partition:idx
-        ~structure:(Network.fold_hash net)
+    Sbm_obs.partition_done ~engine:"kernel" ~index:idx
+      ~structure:(fun () -> Network.fold_hash net)
+      [ ("members", List.length part); ("trials", t);
+        ("improved", if i then 1 else 0) ]
   in
   (* Workers run the threshold trials on a private network copy. A
      partition whose best trial did not improve leaves the live
@@ -232,40 +225,6 @@ let run ?(obs = Sbm_obs.null) ?(config = default_config) aig =
       lits_before;
       lits_after;
     } )
-
-module Engine = struct
-  let name = "kernel"
-  let default_origin = Aig.Origin.make ~pass:"hetero-kernel" Aig.Origin.Kernel
-
-  let config_of (c : Engine_intf.config) =
-    {
-      default_config with
-      partition_size =
-        Option.value c.Engine_intf.partition_nodes
-          ~default:default_config.partition_size;
-      prefilter = c.Engine_intf.prefilter;
-    }
-
-  let stats_of ~gain (s : stats) =
-    {
-      Engine_intf.gain;
-      details =
-        [ ("partitions", s.partitions); ("trials", s.trials);
-          ("improved_partitions", s.improved_partitions);
-          ("lits_saved", s.lits_before - s.lits_after) ];
-    }
-
-  let run (c : Engine_intf.config) aig =
-    let aig', s = run ~obs:c.Engine_intf.obs ~config:(config_of c) aig in
-    (aig', stats_of ~gain:(Aig.size aig - Aig.size aig') s)
-
-  (* The SOP round-trip always rebuilds; "optimize" keeps the smaller
-     of input and result, matching how flow scripts use the engine. *)
-  let optimize (c : Engine_intf.config) aig =
-    let aig', s = run c aig in
-    if Aig.size aig' <= Aig.size aig then (aig', s)
-    else (aig, { s with Engine_intf.gain = 0 })
-end
 
 let run_homogeneous ~threshold ?(config = default_config) aig =
   let fallback = fallback_origin aig in

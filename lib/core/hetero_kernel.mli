@@ -39,10 +39,6 @@ type stats = {
 val run :
   ?obs:Sbm_obs.span -> ?config:config -> Sbm_aig.Aig.t -> Sbm_aig.Aig.t * stats
 
-(** The engine behind the unified {!Engine_intf.S} interface.
-    [optimize] keeps the smaller of input and round-trip result. *)
-module Engine : Engine_intf.S
-
 (** [run_homogeneous ~threshold ?config aig] is the ablation baseline:
     one global threshold for the whole network. *)
 val run_homogeneous : threshold:int -> ?config:config -> Sbm_aig.Aig.t -> Sbm_aig.Aig.t

@@ -308,28 +308,15 @@ let run_partition_analysis aig config counters store part total =
     by_saving;
   ctx
 
-(* Main-domain bookkeeping for a finished partition (shared by the
-   sequential path and the parallel merge path), including the
-   audit-trail merge-boundary fingerprint — recorded here because
-   this function runs on the main domain in ascending partition
-   index in both paths. *)
+(* Main-domain bookkeeping for a finished partition, shared by the
+   sequential path and the parallel merge path. *)
 let finish_partition aig ctx obs ~index ~subst_delta ~pf_rejected =
   Bdd_bridge.flush_stats ~engine:"mspf" ctx obs;
   let bails = Bdd_bridge.limit_bails ctx in
-  Obs.Watchdog.note_partition ~engine:"mspf" ~bails;
-  let module FR = Obs.Flight_recorder in
-  if FR.enabled () then
-    FR.record
-      ~severity:(if bails > 0 then FR.Warn else FR.Debug)
-      ~engine:"mspf"
-      ~id:(Printf.sprintf "partition-%d" index)
-      ~metrics:
-        [ ("members", Array.length (Bdd_bridge.members ctx)); ("bails", bails);
-          ("substitutions", subst_delta); ("pf_rejected", pf_rejected) ]
-      "partition done";
-  if Obs.Fingerprint.enabled () then
-    Obs.Fingerprint.record_merge ~engine:"mspf" ~partition:index
-      ~structure:(Aig.fold_hash aig)
+  Obs.partition_done ~bails ~engine:"mspf" ~index
+    ~structure:(fun () -> Aig.fold_hash aig)
+    [ ("members", Array.length (Bdd_bridge.members ctx)); ("bails", bails);
+      ("substitutions", subst_delta); ("pf_rejected", pf_rejected) ]
 
 let run_partition aig config counters obs store part index total =
   let subst0 = counters.c_subst in
@@ -390,39 +377,3 @@ let run ?obs ?config aig =
   let copy = Aig.copy aig in
   let stats = optimize_stats ?obs ?config copy in
   (fst (Aig.compact copy), stats)
-
-module Engine = struct
-  let name = "mspf"
-  let default_origin = Aig.Origin.make ~pass:"mspf" Aig.Origin.Mspf
-
-  let config_of (c : Engine_intf.config) =
-    {
-      default_config with
-      limits =
-        (match c.Engine_intf.partition_nodes with
-        | None -> default_config.limits
-        | Some n -> { default_config.limits with Partition.max_nodes = n });
-      bdd_node_limit =
-        Option.value c.Engine_intf.bdd_node_limit
-          ~default:default_config.bdd_node_limit;
-      prefilter = c.Engine_intf.prefilter;
-    }
-
-  let stats_of (s : stats) =
-    {
-      Engine_intf.gain = s.gain;
-      details =
-        [ ("partitions", s.partitions); ("computed", s.mspf_computed);
-          ("candidates_examined", s.candidates_examined);
-          ("substitutions", s.substitutions);
-          ("constant_collapses", s.constant_collapses) ];
-    }
-
-  let run (c : Engine_intf.config) aig =
-    let aig', s = run ~obs:c.Engine_intf.obs ~config:(config_of c) aig in
-    (aig', stats_of s)
-
-  let optimize (c : Engine_intf.config) aig =
-    let s = optimize_stats ~obs:c.Engine_intf.obs ~config:(config_of c) aig in
-    (aig, stats_of s)
-end

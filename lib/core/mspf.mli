@@ -54,6 +54,3 @@ val run :
     place and returns the total size gain (the engine behind {!run};
     flow scripts use it between passes). *)
 val optimize : ?obs:Sbm_obs.span -> ?config:config -> Sbm_aig.Aig.t -> int
-
-(** The engine behind the unified {!Engine_intf.S} interface. *)
-module Engine : Engine_intf.S

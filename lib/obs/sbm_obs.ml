@@ -104,6 +104,23 @@ let close_pass ~size ~depth ?(dead_node_pct = 0) ?(structure = fun () -> 0L)
     Watchdog.clear_abort ();
     Span_stack.pop f
 
+(* One finished partition of a partition engine, on the main domain in
+   ascending partition index (sequential and parallel paths alike). *)
+let partition_done ?bails ~engine ~index ~structure metrics =
+  let severity =
+    match bails with
+    | Some b ->
+      Watchdog.note_partition ~engine ~bails:b;
+      if b > 0 then Flight_recorder.Warn else Flight_recorder.Debug
+    | None -> Flight_recorder.Debug
+  in
+  if Flight_recorder.enabled () then
+    Flight_recorder.record ~severity ~engine
+      ~id:(Printf.sprintf "partition-%d" index)
+      ~metrics "partition done";
+  if Fingerprint.enabled () then
+    Fingerprint.record_merge ~engine ~partition:index ~structure:(structure ())
+
 (* --- freezing --- *)
 
 type gc_delta = {

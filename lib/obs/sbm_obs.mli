@@ -138,6 +138,22 @@ val close_pass :
   span ->
   unit
 
+(** [partition_done ?bails ~engine ~index ~structure metrics] is the
+    bookkeeping of one finished partition of a partition engine, called
+    on the main domain in ascending partition index. In order: a BDD
+    engine's limit [bails] feed {!Watchdog.note_partition} (and make
+    the event a warning when nonzero); the flight recorder logs a
+    ["partition done"] event with [metrics]; the audit trail records
+    the merge boundary ([structure ()] is asked for only when the trail
+    is on). *)
+val partition_done :
+  ?bails:int ->
+  engine:string ->
+  index:int ->
+  structure:(unit -> int64) ->
+  (string * int) list ->
+  unit
+
 (** {1 Introspection}
 
     A frozen, immutable view of the recorded forest — the input to the

@@ -12,7 +12,6 @@ module FR = Sbm_obs.Flight_recorder
 module Jobs = Sbm_par.Jobs
 module Obs = Sbm_obs
 module Pool = Sbm_par.Pool
-module Engine_intf = Sbm_core.Engine_intf
 
 (* --- pool --- *)
 
@@ -199,7 +198,37 @@ let test_determinism_quick_set () =
    every partition counted in watchdog.partitions_skipped. At jobs 4
    the 11 partitions span two chunks: the first chunk's analyses are
    dropped unreplayed, the second chunk's workers see the flag. *)
-let abort_run (module E : Engine_intf.S) input jobs =
+
+(* The partition engines at partition size 10, over their native
+   APIs: [run aig] is the result and the partition count. *)
+let abort_engines =
+  let module C = Sbm_core in
+  let limits =
+    { Sbm_partition.Partition.default_limits with
+      Sbm_partition.Partition.max_nodes = 10 }
+  in
+  [
+    ( "diff",
+      fun aig ->
+        let out, s =
+          C.Diff_resub.run ~config:{ C.Diff_resub.default_config with limits } aig
+        in
+        (out, s.C.Diff_resub.partitions) );
+    ( "mspf",
+      fun aig ->
+        let out, s = C.Mspf.run ~config:{ C.Mspf.default_config with limits } aig in
+        (out, s.C.Mspf.partitions) );
+    ( "kernel",
+      fun aig ->
+        let out, s =
+          C.Hetero_kernel.run
+            ~config:{ C.Hetero_kernel.default_config with partition_size = 10 }
+            aig
+        in
+        (out, s.C.Hetero_kernel.partitions) );
+  ]
+
+let abort_run run input jobs =
   Helpers.with_jobs jobs (fun () ->
       Fun.protect
         ~finally:(fun () ->
@@ -213,10 +242,7 @@ let abort_run (module E : Engine_intf.S) input jobs =
               action = Obs.Watchdog.Abort;
             };
           let before = Obs.Metrics.counters_now () in
-          let config =
-            { Engine_intf.default with Engine_intf.partition_nodes = Some 10 }
-          in
-          let out, stats = E.run config input in
+          let out, partitions = run input in
           let deltas =
             List.filter_map
               (fun (name, v) ->
@@ -224,17 +250,14 @@ let abort_run (module E : Engine_intf.S) input jobs =
                 if d <> 0 then Some (name, d) else None)
               (Obs.Metrics.counters_now ())
           in
-          ( Sbm_aig.Aiger.write out,
-            deltas,
-            List.assoc "partitions" stats.Engine_intf.details )))
+          (Sbm_aig.Aiger.write out, deltas, partitions)))
 
 let test_abort_skips_partitions () =
   let input = Epfl.generate Epfl.Ctrl in
   List.iter
-    (fun name ->
-      let engine = Option.get (Sbm_core.Engines.find name) in
-      let out1, deltas1, parts = abort_run engine input 1 in
-      let out4, deltas4, parts4 = abort_run engine input 4 in
+    (fun (name, run) ->
+      let out1, deltas1, parts = abort_run run input 1 in
+      let out4, deltas4, parts4 = abort_run run input 4 in
       Alcotest.(check bool)
         (Printf.sprintf "%s: %d partitions (>= 2)" name parts)
         true (parts >= 2);
@@ -246,7 +269,7 @@ let test_abort_skips_partitions () =
         (name ^ ": every partition skipped")
         (Some parts)
         (List.assoc_opt "watchdog.partitions_skipped" deltas1))
-    [ "diff"; "mspf"; "kernel" ]
+    abort_engines
 
 (* --- BDD manager allocation stays bounded --- *)
 

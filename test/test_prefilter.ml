@@ -1,7 +1,7 @@
 (* The simulation-guided candidate prefilter: verdict soundness
    against exhaustive truth tables, counterexample-guided refinement,
    incremental re-simulation after edits, and the headline contract —
-   every engine behind [Engines.all] produces bit-identical QoR with
+   each of the four Boolean engines produces bit-identical QoR with
    the prefilter off or on, sequentially and in parallel. *)
 
 module Aig = Sbm_aig.Aig
@@ -9,7 +9,6 @@ module Sim = Sbm_aig.Sim
 module Rng = Sbm_util.Rng
 module Epfl = Sbm_epfl.Epfl
 module Prefilter = Sbm_core.Prefilter
-module Engine_intf = Sbm_core.Engine_intf
 
 (* Exhaustive per-node truth tables for an AIG with <= 6 inputs: one
    64-bit word per node, bit m = node value under minterm m. *)
@@ -252,6 +251,41 @@ let test_fork_private () =
 
 (* --- off vs. on: bit-identical QoR for every engine --- *)
 
+(* The four Boolean engines over their native APIs: [run prefilter
+   aig] optimizes a copy under the pattern bank [prefilter] and returns
+   the result and its size gain. Gradient runs at budget 12, the flow's
+   low-effort budget; every other knob is the engine's default. *)
+let engines =
+  let module C = Sbm_core in
+  [
+    ( "diff",
+      fun prefilter aig ->
+        let out, s =
+          C.Diff_resub.run ~config:{ C.Diff_resub.default_config with prefilter } aig
+        in
+        (out, s.C.Diff_resub.gain) );
+    ( "mspf",
+      fun prefilter aig ->
+        let out, s = C.Mspf.run ~config:{ C.Mspf.default_config with prefilter } aig in
+        (out, s.C.Mspf.gain) );
+    ( "kernel",
+      fun prefilter aig ->
+        let out, _ =
+          C.Hetero_kernel.run
+            ~config:{ C.Hetero_kernel.default_config with prefilter }
+            aig
+        in
+        (out, Aig.size aig - Aig.size out) );
+    ( "gradient",
+      fun prefilter aig ->
+        let out, s =
+          C.Gradient.run
+            ~config:{ C.Gradient.default_config with budget = 12; prefilter }
+            aig
+        in
+        (out, s.C.Gradient.total_gain) );
+  ]
+
 (* The filter is accept-preserving, so each engine must produce the
    same network and gain with filtering off or on — sequentially and
    with 4 worker domains. This is the per-engine identity property the
@@ -259,17 +293,11 @@ let test_fork_private () =
 let engine_identity bench =
   let input = Epfl.generate bench in
   List.iter
-    (fun (name, (module E : Engine_intf.S)) ->
+    (fun (name, engine) ->
       let run ~prefilter ~jobs =
-        let config =
-          {
-            Engine_intf.default with
-            Engine_intf.prefilter =
-              (if prefilter then Some (Prefilter.create_bank ()) else None);
-          }
-        in
-        let result, stats = Helpers.with_jobs jobs (fun () -> E.run config input) in
-        (Sbm_aig.Aiger.write result, stats.Engine_intf.gain)
+        let bank = if prefilter then Some (Prefilter.create_bank ()) else None in
+        let result, gain = Helpers.with_jobs jobs (fun () -> engine bank input) in
+        (Sbm_aig.Aiger.write result, gain)
       in
       let reference = run ~prefilter:false ~jobs:1 in
       List.iter
@@ -284,7 +312,37 @@ let engine_identity bench =
                (Epfl.name bench) name prefilter jobs)
             (snd reference) gain)
         [ (true, 1); (false, 4); (true, 4) ])
-    Sbm_core.Engines.all
+    engines
+
+(* Every engine's output on ctrl after the baseline script, under the
+   flow's effective parameters (a prefilter bank, gradient budget 12,
+   kernel partition 100, BDD budget 200 000): structural hash and gain,
+   pinned at jobs 1 and 2. A drift in any engine default shows here. *)
+let test_engines_pinned () =
+  let input = Sbm_core.Flow.baseline (Epfl.generate Epfl.Ctrl) in
+  let pinned =
+    [
+      ("diff", (5912184018341111655L, 0));
+      ("mspf", (7414612233566305995L, 2));
+      ("kernel", (-682017063442755032L, -3));
+      ("gradient", (4527574710208072628L, 0));
+    ]
+  in
+  List.iter
+    (fun jobs ->
+      List.iter
+        (fun (name, run) ->
+          let bank = Some (Prefilter.create_bank ()) in
+          let out, gain = Helpers.with_jobs jobs (fun () -> run bank input) in
+          let hash, expected_gain = List.assoc name pinned in
+          Alcotest.(check int64)
+            (Printf.sprintf "%s: hash (jobs=%d)" name jobs)
+            hash (Aig.fold_hash out);
+          Alcotest.(check int)
+            (Printf.sprintf "%s: gain (jobs=%d)" name jobs)
+            expected_gain gain)
+        engines)
+    [ 1; 2 ]
 
 let test_engine_identity_ctrl () = engine_identity Epfl.Ctrl
 let test_engine_identity_cavlc () = engine_identity Epfl.Cavlc
@@ -299,23 +357,6 @@ let test_flow_identity () =
       (Sbm_core.Flow.run ~prefilter (Sbm_core.Flow.Sbm Sbm_core.Flow.Low) input)
   in
   Alcotest.(check string) "ctrl: sbm-low off == on" (out false) (out true)
-
-(* --- registry --- *)
-
-let test_registry () =
-  Alcotest.(check (list string))
-    "registry names"
-    [ "diff"; "mspf"; "kernel"; "gradient" ]
-    (List.map fst Sbm_core.Engines.all);
-  List.iter
-    (fun (name, m) ->
-      let (module E : Engine_intf.S) = m in
-      Alcotest.(check string) "name matches key" name E.name;
-      match Sbm_core.Engines.find name with
-      | Some m' -> Alcotest.(check bool) (name ^ ": lookup") true (m' == m)
-      | None -> Alcotest.fail (name ^ ": lookup failed"))
-    Sbm_core.Engines.all;
-  Alcotest.(check bool) "unknown engine" true (Sbm_core.Engines.find "x" = None)
 
 let suite =
   [
@@ -333,7 +374,8 @@ let suite =
       test_incremental_resim;
     Alcotest.test_case "store: forked edits stay private." `Quick
       test_fork_private;
-    Alcotest.test_case "engines: registry is consistent." `Quick test_registry;
+    Alcotest.test_case "engines: outputs pinned (ctrl after baseline)." `Quick
+      test_engines_pinned;
     Alcotest.test_case "engines: off==on, jobs 1 and 4 (ctrl)." `Quick
       test_engine_identity_ctrl;
     Alcotest.test_case "engines: off==on, jobs 1 and 4 (cavlc)." `Slow
