@@ -22,7 +22,15 @@ let setup_logs level =
   Logs.set_reporter (Logs_fmt.reporter ());
   Logs.set_level level
 
-let read_aig path = Sbm_aig.Aiger.read_file path
+(* Malformed or unreadable input ends in one "sbm: cannot read PATH:
+   MSG" line with cmdliner's exit 124, like an unwritable output path,
+   not in an uncaught exception. *)
+let read_aig path =
+  match Sbm_aig.Aiger.read_file path with
+  | aig -> aig
+  | exception (Sbm_aig.Aiger.Error msg | Sys_error msg) ->
+    Fmt.epr "sbm: cannot read %s: %s@." path msg;
+    Stdlib.exit Cmd.Exit.cli_error
 
 let aig_arg =
   let doc = "Input network in ASCII AIGER (aag) format." in

@@ -46,6 +46,10 @@ let write_file aig path =
     ~finally:(fun () -> close_out oc)
     (fun () -> output_string oc (write aig))
 
+exception Error of string
+
+let fail fmt = Printf.ksprintf (fun msg -> raise (Error msg)) fmt
+
 (* --- streaming byte source ---
 
    Both readers pull bytes through a fixed-size chunk buffer, so
@@ -59,17 +63,19 @@ type source = {
   chunk : bytes;
   mutable pos : int;
   mutable avail : int; (* -1 once the producer is exhausted *)
+  mutable line : int; (* lines read so far, for error messages *)
 }
 
 let chunk_size = 65536
 
 let source_of_channel ic =
   let chunk = Bytes.create chunk_size in
-  { refill = (fun b -> input ic b 0 (Bytes.length b)); chunk; pos = 0; avail = 0 }
+  { refill = (fun b -> input ic b 0 (Bytes.length b)); chunk; pos = 0; avail = 0; line = 0 }
 
 let source_of_string s =
   (* The string is already resident; serve it as the one chunk. *)
-  { refill = (fun _ -> 0); chunk = Bytes.of_string s; pos = 0; avail = String.length s }
+  { refill = (fun _ -> 0); chunk = Bytes.of_string s; pos = 0; avail = String.length s;
+    line = 0 }
 
 let next_byte src =
   if src.pos < src.avail then begin
@@ -102,66 +108,117 @@ let next_line src =
       Buffer.add_char b (Char.chr c);
       go ()
   in
-  go ()
+  let l = go () in
+  if l <> None then src.line <- src.line + 1;
+  l
 
-(* Non-blank line, trimmed (tolerates \r\n and stray blank lines). *)
-let rec next_token_line src what =
+(* Non-blank line, trimmed (tolerates \r\n and stray blank lines),
+   split into its space-separated fields. *)
+let rec next_fields src what =
   match next_line src with
-  | None -> Printf.ksprintf failwith "%s: truncated file" what
+  | None -> fail "truncated file: missing %s" what
   | Some l ->
     let l = String.trim l in
-    if l = "" then next_token_line src what else l
+    if l = "" then next_fields src what
+    else List.filter (( <> ) "") (String.split_on_char ' ' l)
+
+(* A header count or a literal: a plain decimal number, short enough
+   that twice it plus one cannot overflow. *)
+let nat src what tok =
+  if
+    tok = "" || String.length tok > 18
+    || not (String.for_all (fun c -> c >= '0' && c <= '9') tok)
+  then fail "line %d: %s is not a non-negative decimal number: %S" src.line what tok;
+  int_of_string tok
+
+let one_literal src what =
+  match next_fields src what with
+  | [ l ] -> nat src what l
+  | _ -> fail "line %d: expected one %s" src.line what
+
+type header = { maxvar : int; ninputs : int; noutputs : int; nands : int }
+
+(* The header is checked before anything is allocated for it: a count
+   only ever sizes memory once the file has backed it with data. *)
+let header src magic =
+  match next_fields src "header" with
+  | [ tag; m; i; l; o; a ] when tag = magic ->
+    let n what tok = nat src ("header field " ^ what) tok in
+    let h = { maxvar = n "M" m; ninputs = n "I" i; noutputs = n "O" o; nands = n "A" a } in
+    if n "L" l <> 0 then fail "latches are not supported (L = %s)" l;
+    h
+  | _ -> fail "bad header: expected \"%s M I L O A\"" magic
+
+(* Variable -> literal of the network under construction. A hash table
+   grows with the variables the file actually defines, however large
+   the header's M. *)
+let new_map () =
+  let map = Hashtbl.create 1024 in
+  Hashtbl.replace map 0 Aig.const0;
+  map
+
+(* [where] names the place of the literal in the file. *)
+let lit_in map h where l =
+  if l / 2 > h.maxvar then fail "%s: literal %d exceeds M = %d" (where ()) l h.maxvar;
+  match Hashtbl.find_opt map (l / 2) with
+  | Some x -> x lxor (l land 1)
+  | None -> fail "%s: literal %d is used before it is defined" (where ()) l
+
+let at_line line () = Printf.sprintf "line %d" line
+
+(* Output literals may reference AND variables defined below them;
+   they are held, with their lines, until the AND section has streamed
+   past. *)
+let read_outputs src h =
+  List.init h.noutputs (fun _ ->
+      let l = one_literal src "output literal" in
+      (l, src.line))
+
+let add_outputs aig map h outs =
+  List.iter (fun (l, line) -> ignore (Aig.add_output aig (lit_in map h (at_line line) l))) outs
 
 let read_ascii src =
-  let header = next_token_line src "Aiger.read" in
-  let maxvar, ninputs, nlatches, noutputs, nands =
-    match String.split_on_char ' ' header with
-    | [ "aag"; m; i; l; o; a ] ->
-      (int_of_string m, int_of_string i, int_of_string l, int_of_string o, int_of_string a)
-    | _ -> failwith "Aiger.read: bad header"
+  let h = header src "aag" in
+  if h.ninputs + h.nands > h.maxvar then
+    fail "header: I + L + A = %d exceeds M = %d" (h.ninputs + h.nands) h.maxvar;
+  let aig = Aig.create () in
+  let map = new_map () in
+  let define what l x =
+    if l mod 2 <> 0 then fail "line %d: complemented %s literal %d" src.line what l;
+    if l = 0 || l / 2 > h.maxvar then
+      fail "line %d: %s literal %d is out of range (M = %d)" src.line what l h.maxvar;
+    if Hashtbl.mem map (l / 2) then
+      fail "line %d: variable %d is defined twice" src.line (l / 2);
+    Hashtbl.replace map (l / 2) (x ())
   in
-  if nlatches <> 0 then failwith "Aiger.read: latches unsupported";
-  let aig = Aig.create ~expected:(maxvar + 2) () in
-  (* map from aiger variable to our literal *)
-  let map = Array.make (maxvar + 1) (-1) in
-  map.(0) <- Aig.const0;
-  let lit_in l =
-    let v = l / 2 in
-    if v > maxvar || map.(v) < 0 then failwith "Aiger.read: undefined literal";
-    map.(v) lxor (l land 1)
-  in
-  for _ = 1 to ninputs do
-    let l = int_of_string (next_token_line src "Aiger.read") in
-    if l mod 2 <> 0 then failwith "Aiger.read: complemented input";
-    map.(l / 2) <- Aig.add_input aig
+  for _ = 1 to h.ninputs do
+    define "input" (one_literal src "input literal") (fun () -> Aig.add_input aig)
   done;
-  (* Output literals may reference AND variables defined below them;
-     hold the raw literals until the AND section has streamed past. *)
-  let out_lits =
-    Array.init noutputs (fun _ ->
-        int_of_string (next_token_line src "Aiger.read"))
-  in
-  (* The format requires lhs > rhs, so processing AND definitions in
-     file order resolves every fanin. *)
-  for _ = 1 to nands do
-    let line = next_token_line src "Aiger.read" in
-    match String.split_on_char ' ' line with
+  let outs = read_outputs src h in
+  (* AND definitions must come after their fanins' definitions, so
+     processing them in file order resolves every fanin. *)
+  for _ = 1 to h.nands do
+    match next_fields src "AND line" with
     | [ lhs; rhs0; rhs1 ] ->
-      let lhs = int_of_string lhs in
-      if lhs mod 2 <> 0 then failwith "Aiger.read: complemented AND lhs";
-      let f0 = lit_in (int_of_string rhs0) in
-      let f1 = lit_in (int_of_string rhs1) in
-      map.(lhs / 2) <- Aig.band aig f0 f1
-    | _ -> failwith "Aiger.read: bad AND line"
+      let lit what tok = nat src what tok in
+      let lhs = lit "AND lhs" lhs in
+      let f0 = lit_in map h (at_line src.line) (lit "AND rhs" rhs0) in
+      let f1 = lit_in map h (at_line src.line) (lit "AND rhs" rhs1) in
+      define "AND lhs" lhs (fun () -> Aig.band aig f0 f1)
+    | _ -> fail "line %d: expected an AND line \"lhs rhs0 rhs1\"" src.line
   done;
-  Array.iter (fun l -> ignore (Aig.add_output aig (lit_in l))) out_lits;
+  add_outputs aig map h outs;
   aig
 
 let read s = read_ascii (source_of_string s)
 
-(* Binary AIGER: the AND section stores, for each AND in variable
-   order, the two differences (lhs - rhs0) and (rhs0 - rhs1) as
-   LEB128-style 7-bit varints. *)
+(* Binary AIGER: inputs are implicit (variables 1..I) and the AND
+   section stores, for each AND in variable order, the two differences
+   (lhs - rhs0) and (rhs0 - rhs1) as LEB128-style 7-bit varints. *)
+
+(* Implicit inputs cost no bytes, so only this bound keeps a header
+   from allocating them on its word alone. *)
+let max_binary_inputs = 1 lsl 20
 
 let write_varint buf x =
   let x = ref x in
@@ -215,54 +272,39 @@ let write_binary aig =
   Buffer.contents buf
 
 let read_binary_source src =
-  let line () =
-    match next_line src with
-    | None -> failwith "Aiger.read_binary: truncated file"
-    | Some l -> l
-  in
-  let header = line () in
-  let maxvar, ninputs, nlatches, noutputs, nands =
-    match String.split_on_char ' ' (String.trim header) with
-    | [ "aig"; m; i; l; o; a ] ->
-      (int_of_string m, int_of_string i, int_of_string l, int_of_string o, int_of_string a)
-    | _ -> failwith "Aiger.read_binary: bad header"
-  in
-  if nlatches <> 0 then failwith "Aiger.read_binary: latches unsupported";
-  let out_lits = Array.init noutputs (fun _ -> int_of_string (String.trim (line ()))) in
-  let read_varint () =
-    let x = ref 0 in
-    let shift = ref 0 in
-    let continue_ = ref true in
-    while !continue_ do
+  let h = header src "aig" in
+  if h.maxvar <> h.ninputs + h.nands then
+    fail "header: M = %d is not I + L + A = %d" h.maxvar (h.ninputs + h.nands);
+  if h.ninputs > max_binary_inputs then
+    fail "header declares %d implicit inputs; at most %d are supported" h.ninputs
+      max_binary_inputs;
+  let outs = read_outputs src h in
+  let read_varint i =
+    let rec go x shift =
       let byte = next_byte src in
-      if byte < 0 then failwith "Aiger.read_binary: truncated varint";
-      x := !x lor ((byte land 0x7f) lsl !shift);
-      shift := !shift + 7;
-      if byte < 0x80 then continue_ := false
-    done;
-    !x
+      if byte < 0 then fail "truncated varint in AND %d of %d" (i + 1) h.nands;
+      if shift > 56 then fail "varint overflow in AND %d of %d" (i + 1) h.nands;
+      let x = x lor ((byte land 0x7f) lsl shift) in
+      if byte < 0x80 then x else go x (shift + 7)
+    in
+    go 0 0
   in
-  let aig = Aig.create ~expected:(maxvar + 2) () in
-  let map = Array.make (maxvar + 1) (-1) in
-  map.(0) <- Aig.const0;
-  for i = 1 to ninputs do
-    map.(i) <- Aig.add_input aig
+  let aig = Aig.create () in
+  let map = new_map () in
+  for i = 1 to h.ninputs do
+    Hashtbl.replace map i (Aig.add_input aig)
   done;
-  let lit_in l =
-    let v = l / 2 in
-    if v > maxvar || map.(v) < 0 then failwith "Aiger.read_binary: undefined literal";
-    map.(v) lxor (l land 1)
-  in
-  for i = 0 to nands - 1 do
-    let lhs = 2 * (ninputs + 1 + i) in
-    let d0 = read_varint () in
-    let d1 = read_varint () in
+  for i = 0 to h.nands - 1 do
+    let lhs = 2 * (h.ninputs + 1 + i) in
+    let d0 = read_varint i in
+    let d1 = read_varint i in
     let r0 = lhs - d0 in
     let r1 = r0 - d1 in
-    if r0 < 0 || r1 < 0 then failwith "Aiger.read_binary: bad deltas";
-    map.(lhs / 2) <- Aig.band aig (lit_in r0) (lit_in r1)
+    if d0 = 0 || r1 < 0 then fail "bad deltas %d, %d in AND %d of %d" d0 d1 (i + 1) h.nands;
+    let where () = Printf.sprintf "AND %d of %d" (i + 1) h.nands in
+    Hashtbl.replace map (lhs / 2) (Aig.band aig (lit_in map h where r0) (lit_in map h where r1))
   done;
-  Array.iter (fun l -> ignore (Aig.add_output aig (lit_in l))) out_lits;
+  add_outputs aig map h outs;
   aig
 
 let read_binary s = read_binary_source (source_of_string s)

@@ -1,3 +1,5 @@
+let default_words = 4
+
 let lit_value values l =
   let v = values.(Aig.node_of l) in
   if Aig.is_compl l then Int64.lognot v else v

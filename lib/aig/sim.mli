@@ -5,6 +5,11 @@
     test-suite's semantic checks. Each node carries a 64-bit word, so
     one pass evaluates 64 input patterns. *)
 
+(** Default number of 64-pattern words (256 patterns) for the
+    random-simulation filters: SAT sweeping's signatures, redundancy
+    removal's candidate filter and the prefilter's pattern bank. *)
+val default_words : int
+
 (** [simulate aig words] runs one 64-pattern pass; [words.(i)] is the
     pattern word of primary input [i]. The result maps node ids to
     values (dead nodes hold 0). *)

@@ -22,15 +22,6 @@ let m_cache_hits =
 let m_cache_misses =
   M.counter ~engine:"bdd" "bdd.cache_misses" "computed-cache misses"
 
-let m_unique_hit_pct =
-  M.counter ~engine:"bdd" ~unit_:"pct-points" "bdd.unique_hit_pct"
-    "per-partition unique-table hit percentage, summed over flushes \
-     (divide by bdd-engine partitions for the average)"
-
-let m_cache_hit_pct =
-  M.counter ~engine:"bdd" ~unit_:"pct-points" "bdd.cache_hit_pct"
-    "per-partition computed-cache hit percentage, summed over flushes"
-
 let m_limit_bails =
   M.counter ~engine:"bdd" ~unit_:"bails" "bdd.limit_bails"
     "BDD node-budget bail-outs (partition keeps a partial table)"
@@ -77,17 +68,13 @@ let hit_pct hits misses =
   let total = hits + misses in
   if total = 0 then 100 else 100 * hits / total
 
-(* Per-partition counter flush: raw unique/cache traffic, the derived
-   hit ratios, and the bail-out count. The ratio counters are
-   per-flush values; their trace totals are sums over partitions
-   (divide by the partition count for an average). A cache hit-rate
-   collapse under real traffic — the canonical sign of a partition
-   whose BDDs blew past locality — also lands in the flight
-   recorder. *)
+(* Per-partition counter flush: raw unique/cache traffic and the
+   bail-out count (hit ratios derive from the hits and misses). A cache
+   hit-rate collapse under real traffic — the canonical sign of a
+   partition whose BDDs blew past locality — also lands in the flight
+   recorder, with this flush's ratios. *)
 let flush_stats ?(engine = "bdd") t obs =
   let bs = Bdd.stats t.man in
-  let upct = hit_pct bs.Bdd.unique_hits bs.Bdd.unique_misses in
-  let cpct = hit_pct bs.Bdd.cache_hits bs.Bdd.cache_misses in
   (* The ledger consumes the load gauges through the registry alone.
      flush_stats runs on the main domain in ascending partition order
      in every execution path, so the maxima are job-count
@@ -100,9 +87,8 @@ let flush_stats ?(engine = "bdd") t obs =
   Obs.bump obs m_unique_misses bs.Bdd.unique_misses;
   Obs.bump obs m_cache_hits bs.Bdd.cache_hits;
   Obs.bump obs m_cache_misses bs.Bdd.cache_misses;
-  Obs.bump obs m_unique_hit_pct upct;
-  Obs.bump obs m_cache_hit_pct cpct;
   Obs.bump obs m_limit_bails t.bails;
+  let cpct = hit_pct bs.Bdd.cache_hits bs.Bdd.cache_misses in
   if
     FR.enabled ()
     && bs.Bdd.cache_hits + bs.Bdd.cache_misses >= 10_000
@@ -110,7 +96,8 @@ let flush_stats ?(engine = "bdd") t obs =
   then
     FR.record ~severity:FR.Warn ~engine
       ~metrics:
-        [ ("cache_hit_pct", cpct); ("unique_hit_pct", upct);
+        [ ("cache_hit_pct", cpct);
+          ("unique_hit_pct", hit_pct bs.Bdd.unique_hits bs.Bdd.unique_misses);
           ("bdd_nodes", bs.Bdd.nodes) ]
       "computed-cache hit-rate collapse"
 let aig t = t.aig

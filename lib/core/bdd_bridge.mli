@@ -67,12 +67,9 @@ val limit_bails : t -> int
 val bump_limit_bail : t -> unit
 
 (** [flush_stats ?engine t obs] flushes the manager's unique-table and
-    computed-cache traffic into [obs] — raw hit/miss counts, the
-    derived integer hit ratios ([bdd.unique_hit_pct],
-    [bdd.cache_hit_pct]; 100 under zero traffic) and
+    computed-cache traffic into [obs] — raw hit/miss counts and
     [bdd.limit_bails] — and reports a cache hit-rate collapse
     (< 20 % over ≥ 10k lookups) to the flight recorder. Engines call
-    it once per partition; the ratio counters therefore total to a sum
-    over partitions in the trace. [engine] labels the recorder event
+    it once per partition. [engine] labels the recorder event
     (default ["bdd"]). *)
 val flush_stats : ?engine:string -> t -> Sbm_obs.span -> unit

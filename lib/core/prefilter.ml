@@ -15,7 +15,7 @@ type bank = {
   mutable refinement_count : int;
 }
 
-let default_words = 4
+let default_words = Sim.default_words
 
 let create_bank ?(sim_words = default_words) ?(max_cex = 256) ?(seed = 0xd1ff) () =
   if sim_words < 1 then invalid_arg "Prefilter.create_bank: sim_words must be >= 1";

@@ -1,15 +1,6 @@
 module Aig = Sbm_aig.Aig
-
-(* Read the satisfying assignment back as a primary-input vector
-   (indexed by input position); a model read only, after a [Sat]
-   result. *)
-let model_inputs solver vars aig =
-  let bits = Array.make (Aig.num_inputs aig) false in
-  for v = 0 to Aig.num_nodes aig - 1 do
-    if Aig.is_input aig v && vars.(v) > 0 then
-      bits.(Aig.input_index aig v) <- Solver.model_value solver vars.(v)
-  done;
-  bits
+module Sim = Sbm_aig.Sim
+module Rng = Sbm_util.Rng
 
 (* Check whether replacing node [v] by literal [cand] preserves every
    output, with one SAT call on a fresh miter. A [Sat] answer carries
@@ -82,16 +73,112 @@ let bypass_safe obs ?on_cex solver_limit aig v cand =
     | Solver.Unsat -> true
     | Solver.Sat ->
       (match on_cex with
-      | Some f -> f (model_inputs solver vars aig)
+      | Some f -> f (Tseitin.model_inputs solver vars aig)
       | None -> ());
       false
     | Solver.Unknown -> false
+  end
+
+(* --- simulation filter ---
+
+   The network's node values on [Sim.default_words] seeded 64-pattern
+   words, kept with the topological order they were computed in. A
+   bypass that changes an output on any of these patterns is unsafe:
+   the pattern satisfies the miter, which therefore could not have
+   answered [Unsat]. Only the survivors reach [bypass_safe].
+   Rejections leave the network untouched, so every SAT query still
+   asked sees the network it saw without the filter and returns the
+   same verdict. *)
+type filter = {
+  words : int64 array array; (* per word, one pattern word per input *)
+  values : int64 array array; (* per word, node values *)
+  order : int array;
+  pos : int array; (* node -> index in [order], -1 if absent *)
+  shadow : int64 array; (* bypassed values of the changed nodes *)
+  stamp : int array; (* [epoch] marks a changed node *)
+  mutable epoch : int;
+}
+
+let simulate words aig =
+  let n = Aig.num_nodes aig in
+  let order = Aig.topo aig in
+  let pos = Array.make n (-1) in
+  Array.iteri (fun i w -> pos.(w) <- i) order;
+  { words; values = Array.map (Sim.simulate aig) words; order; pos;
+    shadow = Array.make n 0L; stamp = Array.make n 0; epoch = 0 }
+
+(* Re-evaluate [v]'s transitive fanout with [v := cand], one word at a
+   time, propagating only values that actually change. Returns the
+   first input pattern (lowest word, then lowest output index, then
+   lowest bit) on which an output differs. *)
+let disprove f aig v cand =
+  if f.pos.(v) < 0 then None
+  else begin
+    let shadow = f.shadow and stamp = f.stamp in
+    let outs = Aig.outputs aig in
+    let rec word k =
+      if k = Array.length f.words then None
+      else begin
+        let values = f.values.(k) in
+        f.epoch <- f.epoch + 1;
+        let epoch = f.epoch in
+        let value l =
+          let w = Aig.node_of l in
+          let x = if stamp.(w) = epoch then shadow.(w) else values.(w) in
+          if Aig.is_compl l then Int64.lognot x else x
+        in
+        let x = value cand in
+        if x <> values.(v) then begin
+          shadow.(v) <- x;
+          stamp.(v) <- epoch;
+          for i = f.pos.(v) + 1 to Array.length f.order - 1 do
+            let w = f.order.(i) in
+            if Aig.is_and aig w then begin
+              let f0 = Aig.fanin0 aig w and f1 = Aig.fanin1 aig w in
+              if stamp.(Aig.node_of f0) = epoch || stamp.(Aig.node_of f1) = epoch
+              then begin
+                let x = Int64.logand (value f0) (value f1) in
+                if x <> values.(w) then begin
+                  shadow.(w) <- x;
+                  stamp.(w) <- epoch
+                end
+              end
+            end
+          done
+        end;
+        let rec output o =
+          if o = Array.length outs then word (k + 1)
+          else
+            let w = Aig.node_of outs.(o) in
+            if stamp.(w) = epoch then begin
+              let diff = Int64.logxor shadow.(w) values.(w) in
+              let bit = ref 0 in
+              while Int64.logand (Int64.shift_right_logical diff !bit) 1L = 0L do
+                incr bit
+              done;
+              Some
+                (Array.map
+                   (fun ws -> Int64.logand (Int64.shift_right_logical ws !bit) 1L = 1L)
+                   f.words.(k))
+            end
+            else output (o + 1)
+        in
+        output 0
+      end
+    in
+    word 0
   end
 
 let run ?(obs = Sbm_obs.null) ?(conflict_limit = 1000) ?(max_candidates = 200)
     ?on_cex aig =
   let removed = ref 0 in
   let tried = ref 0 in
+  let sim_disproved = ref 0 in
+  let words =
+    let rng = Rng.create 0x5eed in
+    Array.init Sim.default_words (fun _ -> Sim.random_inputs aig rng)
+  in
+  let filter = ref (simulate words aig) in
   let order = Aig.topo aig in
   Array.iter
     (fun v ->
@@ -105,12 +192,20 @@ let run ?(obs = Sbm_obs.null) ?(conflict_limit = 1000) ?(max_candidates = 200)
             && not (Aig.in_tfi aig ~node:v ~root:(Aig.node_of cand))
           then begin
             incr tried;
-            if bypass_safe obs ?on_cex conflict_limit aig v cand then begin
-              Aig.replace aig v cand;
-              incr removed;
-              true
-            end
-            else false
+            match disprove !filter aig v cand with
+            | Some bits ->
+              incr sim_disproved;
+              Option.iter (fun f -> f bits) on_cex;
+              false
+            | None ->
+              if bypass_safe obs ?on_cex conflict_limit aig v cand then begin
+                Aig.replace aig v cand;
+                incr removed;
+                (* [v]'s fanout now reads [cand]: refresh the values. *)
+                filter := simulate words aig;
+                true
+              end
+              else false
           end
           else false
         in
@@ -120,4 +215,5 @@ let run ?(obs = Sbm_obs.null) ?(conflict_limit = 1000) ?(max_candidates = 200)
     order;
   Sbm_obs.bump obs Sat_metrics.redundancy_tried !tried;
   Sbm_obs.bump obs Sat_metrics.redundancy_removed !removed;
+  Sbm_obs.bump obs Sat_metrics.redundancy_sim_disproved !sim_disproved;
   !removed

@@ -40,3 +40,7 @@ let redundancy_tried =
 let redundancy_removed =
   M.counter ~engine:"redundancy" ~unit_:"edges" "redundancy.removed"
     "redundant fanin edges removed"
+
+let redundancy_sim_disproved =
+  M.counter ~engine:"redundancy" ~unit_:"edges" "redundancy.sim_disproved"
+    "redundancy candidates disproved by simulation, without a SAT call"

@@ -24,20 +24,8 @@ let signatures aig ~sim_rounds rng =
         (canon, phase))
     sigs
 
-(* Read the satisfying assignment back as a primary-input vector
-   (indexed by input position). Only called after a [Sat] result;
-   purely a model read, so extraction never changes the solver's
-   state or the sweep's decisions. *)
-let model_inputs solver vars aig =
-  let bits = Array.make (Aig.num_inputs aig) false in
-  for v = 0 to Aig.num_nodes aig - 1 do
-    if Aig.is_input aig v && vars.(v) > 0 then
-      bits.(Aig.input_index aig v) <- Solver.model_value solver vars.(v)
-  done;
-  bits
-
-let run ?(obs = Sbm_obs.null) ?(sim_rounds = 4) ?(conflict_limit = 1000) ?on_cex
-    aig =
+let run ?(obs = Sbm_obs.null) ?(sim_rounds = Sim.default_words) ?(conflict_limit = 1000)
+    ?on_cex aig =
   let aig, _ = Aig.compact aig in
   let rng = Rng.create 0x5eed in
   let sigs = signatures aig ~sim_rounds rng in
@@ -51,7 +39,7 @@ let run ?(obs = Sbm_obs.null) ?(sim_rounds = 4) ?(conflict_limit = 1000) ?on_cex
      positive never survives simulation again). *)
   let cex result =
     match (on_cex, result) with
-    | Some f, Solver.Sat -> f (model_inputs solver vars aig)
+    | Some f, Solver.Sat -> f (Tseitin.model_inputs solver vars aig)
     | _ -> ()
   in
   (* Group live AND nodes and PIs by canonical signature. *)

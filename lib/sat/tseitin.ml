@@ -28,3 +28,13 @@ let encode solver aig =
       end)
     order;
   vars
+
+(* A model read only: extraction never changes the solver's state or
+   its caller's decisions. *)
+let model_inputs solver vars aig =
+  let bits = Array.make (Aig.num_inputs aig) false in
+  for v = 0 to Aig.num_nodes aig - 1 do
+    if Aig.is_input aig v && vars.(v) > 0 then
+      bits.(Aig.input_index aig v) <- Solver.model_value solver vars.(v)
+  done;
+  bits

@@ -203,7 +203,7 @@ let test_aiger_roundtrip () =
 
 let test_aiger_rejects_latches () =
   match Sbm_aig.Aiger.read "aag 1 0 1 0 0\n2 3\n" with
-  | exception Failure _ -> ()
+  | exception Sbm_aig.Aiger.Error _ -> ()
   | _ -> Alcotest.fail "latches must be rejected"
 
 let suite =

@@ -137,6 +137,89 @@ let test_streaming_multichunk () =
   check_format Sbm_aig.Aiger.write ".aag" "ascii";
   check_format Sbm_aig.Aiger.write_binary ".aig" "binary"
 
+(* Malformed inputs: each fixture must raise the reader's one error,
+   through its string reader and through [read_file], and return after a
+   bounded allocation however large the header's counts. *)
+let malformed =
+  [
+    ("truncated file", `Ascii, "aag 3 2 0 1 1\n2\n4\n6\n", "truncated file");
+    ("forward literal", `Ascii, "aag 4 2 0 1 2\n2\n4\n8\n6 8 4\n8 2 4\n",
+     "line 5: literal 8 is used before it is defined");
+    ("out-of-range literal", `Ascii, "aag 3 2 0 1 1\n2\n4\n6\n6 2 40\n",
+     "line 5: literal 40 exceeds M = 3");
+    ("out-of-range output", `Ascii, "aag 3 2 0 1 1\n2\n4\n99\n6 2 4\n",
+     "line 4: literal 99 exceeds M = 3");
+    ("negative literal", `Ascii, "aag 3 2 0 1 1\n2\n4\n6\n6 -2 4\n", "line 5: AND rhs");
+    ("non-numeric literal", `Ascii, "aag 3 2 0 1 1\n2\n4\nsix\n6 2 4\n",
+     "line 4: output literal");
+    ("non-numeric header", `Ascii, "aag 3 two 0 1 1\n", "header field I");
+    ("short header", `Ascii, "aag 3 2 0 1\n", "bad header");
+    ("empty file", `Ascii, "", "missing header");
+    ("complemented input", `Ascii, "aag 1 1 0 1 0\n3\n2\n", "line 2: complemented input");
+    ("variable defined twice", `Ascii, "aag 3 2 0 1 1\n2\n2\n6\n6 2 2\n",
+     "line 3: variable 1 is defined twice");
+    ("counts exceed M", `Ascii, "aag 2 2 0 1 1\n2\n4\n6\n6 2 4\n", "exceeds M = 2");
+    ("absurd M", `Ascii, "aag 999999999999 2 0 1 1\n", "truncated file");
+    ("absurd counts", `Ascii, "aag 999999999999 0 0 999999999 999999999\n",
+     "truncated file");
+    ("huge number", `Ascii, "aag 99999999999999999999 2 0 1 1\n", "header field M");
+    ("truncated varint", `Binary, "aig 3 2 0 1 1\n6\n\x82", "truncated varint");
+    ("missing AND bytes", `Binary, "aig 3 2 0 1 1\n6\n", "truncated varint");
+    ("bad deltas", `Binary, "aig 3 2 0 1 1\n6\n\x07\x00", "bad deltas");
+    ("absurd M (binary)", `Binary, "aig 999999999999 2 0 1 1\n", "is not I + L + A");
+    ("absurd inputs (binary)", `Binary, "aig 999999999999 999999999999 0 1 0\n2\n",
+     "implicit inputs");
+    ("latches (binary)", `Binary, "aig 1 0 1 0 0\n", "latches");
+  ]
+
+let test_malformed_aiger () =
+  let allocated f =
+    let s0 = Gc.quick_stat () in
+    let r = f () in
+    let s1 = Gc.quick_stat () in
+    let words s = s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words in
+    (r, words s1 -. words s0)
+  in
+  let contains msg sub =
+    let n = String.length sub in
+    let rec at i = i + n <= String.length msg && (String.sub msg i n = sub || at (i + 1)) in
+    at 0
+  in
+  let expect_error name what expected f =
+    let r, words =
+      allocated (fun () ->
+          match f () with
+          | _ -> Error "accepted"
+          | exception Sbm_aig.Aiger.Error msg -> Ok msg
+          | exception e -> Error (Printexc.to_string e))
+    in
+    (match r with
+    | Ok msg ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s (%s): one-line message naming %S: %S" name what expected msg)
+        true
+        (contains msg expected && not (String.contains msg '\n'))
+    | Error e -> Alcotest.failf "%s (%s): expected Aiger.Error, got %s" name what e);
+    Alcotest.(check bool)
+      (Printf.sprintf "%s (%s): bounded allocation (%.0f words)" name what words)
+      true (words < 1e6)
+  in
+  List.iter
+    (fun (name, format, data, expected) ->
+      let reader =
+        match format with
+        | `Ascii -> Sbm_aig.Aiger.read
+        | `Binary -> Sbm_aig.Aiger.read_binary
+      in
+      expect_error name "string" expected (fun () -> reader data);
+      let path = Filename.temp_file "sbm_malformed" ".aig" in
+      Out_channel.with_open_bin path (fun oc -> output_string oc data);
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          expect_error name "file" expected (fun () -> Sbm_aig.Aiger.read_file path)))
+    malformed
+
 (* --- LUT mapping modes --- *)
 
 let test_delay_mode_not_deeper () =
@@ -162,5 +245,7 @@ let suite =
     Alcotest.test_case "file format dispatch" `Quick test_file_format_dispatch;
     Alcotest.test_case "streaming reader spans chunks" `Quick
       test_streaming_multichunk;
+    Alcotest.test_case "malformed aiger raises the reader error" `Quick
+      test_malformed_aiger;
     Alcotest.test_case "delay mapping mode" `Quick test_delay_mode_not_deeper;
   ]

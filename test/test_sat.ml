@@ -178,6 +178,123 @@ let test_redundancy_random () =
     Helpers.assert_equiv_exhaustive ~msg:"redundancy random gate" original aig
   done
 
+(* Counter deltas of one call, read from the registry. *)
+let redundancy_counts f =
+  let counters =
+    Sbm_sat.Sat_metrics.[ redundancy_tried; redundancy_sim_disproved; redundancy_sat_calls ]
+  in
+  let before = List.map Sbm_obs.Metrics.value counters in
+  let r = f () in
+  match List.map2 (fun m b -> Sbm_obs.Metrics.value m - b) counters before with
+  | [ tried; disproved; sat_calls ] -> (r, tried, disproved, sat_calls)
+  | _ -> assert false
+
+let test_redundancy_planted_cec () =
+  (* x & (x | y) under a wider cone: the (x | y) fanin is redundant. *)
+  let aig = Aig.create () in
+  let x = Aig.add_input aig and y = Aig.add_input aig and z = Aig.add_input aig in
+  let planted = Aig.band aig x (Aig.bor aig x y) in
+  ignore (Aig.add_output aig (Aig.bxor aig planted z));
+  ignore (Aig.add_output aig (Aig.bor aig planted (Aig.band aig y z)));
+  let original = Aig.copy aig in
+  let removed = Sbm_sat.Redundancy.run aig in
+  Aig.check aig;
+  Alcotest.(check bool) "planted redundancy removed" true (removed >= 1);
+  Alcotest.(check bool) "smaller" true (Aig.size aig < Aig.size original);
+  match Sbm_cec.Cec.check original aig with
+  | Sbm_cec.Cec.Equivalent -> ()
+  | _ -> Alcotest.fail "result not proven equivalent to the input"
+
+(* Every candidate bypass of an XOR tree flips an output on some of the
+   filter's patterns, so no SAT call is made, and every pattern handed
+   to [on_cex] tells the original from some single-fanin bypass. *)
+let test_redundancy_xor_tree_no_sat () =
+  let aig = Aig.create () in
+  let rec tree = function
+    | [ l ] -> l
+    | ls ->
+      let rec pairs = function
+        | a :: b :: rest -> Aig.bxor aig a b :: pairs rest
+        | rest -> rest
+      in
+      tree (pairs ls)
+  in
+  ignore (Aig.add_output aig (tree (List.init 8 (fun _ -> Aig.add_input aig))));
+  let original = Aig.copy aig in
+  let patterns = ref [] in
+  let removed, tried, disproved, sat_calls =
+    redundancy_counts (fun () ->
+        Sbm_sat.Redundancy.run ~on_cex:(fun bits -> patterns := bits :: !patterns) aig)
+  in
+  Alcotest.(check int) "nothing removed" 0 removed;
+  Alcotest.(check int) "no SAT call" 0 sat_calls;
+  Alcotest.(check bool) "candidates tried" true (tried > 0);
+  Alcotest.(check int) "every candidate disproved by simulation" tried disproved;
+  Alcotest.(check int) "one pattern per disproved candidate" disproved
+    (List.length !patterns);
+  let bypasses =
+    List.concat_map
+      (fun v ->
+        if not (Aig.is_and original v) then []
+        else
+          List.filter_map
+            (fun f ->
+              if Aig.in_tfi original ~node:v ~root:(Aig.node_of f) then None
+              else begin
+                let c = Aig.copy original in
+                Aig.replace c v f;
+                Some c
+              end)
+            [ Aig.fanin0 original v; Aig.fanin1 original v ])
+      (List.init (Aig.num_nodes original) Fun.id)
+  in
+  List.iter
+    (fun bits ->
+      let reference = Sbm_aig.Sim.eval original bits in
+      Alcotest.(check bool) "pattern distinguishes a bypass" true
+        (List.exists (fun c -> Sbm_aig.Sim.eval c bits <> reference) bypasses))
+    !patterns
+
+(* Removed count and result digest, recorded before the simulation
+   filter existed: the filter only skips SAT queries whose answer could
+   not have been Unsat. Raw ctrl and the random AIG accept bypasses;
+   the random one also fails if the filter keeps its pre-bypass values
+   after an accepted bypass (2 removed instead of 5). *)
+let test_redundancy_pinned () =
+  let module Epfl = Sbm_epfl.Epfl in
+  let cases =
+    [
+      ("div", (fun () -> Sbm_core.Flow.baseline (Epfl.generate ~scale:0.09375 Epfl.Div)),
+       (0, -3353527179304248636L));
+      ("ctrl", (fun () -> Sbm_core.Flow.baseline (Epfl.generate Epfl.Ctrl)),
+       (0, 5912184018341111655L));
+      ("ctrl raw", (fun () -> Epfl.generate Epfl.Ctrl), (11, -2236583940850996534L));
+      ("random xor (seed 1)",
+       (fun () -> Helpers.random_xor_aig ~inputs:10 ~gates:60 ~outputs:4 (Rng.create 1)),
+       (5, 525030432761852426L));
+    ]
+  in
+  List.iter
+    (fun (name, input, (expected_removed, expected_hash)) ->
+      let input = input () in
+      List.iter
+        (fun jobs ->
+          let aig = Aig.copy input in
+          let removed, tried, disproved, sat_calls =
+            Helpers.with_jobs jobs (fun () ->
+                redundancy_counts (fun () ->
+                    Sbm_sat.Redundancy.run ~max_candidates:50 aig))
+          in
+          let what = Printf.sprintf "%s (jobs=%d)" name jobs in
+          Alcotest.(check int) (what ^ ": removed") expected_removed removed;
+          Alcotest.(check int64) (what ^ ": fold_hash") expected_hash (Aig.fold_hash aig);
+          Alcotest.(check bool)
+            (what ^ ": sim_disproved + sat_calls <= tried")
+            true
+            (disproved + sat_calls <= tried))
+        [ 1; 2 ])
+    cases
+
 let suite =
   [
     test_random_cnfs;
@@ -189,4 +306,10 @@ let suite =
     Alcotest.test_case "sweep merges duplicates" `Quick test_sweep_merges_duplicates;
     Alcotest.test_case "redundancy removal" `Quick test_redundancy_removal;
     Alcotest.test_case "redundancy random gate" `Quick test_redundancy_random;
+    Alcotest.test_case "redundancy: planted redundancy removed, CEC-proven" `Quick
+      test_redundancy_planted_cec;
+    Alcotest.test_case "redundancy: xor tree needs no SAT call" `Quick
+      test_redundancy_xor_tree_no_sat;
+    Alcotest.test_case "redundancy: pinned results at jobs 1 and 2" `Quick
+      test_redundancy_pinned;
   ]
