@@ -280,7 +280,7 @@ let ablation () =
       let config =
         {
           Sbm_core.Diff_resub.default_config with
-          diff = { Sbm_core.Boolean_difference.default_config with size_limit = cap };
+          diff = { Sbm_core.Boolean_difference.size_limit = cap };
           monolithic = true;
         }
       in

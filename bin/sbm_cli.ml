@@ -40,6 +40,26 @@ let output_arg =
   let doc = "Write the result to $(docv)." in
   Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"OUT.aag" ~doc)
 
+(* Range-checked numeric options: an out-of-range value is a usage
+   error (exit 124) reported by cmdliner, not an [Invalid_argument]
+   raised by the library after the command started. *)
+let ranged conv ~expected ok =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok v when ok v -> Ok v
+    | Ok _ -> Error (`Msg (Printf.sprintf "invalid value '%s', expected %s" s expected))
+    | Error _ as e -> e
+  in
+  Arg.conv ~docv:(Arg.conv_docv conv) (parse, Arg.conv_printer conv)
+
+let scale_arg doc =
+  let scale = ranged Arg.float ~expected:"a number in (0,1]" (fun s -> s > 0.0 && s <= 1.0) in
+  Arg.(value & opt scale 1.0 & info [ "scale" ] ~docv:"S" ~doc)
+
+let k_arg doc =
+  let k = ranged Arg.int ~expected:"an integer in [2,6]" (fun k -> k >= 2 && k <= 6) in
+  Arg.(value & opt k 6 & info [ "k" ] ~docv:"K" ~doc)
+
 (* Output files open before any work starts: an unwritable path ends
    in one "sbm: cannot write WHAT: MSG" line (exit 124), not in an
    uncaught exception after the run. *)
@@ -213,13 +233,12 @@ let guarded o f =
    One reusable option group shared by every command that runs a flow
    (opt, bench, attribute), so the engine-facing surface is uniform:
    --jobs, --recorder/--watchdog/--watchdog-abort/--progress/--deadline,
-   --no-prefilter, --sim-words. *)
+   --no-prefilter. *)
 
 type common_opts = {
   jobs : int option;
   obs : obs_opts;
   prefilter : bool;
-  sim_words : int;
   fingerprint : string option;
 }
 
@@ -233,16 +252,6 @@ let common_opts_term =
     in
     Arg.(value & flag & info [ "no-prefilter" ] ~doc)
   in
-  let sim_words_arg =
-    let doc =
-      "Simulation words per primary input in the prefilter's pattern bank \
-       (64 patterns each; default 4, i.e. 256 patterns)."
-    in
-    Arg.(
-      value
-      & opt int Sbm_core.Prefilter.default_words
-      & info [ "sim-words" ] ~docv:"N" ~doc)
-  in
   let fingerprint_arg =
     let doc =
       "Stream the determinism audit trail to $(docv) as JSON lines: one \
@@ -253,13 +262,10 @@ let common_opts_term =
     in
     Arg.(value & opt (some string) None & info [ "fingerprint" ] ~docv:"FILE" ~doc)
   in
-  let mk jobs obs no_prefilter sim_words fingerprint =
-    { jobs; obs; prefilter = not no_prefilter; sim_words = max 1 sim_words;
-      fingerprint }
+  let mk jobs obs no_prefilter fingerprint =
+    { jobs; obs; prefilter = not no_prefilter; fingerprint }
   in
-  Term.(
-    const mk $ jobs_arg $ obs_opts_term $ no_prefilter_arg $ sim_words_arg
-    $ fingerprint_arg)
+  Term.(const mk $ jobs_arg $ obs_opts_term $ no_prefilter_arg $ fingerprint_arg)
 
 let setup_common c =
   setup_jobs c.jobs;
@@ -290,10 +296,7 @@ let generate_cmd =
     in
     Arg.(required & pos 0 (some string) None & info [] ~docv:"BENCH" ~doc)
   in
-  let scale_arg =
-    let doc = "Width scale in (0,1]: shrinks arithmetic operands." in
-    Arg.(value & opt float 1.0 & info [ "scale" ] ~docv:"S" ~doc)
-  in
+  let scale_arg = scale_arg "Width scale in (0,1]: shrinks arithmetic operands." in
   let seed_arg =
     let doc =
       "RNG seed for the structured-random control benchmarks (cavlc, ctrl, \
@@ -406,7 +409,7 @@ let opt_cmd =
       let optimized =
         guarded obs_opts (fun () ->
             Sbm_core.Flow.run ~obs ?explain:explain_cb
-              ~prefilter:common.prefilter ~sim_words:common.sim_words flow aig)
+              ~prefilter:common.prefilter flow aig)
       in
       let dt = Unix.gettimeofday () -. t0 in
       Option.iter close_out explain_oc;
@@ -462,10 +465,7 @@ let opt_cmd =
 (* --- lutmap --- *)
 
 let lutmap_cmd =
-  let k_arg =
-    let doc = "LUT input count." in
-    Arg.(value & opt int 6 & info [ "k" ] ~docv:"K" ~doc)
-  in
+  let k_arg = k_arg "LUT input count, 2 to 6." in
   let run path k =
     let aig = read_aig path in
     let mapping = Sbm_lutmap.Lut_map.map ~k aig in
@@ -550,10 +550,7 @@ let bench_cmd =
     in
     Arg.(value & opt int 0 & info [ "seed" ] ~docv:"N" ~doc)
   in
-  let scale_arg =
-    let doc = "Width scale in (0,1] for arithmetic benchmarks." in
-    Arg.(value & opt float 1.0 & info [ "scale" ] ~docv:"S" ~doc)
-  in
+  let scale_arg = scale_arg "Width scale in (0,1] for arithmetic benchmarks." in
   let suite_arg =
     let doc =
       "Run a named benchmark suite: $(b,quick) (the CI gate subset), \
@@ -679,8 +676,7 @@ let bench_cmd =
           let t0 = Unix.gettimeofday () in
           let optimized =
             guarded obs_opts (fun () ->
-                Sbm_core.Flow.run ~obs:root ~prefilter:common.prefilter
-                  ~sim_words:common.sim_words flow aig)
+                Sbm_core.Flow.run ~obs:root ~prefilter:common.prefilter flow aig)
           in
           let wall_ms = 1000.0 *. (Unix.gettimeofday () -. t0) in
           Sbm_obs.close ~size:(Aig.size optimized)
@@ -933,18 +929,12 @@ let attribute_cmd =
     Arg.(value & opt (enum flows) (Sbm_core.Flow.Sbm Sbm_core.Flow.Low)
          & info [ "flow" ] ~docv:"FLOW" ~doc)
   in
-  let scale_arg =
-    let doc = "Width scale in (0,1] for generated arithmetic benchmarks." in
-    Arg.(value & opt float 1.0 & info [ "scale" ] ~docv:"S" ~doc)
-  in
+  let scale_arg = scale_arg "Width scale in (0,1] for generated arithmetic benchmarks." in
   let seed_arg =
     let doc = "RNG seed for generated structured-random benchmarks." in
     Arg.(value & opt (some int) None & info [ "seed" ] ~docv:"N" ~doc)
   in
-  let k_arg =
-    let doc = "LUT input count for the mapped-netlist shares." in
-    Arg.(value & opt int 6 & info [ "k" ] ~docv:"K" ~doc)
-  in
+  let k_arg = k_arg "LUT input count (2 to 6) for the mapped-netlist shares." in
   let json_arg =
     let doc = "Print the attribution as JSON instead of the human tables." in
     Arg.(value & flag & info [ "json" ] ~doc)
@@ -967,8 +957,7 @@ let attribute_cmd =
       | `Ok aig ->
         let optimized =
           guarded common.obs (fun () ->
-              Sbm_core.Flow.run ~prefilter:common.prefilter
-                ~sim_words:common.sim_words flow aig)
+              Sbm_core.Flow.run ~prefilter:common.prefilter flow aig)
         in
         let mapping = Sbm_lutmap.Lut_map.map ~k optimized in
         let att = Sbm_report.Attribution.compute optimized mapping in

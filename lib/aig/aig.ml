@@ -145,7 +145,6 @@ let create ?(expected = 64) () =
 let num_inputs aig = Vec.size aig.inputs
 let num_outputs aig = Vec.size aig.outs
 let num_nodes aig = aig.n
-let is_const _ node = node = 0
 let is_dead aig node = aig.dead.(node)
 let is_input aig node = node > 0 && aig.fanin0.(node) = -1 && not aig.dead.(node)
 let is_and aig node = aig.fanin0.(node) >= 0 && not aig.dead.(node)

@@ -193,7 +193,6 @@ val input_lit : t -> int -> lit
 val output_lit : t -> int -> lit
 val outputs : t -> lit array
 
-val is_const : t -> int -> bool
 val is_input : t -> int -> bool
 val is_and : t -> int -> bool
 val is_dead : t -> int -> bool

@@ -158,10 +158,6 @@ let resub_node aig ~zero_gain ~max_leaves ~max_divisors root =
         commit (if compl then Aig.lnot lit else lit))
   end
 
-let run_node ~zero_gain ~max_leaves ~max_divisors aig v =
-  if Aig.is_and aig v then resub_node aig ~zero_gain ~max_leaves ~max_divisors v
-  else 0
-
 let run ?(zero_gain = false) ?(max_leaves = 8) ?(max_divisors = 40) aig =
   let order = Aig.topo aig in
   let total = ref 0 in

@@ -12,9 +12,3 @@
     node once; returns the total gain. Defaults: [max_leaves = 8],
     [max_divisors = 40]. *)
 val run : ?zero_gain:bool -> ?max_leaves:int -> ?max_divisors:int -> Aig.t -> int
-
-(** [run_node ~zero_gain ~max_leaves ~max_divisors aig v] attempts one
-    resubstitution of node [v]; returns the gain (diagnostic /
-    fine-grained-driver hook). *)
-val run_node :
-  zero_gain:bool -> max_leaves:int -> max_divisors:int -> Aig.t -> int -> int

@@ -30,27 +30,3 @@ let eval aig bits =
   let words = Array.map (fun b -> if b then -1L else 0L) bits in
   let values = simulate aig words in
   Array.map (fun l -> Int64.logand (lit_value values l) 1L = 1L) (Aig.outputs aig)
-
-let popcount64 w =
-  let rec go w acc = if w = 0L then acc else go (Int64.logand w (Int64.sub w 1L)) (acc + 1) in
-  go w 0
-
-let toggle_rates aig ~rounds rng =
-  let n = Aig.num_nodes aig in
-  let toggles = Array.make n 0 in
-  let prev = Array.make n 0L in
-  let total_bits = ref 0 in
-  for round = 0 to rounds - 1 do
-    let values = simulate aig (random_inputs aig rng) in
-    if round > 0 then begin
-      for v = 0 to n - 1 do
-        (* Toggles between the last bit of the previous word and this
-           word's bits, approximated by cross-word popcount. *)
-        toggles.(v) <- toggles.(v) + popcount64 (Int64.logxor values.(v) prev.(v))
-      done;
-      total_bits := !total_bits + 64
-    end;
-    Array.blit values 0 prev 0 n
-  done;
-  if !total_bits = 0 then Array.make n 0.0
-  else Array.map (fun t -> float_of_int t /. float_of_int !total_bits) toggles

@@ -1,7 +1,7 @@
 (** Bit-parallel simulation of AIGs.
 
-    Simulation drives equivalence-candidate detection (SAT sweeping),
-    switching-activity estimation (ASIC power proxy) and the
+    Simulation drives equivalence-candidate detection (SAT sweeping,
+    redundancy removal, the prefilter's pattern bank) and the
     test-suite's semantic checks. Each node carries a 64-bit word, so
     one pass evaluates 64 input patterns. *)
 
@@ -27,9 +27,3 @@ val random_inputs : Aig.t -> Sbm_util.Rng.t -> int64 array
 (** [eval aig bits] evaluates a single input assignment; [bits.(i)]
     is input [i]. Returns one boolean per output. *)
 val eval : Aig.t -> bool array -> bool array
-
-(** [toggle_rates aig ~rounds rng] estimates per-node switching
-    activity in [0,1] from [rounds * 64] random patterns: the
-    probability that consecutive random patterns differ (used by the
-    ASIC power model). Dead nodes get 0. *)
-val toggle_rates : Aig.t -> rounds:int -> Sbm_util.Rng.t -> float array

@@ -7,6 +7,12 @@
     per top variable, Shannon expansion, XOR factoring and the
     degenerate single-cofactor cases, keeping the cheapest. *)
 
+(** AND nodes per 2-input XOR, the cost the decomposition search
+    charges an XOR factor; technology-dependent (paper Section III-C).
+    The Boolean-difference engine charges the same cost for the XOR
+    that re-derives [f] from its difference. *)
+val xor_cost : int
+
 (** [of_tt aig tt leaves] builds (or reuses, through the strash table)
     logic computing [tt] where variable [i] of [tt] is driven by
     literal [leaves.(i)]. Returns the root literal. The constructed

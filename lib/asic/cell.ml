@@ -46,6 +46,10 @@ let library =
 
 let inverter = List.find (fun c -> c.name = "INV") library
 
+(* Kept out of [library]: it matches no cut, and a network with an
+   input derives its constants from that input instead. *)
+let tie_low = cell "TIELO" 0 (fun _ -> false) ~area:1.0 ~cap:0.0 ~intr:0.0 ~drive:0.0
+
 (* Apply pin permutation and input phases: the variant reads pin [p]
    from leaf [perm.(p)], complemented when bit [p] of [phases] is
    set. *)

@@ -23,6 +23,11 @@ val library : t list
 (** [inverter] is the library's INV cell. *)
 val inverter : t
 
+(** [tie_low] is a 0-input cell driving constant 0. It is not in
+    {!library}: the mapper uses it only for a network without primary
+    inputs, where no input net exists to derive a constant from. *)
+val tie_low : t
+
 (** [match_table ()] maps a (arity, truth-table) pair to the cheapest
     matching cell, the input permutation and the input phase mask:
     cell pin [p] reads cut leaf [perm.(p)], complemented when bit [p]

@@ -152,16 +152,20 @@ let map aig =
       net
   in
   let constant_net phase =
-    (* x & ~x = 0 via NOR2(x, INV x)? AND-style: use AOI-free approach:
-       NOR2(a, INV a) = ~(a | ~a) = 0. *)
+    (* Constant 0 from input 0: NOR2(a, INV a) = ~(a | ~a) = 0. A
+       network without inputs takes a tie cell instead. *)
     let base =
       match !const_net with
       | Some net -> net
       | None ->
-        if Aig.num_inputs aig = 0 then failwith "Mapper: constant output without inputs";
-        let inv = emit Cell.inverter [| 0 |] in
-        let nor2 = List.find (fun c -> c.Cell.name = "NOR2") Cell.library in
-        let z = emit nor2 [| 0; inv |] in
+        let z =
+          if Aig.num_inputs aig = 0 then emit Cell.tie_low [||]
+          else begin
+            let inv = emit Cell.inverter [| 0 |] in
+            let nor2 = List.find (fun c -> c.Cell.name = "NOR2") Cell.library in
+            emit nor2 [| 0; inv |]
+          end
+        in
         const_net := Some z;
         z
     in

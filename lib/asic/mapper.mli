@@ -8,6 +8,6 @@
     the SBM ASIC flows share this backend, so Table III deltas isolate
     the logic optimization. *)
 
-(** [map aig] maps the network.
-    @raise Failure on an AIG with constant outputs but no inputs. *)
+(** [map aig] maps the network. Constant outputs are derived from
+    primary input 0, or from a tie cell when there are no inputs. *)
 val map : Sbm_aig.Aig.t -> Netlist.t

@@ -501,7 +501,3 @@ let to_tt man b ~nvars =
         tt
   in
   go b
-
-let clear_cache man =
-  Array.fill man.cache 0 (Array.length man.cache) 0;
-  man.cache_occupied <- 0

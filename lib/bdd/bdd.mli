@@ -122,6 +122,3 @@ val any_sat : man -> t -> (int * bool) list option
     most {!Sbm_truthtable.Tt.max_vars} and cover the support). *)
 val of_tt : man -> Sbm_truthtable.Tt.t -> t
 val to_tt : man -> t -> nvars:int -> Sbm_truthtable.Tt.t
-
-(** [clear_cache man] drops the computed cache (keeps nodes). *)
-val clear_cache : man -> unit

@@ -1,9 +1,9 @@
 module Aig = Sbm_aig.Aig
 module Bdd = Sbm_bdd.Bdd
 
-type config = { xor_cost : int; size_limit : int }
+type config = { size_limit : int }
 
-let default_config = { xor_cost = 3; size_limit = 10 }
+let default_config = { size_limit = 10 }
 
 (* Alg. 1: Boolean difference computation and implementation using
    BDDs. Comments cite the paper's pseudocode lines. *)
@@ -35,7 +35,7 @@ let compute ctx config ~f ~g =
              existing network is captured later by the exact gain
              check at commit time. *)
           let saving = Aig.mffc_size aig f in
-          if Bdd.size man bdd_diff + config.xor_cost > saving then None
+          if Bdd.size man bdd_diff + Sbm_aig.Synth.xor_cost > saving then None
           else begin
             (* Lines 15-16: implement the difference as an AIG via
                structural hashing on the BDD. *)

@@ -9,9 +9,6 @@
     filters of Alg. 1. *)
 
 type config = {
-  xor_cost : int;
-      (** AND nodes needed for a 2-input XOR; technology-dependent
-          (Section III-C). *)
   size_limit : int;
       (** Cap on the BDD size of the difference (Alg. 1 line 8);
           the paper found 10 a good QoR/runtime tradeoff. *)

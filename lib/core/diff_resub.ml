@@ -28,12 +28,9 @@ type config = {
   diff : Boolean_difference.config;
   limits : Partition.limits;
   bdd_node_limit : int;
-  max_pairs : int;
   accept_zero : bool;
   monolithic : bool;
-  overlap : float;
   prefilter : Prefilter.bank option;
-  objective : [ `Size | `Depth ];
 }
 
 let default_config =
@@ -41,13 +38,13 @@ let default_config =
     diff = Boolean_difference.default_config;
     limits = Partition.default_limits;
     bdd_node_limit = 200_000;
-    max_pairs = 64;
     accept_zero = false;
     monolithic = false;
-    overlap = 0.0;
     prefilter = None;
-    objective = `Size;
   }
+
+(* Max pairs tried per node [f] (Section III-B). *)
+let max_pairs = 64
 
 type stats = {
   gain : int;
@@ -184,7 +181,7 @@ let partition_filter store ctx =
       members;
     Some { store = st; index; pairs2; supp }
 
-let pair_verdict pf ~saving ~xor_cost f g =
+let pair_verdict pf ~saving f g =
   let st = pf.store in
   let n = Prefilter.words st in
   let d =
@@ -202,7 +199,7 @@ let pair_verdict pf ~saving ~xor_cost f g =
       | Some sf, Some sg -> max lb (delta_size sf sg)
       | _ -> lb
     in
-    if lb + xor_cost <= saving then Prefilter.Maybe
+    if lb + Sbm_aig.Synth.xor_cost <= saving then Prefilter.Maybe
     else begin
       let const v =
         let all0 = ref true and all1 = ref true in
@@ -226,27 +223,6 @@ let run_partition_analysis aig config counters store part total =
   let ctx = Bdd_bridge.build ~node_limit:config.bdd_node_limit aig part in
   let members = Bdd_bridge.members ctx in
   let filter = partition_filter store ctx in
-  (* Depth objective: levels are refreshed after every accepted
-     rewrite (replacement cascades can move many nodes). *)
-  let levels = ref (if config.objective = `Depth then Some (Aig.levels aig) else None) in
-  let depth_ok f candidate =
-    match !levels with
-    | None -> true
-    | Some lv ->
-      (* Fresh candidate nodes have no cached level; compute the
-         candidate root's level through its (already-levelled)
-         fanins. *)
-      let rec level_of v =
-        if v < Array.length lv && lv.(v) >= 0 then lv.(v)
-        else if not (Aig.is_and aig v) then 0
-        else
-          1
-          + max
-              (level_of (Aig.node_of (Aig.fanin0 aig v)))
-              (level_of (Aig.node_of (Aig.fanin1 aig v)))
-      in
-      level_of (Aig.node_of candidate) <= level_of f
-  in
   Array.iter
     (fun f ->
       if Aig.is_and aig f then begin
@@ -261,12 +237,11 @@ let run_partition_analysis aig config counters store part total =
         let saving =
           match filter with None -> max_int | Some _ -> Aig.mffc_size aig f
         in
-        let xor_cost = config.diff.Boolean_difference.xor_cost in
         Array.iter
           (fun g ->
             if
               (not !replaced)
-              && !pairs < config.max_pairs
+              && !pairs < max_pairs
               && Aig.is_and aig g
               && good_candidates ctx ~f ~g
             then begin
@@ -281,7 +256,7 @@ let run_partition_analysis aig config counters store part total =
                 match filter with
                 | None -> Prefilter.Maybe
                 | Some pf ->
-                  let v = pair_verdict pf ~saving ~xor_cost f g in
+                  let v = pair_verdict pf ~saving f g in
                   Prefilter.note counters.pf v;
                   v
               in
@@ -295,8 +270,7 @@ let run_partition_analysis aig config counters store part total =
                   counters.c_diffs <- counters.c_diffs + 1;
                   if
                     Aig.node_of candidate <> f
-                    && (not (Aig.in_tfi aig ~node:f ~root:(Aig.node_of candidate)))
-                    && depth_ok f candidate
+                    && not (Aig.in_tfi aig ~node:f ~root:(Aig.node_of candidate))
                   then begin
                     let gain = Aig.gain_of_replacement aig ~root:f ~candidate in
                     (* Alg. 2 line 13: accept when not larger. *)
@@ -304,8 +278,7 @@ let run_partition_analysis aig config counters store part total =
                       Aig.replace aig f candidate;
                       total := !total + gain;
                       counters.c_rewrites <- counters.c_rewrites + 1;
-                      replaced := true;
-                      if config.objective = `Depth then levels := Some (Aig.levels aig)
+                      replaced := true
                     end
                     else Aig.delete_dangling aig (Aig.node_of candidate)
                   end
@@ -343,10 +316,7 @@ let optimize_stats ?(obs = Sbm_obs.null) ?(config = default_config) aig =
   let total = ref 0 in
   let counters = zero_counters () in
   let parts =
-    if config.monolithic then [ Partition.whole aig ]
-    else if config.overlap > 0.0 then
-      Partition.compute_overlapping aig config.limits ~overlap:config.overlap
-    else Partition.compute aig config.limits
+    if config.monolithic then [ Partition.whole aig ] else Partition.compute aig config.limits
   in
   let store = Option.map (fun bank -> Prefilter.attach bank aig) config.prefilter in
   (* Clean (zero-rewrite) worker analyses merge verbatim — counters,

@@ -11,12 +11,8 @@ type config = {
   diff : Boolean_difference.config;
   limits : Sbm_partition.Partition.limits;
   bdd_node_limit : int; (** manager budget — the paper's memory cap *)
-  max_pairs : int; (** max pairs tried per node [f] (Section III-B) *)
   accept_zero : bool;
   monolithic : bool; (** single whole-network partition *)
-  overlap : float;
-      (** 0 = distinct partitions; > 0 extends each partition into its
-          neighbor ("distinct or overlapping", Section III-D) *)
   prefilter : Prefilter.bank option;
       (** functional filtering "similar to [1]" (Section III-B), made
           sound: with a pattern bank, every candidate pair is vetted
@@ -24,11 +20,6 @@ type config = {
           pair is only skipped when the difference computation
           provably returns nothing for it — QoR is bit-identical with
           the filter on or off (see {!Prefilter}) *)
-  objective : [ `Size | `Depth ];
-      (** [`Size] is the paper's focus; [`Depth] implements the
-          sketched extension ("depth reducing techniques could be
-          developed in a similar manner", Section III-A): a rewrite is
-          also required not to increase the node's level. *)
 }
 
 val default_config : config

@@ -209,9 +209,9 @@ let baseline ?(obs = Obs.null) aig0 =
    shared by every Boolean-engine pass (and both SBM iterations), so
    counterexamples folded back by the SAT passes refine every later
    pass's filtering. [None] = filtering off. *)
-let engine_config ~prefilter ~sim_words =
+let engine_config ~prefilter =
   if prefilter then begin
-    let bank = Prefilter.create_bank ~sim_words () in
+    let bank = Prefilter.create_bank () in
     (* The audit trail's bank/seeds components read the live bank, so
        counterexamples folded back mid-run show up at the next
        boundary. Harmless while the trail is disabled (the closure is
@@ -310,36 +310,33 @@ let iteration_pass obs explain name effort prefilter aig =
     (fun sp a -> sbm_iteration ~obs:sp ~explain ~effort ~prefilter a)
     aig
 
-let sbm_once ?(obs = Obs.null) ?explain ?(effort = High) ?(prefilter = true)
-    ?(sim_words = Prefilter.default_words) aig0 =
+let sbm_once ?(obs = Obs.null) ?explain ?(effort = High) ?(prefilter = true) aig0 =
   observed obs (to_string (Sbm effort)) @@ fun obs ->
   let aig, _ = Aig.compact aig0 in
-  let bank = engine_config ~prefilter ~sim_words in
+  let bank = engine_config ~prefilter in
   iteration_pass obs explain "iteration-1" effort bank aig
 
-let sbm ?(obs = Obs.null) ?explain ?(effort = High) ?(prefilter = true)
-    ?(sim_words = Prefilter.default_words) aig0 =
+let sbm ?(obs = Obs.null) ?explain ?(effort = High) ?(prefilter = true) aig0 =
   observed obs (to_string (Sbm effort)) @@ fun obs ->
   (* The optimization flow is iterated twice, with different
      efforts (Section V-A). One bank serves both iterations:
      counterexamples found by iteration-1's SAT passes sharpen
      iteration-2's filtering. *)
   let aig, _ = Aig.compact aig0 in
-  let bank = engine_config ~prefilter ~sim_words in
+  let bank = engine_config ~prefilter in
   let aig = iteration_pass obs explain "iteration-1" Low bank aig in
   iteration_pass obs explain "iteration-2" effort bank aig
 
-let run ?(obs = Obs.null) ?explain ?(prefilter = true)
-    ?(sim_words = Prefilter.default_words) script aig =
+let run ?(obs = Obs.null) ?explain ?(prefilter = true) script aig =
   observed obs (to_string script) @@ fun obs ->
-  let bank () = engine_config ~prefilter ~sim_words in
+  let bank () = engine_config ~prefilter in
   match script with
   | Baseline ->
     (* No engine config, hence no bank: make sure a source installed
        by a previous run in this process doesn't leak into the trail. *)
     Obs.Fingerprint.set_bank_source None;
     pass obs "baseline" (fun sp a -> baseline ~obs:sp a) aig
-  | Sbm effort -> sbm ~obs ?explain ~effort ~prefilter ~sim_words aig
+  | Sbm effort -> sbm ~obs ?explain ~effort ~prefilter aig
   | Gradient ->
     let prefilter = bank () in
     pass obs "gradient"

@@ -51,15 +51,15 @@ val inject_failure_after : int option ref
     unset, ledger rows record [-1] for both. *)
 val ledger_qor_probe : (Sbm_aig.Aig.t -> int * int) option ref
 
-(** [run ?obs ?explain ?prefilter ?sim_words script aig] dispatches on
+(** [run ?obs ?explain ?prefilter script aig] dispatches on
     [script]. The input is not modified. [explain], when given,
     receives one {!Gradient.event} per move the gradient engine
     attempts (scripts that never reach the gradient engine emit
     nothing).
 
     [prefilter] (default [true]) arms the simulation-guided candidate
-    prefilter: one {!Prefilter.bank} of [sim_words] 64-pattern words
-    per input (default {!Prefilter.default_words}) is shared by every
+    prefilter: one {!Prefilter.bank} of {!Sbm_aig.Sim.default_words}
+    64-pattern words per input is shared by every
     Boolean engine the script runs, and the SAT passes fold disproving
     counterexamples back into it. The filter is accept-preserving, so
     the optimized network is bit-identical with the prefilter on or
@@ -69,7 +69,6 @@ val run :
   ?obs:Sbm_obs.span ->
   ?explain:(Gradient.event -> unit) ->
   ?prefilter:bool ->
-  ?sim_words:int ->
   script ->
   Sbm_aig.Aig.t ->
   Sbm_aig.Aig.t
@@ -78,7 +77,7 @@ val run :
     script. The input is not modified. *)
 val baseline : ?obs:Sbm_obs.span -> Sbm_aig.Aig.t -> Sbm_aig.Aig.t
 
-(** [sbm ?obs ?explain ?effort ?prefilter ?sim_words aig] runs the
+(** [sbm ?obs ?explain ?effort ?prefilter aig] runs the
     full SBM script (default [High]). The input is not modified. A
     single pattern bank serves both iterations, so counterexamples
     found by iteration-1's SAT passes sharpen iteration-2's
@@ -88,11 +87,10 @@ val sbm :
   ?explain:(Gradient.event -> unit) ->
   ?effort:effort ->
   ?prefilter:bool ->
-  ?sim_words:int ->
   Sbm_aig.Aig.t ->
   Sbm_aig.Aig.t
 
-(** [sbm_once ?obs ?explain ?effort ?prefilter ?sim_words aig] is a
+(** [sbm_once ?obs ?explain ?effort ?prefilter aig] is a
     single iteration of the script (the Low-effort half), for
     runtime-sensitive callers. *)
 val sbm_once :
@@ -100,6 +98,5 @@ val sbm_once :
   ?explain:(Gradient.event -> unit) ->
   ?effort:effort ->
   ?prefilter:bool ->
-  ?sim_words:int ->
   Sbm_aig.Aig.t ->
   Sbm_aig.Aig.t

@@ -48,22 +48,22 @@ type selection = Waterfall | Parallel
 
 type config = {
   budget : int;
-  k : int;
   min_gradient : float;
   selection : selection;
-  zero_gain_moves : bool;
   prefilter : Prefilter.bank option;
 }
 
 let default_config =
   {
     budget = 100;
-    k = 20;
     min_gradient = 0.03;
     selection = Waterfall;
-    zero_gain_moves = true;
     prefilter = None;
   }
+
+(* Gradient window: the gain gradient is taken over the last [k]
+   attempted moves (paper default). *)
+let k = 20
 
 type stats = {
   moves_tried : int;
@@ -126,7 +126,7 @@ let rebuilding name kind cost build =
 (* The Boolean-engine moves call each engine through its own config:
    every move shares the run's [prefilter] bank, and the move table
    sets the per-move partition sizes. *)
-let moves ~zero_gain ~prefilter =
+let moves ~prefilter =
   let kernel = { Hetero_kernel.default_config with prefilter } in
   let mspf =
     {
@@ -141,8 +141,7 @@ let moves ~zero_gain ~prefilter =
     in_place "refactor" Aig.Origin.Refactor 2 (fun _ aig -> Sbm_aig.Refactor.run ~max_leaves:8 ~min_mffc:2 aig);
     in_place "resub" Aig.Origin.Resub 2 (fun _ aig -> Sbm_aig.Resub.run ~max_leaves:6 ~max_divisors:20 aig);
     in_place "rewrite -z" Aig.Origin.Rewrite 2 (fun _ aig ->
-        if zero_gain then Sbm_aig.Rewrite.run ~zero_gain:true aig
-        else Sbm_aig.Rewrite.run aig);
+        Sbm_aig.Rewrite.run ~zero_gain:true aig);
     rebuilding "eliminate & kernel" Aig.Origin.Kernel 3 (fun obs aig ->
         fst (Hetero_kernel.run ~obs ~config:{ kernel with partition_size = 60 } aig));
     in_place "refactor -h" Aig.Origin.Refactor 4 (fun _ aig -> Sbm_aig.Refactor.run ~max_leaves:12 ~min_mffc:2 aig);
@@ -157,9 +156,7 @@ let moves ~zero_gain ~prefilter =
 let optimize ?(obs = Obs.null) ?(explain = fun (_ : event) -> ())
     ?(config = default_config) aig0 =
   let aig = ref aig0 in
-  let all_moves =
-    moves ~zero_gain:config.zero_gain_moves ~prefilter:config.prefilter
-  in
+  let all_moves = moves ~prefilter:config.prefilter in
   let max_cost = List.fold_left (fun acc m -> max acc m.cost) 1 all_moves in
   let success : (string, int * int) Hashtbl.t = Hashtbl.create 16 in
   let stat name gained =
@@ -182,10 +179,10 @@ let optimize ?(obs = Obs.null) ?(explain = fun (_ : event) -> ())
   let initial_size = max 1 (Aig.size aig0) in
   let push_gain g =
     Queue.add g recent;
-    if Queue.length recent > config.k then ignore (Queue.take recent)
+    if Queue.length recent > k then ignore (Queue.take recent)
   in
   let gradient () =
-    if Queue.length recent < config.k then 1.0
+    if Queue.length recent < k then 1.0
     else
       let s = Queue.fold (fun acc g -> acc + g) 0 recent in
       float_of_int s /. float_of_int initial_size
@@ -348,7 +345,7 @@ let optimize ?(obs = Obs.null) ?(explain = fun (_ : event) -> ())
         incr extensions
       end
     end;
-    if Queue.length recent >= config.k && gradient () <= 0.0 then continue_ := false
+    if Queue.length recent >= k && gradient () <= 0.0 then continue_ := false
   done;
   Obs.bump obs m_moves_tried !tried;
   Obs.bump obs m_moves_gained !gained;

@@ -15,13 +15,11 @@ type selection = Waterfall | Parallel
 
 type config = {
   budget : int;
-  k : int;
   min_gradient : float;
   selection : selection;
       (** [Waterfall] applies the first gaining move (the paper's
           recommended tradeoff); [Parallel] evaluates all moves at the
           current tier and applies the best. *)
-  zero_gain_moves : bool; (** allow network-reshaping zero-gain moves *)
   prefilter : Prefilter.bank option;
       (** simulation pattern bank shared by every Boolean-engine move;
           [None] = filtering off *)

@@ -21,21 +21,20 @@ let m_lits_saved =
     "SOP literals saved by committed kernel extractions"
 
 type config = {
-  thresholds : int list;
   partition_size : int;
-  max_cubes : int;
-  extract_passes : int;
   prefilter : Prefilter.bank option;
 }
 
-let default_config =
-  {
-    thresholds = [ -1; 2; 5; 20; 50; 100; 200; 300 ];
-    partition_size = 100;
-    max_cubes = 64;
-    extract_passes = 20;
-    prefilter = None;
-  }
+let default_config = { partition_size = 100; prefilter = None }
+
+(* The paper's empirical elimination thresholds (Section IV-B). *)
+let thresholds = [ -1; 2; 5; 20; 50; 100; 200; 300 ]
+
+(* SOP explosion guard during collapsing. *)
+let max_cubes = 64
+
+(* Kernel and cube extraction passes per trial. *)
+let extract_passes = 20
 
 type stats = {
   partitions : int;
@@ -54,7 +53,7 @@ let partition_lits net ~member ~mark =
     0
     (Network.internal_nodes net)
 
-let optimize_partition net config part_nodes =
+let optimize_partition net part_nodes =
   let member_set = Hashtbl.create 64 in
   List.iter (fun n -> Hashtbl.replace member_set n ()) part_nodes;
   let member n = Hashtbl.mem member_set n in
@@ -84,15 +83,15 @@ let optimize_partition net config part_nodes =
   in
   let trial threshold =
     ignore
-      (Network.eliminate net ~threshold ~max_cubes:config.max_cubes ~only:eliminable ());
+      (Network.eliminate net ~threshold ~max_cubes ~only:eliminable ());
     ignore
       (Network.extract_kernels net
          ~only:(fun n -> member n || n >= mark)
-         ~max_passes:config.extract_passes ());
+         ~max_passes:extract_passes ());
     ignore
       (Network.extract_cubes net
          ~only:(fun n -> member n || n >= mark)
-         ~max_passes:config.extract_passes ());
+         ~max_passes:extract_passes ());
     partition_lits net ~member ~mark
   in
   let before = partition_lits net ~member ~mark in
@@ -105,7 +104,7 @@ let optimize_partition net config part_nodes =
       | Some (bl, _) when bl <= lits -> ()
       | Some _ | None -> best := Some (lits, threshold));
       rollback ())
-    config.thresholds;
+    thresholds;
   let improved =
     match !best with
     | Some (lits, threshold) when lits < before ->
@@ -113,7 +112,7 @@ let optimize_partition net config part_nodes =
       true
     | Some _ | None -> false
   in
-  (List.length config.thresholds, improved)
+  (List.length thresholds, improved)
 
 (* Chunk the internal nodes into partitions of bounded size. *)
 let partitions_of net size =
@@ -204,11 +203,11 @@ let run ?(obs = Sbm_obs.null) ?(config = default_config) aig =
      network's covers untouched, so its verdict transfers verbatim;
      improved or stale partitions are redone on the live network. *)
   Sbm_par.Sched.partitions parts
-    ~analyze:(fun _ part -> optimize_partition (Network.copy net) config part)
+    ~analyze:(fun _ part -> optimize_partition (Network.copy net) part)
     ~clean:(fun (_, improved) -> not improved)
     ~merge:(fun idx part (t, _) -> note idx part t false)
     ~redo:(fun idx part ->
-      let t, i = optimize_partition net config part in
+      let t, i = optimize_partition net part in
       note idx part t i;
       i);
   let lits_after = Network.num_lits net in
@@ -226,10 +225,10 @@ let run ?(obs = Sbm_obs.null) ?(config = default_config) aig =
       lits_after;
     } )
 
-let run_homogeneous ~threshold ?(config = default_config) aig =
+let run_homogeneous ~threshold aig =
   let fallback = fallback_origin aig in
   let net = Network.of_aig aig in
-  ignore (Network.eliminate net ~threshold ~max_cubes:config.max_cubes ());
-  ignore (Network.extract_kernels net ~max_passes:config.extract_passes ());
-  ignore (Network.extract_cubes net ~max_passes:config.extract_passes ());
+  ignore (Network.eliminate net ~threshold ~max_cubes ());
+  ignore (Network.extract_kernels net ~max_passes:extract_passes ());
+  ignore (Network.extract_cubes net ~max_passes:extract_passes ());
   Network.to_aig ~provenance:(aig, fallback) net

@@ -9,10 +9,7 @@
     the partition, so trials roll back cleanly. *)
 
 type config = {
-  thresholds : int list;
   partition_size : int; (** internal nodes per partition *)
-  max_cubes : int; (** SOP explosion guard during collapsing *)
-  extract_passes : int;
   prefilter : Prefilter.bank option;
       (** kernel trials accept on literal counts, so there is no
           per-candidate test to shadow; with a bank the engine instead
@@ -39,6 +36,6 @@ type stats = {
 val run :
   ?obs:Sbm_obs.span -> ?config:config -> Sbm_aig.Aig.t -> Sbm_aig.Aig.t * stats
 
-(** [run_homogeneous ~threshold ?config aig] is the ablation baseline:
+(** [run_homogeneous ~threshold aig] is the ablation baseline:
     one global threshold for the whole network. *)
-val run_homogeneous : threshold:int -> ?config:config -> Sbm_aig.Aig.t -> Sbm_aig.Aig.t
+val run_homogeneous : threshold:int -> Sbm_aig.Aig.t -> Sbm_aig.Aig.t

@@ -32,7 +32,6 @@ let m_gain =
 type config = {
   limits : Partition.limits;
   bdd_node_limit : int;
-  max_candidates : int;
   prefilter : Prefilter.bank option;
 }
 
@@ -40,9 +39,11 @@ let default_config =
   {
     limits = Partition.default_limits;
     bdd_node_limit = 200_000;
-    max_candidates = 64;
     prefilter = None;
   }
+
+(* Substitute candidates examined per node. *)
+let max_candidates = 64
 
 type stats = {
   gain : int;
@@ -150,7 +151,7 @@ let compute_mspf ctx n =
    built. The candidate budget still counts every examined candidate,
    filtered or not, so the enumeration — and therefore the accepted
    substitutions — is bit-identical with the filter on or off. *)
-let connectable ctx config counters store n mspf =
+let connectable ctx counters store n mspf =
   let man = Bdd_bridge.man ctx in
   let aig = Bdd_bridge.aig ctx in
   match Bdd_bridge.bdd_of_node ctx n with
@@ -175,7 +176,7 @@ let connectable ctx config counters store n mspf =
       let examined = ref 0 in
       let consider v =
         if
-          !examined < config.max_candidates
+          !examined < max_candidates
           && v <> n
           && (not (Aig.is_dead aig v))
           && not (Aig.in_tfi aig ~node:n ~root:v)
@@ -269,7 +270,7 @@ let run_partition_analysis aig config counters store part total =
           counters.c_mspf <- counters.c_mspf + 1;
           let man = Bdd_bridge.man ctx in
           if not (Bdd.is_zero man mspf) then begin
-            let candidates = connectable ctx config counters store n mspf in
+            let candidates = connectable ctx counters store n mspf in
             (* Among all connectable fanins, try an irredundant
                subset: the best-gain candidate. *)
             let best =

@@ -22,7 +22,6 @@
 type config = {
   limits : Sbm_partition.Partition.limits;
   bdd_node_limit : int;
-  max_candidates : int; (** substitute candidates examined per node *)
   prefilter : Prefilter.bank option;
       (** with a pattern bank, the connectability test's simulation
           shadow (signature equality under the care mask) vets every

@@ -8,22 +8,25 @@ type verdict = Reject_const | Reject_signature | Maybe
 
 type bank = {
   sim_words : int;
-  seed : int;
-  max_cex : int;
   mutable cex : bool array list; (* newest first; rendered oldest first *)
   mutable cex_count : int;
   mutable refinement_count : int;
 }
 
-let default_words = Sim.default_words
+(* Retained counterexamples; further refinements still count but are
+   dropped. *)
+let max_cex = 256
 
-let create_bank ?(sim_words = default_words) ?(max_cex = 256) ?(seed = 0xd1ff) () =
+(* Seed of the random-pattern stream. *)
+let seed = 0xd1ff
+
+let create_bank ?(sim_words = Sim.default_words) () =
   if sim_words < 1 then invalid_arg "Prefilter.create_bank: sim_words must be >= 1";
-  { sim_words; seed; max_cex; cex = []; cex_count = 0; refinement_count = 0 }
+  { sim_words; cex = []; cex_count = 0; refinement_count = 0 }
 
 let refine bank bits =
   bank.refinement_count <- bank.refinement_count + 1;
-  if bank.cex_count < bank.max_cex then begin
+  if bank.cex_count < max_cex then begin
     bank.cex <- Array.copy bits :: bank.cex;
     bank.cex_count <- bank.cex_count + 1
   end
@@ -48,7 +51,7 @@ let fh_finalize z =
 let fh_mix2 a b = fh_finalize (Int64.add (Int64.mul a 0x9E3779B97F4A7C15L) b)
 
 let bank_digest bank =
-  let acc = fh_mix2 (Int64.of_int bank.sim_words) (Int64.of_int bank.max_cex) in
+  let acc = fh_mix2 (Int64.of_int bank.sim_words) (Int64.of_int max_cex) in
   let acc = fh_mix2 acc (Int64.of_int bank.refinement_count) in
   let acc = fh_mix2 acc (Int64.of_int bank.cex_count) in
   List.fold_left
@@ -61,14 +64,14 @@ let bank_digest bank =
     (List.rev bank.cex)
 
 let bank_seeds bank =
-  fh_mix2 (Int64.of_int bank.seed) (Int64.of_int bank.sim_words)
+  fh_mix2 (Int64.of_int seed) (Int64.of_int bank.sim_words)
 
 (* Base pattern word for (round, input): an independent SplitMix64
    draw per cell, so the bank renders identically for any input count
    (a flow pass that compacts the AIG re-attaches without changing
    the patterns of surviving inputs). *)
-let base_word bank ~word ~input =
-  let r = Rng.create (bank.seed lxor (word * 0x1000003) lxor (input * 0x10331)) in
+let base_word ~word ~input =
+  let r = Rng.create (seed lxor (word * 0x1000003) lxor (input * 0x10331)) in
   ignore (Rng.next64 r);
   Rng.next64 r
 
@@ -109,7 +112,7 @@ let input_words bank num_inputs =
     let cex_words = (Array.length cex + 63) / 64 in
     Array.init (bank.sim_words + cex_words) (fun w ->
         if w < bank.sim_words then
-          Array.init num_inputs (fun i -> base_word bank ~word:w ~input:i)
+          Array.init num_inputs (fun i -> base_word ~word:w ~input:i)
         else
           Array.init num_inputs (fun i ->
               let base = (w - bank.sim_words) * 64 in

@@ -37,15 +37,11 @@ type verdict = Reject_const | Reject_signature | Maybe
 
 type bank
 
-(** Default number of seeded 64-pattern simulation words per input. *)
-val default_words : int
-
 (** [create_bank ()] seeds a bank of [sim_words] 64-pattern words per
-    input (default 4, i.e. 256 patterns — the CLI's [--sim-words]).
-    [max_cex] bounds retained counterexamples (default 256; further
-    refinements still count but are dropped). Deterministic in
-    [seed]. *)
-val create_bank : ?sim_words:int -> ?max_cex:int -> ?seed:int -> unit -> bank
+    input (default {!Sbm_aig.Sim.default_words}, i.e. 256 patterns). At most 256
+    counterexamples are retained (further refinements still count but
+    are dropped). Deterministic: the random-pattern seed is fixed. *)
+val create_bank : ?sim_words:int -> unit -> bank
 
 (** [refine bank bits] folds a disproving input assignment (indexed
     by primary-input position) into the pattern set, so the false
@@ -64,7 +60,7 @@ val refinements : bank -> int
 val bank_digest : bank -> int64
 
 (** [bank_seeds bank] is the RNG-seed component of audit-trail
-    fingerprints: a digest of [seed] and [sim_words], pinning the
+    fingerprints: a digest of the fixed seed and [sim_words], pinning the
     random-pattern stream identity. *)
 val bank_seeds : bank -> int64
 

@@ -5,12 +5,11 @@ type lut = { root : int; leaves : int array }
 
 type mapping = { luts : lut list; lut_count : int; depth : int }
 
-type mode = [ `Area | `Delay ]
-
 (* One mapping-selection pass. [refs] estimates how many times each
    node is referenced by the current mapping (fanout count on the
-   first pass); returns per-node best cut, area flow and depth. *)
-let select ?(mode = `Area) aig cuts refs =
+   first pass); returns the per-node best cut: least area flow, depth
+   as tie-break. *)
+let select aig cuts refs =
   let n = Aig.num_nodes aig in
   let best_cut = Array.make n None in
   let area_flow = Array.make n 0.0 in
@@ -39,9 +38,7 @@ let select ?(mode = `Area) aig cuts refs =
         | [] -> failwith "Lut_map.select: node without usable cut"
         | _ ->
           let better (af, d) (baf, bd) =
-            match mode with
-            | `Area -> af < baf -. 1e-9 || (Float.abs (af -. baf) <= 1e-9 && d < bd)
-            | `Delay -> d < bd || (d = bd && af < baf -. 1e-9)
+            af < baf -. 1e-9 || (Float.abs (af -. baf) <= 1e-9 && d < bd)
           in
           let c, af, d =
             List.fold_left
@@ -56,7 +53,7 @@ let select ?(mode = `Area) aig cuts refs =
           depth.(v) <- d
       end)
     order;
-  (best_cut, depth)
+  best_cut
 
 (* Derive the cover: walk from the outputs, instantiate the chosen
    cut of every required node, requiring its leaves in turn. *)
@@ -123,26 +120,19 @@ let mapping_refs aig luts =
     (Aig.outputs aig);
   refs
 
-let map ?(k = 6) ?(max_cuts = 8) ?(area_passes = 3) ?(mode = `Area) aig =
+(* Priority cuts kept per node, and selection passes (the first plus
+   the area-recovery ones). *)
+let max_cuts = 8
+let area_passes = 3
+
+let map ?(k = 6) aig =
   let cuts = Cut.enumerate aig ~k ~max_cuts in
   (* First pass: structural fanout counts as reference estimates. *)
   let refs0 = Array.init (Aig.num_nodes aig) (fun v -> Aig.nref aig v) in
-  let best_cut = ref (fst (select ~mode aig cuts refs0)) in
-  let luts = ref (derive aig !best_cut) in
+  let luts = ref (derive aig (select aig cuts refs0)) in
   for _ = 2 to area_passes do
-    let refs = mapping_refs aig !luts in
-    best_cut := fst (select ~mode aig cuts refs);
-    let candidate = derive aig !best_cut in
-    let keep =
-      match mode with
-      | `Area -> List.length candidate <= List.length !luts
-      | `Delay ->
-        (* Depth never degrades across passes in delay mode; keep the
-           smaller cover. *)
-        mapping_depth aig candidate <= mapping_depth aig !luts
-        && List.length candidate <= List.length !luts
-    in
-    if keep then luts := candidate
+    let candidate = derive aig (select aig cuts (mapping_refs aig !luts)) in
+    if List.length candidate <= List.length !luts then luts := candidate
   done;
   { luts = !luts; lut_count = List.length !luts; depth = mapping_depth aig !luts }
 

@@ -16,16 +16,10 @@ type mapping = {
   depth : int; (** LUT levels ("Level count" in Table I) *)
 }
 
-(** Mapping objective: [`Area] (the paper's "if -K 6 -a" mode, default)
-    minimizes LUT count; [`Delay] selects depth-optimal cuts first and
-    recovers area among depth ties. *)
-type mode = [ `Area | `Delay ]
-
-(** [map ?k ?max_cuts ?area_passes ?mode aig] maps the network.
-    Defaults: [k = 6], [max_cuts = 8], [area_passes = 3],
-    [mode = `Area]. *)
-val map :
-  ?k:int -> ?max_cuts:int -> ?area_passes:int -> ?mode:mode -> Sbm_aig.Aig.t -> mapping
+(** [map ?k aig] maps the network into [k]-input LUTs ([k] in [2,6],
+    default 6), keeping 8 priority cuts per node and running two area-recovery
+    passes after the first selection. *)
+val map : ?k:int -> Sbm_aig.Aig.t -> mapping
 
 (** [check aig mapping] verifies cover properties: every output node
     is mapped, and every LUT's leaves are mapped nodes, inputs or

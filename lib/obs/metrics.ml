@@ -232,17 +232,6 @@ let hists_now () =
     (fun m -> if m.kind = Histogram then Some (m.name, hist m) else None)
     (all ())
 
-let reset_values () =
-  Hashtbl.iter
-    (fun _ m ->
-      Atomic.set m.cell 0;
-      Atomic.set m.bumps 0;
-      Atomic.set m.hcount 0;
-      Atomic.set m.hsum 0;
-      Atomic.set m.hmin max_int;
-      Atomic.set m.hmax min_int)
-    registry
-
 (* --- automatic process gauges --- *)
 
 (* [Gc.quick_stat] heap statistics describe the shared major heap, so

@@ -120,10 +120,6 @@ val replay : delta -> unit
     deterministic merge order). Unknown names are ignored — a delta
     can outlive a registry reset in tests. *)
 
-val reset_values : unit -> unit
-(** Zero every value cell (registrations are kept). Test helper —
-    metrics are process-global, so tests isolate by resetting. *)
-
 (** {1 Built-in process metrics} *)
 
 val live_aig_nodes : t

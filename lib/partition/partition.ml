@@ -156,19 +156,3 @@ let compute aig limits =
     sorted;
   flush ();
   List.rev !partitions
-
-let compute_overlapping aig limits ~overlap =
-  if overlap < 0.0 || overlap > 1.0 then invalid_arg "Partition.compute_overlapping";
-  let base = compute aig limits in
-  let rec extend = function
-    | [] -> []
-    | [ last ] -> [ last ]
-    | p :: (q :: _ as rest) ->
-      let take = int_of_float (overlap *. float_of_int (Array.length q.nodes)) in
-      let extra = Array.sub q.nodes 0 (min take (Array.length q.nodes)) in
-      let merged =
-        of_nodes aig (Array.to_list p.nodes @ Array.to_list extra)
-      in
-      merged :: extend rest
-  in
-  extend base

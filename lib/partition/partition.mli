@@ -29,14 +29,6 @@ val default_limits : limits
     belongs to exactly one partition. *)
 val compute : Sbm_aig.Aig.t -> limits -> t list
 
-(** [compute_overlapping aig limits ~overlap] computes partitions as
-    {!compute}, then extends each with the leading [overlap] fraction
-    of its successor's nodes — "the partitions can be chosen to be
-    distinct or overlapping to cover more optimization opportunities"
-    (paper, Section III-D). Nodes near boundaries then appear in two
-    partitions. *)
-val compute_overlapping : Sbm_aig.Aig.t -> limits -> overlap:float -> t list
-
 (** [of_nodes aig nodes] makes a partition from an explicit node set,
     deriving leaves and roots (used for monolithic runs, where the
     partition is the whole network). *)

@@ -2,11 +2,14 @@ module Aig = Sbm_aig.Aig
 module Sim = Sbm_aig.Sim
 module Rng = Sbm_util.Rng
 
+(* Conflict budget of one miter; an [Unknown] answer keeps the node. *)
+let conflict_limit = 1000
+
 (* Check whether replacing node [v] by literal [cand] preserves every
    output, with one SAT call on a fresh miter. A [Sat] answer carries
    the input assignment under which the bypass flips an output; it is
    handed to [on_cex] (the simulation prefilter's refinement hook). *)
-let bypass_safe obs ?on_cex solver_limit aig v cand =
+let bypass_safe obs ?on_cex aig v cand =
   let solver = Solver.create () in
   let vars = Tseitin.encode solver aig in
   (* Encode the modified cones: copy variables for the TFO of [v],
@@ -63,7 +66,7 @@ let bypass_safe obs ?on_cex solver_limit aig v cand =
   if diffs = [] then true
   else begin
     ignore (Solver.add_clause solver diffs);
-    let result = Solver.solve ~conflict_limit:solver_limit solver in
+    let result = Solver.solve ~conflict_limit solver in
     Sbm_obs.bump obs Sat_metrics.redundancy_sat_calls 1;
     Sbm_obs.bump obs Sat_metrics.conflicts (Solver.num_conflicts solver);
     Sbm_obs.bump obs Sat_metrics.decisions (Solver.num_decisions solver);
@@ -169,8 +172,7 @@ let disprove f aig v cand =
     word 0
   end
 
-let run ?(obs = Sbm_obs.null) ?(conflict_limit = 1000) ?(max_candidates = 200)
-    ?on_cex aig =
+let run ?(obs = Sbm_obs.null) ?(max_candidates = 200) ?on_cex aig =
   let removed = ref 0 in
   let tried = ref 0 in
   let sim_disproved = ref 0 in
@@ -198,7 +200,7 @@ let run ?(obs = Sbm_obs.null) ?(conflict_limit = 1000) ?(max_candidates = 200)
               Option.iter (fun f -> f bits) on_cex;
               false
             | None ->
-              if bypass_safe obs ?on_cex conflict_limit aig v cand then begin
+              if bypass_safe obs ?on_cex aig v cand then begin
                 Aig.replace aig v cand;
                 incr removed;
                 (* [v]'s fanout now reads [cand]: refresh the values. *)

@@ -10,9 +10,9 @@
     candidates the miter would not prove, so the result is the one the
     miters alone give. *)
 
-(** [run ?obs ?conflict_limit ?max_candidates ?on_cex aig] tries
-    candidates in topological order and returns the number of nodes
-    bypassed. The AIG is modified in place. [obs] receives the
+(** [run ?obs ?max_candidates ?on_cex aig] tries candidates in
+    topological order and returns the number of nodes bypassed. Each
+    miter gets 1000 conflicts; an undecided candidate is kept. The AIG is modified in place. [obs] receives the
     counters [redundancy.tried], [redundancy.sim_disproved],
     [redundancy.sat_calls], [redundancy.removed] and [sat.conflicts]/
     [sat.decisions]/[sat.propagations]. [on_cex] receives the
@@ -21,7 +21,6 @@
     answer. It feeds the simulation prefilter's pattern bank. *)
 val run :
   ?obs:Sbm_obs.span ->
-  ?conflict_limit:int ->
   ?max_candidates:int ->
   ?on_cex:(bool array -> unit) ->
   Sbm_aig.Aig.t ->

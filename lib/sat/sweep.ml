@@ -5,10 +5,10 @@ module Rng = Sbm_util.Rng
 (* Signature of a node across simulation rounds, canonicalized so a
    node and its complement land in the same class: if the first bit is
    set, the whole signature is complemented (phase recorded). *)
-let signatures aig ~sim_rounds rng =
+let signatures aig rng =
   let n = Aig.num_nodes aig in
   let sigs = Array.make n [] in
-  for _ = 1 to sim_rounds do
+  for _ = 1 to Sim.default_words do
     let values = Sim.simulate aig (Sim.random_inputs aig rng) in
     for v = 0 to n - 1 do
       sigs.(v) <- values.(v) :: sigs.(v)
@@ -24,11 +24,13 @@ let signatures aig ~sim_rounds rng =
         (canon, phase))
     sigs
 
-let run ?(obs = Sbm_obs.null) ?(sim_rounds = Sim.default_words) ?(conflict_limit = 1000)
-    ?on_cex aig =
+(* Conflict budget of one miter query; an [Unknown] pair is not merged. *)
+let conflict_limit = 1000
+
+let run ?(obs = Sbm_obs.null) ?on_cex aig =
   let aig, _ = Aig.compact aig in
   let rng = Rng.create 0x5eed in
-  let sigs = signatures aig ~sim_rounds rng in
+  let sigs = signatures aig rng in
   let solver = Solver.create () in
   let sat_calls = ref 0 in
   let vars = Tseitin.encode solver aig in

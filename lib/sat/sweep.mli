@@ -8,9 +8,10 @@
     compacted (topologically numbered) AIG. This is the "SAT-based
     sweeping" step of the paper's resynthesis script (ref. [9]). *)
 
-(** [run ?obs ?sim_rounds ?conflict_limit ?on_cex aig] returns the
-    swept AIG (a fresh, compacted network) and the number of merged
-    nodes. [obs] receives the counters [sweep.classes],
+(** [run ?obs ?on_cex aig] returns the swept AIG (a fresh, compacted
+    network) and the number of merged nodes. Signatures take
+    {!Sbm_aig.Sim.default_words} simulation words; each miter query
+    gets 1000 conflicts, and an undecided pair is not merged. [obs] receives the counters [sweep.classes],
     [sweep.sat_calls], [sweep.merged] and [sat.conflicts]/
     [sat.decisions]/[sat.propagations].
 
@@ -22,8 +23,6 @@
     never changes the solver's behaviour or the sweep's decisions. *)
 val run :
   ?obs:Sbm_obs.span ->
-  ?sim_rounds:int ->
-  ?conflict_limit:int ->
   ?on_cex:(bool array -> unit) ->
   Sbm_aig.Aig.t ->
   Sbm_aig.Aig.t * int

@@ -62,7 +62,6 @@ let band a b = lift2 "band" Int64.logand a b
 let bor a b = lift2 "bor" Int64.logor a b
 let bxor a b = lift2 "bxor" Int64.logxor a b
 let bxnor a b = bnot (bxor a b)
-let bnand a b = bnot (band a b)
 let bnor a b = bnot (bor a b)
 let ite c a b = bor (band c a) (band (bnot c) b)
 let mux sel a b = ite sel b a
@@ -108,24 +107,6 @@ let is_const1 a =
   let n = Array.length w in
   let rec go i = i = n || (Int64.equal (Array.unsafe_get w i) mask && go (i + 1)) in
   go 0
-
-let compare a b =
-  let c = Stdlib.compare a.nvars b.nvars in
-  if c <> 0 then c
-  else begin
-    let u = a.words and v = b.words in
-    let n = Array.length u in
-    let rec go i =
-      if i = n then 0
-      else
-        (* Signed per-word compare: matches the order the previous
-           polymorphic Stdlib.compare imposed (NPN canonization
-           tie-breaks on it). *)
-        let c = Int64.compare (Array.unsafe_get u i) (Array.unsafe_get v i) in
-        if c <> 0 then c else go (i + 1)
-    in
-    go 0
-  end
 
 let hash a =
   Array.fold_left
@@ -269,8 +250,6 @@ let support t =
   in
   go (t.nvars - 1) []
 
-let support_size t = List.length (support t)
-
 let popcount64 w =
   let rec go w acc = if w = 0L then acc else go (Int64.logand w (Int64.sub w 1L)) (acc + 1) in
   go w 0
@@ -386,12 +365,6 @@ let cube_tt n c =
 
 let cover_tt n cubes =
   List.fold_left (fun acc c -> bor acc (cube_tt n c)) (const0 n) cubes
-
-let popcount_int x =
-  let rec go x acc = if x = 0 then acc else go (x land (x - 1)) (acc + 1) in
-  go x 0
-
-let cube_num_lits c = popcount_int c.pos + popcount_int c.neg
 
 (* Minato-Morreale ISOP: returns (cubes, cover-table) with
    lower <= cover <= upper. *)

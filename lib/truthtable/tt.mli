@@ -30,7 +30,6 @@ val band : t -> t -> t
 val bor : t -> t -> t
 val bxor : t -> t -> t
 val bxnor : t -> t -> t
-val bnand : t -> t -> t
 val bnor : t -> t -> t
 
 (** [ite c a b] is if-then-else: [c&a | ~c&b]. *)
@@ -45,7 +44,6 @@ val mux : t -> t -> t -> t
 val equal : t -> t -> bool
 val is_const0 : t -> bool
 val is_const1 : t -> bool
-val compare : t -> t -> int
 val hash : t -> int
 
 (** Imperative hash tables keyed by truth tables, using {!hash} and
@@ -87,9 +85,6 @@ val depends_on : t -> int -> bool
 (** [support t] lists the variables the function depends on,
     ascending. *)
 val support : t -> int list
-
-(** [support_size t] is [List.length (support t)]. *)
-val support_size : t -> int
 
 (** [count_ones t] is the number of satisfying assignments. *)
 val count_ones : t -> int
@@ -135,9 +130,6 @@ val cube_tt : int -> cube -> t
 
 (** [cover_tt n cubes] is the OR of the cubes' tables. *)
 val cover_tt : int -> cube list -> t
-
-(** [cube_num_lits c] is the number of literals in [c]. *)
-val cube_num_lits : cube -> int
 
 (** [isop on dc] computes an irredundant sum-of-products cover [c]
     with [on <= c <= on | dc] (Minato-Morreale). The don't-care table

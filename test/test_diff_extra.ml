@@ -1,52 +1,8 @@
-(* Extensions of the Boolean-difference engine: overlapping
-   partitions and functional filtering, plus stress over the
-   structured benchmark generators. *)
+(* Functional filtering in the Boolean-difference engine, plus stress
+   over the structured benchmark generators. *)
 
 module Aig = Sbm_aig.Aig
 module Rng = Sbm_util.Rng
-
-let test_overlapping_partitions_sound () =
-  let rng = Rng.create 501 in
-  for _ = 1 to 5 do
-    let aig = Helpers.random_xor_aig ~inputs:8 ~gates:60 ~outputs:4 rng in
-    let original = Aig.copy aig in
-    let config = { Sbm_core.Diff_resub.default_config with overlap = 0.4 } in
-    let gain = Sbm_core.Diff_resub.optimize ~config aig in
-    Aig.check aig;
-    Alcotest.(check bool) "gain >= 0" true (gain >= 0);
-    Helpers.assert_equiv_exhaustive ~msg:"overlapping diff" original aig
-  done
-
-let test_overlap_finds_at_least_as_much () =
-  (* Overlap may only widen the candidate space; on a fixed seed, its
-     gain is at least the distinct-partition gain most of the time.
-     Run several seeds and require no catastrophic regression. *)
-  let rng = Rng.create 502 in
-  let wins = ref 0 in
-  let total = 5 in
-  for _ = 1 to total do
-    let aig = Helpers.random_xor_aig ~inputs:8 ~gates:80 ~outputs:5 rng in
-    let limits =
-      { Sbm_partition.Partition.max_levels = 3; max_nodes = 20; max_leaves = 12 }
-    in
-    let g_plain =
-      let copy = Aig.copy aig in
-      Sbm_core.Diff_resub.optimize
-        ~config:{ Sbm_core.Diff_resub.default_config with limits }
-        copy
-    in
-    let g_overlap =
-      let copy = Aig.copy aig in
-      Sbm_core.Diff_resub.optimize
-        ~config:{ Sbm_core.Diff_resub.default_config with limits; overlap = 0.5 }
-        copy
-    in
-    if g_overlap >= g_plain then incr wins
-  done;
-  Alcotest.(check bool)
-    (Printf.sprintf "overlap >= plain on most seeds (%d/%d)" !wins total)
-    true
-    (!wins >= total - 1)
 
 let test_signature_filter_sound () =
   let rng = Rng.create 503 in
@@ -93,27 +49,7 @@ let test_diff_on_structured () =
 
 let suite =
   [
-    Alcotest.test_case "overlapping partitions sound" `Quick test_overlapping_partitions_sound;
-    Alcotest.test_case "overlap widens search" `Quick test_overlap_finds_at_least_as_much;
     Alcotest.test_case "signature filter sound" `Quick test_signature_filter_sound;
     Alcotest.test_case "filter only skips" `Quick test_filter_only_skips;
     Alcotest.test_case "diff on structured circuits" `Slow test_diff_on_structured;
   ]
-
-let test_depth_objective () =
-  let rng = Rng.create 505 in
-  for _ = 1 to 4 do
-    let aig = Helpers.random_xor_aig ~inputs:7 ~gates:45 ~outputs:4 rng in
-    let original = Aig.copy aig in
-    let depth_before = Aig.depth aig in
-    let config = { Sbm_core.Diff_resub.default_config with objective = `Depth } in
-    ignore (Sbm_core.Diff_resub.optimize ~config aig);
-    Aig.check aig;
-    Helpers.assert_equiv_exhaustive ~msg:"depth objective" original aig;
-    Alcotest.(check bool)
-      (Printf.sprintf "depth does not grow (%d -> %d)" depth_before (Aig.depth aig))
-      true
-      (Aig.depth aig <= depth_before)
-  done
-
-let suite = suite @ [ Alcotest.test_case "depth objective" `Quick test_depth_objective ]

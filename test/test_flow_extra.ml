@@ -32,6 +32,20 @@ let degenerate_networks () =
     ignore (Aig.add_output aig Aig.const1);
     aig
   in
+  let no_inputs () =
+    let aig = Aig.create () in
+    ignore (Aig.add_output aig Aig.const0);
+    ignore (Aig.add_output aig Aig.const1);
+    aig
+  in
+  let unused_input () =
+    let aig = Aig.create () in
+    let a = Aig.add_input aig in
+    ignore (Aig.add_input aig);
+    let c = Aig.add_input aig in
+    ignore (Aig.add_output aig (Aig.lnot (Aig.band aig a c)));
+    aig
+  in
   let wire () =
     let aig = Aig.create () in
     let a = Aig.add_input aig in
@@ -68,10 +82,14 @@ let degenerate_networks () =
     aig
   in
   [
-    ("empty", empty ()); ("const outputs", const_outputs ()); ("wire", wire ());
+    ("empty", empty ()); ("const outputs", const_outputs ());
+    ("no inputs", no_inputs ()); ("unused input", unused_input ()); ("wire", wire ());
     ("single and", single_and ()); ("duplicate outputs", duplicate_outputs ());
     ("deep chain", deep_chain ());
   ]
+
+(* Every input assignment of a (small) network. *)
+let assignments n = List.init (1 lsl n) (fun m -> Array.init n (fun i -> (m lsr i) land 1 = 1))
 
 let test_engines_on_degenerate () =
   List.iter
@@ -84,7 +102,26 @@ let test_engines_on_degenerate () =
           Helpers.assert_equiv_exhaustive
             ~msg:(Printf.sprintf "%s on %s" engine shape)
             original result)
-        all_engines)
+        all_engines;
+      List.iter
+        (fun script ->
+          let result = Sbm_core.Flow.run script aig in
+          Aig.check result;
+          match Sbm_cec.Cec.check aig result with
+          | Sbm_cec.Cec.Equivalent -> ()
+          | _ ->
+            Alcotest.failf "flow %s on %s not proven equal"
+              (Sbm_core.Flow.to_string script) shape)
+        Sbm_core.Flow.all;
+      let mapping = Sbm_lutmap.Lut_map.map aig in
+      Sbm_lutmap.Lut_map.check aig mapping;
+      let netlist = Sbm_asic.Mapper.map aig in
+      Sbm_asic.Netlist.check netlist;
+      List.iter
+        (fun bits ->
+          if Sbm_aig.Sim.eval aig bits <> Sbm_asic.Netlist.eval netlist bits then
+            Alcotest.failf "mapped netlist differs on %s" shape)
+        (assignments (Aig.num_inputs aig)))
     (degenerate_networks ())
 
 let test_full_flow_on_structured () =
