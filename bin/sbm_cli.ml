@@ -56,6 +56,9 @@ let scale_arg doc =
   let scale = ranged Arg.float ~expected:"a number in (0,1]" (fun s -> s > 0.0 && s <= 1.0) in
   Arg.(value & opt scale 1.0 & info [ "scale" ] ~docv:"S" ~doc)
 
+let at_least n =
+  ranged Arg.int ~expected:(Printf.sprintf "an integer >= %d" n) (fun v -> v >= n)
+
 let k_arg doc =
   let k = ranged Arg.int ~expected:"an integer in [2,6]" (fun k -> k >= 2 && k <= 6) in
   Arg.(value & opt k 6 & info [ "k" ] ~docv:"K" ~doc)
@@ -86,13 +89,10 @@ let jobs_arg =
      the exact sequential path; any value produces bit-identical QoR, \
      counters and attribution."
   in
-  Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~env ~docv:"N" ~doc)
+  Arg.(value & opt (some (at_least 1)) None
+       & info [ "j"; "jobs" ] ~env ~docv:"N" ~doc)
 
-let setup_jobs jobs =
-  match jobs with
-  | Some n when n >= 1 -> Sbm_par.Jobs.set n
-  | Some _ -> Sbm_par.Jobs.set 1
-  | None -> ()
+let setup_jobs jobs = Option.iter Sbm_par.Jobs.set jobs
 
 (* --- flight recorder / watchdog / crash dumps --- *)
 
@@ -587,7 +587,7 @@ let bench_cmd =
        minimum as the $(b,bench.wall_ms_min) counter. QoR is checked \
        identical across repeats."
     in
-    Arg.(value & opt int 1 & info [ "repeat" ] ~docv:"N" ~doc)
+    Arg.(value & opt (at_least 1) 1 & info [ "repeat" ] ~docv:"N" ~doc)
   in
   let ledger_arg =
     let doc =
@@ -602,7 +602,6 @@ let bench_cmd =
     let setup = setup_common common in
     let obs_opts = common.obs in
     setup_obs obs_opts None;
-    let repeat = max 1 repeat in
     let module Epfl = Sbm_epfl.Epfl in
     let module Aig = Sbm_aig.Aig in
     let resolve n =
@@ -856,7 +855,7 @@ let diff_cmd =
   let run old_path new_path threshold time_threshold ignore_time per_pass
       counters json =
     let load path =
-      match Sbm_report.Report.load_snapshot path with
+      match Sbm_obs.Snapshot.load path with
       | Ok s -> `Ok s
       | Error msg -> `Bad msg
     in
@@ -996,7 +995,7 @@ let profile_cmd =
   in
   let top_arg =
     let doc = "Number of hotspot rows to print." in
-    Arg.(value & opt int 20 & info [ "top" ] ~docv:"N" ~doc)
+    Arg.(value & opt (at_least 1) 20 & info [ "top" ] ~docv:"N" ~doc)
   in
   let collapsed_arg =
     let doc =
@@ -1019,7 +1018,7 @@ let profile_cmd =
      from cmdliner's 124 (usage) and the flow's QoR gates. *)
   let run path top collapsed chrome =
     let label = if path = "-" then "stdin" else path in
-    match Sbm_report.Json.read_source path with
+    match Sbm_obs.Json.read_source path with
     | Error msg ->
       Fmt.epr "sbm: %s@." msg;
       Stdlib.exit 2
@@ -1078,7 +1077,7 @@ let inspect_cmd =
   in
   let last_arg =
     let doc = "Timeline events to show (most recent last)." in
-    Arg.(value & opt int 20 & info [ "last" ] ~docv:"N" ~doc)
+    Arg.(value & opt (at_least 0) 20 & info [ "last" ] ~docv:"N" ~doc)
   in
   let json_arg =
     let doc =
@@ -1095,12 +1094,12 @@ let inspect_cmd =
     Arg.(value & flag & info [ "abs" ] ~doc)
   in
   let run path last json abs =
-    match Sbm_report.Inspect.load path with
+    match Sbm_obs.Postmortem.load path with
     | Error msg ->
       Fmt.epr "sbm: %s@." msg;
       Stdlib.exit 2
     | Ok dump ->
-      if json then print_endline (Sbm_report.Inspect.to_json dump)
+      if json then print_endline (Sbm_obs.Postmortem.to_json dump)
       else Fmt.pr "%a" (Sbm_report.Inspect.pp ~last ~abs) dump
   in
   let term = Term.(const run $ dump_arg $ last_arg $ json_arg $ abs_arg) in
@@ -1180,8 +1179,8 @@ let metrics_cmd =
   Cmd.v
     (Cmd.info "metrics"
        ~doc:
-         "Print the registered-metric catalog (every counter, gauge and \
-          histogram the binary can emit), or gate it against the table \
+         "Print the registered-metric catalog (every counter and gauge the \
+          binary can emit), or gate it against the table \
           documented in DESIGN.md")
     term
 
@@ -1244,7 +1243,7 @@ let audit_cmd =
   in
   let run a b =
     let load path =
-      match Sbm_report.Audit.load path with
+      match Sbm_obs.Fingerprint.load path with
       | Error msg ->
         Fmt.epr "sbm: %s: %s@." path msg;
         Stdlib.exit 2

@@ -147,14 +147,40 @@ let record_to_json (r : record) =
   Buffer.add_string b
     (Printf.sprintf
        "{\"seq\":%d,\"kind\":\"%s\",\"label\":\"%s\",\"structure\":\"%016Lx\",\"counters\":\"%016Lx\",\"bank\":\"%016Lx\",\"seeds\":\"%016Lx\",\"chain\":\"%016Lx\""
-       r.seq (kind_to_string r.kind) (Json_out.escape r.label) r.structure
+       r.seq (kind_to_string r.kind) (Json.escape r.label) r.structure
        r.counters_digest r.bank r.seeds r.chain);
   if r.counters <> [] then begin
     Buffer.add_string b ",\"counter_values\":";
-    Json_out.buf_counters b r.counters
+    Json.buf_counters b r.counters
   end;
   Buffer.add_char b '}';
   Buffer.contents b
+
+(* Hex components read as 0 when absent; a record missing its seq,
+   kind or label, or with an unparsable component, is rejected. *)
+let record_of_json j =
+  let hex f =
+    match Json.(to_str (member f j)) with
+    | None -> Some 0L
+    | Some s -> Int64.of_string_opt ("0x" ^ s)
+  in
+  match
+    ( Json.(to_int (member "seq" j)),
+      Option.bind Json.(to_str (member "kind" j)) kind_of_string,
+      Json.(to_str (member "label" j)),
+      hex "structure", hex "counters", hex "bank", hex "seeds", hex "chain" )
+  with
+  | ( Some seq, Some kind, Some label,
+      Some structure, Some counters_digest, Some bank, Some seeds,
+      Some chain ) ->
+    Some
+      { seq; kind; label; structure; counters_digest; bank; seeds; chain;
+        counters = Json.counters "counter_values" j }
+  | _ -> None
+
+(* Append-only stream: a run that died mid-write leaves a torn final
+   line, which [Json.load_lines] skips. *)
+let load path = Result.map (List.filter_map record_of_json) (Json.load_lines path)
 
 let bank_components () =
   match state.bank_source with None -> (0L, 0L) | Some f -> f ()

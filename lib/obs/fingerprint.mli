@@ -84,3 +84,11 @@ val records : unit -> record list
 val record_to_json : record -> string
 (** One record as a JSON object (one line of the [--fingerprint]
     JSONL stream). 64-bit components are 16-hex-digit strings. *)
+
+val record_of_json : Json.t -> record option
+(** Inverse of {!record_to_json}; [None] when [seq], [kind] or [label]
+    is missing or a component is not hex. *)
+
+val load : string -> (record list, string) result
+(** Read a trail file, skipping unparsable (e.g. torn) lines. [Error]
+    only for an unreadable file. *)

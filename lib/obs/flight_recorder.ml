@@ -6,6 +6,12 @@ let severity_to_string = function
   | Warn -> "warn"
   | Error -> "error"
 
+let severity_of_string = function
+  | "debug" -> Debug
+  | "warn" -> Warn
+  | "error" -> Error
+  | _ -> Info
+
 type event = {
   seq : int;
   t_ns : int64;
@@ -102,3 +108,39 @@ let events () =
 
 let recorded () = st.seq
 let dropped () = max 0 (st.seq - Array.length st.ring)
+
+(* --- JSON: the one event serializer, shared by the trace document and
+   the post-mortem dump. [t0] adds the absolute clock reading. --- *)
+
+let buf_event ?t0 b (e : event) =
+  Buffer.add_string b
+    (Printf.sprintf "{\"seq\":%d,\"t_ms\":%.3f" e.seq (Json.ms_of_ns e.t_ns));
+  Option.iter
+    (fun t0 ->
+      Buffer.add_string b (Printf.sprintf ",\"t_ns\":%Ld" (Int64.add t0 e.t_ns)))
+    t0;
+  Buffer.add_string b
+    (Printf.sprintf
+       ",\"severity\":\"%s\",\"engine\":\"%s\",\"id\":\"%s\",\"message\":\"%s\",\"metrics\":"
+       (severity_to_string e.severity)
+       (Json.escape e.engine) (Json.escape e.id) (Json.escape e.message));
+  Json.buf_counters b e.metrics;
+  Buffer.add_char b '}'
+
+(* The absolute reading, when both it and the origin are present, gives
+   the exact offset; otherwise [t_ms] does, to the microsecond. *)
+let event_of_json ?t0 j =
+  let t_ns =
+    match (t0, Json.(to_float (member "t_ns" j))) with
+    | Some t0, Some abs -> Int64.sub (Int64.of_float abs) t0
+    | _ -> Json.ns_of_ms (Json.num "t_ms" j)
+  in
+  {
+    seq = Json.int "seq" j;
+    t_ns;
+    severity = severity_of_string (Json.str ~default:"info" "severity" j);
+    engine = Json.str ~default:"?" "engine" j;
+    id = Json.str "id" j;
+    message = Json.str "message" j;
+    metrics = Json.counters "metrics" j;
+  }

@@ -26,6 +26,9 @@ type severity = Debug | Info | Warn | Error
 val severity_to_string : severity -> string
 (** ["debug"], ["info"], ["warn"], ["error"]. *)
 
+val severity_of_string : string -> severity
+(** Inverse of {!severity_to_string}; anything else reads as [Info]. *)
+
 type event = {
   seq : int;  (** 0-based sequence number since {!enable} *)
   t_ns : int64;  (** monotonic time since {!enable} *)
@@ -96,3 +99,15 @@ val recorded : unit -> int
 val dropped : unit -> int
 (** Events overwritten by ring wraparound:
     [recorded () - List.length (events ())]. *)
+
+(** {1 JSON} *)
+
+val buf_event : ?t0:int64 -> Buffer.t -> event -> unit
+(** One event as a JSON object:
+    [{"seq":N,"t_ms":F,"severity":S,"engine":S,"id":S,"message":S,
+    "metrics":{...}}]. With [t0] (the recorder's origin), an absolute
+    ["t_ns"] follows ["t_ms"]. *)
+
+val event_of_json : ?t0:int64 -> Json.t -> event
+(** Inverse of {!buf_event} with the same [t0]. Missing members read
+    as defaults (severity [Info], engine ["?"]). *)

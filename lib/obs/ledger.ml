@@ -128,7 +128,7 @@ let buf_row ?(stable = false) b r =
   Buffer.add_string b
     (Printf.sprintf
        "{\"path\":\"%s\",\"index\":%d,\"size_before\":%d,\"size_after\":%d,\"depth_before\":%d,\"depth_after\":%d,\"luts\":%d,\"levels\":%d"
-       (Json_out.escape r.path) r.index r.size_before r.size_after r.depth_before
+       (Json.escape r.path) r.index r.size_before r.size_after r.depth_before
        r.depth_after r.luts r.levels);
   (* Additive field: emitted only when the audit trail was live, so
      pre-fingerprint readers and snapshots are unaffected. The chain
@@ -146,7 +146,7 @@ let buf_row ?(stable = false) b r =
     (Printf.sprintf
        ",\"unique_load_pct\":%d,\"cache_load_pct\":%d,\"dead_node_pct\":%d,\"counters\":"
        r.unique_load_pct r.cache_load_pct r.dead_node_pct);
-  Json_out.buf_counters b r.counters;
+  Json.buf_counters b r.counters;
   Buffer.add_char b '}'
 
 let row_to_json ?stable r =
@@ -156,5 +156,31 @@ let row_to_json ?stable r =
 
 let rows_to_json ?stable rows =
   let b = Buffer.create 4096 in
-  Json_out.buf_list b (buf_row ?stable) rows;
+  Json.buf_list b (buf_row ?stable) rows;
   Buffer.contents b
+
+(* Missing numeric fields read as 0 except luts/levels, whose absent/-1
+   value means "not probed"; an absent fingerprint is 0 (trail off). *)
+let row_of_json j =
+  let int key = Json.int key j and num key = Json.num key j in
+  {
+    path = Json.str "path" j;
+    index = int "index";
+    size_before = int "size_before";
+    size_after = int "size_after";
+    depth_before = int "depth_before";
+    depth_after = int "depth_after";
+    luts = Json.int ~default:(-1) "luts" j;
+    levels = Json.int ~default:(-1) "levels" j;
+    fingerprint =
+      Option.value ~default:0L
+        (Int64.of_string_opt ("0x" ^ Json.str "fingerprint" j));
+    wall_ns = Int64.of_float (num "wall_ns");
+    counters = Json.counters "counters" j;
+    minor_words = num "minor_words";
+    major_words = num "major_words";
+    heap_words = int "heap_words";
+    unique_load_pct = int "unique_load_pct";
+    cache_load_pct = int "cache_load_pct";
+    dead_node_pct = int "dead_node_pct";
+  }

@@ -74,3 +74,7 @@ val row_to_json : ?stable:bool -> row -> string
 
 val rows_to_json : ?stable:bool -> row list -> string
 (** A JSON array of rows. *)
+
+val row_of_json : Json.t -> row
+(** Inverse of {!row_to_json}. Fields the stable projection or an older
+    writer omitted read as 0; absent [luts]/[levels] as [-1]. *)

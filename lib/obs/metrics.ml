@@ -16,20 +16,14 @@
    deltas are merged on the main domain by the Par_merge path in
    ascending partition order, exactly like flight-recorder events. *)
 
-type kind = Counter | Gauge | Histogram
+type kind = Counter | Gauge
 
-let kind_to_string = function
-  | Counter -> "counter"
-  | Gauge -> "gauge"
-  | Histogram -> "histogram"
+let kind_to_string = function Counter -> "counter" | Gauge -> "gauge"
 
 let kind_of_string = function
   | "counter" -> Some Counter
   | "gauge" -> Some Gauge
-  | "histogram" -> Some Histogram
   | _ -> None
-
-type hstats = { h_count : int; h_sum : int; h_min : int; h_max : int }
 
 type t = {
   id : int;
@@ -40,10 +34,6 @@ type t = {
   description : string;
   cell : int Atomic.t; (* counter total / gauge value *)
   bumps : int Atomic.t; (* counter: [add] calls, so "bumped by 0" shows *)
-  hcount : int Atomic.t;
-  hsum : int Atomic.t;
-  hmin : int Atomic.t; (* max_int while empty *)
-  hmax : int Atomic.t; (* min_int while empty *)
   sample : (unit -> int) option; (* callback gauges, read at snapshot *)
 }
 
@@ -72,10 +62,6 @@ let register ?(engine = "") ?(unit_ = "count") ?sample kind name description =
       description;
       cell = Atomic.make 0;
       bumps = Atomic.make 0;
-      hcount = Atomic.make 0;
-      hsum = Atomic.make 0;
-      hmin = Atomic.make max_int;
-      hmax = Atomic.make min_int;
       sample;
     }
   in
@@ -89,12 +75,6 @@ let counter ?engine ?unit_ name description =
 
 let gauge ?engine ?unit_ name description =
   register ?engine ?unit_ Gauge name description
-
-let gauge_fn ?engine ?unit_ name description f =
-  register ?engine ?unit_ ~sample:f Gauge name description
-
-let histogram ?engine ?unit_ name description =
-  register ?engine ?unit_ Histogram name description
 
 let name m = m.name
 let kind m = m.kind
@@ -129,7 +109,7 @@ let add m n =
 
 let incr m = add m 1
 
-(* Gauges and histograms are observational (never compared bit-exactly
+(* Gauges are observational (never compared bit-exactly
    across job counts), so they write straight to the shared cells even
    from a worker domain. *)
 let set m v =
@@ -143,32 +123,7 @@ let rec set_max m v =
   let cur = Atomic.get m.cell in
   if v > cur && not (Atomic.compare_and_set m.cell cur v) then set_max m v
 
-let rec atomic_min cell v =
-  let cur = Atomic.get cell in
-  if v < cur && not (Atomic.compare_and_set cell cur v) then atomic_min cell v
-
-let rec atomic_max cell v =
-  let cur = Atomic.get cell in
-  if v > cur && not (Atomic.compare_and_set cell cur v) then atomic_max cell v
-
-let observe m v =
-  if m.kind <> Histogram then
-    invalid_arg ("Sbm_obs.Metrics.observe on non-histogram " ^ m.name);
-  ignore (Atomic.fetch_and_add m.hcount 1);
-  ignore (Atomic.fetch_and_add m.hsum v);
-  atomic_min m.hmin v;
-  atomic_max m.hmax v
-
 let value m = match m.sample with Some f -> f () | None -> Atomic.get m.cell
-
-let hist m =
-  let count = Atomic.get m.hcount in
-  {
-    h_count = count;
-    h_sum = Atomic.get m.hsum;
-    h_min = (if count = 0 then 0 else Atomic.get m.hmin);
-    h_max = (if count = 0 then 0 else Atomic.get m.hmax);
-  }
 
 let capture f =
   let tbl = Hashtbl.create 16 in
@@ -227,15 +182,15 @@ let activity before now =
          else None)
   |> List.sort (fun (a, _, _) (b, _, _) -> String.compare a b)
 
-let hists_now () =
-  List.filter_map
-    (fun m -> if m.kind = Histogram then Some (m.name, hist m) else None)
-    (all ())
-
 (* --- automatic process gauges --- *)
 
 (* [Gc.quick_stat] heap statistics describe the shared major heap, so
    sampling them from the telemetry domain sees the whole process. *)
+(* Callback gauges: the function is read at snapshot time, so it must
+   be safe to call from the sampler domain. *)
+let gauge_fn ?engine ?unit_ name description f =
+  register ?engine ?unit_ ~sample:f Gauge name description
+
 let _heap_words =
   gauge_fn ~engine:"process" ~unit_:"words" "process.heap_words"
     "major heap size in words (Gc.quick_stat)" (fun () ->

@@ -1,6 +1,6 @@
 (** Process-global typed metrics registry.
 
-    Counters, gauges and histograms are registered once, at module
+    Counters and gauges are registered once, at module
     initialization, with name/kind/unit/engine/description metadata.
     Registering the same name twice is a hard error ([Invalid_argument]):
     the registry doubles as the authoritative metric catalog behind
@@ -16,19 +16,15 @@
     main domain through the deterministic [Par_merge] order, keeping
     totals bit-identical at any job count. *)
 
-type kind = Counter | Gauge | Histogram
+type kind = Counter | Gauge
 
 val kind_to_string : kind -> string
 val kind_of_string : string -> kind option
 
-(** Aggregate view of a histogram's observations. Min/max are 0 while
-    the histogram is empty. *)
-type hstats = { h_count : int; h_sum : int; h_min : int; h_max : int }
-
 type t
-(** A registered metric handle. Obtain one via {!counter} / {!gauge} /
-    {!gauge_fn} / {!histogram} at module-initialization time and keep
-    it; bumping through the handle is a single atomic op. *)
+(** A registered metric handle. Obtain one via {!counter} / {!gauge}
+    at module-initialization time and keep it; bumping through the
+    handle is a single atomic op. *)
 
 (** {1 Registration} *)
 
@@ -39,14 +35,6 @@ val counter : ?engine:string -> ?unit_:string -> string -> string -> t
 
 val gauge : ?engine:string -> ?unit_:string -> string -> string -> t
 (** A settable point-in-time value. *)
-
-val gauge_fn :
-  ?engine:string -> ?unit_:string -> string -> string -> (unit -> int) -> t
-(** A callback gauge: the function is invoked at snapshot time (e.g.
-    GC statistics). It must be safe to call from the sampler domain. *)
-
-val histogram : ?engine:string -> ?unit_:string -> string -> string -> t
-(** Records count/sum/min/max of observed values. *)
 
 (** {1 Metadata} *)
 
@@ -75,20 +63,14 @@ val set_max : t -> int -> unit
     from any domain; used for high-water marks like peak heap and
     table load factors, which must never depend on write order. *)
 
-val observe : t -> int -> unit
-(** Histogram only. *)
-
 (** {1 Reads} *)
 
 val value : t -> int
-(** Current counter total or gauge value (callback gauges invoke their
-    sampler). Histogram: number of observations is in {!hist}. *)
-
-val hist : t -> hstats
+(** Current counter total or gauge value (the process GC gauges sample
+    on read). *)
 
 val counters_now : unit -> (string * int) list
 val gauges_now : unit -> (string * int) list
-val hists_now : unit -> (string * hstats) list
 (** Sorted-by-name snapshots of every metric of the given kind. *)
 
 type snapshot

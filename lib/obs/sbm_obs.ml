@@ -5,7 +5,7 @@ module Status = Status
 module Ledger = Ledger
 module Fingerprint = Fingerprint
 module Span_stack = Span_stack
-module Json_out = Json_out
+module Json = Json
 
 let monotonic_ns () = Span_stack.monotonic_ns ()
 
@@ -54,10 +54,6 @@ let bump _span m n = Metrics.add m n
 
 (* --- pass spans --- *)
 
-let m_pass_ms =
-  Metrics.histogram ~engine:"flow" ~unit_:"ms" "flow.pass_ms"
-    "wall time of scripted flow passes"
-
 let observing () =
   Ledger.enabled () || Fingerprint.enabled () || Watchdog.enabled ()
   || Flight_recorder.enabled () || Status.active ()
@@ -79,8 +75,6 @@ let close_pass ~size ~depth ?(dead_node_pct = 0) ?(structure = fun () -> 0L)
   | Noop -> ()
   | Span f ->
     Metrics.set Metrics.live_aig_nodes size;
-    Metrics.observe m_pass_ms
-      (Int64.to_int (Int64.div (Int64.sub (monotonic_ns ()) f.t0) 1_000_000L));
     Metrics.set_max Metrics.peak_heap_words (Gc.quick_stat ()).Gc.heap_words;
     (* Trail record before the span stops: its chain value rides on the
        ledger row, and the record's own counter lands in the pass's
@@ -220,7 +214,7 @@ let total trace name =
 
 (* --- value distributions --- *)
 
-let ms_of_ns ns = Int64.to_float ns /. 1e6
+let ms_of_ns = Json.ms_of_ns
 
 type dist = {
   count : int;
@@ -304,7 +298,7 @@ let pp ppf trace =
   in
   List.iter (go 0) (spans trace)
 
-let esc = Json_out.escape
+let esc = Json.escape
 
 let buf_span_fields b n =
   Buffer.add_string b (Printf.sprintf "\"wall_ms\":%.6f" (ms_of_ns n.wall_ns));
@@ -324,33 +318,8 @@ let buf_span_fields b n =
        n.gc.major_collections);
   if n.counters <> [] then begin
     Buffer.add_string b ",\"counters\":";
-    Json_out.buf_counters b n.counters
+    Json.buf_counters b n.counters
   end
-
-(* The one event and verdict serializers, shared by the trace document
-   and the post-mortem dump. [t0] adds the absolute clock reading. *)
-let buf_event ?t0 b (e : Flight_recorder.event) =
-  Buffer.add_string b
-    (Printf.sprintf "{\"seq\":%d,\"t_ms\":%.3f" e.seq (ms_of_ns e.t_ns));
-  Option.iter
-    (fun t0 ->
-      Buffer.add_string b (Printf.sprintf ",\"t_ns\":%Ld" (Int64.add t0 e.t_ns)))
-    t0;
-  Buffer.add_string b
-    (Printf.sprintf
-       ",\"severity\":\"%s\",\"engine\":\"%s\",\"id\":\"%s\",\"message\":\"%s\",\"metrics\":"
-       (Flight_recorder.severity_to_string e.severity)
-       (esc e.engine) (esc e.id) (esc e.message));
-  Json_out.buf_counters b e.metrics;
-  Buffer.add_char b '}'
-
-let buf_verdict b (v : Watchdog.verdict) =
-  Buffer.add_string b
-    (Printf.sprintf
-       "{\"rule\":\"%s\",\"detail\":\"%s\",\"action\":\"%s\",\"t_ms\":%.3f}"
-       (esc v.rule) (esc v.detail)
-       (match v.action with Watchdog.Note -> "note" | Watchdog.Abort -> "abort")
-       (ms_of_ns v.t_ns))
 
 let to_json trace =
   let b = Buffer.create 4096 in
@@ -358,13 +327,13 @@ let to_json trace =
     Buffer.add_string b (Printf.sprintf "{\"name\":\"%s\"," (esc n.name));
     buf_span_fields b n;
     Buffer.add_string b ",\"children\":";
-    Json_out.buf_list b go n.children;
+    Json.buf_list b go n.children;
     Buffer.add_char b '}'
   in
   Buffer.add_string b "{\"version\":2,\"totals\":";
-  Json_out.buf_counters b (totals trace);
+  Json.buf_counters b (totals trace);
   Buffer.add_string b ",\"histograms\":";
-  Json_out.buf_obj b
+  Json.buf_obj b
     (fun b d ->
       Buffer.add_string b
         (Printf.sprintf
@@ -372,7 +341,7 @@ let to_json trace =
            d.count d.total_ms d.p50_ms d.p90_ms d.max_ms))
     (histograms trace);
   Buffer.add_string b ",\"spans\":";
-  Json_out.buf_list b go (spans trace);
+  Json.buf_list b go (spans trace);
   (* Additive live-telemetry payloads (trace version stays 2: readers
      that only know "spans" ignore these keys). Emitted only when the
      corresponding subsystem ran, so plain traces are unchanged. *)
@@ -380,13 +349,14 @@ let to_json trace =
     | [] -> ()
     | l ->
       Buffer.add_string b (Printf.sprintf ",\"%s\":" key);
-      Json_out.buf_list b f l
+      Json.buf_list b f l
   in
   optional "samples"
     (fun b s -> Buffer.add_string b (Status.sample_to_json s))
     (Status.samples ());
-  optional "events" (buf_event ?t0:None) (Flight_recorder.events ());
-  optional "verdicts" buf_verdict (Watchdog.verdicts ());
+  optional "events" (Flight_recorder.buf_event ?t0:None)
+    (Flight_recorder.events ());
+  optional "verdicts" Watchdog.buf_verdict (Watchdog.verdicts ());
   Buffer.add_char b '}';
   Buffer.contents b
 
@@ -488,11 +458,16 @@ module Snapshot = struct
      unknown members, matching the trace-v2 precedent. *)
   let passes_version = 1
 
+  let by_bench a b = String.compare a.bench b.bench
+
+  (* [wall_ms] is rounded to the microsecond the document holds, so a
+     made snapshot equals the one [of_json] reads back. *)
   let make ?(label = "") ?(seed = 0) entries =
     let entries =
-      List.sort (fun a b -> String.compare a.bench b.bench) entries
+      List.map (fun e -> { e with wall_ms = Json.written_ms e.wall_ms }) entries
     in
-    { version = current_version; label; seed; entries }
+    { version = current_version; label; seed;
+      entries = List.sort by_bench entries }
 
   let find t bench = List.find_opt (fun e -> e.bench = bench) t.entries
 
@@ -506,7 +481,7 @@ module Snapshot = struct
     Buffer.add_string b
       (Printf.sprintf ",\"label\":\"%s\",\"seed\":%d,\"entries\":"
          (esc t.label) t.seed);
-    Json_out.buf_list b
+    Json.buf_list b
       (fun b e ->
         Buffer.add_string b
           (Printf.sprintf "{\"bench\":\"%s\"" (esc e.bench));
@@ -520,7 +495,7 @@ module Snapshot = struct
           (Printf.sprintf
              ",\"size\":%d,\"depth\":%d,\"luts\":%d,\"levels\":%d,\"wall_ms\":%.3f,\"counters\":"
              e.qor.size e.qor.depth e.qor.luts e.qor.levels e.wall_ms);
-        Json_out.buf_counters b e.counters;
+        Json.buf_counters b e.counters;
         if e.passes <> [] then begin
           Buffer.add_string b ",\"passes\":";
           Buffer.add_string b (Ledger.rows_to_json e.passes)
@@ -537,6 +512,57 @@ module Snapshot = struct
       (fun () ->
         output_string oc (to_json t);
         output_char oc '\n')
+
+  (* Additive keys read as their "unrecorded" value when absent:
+     size_before -1, passes []. *)
+  let entry_of_json j =
+    let int key = Json.(to_int (member key j)) in
+    match
+      ( Json.(to_str (member "bench" j)),
+        int "size", int "depth", int "luts", int "levels" )
+    with
+    | None, _, _, _, _ -> Error "entry without \"bench\""
+    | Some bench, Some size, Some depth, Some luts, Some levels ->
+      Ok
+        {
+          bench;
+          size_before = Json.int ~default:(-1) "size_before" j;
+          qor = { size; depth; luts; levels };
+          wall_ms = Json.num "wall_ms" j;
+          counters = Json.counters "counters" j;
+          passes =
+            List.map Ledger.row_of_json (Json.to_list (Json.member "passes" j));
+        }
+    | Some bench, _, _, _, _ ->
+      Error (Printf.sprintf "entry %S: missing QoR field" bench)
+
+  let of_json_value json =
+    match Json.(to_int (member "version" json)) with
+    | None -> Error "not a snapshot: missing \"version\""
+    | Some v when v > current_version ->
+      Error
+        (Printf.sprintf "snapshot version %d is newer than supported (%d)" v
+           current_version)
+    | Some version ->
+      let rec entries acc = function
+        | [] -> Ok (List.sort by_bench (List.rev acc))
+        | j :: rest ->
+          Result.bind (entry_of_json j) (fun e -> entries (e :: acc) rest)
+      in
+      Result.map
+        (fun entries ->
+          { version; label = Json.str "label" json;
+            seed = Json.int "seed" json; entries })
+        (entries [] (Json.to_list (Json.member "entries" json)))
+
+  let of_json s =
+    match Json.parse s with
+    | exception Json.Bad msg -> Error ("malformed JSON: " ^ msg)
+    | json -> of_json_value json
+
+  let load path =
+    Result.bind (Json.read_source path) (fun s ->
+        Result.map_error (fun msg -> path ^ ": " ^ msg) (of_json s))
 end
 
 (* --- crash-dump post-mortems --- *)
@@ -552,41 +578,123 @@ module Postmortem = struct
     (match dir with Some d -> setup.dir <- d | None -> ());
     match trace with Some t -> setup.trace <- Some t | None -> ()
 
-  let to_json ~reason () =
+  type frame = { name : string; opened_ms : float }
+
+  type dump = {
+    version : int;
+    reason : string;
+    pid : int;
+    elapsed_ms : float;
+    t0_ns : int64 option;
+    span_stack : frame list;
+    verdicts : Watchdog.verdict list;
+    counters : (string * int) list;
+    recorded : int;
+    dropped : int;
+    events : Flight_recorder.event list;
+  }
+
+  (* Times are rounded to what the document holds, so the captured
+     record equals the one [of_json] reads back. Event offsets keep
+     their nanoseconds: the absolute [t_ns] each event carries restores
+     them exactly. *)
+  let capture ~reason () =
+    let t0 = Flight_recorder.t0_ns () in
+    let ms ns = Json.written_ms (ms_of_ns ns) in
+    {
+      version = current_version;
+      reason;
+      pid = Unix.getpid ();
+      elapsed_ms = ms (Flight_recorder.elapsed_ns ());
+      t0_ns = Some t0;
+      (* Open spans, outermost first: the path from the flow root down
+         to wherever the run died. *)
+      span_stack =
+        List.rev_map
+          (fun (f : Span_stack.frame) ->
+            { name = f.name; opened_ms = ms (Int64.sub f.t0 t0) })
+          (Span_stack.frames ());
+      verdicts =
+        List.map
+          (fun (v : Watchdog.verdict) ->
+            { v with t_ns = Json.ns_of_ms (ms v.t_ns) })
+          (Watchdog.verdicts ());
+      counters = (match setup.trace with Some t -> totals t | None -> []);
+      recorded = Flight_recorder.recorded ();
+      dropped = Flight_recorder.dropped ();
+      events = Flight_recorder.events ();
+    }
+
+  let to_json d =
     let b = Buffer.create 4096 in
     Buffer.add_string b
-      (Printf.sprintf "{\"version\":%d,\"reason\":\"%s\",\"pid\":%d"
-         current_version (esc reason) (Unix.getpid ()));
-    Buffer.add_string b
-      (Printf.sprintf ",\"elapsed_ms\":%.3f"
-         (ms_of_ns (Flight_recorder.elapsed_ns ())));
+      (Printf.sprintf
+         "{\"version\":%d,\"reason\":\"%s\",\"pid\":%d,\"elapsed_ms\":%.3f"
+         d.version (esc d.reason) d.pid d.elapsed_ms);
     (* Absolute monotonic origin of the run: event [t_ms] values are
        relative to it; [t_ns = t0_ns + t_ms*1e6] recovers absolute
        clock readings for cross-process correlation ([--abs]). *)
-    Buffer.add_string b
-      (Printf.sprintf ",\"t0_ns\":%Ld" (Flight_recorder.t0_ns ()));
-    (* Open spans, outermost first: the path from the flow root down
-       to wherever the run died. *)
+    Option.iter
+      (fun t0 -> Buffer.add_string b (Printf.sprintf ",\"t0_ns\":%Ld" t0))
+      d.t0_ns;
     Buffer.add_string b ",\"span_stack\":";
-    Json_out.buf_list b
-      (fun b (f : Span_stack.frame) ->
+    Json.buf_list b
+      (fun b f ->
         Buffer.add_string b
-          (Printf.sprintf "{\"name\":\"%s\",\"opened_ms\":%.3f}"
-             (esc f.name)
-             (ms_of_ns (Int64.sub f.t0 (Flight_recorder.t0_ns ())))))
-      (List.rev (Span_stack.frames ()));
+          (Printf.sprintf "{\"name\":\"%s\",\"opened_ms\":%.3f}" (esc f.name)
+             f.opened_ms))
+      d.span_stack;
     Buffer.add_string b ",\"watchdog\":";
-    Json_out.buf_list b buf_verdict (Watchdog.verdicts ());
+    Json.buf_list b Watchdog.buf_verdict d.verdicts;
     Buffer.add_string b ",\"counters\":";
-    Json_out.buf_counters b (match setup.trace with Some t -> totals t | None -> []);
+    Json.buf_counters b d.counters;
     Buffer.add_string b
-      (Printf.sprintf ",\"recorded\":%d,\"dropped\":%d,\"events\":"
-         (Flight_recorder.recorded ()) (Flight_recorder.dropped ()));
-    Json_out.buf_list b
-      (buf_event ~t0:(Flight_recorder.t0_ns ()))
-      (Flight_recorder.events ());
+      (Printf.sprintf ",\"recorded\":%d,\"dropped\":%d,\"events\":" d.recorded
+         d.dropped);
+    Json.buf_list b (Flight_recorder.buf_event ?t0:d.t0_ns) d.events;
     Buffer.add_char b '}';
     Buffer.contents b
+
+  let of_json s =
+    match String.trim s with
+    | "" -> Error "empty input"
+    | s -> (
+      match Json.parse s with
+      | exception Json.Bad msg -> Error ("malformed JSON: " ^ msg)
+      | j -> (
+        match Json.(to_int (member "version" j)) with
+        | None -> Error "not a post-mortem dump: missing \"version\""
+        | Some v when v > current_version ->
+          Error
+            (Printf.sprintf "unsupported dump version %d (this sbm reads <= %d)" v
+               current_version)
+        | Some version ->
+          let t0_ns =
+            Option.map Int64.of_float Json.(to_float (member "t0_ns" j))
+          in
+          let list key f = List.map f (Json.to_list (Json.member key j)) in
+          Ok
+            {
+              version;
+              reason = Json.str ~default:"?" "reason" j;
+              pid = Json.int "pid" j;
+              elapsed_ms = Json.num "elapsed_ms" j;
+              t0_ns;
+              span_stack =
+                list "span_stack" (fun f ->
+                    { name = Json.str ~default:"?" "name" f;
+                      opened_ms = Json.num "opened_ms" f });
+              verdicts = list "watchdog" Watchdog.verdict_of_json;
+              counters = Json.counters "counters" j;
+              recorded = Json.int "recorded" j;
+              dropped = Json.int "dropped" j;
+              events = list "events" (Flight_recorder.event_of_json ?t0:t0_ns);
+            }))
+
+  let load path =
+    Result.bind (Json.read_source path) (fun s ->
+        let label = if path = "-" then "stdin" else path in
+        Result.map_error (fun msg -> label ^ ": " ^ msg) (of_json s))
 
   let path () =
     Filename.concat setup.dir
@@ -600,7 +708,7 @@ module Postmortem = struct
       Fun.protect
         ~finally:(fun () -> close_out oc)
         (fun () ->
-          output_string oc (to_json ~reason ());
+          output_string oc (to_json (capture ~reason ()));
           output_char oc '\n');
       Ok file
 

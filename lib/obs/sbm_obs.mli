@@ -34,8 +34,8 @@ module Watchdog = Watchdog
     {!Watchdog}. *)
 
 module Metrics = Metrics
-(** Process-global typed metrics registry (counters/gauges/histograms
-    with name/kind/unit/engine/description metadata); see {!Metrics}.
+(** Process-global typed metrics registry (counters and gauges with
+    name/kind/unit/engine/description metadata); see {!Metrics}.
     It is the only counter store: spans report registry deltas. *)
 
 module Status = Status
@@ -55,8 +55,8 @@ module Fingerprint = Fingerprint
 module Span_stack = Span_stack
 (** The one process-global stack of open spans; see {!Span_stack}. *)
 
-module Json_out = Json_out
-(** The JSON writer every emitter shares; see {!Json_out}. *)
+module Json = Json
+(** The one JSON parser and writer; see {!Json}. *)
 
 type trace
 (** A collector of closed spans. *)
@@ -111,7 +111,7 @@ val bump : span -> Metrics.t -> int -> unit
     consumers hang off these two calls: the flight recorder's pass
     events, the audit-trail record, the ledger row, the watchdog's
     abort reset and the pass gauges ([process.live_aig_nodes],
-    [flow.pass_ms], [process.peak_heap_words]). *)
+    [process.peak_heap_words]). *)
 
 (** [observing ()] is whether a pass-boundary consumer is on (ledger,
     audit trail, watchdog, flight recorder or status sampler). A flow
@@ -297,7 +297,8 @@ module Snapshot : sig
   val passes_version : int
 
   (** [make ?label ?seed entries] is a current-version snapshot with
-      entries sorted by benchmark name. *)
+      entries sorted by benchmark name and [wall_ms] rounded to the
+      microsecond {!to_json} writes. *)
   val make : ?label:string -> ?seed:int -> entry list -> t
 
   val find : t -> string -> entry option
@@ -310,6 +311,19 @@ module Snapshot : sig
 
   (** [write t path] writes {!to_json} plus a trailing newline. *)
   val write : t -> string -> unit
+
+  (** [of_json s] parses a snapshot document. Accepts any
+      [version <= current_version] (missing optional fields default:
+      [label ""], [seed 0], [size_before -1], [passes []]); rejects
+      documents from the future or with malformed entries. *)
+  val of_json : string -> (t, string) result
+
+  (** [of_json_value j] parses an already-parsed document (a snapshot
+      nested in a history record). *)
+  val of_json_value : Json.t -> (t, string) result
+
+  (** [load path] reads and parses a snapshot file ([-] for stdin). *)
+  val load : string -> (t, string) result
 end
 
 (** {1 Crash-dump post-mortems}
@@ -332,20 +346,53 @@ module Postmortem : sig
       reports. Unset arguments keep their previous value. *)
   val configure : ?dir:string -> ?trace:trace -> unit -> unit
 
+  (** One open span at the instant of death. *)
+  type frame = { name : string; opened_ms : float  (** since [t0_ns] *) }
+
+  type dump = {
+    version : int;
+    reason : string;
+    pid : int;
+    elapsed_ms : float;
+    t0_ns : int64 option;
+        (** absolute monotonic clock at recorder start; [None] in dumps
+            that predate it *)
+    span_stack : frame list;  (** outermost first *)
+    verdicts : Watchdog.verdict list;
+    counters : (string * int) list;  (** the attached trace's totals *)
+    recorded : int;  (** events ever recorded, including overwritten ones *)
+    dropped : int;  (** recorded events the ring no longer holds *)
+    events : Flight_recorder.event list;  (** oldest first *)
+  }
+
+  (** [capture ~reason ()] freezes the black box. Times are rounded to
+      the microsecond the document holds (event offsets keep their
+      nanoseconds, which [t_ns] carries), so
+      [of_json (to_json d) = Ok d]. *)
+  val capture : reason:string -> unit -> dump
+
   (** The single-line JSON post-mortem document:
       [{"version":1,"reason":...,"pid":...,"elapsed_ms":...,"t0_ns":...,
       "span_stack":[{"name":...,"opened_ms":...}],
       "watchdog":[{"rule":...,"detail":...,"action":...,"t_ms":...}],
       "counters":{...},"recorded":N,"dropped":N,"events":[...]}].
-      [t0_ns] is the absolute monotonic enable time; each event
-      carries both run-relative [t_ms] and absolute [t_ns]. *)
-  val to_json : reason:string -> unit -> string
+      Each event carries run-relative [t_ms] and, when [t0_ns] is
+      known, absolute [t_ns]. *)
+  val to_json : dump -> string
+
+  (** Inverse of {!to_json}. [Error]s are one-line: empty input,
+      malformed/truncated JSON, missing version, or a version newer
+      than {!current_version}. *)
+  val of_json : string -> (dump, string) result
+
+  (** [load path] reads and parses a dump file; ["-"] reads stdin. *)
+  val load : string -> (dump, string) result
 
   (** [path ()] is where {!dump} writes:
       [<dir>/sbm-crash-<pid>.json]. *)
   val path : unit -> string
 
-  (** [dump ~reason ()] writes {!to_json} to {!path}. *)
+  (** [dump ~reason ()] writes the {!capture} to {!path}. *)
   val dump : reason:string -> unit -> (string, string) result
 
   (** {!dump} plus a one-line stderr notice (both outcomes). *)

@@ -15,7 +15,6 @@ type sample = {
   pass : string; (* open-span path, outermost first, ">"-joined *)
   counters : (string * int) list;
   gauges : (string * int) list;
-  hists : (string * Metrics.hstats) list;
   verdicts : int;
   abort : bool;
   finished : bool;
@@ -27,28 +26,42 @@ let max_history = 600
 
 let add_pairs b key pairs =
   Buffer.add_string b (Printf.sprintf ",\"%s\":" key);
-  Json_out.buf_counters b pairs
+  Json.buf_counters b pairs
 
 let sample_to_json s =
   let b = Buffer.create 512 in
   Buffer.add_string b
     (Printf.sprintf "{\"seq\":%d,\"t_ms\":%.3f,\"pass\":\"%s\"" s.seq s.t_ms
-       (Json_out.escape s.pass));
+       (Json.escape s.pass));
   add_pairs b "counters" s.counters;
   add_pairs b "gauges" s.gauges;
-  if s.hists <> [] then begin
-    Buffer.add_string b ",\"hists\":";
-    Json_out.buf_obj b
-      (fun b (h : Metrics.hstats) ->
-        Buffer.add_string b
-          (Printf.sprintf "{\"count\":%d,\"sum\":%d,\"min\":%d,\"max\":%d}"
-             h.h_count h.h_sum h.h_min h.h_max))
-      s.hists
-  end;
   Buffer.add_string b
     (Printf.sprintf ",\"verdicts\":%d,\"abort\":%b,\"finished\":%b}" s.verdicts
        s.abort s.finished);
   Buffer.contents b
+
+let sample_of_json j =
+  {
+    seq = Json.int "seq" j;
+    t_ms = Json.num "t_ms" j;
+    pass = Json.str "pass" j;
+    counters = Json.counters "counters" j;
+    gauges = Json.counters "gauges" j;
+    verdicts = Json.int "verdicts" j;
+    abort = Json.flag "abort" j;
+    finished = Json.flag "finished" j;
+  }
+
+(* Lines that fail to parse are skipped ([Json.load_lines]): the
+   atomic-rename protocol makes torn lines impossible from the sampler
+   itself, but a reader racing a rewriting writer (NFS, a copied file)
+   can still see a truncated final line, and an unrelated file should
+   degrade, not crash. *)
+let load path =
+  match Json.load_lines path with
+  | Error _ as e -> e
+  | Ok [] -> Error (path ^ ": no samples")
+  | Ok js -> Ok (List.map sample_of_json js)
 
 (* --- sampler state --- *)
 
@@ -67,7 +80,7 @@ let current : st option ref = ref None
 
 let take_sample st ~finished =
   let t_ms =
-    Int64.to_float (Int64.sub (Span_stack.monotonic_ns ()) st.t0) /. 1_000_000.
+    Json.written_ms (Json.ms_of_ns (Int64.sub (Span_stack.monotonic_ns ()) st.t0))
   in
   let pass = String.concat ">" (Span_stack.names ()) in
   let s =
@@ -77,7 +90,6 @@ let take_sample st ~finished =
       pass;
       counters = Metrics.counters_now ();
       gauges = Metrics.gauges_now ();
-      hists = Metrics.hists_now ();
       verdicts = List.length (Watchdog.verdicts ());
       abort = Watchdog.abort_requested ();
       finished;

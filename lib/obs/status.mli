@@ -7,21 +7,18 @@
     atomic rename so an external reader ([sbm top]) never observes a
     torn snapshot.
 
-    Sample line schema (all keys always present except ["hists"],
-    omitted when no histogram is registered):
+    Sample line schema (all keys always present):
     {v
     {"seq":N,"t_ms":F,"pass":"flow>pass","counters":{...},
-     "gauges":{...},"hists":{"n":{"count":..,"sum":..,"min":..,"max":..}},
-     "verdicts":N,"abort":B,"finished":B}
+     "gauges":{...},"verdicts":N,"abort":B,"finished":B}
     v} *)
 
 type sample = {
   seq : int;
-  t_ms : float;  (** since {!start} *)
+  t_ms : float;  (** since {!start}, to the microsecond *)
   pass : string;  (** open-span path, outermost first, [">"]-joined *)
   counters : (string * int) list;
   gauges : (string * int) list;
-  hists : (string * Metrics.hstats) list;
   verdicts : int;
   abort : bool;
   finished : bool;
@@ -29,6 +26,15 @@ type sample = {
 
 val sample_to_json : sample -> string
 (** One status-file line (no trailing newline). *)
+
+val sample_of_json : Json.t -> sample
+(** Inverse of {!sample_to_json}; missing members read as 0, [""] or
+    [false]. *)
+
+val load : string -> (sample list, string) result
+(** Parse a status file, oldest first, skipping unparsable (torn)
+    lines. [Error] when the file is unreadable or holds no parsable
+    sample. *)
 
 val active : unit -> bool
 

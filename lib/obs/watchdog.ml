@@ -21,6 +21,8 @@ let default_config =
     action = Note;
   }
 
+let action_to_string = function Note -> "note" | Abort -> "abort"
+
 type verdict = { rule : string; detail : string; action : action; t_ns : int64 }
 
 type state = {
@@ -92,7 +94,7 @@ let fire (config : config) rule detail =
   FR.record ~severity:Warn ~engine:"watchdog" ~id:rule detail;
   if config.action = Abort then Atomic.set st.abort true
 
-let ms_of_ns ns = Int64.to_float ns /. 1e6
+let ms_of_ns = Json.ms_of_ns
 
 let note_partition ~engine ~bails =
   match st.config with
@@ -194,3 +196,22 @@ let poll () =
         end
       end);
     heartbeat config now
+
+(* --- JSON: the one verdict serializer, shared by the trace document
+   and the post-mortem dump --- *)
+
+let buf_verdict b v =
+  Buffer.add_string b
+    (Printf.sprintf
+       "{\"rule\":\"%s\",\"detail\":\"%s\",\"action\":\"%s\",\"t_ms\":%.3f}"
+       (Json.escape v.rule) (Json.escape v.detail)
+       (action_to_string v.action)
+       (ms_of_ns v.t_ns))
+
+let verdict_of_json j =
+  {
+    rule = Json.str ~default:"?" "rule" j;
+    detail = Json.str "detail" j;
+    action = (if Json.str "action" j = "abort" then Abort else Note);
+    t_ns = Json.ns_of_ms (Json.num "t_ms" j);
+  }

@@ -29,6 +29,9 @@
 
 type action = Note | Abort
 
+val action_to_string : action -> string
+(** ["note"] or ["abort"]. *)
+
 type config = {
   pass_deadline_ms : float option;
   max_bail_streak : int option;
@@ -95,3 +98,13 @@ val force_tty : bool option ref
 
 val beats : unit -> int
 (** Heartbeat lines printed since {!arm}. *)
+
+(** {1 JSON} *)
+
+val buf_verdict : Buffer.t -> verdict -> unit
+(** One verdict as a JSON object:
+    [{"rule":S,"detail":S,"action":"note"|"abort","t_ms":F}]. *)
+
+val verdict_of_json : Json.t -> verdict
+(** Inverse of {!buf_verdict}, [t_ns] to the microsecond [t_ms]
+    carries. *)

@@ -115,7 +115,7 @@ let pp ppf t =
 let row_to_json r =
   Printf.sprintf
     "{\"pass\":\"%s\",\"kind\":\"%s\",\"created\":%d,\"live\":%d,\"live_pct\":%.3f,\"luts\":%d,\"lut_pct\":%.3f}"
-    (Sbm_obs.Json_out.escape r.pass)
+    (Json.escape r.pass)
     (Aig.Origin.kind_to_string r.kind)
     r.created r.live r.live_pct r.luts r.lut_pct
 

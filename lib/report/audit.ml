@@ -14,48 +14,6 @@
 
 module FP = Sbm_obs.Fingerprint
 
-(* --- loading --- *)
-
-let record_of_value j : FP.record option =
-  let hex f =
-    match Json.(to_str (member f j)) with
-    | None -> Some 0L
-    | Some s -> Int64.of_string_opt ("0x" ^ s)
-  in
-  match
-    ( Json.(to_int (member "seq" j)),
-      Option.bind Json.(to_str (member "kind" j)) FP.kind_of_string,
-      Json.(to_str (member "label" j)),
-      hex "structure", hex "counters", hex "bank", hex "seeds", hex "chain" )
-  with
-  | ( Some seq, Some kind, Some label,
-      Some structure, Some counters_digest, Some bank, Some seeds,
-      Some chain ) ->
-    let counters =
-      match Json.member "counter_values" j with
-      | None -> []
-      | Some v ->
-        Json.to_obj (Some v)
-        |> List.filter_map (fun (k, v) ->
-               match Json.to_int (Some v) with
-               | Some n -> Some (k, n)
-               | None -> None)
-    in
-    Some
-      { FP.seq; kind; label; structure; counters_digest; bank; seeds;
-        chain; counters }
-  | _ -> None
-
-let record_of_json line =
-  match Json.parse line with
-  | exception Json.Bad _ -> None
-  | j -> record_of_value j
-
-(* Append-only stream: a run that died mid-write leaves a torn final
-   line, which [Json.load_lines] skips. *)
-let load path =
-  Result.map (List.filter_map record_of_value) (Json.load_lines path)
-
 (* --- alignment --- *)
 
 type component = Label | Structure | Counters | Bank | Seeds

@@ -1,6 +1,6 @@
 (** Divergence auditor over determinism audit trails ([sbm audit]).
 
-    Aligns two fingerprint trails ({!Sbm_obs.Fingerprint} JSONL
+    Aligns two fingerprint trails ({!Sbm_obs.Fingerprint.load}ed JSONL
     streams or in-process record lists) positionally and reports the
     {e first} record where any deterministic component differs —
     because each record's chain commits to the whole prefix, that
@@ -8,13 +8,6 @@
     where the two runs' states disagreed. The drill-down names the
     diverging components (structure vs counters vs bank vs seeds) and,
     when the counter vectors are present, the individual counters. *)
-
-val record_of_json : string -> Sbm_obs.Fingerprint.record option
-(** Parse one JSONL line; [None] on malformed input. *)
-
-val load : string -> (Sbm_obs.Fingerprint.record list, string) result
-(** Read a trail file, skipping unparsable (e.g. torn) lines.
-    [Error] only for an unreadable file. *)
 
 type component = Label | Structure | Counters | Bank | Seeds
 

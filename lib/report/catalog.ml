@@ -32,10 +32,10 @@ let to_text () =
   Buffer.contents b
 
 let to_json () =
-  let esc = Sbm_obs.Json_out.escape in
+  let esc = Json.escape in
   let b = Buffer.create 4096 in
   Buffer.add_string b "{\"version\":1,\"metrics\":";
-  Sbm_obs.Json_out.buf_list b
+  Json.buf_list b
     (fun b m ->
       let n, k, u, e, d = row m in
       Buffer.add_string b

@@ -7,7 +7,9 @@
    - every live-telemetry sample ("samples", written when the run had
      `--status`) becomes one "C" counter event per counter and gauge;
    - every flight-recorder event ("events") and watchdog verdict
-     ("verdicts") becomes an "i" instant event.
+     ("verdicts") becomes an "i" instant event, read through the
+     producers' own readers; a verdict's recorder event is not drawn
+     twice.
 
    v2 spans store durations, not start times (the telemetry layer
    records wall_ms per span), so start timestamps are synthesized:
@@ -17,7 +19,11 @@
    untraced slack between siblings — which Perfetto shows as idle
    space inside the parent, exactly where it was. *)
 
-let escape = Sbm_obs.Json_out.escape
+module FR = Sbm_obs.Flight_recorder
+module Status = Sbm_obs.Status
+module Wd = Sbm_obs.Watchdog
+
+let escape = Json.escape
 
 (* One emitted trace event. [ts] is microseconds, the format's native
    unit. *)
@@ -40,20 +46,14 @@ let event b ~first ~ph ~name ~ts ?dur ?(pid = 1) ?(tid = 1) ?scope ?args () =
   | None -> ());
   Buffer.add_char b '}'
 
-(* The numeric members of object [key] of [j], in document order. *)
-let num_fields key j =
-  match Json.member key j with
-  | Some (Json.Obj fields) ->
-    List.filter_map
-      (fun (k, v) -> match v with Json.Num n -> Some (k, n) | _ -> None)
-      fields
-  | _ -> []
-
 (* An args object from already-rendered member values. *)
 let args_of pairs =
   Printf.sprintf "{%s}"
     (String.concat ","
        (List.map (fun (k, v) -> Printf.sprintf "\"%s\":%s" (escape k) v) pairs))
+
+let number n = Printf.sprintf "%g" (float_of_int n)
+let quoted s = Printf.sprintf "\"%s\"" (escape s)
 
 let span_args j =
   let sizes =
@@ -64,7 +64,7 @@ let span_args j =
       [ "size_before"; "size_after"; "depth_before"; "depth_after" ]
   in
   let counters =
-    List.map (fun (k, n) -> (k, Printf.sprintf "%g" n)) (num_fields "counters" j)
+    List.map (fun (k, n) -> (k, number n)) (Json.counters "counters" j)
   in
   match sizes @ counters with [] -> None | pairs -> Some (args_of pairs)
 
@@ -73,12 +73,7 @@ let span_args j =
    per-span start time). Returns this span's end, so the caller can
    place the next sibling after it. *)
 let rec emit_span b ~first ~t0 j =
-  let wall_ms =
-    Option.value ~default:0.0 (Json.to_float (Json.member "wall_ms" j))
-  in
-  let name =
-    Option.value ~default:"?" (Json.to_str (Json.member "name" j))
-  in
+  let name = Json.str ~default:"?" "name" j in
   event b ~first:!first ~ph:"B" ~name ~ts:(t0 *. 1000.)
     ?args:(span_args j) ();
   first := false;
@@ -86,81 +81,53 @@ let rec emit_span b ~first ~t0 j =
   List.iter
     (fun c -> child_t := emit_span b ~first ~t0:!child_t c)
     (Json.to_list (Json.member "children" j));
-  let t1 = t0 +. wall_ms in
+  let t1 = t0 +. Json.num "wall_ms" j in
   event b ~first:false ~ph:"E" ~name ~ts:(t1 *. 1000.) ();
   t1
 
 (* Counter series from the status-sampler history: one C event per
    counter/gauge per sample, named by the metric. Perfetto renders
    each name as its own counter track. *)
-let emit_samples b ~first samples =
+let emit_samples b ~first (samples : Status.sample list) =
   List.iter
-    (fun s ->
-      let t_ms =
-        Option.value ~default:0.0 (Json.to_float (Json.member "t_ms" s))
-      in
-      let series key =
-        List.iter
-          (fun (k, n) ->
-            event b ~first:!first ~ph:"C" ~name:k ~ts:(t_ms *. 1000.)
-              ~args:(Printf.sprintf "{\"value\":%g}" n)
-              ();
-            first := false)
-          (num_fields key s)
-      in
-      series "counters";
-      series "gauges")
+    (fun (s : Status.sample) ->
+      List.iter
+        (fun (k, n) ->
+          event b ~first:!first ~ph:"C" ~name:k ~ts:(s.t_ms *. 1000.)
+            ~args:(args_of [ ("value", number n) ])
+            ();
+          first := false)
+        (s.counters @ s.gauges))
     samples
 
-let metric_args ?(extra = []) j =
-  args_of
-    (extra
-    @ List.map (fun (k, n) -> (k, Printf.sprintf "%g" n)) (num_fields "metrics" j))
-
-let emit_events b ~first events =
+(* A watchdog verdict is also a [watchdog] recorder event; the verdict
+   alone draws it, because ring wrap-around can drop the event. *)
+let emit_events b ~first (events : FR.event list) =
   List.iter
-    (fun e ->
-      let t_ms =
-        Option.value ~default:0.0 (Json.to_float (Json.member "t_ms" e))
-      in
-      let engine =
-        Option.value ~default:"?" (Json.to_str (Json.member "engine" e))
-      in
-      let id = Option.value ~default:"" (Json.to_str (Json.member "id" e)) in
-      let name = if id = "" then engine else engine ^ ":" ^ id in
-      let extra =
-        List.filter_map
-          (fun key ->
-            Option.map
-              (fun v -> (key, Printf.sprintf "\"%s\"" (escape v)))
-              (Json.to_str (Json.member key e)))
-          [ "message"; "severity" ]
-      in
-      event b ~first:!first ~ph:"i" ~name ~ts:(t_ms *. 1000.) ~scope:"t"
-        ~args:(metric_args ~extra e) ();
-      first := false)
+    (fun (e : FR.event) ->
+      if e.engine <> "watchdog" then begin
+        let name = if e.id = "" then e.engine else e.engine ^ ":" ^ e.id in
+        let args =
+          [ ("message", quoted e.message);
+            ("severity", quoted (FR.severity_to_string e.severity)) ]
+          @ List.map (fun (k, n) -> (k, number n)) e.metrics
+        in
+        event b ~first:!first ~ph:"i" ~name ~ts:(Json.ms_of_ns e.t_ns *. 1000.)
+          ~scope:"t" ~args:(args_of args) ();
+        first := false
+      end)
     events
 
-let emit_verdicts b ~first verdicts =
+let emit_verdicts b ~first (verdicts : Wd.verdict list) =
   List.iter
-    (fun v ->
-      let t_ms =
-        Option.value ~default:0.0 (Json.to_float (Json.member "t_ms" v))
-      in
-      let rule =
-        Option.value ~default:"?" (Json.to_str (Json.member "rule" v))
-      in
-      let extra =
-        List.filter_map
-          (fun key ->
-            Option.map
-              (fun s -> (key, Printf.sprintf "\"%s\"" (escape s)))
-              (Json.to_str (Json.member key v)))
-          [ "detail"; "action" ]
-      in
-      event b ~first:!first ~ph:"i" ~name:("watchdog:" ^ rule)
-        ~ts:(t_ms *. 1000.) ~scope:"p"
-        ~args:(metric_args ~extra v) ();
+    (fun (v : Wd.verdict) ->
+      event b ~first:!first ~ph:"i" ~name:("watchdog:" ^ v.rule)
+        ~ts:(Json.ms_of_ns v.t_ns *. 1000.) ~scope:"p"
+        ~args:
+          (args_of
+             [ ("detail", quoted v.detail);
+               ("action", quoted (Wd.action_to_string v.action)) ])
+        ();
       first := false)
     verdicts
 
@@ -181,9 +148,10 @@ let convert src =
       let first = ref false in
       let t = ref 0.0 in
       List.iter (fun s -> t := emit_span b ~first ~t0:!t s) spans;
-      emit_samples b ~first (Json.to_list (Json.member "samples" j));
-      emit_events b ~first (Json.to_list (Json.member "events" j));
-      emit_verdicts b ~first (Json.to_list (Json.member "verdicts" j));
+      let all key f = List.map f (Json.to_list (Json.member key j)) in
+      emit_samples b ~first (all "samples" Status.sample_of_json);
+      emit_events b ~first (all "events" FR.event_of_json);
+      emit_verdicts b ~first (all "verdicts" Wd.verdict_of_json);
       Buffer.add_string b "]}";
       Ok (Buffer.contents b)
     end

@@ -21,7 +21,7 @@ type run = {
 let run_to_json r =
   Printf.sprintf
     "{\"schema\":%d,\"t\":%.0f,\"commit\":\"%s\",\"flow\":\"%s\",\"jobs\":%d,\"snapshot\":%s}"
-    schema_version r.t (Sbm_obs.Json_out.escape r.commit) (Sbm_obs.Json_out.escape r.flow) r.jobs
+    schema_version r.t (Json.escape r.commit) (Json.escape r.flow) r.jobs
     (Snapshot.to_json r.snapshot)
 
 let append_run ~path r =
@@ -42,19 +42,15 @@ let run_of_value j =
     match Json.member "snapshot" j with
     | None -> None
     | Some sj -> (
-      (* Reuse the snapshot parser on the nested document: re-render
-         is avoided by parsing the raw substring — Json has no
-         printer, so round-trip through the typed form instead. *)
-      match Report.snapshot_of_json_value sj with
+      match Snapshot.of_json_value sj with
       | Error _ -> None
       | Ok snapshot ->
         Some
           {
-            t = Option.value ~default:0.0 Json.(to_float (member "t" j));
-            commit =
-              Option.value ~default:"" Json.(to_str (member "commit" j));
-            flow = Option.value ~default:"" Json.(to_str (member "flow" j));
-            jobs = Option.value ~default:1 Json.(to_int (member "jobs" j));
+            t = Json.num "t" j;
+            commit = Json.str "commit" j;
+            flow = Json.str "flow" j;
+            jobs = Json.int ~default:1 "jobs" j;
             snapshot;
           }))
 

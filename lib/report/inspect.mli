@@ -1,61 +1,9 @@
-(** Post-mortem dump reader ([sbm inspect]).
+(** Post-mortem dump rendering ([sbm inspect]).
 
-    Parses the versioned crash dump {!Sbm_obs.Postmortem} writes on an
-    uncaught exception or fatal signal ([sbm-crash-<pid>.json]) and
-    renders it for a human: what the run was doing (open span stack),
-    what the watchdog concluded, and the tail of the flight-recorder
-    timeline. The loader accepts ["-"] for stdin and reports empty or
-    truncated documents as one-line errors, so the CLI can honor its
-    exit-2 contract. *)
-
-type event = {
-  seq : int;
-  t_ms : float;  (** delta from recorder start *)
-  t_ns : float option;
-      (** absolute monotonic clock, present in dumps that carry it *)
-  severity : string;  (** "debug" | "info" | "warn" | "error" *)
-  engine : string;
-  id : string;
-  message : string;
-  metrics : (string * int) list;
-}
-
-type verdict = {
-  rule : string;
-  detail : string;
-  action : string;  (** "note" | "abort" *)
-  v_t_ms : float;
-}
-
-(** One open span at crash time. *)
-type frame = { frame_name : string; opened_ms : float }
-
-type dump = {
-  version : int;
-  reason : string;
-  pid : int;
-  elapsed_ms : float;
-  t0_ns : float option;
-      (** absolute monotonic clock at recorder start, when present *)
-  span_stack : frame list;  (** outermost first *)
-  verdicts : verdict list;
-  counters : (string * int) list;
-  recorded : int;  (** events ever recorded, including overwritten ones *)
-  dropped : int;  (** recorded events the ring no longer holds *)
-  events : event list;  (** oldest first *)
-}
-
-(** Highest dump version this reader understands. *)
-val supported_version : int
-
-(** [of_json s] parses a dump document. [Error]s are one-line: empty
-    input, malformed/truncated JSON, missing version, or a version
-    newer than {!supported_version}. *)
-val of_json : string -> (dump, string) result
-
-(** [load path] reads and parses a dump file; [path = "-"] reads
-    stdin. *)
-val load : string -> (dump, string) result
+    Renders a {!Sbm_obs.Postmortem.dump} (read by
+    {!Sbm_obs.Postmortem.load}) for a human: what the run was doing
+    (open span stack), what the watchdog concluded, and the tail of the
+    flight-recorder timeline. *)
 
 (** [pp ?last ?abs ppf dump] renders the human report: header, open
     span stack, watchdog verdicts, the last [last] (default 20)
@@ -63,8 +11,5 @@ val load : string -> (dump, string) result
     from run start ("+123.4 ms"); with [abs] they print the absolute
     monotonic clock in ns instead (falling back to deltas for dumps
     that predate [t0_ns]). *)
-val pp : ?last:int -> ?abs:bool -> Format.formatter -> dump -> unit
-
-(** [to_json dump] re-emits the dump in its canonical schema (the
-    [--json] output; round-trips through {!of_json}). *)
-val to_json : dump -> string
+val pp :
+  ?last:int -> ?abs:bool -> Format.formatter -> Sbm_obs.Postmortem.dump -> unit

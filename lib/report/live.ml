@@ -6,50 +6,7 @@
    interactive loop in [run] adds the ANSI clear/home sequence itself,
    so tests and --once get plain text. *)
 
-type view = {
-  seq : int;
-  t_ms : float;
-  pass : string;
-  counters : (string * float) list;
-  gauges : (string * float) list;
-  verdicts : int;
-  abort : bool;
-  finished : bool;
-}
-
-let view_of_json j =
-  let num key = Option.value ~default:0.0 (Json.to_float (Json.member key j)) in
-  let flag key = Option.value ~default:false (Json.to_bool (Json.member key j)) in
-  let pairs key =
-    match Json.member key j with
-    | Some (Json.Obj fields) ->
-      List.filter_map
-        (fun (k, v) -> match v with Json.Num n -> Some (k, n) | _ -> None)
-        fields
-    | _ -> []
-  in
-  {
-    seq = int_of_float (num "seq");
-    t_ms = num "t_ms";
-    pass = Option.value ~default:"" (Json.to_str (Json.member "pass" j));
-    counters = pairs "counters";
-    gauges = pairs "gauges";
-    verdicts = int_of_float (num "verdicts");
-    abort = flag "abort";
-    finished = flag "finished";
-  }
-
-(* Parse the status file into views, oldest first. Lines that fail to
-   parse are skipped ([Json.load_lines]): the atomic-rename protocol
-   makes torn lines impossible from the sampler itself, but a reader
-   racing a rewriting/appending writer (NFS, a copied file, a ledger
-   tail) can still see a truncated final line, and an unrelated file
-   should degrade, not crash. *)
-let load path =
-  match Json.load_lines path with
-  | Error _ as e -> e
-  | Ok [] -> Error (path ^ ": no samples")
-  | Ok js -> Ok (List.map view_of_json js)
+module Status = Sbm_obs.Status
 
 let fmt_rate r =
   if Float.abs r >= 10_000. then Printf.sprintf "%.0f/s" r
@@ -58,7 +15,7 @@ let fmt_rate r =
 
 (* One screenful: header, open-span path, non-zero counters with a
    per-second rate derived from the previous sample, then gauges. *)
-let render ?prev (v : view) =
+let render ?prev (v : Status.sample) =
   let b = Buffer.create 2048 in
   let state =
     if v.abort then "ABORT REQUESTED"
@@ -72,10 +29,11 @@ let render ?prev (v : view) =
     (Printf.sprintf "pass: %s\n\n" (if v.pass = "" then "(idle)" else v.pass));
   let dt_s =
     match prev with
-    | Some p when v.t_ms > p.t_ms -> Some ((v.t_ms -. p.t_ms) /. 1000.)
+    | Some (p : Status.sample) when v.t_ms > p.t_ms ->
+      Some ((v.t_ms -. p.t_ms) /. 1000.)
     | _ -> None
   in
-  let live = List.filter (fun (_, x) -> x <> 0.0) v.counters in
+  let live = List.filter (fun (_, x) -> x <> 0) v.counters in
   if live = [] then Buffer.add_string b "counters: (none yet)\n"
   else begin
     let nw =
@@ -87,18 +45,16 @@ let render ?prev (v : view) =
         let rate =
           match (dt_s, prev) with
           | Some dt, Some p ->
-            let px =
-              Option.value ~default:0.0 (List.assoc_opt k p.counters)
-            in
-            fmt_rate ((x -. px) /. dt)
+            let px = Option.value ~default:0 (List.assoc_opt k p.counters) in
+            fmt_rate (float_of_int (x - px) /. dt)
           | _ -> "-"
         in
-        Buffer.add_string b (Printf.sprintf "%-*s  %12.0f  %10s\n" nw k x rate))
+        Buffer.add_string b (Printf.sprintf "%-*s  %12d  %10s\n" nw k x rate))
       live
   end;
   Buffer.add_char b '\n';
   List.iter
-    (fun (k, x) -> Buffer.add_string b (Printf.sprintf "%-28s  %12.0f\n" k x))
+    (fun (k, x) -> Buffer.add_string b (Printf.sprintf "%-28s  %12d\n" k x))
     v.gauges;
   Buffer.contents b
 
@@ -116,7 +72,7 @@ let last2 views =
 let run ?(refresh_ms = 500.) ?(once = false) path =
   let interactive = (not once) && Unix.isatty Unix.stdout in
   let draw () =
-    match load path with
+    match Status.load path with
     | Error msg ->
       if once then begin
         prerr_endline ("sbm top: " ^ msg);

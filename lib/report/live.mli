@@ -1,26 +1,11 @@
 (** [sbm top] — live dashboard over a [--status] JSONL file.
 
     The sampler rewrites the status file whole via atomic rename, so
-    every poll reads a complete history: one JSON sample per line,
-    oldest first. *)
+    every poll reads a complete history ({!Sbm_obs.Status.load}): one
+    sample per line, oldest first. *)
 
-type view = {
-  seq : int;
-  t_ms : float;
-  pass : string;  (** open-span path, [">"]-joined, outermost first *)
-  counters : (string * float) list;
-  gauges : (string * float) list;
-  verdicts : int;
-  abort : bool;
-  finished : bool;
-}
-
-val load : string -> (view list, string) result
-(** Parse a status file into views, oldest first. [Error] when the
-    file is unreadable or holds no parsable samples. *)
-
-val render : ?prev:view -> view -> string
-(** One plain-text screenful for [view]: header, open-span path,
+val render : ?prev:Sbm_obs.Status.sample -> Sbm_obs.Status.sample -> string
+(** One plain-text screenful for a sample: header, open-span path,
     non-zero counters with per-second rates derived from [prev], then
     gauges. Pure — no ANSI control sequences. *)
 

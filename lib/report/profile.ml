@@ -4,8 +4,8 @@ type span = { name : string; wall_ms : float; children : span list }
 
 let rec span_of_json j =
   {
-    name = Option.value ~default:"?" (Json.to_str (Json.member "name" j));
-    wall_ms = Option.value ~default:0.0 (Json.to_float (Json.member "wall_ms" j));
+    name = Json.str ~default:"?" "name" j;
+    wall_ms = Json.num "wall_ms" j;
     children = List.map span_of_json (Json.to_list (Json.member "children" j));
   }
 

@@ -1,118 +1,5 @@
 module Snapshot = Sbm_obs.Snapshot
 
-(* --- loading --- *)
-
-(* Ledger rows ride along in the additive per-entry "passes" array
-   (absent in pre-ledger snapshots — parsed as []). Missing numeric
-   fields default to 0 except luts/levels, whose absent/-1 value means
-   "not probed". *)
-let ledger_row_of_json j =
-  let int ?(default = 0) f =
-    Option.value ~default Json.(to_int (member f j))
-  in
-  let fl f = Option.value ~default:0.0 Json.(to_float (member f j)) in
-  {
-    Sbm_obs.Ledger.path =
-      Option.value ~default:"" Json.(to_str (member "path" j));
-    index = int "index";
-    size_before = int "size_before";
-    size_after = int "size_after";
-    depth_before = int "depth_before";
-    depth_after = int "depth_after";
-    luts = int ~default:(-1) "luts";
-    levels = int ~default:(-1) "levels";
-    (* Additive field (16-hex-digit string); absent in pre-fingerprint
-       snapshots and in rows recorded with the trail disabled. *)
-    fingerprint =
-      (match Json.(to_str (member "fingerprint" j)) with
-      | None -> 0L
-      | Some s -> (
-        match Int64.of_string_opt ("0x" ^ s) with
-        | Some v -> v
-        | None -> 0L));
-    wall_ns = Int64.of_float (fl "wall_ns");
-    counters =
-      Json.to_obj (Json.member "counters" j)
-      |> List.filter_map (fun (k, v) ->
-             match Json.to_int (Some v) with
-             | Some n -> Some (k, n)
-             | None -> None);
-    minor_words = fl "minor_words";
-    major_words = fl "major_words";
-    heap_words = int "heap_words";
-    unique_load_pct = int "unique_load_pct";
-    cache_load_pct = int "cache_load_pct";
-    dead_node_pct = int "dead_node_pct";
-  }
-
-let snapshot_of_json_value json =
-  (match Json.(to_int (member "version" json)) with
-    | None -> Error "not a snapshot: missing \"version\""
-    | Some v when v > Snapshot.current_version ->
-      Error
-        (Printf.sprintf "snapshot version %d is newer than supported (%d)" v
-           Snapshot.current_version)
-    | Some version -> (
-      let entry_of_json j =
-        match Json.(to_str (member "bench" j)) with
-        | None -> Error "entry without \"bench\""
-        | Some bench -> (
-          let int field = Json.(to_int (member field j)) in
-          match (int "size", int "depth", int "luts", int "levels") with
-          | Some size, Some depth, Some luts, Some levels ->
-            let counters =
-              Json.to_obj (Json.member "counters" j)
-              |> List.filter_map (fun (k, v) ->
-                     match Json.to_int (Some v) with
-                     | Some n -> Some (k, n)
-                     | None -> None)
-            in
-            Ok
-              {
-                Snapshot.bench;
-                (* Additive key: absent in pre-arena snapshots. *)
-                size_before = Option.value ~default:(-1) (int "size_before");
-                qor = { Snapshot.size; depth; luts; levels };
-                wall_ms =
-                  Option.value ~default:0.0
-                    Json.(to_float (member "wall_ms" j));
-                counters;
-                passes =
-                  Json.to_list (Json.member "passes" j)
-                  |> List.map ledger_row_of_json;
-              }
-          | _ -> Error (Printf.sprintf "entry %S: missing QoR field" bench))
-      in
-      let rec entries acc = function
-        | [] -> Ok (List.rev acc)
-        | j :: rest -> (
-          match entry_of_json j with
-          | Ok e -> entries (e :: acc) rest
-          | Error _ as e -> e)
-      in
-      match entries [] (Json.to_list (Json.member "entries" json)) with
-      | Error msg -> Error msg
-      | Ok entries ->
-        Ok
-          {
-            Snapshot.version;
-            label = Option.value ~default:"" Json.(to_str (member "label" json));
-            seed = Option.value ~default:0 Json.(to_int (member "seed" json));
-            entries =
-              List.sort
-                (fun a b -> String.compare a.Snapshot.bench b.Snapshot.bench)
-                entries;
-          }))
-
-let snapshot_of_json s =
-  match Json.parse s with
-  | exception Json.Bad msg -> Error ("malformed JSON: " ^ msg)
-  | json -> snapshot_of_json_value json
-
-let load_snapshot path =
-  Result.bind (Json.read_source path) (fun s ->
-      Result.map_error (fun msg -> path ^ ": " ^ msg) (snapshot_of_json s))
-
 (* --- diffing --- *)
 
 type tolerance = { qor_pct : float; time_pct : float }
@@ -325,7 +212,7 @@ let verdict_to_string = function
   | Tolerated -> "tolerated"
   | Regressed -> "regressed"
 
-let esc = Sbm_obs.Json_out.escape
+let esc = Json.escape
 
 (* Shared by [to_json] and [passes_to_json]. *)
 let delta_json (dl : delta) =

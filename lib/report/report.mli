@@ -1,27 +1,12 @@
 (** Regression analysis over QoR snapshots.
 
-    This is the consumption side of the telemetry layer: load two
-    {!Sbm_obs.Snapshot.t} documents (the committed baseline and a
-    fresh [sbm bench] run), compute a structured per-benchmark diff of
-    the QoR metrics (AIG size/depth, LUT-6 count/levels), wall time
-    and engine counters, classify every delta against configurable
-    tolerance thresholds, and render the regression table [sbm diff]
-    prints and CI gates on. *)
-
-(** {1 Loading snapshots} *)
-
-(** [snapshot_of_json s] parses a snapshot document. Accepts any
-    [version <= Sbm_obs.Snapshot.current_version] (older readers'
-    missing optional fields default: [label ""], [seed 0]); rejects
-    documents from the future or with malformed entries. *)
-val snapshot_of_json : string -> (Sbm_obs.Snapshot.t, string) result
-
-(** [snapshot_of_json_value j] parses an already-parsed JSON value —
-    used by {!History} for snapshots nested inside ledger records. *)
-val snapshot_of_json_value : Json.t -> (Sbm_obs.Snapshot.t, string) result
-
-(** [load_snapshot path] reads and parses a snapshot file. *)
-val load_snapshot : string -> (Sbm_obs.Snapshot.t, string) result
+    This is the consumption side of the telemetry layer: take two
+    {!Sbm_obs.Snapshot.t} documents (read by {!Sbm_obs.Snapshot.load}:
+    the committed baseline and a fresh [sbm bench] run), compute a
+    structured per-benchmark diff of the QoR metrics (AIG size/depth,
+    LUT-6 count/levels), wall time and engine counters, classify every
+    delta against configurable tolerance thresholds, and render the
+    regression table [sbm diff] prints and CI gates on. *)
 
 (** {1 Diffing} *)
 

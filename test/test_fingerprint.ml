@@ -219,7 +219,7 @@ let test_jsonl_roundtrip () =
   in
   List.iter
     (fun r ->
-      match Audit.record_of_json (FP.record_to_json r) with
+      match FP.record_of_json (Sbm_obs.Json.parse (FP.record_to_json r)) with
       | None -> Alcotest.failf "unparsable: %s" (FP.record_to_json r)
       | Some p ->
         Alcotest.(check int) "seq" r.FP.seq p.FP.seq;
@@ -248,11 +248,11 @@ let test_jsonl_roundtrip () =
         rs;
       output_string oc "{\"seq\":2,\"kind\":\"pa";
       close_out oc;
-      match Audit.load path with
+      match FP.load path with
       | Error msg -> Alcotest.failf "load failed: %s" msg
       | Ok loaded ->
         Alcotest.(check int) "torn line skipped" 2 (List.length loaded));
-  match Audit.load "/nonexistent/sbm_fp.jsonl" with
+  match FP.load "/nonexistent/sbm_fp.jsonl" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unreadable file must be an Error"
 

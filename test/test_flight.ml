@@ -11,7 +11,7 @@ module FR = Sbm_obs.Flight_recorder
 module Wd = Sbm_obs.Watchdog
 module Ledger = Sbm_obs.Ledger
 module FP = Sbm_obs.Fingerprint
-module Inspect = Sbm_report.Inspect
+module Pm = Sbm_obs.Postmortem
 
 let teardown () =
   Wd.disarm ();
@@ -166,28 +166,28 @@ let test_dump_round_trip () =
     ~metrics:[ ("gain", 7) ]
     "round done";
   Wd.note_round ~gain:0 (* fires gradient-stall *);
-  let json = Obs.Postmortem.to_json ~reason:"unit \"test\"" () in
-  match Inspect.of_json json with
+  let json = Pm.to_json (Pm.capture ~reason:"unit \"test\"" ()) in
+  match Pm.of_json json with
   | Error msg -> Alcotest.failf "dump does not parse: %s" msg
   | Ok d ->
-    Alcotest.(check int) "version" 1 d.Inspect.version;
-    Alcotest.(check string) "escaped reason survives" "unit \"test\"" d.Inspect.reason;
+    Alcotest.(check int) "version" 1 d.Pm.version;
+    Alcotest.(check string) "escaped reason survives" "unit \"test\"" d.Pm.reason;
     Alcotest.(check (list string))
       "open spans outermost first" [ "sbm"; "gradient" ]
-      (List.map (fun f -> f.Inspect.frame_name) d.Inspect.span_stack);
-    (match d.Inspect.verdicts with
+      (List.map (fun f -> f.Pm.name) d.Pm.span_stack);
+    (match d.Pm.verdicts with
     | [ v ] ->
-      Alcotest.(check string) "verdict rule" "gradient-stall" v.Inspect.rule;
-      Alcotest.(check string) "verdict action" "note" v.Inspect.action
+      Alcotest.(check string) "verdict rule" "gradient-stall" v.Wd.rule;
+      Alcotest.(check bool) "verdict action" true (v.Wd.action = Wd.Note)
     | l -> Alcotest.failf "expected 1 verdict, got %d" (List.length l));
     Alcotest.(check int) "counters from the trace" 3
-      (List.assoc "gradient.rounds" d.Inspect.counters);
+      (List.assoc "gradient.rounds" d.Pm.counters);
     Alcotest.(check bool) "events survive" true
       (List.exists
-         (fun e -> e.Inspect.id = "round-1" && e.Inspect.metrics = [ ("gain", 7) ])
-         d.Inspect.events);
+         (fun e -> e.FR.id = "round-1" && e.FR.metrics = [ ("gain", 7) ])
+         d.Pm.events);
     (* Canonical re-emission parses back to the same dump. *)
-    (match Inspect.of_json (Inspect.to_json d) with
+    (match Pm.of_json (Pm.to_json d) with
     | Ok d2 -> Alcotest.(check bool) "to_json round-trips" true (d = d2)
     | Error msg -> Alcotest.failf "re-emission does not parse: %s" msg);
     Obs.close sp;
@@ -195,7 +195,7 @@ let test_dump_round_trip () =
 
 let test_inspect_rejects_bad_input () =
   let err s =
-    match Inspect.of_json s with Ok _ -> "(ok)" | Error msg -> msg
+    match Pm.of_json s with Ok _ -> "(ok)" | Error msg -> msg
   in
   Alcotest.(check string) "empty" "empty input" (err "");
   Alcotest.(check string) "whitespace only" "empty input" (err "  \n ");
@@ -229,18 +229,18 @@ let test_injected_failure_dumps () =
     "hook is one-shot" None !Sbm_core.Flow.inject_failure_after;
   (* The dump taken at this instant must parse and show the failing
      pass still open — the crash handler's view. *)
-  match Inspect.of_json (Obs.Postmortem.to_json ~reason:"injected" ()) with
+  match Pm.of_json (Pm.to_json (Pm.capture ~reason:"injected" ())) with
   | Error msg -> Alcotest.failf "crash dump does not parse: %s" msg
   | Ok d ->
     Alcotest.(check (list string))
       "failing pass on the open stack" [ "run"; "gradient" ]
-      (List.map (fun f -> f.Inspect.frame_name) d.Inspect.span_stack);
+      (List.map (fun f -> f.Pm.name) d.Pm.span_stack);
     Alcotest.(check bool) "its start event is buffered" true
       (List.exists
          (fun e ->
-           e.Inspect.engine = "flow" && e.Inspect.id = "gradient"
-           && e.Inspect.message = "pass start")
-         d.Inspect.events);
+           e.FR.engine = "flow" && e.FR.id = "gradient"
+           && e.FR.message = "pass start")
+         d.Pm.events);
     (* Closing the root takes the crashed pass off the stack too. *)
     Obs.close root;
     Alcotest.(check (list string)) "stack cleared" [] (Obs.Span_stack.names ())
@@ -265,12 +265,12 @@ let test_one_stack_feeds_every_consumer () =
   let stack = Obs.Span_stack.names () in
   Alcotest.(check (list string))
     "the one stack" [ "flow"; "iteration-1"; "step"; "mspf" ] stack;
-  (match Inspect.of_json (Obs.Postmortem.to_json ~reason:"probe" ()) with
+  (match Pm.of_json (Pm.to_json (Pm.capture ~reason:"probe" ())) with
   | Error msg -> Alcotest.failf "dump does not parse: %s" msg
   | Ok d ->
     Alcotest.(check (list string))
       "post-mortem span_stack is the stack" stack
-      (List.map (fun f -> f.Inspect.frame_name) d.Inspect.span_stack));
+      (List.map (fun f -> f.Pm.name) d.Pm.span_stack));
   close_pass inner;
   Obs.close step;
   close_pass outer;

@@ -1,0 +1,153 @@
+(* Every telemetry format is read back by the lib/obs module that
+   writes it. For each format, records from one real ctrl run must
+   survive [of_json (to_json x) = x], and the producer's text must
+   survive [to_json (of_json s) = s]; the post-mortem reader also takes
+   a legacy dump without [t0_ns] back to its exact bytes. *)
+
+module Aig = Sbm_aig.Aig
+module Obs = Sbm_obs
+module Json = Sbm_obs.Json
+module FR = Sbm_obs.Flight_recorder
+module Wd = Sbm_obs.Watchdog
+module Ledger = Sbm_obs.Ledger
+module FP = Sbm_obs.Fingerprint
+module Status = Sbm_obs.Status
+module Snapshot = Sbm_obs.Snapshot
+module Pm = Sbm_obs.Postmortem
+module Flow = Sbm_core.Flow
+
+type run = {
+  snapshot : Snapshot.t;
+  records : FP.record list;
+  samples : Status.sample list;
+  dump : Pm.dump;
+}
+
+(* One sbm-low run on ctrl with every producer on: ledger (with the LUT
+   probe), audit trail, status sampler, flight recorder and a watchdog
+   whose zero deadline fires verdicts. The flow fails on purpose at its
+   fifth pass, so the post-mortem has open spans to report. *)
+let ctrl_run =
+  lazy
+    (let status_path = Filename.temp_file "sbm_formats" ".jsonl" in
+     let probe aig =
+       let m = Sbm_lutmap.Lut_map.map ~k:6 aig in
+       (m.Sbm_lutmap.Lut_map.lut_count, m.Sbm_lutmap.Lut_map.depth)
+     in
+     Fun.protect
+       ~finally:(fun () ->
+         Status.stop ();
+         Sys.remove status_path;
+         Flow.ledger_qor_probe := None;
+         Flow.inject_failure_after := None;
+         Wd.disarm ();
+         FR.disable ();
+         Ledger.disable ();
+         FP.disable ())
+       (fun () ->
+         Flow.ledger_qor_probe := Some probe;
+         Ledger.enable ();
+         FP.enable ();
+         Wd.arm { Wd.default_config with Wd.pass_deadline_ms = Some 0.0 };
+         Status.start ~interval_ms:20. status_path;
+         let aig = Sbm_epfl.Epfl.generate Sbm_epfl.Epfl.Ctrl in
+         let trace = Obs.create () in
+         Pm.configure ~trace ();
+         let root = Obs.root ~size:(Aig.size aig) trace "ctrl" in
+         Flow.inject_failure_after := Some 5;
+         let t0 = Unix.gettimeofday () in
+         (match Flow.run ~obs:root (Flow.Sbm Flow.Low) aig with
+         | (_ : Aig.t) -> Alcotest.fail "injected failure did not fire"
+         | exception Failure _ -> ());
+         let dump = Pm.capture ~reason:"injected \"failure\"" () in
+         Obs.close root;
+         Status.stop ();
+         let m = Sbm_lutmap.Lut_map.map ~k:6 aig in
+         let entry =
+           {
+             Snapshot.bench = "ctrl";
+             size_before = Aig.size aig;
+             qor =
+               {
+                 Snapshot.size = Aig.size aig;
+                 depth = Aig.depth aig;
+                 luts = m.Sbm_lutmap.Lut_map.lut_count;
+                 levels = m.Sbm_lutmap.Lut_map.depth;
+               };
+             wall_ms = 1000.0 *. (Unix.gettimeofday () -. t0);
+             counters = Obs.totals trace;
+             passes = Ledger.rows ();
+           }
+         in
+         {
+           snapshot = Snapshot.make ~label:"flow=sbm-low \"ctrl\"" ~seed:3 [ entry ];
+           records = FP.records ();
+           samples = Status.samples ();
+           dump;
+         }))
+
+(* The table: each value's text, and the reader's value and re-emitted
+   text for it. *)
+let check_round_trips what ~to_json ~of_json values =
+  Alcotest.(check bool) (what ^ ": the run produced values") true (values <> []);
+  List.iter
+    (fun x ->
+      let s = to_json x in
+      match of_json s with
+      | None -> Alcotest.failf "%s: unreadable: %s" what s
+      | Some y ->
+        Alcotest.(check bool) (what ^ ": of_json (to_json x) = x") true (x = y);
+        Alcotest.(check string) (what ^ ": to_json (of_json s) = s") s (to_json y))
+    values
+
+let line_reader f s = f (Json.parse s)
+
+let test_snapshot () =
+  let { snapshot; _ } = Lazy.force ctrl_run in
+  Alcotest.(check bool) "snapshot carries ledger rows" true
+    (List.exists (fun (e : Snapshot.entry) -> e.passes <> []) snapshot.entries);
+  check_round_trips "snapshot" ~to_json:Snapshot.to_json
+    ~of_json:(fun s -> Result.to_option (Snapshot.of_json s))
+    [ snapshot ];
+  check_round_trips "ledger row" ~to_json:(Ledger.row_to_json ?stable:None)
+    ~of_json:(fun s -> Some (line_reader Ledger.row_of_json s))
+    (List.concat_map (fun (e : Snapshot.entry) -> e.passes) snapshot.entries)
+
+let test_fingerprint_record () =
+  let { records; _ } = Lazy.force ctrl_run in
+  Alcotest.(check bool) "trail has merge records" true
+    (List.exists (fun (r : FP.record) -> r.kind = FP.Merge) records);
+  check_round_trips "fingerprint record" ~to_json:FP.record_to_json
+    ~of_json:(line_reader FP.record_of_json) records
+
+let test_status_sample () =
+  let { samples; _ } = Lazy.force ctrl_run in
+  check_round_trips "status sample" ~to_json:Status.sample_to_json
+    ~of_json:(fun s -> Some (line_reader Status.sample_of_json s))
+    samples
+
+(* Written in the producer's layout; it predates [t0_ns], so its events
+   carry no absolute [t_ns] either. *)
+let legacy_dump =
+  {|{"version":1,"reason":"signal SIGINT","pid":42,"elapsed_ms":10.250,"span_stack":[{"name":"sbm-low","opened_ms":0.125}],"watchdog":[{"rule":"gradient-stall","detail":"3 consecutive zero-gain gradient rounds","action":"abort","t_ms":9.001}],"counters":{"gradient.rounds":3},"recorded":2,"dropped":0,"events":[{"seq":0,"t_ms":7.000,"severity":"info","engine":"flow","id":"gradient","message":"pass start","metrics":{"size":55}},{"seq":1,"t_ms":9.001,"severity":"warn","engine":"watchdog","id":"gradient-stall","message":"3 consecutive zero-gain gradient rounds","metrics":{}}]}|}
+
+let test_postmortem_dump () =
+  let { dump; _ } = Lazy.force ctrl_run in
+  Alcotest.(check bool) "dump has open spans, verdicts and events" true
+    (dump.span_stack <> [] && dump.verdicts <> [] && dump.events <> []);
+  let of_json s = Result.to_option (Pm.of_json s) in
+  check_round_trips "post-mortem dump" ~to_json:Pm.to_json ~of_json [ dump ];
+  match Pm.of_json legacy_dump with
+  | Error msg -> Alcotest.fail msg
+  | Ok d ->
+    Alcotest.(check bool) "legacy dump has no t0_ns" true (d.t0_ns = None);
+    Alcotest.(check string) "legacy dump re-emits byte for byte" legacy_dump
+      (Pm.to_json d)
+
+let suite =
+  [
+    Alcotest.test_case "snapshot with ledger rows round-trips" `Quick test_snapshot;
+    Alcotest.test_case "fingerprint record round-trips" `Quick test_fingerprint_record;
+    Alcotest.test_case "status sample round-trips" `Quick test_status_sample;
+    Alcotest.test_case "post-mortem dump round-trips" `Quick test_postmortem_dump;
+  ]

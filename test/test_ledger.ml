@@ -13,7 +13,7 @@ module Ledger = Sbm_obs.Ledger
 module Snapshot = Sbm_obs.Snapshot
 module Report = Sbm_report.Report
 module History = Sbm_report.History
-module Live = Sbm_report.Live
+module Status = Sbm_obs.Status
 module Json = Sbm_report.Json
 
 let with_ledger f =
@@ -174,13 +174,13 @@ let test_live_torn_line () =
       (* A truncated final line, as left by a killed writer. *)
       output_string oc "{\"seq\":2,\"t_ms\":30.0,\"pa";
       close_out oc;
-      match Live.load path with
+      match Status.load path with
       | Error msg -> Alcotest.failf "torn line crashed the reader: %s" msg
-      | Ok views ->
-        Alcotest.(check int) "complete samples kept" 2 (List.length views);
-        let last = List.nth views 1 in
-        Alcotest.(check int) "last complete sample" 1 last.Live.seq;
-        Alcotest.(check bool) "finished flag read" true last.Live.finished)
+      | Ok samples ->
+        Alcotest.(check int) "complete samples kept" 2 (List.length samples);
+        let last = List.nth samples 1 in
+        Alcotest.(check int) "last complete sample" 1 last.Status.seq;
+        Alcotest.(check bool) "finished flag read" true last.Status.finished)
 
 (* --- per-pass diff classification --- *)
 

@@ -29,4 +29,5 @@ let () =
       ("prefilter", Test_prefilter.suite);
       ("metrics", Test_metrics.suite);
       ("fingerprint", Test_fingerprint.suite);
+      ("formats", Test_formats.suite);
     ]

@@ -17,6 +17,7 @@ module Chrome = Sbm_report.Chrome
 module Catalog = Sbm_report.Catalog
 module Live = Sbm_report.Live
 module Inspect = Sbm_report.Inspect
+module Pm = Sbm_obs.Postmortem
 module Rng = Sbm_util.Rng
 
 let has_substring hay needle =
@@ -38,7 +39,6 @@ let replace_first hay needle by =
    at module initialization like real call sites. *)
 let c_basic = M.counter ~engine:"test" ~unit_:"widgets" "test.basic" "basic counter"
 let g_basic = M.gauge ~engine:"test" "test.gauge" "basic gauge"
-let h_basic = M.histogram ~engine:"test" ~unit_:"ms" "test.hist" "basic histogram"
 let c_capture = M.counter ~engine:"test" "test.capture" "capture/replay counter"
 let c_bump = M.counter ~engine:"test" "test.bump" "bump counter"
 let c_status = M.counter ~engine:"test" "test.status" "status hammer counter"
@@ -55,14 +55,14 @@ let test_registration () =
   Alcotest.(check string) "kind string" "counter"
     (M.kind_to_string (M.kind c_basic));
   Alcotest.(check bool) "kind round-trip" true
-    (M.kind_of_string "histogram" = Some M.Histogram);
+    (M.kind_of_string "gauge" = Some M.Gauge);
   Alcotest.(check bool) "find hit" true (M.find "test.gauge" = Some g_basic);
   Alcotest.(check bool) "find miss" true (M.find "test.absent" = None);
   let names = List.map M.name (M.all ()) in
   Alcotest.(check bool) "all is sorted" true
     (names = List.sort compare names);
   Alcotest.(check bool) "all contains handles" true
-    (List.mem "test.basic" names && List.mem "test.hist" names)
+    (List.mem "test.basic" names && List.mem "test.gauge" names)
 
 let test_kinds_enforced () =
   let raises f =
@@ -73,9 +73,7 @@ let test_kinds_enforced () =
   Alcotest.(check bool) "add on gauge raises" true
     (raises (fun () -> M.add g_basic 1));
   Alcotest.(check bool) "set on counter raises" true
-    (raises (fun () -> M.set c_basic 1));
-  Alcotest.(check bool) "observe on counter raises" true
-    (raises (fun () -> M.observe c_basic 1))
+    (raises (fun () -> M.set c_basic 1))
 
 let test_values () =
   let v0 = M.value c_basic in
@@ -86,14 +84,6 @@ let test_values () =
   Alcotest.(check int) "gauge holds last set" 42 (M.value g_basic);
   M.set g_basic 7;
   Alcotest.(check int) "gauge overwrites" 7 (M.value g_basic);
-  let h0 = (M.hist h_basic).M.h_count in
-  M.observe h_basic 10;
-  M.observe h_basic 3;
-  M.observe h_basic 20;
-  let h = M.hist h_basic in
-  Alcotest.(check int) "hist count" (h0 + 3) h.M.h_count;
-  Alcotest.(check bool) "hist sum/min/max" true
-    (h.M.h_sum >= 33 && h.M.h_min <= 3 && h.M.h_max >= 20);
   (* The process gauges sample on read and never go negative. *)
   (match M.find "process.heap_words" with
   | None -> Alcotest.fail "process.heap_words not registered"
@@ -179,19 +169,20 @@ let test_status_atomicity () =
         Unix.sleepf 0.001
       done);
   (* stop() wrote the final sample. *)
-  let views =
-    match Live.load path with
+  let samples =
+    match Status.load path with
     | Ok v -> v
     | Error msg -> Alcotest.fail ("load after stop: " ^ msg)
   in
-  let last = List.nth views (List.length views - 1) in
-  Alcotest.(check bool) "final sample is marked finished" true last.Live.finished;
-  let seqs = List.map (fun v -> v.Live.seq) views in
+  let last = List.nth samples (List.length samples - 1) in
+  Alcotest.(check bool) "final sample is marked finished" true
+    last.Status.finished;
+  let seqs = List.map (fun v -> v.Status.seq) samples in
   Alcotest.(check bool) "seq strictly increasing" true
     (List.sort_uniq compare seqs = seqs);
   Alcotest.(check bool) "hammered counter visible in final sample" true
-    (match List.assoc_opt "test.status" last.Live.counters with
-    | Some v -> v >= 5050.0 (* sum 1..100; earlier suites may add more *)
+    (match List.assoc_opt "test.status" last.Status.counters with
+    | Some v -> v >= 5050 (* sum 1..100; earlier suites may add more *)
     | None -> false);
   Alcotest.(check bool) "sampler stopped" false (Status.active ());
   Sys.remove path
@@ -268,6 +259,33 @@ let test_chrome_export () =
   Alcotest.(check bool) "watchdog instant present" true
     (List.exists (fun e -> ph e = "i" && name e = "watchdog:pass-deadline") events)
 
+(* A fired verdict is also a [watchdog] recorder event; the export
+   draws it once, from the verdict. *)
+let test_chrome_verdict_once () =
+  let doc =
+    match
+      Chrome.convert
+        {|{"version":2,"spans":[{"name":"root","wall_ms":5.0,"children":[]}],
+           "events":[
+            {"seq":0,"t_ms":1.0,"severity":"warn","engine":"watchdog",
+             "id":"pass-deadline","message":"slow","metrics":{}},
+            {"seq":1,"t_ms":2.0,"severity":"info","engine":"flow",
+             "id":"mspf","message":"pass start","metrics":{"size":9}}],
+           "verdicts":[
+            {"rule":"pass-deadline","detail":"slow","action":"note","t_ms":1.0}]}|}
+    with
+    | Ok doc -> doc
+    | Error msg -> Alcotest.fail msg
+  in
+  let instants =
+    Json.to_list (Json.member "traceEvents" (Json.parse doc))
+    |> List.filter (fun e -> Json.str "ph" e = "i")
+  in
+  Alcotest.(check (list (pair string string)))
+    "one instant per verdict, plus the other event"
+    [ ("flow:mspf", "t"); ("watchdog:pass-deadline", "p") ]
+    (List.map (fun e -> (Json.str "name" e, Json.str "s" e)) instants)
+
 let test_chrome_rejects () =
   (match Chrome.convert "not json" with
   | Error _ -> ()
@@ -338,13 +356,15 @@ let render ?abs dump = Fmt.str "%a" (Inspect.pp ?abs ~last:5) dump
 
 let test_inspect_timestamps () =
   let dump =
-    match Inspect.of_json inspect_fixture with
+    match Pm.of_json inspect_fixture with
     | Ok d -> d
     | Error msg -> Alcotest.fail msg
   in
-  Alcotest.(check bool) "t0_ns parsed" true (dump.Inspect.t0_ns = Some 5e9);
-  (match dump.Inspect.events with
-  | [ e ] -> Alcotest.(check bool) "event t_ns parsed" true (e.Inspect.t_ns = Some 5.123456e9)
+  Alcotest.(check bool) "t0_ns parsed" true (dump.Pm.t0_ns = Some 5_000_000_000L);
+  (match dump.Pm.events with
+  | [ e ] ->
+    Alcotest.(check int64) "event offset from its absolute t_ns" 123_456_000L
+      e.FR.t_ns
   | _ -> Alcotest.fail "expected one event");
   let plain = render dump in
   Alcotest.(check bool) "default prints deltas" true
@@ -357,13 +377,12 @@ let test_inspect_timestamps () =
   Alcotest.(check bool) "--abs reconstructs t0+delta for verdicts" true
     (has_substring abs "5200000000 ns]");
   (* Round trip via the canonical emitter preserves the clock. *)
-  match Inspect.of_json (Inspect.to_json dump) with
+  match Pm.of_json (Pm.to_json dump) with
   | Error msg -> Alcotest.fail ("round trip: " ^ msg)
   | Ok d2 ->
-    Alcotest.(check bool) "t0_ns round-trips" true (d2.Inspect.t0_ns = dump.Inspect.t0_ns);
+    Alcotest.(check bool) "t0_ns round-trips" true (d2.Pm.t0_ns = dump.Pm.t0_ns);
     Alcotest.(check bool) "t_ns round-trips" true
-      ((List.hd d2.Inspect.events).Inspect.t_ns
-      = (List.hd dump.Inspect.events).Inspect.t_ns)
+      ((List.hd d2.Pm.events).FR.t_ns = (List.hd dump.Pm.events).FR.t_ns)
 
 (* Dumps that predate t0_ns render deltas even under --abs. *)
 let test_inspect_abs_fallback () =
@@ -373,10 +392,10 @@ let test_inspect_abs_fallback () =
        "events":[{"seq":0,"t_ms":7.0,"severity":"info","engine":"e","id":"",
                   "message":"m","metrics":{}}]}|}
   in
-  match Inspect.of_json legacy with
+  match Pm.of_json legacy with
   | Error msg -> Alcotest.fail msg
   | Ok dump ->
-    Alcotest.(check bool) "no t0_ns" true (dump.Inspect.t0_ns = None);
+    Alcotest.(check bool) "no t0_ns" true (dump.Pm.t0_ns = None);
     let abs = render ~abs:true dump in
     Alcotest.(check bool) "falls back to deltas" true
       (has_substring abs "+7.0 ms")
@@ -432,11 +451,11 @@ let test_live_render () =
         ^ {|{"seq":1,"t_ms":2000.0,"pass":"flow>mspf","counters":{"mspf.computed":300},"gauges":{"process.heap_words":6},"verdicts":1,"abort":false,"finished":true}|}
         ^ "\n"));
   Fun.protect ~finally:(fun () -> Sys.remove path) (fun () ->
-      match Live.load path with
+      match Status.load path with
       | Error msg -> Alcotest.fail msg
-      | Ok views ->
-        Alcotest.(check int) "two samples" 2 (List.length views);
-        let prev = List.nth views 0 and last = List.nth views 1 in
+      | Ok samples ->
+        Alcotest.(check int) "two samples" 2 (List.length samples);
+        let prev = List.nth samples 0 and last = List.nth samples 1 in
         let screen = Live.render ~prev last in
         Alcotest.(check bool) "shows the pass path" true
           (has_substring screen "flow>mspf");
@@ -452,13 +471,15 @@ let suite =
   [
     Alcotest.test_case "registration + metadata" `Quick test_registration;
     Alcotest.test_case "kind enforcement" `Quick test_kinds_enforced;
-    Alcotest.test_case "counter/gauge/histogram values" `Quick test_values;
+    Alcotest.test_case "counter/gauge values" `Quick test_values;
     Alcotest.test_case "capture/replay shards" `Quick test_capture_replay;
     Alcotest.test_case "Obs.bump feeds span and registry" `Quick test_bump_dual_sink;
     Alcotest.test_case "flow counters all registered" `Slow test_flow_counters_registered;
     Alcotest.test_case "status file atomicity" `Quick test_status_atomicity;
     Alcotest.test_case "chrome exporter invariants" `Quick test_chrome_export;
     Alcotest.test_case "chrome exporter rejects junk" `Quick test_chrome_rejects;
+    Alcotest.test_case "chrome exporter draws each verdict once" `Quick
+      test_chrome_verdict_once;
     Alcotest.test_case "catalog drift gate" `Quick test_catalog_check;
     Alcotest.test_case "inspect delta/abs timestamps" `Quick test_inspect_timestamps;
     Alcotest.test_case "inspect --abs legacy fallback" `Quick test_inspect_abs_fallback;

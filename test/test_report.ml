@@ -35,7 +35,7 @@ let test_snapshot_round_trip () =
         entry ~wall_ms:640.125 "router" 105 10 30 3;
       ]
   in
-  match Report.snapshot_of_json (Snapshot.to_json snapshot) with
+  match Snapshot.of_json (Snapshot.to_json snapshot) with
   | Error msg -> Alcotest.failf "round trip failed: %s" msg
   | Ok parsed ->
     Alcotest.(check int) "version" Snapshot.current_version parsed.Snapshot.version;
@@ -49,7 +49,7 @@ let test_snapshot_file_round_trip () =
   let snapshot = Snapshot.make ~label:"t" [ entry "dec" 503 6 280 2 ] in
   let path = Filename.temp_file "sbm_snapshot" ".json" in
   Snapshot.write snapshot path;
-  let loaded = Report.load_snapshot path in
+  let loaded = Snapshot.load path in
   Sys.remove path;
   match loaded with
   | Error msg -> Alcotest.failf "load failed: %s" msg
@@ -62,7 +62,7 @@ let test_snapshot_version_tolerance () =
   let v0 =
     "{\"version\":0,\"entries\":[{\"bench\":\"ctrl\",\"size\":52,\"depth\":10,\"luts\":20,\"levels\":3}]}"
   in
-  (match Report.snapshot_of_json v0 with
+  (match Snapshot.of_json v0 with
   | Error msg -> Alcotest.failf "old version rejected: %s" msg
   | Ok s ->
     Alcotest.(check int) "old version kept" 0 s.Snapshot.version;
@@ -75,11 +75,11 @@ let test_snapshot_version_tolerance () =
       Alcotest.(check (float 1e-9)) "wall_ms defaults" 0.0 e.Snapshot.wall_ms
     | l -> Alcotest.failf "expected 1 entry, got %d" (List.length l)));
   (* Documents from the future are rejected, not misread. *)
-  (match Report.snapshot_of_json "{\"version\":99,\"entries\":[]}" with
+  (match Snapshot.of_json "{\"version\":99,\"entries\":[]}" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "future version accepted");
   (* Garbage is an error, not an exception. *)
-  match Report.snapshot_of_json "{\"version\":" with
+  match Snapshot.of_json "{\"version\":" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "malformed JSON accepted"
 
