@@ -3,17 +3,19 @@
    claims and ablations of the design choices DESIGN.md calls out.
 
    Usage:
-     dune exec bench/main.exe            # fig1 + tables I, II, III + sec3b
+     dune exec bench/main.exe            # fig1 + tables I, II, III + sec3b + ablation
      dune exec bench/main.exe -- fig1
-     dune exec bench/main.exe -- table1 [--full] [--high]
-     dune exec bench/main.exe -- table2 [--full] [--high]
+     dune exec bench/main.exe -- table1 table2 [SNAPSHOT.json]
      dune exec bench/main.exe -- table3
      dune exec bench/main.exe -- sec3b
      dune exec bench/main.exe -- ablation
-     dune exec bench/main.exe -- timing  # Bechamel micro-benchmarks
 
-   Per-bench traces and wall-time histograms come from
-   `sbm bench --suite table1|table2 --histograms`.
+   Tables I and II run no flow: they render an `sbm bench` snapshot,
+   the committed BENCH_full.json (read from the current directory)
+   unless a SNAPSHOT.json path is given.
+   `sbm bench --suite full` writes one (every entry CEC-checked);
+   `--scale 1 NAMES` runs paper widths and `--flow sbm` the
+   high-effort flow.
 
    Absolute numbers cannot match the paper (our substrate regenerates
    the benchmarks rather than starting from the suite's heavily
@@ -25,7 +27,7 @@
 module Aig = Sbm_aig.Aig
 module Epfl = Sbm_epfl.Epfl
 module Flow = Sbm_core.Flow
-module Rng = Sbm_util.Rng
+module Snapshot = Sbm_obs.Snapshot
 
 let time f =
   let t0 = Unix.gettimeofday () in
@@ -82,66 +84,56 @@ let fig1 () =
     (if Aig.size aig < before then "reproduced" else "NOT reproduced")
 
 (* ------------------------------------------------------------------ *)
-(* Tables I and II: EPFL area category. *)
+(* Tables I and II: EPFL area category, rendered from a snapshot. *)
 
-(* Default width scales keep single-benchmark flow time in seconds;
-   [--full] uses the paper's exact widths. *)
-let default_scale = Epfl.default_scale
+let rows (snapshot : Snapshot.t) set render =
+  List.iter
+    (fun b ->
+      match Snapshot.find snapshot (Epfl.name b) with
+      | Some e -> render b e
+      | None -> Fmt.pr "%-11s (missing from the snapshot)@." (Epfl.name b))
+    set
 
-let optimize ~effort aig =
-  match effort with
-  | `Low -> Flow.sbm_once ~effort:Flow.Low aig
-  | `High -> Flow.sbm ~effort:Flow.High aig
+let cell = function
+  | Some (n, levels) -> Printf.sprintf "%6d / %4d" n levels
+  | None -> "     -"
 
-let table1 ~full ~effort () =
+(* The "ours" column: a QoR pair and the entry's flow wall time. *)
+let ours n levels (e : Snapshot.entry) =
+  Printf.sprintf "%7d / %4d (%5.1fs)" n levels (e.wall_ms /. 1000.0)
+
+let table1 (snapshot : Snapshot.t) =
   Fmt.pr "@.== Table I: EPFL area category (LUT-6 count / levels) ==@.";
-  Fmt.pr "%-11s %6s | %21s | %15s | %15s@." "benchmark" "scale" "ours: SBM flow + map"
-    "baseline flow" "paper Table I";
-  List.iter
-    (fun b ->
-      let scale = if full then 1.0 else default_scale b in
-      let aig = Epfl.generate ~scale b in
-      let (optimized, dt) =
-        time (fun () -> optimize ~effort aig)
+  Fmt.pr "  snapshot: %s@." snapshot.label;
+  Fmt.pr "%-11s %6s | %23s | %15s | %15s@." "benchmark" "input" "ours: SBM flow + map"
+    "baseline pass" "paper Table I";
+  rows snapshot Epfl.table1_set (fun b e ->
+      (* The flow's own resyn2rs-style pass on the compacted input. *)
+      let baseline =
+        List.find_map
+          (fun (r : Sbm_obs.Ledger.row) ->
+            if r.path = "iteration-1/baseline" then Some (r.luts, r.levels) else None)
+          e.passes
       in
-      check_equiv aig optimized (Epfl.name b);
-      let baseline = Flow.baseline aig in
-      let m_sbm = Sbm_lutmap.Lut_map.map optimized in
-      let m_base = Sbm_lutmap.Lut_map.map baseline in
-      let paper =
-        match Epfl.paper_lut6 b with
-        | Some (luts, levels) -> Printf.sprintf "%6d / %4d" luts levels
-        | None -> "     -"
-      in
-      Fmt.pr "%-11s %6.3f | %7d / %4d (%5.1fs) | %7d / %4d | %s@." (Epfl.name b)
-        scale m_sbm.Sbm_lutmap.Lut_map.lut_count m_sbm.Sbm_lutmap.Lut_map.depth dt
-        m_base.Sbm_lutmap.Lut_map.lut_count m_base.Sbm_lutmap.Lut_map.depth paper)
-    Epfl.table1_set;
-  Fmt.pr "  (scale < 1: reduced operand widths; paper values are for the full-width@.";
-  Fmt.pr "   suite after years of cross-group optimization — compare the SBM-vs-baseline@.";
-  Fmt.pr "   direction, not absolute counts)@."
+      Fmt.pr "%-11s %6d | %s | %15s | %s@." e.bench e.size_before
+        (ours e.qor.luts e.qor.levels e) (cell baseline) (cell (Epfl.paper_lut6 b)));
+  Fmt.pr "  (input: AIG nodes at the reduced operand widths the snapshot ran; paper@.";
+  Fmt.pr "   values are for the full-width suite after years of cross-group@.";
+  Fmt.pr "   optimization — compare the SBM-vs-baseline direction, not absolute counts)@."
 
-let table2 ~full ~effort () =
+let table2 (snapshot : Snapshot.t) =
   Fmt.pr "@.== Table II: smallest AIGs (size / levels) ==@.";
-  Fmt.pr "%-11s %6s | %21s | %15s | %15s@." "benchmark" "scale" "ours: SBM AIG flow"
+  Fmt.pr "  snapshot: %s@." snapshot.label;
+  Fmt.pr "%-11s %6s | %23s | %15s | %15s@." "benchmark" "input" "ours: SBM AIG flow"
     "unoptimized" "paper Table II";
-  List.iter
-    (fun b ->
-      let scale = if full then 1.0 else default_scale b in
-      let aig = Epfl.generate ~scale b in
-      let (optimized, dt) =
-        time (fun () -> optimize ~effort aig)
+  rows snapshot Epfl.table2_set (fun b e ->
+      let unoptimized =
+        match e.passes with
+        | r :: _ -> Some (e.size_before, r.depth_before)
+        | [] -> None
       in
-      check_equiv aig optimized (Epfl.name b);
-      let paper =
-        match Epfl.paper_aig b with
-        | Some (size, levels) -> Printf.sprintf "%6d / %4d" size levels
-        | None -> "     -"
-      in
-      Fmt.pr "%-11s %6.3f | %7d / %4d (%5.1fs) | %7d / %4d | %s@." (Epfl.name b)
-        scale (Aig.size optimized) (Aig.depth optimized) dt (Aig.size aig)
-        (Aig.depth aig) paper)
-    Epfl.table2_set
+      Fmt.pr "%-11s %6d | %s | %15s | %s@." e.bench e.size_before
+        (ours e.qor.size e.qor.depth e) (cell unoptimized) (cell (Epfl.paper_aig b)))
 
 (* ------------------------------------------------------------------ *)
 (* Table III: ASIC proxy on 33 designs. *)
@@ -352,95 +344,42 @@ let ablation () =
     [ Epfl.Cavlc; Epfl.Router; Epfl.Priority ]
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks: one Test.make per table/figure. *)
 
-let timing () =
-  let open Bechamel in
-  let fig1_aig = fig1_network () in
-  let fig1_part = Sbm_partition.Partition.whole fig1_aig in
-  let t1_aig = Epfl.generate Epfl.Cavlc in
-  let t2_aig = Epfl.generate Epfl.Router in
-  let t3_aig = Epfl.generate Epfl.Ctrl in
-  let s3b_aig = Epfl.generate Epfl.Cavlc in
-  let tests =
-    Test.make_grouped ~name:"sbm"
-      [
-        (* Fig. 1: one Boolean-difference computation (Alg. 1). *)
-        Test.make ~name:"fig1/boolean-difference"
-          (Staged.stage (fun () ->
-               let ctx = Sbm_core.Bdd_bridge.build fig1_aig fig1_part in
-               let members = Sbm_core.Bdd_bridge.members ctx in
-               if Array.length members >= 2 then
-                 ignore
-                   (Sbm_core.Boolean_difference.compute ctx
-                      Sbm_core.Boolean_difference.default_config
-                      ~f:members.(Array.length members - 1)
-                      ~g:members.(0))));
-        (* Table I: LUT-6 area mapping. *)
-        Test.make ~name:"table1/lut6-map"
-          (Staged.stage (fun () -> ignore (Sbm_lutmap.Lut_map.map t1_aig)));
-        (* Table II: one gradient-engine move (rewriting). *)
-        Test.make ~name:"table2/rewrite-move"
-          (Staged.stage (fun () ->
-               let copy = Aig.copy t2_aig in
-               ignore (Sbm_aig.Rewrite.run copy)));
-        (* Table III: technology mapping + STA + power. *)
-        Test.make ~name:"table3/map-sta-power"
-          (Staged.stage (fun () ->
-               let netlist = Sbm_asic.Mapper.map t3_aig in
-               ignore (Sbm_asic.Sta.analyze netlist);
-               ignore (Sbm_asic.Power.dynamic ~rounds:2 netlist)));
-        (* Section III-B: monolithic difference resubstitution. *)
-        Test.make ~name:"sec3b/diff-monolithic"
-          (Staged.stage (fun () ->
-               let copy = Aig.copy s3b_aig in
-               let config =
-                 { Sbm_core.Diff_resub.default_config with monolithic = true }
-               in
-               ignore (Sbm_core.Diff_resub.optimize ~config copy)));
-      ]
-  in
-  let cfg = Benchmark.cfg ~limit:20 ~quota:(Time.second 2.0) ~kde:None () in
-  let raw = Benchmark.all cfg Toolkit.Instance.[ monotonic_clock ] tests in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  Fmt.pr "@.== Timing (Bechamel, monotonic clock) ==@.";
-  let rows = Hashtbl.fold (fun name ols acc -> (name, ols) :: acc) results [] in
-  List.iter
-    (fun (name, ols) ->
-      match Analyze.OLS.estimates ols with
-      | Some (t :: _) ->
-        let ms = t /. 1e6 in
-        Fmt.pr "  %-28s %10.3f ms/run@." name ms
-      | Some [] | None -> Fmt.pr "  %-28s (no estimate)@." name)
-    (List.sort compare rows)
-
-(* ------------------------------------------------------------------ *)
+let experiments = [ "fig1"; "table1"; "table2"; "table3"; "sec3b"; "ablation" ]
 
 let () =
-  let args = Array.to_list Sys.argv |> List.tl in
-  let flag f = List.mem f args in
-  let full = flag "--full" in
-  let effort = if flag "--high" then `High else `Low in
-  let commands = List.filter (fun a -> not (String.length a > 2 && String.sub a 0 2 = "--")) args in
-  let run = function
-    | "fig1" -> fig1 ()
-    | "table1" -> table1 ~full ~effort ()
-    | "table2" -> table2 ~full ~effort ()
-    | "table3" -> table3 ()
-    | "sec3b" -> sec3b ()
-    | "ablation" -> ablation ()
-    | "timing" -> timing ()
-    | other -> Fmt.epr "unknown experiment: %s@." other
+  let args = List.tl (Array.to_list Sys.argv) in
+  let paths, names = List.partition (fun a -> Filename.check_suffix a ".json") args in
+  let usage bad =
+    Fmt.epr "bench/main.exe: %s; usage: bench/main.exe [%s]... [SNAPSHOT.json]@." bad
+      (String.concat "|" experiments);
+    exit 2
   in
-  match commands with
-  | [] ->
-    fig1 ();
-    table1 ~full ~effort ();
-    table2 ~full ~effort ();
-    table3 ();
-    sec3b ();
-    ablation ()
-  | cmds -> List.iter run cmds
+  List.iter
+    (fun n -> if not (List.mem n experiments) then usage ("unknown argument " ^ n))
+    names;
+  let path =
+    match paths with
+    | [] -> "BENCH_full.json"
+    | [ p ] -> p
+    | _ -> usage "more than one snapshot"
+  in
+  let names = if names = [] then experiments else names in
+  let snapshot =
+    lazy
+      (match Snapshot.load path with
+      | Ok s -> s
+      | Error msg ->
+        Fmt.epr "bench/main.exe: cannot read snapshot %s@." msg;
+        exit 1)
+  in
+  if List.mem "table1" names || List.mem "table2" names then ignore (Lazy.force snapshot);
+  List.iter
+    (function
+      | "fig1" -> fig1 ()
+      | "table1" -> table1 (Lazy.force snapshot)
+      | "table2" -> table2 (Lazy.force snapshot)
+      | "table3" -> table3 ()
+      | "sec3b" -> sec3b ()
+      | _ -> ablation ())
+    names

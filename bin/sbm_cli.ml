@@ -7,7 +7,8 @@
      lutmap    — map to LUT-K and report area/depth
      asic      — map to standard cells and report area/timing/power
      cec       — equivalence-check two AAG files
-     bench     — run a benchmark subset, write a QoR snapshot
+     bench     — run a benchmark subset, check equivalence, write a QoR
+                 snapshot
      diff      — compare two QoR snapshots, gate on regressions
      attribute — run a flow and report per-engine node/LUT provenance
      profile   — self/total-time hotspots, flamegraph stacks and Chrome
@@ -441,18 +442,26 @@ let opt_cmd =
             `Error (false, "cannot write telemetry report: " ^ msg))
         | None, _ -> `Ok ()
       in
-      if verify then begin
-        match Sbm_cec.Cec.check aig optimized with
-        | Sbm_cec.Cec.Equivalent -> Fmt.pr "equivalence: proven@."
-        | Sbm_cec.Cec.Counterexample _ -> Fmt.pr "equivalence: FAILED@."
-        | Sbm_cec.Cec.Unknown -> Fmt.pr "equivalence: unknown (budget)@."
-      end;
+      let verified =
+        if not verify then `Ok ()
+        else
+          match Sbm_cec.Cec.check aig optimized with
+          | Sbm_cec.Cec.Equivalent ->
+            Fmt.pr "equivalence: proven@.";
+            `Ok ()
+          | Sbm_cec.Cec.Counterexample _ ->
+            Fmt.pr "equivalence: FAILED@.";
+            `Error (false, "networks differ")
+          | Sbm_cec.Cec.Unknown ->
+            Fmt.pr "equivalence: unknown (budget)@.";
+            `Ok ()
+      in
       Option.iter
         (fun oc ->
           output_string oc (Sbm_aig.Aiger.write optimized);
           close_out oc)
         output_oc;
-      reported
+      if reported = `Ok () then verified else reported
   in
   let term =
     Term.(
@@ -659,10 +668,12 @@ let bench_cmd =
          (and repeat) of the invocation, so two bench processes are
          comparable record-for-record with `sbm audit`. *)
       Sbm_obs.Fingerprint.enable ?path:common.fingerprint ();
+      (* A flow whose output differs from its input ends the command. *)
+      let exception Not_equivalent of string in
       let entry b =
         let bench = Epfl.name b in
         let seed_opt = if seed = 0 then None else Some seed in
-        let run_once () =
+        let run_once i =
           Sbm_obs.Ledger.enable ();
           let aig = Epfl.generate ~scale:(eff_scale b) ?seed:seed_opt b in
           let trace = Sbm_obs.create () in
@@ -680,6 +691,20 @@ let bench_cmd =
           let wall_ms = 1000.0 *. (Unix.gettimeofday () -. t0) in
           Sbm_obs.close ~size:(Aig.size optimized)
             ~depth:(Aig.depth optimized) root;
+          (* Once per benchmark, outside [wall_ms], at the budget the
+             other harnesses use. CEC bumps no registry counter, so
+             counters, ledger rows and the trail are unaffected. *)
+          let cec =
+            if i > 0 then None
+            else
+              match
+                Sbm_cec.Cec.check ~sim_rounds:64 ~conflict_limit:5_000 aig
+                  optimized
+              with
+              | Sbm_cec.Cec.Equivalent -> Some "proven"
+              | Sbm_cec.Cec.Unknown -> Some "unknown"
+              | Sbm_cec.Cec.Counterexample _ -> raise (Not_equivalent bench)
+          in
           let mapping = Sbm_lutmap.Lut_map.map ~k:6 optimized in
           let qor =
             {
@@ -689,17 +714,17 @@ let bench_cmd =
               levels = mapping.Sbm_lutmap.Lut_map.depth;
             }
           in
-          (Aig.size aig, qor, wall_ms, trace, Sbm_obs.Ledger.rows ())
+          (Aig.size aig, qor, cec, wall_ms, trace, Sbm_obs.Ledger.rows ())
         in
-        let runs = List.init repeat (fun _ -> run_once ()) in
-        let size_in, qor, _, trace, passes = List.hd runs in
+        let runs = List.init repeat run_once in
+        let size_in, qor, cec, _, trace, passes = List.hd runs in
         List.iter
-          (fun (_, q, _, _, _) ->
+          (fun (_, q, _, _, _, _) ->
             if q <> qor then
               failwith (bench ^ ": QoR differs across repeated runs"))
           runs;
         let walls =
-          List.sort Float.compare (List.map (fun (_, _, w, _, _) -> w) runs)
+          List.sort Float.compare (List.map (fun (_, _, _, w, _, _) -> w) runs)
         in
         (* Lower median: robust against container noise, deterministic
            for even repeat counts. *)
@@ -710,6 +735,8 @@ let bench_cmd =
           (if repeat > 1 then
              Fmt.str " (median of %d, min %.1fms)" repeat (List.hd walls)
            else "");
+        if cec = Some "unknown" then
+          Fmt.pr "            cec: unknown at the 5000-conflict budget@.";
         if hist then Fmt.pr "%a" Sbm_obs.pp_histograms trace;
         let counters = Sbm_obs.totals trace in
         (* Per-benchmark prefilter summary (absent with --no-prefilter):
@@ -738,7 +765,7 @@ let bench_cmd =
           end
           else counters
         in
-        { Sbm_obs.Snapshot.bench; size_before = size_in; qor; wall_ms;
+        { Sbm_obs.Snapshot.bench; size_before = size_in; qor; cec; wall_ms;
           counters; passes }
       in
       let label =
@@ -758,36 +785,43 @@ let bench_cmd =
           | None ->
             Fmt.str "flow=%s scale=%g" (Sbm_core.Flow.to_string flow) scale
       in
-      let snapshot =
-        Sbm_obs.Snapshot.make ~label ~seed (List.map entry benches)
+      let entries =
+        match List.map entry benches with
+        | entries -> Ok entries
+        | exception Not_equivalent bench ->
+          Error (bench ^ ": flow output is not equivalent to its input")
       in
       Sbm_obs.Status.stop ();
       Sbm_obs.Ledger.disable ();
       Sbm_obs.Fingerprint.disable ();
-      (match Sbm_obs.Snapshot.write snapshot out with
-      | () -> (
-        Fmt.pr "snapshot (%d benchmarks) written to %s@."
-          (List.length benches) out;
-        match ledger with
-        | None -> `Ok ()
-        | Some path -> (
-          let record =
-            {
-              Sbm_report.History.t = Unix.time ();
-              commit =
-                Option.value ~default:"" (Sys.getenv_opt "SBM_COMMIT");
-              flow = Sbm_core.Flow.to_string flow;
-              jobs = Sbm_par.Jobs.get ();
-              snapshot;
-            }
-          in
-          match Sbm_report.History.append_run ~path record with
-          | Ok () ->
-            Fmt.pr "ledger record appended to %s@." path;
-            `Ok ()
-          | Error msg -> `Error (false, "cannot append ledger: " ^ msg)))
-      | exception Sys_error msg ->
-        `Error (false, "cannot write snapshot: " ^ msg))
+      match entries with
+      | Error msg -> `Error (false, msg)
+      | Ok entries -> (
+        let snapshot = Sbm_obs.Snapshot.make ~label ~seed entries in
+        match Sbm_obs.Snapshot.write snapshot out with
+        | () -> (
+          Fmt.pr "snapshot (%d benchmarks) written to %s@."
+            (List.length benches) out;
+          match ledger with
+          | None -> `Ok ()
+          | Some path -> (
+            let record =
+              {
+                Sbm_report.History.t = Unix.time ();
+                commit =
+                  Option.value ~default:"" (Sys.getenv_opt "SBM_COMMIT");
+                flow = Sbm_core.Flow.to_string flow;
+                jobs = Sbm_par.Jobs.get ();
+                snapshot;
+              }
+            in
+            match Sbm_report.History.append_run ~path record with
+            | Ok () ->
+              Fmt.pr "ledger record appended to %s@." path;
+              `Ok ()
+            | Error msg -> `Error (false, "cannot append ledger: " ^ msg)))
+        | exception Sys_error msg ->
+          `Error (false, "cannot write snapshot: " ^ msg))
   in
   let term =
     Term.(
@@ -798,7 +832,9 @@ let bench_cmd =
   in
   Cmd.v
     (Cmd.info "bench"
-       ~doc:"Run a benchmark subset and write a versioned QoR snapshot")
+       ~doc:
+         "Run a benchmark subset, check each output's equivalence with its \
+          input and write a versioned QoR snapshot")
     term
 
 (* --- diff --- *)

@@ -444,6 +444,7 @@ module Snapshot = struct
     bench : string;
     size_before : int;
     qor : qor;
+    cec : string option;
     wall_ms : float;
     counters : (string * int) list;
     passes : Ledger.row list;
@@ -493,8 +494,14 @@ module Snapshot = struct
             (Printf.sprintf ",\"size_before\":%d" e.size_before);
         Buffer.add_string b
           (Printf.sprintf
-             ",\"size\":%d,\"depth\":%d,\"luts\":%d,\"levels\":%d,\"wall_ms\":%.3f,\"counters\":"
-             e.qor.size e.qor.depth e.qor.luts e.qor.levels e.wall_ms);
+             ",\"size\":%d,\"depth\":%d,\"luts\":%d,\"levels\":%d"
+             e.qor.size e.qor.depth e.qor.luts e.qor.levels);
+        (* Additive key: the equivalence verdict of output vs input. *)
+        Option.iter
+          (fun v -> Buffer.add_string b (Printf.sprintf ",\"cec\":\"%s\"" (esc v)))
+          e.cec;
+        Buffer.add_string b
+          (Printf.sprintf ",\"wall_ms\":%.3f,\"counters\":" e.wall_ms);
         Json.buf_counters b e.counters;
         if e.passes <> [] then begin
           Buffer.add_string b ",\"passes\":";
@@ -514,7 +521,7 @@ module Snapshot = struct
         output_char oc '\n')
 
   (* Additive keys read as their "unrecorded" value when absent:
-     size_before -1, passes []. *)
+     size_before -1, cec None, passes []. *)
   let entry_of_json j =
     let int key = Json.(to_int (member key j)) in
     match
@@ -528,6 +535,7 @@ module Snapshot = struct
           bench;
           size_before = Json.int ~default:(-1) "size_before" j;
           qor = { size; depth; luts; levels };
+          cec = Json.(to_str (member "cec" j));
           wall_ms = Json.num "wall_ms" j;
           counters = Json.counters "counters" j;
           passes =

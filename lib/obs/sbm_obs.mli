@@ -272,6 +272,10 @@ module Snapshot : sig
             effective benchmark scale in the snapshot; -1 when the
             snapshot predates the key *)
     qor : qor;
+    cec : string option;
+        (** equivalence verdict of the output against the input,
+            ["proven"] or ["unknown"]; [None] when the snapshot
+            predates the key *)
     wall_ms : float;  (** flow wall time for this benchmark *)
     counters : (string * int) list;  (** trace totals, sorted by name *)
     passes : Ledger.row list;
@@ -314,7 +318,7 @@ module Snapshot : sig
 
   (** [of_json s] parses a snapshot document. Accepts any
       [version <= current_version] (missing optional fields default:
-      [label ""], [seed 0], [size_before -1], [passes []]); rejects
+      [label ""], [seed 0], [size_before -1], [cec None], [passes []]); rejects
       documents from the future or with malformed entries. *)
   val of_json : string -> (t, string) result
 

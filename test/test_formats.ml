@@ -74,6 +74,7 @@ let ctrl_run =
                  luts = m.Sbm_lutmap.Lut_map.lut_count;
                  levels = m.Sbm_lutmap.Lut_map.depth;
                };
+             cec = Some "proven";
              wall_ms = 1000.0 *. (Unix.gettimeofday () -. t0);
              counters = Obs.totals trace;
              passes = Ledger.rows ();
@@ -102,16 +103,35 @@ let check_round_trips what ~to_json ~of_json values =
 
 let line_reader f s = f (Json.parse s)
 
+(* The run's entry is proven; copies carry the other [cec] states: an
+   unknown verdict, and no key at all (a snapshot older than it). *)
 let test_snapshot () =
   let { snapshot; _ } = Lazy.force ctrl_run in
   Alcotest.(check bool) "snapshot carries ledger rows" true
     (List.exists (fun (e : Snapshot.entry) -> e.passes <> []) snapshot.entries);
+  let e = List.hd snapshot.entries in
   check_round_trips "snapshot" ~to_json:Snapshot.to_json
     ~of_json:(fun s -> Result.to_option (Snapshot.of_json s))
-    [ snapshot ];
+    [
+      Snapshot.make ~label:snapshot.label ~seed:snapshot.seed
+        [ e; { e with bench = "ctrl-unknown"; cec = Some "unknown" };
+          { e with bench = "ctrl-unrecorded"; cec = None } ];
+    ];
   check_round_trips "ledger row" ~to_json:(Ledger.row_to_json ?stable:None)
     ~of_json:(fun s -> Some (line_reader Ledger.row_of_json s))
     (List.concat_map (fun (e : Snapshot.entry) -> e.passes) snapshot.entries)
+
+(* A committed snapshot without [cec] keys re-emits byte for byte, so
+   the key never appears in a document that did not carry it. *)
+let test_committed_snapshot () =
+  let text = In_channel.with_open_bin "../BENCH_baseline.json" In_channel.input_all in
+  match Snapshot.of_json text with
+  | Error msg -> Alcotest.fail msg
+  | Ok t ->
+    Alcotest.(check bool) "no cec verdicts" true
+      (List.for_all (fun (e : Snapshot.entry) -> e.cec = None) t.entries);
+    Alcotest.(check string) "BENCH_baseline.json re-emits byte for byte" text
+      (Snapshot.to_json t ^ "\n")
 
 let test_fingerprint_record () =
   let { records; _ } = Lazy.force ctrl_run in
@@ -147,6 +167,8 @@ let test_postmortem_dump () =
 let suite =
   [
     Alcotest.test_case "snapshot with ledger rows round-trips" `Quick test_snapshot;
+    Alcotest.test_case "committed snapshot re-emits byte for byte" `Quick
+      test_committed_snapshot;
     Alcotest.test_case "fingerprint record round-trips" `Quick test_fingerprint_record;
     Alcotest.test_case "status sample round-trips" `Quick test_status_sample;
     Alcotest.test_case "post-mortem dump round-trips" `Quick test_postmortem_dump;

@@ -26,6 +26,7 @@ let entry ?(counters = []) ?(wall_ms = 100.0) ?(passes = []) bench size depth
     Snapshot.bench;
     size_before = -1;
     qor = { Snapshot.size; depth; luts; levels };
+    cec = None;
     wall_ms;
     counters;
     passes;

@@ -17,6 +17,7 @@ let entry ?(counters = []) ?(wall_ms = 100.0) ?(passes = []) ?(size_before = -1)
     Snapshot.bench;
     size_before;
     qor = { Snapshot.size; depth; luts; levels };
+    cec = None;
     wall_ms;
     counters;
     passes;
