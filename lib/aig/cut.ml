@@ -2,19 +2,6 @@ type cut = { leaves : int array; tt : int64 }
 
 let tt_mask m = if m >= 6 then -1L else Int64.sub (Int64.shift_left 1L (1 lsl m)) 1L
 
-let var_pattern = [|
-  0xAAAAAAAAAAAAAAAAL;
-  0xCCCCCCCCCCCCCCCCL;
-  0xF0F0F0F0F0F0F0F0L;
-  0xFF00FF00FF00FF00L;
-  0xFFFF0000FFFF0000L;
-  0xFFFFFFFF00000000L;
-|]
-
-let tt_var m j =
-  if j < 0 || j >= m || m > 6 then invalid_arg "Cut.tt_var";
-  Int64.logand var_pattern.(j) (tt_mask m)
-
 let stretch tt leaves super =
   let m = Array.length leaves in
   let m' = Array.length super in
@@ -92,92 +79,74 @@ let filter_dominated cuts =
   in
   go [] cuts
 
+(* The cut set of an AND node with fanins [f0]/[f1], from the fanins'
+   cut sets: every pairwise leaf union of at most [k] leaves with its
+   function, deduplicated and sorted, dominated cuts dropped, the
+   first [max_cuts] kept. *)
+let merge_fanins ~k ~max_cuts f0 cuts0 f1 cuts1 =
+  let results = ref [] in
+  List.iter
+    (fun c0 ->
+      List.iter
+        (fun c1 ->
+          match merge_leaves k c0.leaves c1.leaves with
+          | None -> ()
+          | Some leaves ->
+            let m = Array.length leaves in
+            let t0 = stretch c0.tt c0.leaves leaves in
+            let t1 = stretch c1.tt c1.leaves leaves in
+            let t0 = if Aig.is_compl f0 then Int64.lognot t0 else t0 in
+            let t1 = if Aig.is_compl f1 then Int64.lognot t1 else t1 in
+            let tt = Int64.logand (Int64.logand t0 t1) (tt_mask m) in
+            results := { leaves; tt } :: !results)
+        cuts1)
+    cuts0;
+  let rec take n = function
+    | [] -> []
+    | _ when n = 0 -> []
+    | c :: rest -> c :: take (n - 1) rest
+  in
+  take max_cuts (filter_dominated (List.sort_uniq cut_compare !results))
+
+(* The trivial cut of [v] has one leaf and the identity function; the
+   constant node's cut has no leaves and the false function. *)
+let trivial v = { leaves = [| v |]; tt = 2L }
+let const_cut = { leaves = [||]; tt = 0L }
+
 let enumerate aig ~k ~max_cuts =
   if k < 2 || k > 6 then invalid_arg "Cut.enumerate: k must be in [2,6]";
   let sets = Array.make (Aig.num_nodes aig) [] in
-  let trivial v = { leaves = [| v |]; tt = tt_var 1 0 } in
-  let order = Aig.topo aig in
+  let cuts_of v = if v = 0 then [ const_cut ] else sets.(v) in
   Array.iter
     (fun v ->
       if Aig.is_input aig v then sets.(v) <- [ trivial v ]
       else if Aig.is_and aig v then begin
         let f0 = Aig.fanin0 aig v and f1 = Aig.fanin1 aig v in
-        let v0 = Aig.node_of f0 and v1 = Aig.node_of f1 in
-        let cuts0 = if v0 = 0 then [ { leaves = [||]; tt = 0L } ] else sets.(v0) in
-        let cuts1 = if v1 = 0 then [ { leaves = [||]; tt = 0L } ] else sets.(v1) in
-        let results = ref [] in
-        List.iter
-          (fun c0 ->
-            List.iter
-              (fun c1 ->
-                match merge_leaves k c0.leaves c1.leaves with
-                | None -> ()
-                | Some leaves ->
-                  let m = Array.length leaves in
-                  let t0 = stretch c0.tt c0.leaves leaves in
-                  let t1 = stretch c1.tt c1.leaves leaves in
-                  let t0 = if Aig.is_compl f0 then Int64.lognot t0 else t0 in
-                  let t1 = if Aig.is_compl f1 then Int64.lognot t1 else t1 in
-                  let tt = Int64.logand (Int64.logand t0 t1) (tt_mask m) in
-                  results := { leaves; tt } :: !results)
-              cuts1)
-          cuts0;
-        let cuts = List.sort_uniq cut_compare !results in
-        let cuts = filter_dominated cuts in
-        let cuts =
-          let rec take n = function
-            | [] -> []
-            | _ when n = 0 -> []
-            | c :: rest -> c :: take (n - 1) rest
-          in
-          take max_cuts cuts
-        in
-        sets.(v) <- trivial v :: cuts
+        sets.(v) <-
+          trivial v
+          :: merge_fanins ~k ~max_cuts f0 (cuts_of (Aig.node_of f0)) f1
+               (cuts_of (Aig.node_of f1))
       end)
-    order;
+    (Aig.topo aig);
   sets
 
 let local aig root ~k ~max_cuts ~depth =
   if k < 2 || k > 6 then invalid_arg "Cut.local: k must be in [2,6]";
   let memo = Hashtbl.create 64 in
-  let trivial v = [ { leaves = [| v |]; tt = tt_var 1 0 } ] in
   let rec cuts_of v d =
     match Hashtbl.find_opt memo v with
     | Some cs -> cs
     | None ->
       let cs =
-        if v = 0 then [ { leaves = [||]; tt = 0L } ]
-        else if d = 0 || not (Aig.is_and aig v) then trivial v
+        if v = 0 then [ const_cut ]
+        else if d = 0 || not (Aig.is_and aig v) then [ trivial v ]
         else begin
           let f0 = Aig.fanin0 aig v and f1 = Aig.fanin1 aig v in
           let cuts0 = cuts_of (Aig.node_of f0) (d - 1) in
           let cuts1 = cuts_of (Aig.node_of f1) (d - 1) in
-          let results = ref [] in
-          List.iter
-            (fun c0 ->
-              List.iter
-                (fun c1 ->
-                  match merge_leaves k c0.leaves c1.leaves with
-                  | None -> ()
-                  | Some leaves ->
-                    let m = Array.length leaves in
-                    let t0 = stretch c0.tt c0.leaves leaves in
-                    let t1 = stretch c1.tt c1.leaves leaves in
-                    let t0 = if Aig.is_compl f0 then Int64.lognot t0 else t0 in
-                    let t1 = if Aig.is_compl f1 then Int64.lognot t1 else t1 in
-                    let tt = Int64.logand (Int64.logand t0 t1) (tt_mask m) in
-                    results := { leaves; tt } :: !results)
-                cuts1)
-            cuts0;
-          let cs = filter_dominated (List.sort_uniq cut_compare !results) in
-          let rec take n = function
-            | [] -> []
-            | _ when n = 0 -> []
-            | c :: rest -> c :: take (n - 1) rest
-          in
-          let cs = take max_cuts cs in
+          let cs = merge_fanins ~k ~max_cuts f0 cuts0 f1 cuts1 in
           if List.exists (fun c -> Array.length c.leaves = 1) cs then cs
-          else trivial v @ cs
+          else trivial v :: cs
         end
       in
       Hashtbl.add memo v cs;

@@ -28,10 +28,6 @@ val local : Aig.t -> int -> k:int -> max_cuts:int -> depth:int -> cut list
     [|leaves|] variables. *)
 val cut_tt_full : cut -> Sbm_truthtable.Tt.t
 
-(** [tt_var m j] is the single-word truth-table pattern of variable
-    [j] over [m] variables (low [2^m] bits significant). *)
-val tt_var : int -> int -> int64
-
 (** [tt_mask m] masks the significant bits of an [m]-variable
     single-word table. *)
 val tt_mask : int -> int64

@@ -4,24 +4,12 @@
     reconvergent MFFC of the logic network" step of the paper's
     resynthesis script (Section V-A) and the "refactoring" move of the
     gradient engine. A reconvergence-driven cut of up to [max_leaves]
-    inputs is computed for each node, the cone function is collapsed
-    into a truth table, and {!Synth} rebuilds it from scratch; the
-    change is kept on positive exact gain (zero gain if requested). *)
+    inputs is computed for each node whose maximum fanout-free cone
+    has at least two nodes, the cone function is collapsed into a
+    truth table, and {!Synth} rebuilds it from scratch; the change is
+    kept on positive exact gain (zero gain if requested). *)
 
-(** [run ?zero_gain ?max_leaves ?min_mffc aig] refactors every node
-    once. [max_leaves] defaults to 10 (paper-scale windows); it is
-    capped by {!Sbm_truthtable.Tt.max_vars}. [min_mffc] (default 0)
-    skips nodes whose maximum fanout-free cone is smaller — they have
-    little to reclaim, and the filter removes most of the pass's cost
-    on share-heavy networks. Returns the total gain. *)
-val run : ?zero_gain:bool -> ?max_leaves:int -> ?min_mffc:int -> Aig.t -> int
-
-(** [reconv_cut aig v ~max_leaves] is the reconvergence-driven cut
-    used by [run], exposed for the resubstitution window builder. *)
-val reconv_cut : Aig.t -> int -> max_leaves:int -> int array
-
-(** [cone_tt aig v leaves] collapses the cone of [v] over the leaf
-    array into a truth table (variable [i] = [leaves.(i)]).
-    @raise Invalid_argument if some path from [v] escapes the leaf
-    set before reaching an input, or if there are too many leaves. *)
-val cone_tt : Aig.t -> int -> int array -> Sbm_truthtable.Tt.t
+(** [run ?zero_gain ?max_leaves aig] refactors every node once.
+    [max_leaves] defaults to 10 (paper-scale windows); it is capped by
+    {!Sbm_truthtable.Tt.max_vars}. Returns the total gain. *)
+val run : ?zero_gain:bool -> ?max_leaves:int -> Aig.t -> int

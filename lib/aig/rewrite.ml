@@ -1,65 +1,12 @@
-(* Evaluate one candidate replacement for [v]: keep it (pinned) if it
-   beats [best], otherwise release its dangling cone. The best
-   candidate stays pinned so deleting a losing sibling that shares
-   structure with it cannot collect it. *)
-let consider aig v best candidate =
-  if Aig.node_of candidate = v then best
-  else begin
-    let gain = Aig.gain_of_replacement aig ~root:v ~candidate in
-    match best with
-    | Some (bg, bc) when bg >= gain ->
-      if Aig.node_of candidate <> Aig.node_of bc then
-        Aig.delete_dangling aig (Aig.node_of candidate);
-      best
-    | Some (_, bc) ->
-      Aig.pin aig candidate;
-      Aig.unpin aig bc;
-      Some (gain, candidate)
-    | None ->
-      Aig.pin aig candidate;
-      Some (gain, candidate)
-  end
+(* One candidate per 4-input cut of at least two leaves: the cut
+   function resynthesized over the leaves. *)
+let candidates aig v =
+  Cut.local aig v ~k:4 ~max_cuts:10 ~depth:8
+  |> List.to_seq
+  |> Seq.filter_map (fun (c : Cut.cut) ->
+         if Array.length c.leaves < 2 then None
+         else
+           let leaves = Array.map (fun leaf -> Aig.lit_of leaf false) c.leaves in
+           Some (Synth.of_tt aig (Cut.cut_tt_full c) leaves))
 
-let rewrite_node aig ~zero_gain v =
-  let cuts = Cut.local aig v ~k:4 ~max_cuts:10 ~depth:8 in
-  let best = ref None in
-  List.iter
-    (fun (c : Cut.cut) ->
-      if Array.length c.leaves >= 2 then begin
-        let tt = Cut.cut_tt_full c in
-        let leaves = Array.map (fun leaf -> Aig.lit_of leaf false) c.leaves in
-        let candidate = Synth.of_tt aig tt leaves in
-        best := consider aig v !best candidate
-      end)
-    cuts;
-  match !best with
-  | None -> 0
-  | Some (_, candidate) ->
-    Aig.unpin ~collect:false aig candidate;
-    if Aig.in_tfi aig ~node:v ~root:(Aig.node_of candidate) then begin
-      (* Strashing rebuilt v inside the candidate: committing would
-         close a cycle. *)
-      Aig.delete_dangling aig (Aig.node_of candidate);
-      0
-    end
-    else begin
-      (* The gain recorded during scanning may have shifted as sibling
-         candidates were released; recompute before committing. *)
-      let gain = Aig.gain_of_replacement aig ~root:v ~candidate in
-      if gain > 0 || (zero_gain && gain = 0) then begin
-        Aig.replace aig v candidate;
-        gain
-      end
-      else begin
-        Aig.delete_dangling aig (Aig.node_of candidate);
-        0
-      end
-    end
-
-let run ?(zero_gain = false) aig =
-  let order = Aig.topo aig in
-  let total = ref 0 in
-  Array.iter
-    (fun v -> if Aig.is_and aig v then total := !total + rewrite_node aig ~zero_gain v)
-    order;
-  !total
+let run ?(zero_gain = false) aig = Local.run ~zero_gain candidates aig

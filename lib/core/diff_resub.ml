@@ -268,21 +268,13 @@ let run_partition_analysis aig config counters store part total =
                 | None -> ()
                 | Some candidate ->
                   counters.c_diffs <- counters.c_diffs + 1;
-                  if
-                    Aig.node_of candidate <> f
-                    && not (Aig.in_tfi aig ~node:f ~root:(Aig.node_of candidate))
-                  then begin
-                    let gain = Aig.gain_of_replacement aig ~root:f ~candidate in
-                    (* Alg. 2 line 13: accept when not larger. *)
-                    if gain > 0 || (config.accept_zero && gain = 0) then begin
-                      Aig.replace aig f candidate;
-                      total := !total + gain;
-                      counters.c_rewrites <- counters.c_rewrites + 1;
-                      replaced := true
-                    end
-                    else Aig.delete_dangling aig (Aig.node_of candidate)
-                  end
-                  else Aig.delete_dangling aig (Aig.node_of candidate))
+                  (* Alg. 2 line 13: accept when not larger. *)
+                  match Sbm_aig.Local.commit aig ~zero_gain:config.accept_zero f candidate with
+                  | Some gain ->
+                    total := !total + gain;
+                    counters.c_rewrites <- counters.c_rewrites + 1;
+                    replaced := true
+                  | None -> ())
             end)
           members
       end)

@@ -192,15 +192,14 @@ let baseline ?(obs = Obs.null) aig0 =
   in
   keep "balance" Sbm_aig.Balance.run;
   in_place "rewrite" (fun a -> Sbm_aig.Rewrite.run a);
-  in_place "refactor" (fun a -> Sbm_aig.Refactor.run ~max_leaves:8 ~min_mffc:2 a);
+  in_place "refactor" (fun a -> Sbm_aig.Refactor.run ~max_leaves:8 a);
   keep "balance" Sbm_aig.Balance.run;
   in_place "resub" (fun a -> Sbm_aig.Resub.run ~max_leaves:8 ~max_divisors:30 a);
   in_place "rewrite" (fun a -> Sbm_aig.Rewrite.run a);
   in_place "rewrite -z" (fun a -> Sbm_aig.Rewrite.run ~zero_gain:true a);
   keep "balance" Sbm_aig.Balance.run;
   in_place "resub -h" (fun a -> Sbm_aig.Resub.run ~max_leaves:10 ~max_divisors:40 a);
-  in_place "refactor -z" (fun a ->
-      Sbm_aig.Refactor.run ~zero_gain:true ~max_leaves:10 ~min_mffc:2 a);
+  in_place "refactor -z" (fun a -> Sbm_aig.Refactor.run ~zero_gain:true ~max_leaves:10 a);
   in_place "rewrite -z" (fun a -> Sbm_aig.Rewrite.run ~zero_gain:true a);
   keep "balance" Sbm_aig.Balance.run;
   fst (Aig.compact !aig)
@@ -264,9 +263,7 @@ let sbm_iteration ~obs ~explain ~effort ~prefilter aig0 =
   (* 4. Collapse and Boolean decomposition on reconvergent MFFCs. *)
   run_pass "collapse-decompose" (fun sp a ->
       let gain =
-        Sbm_aig.Refactor.run
-          ~max_leaves:(match effort with Low -> 10 | High -> 12)
-          ~min_mffc:2 a
+        Sbm_aig.Refactor.run ~max_leaves:(match effort with Low -> 10 | High -> 12) a
       in
       Obs.bump sp m_gain gain;
       a);

@@ -138,13 +138,13 @@ let moves ~prefilter =
   [
     in_place "rewrite" Aig.Origin.Rewrite 1 (fun _ aig -> Sbm_aig.Rewrite.run aig);
     rebuilding "balance" Aig.Origin.Balance 1 (fun _ aig -> Sbm_aig.Balance.run aig);
-    in_place "refactor" Aig.Origin.Refactor 2 (fun _ aig -> Sbm_aig.Refactor.run ~max_leaves:8 ~min_mffc:2 aig);
+    in_place "refactor" Aig.Origin.Refactor 2 (fun _ aig -> Sbm_aig.Refactor.run ~max_leaves:8 aig);
     in_place "resub" Aig.Origin.Resub 2 (fun _ aig -> Sbm_aig.Resub.run ~max_leaves:6 ~max_divisors:20 aig);
     in_place "rewrite -z" Aig.Origin.Rewrite 2 (fun _ aig ->
         Sbm_aig.Rewrite.run ~zero_gain:true aig);
     rebuilding "eliminate & kernel" Aig.Origin.Kernel 3 (fun obs aig ->
         fst (Hetero_kernel.run ~obs ~config:{ kernel with partition_size = 60 } aig));
-    in_place "refactor -h" Aig.Origin.Refactor 4 (fun _ aig -> Sbm_aig.Refactor.run ~max_leaves:12 ~min_mffc:2 aig);
+    in_place "refactor -h" Aig.Origin.Refactor 4 (fun _ aig -> Sbm_aig.Refactor.run ~max_leaves:12 aig);
     in_place "resub -h" Aig.Origin.Resub 5 (fun _ aig ->
         Sbm_aig.Resub.run ~max_leaves:9 ~max_divisors:60 aig);
     in_place "mspf resub" Aig.Origin.Mspf 6 (fun obs aig ->

@@ -4,6 +4,19 @@
 module Aig = Sbm_aig.Aig
 module Rng = Sbm_util.Rng
 
+(* Allocated AND nodes that nothing references: the root of every
+   candidate cone a pass forgot to release. [Aig.check] does not look
+   for them and [Aig.size] does not count them. (Counting all ANDs the
+   outputs do not reach would not do: the random networks carry
+   unreachable logic, and a replaced node's cone shared with it stays
+   allocated without any leak.) *)
+let dangling_ands aig =
+  let n = ref 0 in
+  for v = 1 to Aig.num_nodes aig - 1 do
+    if Aig.is_and aig v && Aig.nref aig v = 0 then incr n
+  done;
+  !n
+
 let gate ~name ~pass ?(rounds = 12) ?(gen = `Mixed) () =
   let rng = Rng.create (Hashtbl.hash name) in
   for round = 1 to rounds do
@@ -14,12 +27,17 @@ let gate ~name ~pass ?(rounds = 12) ?(gen = `Mixed) () =
     in
     let original = Aig.copy aig in
     let size_before = Aig.size aig in
+    let dangling_before = dangling_ands aig in
     let optimized = pass aig in
     Aig.check optimized;
     let size_after = Aig.size optimized in
     if size_after > size_before then
       Alcotest.failf "%s grew the network on round %d (%d -> %d)" name round
         size_before size_after;
+    let dangling_after = dangling_ands optimized in
+    if dangling_after > dangling_before then
+      Alcotest.failf "%s leaked candidate cones on round %d (%d -> %d dangling ANDs)"
+        name round dangling_before dangling_after;
     Helpers.assert_equiv_exhaustive
       ~msg:(Printf.sprintf "%s equivalence, round %d" name round)
       original optimized
@@ -164,10 +182,63 @@ let test_replace_rejects_cycle () =
   | exception Invalid_argument _ -> ()
   | () -> Alcotest.fail "cycle-creating replace must be rejected"
 
+let test_local_commit_contract () =
+  let module Local = Sbm_aig.Local in
+  let allocated aig =
+    List.length (List.filter (Aig.is_and aig) (List.init (Aig.num_nodes aig) Fun.id))
+  in
+  (* A root that strashing rebuilds inside its candidate: root = a & ~b
+     is one term of a xor b. *)
+  let aig = Aig.create () in
+  let a = Aig.add_input aig in
+  let b = Aig.add_input aig in
+  let root = Aig.node_of (Aig.band aig a (Aig.lnot b)) in
+  ignore (Aig.add_output aig (Aig.lit_of root false));
+  let xor = Aig.bxor aig a b in
+  Alcotest.(check (option int)) "cycle rejected" None
+    (Local.commit aig ~zero_gain:true root xor);
+  Alcotest.(check bool) "candidate released" true (Aig.is_dead aig (Aig.node_of xor));
+  Alcotest.(check int) "only the root stays allocated" 1 (allocated aig);
+  Aig.check aig;
+  (* A gain-0 candidate: (a & b) & c re-associated as a & (b & c). *)
+  let aig = Aig.create () in
+  let a = Aig.add_input aig in
+  let b = Aig.add_input aig in
+  let c = Aig.add_input aig in
+  let root = Aig.node_of (Aig.band aig (Aig.band aig a b) c) in
+  ignore (Aig.add_output aig (Aig.lit_of root false));
+  let original = Aig.copy aig in
+  let reassociated () = Aig.band aig a (Aig.band aig b c) in
+  Alcotest.(check (option int)) "gain 0 refused without zero_gain" None
+    (Local.commit aig ~zero_gain:false root (reassociated ()));
+  Alcotest.(check int) "refused candidate released" 2 (allocated aig);
+  Alcotest.(check (option int)) "gain 0 committed with zero_gain" (Some 0)
+    (Local.commit aig ~zero_gain:true root (reassociated ()));
+  Alcotest.(check bool) "root replaced" true (Aig.is_dead aig root);
+  Alcotest.(check int) "size kept" 2 (Aig.size aig);
+  Aig.check aig;
+  Helpers.assert_equiv_exhaustive original aig;
+  (* A positive-gain candidate: (a & b) | (a & ~b) is a, so the AND
+     under the output is ~a. *)
+  let aig = Aig.create () in
+  let a = Aig.add_input aig in
+  let b = Aig.add_input aig in
+  let out = Aig.bor aig (Aig.band aig a b) (Aig.band aig a (Aig.lnot b)) in
+  ignore (Aig.add_output aig out);
+  let original = Aig.copy aig in
+  let before = Aig.size aig in
+  let gain = Local.commit aig ~zero_gain:false (Aig.node_of out) (Aig.lnot a) in
+  Alcotest.(check (option int)) "gain is the size delta"
+    (Some (before - Aig.size aig)) gain;
+  Alcotest.(check (option int)) "whole cone reclaimed" (Some 3) gain;
+  Aig.check aig;
+  Helpers.assert_equiv_exhaustive original aig
+
 let suite =
   suite
   @ [
       Alcotest.test_case "resub divider cycle regression" `Slow
         test_resub_no_cycle_via_strash_regression;
       Alcotest.test_case "replace rejects cycles" `Quick test_replace_rejects_cycle;
+      Alcotest.test_case "local commit contract" `Quick test_local_commit_contract;
     ]
