@@ -67,13 +67,22 @@ let k_arg doc =
 (* Output files open before any work starts: an unwritable path ends
    in one "sbm: cannot write WHAT: MSG" line (exit 124), not in an
    uncaught exception after the run. *)
-let open_output what = function
+let open_with what f = function
   | None -> Ok None
   | Some path -> (
-    match open_out path with
-    | oc -> Ok (Some oc)
-    | exception Sys_error msg ->
-      Error (Printf.sprintf "cannot write %s: %s" what msg))
+    try Ok (Some (f path))
+    with Sys_error msg -> Error (Printf.sprintf "cannot write %s: %s" what msg))
+
+let open_output what = open_with what open_out
+
+(* A file written only at the end of a run: checked up front without
+   being created or truncated, so a failed run leaves no file. *)
+let check_writable what path =
+  let target = if Sys.file_exists path then path else Filename.dirname path in
+  match Unix.access target [ Unix.W_OK ] with
+  | () -> Ok ()
+  | exception Unix.Unix_error (e, _, _) ->
+    Error (Printf.sprintf "cannot write %s: %s: %s" what path (Unix.error_message e))
 
 let ( let* ) = Result.bind
 
@@ -154,8 +163,8 @@ let obs_opts_term =
   let status_arg =
     let doc =
       "Mirror the live metrics registry to $(docv) while the run is in \
-       flight: a background sampler rewrites the JSONL status file (one \
-       sample per line, atomic rename) every $(b,--status-interval) ms; \
+       flight: the run rewrites the JSONL status file (one sample per \
+       line, atomic rename) at most every $(b,--status-interval) ms; \
        attach $(b,sbm top) $(docv) from another terminal to watch it."
     in
     Arg.(value & opt (some string) None & info [ "status" ] ~docv:"FILE" ~doc)
@@ -167,15 +176,8 @@ let obs_opts_term =
   in
   let mk recorder watchdog watchdog_abort progress deadline status
       status_interval =
-    {
-      recorder;
-      watchdog;
-      watchdog_abort;
-      progress;
-      deadline;
-      status;
-      status_interval;
-    }
+    { recorder; watchdog; watchdog_abort; progress; deadline; status;
+      status_interval }
   in
   Term.(
     const mk $ recorder_arg $ watchdog_arg $ watchdog_abort_arg $ progress_arg
@@ -186,8 +188,9 @@ let obs_active o =
   || o.deadline <> None || o.status <> None
 
 (* Turn the flags into live machinery: recorder on, watchdog armed,
-   crash-dump signal handlers installed. [trace] is the run's collector
-   trace, so dumps carry its counter totals. *)
+   crash-dump signal handlers installed (the status file opens in
+   [setup_common]). [trace] is the run's collector trace, so dumps
+   carry its counter totals. *)
 let setup_obs o trace =
   if obs_active o then begin
     Sbm_obs.Flight_recorder.enable ();
@@ -210,11 +213,7 @@ let setup_obs o trace =
     let dir =
       Option.value ~default:"." (Sys.getenv_opt "SBM_CRASH_DUMP_DIR")
     in
-    Sbm_obs.Postmortem.install ~dir ?trace ();
-    Option.iter
-      (fun path ->
-        Sbm_obs.Status.start ~interval_ms:o.status_interval path)
-      o.status
+    Sbm_obs.Postmortem.install ~dir ?trace ()
   end
 
 (* cmdliner's evaluator catches exceptions before any at_exit-style
@@ -268,14 +267,23 @@ let common_opts_term =
   in
   Term.(const mk $ jobs_arg $ obs_opts_term $ no_prefilter_arg $ fingerprint_arg)
 
-let setup_common c =
+let setup_common ?trace c =
   setup_jobs c.jobs;
+  setup_obs c.obs trace;
   (* The trail is always collected under `sbm bench` (the bench
      command re-enables with its own sink); elsewhere it costs one
      structural hash per boundary, so it is opt-in via the flag. *)
-  match Option.iter (fun p -> Sbm_obs.Fingerprint.enable ~path:p ()) c.fingerprint with
-  | () -> Ok ()
-  | exception Sys_error msg -> Error ("cannot write fingerprint trail: " ^ msg)
+  let* _ =
+    open_with "fingerprint trail"
+      (fun p -> Sbm_obs.Fingerprint.enable ~path:p ())
+      c.fingerprint
+  in
+  let* _ =
+    open_with "status file"
+      (Sbm_obs.Status.start ~interval_ms:c.obs.status_interval)
+      c.obs.status
+  in
+  Ok ()
 
 (* --- stats --- *)
 
@@ -368,10 +376,14 @@ let opt_cmd =
   in
   let run level common path flow verify trace report explain output =
     setup_logs level;
+    (* Recorder/watchdog runs always collect: a crash dump without the
+       span stack and counters would be useless. *)
+    let collecting = trace || report <> None || obs_active common.obs in
+    let collector = if collecting then Some (Sbm_obs.create ()) else None in
     let opened =
-      let* () = setup_common common in
       (* Read before the outputs open: [-o] may name the input. *)
       let aig = read_aig path in
+      let* () = setup_common ?trace:collector common in
       let* explain_oc = open_output "gradient explain stream" explain in
       (* The report is rendered by path at the end; opening it here
          only checks that it can be written. *)
@@ -385,11 +397,6 @@ let opt_cmd =
     | Ok (aig, explain_oc, output_oc) ->
       let obs_opts = common.obs in
       let before = Sbm_aig.Aig.size aig in
-      (* Recorder/watchdog runs always collect: a crash dump without
-         the span stack and counters would be useless. *)
-      let collecting = trace || report <> None || obs_active obs_opts in
-      let collector = if collecting then Some (Sbm_obs.create ()) else None in
-      setup_obs obs_opts collector;
       let obs =
         match collector with
         | None -> Sbm_obs.null
@@ -421,8 +428,8 @@ let opt_cmd =
         explain;
       Sbm_obs.close ~size:(Sbm_aig.Aig.size optimized)
         ~depth:(Sbm_aig.Aig.depth optimized) obs;
-      (* Final sample + sampler wind-down before the trace is written,
-         so the report embeds the full live-telemetry history. *)
+      (* The final status sample before the trace is written, so the
+         report embeds the full live-telemetry history. *)
       Sbm_obs.Status.stop ();
       Fmt.pr "size: %d -> %d (%.1f%%), depth %d, %.2fs@." before
         (Sbm_aig.Aig.size optimized)
@@ -571,8 +578,11 @@ let bench_cmd =
        positional benchmark names."
     in
     let suites =
-      [ ("quick", `Quick); ("table1", `Table1); ("table2", `Table2);
-        ("full", `Full) ]
+      List.map
+        (fun (name, set) -> (name, (name, set)))
+        Sbm_epfl.Epfl.
+          [ ("quick", quick_set); ("table1", table1_set);
+            ("table2", table2_set); ("full", all) ]
     in
     Arg.(value & opt (some (enum suites)) None
          & info [ "suite" ] ~docv:"SUITE" ~doc)
@@ -608,9 +618,12 @@ let bench_cmd =
   in
   let run level common names suite flow seed scale label out hist repeat ledger =
     setup_logs level;
-    let setup = setup_common common in
+    let setup =
+      let* () = setup_common common in
+      let* () = check_writable "snapshot" out in
+      Option.fold ~none:(Ok ()) ~some:(check_writable "ledger") ledger
+    in
     let obs_opts = common.obs in
-    setup_obs obs_opts None;
     let module Epfl = Sbm_epfl.Epfl in
     let module Aig = Sbm_aig.Aig in
     let resolve n =
@@ -634,15 +647,7 @@ let bench_cmd =
          byte-for-byte unaffected by suite machinery. *)
       let benches, eff_scale =
         match suite with
-        | Some s ->
-          let set =
-            match s with
-            | `Quick -> Epfl.quick_set
-            | `Table1 -> Epfl.table1_set
-            | `Table2 -> Epfl.table2_set
-            | `Full -> Epfl.all
-          in
-          (set, fun b -> scale *. Epfl.default_scale b)
+        | Some (_, set) -> (set, fun b -> scale *. Epfl.default_scale b)
         | None ->
           let set =
             match
@@ -654,9 +659,9 @@ let bench_cmd =
           in
           (set, fun _ -> scale)
       in
-      (* Per-pass ledger: always on under bench, so every snapshot
-         carries the passes array. The LUT probe closes the QoR loop
-         per pass (the mapper library sits above sbm_core). *)
+      (* Every snapshot carries the per-pass ledger, a view of each
+         run's trace. The LUT probe closes the QoR loop per pass (the
+         mapper library sits above sbm_core). *)
       Sbm_core.Flow.ledger_qor_probe :=
         Some
           (fun aig ->
@@ -674,7 +679,6 @@ let bench_cmd =
         let bench = Epfl.name b in
         let seed_opt = if seed = 0 then None else Some seed in
         let run_once i =
-          Sbm_obs.Ledger.enable ();
           let aig = Epfl.generate ~scale:(eff_scale b) ?seed:seed_opt b in
           let trace = Sbm_obs.create () in
           (* Point a pending crash dump at the benchmark being run. *)
@@ -714,7 +718,7 @@ let bench_cmd =
               levels = mapping.Sbm_lutmap.Lut_map.depth;
             }
           in
-          (Aig.size aig, qor, cec, wall_ms, trace, Sbm_obs.Ledger.rows ())
+          (Aig.size aig, qor, cec, wall_ms, trace, Sbm_obs.ledger trace)
         in
         let runs = List.init repeat run_once in
         let size_in, qor, cec, _, trace, passes = List.hd runs in
@@ -772,14 +776,7 @@ let bench_cmd =
         if label <> "" then label
         else
           match suite with
-          | Some s ->
-            let sname =
-              match s with
-              | `Quick -> "quick"
-              | `Table1 -> "table1"
-              | `Table2 -> "table2"
-              | `Full -> "full"
-            in
+          | Some (sname, _) ->
             Fmt.str "flow=%s suite=%s scale=%g"
               (Sbm_core.Flow.to_string flow) sname scale
           | None ->
@@ -792,7 +789,6 @@ let bench_cmd =
           Error (bench ^ ": flow output is not equivalent to its input")
       in
       Sbm_obs.Status.stop ();
-      Sbm_obs.Ledger.disable ();
       Sbm_obs.Fingerprint.disable ();
       match entries with
       | Error msg -> `Error (false, msg)
@@ -979,7 +975,6 @@ let attribute_cmd =
     match setup_common common with
     | Error msg -> `Error (false, msg)
     | Ok () -> (
-      setup_obs common.obs None;
       let aig =
         match Sbm_epfl.Epfl.of_name input with
         | Some b -> `Ok (Sbm_epfl.Epfl.generate ~scale ?seed b)

@@ -1,32 +1,8 @@
-(* Determinism audit trail.
-
-   A streaming sequence of 64-bit state fingerprints, one record per
-   Flow pass boundary and one per partition merge boundary inside the
-   partitioned engines. Each record is a composite of four components:
-
-     structure        canonical structural hash of the live network
-                      (Aig.fold_hash / Network.fold_hash — computed by
-                      the caller: this library cannot see lib/aig)
-     counters_digest  digest of the sorted nonzero registry counter
-                      deltas since [enable]
-     bank             prefilter signature-bank digest (0 = no bank)
-     seeds            RNG / pattern-bank seeds (0 = no bank)
-
-   plus a running [chain] value folding every component of every
-   record so far — so a record's chain commits to the whole prefix,
-   and two trails agree on record i's chain iff they agree on
-   everything up to and including i.
-
-   Determinism contract: every component is bit-identical at any
-   --jobs. Records are only ever appended on the main domain — pass
-   boundaries run there by construction, and merge boundaries
-   ([finish_partition] in the engines) run there in ascending
-   partition index in both the sequential and the parallel path.
-   Counter deltas are taken against the [enable]-time snapshot, so
-   trails from two runs in the same process compare cleanly.
-
-   The trail is process-global, like the ledger and metrics registry:
-   flows run one at a time on the main domain. *)
+(* Determinism audit trail (contract in the .mli). Records are only
+   ever appended on the main domain: pass boundaries run there by
+   construction, and merge boundaries ([finish_partition] in the
+   engines) run there in ascending partition index in both the
+   sequential and the parallel path. *)
 
 type kind = Pass | Merge
 

@@ -16,8 +16,8 @@
     {!enable}, so trails from two runs in the same process compare
     cleanly.
 
-    The trail is process-global, like the ledger and the metrics
-    registry. This library sits below [lib/aig], so structural hashes
+    The trail is process-global, like the metrics registry. This
+    library sits below [lib/aig], so structural hashes
     are computed by the caller ([Aig.fold_hash] / [Network.fold_hash])
     and passed in. *)
 

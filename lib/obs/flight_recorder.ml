@@ -23,14 +23,16 @@ type event = {
 }
 
 (* Ring state. [ring] is empty exactly when disabled; slots are filled
-   in sequence order and overwritten modulo capacity. *)
+   in sequence order and overwritten modulo capacity. A verdict the
+   ring overwrites moves to [kept]. *)
 type state = {
   mutable ring : event array;
   mutable seq : int; (* next sequence number = total recorded *)
   mutable t0 : int64; (* enable time *)
+  mutable kept : event list; (* overwritten verdicts, newest first *)
 }
 
-let st = { ring = [||]; seq = 0; t0 = 0L }
+let st = { ring = [||]; seq = 0; t0 = 0L; kept = [] }
 
 let enabled () = st.ring != [||]
 
@@ -41,11 +43,13 @@ let dummy =
 let enable ?(capacity = 512) () =
   st.ring <- Array.make (max 16 capacity) dummy;
   st.seq <- 0;
+  st.kept <- [];
   st.t0 <- Span_stack.monotonic_ns ()
 
 let disable () =
   st.ring <- [||];
-  st.seq <- 0
+  st.seq <- 0;
+  st.kept <- []
 
 let capacity () = Array.length st.ring
 
@@ -54,48 +58,31 @@ let elapsed_ns () =
 
 let t0_ns () = if enabled () then st.t0 else 0L
 
-(* Worker-domain buffering. The ring and its counters are owned by the
-   main domain; a worker domain that must record (BDD bails, cache
-   collapses) runs under [capture], which installs a domain-local
-   buffer. Buffered events keep their true timestamps and are merged
-   into the ring by [replay] on the main domain with fresh sequence
-   numbers, so the merged order is chosen deterministically by the
-   caller, not by scheduling. *)
-let buffer_key : event list ref option Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> None)
+let is_verdict e = e.engine = "watchdog"
 
-let record ?(severity = Info) ?(id = "") ?(metrics = []) ~engine message =
+(* Main domain only: the next sequence number, and a verdict in the
+   slot survives in [kept]. *)
+let append e =
   if enabled () then begin
-    match Domain.DLS.get buffer_key with
-    | Some buf ->
-      buf :=
-        { seq = -1; t_ns = elapsed_ns (); severity; engine; id; message; metrics }
-        :: !buf
-    | None ->
-      let seq = st.seq in
-      st.seq <- seq + 1;
-      st.ring.(seq mod Array.length st.ring) <-
-        { seq; t_ns = elapsed_ns (); severity; engine; id; message; metrics }
+    let seq = st.seq in
+    st.seq <- seq + 1;
+    let slot = seq mod Array.length st.ring in
+    if is_verdict st.ring.(slot) then st.kept <- st.ring.(slot) :: st.kept;
+    st.ring.(slot) <- { e with seq }
   end
 
-let capture f =
-  let buf = ref [] in
-  let prev = Domain.DLS.get buffer_key in
-  Domain.DLS.set buffer_key (Some buf);
-  Fun.protect
-    ~finally:(fun () -> Domain.DLS.set buffer_key prev)
-    (fun () ->
-      let r = f () in
-      (r, List.rev !buf))
-
-let replay events =
-  if enabled () then
-    List.iter
-      (fun e ->
-        let seq = st.seq in
-        st.seq <- seq + 1;
-        st.ring.(seq mod Array.length st.ring) <- { e with seq })
-      events
+(* On a worker domain the event keeps its true timestamp and waits in
+   the shard until [Sbm_obs.replay] appends it, in an order the caller
+   chooses, not the scheduler. *)
+let record ?(severity = Info) ?(id = "") ?(metrics = []) ~engine message =
+  if enabled () then begin
+    let e =
+      { seq = -1; t_ns = elapsed_ns (); severity; engine; id; message; metrics }
+    in
+    match Domain.DLS.get Metrics.shard with
+    | Some s -> s.deferred <- (fun () -> append e) :: s.deferred
+    | None -> append e
+  end
 
 let events () =
   if not (enabled ()) then []
@@ -103,11 +90,15 @@ let events () =
     let cap = Array.length st.ring in
     let n = min st.seq cap in
     let first = st.seq - n in
-    List.init n (fun i -> st.ring.((first + i) mod cap))
+    List.rev_append st.kept
+      (List.init n (fun i -> st.ring.((first + i) mod cap)))
   end
 
+let verdicts () = List.filter is_verdict (events ())
 let recorded () = st.seq
-let dropped () = max 0 (st.seq - Array.length st.ring)
+
+let dropped () =
+  max 0 (st.seq - Array.length st.ring) - List.length st.kept
 
 (* --- JSON: the one event serializer, shared by the trace document and
    the post-mortem dump. [t0] adds the absolute clock reading. --- *)
@@ -117,7 +108,8 @@ let buf_event ?t0 b (e : event) =
     (Printf.sprintf "{\"seq\":%d,\"t_ms\":%.3f" e.seq (Json.ms_of_ns e.t_ns));
   Option.iter
     (fun t0 ->
-      Buffer.add_string b (Printf.sprintf ",\"t_ns\":%Ld" (Int64.add t0 e.t_ns)))
+      Buffer.add_string b
+        (Printf.sprintf ",\"t_ns\":\"%Ld\"" (Int64.add t0 e.t_ns)))
     t0;
   Buffer.add_string b
     (Printf.sprintf
@@ -127,12 +119,19 @@ let buf_event ?t0 b (e : event) =
   Json.buf_counters b e.metrics;
   Buffer.add_char b '}'
 
+(* An absolute clock reading: a decimal string, exact past 2^53 ns,
+   or a number in version-1 dumps. *)
+let ns_of_json = function
+  | Some (Json.Str s) -> Int64.of_string_opt s
+  | Some (Json.Num f) -> Some (Int64.of_float f)
+  | _ -> None
+
 (* The absolute reading, when both it and the origin are present, gives
    the exact offset; otherwise [t_ms] does, to the microsecond. *)
 let event_of_json ?t0 j =
   let t_ns =
-    match (t0, Json.(to_float (member "t_ns" j))) with
-    | Some t0, Some abs -> Int64.sub (Int64.of_float abs) t0
+    match (t0, ns_of_json (Json.member "t_ns" j)) with
+    | Some t0, Some abs -> Int64.sub abs t0
     | _ -> Json.ns_of_ms (Json.num "t_ms" j)
   in
   {

@@ -14,12 +14,15 @@
     disabled path is a load and a conditional jump. When on, recording
     an event is an array store into a preallocated ring — old events
     are overwritten once the buffer is full (the [dropped] count keeps
-    the loss visible).
+    the loss visible). Verdicts are the exception: an event
+    of engine ["watchdog"] (severity [Warn] for a note, [Error] for an
+    abort) is the one record of a verdict, and the recorder keeps it
+    when the ring wraps.
 
-    The ring is owned by the main domain. Worker domains record
-    through {!capture}/{!replay}: events are buffered domain-locally
-    and merged on the main domain in an order the scheduler cannot
-    perturb. *)
+    The ring is owned by the main domain. On a worker domain running
+    under [Sbm_obs.capture], {!record} defers the event to the
+    domain's shard; [Sbm_obs.replay] appends it on the main domain in
+    an order the scheduler cannot perturb. *)
 
 type severity = Debug | Info | Warn | Error
 
@@ -73,31 +76,26 @@ val record :
   string ->
   unit
 (** [record ~engine msg] appends an event (severity defaults to
-    [Info]). No-op when disabled. *)
-
-val capture : (unit -> 'a) -> 'a * event list
-(** [capture f] runs [f] with recording redirected to a private
-    domain-local buffer and returns [f]'s result together with the
-    buffered events (oldest first, [seq = -1]). This is how worker
-    domains record: the shared ring is owned by the main domain, so a
-    parallel partition analysis runs under [capture] and its events
-    are merged back with {!replay} in deterministic partition order. *)
-
-val replay : event list -> unit
-(** [replay events] appends captured events to the ring with fresh
-    sequence numbers, preserving their original timestamps. Call on
-    the main domain only. No-op when disabled. *)
+    [Info]), or defers it to the calling domain's shard. No-op when
+    disabled. *)
 
 (** {1 Reading} *)
 
 val events : unit -> event list
-(** Buffered events, oldest first. *)
+(** Buffered events, oldest first: the verdicts the ring overwrote,
+    then the ring. *)
+
+val is_verdict : event -> bool
+(** The event is a watchdog verdict (engine ["watchdog"]). *)
+
+val verdicts : unit -> event list
+(** The verdict events, oldest first. *)
 
 val recorded : unit -> int
 (** Total events recorded since {!enable}, dropped ones included. *)
 
 val dropped : unit -> int
-(** Events overwritten by ring wraparound:
+(** Events lost to ring wraparound:
     [recorded () - List.length (events ())]. *)
 
 (** {1 JSON} *)
@@ -106,8 +104,13 @@ val buf_event : ?t0:int64 -> Buffer.t -> event -> unit
 (** One event as a JSON object:
     [{"seq":N,"t_ms":F,"severity":S,"engine":S,"id":S,"message":S,
     "metrics":{...}}]. With [t0] (the recorder's origin), an absolute
-    ["t_ns"] follows ["t_ms"]. *)
+    ["t_ns"] follows ["t_ms"], as a decimal string. *)
 
 val event_of_json : ?t0:int64 -> Json.t -> event
-(** Inverse of {!buf_event} with the same [t0]. Missing members read
-    as defaults (severity [Info], engine ["?"]). *)
+(** Inverse of {!buf_event} with the same [t0]; it also reads the
+    numeric ["t_ns"] of version-1 dumps. Missing members read as
+    defaults (severity [Info], engine ["?"]). *)
+
+val ns_of_json : Json.t option -> int64 option
+(** An absolute clock reading: a decimal string, or a number (version-1
+    dumps, exact only below 2^53). *)

@@ -1,21 +1,8 @@
-(* Per-pass resource ledger.
-
-   One row per completed flow pass, projected from the closing pass
-   span: QoR before/after, wall time, the registry counter deltas
-   attributable to the pass, GC allocation, a peak-heap sample, and
-   the BDD table / AIG occupancy gauges.
-
-   Determinism contract: every field except the resource samples
-   (wall_ns, minor/major words, heap_words) is bit-identical at any
-   --jobs. Counter deltas are the pass span's registry activity,
-   snapshotted at pass boundaries on the main domain — worker shards have
-   already been replayed through the deterministic Par_merge order by
-   then. The BDD load gauges are written by [Bdd_bridge.flush_stats],
-   which only runs in [finish_partition] on the main domain in
-   ascending partition order, so their per-pass maxima are equally
-   job-count independent. [row_to_json ~stable:true] projects a row
-   onto the deterministic fields only; the jobs-identity test compares
-   that projection byte-for-byte. *)
+(* Per-pass resource ledger (contract in the .mli). The BDD load
+   gauges are written by [Bdd_bridge.flush_stats], which only runs in
+   [finish_partition] on the main domain in ascending partition order,
+   so their per-pass maxima are job-count independent like the rest of
+   the stable projection. *)
 
 type row = {
   path : string; (* slash-joined pass path, e.g. "iteration-1/mspf" *)
@@ -37,28 +24,6 @@ type row = {
   dead_node_pct : int; (* dead AIG slots after the pass *)
 }
 
-type state = {
-  mutable enabled : bool;
-  mutable rows : row list; (* newest first *)
-  mutable next_index : int;
-}
-
-let state = { enabled = false; rows = []; next_index = 0 }
-
-let enabled () = state.enabled
-
-let reset () =
-  state.rows <- [];
-  state.next_index <- 0
-
-let enable () =
-  reset ();
-  state.enabled <- true
-
-let disable () =
-  state.enabled <- false;
-  reset ()
-
 (* Read-and-reset a gauge registered elsewhere (bdd_bridge); absent
    until the BDD layer is linked, hence the option. *)
 let drain name =
@@ -73,51 +38,57 @@ let drain name =
    a pass opens or closes, so each frame sees the maximum over exactly
    its own extent, nesting included. *)
 let drain_gauges () =
-  if state.enabled then begin
-    let u = drain "bdd.unique_load_pct" in
-    let c = drain "bdd.cache_load_pct" in
-    if u > 0 || c > 0 then
-      List.iter
-        (fun (f : Span_stack.frame) ->
-          if u > f.unique_max then f.unique_max <- u;
-          if c > f.cache_max then f.cache_max <- c)
-        (Span_stack.passes ())
-  end
+  let u = drain "bdd.unique_load_pct" in
+  let c = drain "bdd.cache_load_pct" in
+  if u > 0 || c > 0 then
+    List.iter
+      (fun (f : Span_stack.frame) ->
+        if u > f.unique_max then f.unique_max <- u;
+        if c > f.cache_max then f.cache_max <- c)
+      (Span_stack.passes ())
 
-let record ?(fingerprint = 0L) ~luts ~levels ~dead_node_pct
-    (f : Span_stack.frame) =
-  if state.enabled then begin
-    drain_gauges ();
-    let gc1 = match f.gc1 with Some g -> g | None -> Gc.quick_stat () in
-    let row =
-      {
-        path = String.concat "/" (Span_stack.names ~passes_only:true ());
-        index = state.next_index;
-        size_before = f.size0;
-        size_after = f.size1;
-        depth_before = f.depth0;
-        depth_after = f.depth1;
-        luts;
-        levels;
-        fingerprint;
-        wall_ns = Int64.sub f.t1 f.t0;
-        counters =
-          List.filter_map
-            (fun (k, v, _) -> if v <> 0 then Some (k, v) else None)
-            f.delta;
-        minor_words = gc1.Gc.minor_words -. f.gc0.Gc.minor_words;
-        major_words = gc1.Gc.major_words -. f.gc0.Gc.major_words;
-        heap_words = gc1.Gc.heap_words;
-        unique_load_pct = f.unique_max;
-        cache_load_pct = f.cache_max;
-        dead_node_pct;
-      }
+let row ~path ~index (f : Span_stack.frame) =
+  let gc1 = Option.value ~default:f.gc0 f.gc1 in
+  {
+    path;
+    index;
+    size_before = f.size0;
+    size_after = f.size1;
+    depth_before = f.depth0;
+    depth_after = f.depth1;
+    luts = f.luts;
+    levels = f.levels;
+    fingerprint = f.fingerprint;
+    wall_ns = Int64.sub f.t1 f.t0;
+    counters =
+      List.filter_map (fun (k, v, _) -> if v <> 0 then Some (k, v) else None)
+        f.delta;
+    minor_words = gc1.Gc.minor_words -. f.gc0.Gc.minor_words;
+    major_words = gc1.Gc.major_words -. f.gc0.Gc.major_words;
+    heap_words = gc1.Gc.heap_words;
+    unique_load_pct = f.unique_max;
+    cache_load_pct = f.cache_max;
+    dead_node_pct = f.dead_node_pct;
+  }
+
+(* Post-order over the closed pass frames: a pass closes after every
+   pass nested in it, so this is completion order. *)
+let rows roots =
+  let acc = ref [] and index = ref 0 in
+  let rec walk prefix (f : Span_stack.frame) =
+    let prefix =
+      if not f.pass then prefix
+      else if prefix = "" then f.name
+      else prefix ^ "/" ^ f.name
     in
-    state.next_index <- state.next_index + 1;
-    state.rows <- row :: state.rows
-  end
-
-let rows () = List.rev state.rows
+    List.iter (walk prefix) (List.rev f.children);
+    if f.pass && f.t1 <> 0L then begin
+      acc := row ~path:prefix ~index:!index f :: !acc;
+      incr index
+    end
+  in
+  List.iter (walk "") roots;
+  List.rev !acc
 
 (* --- JSON --- *)
 

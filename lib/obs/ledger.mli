@@ -1,15 +1,13 @@
 (** Per-pass resource ledger.
 
-    While enabled, every closing pass span is projected into one {!row}
-    (see [Sbm_obs.close_pass]): QoR before/after, wall time, registry
-    counter deltas, GC allocation, a peak-heap sample and the BDD/AIG
-    occupancy gauges. Rows are
-    deterministic at any [--jobs] except for the resource samples;
-    [row_to_json ~stable:true] projects onto the deterministic subset
-    (the jobs-identity test compares that projection byte-for-byte).
-
-    The ledger is process-global, like the metrics registry: flows run
-    one at a time on the main domain. *)
+    A view of a trace ({!rows}, [Sbm_obs.ledger]): every closed pass
+    frame projects into one {!row} — QoR before/after, wall time,
+    registry counter deltas, GC allocation, a peak-heap sample and the
+    BDD/AIG occupancy gauges, which [Sbm_obs.close_pass] stores on the
+    frame. Rows are deterministic at any [--jobs] except for the
+    resource samples; [row_to_json ~stable:true] projects onto the
+    deterministic subset (the jobs-identity test compares that
+    projection byte-for-byte). *)
 
 type row = {
   path : string;  (** slash-joined pass path, e.g. ["iteration-1/mspf"] *)
@@ -37,35 +35,16 @@ type row = {
   dead_node_pct : int;  (** dead AIG node slots after the pass *)
 }
 
-val enable : unit -> unit
-(** Start recording (clears any previous rows). *)
-
-val disable : unit -> unit
-(** Stop recording and clear. *)
-
-val enabled : unit -> bool
-
 val drain_gauges : unit -> unit
 (** Fold the BDD load gauges into every open pass frame and reset
     them. Runs whenever a pass opens or closes, so each frame's maxima
-    cover exactly its own extent. No-op while disabled. *)
+    cover exactly its own extent. *)
 
-val record :
-  ?fingerprint:int64 ->
-  luts:int ->
-  levels:int ->
-  dead_node_pct:int ->
-  Span_stack.frame ->
-  unit
-(** Project a stopped pass frame, still on the stack, into a {!row}:
-    its path is the open pass names, slash-joined. Pass [-1] for
-    [luts]/[levels] when no LUT probe ran; [fingerprint] is the audit
-    trail chain value at this boundary (default [0L] = no trail).
-    No-op while disabled. *)
-
-val rows : unit -> row list
-(** Completed rows in completion order (a nested pass precedes its
-    container). *)
+val rows : Span_stack.frame list -> row list
+(** The rows of the closed pass frames under [roots] (in opening
+    order), in completion order: post-order, so a nested pass precedes
+    its container. A row's path is its pass ancestors' names and its
+    own, slash-joined; plain spans in between are skipped. *)
 
 val row_to_json : ?stable:bool -> row -> string
 (** One row as a JSON object. [~stable:true] omits [wall_ns],

@@ -1,20 +1,6 @@
-(* Process-global typed metrics registry.
-
-   The one counter store: every counter the engines report has a
-   single registration point with kind/unit/engine/description
-   metadata, a process-global value cell, and a place in a stable
-   catalog ([sbm metrics]) that CI can gate against DESIGN.md. Spans
-   hold no counters; they keep the registry's [activity] while open.
-
-   Value cells are [Atomic.t] so the live-telemetry sampler (a
-   separate domain, see {!Status}) can read a coherent snapshot while
-   the run bumps them. Determinism contract: all bump sites run on the
-   main domain (engines accumulate into partition-local records and
-   flush after the deterministic merge), so totals are bit-identical
-   at any job count. A worker domain that must bump directly runs
-   under {!capture}, which installs a domain-local shard; the shard's
-   deltas are merged on the main domain by the Par_merge path in
-   ascending partition order, exactly like flight-recorder events. *)
+(* Process-global typed metrics registry (contract in the .mli). Value
+   cells are [Atomic.t] so worker domains can raise gauges while the
+   main domain reads them. *)
 
 type kind = Counter | Gauge
 
@@ -88,21 +74,23 @@ let all () =
   Hashtbl.fold (fun _ m acc -> m :: acc) registry []
   |> List.sort (fun a b -> String.compare a.name b.name)
 
-(* --- worker shards --- *)
+(* --- the worker shard --- *)
 
-type delta = (string * int) list
+type shard = {
+  counts : (string, int ref) Hashtbl.t;
+  mutable deferred : (unit -> unit) list;
+}
 
-let shard_key : (string, int ref) Hashtbl.t option Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> None)
+let shard : shard option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
 let add m n =
   if m.kind <> Counter then
     invalid_arg ("Sbm_obs.Metrics.add on non-counter " ^ m.name);
-  match Domain.DLS.get shard_key with
-  | Some tbl -> (
-    match Hashtbl.find_opt tbl m.name with
+  match Domain.DLS.get shard with
+  | Some s -> (
+    match Hashtbl.find_opt s.counts m.name with
     | Some cell -> cell := !cell + n
-    | None -> Hashtbl.add tbl m.name (ref n))
+    | None -> Hashtbl.add s.counts m.name (ref n))
   | None ->
     ignore (Atomic.fetch_and_add m.cell n);
     Atomic.incr m.bumps
@@ -124,30 +112,6 @@ let rec set_max m v =
   if v > cur && not (Atomic.compare_and_set m.cell cur v) then set_max m v
 
 let value m = match m.sample with Some f -> f () | None -> Atomic.get m.cell
-
-let capture f =
-  let tbl = Hashtbl.create 16 in
-  let prev = Domain.DLS.get shard_key in
-  Domain.DLS.set shard_key (Some tbl);
-  Fun.protect
-    ~finally:(fun () -> Domain.DLS.set shard_key prev)
-    (fun () ->
-      let r = f () in
-      let deltas =
-        Hashtbl.fold (fun k cell acc -> (k, !cell) :: acc) tbl []
-        |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-      in
-      (r, deltas))
-
-let replay deltas =
-  List.iter
-    (fun (n, v) ->
-      match Hashtbl.find_opt registry n with
-      | Some m ->
-        ignore (Atomic.fetch_and_add m.cell v);
-        Atomic.incr m.bumps
-      | None -> ())
-    deltas
 
 (* --- snapshot views --- *)
 
@@ -184,10 +148,7 @@ let activity before now =
 
 (* --- automatic process gauges --- *)
 
-(* [Gc.quick_stat] heap statistics describe the shared major heap, so
-   sampling them from the telemetry domain sees the whole process. *)
-(* Callback gauges: the function is read at snapshot time, so it must
-   be safe to call from the sampler domain. *)
+(* Callback gauges: the function is read at snapshot time. *)
 let gauge_fn ?engine ?unit_ name description f =
   register ?engine ?unit_ ~sample:f Gauge name description
 

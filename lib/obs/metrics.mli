@@ -11,9 +11,9 @@
 
     Counter bumps normally go straight to a process-global atomic cell
     (all engine flush sites run on the main domain). Code running on a
-    worker domain wraps its work in {!capture}, which redirects bumps
-    into a domain-local shard; the returned deltas are replayed on the
-    main domain through the deterministic [Par_merge] order, keeping
+    worker domain runs under [Sbm_obs.capture], which redirects bumps
+    into a domain-local {!shard}; [Sbm_obs.replay] applies it on the
+    main domain in the partition driver's deterministic order, keeping
     totals bit-identical at any job count. *)
 
 type kind = Counter | Gauge
@@ -51,8 +51,8 @@ val all : unit -> t list
 (** {1 Updates} *)
 
 val add : t -> int -> unit
-(** Counter only ([Invalid_argument] otherwise). Inside {!capture} the
-    increment lands in the worker shard, else in the global cell. *)
+(** Counter only ([Invalid_argument] otherwise). Under a {!shard} the
+    increment lands in the shard, else in the global cell. *)
 
 val incr : t -> unit
 val set : t -> int -> unit
@@ -85,22 +85,19 @@ val activity : snapshot -> snapshot -> (string * int * int) list
     name. A bump by 0 counts, so a span can report a counter it
     touched without moving it. *)
 
-(** {1 Worker shards} *)
+(** {1 The worker shard} *)
 
-type delta = (string * int) list
-(** Counter deltas accumulated by one {!capture} region, sorted by
-    name. *)
+type shard = {
+  counts : (string, int ref) Hashtbl.t;  (** counter deltas by name *)
+  mutable deferred : (unit -> unit) list;
+      (** main-domain writes the worker could not make (recorder
+          events), newest first *)
+}
+(** One worker domain's telemetry, installed by [Sbm_obs.capture] and
+    applied by [Sbm_obs.replay]; nothing else touches it. *)
 
-val capture : (unit -> 'a) -> 'a * delta
-(** [capture f] runs [f] with a fresh domain-local counter shard
-    installed: every {!add} inside lands in the shard instead of the
-    global cells. Returns [f]'s result and the shard's deltas. Nests
-    (the inner capture wins while active). *)
-
-val replay : delta -> unit
-(** Apply captured deltas to the global cells (main domain, in
-    deterministic merge order). Unknown names are ignored — a delta
-    can outlive a registry reset in tests. *)
+val shard : shard option Domain.DLS.key
+(** The calling domain's shard, [None] on the main domain. *)
 
 (** {1 Built-in process metrics} *)
 

@@ -18,12 +18,37 @@ let enabled = function Noop -> false | Span _ -> true
 
 let create () = { roots = [] }
 
+(* --- the one main-domain poll --- *)
+
+let poll () =
+  Watchdog.poll ();
+  Status.poll ()
+
+(* --- worker shards --- *)
+
+let capture f =
+  let s = { Metrics.counts = Hashtbl.create 16; deferred = [] } in
+  let prev = Domain.DLS.get Metrics.shard in
+  Domain.DLS.set Metrics.shard (Some s);
+  Fun.protect
+    ~finally:(fun () -> Domain.DLS.set Metrics.shard prev)
+    (fun () -> (f (), s))
+
+(* Counter deltas first, then the deferred recorder events, oldest
+   first. A name the registry no longer knows is skipped. *)
+let replay (s : Metrics.shard) =
+  Hashtbl.iter
+    (fun name n -> Option.iter (fun m -> Metrics.add m !n) (Metrics.find name))
+    s.counts;
+  List.iter (fun f -> f ()) (List.rev s.deferred)
+
 (* Every live span is a frame on the one span stack from open to
-   close, so the recorder, watchdog, ledger, audit trail and status
-   sampler all see the same "where the run is". *)
+   close, so the recorder, watchdog, audit trail and status file all
+   see the same "where the run is"; each open and close polls. *)
 let root ?size ?depth trace name =
   let f = Span_stack.push ~root:true ?size ?depth name in
   trace.roots <- f :: trace.roots;
+  poll ();
   Span f
 
 let child ~pass ?size ?depth parent name =
@@ -32,6 +57,7 @@ let child ~pass ?size ?depth parent name =
   | Span p ->
     let f = Span_stack.push ~pass ?size ?depth name in
     p.children <- f :: p.children;
+    poll ();
     Span f
 
 let span ?size ?depth parent name = child ~pass:false ?size ?depth parent name
@@ -45,7 +71,8 @@ let close ?size ?depth = function
   | Noop -> ()
   | Span f ->
     finish ?size ?depth f;
-    Span_stack.pop f
+    Span_stack.pop f;
+    poll ()
 
 (* The registry is the one counter store: a span's counters are the
    registry's activity while it was open, so the span argument only
@@ -55,8 +82,8 @@ let bump _span m n = Metrics.add m n
 (* --- pass spans --- *)
 
 let observing () =
-  Ledger.enabled () || Fingerprint.enabled () || Watchdog.enabled ()
-  || Flight_recorder.enabled () || Status.active ()
+  Fingerprint.enabled () || Watchdog.enabled () || Flight_recorder.enabled ()
+  || Status.active ()
 
 let pass ~size ~depth parent name =
   match parent with
@@ -76,27 +103,25 @@ let close_pass ~size ~depth ?(dead_node_pct = 0) ?(structure = fun () -> 0L)
   | Span f ->
     Metrics.set Metrics.live_aig_nodes size;
     Metrics.set_max Metrics.peak_heap_words (Gc.quick_stat ()).Gc.heap_words;
-    (* Trail record before the span stops: its chain value rides on the
-       ledger row, and the record's own counter lands in the pass's
-       registry delta — consistently at any --jobs, hence still
-       deterministic. *)
-    let fingerprint =
-      if Fingerprint.enabled () then
-        Fingerprint.record_pass ~structure:(structure ())
-      else 0L
-    in
+    (* Trail record before the span stops: the record's own counter
+       lands in the pass's registry delta — consistently at any --jobs,
+       hence still deterministic. *)
+    if Fingerprint.enabled () then
+      f.fingerprint <- Fingerprint.record_pass ~structure:(structure ());
     finish ~size ~depth f;
-    if Ledger.enabled () then begin
-      let luts, levels = qor () in
-      Ledger.record ~fingerprint ~luts ~levels ~dead_node_pct f
-    end;
+    Ledger.drain_gauges ();
+    let luts, levels = qor () in
+    f.luts <- luts;
+    f.levels <- levels;
+    f.dead_node_pct <- dead_node_pct;
     if Flight_recorder.enabled () then
       Flight_recorder.record ~severity:Flight_recorder.Info ~engine:"flow"
         ~id:f.name
         ~metrics:[ ("size", size); ("gain", f.size0 - size) ]
         "pass end";
     Watchdog.clear_abort ();
-    Span_stack.pop f
+    Span_stack.pop f;
+    poll ()
 
 (* One finished partition of a partition engine, on the main domain in
    ascending partition index (sequential and parallel paths alike). *)
@@ -211,6 +236,8 @@ let totals trace =
 
 let total trace name =
   Option.value ~default:0 (List.assoc_opt name (totals trace))
+
+let ledger trace = Ledger.rows (List.rev trace.roots)
 
 (* --- value distributions --- *)
 
@@ -356,7 +383,6 @@ let to_json trace =
     (Status.samples ());
   optional "events" (Flight_recorder.buf_event ?t0:None)
     (Flight_recorder.events ());
-  optional "verdicts" Watchdog.buf_verdict (Watchdog.verdicts ());
   Buffer.add_char b '}';
   Buffer.contents b
 
@@ -576,7 +602,9 @@ end
 (* --- crash-dump post-mortems --- *)
 
 module Postmortem = struct
-  let current_version = 1
+  module FR = Flight_recorder
+
+  let current_version = 2
 
   type setup = { mutable trace : trace option; mutable dir : string }
 
@@ -595,7 +623,6 @@ module Postmortem = struct
     elapsed_ms : float;
     t0_ns : int64 option;
     span_stack : frame list;
-    verdicts : Watchdog.verdict list;
     counters : (string * int) list;
     recorded : int;
     dropped : int;
@@ -607,13 +634,13 @@ module Postmortem = struct
      their nanoseconds: the absolute [t_ns] each event carries restores
      them exactly. *)
   let capture ~reason () =
-    let t0 = Flight_recorder.t0_ns () in
+    let t0 = FR.t0_ns () in
     let ms ns = Json.written_ms (ms_of_ns ns) in
     {
       version = current_version;
       reason;
       pid = Unix.getpid ();
-      elapsed_ms = ms (Flight_recorder.elapsed_ns ());
+      elapsed_ms = ms (FR.elapsed_ns ());
       t0_ns = Some t0;
       (* Open spans, outermost first: the path from the flow root down
          to wherever the run died. *)
@@ -622,15 +649,10 @@ module Postmortem = struct
           (fun (f : Span_stack.frame) ->
             { name = f.name; opened_ms = ms (Int64.sub f.t0 t0) })
           (Span_stack.frames ());
-      verdicts =
-        List.map
-          (fun (v : Watchdog.verdict) ->
-            { v with t_ns = Json.ns_of_ms (ms v.t_ns) })
-          (Watchdog.verdicts ());
       counters = (match setup.trace with Some t -> totals t | None -> []);
-      recorded = Flight_recorder.recorded ();
-      dropped = Flight_recorder.dropped ();
-      events = Flight_recorder.events ();
+      recorded = FR.recorded ();
+      dropped = FR.dropped ();
+      events = FR.events ();
     }
 
   let to_json d =
@@ -638,12 +660,12 @@ module Postmortem = struct
     Buffer.add_string b
       (Printf.sprintf
          "{\"version\":%d,\"reason\":\"%s\",\"pid\":%d,\"elapsed_ms\":%.3f"
-         d.version (esc d.reason) d.pid d.elapsed_ms);
-    (* Absolute monotonic origin of the run: event [t_ms] values are
-       relative to it; [t_ns = t0_ns + t_ms*1e6] recovers absolute
-       clock readings for cross-process correlation ([--abs]). *)
+         current_version (esc d.reason) d.pid d.elapsed_ms);
+    (* Absolute monotonic origin of the run, a decimal string (exact
+       past 2^53 ns): event [t_ms] values are relative to it, and each
+       event's absolute [t_ns] is written the same way ([--abs]). *)
     Option.iter
-      (fun t0 -> Buffer.add_string b (Printf.sprintf ",\"t0_ns\":%Ld" t0))
+      (fun t0 -> Buffer.add_string b (Printf.sprintf ",\"t0_ns\":\"%Ld\"" t0))
       d.t0_ns;
     Buffer.add_string b ",\"span_stack\":";
     Json.buf_list b
@@ -652,16 +674,29 @@ module Postmortem = struct
           (Printf.sprintf "{\"name\":\"%s\",\"opened_ms\":%.3f}" (esc f.name)
              f.opened_ms))
       d.span_stack;
-    Buffer.add_string b ",\"watchdog\":";
-    Json.buf_list b Watchdog.buf_verdict d.verdicts;
     Buffer.add_string b ",\"counters\":";
     Json.buf_counters b d.counters;
     Buffer.add_string b
       (Printf.sprintf ",\"recorded\":%d,\"dropped\":%d,\"events\":" d.recorded
          d.dropped);
-    Json.buf_list b (Flight_recorder.buf_event ?t0:d.t0_ns) d.events;
+    Json.buf_list b (FR.buf_event ?t0:d.t0_ns) d.events;
     Buffer.add_char b '}';
     Buffer.contents b
+
+  (* Version 1 kept each verdict twice: in a "watchdog" array, complete,
+     and as a ring event the ring may have dropped. The array's verdicts
+     replace the ring's, in time order. *)
+  let migrate_v1 verdicts events =
+    let verdict v =
+      { FR.seq = -1; t_ns = Json.ns_of_ms (Json.num "t_ms" v);
+        severity = (if Json.str "action" v = "abort" then FR.Error else FR.Warn);
+        engine = "watchdog"; id = Json.str ~default:"?" "rule" v;
+        message = Json.str "detail" v; metrics = [] }
+    in
+    List.stable_sort
+      (fun (a : FR.event) (b : FR.event) -> Int64.compare a.t_ns b.t_ns)
+      (List.map verdict verdicts
+      @ List.filter (fun e -> not (FR.is_verdict e)) events)
 
   let of_json s =
     match String.trim s with
@@ -677,10 +712,9 @@ module Postmortem = struct
             (Printf.sprintf "unsupported dump version %d (this sbm reads <= %d)" v
                current_version)
         | Some version ->
-          let t0_ns =
-            Option.map Int64.of_float Json.(to_float (member "t0_ns" j))
-          in
+          let t0_ns = FR.ns_of_json (Json.member "t0_ns" j) in
           let list key f = List.map f (Json.to_list (Json.member key j)) in
+          let events = list "events" (FR.event_of_json ?t0:t0_ns) in
           Ok
             {
               version;
@@ -692,11 +726,12 @@ module Postmortem = struct
                 list "span_stack" (fun f ->
                     { name = Json.str ~default:"?" "name" f;
                       opened_ms = Json.num "opened_ms" f });
-              verdicts = list "watchdog" Watchdog.verdict_of_json;
               counters = Json.counters "counters" j;
               recorded = Json.int "recorded" j;
               dropped = Json.int "dropped" j;
-              events = list "events" (Flight_recorder.event_of_json ?t0:t0_ns);
+              events =
+                (if version < 2 then migrate_v1 (list "watchdog" Fun.id) events
+                 else events);
             }))
 
   let load path =

@@ -39,13 +39,13 @@ module Metrics = Metrics
     It is the only counter store: spans report registry deltas. *)
 
 module Status = Status
-(** Periodic sampler writing an atomic-rename JSONL status file from
-    the registry + {!Span_stack} + watchdog state; see {!Status}. *)
+(** The atomic-rename JSONL status file, sampled by {!poll} from the
+    registry + {!Span_stack} + watchdog state; see {!Status}. *)
 
 module Ledger = Ledger
-(** Per-pass resource ledger: one row per completed flow pass with
-    QoR deltas, counter deltas, GC/heap samples and occupancy gauges;
-    see {!Ledger}. *)
+(** Per-pass resource ledger: one row per closed pass frame with QoR
+    deltas, counter deltas, GC/heap samples and occupancy gauges, a
+    view of the trace ({!ledger}); see {!Ledger}. *)
 
 module Fingerprint = Fingerprint
 (** Determinism audit trail: chained 64-bit state fingerprints at
@@ -100,23 +100,42 @@ val close : ?size:int -> ?depth:int -> span -> unit
     {!Metrics} registry is the only counter store: every open span sees
     the bump in its registry delta, and the innermost one reports it as
     its own. A bump on {!null} counts all the same, so counters never
-    depend on tracing. Inside {!Metrics.capture} the bump lands in the
-    worker shard for deterministic replay. *)
+    depend on tracing. Inside {!capture} the bump lands in the worker
+    shard for deterministic replay. *)
 val bump : span -> Metrics.t -> int -> unit
+
+(** {1 The main-domain poll and worker shards} *)
+
+(** [poll ()] is the one poll of the in-flight layer: {!Watchdog.poll}
+    (time rules, heartbeat), then {!Status.poll} (a sample if due). The
+    engines call it at partition and round boundaries; every live span
+    calls it at open and close. *)
+val poll : unit -> unit
+
+(** [capture f] runs [f] with a fresh shard installed on the calling
+    (worker) domain: its counter bumps and recorder events land in the
+    shard. Returns [f]'s result and the shard. *)
+val capture : (unit -> 'a) -> 'a * Metrics.shard
+
+(** [replay shard] applies a shard on the main domain: its counter
+    deltas, then its recorder events in recording order (fresh sequence
+    numbers, original timestamps). *)
+val replay : Metrics.shard -> unit
 
 (** {1 Pass spans}
 
     [Flow.pass] opens one {!pass} span per scripted pass and closes it
     with {!close_pass}. Both are no-ops on {!null}. The pass-boundary
     consumers hang off these two calls: the flight recorder's pass
-    events, the audit-trail record, the ledger row, the watchdog's
-    abort reset and the pass gauges ([process.live_aig_nodes],
-    [process.peak_heap_words]). *)
+    events, the audit-trail record, the facts a ledger row projects,
+    the watchdog's abort reset and the pass gauges
+    ([process.live_aig_nodes], [process.peak_heap_words], the drained
+    BDD load gauges). *)
 
-(** [observing ()] is whether a pass-boundary consumer is on (ledger,
-    audit trail, watchdog, flight recorder or status sampler). A flow
-    that is observed but was handed {!null} opens a root of its own, so
-    the consumers always read one span stack. *)
+(** [observing ()] is whether a pass-boundary consumer is on (audit
+    trail, watchdog, flight recorder or status file). A flow that is
+    observed but was handed {!null} opens a root of its own, so the
+    consumers always read one span stack. *)
 val observing : unit -> bool
 
 (** [pass ~size ~depth parent name] opens a pass span: a child span
@@ -125,10 +144,11 @@ val pass : size:int -> depth:int -> span -> string -> span
 
 (** [close_pass ~size ~depth sp] closes a pass span. In order: the
     audit trail records the boundary ([structure ()] is the network's
-    structural hash, asked for only when the trail is on); the span
-    stops; the ledger projects its row from the span ([qor ()] gives
-    LUT count and levels, asked for only when the ledger is on;
-    default [(-1, -1)]); the span leaves the stack. *)
+    structural hash, asked for only when the trail is on) and its chain
+    value goes on the frame; the span stops; the BDD load gauges drain
+    into the open pass frames; [qor ()] (LUT count and levels, default
+    [(-1, -1)]) and [dead_node_pct] go on the frame; the span leaves
+    the stack. *)
 val close_pass :
   size:int ->
   depth:int ->
@@ -197,6 +217,10 @@ val totals : trace -> (string * int) list
     never touched). *)
 val total : trace -> string -> int
 
+(** [ledger trace] is the per-pass ledger of the trace: one row per
+    closed pass frame, in completion order ({!Ledger.rows}). *)
+val ledger : trace -> Ledger.row list
+
 (** {1 Value distributions}
 
     Spans sharing a name (e.g. the per-partition or per-move child
@@ -233,9 +257,9 @@ val pp : Format.formatter -> trace -> unit
     [{"version":2,"totals":{...},"histograms":{...},"spans":[...]}].
     Version 2 adds the top-level [histograms] object and a per-span
     [gc] object. When live telemetry ran, additive optional keys
-    follow: ["samples"] ({!Status} history), ["events"]
-    ({!Flight_recorder} ring) and ["verdicts"] ({!Watchdog}) — the
-    Perfetto exporter's counter/instant sources. *)
+    follow: ["samples"] ({!Status} history) and ["events"]
+    ({!Flight_recorder} events, verdicts included) — the Perfetto
+    exporter's counter/instant sources. *)
 val to_json : trace -> string
 
 (** One JSON object per line, spans flattened depth-first with a
@@ -334,15 +358,16 @@ end
 
     When a run dies — uncaught exception, SIGINT, SIGTERM — the
     post-mortem module freezes the black box into a versioned JSON
-    document: the flight recorder's ring buffer (plus how much of it
-    was lost to wraparound), the {!Span_stack} at the instant of
-    death, every watchdog verdict, and the live counter totals of the
-    attached trace. [sbm inspect] renders the dump; the schema is
+    document: the flight recorder's events, verdicts included (plus how
+    much was lost to wraparound), the {!Span_stack} at the instant of
+    death, and the live counter totals of the attached trace.
+    [sbm inspect] renders the dump; the schema is
     documented in DESIGN.md (section "In-flight observability"). *)
 
 module Postmortem : sig
-  (** Schema version written by {!to_json} (currently 1). Readers
-      accept any version [<= current_version]. *)
+  (** Schema version written by {!to_json} (currently 2). Readers
+      accept any version [<= current_version]; a version-1 dump's
+      ["watchdog"] verdicts become [watchdog] events on load. *)
   val current_version : int
 
   (** [configure ?dir ?trace ()] sets the dump directory (default
@@ -354,7 +379,7 @@ module Postmortem : sig
   type frame = { name : string; opened_ms : float  (** since [t0_ns] *) }
 
   type dump = {
-    version : int;
+    version : int;  (** as read; {!to_json} writes {!current_version} *)
     reason : string;
     pid : int;
     elapsed_ms : float;
@@ -362,11 +387,11 @@ module Postmortem : sig
         (** absolute monotonic clock at recorder start; [None] in dumps
             that predate it *)
     span_stack : frame list;  (** outermost first *)
-    verdicts : Watchdog.verdict list;
     counters : (string * int) list;  (** the attached trace's totals *)
     recorded : int;  (** events ever recorded, including overwritten ones *)
-    dropped : int;  (** recorded events the ring no longer holds *)
-    events : Flight_recorder.event list;  (** oldest first *)
+    dropped : int;  (** recorded events the dump does not hold *)
+    events : Flight_recorder.event list;
+        (** oldest first; verdicts are the [watchdog] events *)
   }
 
   (** [capture ~reason ()] freezes the black box. Times are rounded to
@@ -376,12 +401,12 @@ module Postmortem : sig
   val capture : reason:string -> unit -> dump
 
   (** The single-line JSON post-mortem document:
-      [{"version":1,"reason":...,"pid":...,"elapsed_ms":...,"t0_ns":...,
+      [{"version":2,"reason":...,"pid":...,"elapsed_ms":...,"t0_ns":"...",
       "span_stack":[{"name":...,"opened_ms":...}],
-      "watchdog":[{"rule":...,"detail":...,"action":...,"t_ms":...}],
       "counters":{...},"recorded":N,"dropped":N,"events":[...]}].
       Each event carries run-relative [t_ms] and, when [t0_ns] is
-      known, absolute [t_ns]. *)
+      known, absolute [t_ns]; both absolute clocks are decimal
+      strings. *)
   val to_json : dump -> string
 
   (** Inverse of {!to_json}. [Error]s are one-line: empty input,

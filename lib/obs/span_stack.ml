@@ -19,11 +19,13 @@ type frame = {
   mutable deadline_fired : bool;
   mutable unique_max : int;
   mutable cache_max : int;
+  mutable luts : int;
+  mutable levels : int;
+  mutable dead_node_pct : int;
+  mutable fingerprint : int64;
 }
 
-(* Innermost first. Only the main domain pushes and pops; the status
-   sampler reads from its own domain, and since the list cells are
-   immutable its worst case is a one-tick-stale path. *)
+(* Innermost first. Only the main domain pushes, pops and reads. *)
 let stack : frame list ref = ref []
 
 let frames () = !stack
@@ -53,6 +55,10 @@ let push ?(root = false) ?(pass = false) ?(size = -1) ?(depth = -1) name =
       deadline_fired = false;
       unique_max = 0;
       cache_max = 0;
+      luts = -1;
+      levels = -1;
+      dead_node_pct = 0;
+      fingerprint = 0L;
     }
   in
   stack := f :: (if root then [] else !stack);

@@ -1,10 +1,11 @@
 (** The one process-global stack of open spans.
 
     Every live span of {!Sbm_obs} is a {!frame} here from open to
-    close; frames opened by [Flow.pass] are flagged [pass]. The ledger's
-    pass paths, the audit trail's labels, the watchdog's deadlines and
-    heartbeat, the status sampler's pass path and the post-mortem
-    [span_stack] all read this stack and keep none of their own.
+    close; frames opened by [Flow.pass] are flagged [pass]. The audit
+    trail's labels, the watchdog's deadlines and heartbeat, the status
+    sample's pass path and the post-mortem [span_stack] all read this
+    stack and keep none of their own; ledger rows are a view of the
+    closed pass frames.
 
     Counters are not stored per span: a frame snapshots the {!Metrics}
     registry when it opens and keeps the registry's {!Metrics.activity}
@@ -31,8 +32,13 @@ type frame = {
       (** registry activity from open to {!stop}, children included *)
   mutable children : frame list;  (** newest first *)
   mutable deadline_fired : bool;  (** watchdog: deadline reported *)
-  mutable unique_max : int;  (** ledger: max BDD unique-table load *)
-  mutable cache_max : int;  (** ledger: max computed-cache load *)
+  mutable unique_max : int;  (** pass: max BDD unique-table load *)
+  mutable cache_max : int;  (** pass: max computed-cache load *)
+  mutable luts : int;  (** pass: LUT-6 count at close; [-1] = not probed *)
+  mutable levels : int;  (** pass: LUT-6 levels at close; [-1] = not probed *)
+  mutable dead_node_pct : int;  (** pass: dead AIG node slots at close *)
+  mutable fingerprint : int64;
+      (** pass: audit-trail chain value at close; [0L] = trail off *)
 }
 
 val frames : unit -> frame list

@@ -1,11 +1,15 @@
 (** Live run telemetry sink.
 
-    {!start} spawns a sampler domain that every [interval_ms] snapshots
-    the {!Metrics} registry, the {!Span_stack} of open spans and
-    the {!Watchdog} verdict count into a JSONL status file — the full
-    retained history, one object per line, oldest first — replaced by
-    atomic rename so an external reader ([sbm top]) never observes a
-    torn snapshot.
+    While a status file is open ({!start}), the main domain's poll
+    ([Sbm_obs.poll], at the watchdog's poll sites and at every live
+    span open and close) snapshots the {!Metrics} registry, the
+    {!Span_stack} of open spans and the verdict count of the
+    {!Flight_recorder} at most once per [interval_ms] into a JSONL
+    status file — the full retained history, one object per line,
+    oldest first — replaced by atomic rename so an external reader
+    ([sbm top]) never observes a torn snapshot. A sample is due when
+    the interval has passed, but it is taken at the next poll, which
+    can be a span later.
 
     Sample line schema (all keys always present):
     {v
@@ -15,7 +19,7 @@
 
 type sample = {
   seq : int;
-  t_ms : float;  (** since {!start}, to the microsecond *)
+  t_ms : float;  (** since the recorder's origin, to the microsecond *)
   pass : string;  (** open-span path, outermost first, [">"]-joined *)
   counters : (string * int) list;
   gauges : (string * int) list;
@@ -37,20 +41,27 @@ val load : string -> (sample list, string) result
     sample. *)
 
 val active : unit -> bool
+(** A status file is open. *)
 
 val start : ?interval_ms:float -> string -> unit
-(** [start ~interval_ms path] writes an immediate first sample, then
-    samples every [interval_ms] (default 500, clamped ≥ 20) from a
-    dedicated domain. While it runs, flows open a span even when the
-    caller passed none, so the pass path is always known.
-    @raise Invalid_argument if a sampler is already running. *)
+(** [start ~interval_ms path] opens the status file and writes the
+    first sample, enabling the {!Flight_recorder} (the samples' clock)
+    if it is off. Later samples come from {!poll}, at most every
+    [interval_ms] (default 500, clamped ≥ 20). While the file is open,
+    flows open a span even when the caller passed none, so the pass
+    path is always known.
+    @raise Sys_error if the first sample cannot be written.
+    @raise Invalid_argument if a status file is already open. *)
+
+val poll : unit -> unit
+(** Write a sample if one is due. Write errors are ignored: a file that
+    stops being writable costs the dashboard its updates, not the run. *)
 
 val stop : unit -> unit
-(** Stop the sampler domain (joins it), write a final sample with
-    [finished = true], and retire the history for {!samples}. No-op
-    when not running. *)
+(** Write a final sample with [finished = true] and close the file.
+    No-op when none is open. *)
 
 val samples : unit -> sample list
-(** Retained history, oldest first — of the live sampler if running,
-    else of the most recently stopped one. Used to embed counter
-    series into the trace JSON for the Perfetto exporter. *)
+(** History of the open or most recently closed status file, oldest
+    first. Used to embed counter series into the trace JSON for the
+    Perfetto exporter. *)

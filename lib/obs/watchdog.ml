@@ -21,10 +21,6 @@ let default_config =
     action = Note;
   }
 
-let action_to_string = function Note -> "note" | Abort -> "abort"
-
-type verdict = { rule : string; detail : string; action : action; t_ns : int64 }
-
 type state = {
   mutable config : config option; (* None = disarmed *)
   mutable bail_streak : int;
@@ -33,7 +29,6 @@ type state = {
   mutable last_beat_ns : int64;
   mutable last_beat_pass : string; (* pass path at the last beat *)
   mutable beats : int;
-  mutable verdicts : verdict list; (* reversed *)
   (* Atomic so worker domains can read it lock-free; only the main
      domain ever writes (workers honour it at partition boundaries). *)
   abort : bool Atomic.t;
@@ -48,7 +43,6 @@ let st =
     last_beat_ns = 0L;
     last_beat_pass = "";
     beats = 0;
-    verdicts = [];
     abort = Atomic.make false;
   }
 
@@ -77,22 +71,21 @@ let arm config =
   st.last_beat_ns <- 0L;
   st.last_beat_pass <- "";
   st.beats <- 0;
-  st.verdicts <- [];
   Atomic.set st.abort false
 
 let disarm () =
   st.config <- None;
   Atomic.set st.abort false
 
-let verdicts () = List.rev st.verdicts
 let abort_requested () = Atomic.get st.abort
 let clear_abort () = Atomic.set st.abort false
 
+(* The recorder event is the verdict's one record. *)
 let fire (config : config) rule detail =
-  let v = { rule; detail; action = config.action; t_ns = FR.elapsed_ns () } in
-  st.verdicts <- v :: st.verdicts;
-  FR.record ~severity:Warn ~engine:"watchdog" ~id:rule detail;
-  if config.action = Abort then Atomic.set st.abort true
+  let abort = config.action = Abort in
+  FR.record ~severity:(if abort then Error else Warn) ~engine:"watchdog"
+    ~id:rule detail;
+  if abort then Atomic.set st.abort true
 
 let ms_of_ns = Json.ms_of_ns
 
@@ -156,7 +149,7 @@ let heartbeat config now =
       st.beats <- st.beats + 1;
       Printf.eprintf "[sbm %7.1fs] pass=%s heap=%.0fMB events=%d verdicts=%d\n%!"
         (ms_of_ns now /. 1000.0) where (heap_mb ()) (FR.recorded ())
-        (List.length st.verdicts)
+        (List.length (FR.verdicts ()))
     end
 
 let poll () =
@@ -196,22 +189,3 @@ let poll () =
         end
       end);
     heartbeat config now
-
-(* --- JSON: the one verdict serializer, shared by the trace document
-   and the post-mortem dump --- *)
-
-let buf_verdict b v =
-  Buffer.add_string b
-    (Printf.sprintf
-       "{\"rule\":\"%s\",\"detail\":\"%s\",\"action\":\"%s\",\"t_ms\":%.3f}"
-       (Json.escape v.rule) (Json.escape v.detail)
-       (action_to_string v.action)
-       (ms_of_ns v.t_ns))
-
-let verdict_of_json j =
-  {
-    rule = Json.str ~default:"?" "rule" j;
-    detail = Json.str "detail" j;
-    action = (if Json.str "action" j = "abort" then Abort else Note);
-    t_ns = Json.ns_of_ms (Json.num "t_ms" j);
-  }

@@ -3,12 +3,13 @@
     The watchdog evaluates configurable thresholds against signals the
     engines feed it — pass open times, per-partition BDD bail-outs,
     per-round gradient gains, GC heap growth — and reacts to a
-    violation by recording a [watchdog] event in the
-    {!Flight_recorder}, appending a {!verdict} (surfaced by post-mortem
-    dumps and [sbm inspect]), and, when armed with {!Abort}, requesting
-    a graceful abort: the engines check {!abort_requested} at their
-    loop boundaries and wind down with their budget marked exhausted,
-    never mid-surgery.
+    violation with a verdict: a [watchdog] event in the
+    {!Flight_recorder} (id = rule, message = detail; severity [Warn]
+    for {!Note}, [Error] for {!Abort}), which post-mortem dumps and
+    [sbm inspect] surface. Armed with {!Abort} it also requests a
+    graceful abort: the engines check {!abort_requested} at their loop
+    boundaries and wind down with their budget marked exhausted, never
+    mid-surgery.
 
     Like the recorder, the watchdog is a process-global singleton that
     costs one branch when disarmed. It owns the heartbeat: with
@@ -29,9 +30,6 @@
 
 type action = Note | Abort
 
-val action_to_string : action -> string
-(** ["note"] or ["abort"]. *)
-
 type config = {
   pass_deadline_ms : float option;
   max_bail_streak : int option;
@@ -44,26 +42,16 @@ type config = {
 val default_config : config
 (** Every threshold off, no heartbeat, action [Note]. *)
 
-type verdict = {
-  rule : string;  (** rule name from the table above *)
-  detail : string;  (** human-readable trigger description *)
-  action : action;
-  t_ns : int64;  (** monotonic, since the recorder's origin *)
-}
-
 (** {1 Lifecycle} *)
 
 val enabled : unit -> bool
 
 val arm : config -> unit
-(** Arm with fresh state (streaks and verdicts cleared). Also
-    enables the {!Flight_recorder} if it is not already on, so
-    verdicts always land somewhere. *)
+(** Arm with fresh state (streaks cleared). Also enables the
+    {!Flight_recorder} if it is not already on, so verdicts always land
+    somewhere. *)
 
 val disarm : unit -> unit
-
-val verdicts : unit -> verdict list
-(** Fired verdicts, oldest first. *)
 
 val abort_requested : unit -> bool
 (** True after an [Abort]-armed violation, until the innermost pass
@@ -85,10 +73,11 @@ val note_round : gain:int -> unit
 
 val poll : unit -> unit
 (** Evaluate time- and memory-based rules and emit a heartbeat if one
-    is due. Engines call this at partition/round boundaries; it is a
-    single branch when disarmed. When stderr is not a TTY the
-    heartbeat is throttled to one line per pass-path change (CI logs
-    get a pass trail, not a pulse train). *)
+    is due; a single branch when disarmed. It is the watchdog's part of
+    [Sbm_obs.poll], which the engines call at partition/round
+    boundaries. When stderr is not a TTY the heartbeat is throttled to
+    one line per pass-path change (CI logs get a pass trail, not a
+    pulse train). *)
 
 (** {1 Heartbeat test hooks} *)
 
@@ -98,13 +87,3 @@ val force_tty : bool option ref
 
 val beats : unit -> int
 (** Heartbeat lines printed since {!arm}. *)
-
-(** {1 JSON} *)
-
-val buf_verdict : Buffer.t -> verdict -> unit
-(** One verdict as a JSON object:
-    [{"rule":S,"detail":S,"action":"note"|"abort","t_ms":F}]. *)
-
-val verdict_of_json : Json.t -> verdict
-(** Inverse of {!buf_verdict}, [t_ns] to the microsecond [t_ms]
-    carries. *)

@@ -4,7 +4,6 @@
    by an earlier partition's committed edit. *)
 
 module M = Sbm_obs.Metrics
-module FR = Sbm_obs.Flight_recorder
 module Watchdog = Sbm_obs.Watchdog
 
 let m_partitions_skipped =
@@ -18,7 +17,7 @@ let partitions parts ~analyze ~clean ~merge ~redo =
   let jobs = Jobs.get () in
   let skipped = ref 0 in
   let skip () =
-    Watchdog.poll ();
+    Sbm_obs.poll ();
     let abort = Watchdog.abort_requested () in
     if abort then incr skipped;
     abort
@@ -29,11 +28,7 @@ let partitions parts ~analyze ~clean ~merge ~redo =
     let pool = Pool.global () in
     let analyze i =
       if Watchdog.abort_requested () then None
-      else
-        let (r, events), deltas =
-          M.capture (fun () -> FR.capture (fun () -> analyze i parts.(i)))
-        in
-        Some (r, events, deltas)
+      else Some (Sbm_obs.capture (fun () -> analyze i parts.(i)))
     in
     let base = ref 0 in
     while !base < n do
@@ -46,11 +41,10 @@ let partitions parts ~analyze ~clean ~merge ~redo =
           let i = b + k in
           if not (skip ()) then
             match result with
-            | Some (r, events, deltas) when (not !dirty) && clean r ->
+            | Some (r, shard) when (not !dirty) && clean r ->
               (* Replay first: the engine's merge records the
                  merge-boundary fingerprint, which reads the registry. *)
-              M.replay deltas;
-              FR.replay events;
+              Sbm_obs.replay shard;
               merge i parts.(i) r
             | Some _ | None -> if redo i parts.(i) then dirty := true)
         results;

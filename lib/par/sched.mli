@@ -8,7 +8,8 @@
     - otherwise it analyzes chunks of [2 × jobs] partitions on
       {!Pool.global}: [analyze i part] runs on a worker domain and must
       only read shared state (or mutate a private snapshot); its
-      registry bumps and flight-recorder events are captured. Results
+      registry bumps and flight-recorder events are captured in one
+      shard ([Sbm_obs.capture]). Results
       are applied on the calling domain in ascending index: when the
       result is [clean] and no earlier partition of the chunk
       committed an edit, the captured telemetry is replayed and
@@ -16,8 +17,8 @@
       the partition on the live structure.
 
     [redo] returns [true] when it committed edits to the live
-    structure. Before each partition the driver polls the watchdog; a
-    pending abort skips the partition and counts it in
+    structure. Before each partition the driver polls
+    ([Sbm_obs.poll]); a pending watchdog abort skips the partition and counts it in
     [watchdog.partitions_skipped].
 
     With this contract a run at any job count applies the exact same

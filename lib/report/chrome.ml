@@ -6,10 +6,9 @@
    - every span becomes a B/E duration-event pair on one thread;
    - every live-telemetry sample ("samples", written when the run had
      `--status`) becomes one "C" counter event per counter and gauge;
-   - every flight-recorder event ("events") and watchdog verdict
-     ("verdicts") becomes an "i" instant event, read through the
-     producers' own readers; a verdict's recorder event is not drawn
-     twice.
+   - every flight-recorder event ("events"), watchdog verdicts
+     included, becomes an "i" instant event, read through the
+     recorder's own reader.
 
    v2 spans store durations, not start times (the telemetry layer
    records wall_ms per span), so start timestamps are synthesized:
@@ -21,7 +20,6 @@
 
 module FR = Sbm_obs.Flight_recorder
 module Status = Sbm_obs.Status
-module Wd = Sbm_obs.Watchdog
 
 let escape = Json.escape
 
@@ -85,7 +83,7 @@ let rec emit_span b ~first ~t0 j =
   event b ~first:false ~ph:"E" ~name ~ts:(t1 *. 1000.) ();
   t1
 
-(* Counter series from the status-sampler history: one C event per
+(* Counter series from the status-file history: one C event per
    counter/gauge per sample, named by the metric. Perfetto renders
    each name as its own counter track. *)
 let emit_samples b ~first (samples : Status.sample list) =
@@ -100,36 +98,19 @@ let emit_samples b ~first (samples : Status.sample list) =
         (s.counters @ s.gauges))
     samples
 
-(* A watchdog verdict is also a [watchdog] recorder event; the verdict
-   alone draws it, because ring wrap-around can drop the event. *)
 let emit_events b ~first (events : FR.event list) =
   List.iter
     (fun (e : FR.event) ->
-      if e.engine <> "watchdog" then begin
-        let name = if e.id = "" then e.engine else e.engine ^ ":" ^ e.id in
-        let args =
-          [ ("message", quoted e.message);
-            ("severity", quoted (FR.severity_to_string e.severity)) ]
-          @ List.map (fun (k, n) -> (k, number n)) e.metrics
-        in
-        event b ~first:!first ~ph:"i" ~name ~ts:(Json.ms_of_ns e.t_ns *. 1000.)
-          ~scope:"t" ~args:(args_of args) ();
-        first := false
-      end)
-    events
-
-let emit_verdicts b ~first (verdicts : Wd.verdict list) =
-  List.iter
-    (fun (v : Wd.verdict) ->
-      event b ~first:!first ~ph:"i" ~name:("watchdog:" ^ v.rule)
-        ~ts:(Json.ms_of_ns v.t_ns *. 1000.) ~scope:"p"
-        ~args:
-          (args_of
-             [ ("detail", quoted v.detail);
-               ("action", quoted (Wd.action_to_string v.action)) ])
-        ();
+      let name = if e.id = "" then e.engine else e.engine ^ ":" ^ e.id in
+      let args =
+        [ ("message", quoted e.message);
+          ("severity", quoted (FR.severity_to_string e.severity)) ]
+        @ List.map (fun (k, n) -> (k, number n)) e.metrics
+      in
+      event b ~first:!first ~ph:"i" ~name ~ts:(Json.ms_of_ns e.t_ns *. 1000.)
+        ~scope:"t" ~args:(args_of args) ();
       first := false)
-    verdicts
+    events
 
 let convert src =
   match Json.parse src with
@@ -151,7 +132,6 @@ let convert src =
       let all key f = List.map f (Json.to_list (Json.member key j)) in
       emit_samples b ~first (all "samples" Status.sample_of_json);
       emit_events b ~first (all "events" FR.event_of_json);
-      emit_verdicts b ~first (all "verdicts" Wd.verdict_of_json);
       Buffer.add_string b "]}";
       Ok (Buffer.contents b)
     end

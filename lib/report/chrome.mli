@@ -4,7 +4,7 @@
     [--report trace.json]) into the Chrome Trace Event Format accepted
     by ui.perfetto.dev and chrome://tracing: spans become B/E duration
     events, live-telemetry samples become "C" counter series, and
-    flight-recorder events / watchdog verdicts become instant
+    flight-recorder events (watchdog verdicts included) become instant
     events. *)
 
 val convert : string -> (string, string) result

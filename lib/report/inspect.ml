@@ -10,27 +10,26 @@ let pp_metrics ppf = function
 
 (* Timestamp column. Default: delta from run start ("+123.4 ms", the
    dump's t_ms). --abs: the absolute monotonic clock in ns — exact for
-   events, which carry it, reconstructed from t0_ns + t_ms for frames
-   and verdicts. Dumps predating t0_ns fall back to deltas even under
-   --abs. *)
+   events, which carry it, reconstructed from t0_ns + t_ms for frames.
+   Dumps predating t0_ns fall back to deltas even under --abs. *)
 let pp_stamp ~abs t0_ns ppf (t_ms, exact_ns) =
-  let absolute =
-    match t0_ns with
-    | Some t0 when abs -> (
-      match exact_ns with
-      | Some ns -> Some (Int64.to_float (Int64.add t0 ns))
-      | None -> Some (Int64.to_float t0 +. (t_ms *. 1e6)))
-    | _ -> None
-  in
-  match absolute with
-  | Some ns -> Fmt.pf ppf "[%18.0f ns]" ns
-  | None -> Fmt.pf ppf "[%+10.1f ms]" t_ms
+  match t0_ns with
+  | Some t0 when abs ->
+    let ns = Option.value exact_ns ~default:(Json.ns_of_ms t_ms) in
+    Fmt.pf ppf "[%18Ld ns]" (Int64.add t0 ns)
+  | _ -> Fmt.pf ppf "[%+10.1f ms]" t_ms
 
 (* An event's t_ms as the dump prints it. *)
 let event_ms (e : FR.event) = Json.(written_ms (ms_of_ns e.t_ns))
 
 let pp ?(last = 20) ?(abs = false) ppf (d : Pm.dump) =
   let stamp = pp_stamp ~abs d.t0_ns in
+  let pp_event ppf (e : FR.event) =
+    Fmt.pf ppf "  %a %-5s %-10s %-14s %s%a@." stamp
+      (event_ms e, Some e.t_ns)
+      (String.uppercase_ascii (FR.severity_to_string e.severity))
+      e.engine e.id e.message pp_metrics e.metrics
+  in
   Fmt.pf ppf "post-mortem dump (version %d)@." d.version;
   Fmt.pf ppf "  reason:  %s@." d.reason;
   Fmt.pf ppf "  pid:     %d   elapsed: %.1f s@." d.pid (d.elapsed_ms /. 1000.0);
@@ -42,30 +41,17 @@ let pp ?(last = 20) ?(abs = false) ppf (d : Pm.dump) =
       (fun (f : Pm.frame) ->
         Fmt.pf ppf "  %-32s opened at %a@." f.name stamp (f.opened_ms, None))
       d.span_stack;
+  (* Verdicts (WARN = note, ERROR = abort) are listed whole, the rest
+     of the timeline by its tail. *)
+  let verdicts, others = List.partition FR.is_verdict d.events in
   Fmt.pf ppf "@.watchdog verdicts:@.";
-  if d.verdicts = [] then Fmt.pf ppf "  (none)@."
-  else
-    List.iter
-      (fun (v : Sbm_obs.Watchdog.verdict) ->
-        Fmt.pf ppf "  %a %s (%s): %s@." stamp
-          (Json.ms_of_ns v.t_ns, None)
-          v.rule
-          (Sbm_obs.Watchdog.action_to_string v.action)
-          v.detail)
-      d.verdicts;
-  let total = List.length d.events in
+  if verdicts = [] then Fmt.pf ppf "  (none)@."
+  else List.iter (pp_event ppf) verdicts;
+  let total = List.length others in
   let shown = min last total in
-  Fmt.pf ppf "@.timeline (last %d of %d buffered events):@." shown total;
+  Fmt.pf ppf "@.timeline (last %d of %d other buffered events):@." shown total;
   if total = 0 then Fmt.pf ppf "  (none)@."
-  else
-    List.iteri
-      (fun i (e : FR.event) ->
-        if i >= total - shown then
-          Fmt.pf ppf "  %a %-5s %-10s %-14s %s%a@." stamp
-            (event_ms e, Some e.t_ns)
-            (String.uppercase_ascii (FR.severity_to_string e.severity))
-            e.engine e.id e.message pp_metrics e.metrics)
-      d.events;
+  else List.iteri (fun i e -> if i >= total - shown then pp_event ppf e) others;
   let live = List.filter (fun (_, v) -> v <> 0) d.counters in
   if live <> [] then begin
     Fmt.pf ppf "@.counters:@.";

@@ -6,8 +6,8 @@
     flight-recorder timeline. *)
 
 (** [pp ?last ?abs ppf dump] renders the human report: header, open
-    span stack, watchdog verdicts, the last [last] (default 20)
-    timeline events, and non-zero counters. Timestamps print as deltas
+    span stack, every watchdog verdict event, the last [last] (default
+    20) of the other events, and non-zero counters. Timestamps print as deltas
     from run start ("+123.4 ms"); with [abs] they print the absolute
     monotonic clock in ns instead (falling back to deltas for dumps
     that predate [t0_ns]). *)

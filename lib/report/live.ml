@@ -1,7 +1,7 @@
 (* `sbm top` — live dashboard over a --status JSONL file.
 
-   The status file is rewritten whole via atomic rename by the
-   sampler, so each poll here reads a complete, consistent history
+   The status file is rewritten whole via atomic rename by the run's
+   poll, so each read here sees a complete, consistent history
    (one JSON sample per line, oldest first). Rendering is pure — the
    interactive loop in [run] adds the ANSI clear/home sequence itself,
    so tests and --once get plain text. *)

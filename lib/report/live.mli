@@ -1,7 +1,7 @@
 (** [sbm top] — live dashboard over a [--status] JSONL file.
 
-    The sampler rewrites the status file whole via atomic rename, so
-    every poll reads a complete history ({!Sbm_obs.Status.load}): one
+    The run rewrites the status file whole via atomic rename, so every
+    read sees a complete history ({!Sbm_obs.Status.load}): one
     sample per line, oldest first. *)
 
 val render : ?prev:Sbm_obs.Status.sample -> Sbm_obs.Status.sample -> string

@@ -102,7 +102,7 @@ let run ?(obs = Sbm_obs.null) ?on_cex aig =
          [ ("classes", Hashtbl.length classes); ("sat_calls", !sat_calls);
            ("merged", !merged); ("restarts", Solver.num_restarts solver) ]
        "sweep done");
-  Sbm_obs.Watchdog.poll ();
+  Sbm_obs.poll ();
   Sbm_obs.bump obs Sat_metrics.sweep_classes (Hashtbl.length classes);
   Sbm_obs.bump obs Sat_metrics.sweep_sat_calls !sat_calls;
   Sbm_obs.bump obs Sat_metrics.sweep_merged !merged;

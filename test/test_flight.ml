@@ -10,13 +10,14 @@ module Obs = Sbm_obs
 module FR = Sbm_obs.Flight_recorder
 module Wd = Sbm_obs.Watchdog
 module Ledger = Sbm_obs.Ledger
+module Chrome = Sbm_report.Chrome
+module Json = Sbm_report.Json
 module FP = Sbm_obs.Fingerprint
 module Pm = Sbm_obs.Postmortem
 
 let teardown () =
   Wd.disarm ();
   FR.disable ();
-  Ledger.disable ();
   FP.disable ();
   Sbm_core.Flow.inject_failure_after := None
 
@@ -95,7 +96,7 @@ let test_span_stack_follows_obs () =
 
 let arm_with f = Wd.arm (f Wd.default_config)
 
-let rules () = List.map (fun v -> v.Wd.rule) (Wd.verdicts ())
+let rules () = List.map (fun e -> e.FR.id) (FR.verdicts ())
 
 let test_deadline_fires_once_per_pass () =
   arm_with (fun c -> { c with Wd.pass_deadline_ms = Some 0.0 });
@@ -112,9 +113,10 @@ let test_deadline_fires_once_per_pass () =
   Alcotest.(check int) "re-fires for a new activation" 2 (List.length (rules ()));
   close_pass sp;
   Obs.close root;
-  (* The verdict also landed in the recorder (arm enables it). *)
-  Alcotest.(check bool) "verdict recorded as event" true
-    (List.exists (fun e -> e.FR.engine = "watchdog") (FR.events ()))
+  (* The verdict is a recorder event (arm enables the recorder): a
+     warning, since the action is a note. *)
+  Alcotest.(check bool) "verdict recorded as a warn event" true
+    (List.for_all (fun e -> e.FR.severity = FR.Warn) (FR.verdicts ()))
 
 let test_bail_streak () =
   arm_with (fun c -> { c with Wd.max_bail_streak = Some 3 });
@@ -143,6 +145,9 @@ let test_abort_lifecycle () =
   Alcotest.(check bool) "no abort yet" false (Wd.abort_requested ());
   Wd.note_partition ~engine:"mspf" ~bails:1;
   Alcotest.(check bool) "abort requested" true (Wd.abort_requested ());
+  Alcotest.(check (list string)) "an abort verdict is an error event"
+    [ "error" ]
+    (List.map (fun e -> FR.severity_to_string e.FR.severity) (FR.verdicts ()));
   close_pass sp;
   Alcotest.(check bool) "pass end clears abort" false (Wd.abort_requested ());
   Obs.close root;
@@ -170,15 +175,15 @@ let test_dump_round_trip () =
   match Pm.of_json json with
   | Error msg -> Alcotest.failf "dump does not parse: %s" msg
   | Ok d ->
-    Alcotest.(check int) "version" 1 d.Pm.version;
+    Alcotest.(check int) "version" 2 d.Pm.version;
     Alcotest.(check string) "escaped reason survives" "unit \"test\"" d.Pm.reason;
     Alcotest.(check (list string))
       "open spans outermost first" [ "sbm"; "gradient" ]
       (List.map (fun f -> f.Pm.name) d.Pm.span_stack);
-    (match d.Pm.verdicts with
+    (match List.filter FR.is_verdict d.Pm.events with
     | [ v ] ->
-      Alcotest.(check string) "verdict rule" "gradient-stall" v.Wd.rule;
-      Alcotest.(check bool) "verdict action" true (v.Wd.action = Wd.Note)
+      Alcotest.(check string) "verdict rule" "gradient-stall" v.FR.id;
+      Alcotest.(check bool) "verdict action" true (v.FR.severity = FR.Warn)
     | l -> Alcotest.failf "expected 1 verdict, got %d" (List.length l));
     Alcotest.(check int) "counters from the trace" 3
       (List.assoc "gradient.rounds" d.Pm.counters);
@@ -205,7 +210,7 @@ let test_inspect_rejects_bad_input () =
   Alcotest.(check string) "missing version"
     "not a post-mortem dump: missing \"version\"" (err "{\"events\":[]}");
   Alcotest.(check string) "future version"
-    "unsupported dump version 99 (this sbm reads <= 1)"
+    "unsupported dump version 99 (this sbm reads <= 2)"
     (err "{\"version\":99,\"events\":[]}")
 
 let test_injected_failure_dumps () =
@@ -245,12 +250,71 @@ let test_injected_failure_dumps () =
     Obs.close root;
     Alcotest.(check (list string)) "stack cleared" [] (Obs.Span_stack.names ())
 
+(* --- verdicts are recorder events, kept through wraparound --- *)
+
+let count p l = List.length (List.filter p l)
+
+let test_verdict_survives_wraparound () =
+  FR.enable ~capacity:16 ();
+  arm_with (fun c -> { c with Wd.stall_rounds = Some 1 });
+  let trace = Obs.create () in
+  Obs.Postmortem.configure ~trace ();
+  let root = Obs.root trace "flow" in
+  Wd.note_round ~gain:0 (* fires gradient-stall *);
+  for i = 1 to 120 do
+    FR.record ~engine:"test" ~metrics:[ ("i", i) ] "tick"
+  done;
+  let is_stall (e : FR.event) = FR.is_verdict e && e.FR.id = "gradient-stall" in
+  let dump = Pm.capture ~reason:"probe" () in
+  Alcotest.(check int) "once in the post-mortem" 1 (count is_stall dump.Pm.events);
+  Alcotest.(check int) "the ring still wrapped" (121 - 17) dump.Pm.dropped;
+  let doc = Obs.to_json trace in
+  let events =
+    List.map FR.event_of_json (Json.to_list (Json.member "events" (Json.parse doc)))
+  in
+  Alcotest.(check int) "once in the trace's events" 1 (count is_stall events);
+  (match Chrome.convert doc with
+  | Error msg -> Alcotest.fail msg
+  | Ok chrome ->
+    let instants =
+      Json.to_list (Json.member "traceEvents" (Json.parse chrome))
+      |> List.filter (fun e ->
+             Json.str "ph" e = "i" && Json.str "name" e = "watchdog:gradient-stall")
+    in
+    Alcotest.(check int) "one Chrome instant" 1 (List.length instants));
+  Obs.close root
+
+(* A version-1 dump holds each verdict twice (its "watchdog" array and
+   its ring event); one verdict's event was overwritten. Each renders
+   once, the abort as an ERROR. *)
+let test_v1_dump_verdicts_once () =
+  match Pm.load "dump_v1.json" with
+  | Error msg -> Alcotest.fail msg
+  | Ok d ->
+    Alcotest.(check int) "read as version 1" 1 d.Pm.version;
+    let text = Fmt.str "%a" (Sbm_report.Inspect.pp ?last:None ~abs:false) d in
+    let occurrences needle =
+      let n = String.length needle in
+      let rec go i acc =
+        if i + n > String.length text then acc
+        else go (i + 1) (if String.sub text i n = needle then acc + 1 else acc)
+      in
+      go 0 0
+    in
+    Alcotest.(check int) "the dropped verdict renders once" 1
+      (occurrences "8 consecutive partitions bailed");
+    Alcotest.(check int) "the ring's verdict renders once" 1
+      (occurrences "pass 'mspf' open for");
+    Alcotest.(check (list string)) "actions become severities" [ "warn"; "error" ]
+      (List.map
+         (fun e -> FR.severity_to_string e.FR.severity)
+         (List.filter FR.is_verdict d.Pm.events))
+
 (* --- one stack: every pass-boundary consumer reads the same frames --- *)
 
 let test_one_stack_feeds_every_consumer () =
   FR.enable ();
   arm_with (fun c -> { c with Wd.pass_deadline_ms = Some 0.0 });
-  Ledger.enable ();
   FP.enable ();
   let trace = Obs.create () in
   Obs.Postmortem.configure ~trace ();
@@ -277,18 +341,17 @@ let test_one_stack_feeds_every_consumer () =
   Obs.close root;
   Alcotest.(check (list string))
     "ledger paths are the pass frames" [ "iteration-1/mspf"; "iteration-1" ]
-    (List.map (fun (r : Ledger.row) -> r.Ledger.path) (Ledger.rows ()));
+    (List.map (fun (r : Ledger.row) -> r.Ledger.path) (Obs.ledger trace));
   Alcotest.(check (list string))
     "trail labels are the pass frames"
     [ "iteration-1/mspf/mspf-partition-0"; "iteration-1/mspf"; "iteration-1" ]
     (List.map (fun (r : FP.record) -> r.FP.label) (FP.records ()));
   Alcotest.(check (list string))
-    "deadline verdicts name the pass frames, deepest first"
-    [ "mspf"; "iteration-1" ]
+    "deadline verdicts name the pass frames as each opens"
+    [ "iteration-1"; "mspf" ]
     (List.map
-       (fun (v : Wd.verdict) ->
-         List.nth (String.split_on_char '\'' v.Wd.detail) 1)
-       (Wd.verdicts ()));
+       (fun (e : FR.event) -> List.nth (String.split_on_char '\'' e.FR.message) 1)
+       (FR.verdicts ()));
   Alcotest.(check (list string)) "empty at end" [] (Obs.Span_stack.names ())
 
 let suite =
@@ -310,4 +373,8 @@ let suite =
       (protecting test_injected_failure_dumps);
     Alcotest.test_case "one span stack feeds every consumer" `Quick
       (protecting test_one_stack_feeds_every_consumer);
+    Alcotest.test_case "verdict survives ring wraparound" `Quick
+      (protecting test_verdict_survives_wraparound);
+    Alcotest.test_case "version-1 dump verdicts render once" `Quick
+      test_v1_dump_verdicts_once;
   ]

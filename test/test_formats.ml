@@ -1,8 +1,9 @@
 (* Every telemetry format is read back by the lib/obs module that
    writes it. For each format, records from one real ctrl run must
    survive [of_json (to_json x) = x], and the producer's text must
-   survive [to_json (of_json s) = s]; the post-mortem reader also takes
-   a legacy dump without [t0_ns] back to its exact bytes. *)
+   survive [to_json (of_json s) = s]; the post-mortem reader also
+   migrates a version-1 dump without [t0_ns], and keeps absolute clocks
+   past 2^53 ns exact. *)
 
 module Aig = Sbm_aig.Aig
 module Obs = Sbm_obs
@@ -24,7 +25,7 @@ type run = {
 }
 
 (* One sbm-low run on ctrl with every producer on: ledger (with the LUT
-   probe), audit trail, status sampler, flight recorder and a watchdog
+   probe), audit trail, status file, flight recorder and a watchdog
    whose zero deadline fires verdicts. The flow fails on purpose at its
    fifth pass, so the post-mortem has open spans to report. *)
 let ctrl_run =
@@ -42,11 +43,9 @@ let ctrl_run =
          Flow.inject_failure_after := None;
          Wd.disarm ();
          FR.disable ();
-         Ledger.disable ();
          FP.disable ())
        (fun () ->
          Flow.ledger_qor_probe := Some probe;
-         Ledger.enable ();
          FP.enable ();
          Wd.arm { Wd.default_config with Wd.pass_deadline_ms = Some 0.0 };
          Status.start ~interval_ms:20. status_path;
@@ -77,7 +76,7 @@ let ctrl_run =
              cec = Some "proven";
              wall_ms = 1000.0 *. (Unix.gettimeofday () -. t0);
              counters = Obs.totals trace;
-             passes = Ledger.rows ();
+             passes = Obs.ledger trace;
            }
          in
          {
@@ -146,23 +145,52 @@ let test_status_sample () =
     ~of_json:(fun s -> Some (line_reader Status.sample_of_json s))
     samples
 
-(* Written in the producer's layout; it predates [t0_ns], so its events
-   carry no absolute [t_ns] either. *)
+(* Written in the version-1 producer's layout; it predates [t0_ns], so
+   its events carry no absolute [t_ns] either. *)
 let legacy_dump =
   {|{"version":1,"reason":"signal SIGINT","pid":42,"elapsed_ms":10.250,"span_stack":[{"name":"sbm-low","opened_ms":0.125}],"watchdog":[{"rule":"gradient-stall","detail":"3 consecutive zero-gain gradient rounds","action":"abort","t_ms":9.001}],"counters":{"gradient.rounds":3},"recorded":2,"dropped":0,"events":[{"seq":0,"t_ms":7.000,"severity":"info","engine":"flow","id":"gradient","message":"pass start","metrics":{"size":55}},{"seq":1,"t_ms":9.001,"severity":"warn","engine":"watchdog","id":"gradient-stall","message":"3 consecutive zero-gain gradient rounds","metrics":{}}]}|}
 
 let test_postmortem_dump () =
   let { dump; _ } = Lazy.force ctrl_run in
   Alcotest.(check bool) "dump has open spans, verdicts and events" true
-    (dump.span_stack <> [] && dump.verdicts <> [] && dump.events <> []);
+    (dump.span_stack <> [] && List.exists FR.is_verdict dump.events);
   let of_json s = Result.to_option (Pm.of_json s) in
   check_round_trips "post-mortem dump" ~to_json:Pm.to_json ~of_json [ dump ];
   match Pm.of_json legacy_dump with
   | Error msg -> Alcotest.fail msg
-  | Ok d ->
+  | Ok d -> (
     Alcotest.(check bool) "legacy dump has no t0_ns" true (d.t0_ns = None);
-    Alcotest.(check string) "legacy dump re-emits byte for byte" legacy_dump
-      (Pm.to_json d)
+    Alcotest.(check (list string)) "its verdict is its event, once, an abort"
+      [ "error" ]
+      (List.map
+         (fun (e : FR.event) -> FR.severity_to_string e.severity)
+         (List.filter FR.is_verdict d.events));
+    let v2 = Pm.to_json d in
+    match Pm.of_json v2 with
+    | Error msg -> Alcotest.fail msg
+    | Ok d2 ->
+      Alcotest.(check int) "migrated to version 2" 2 d2.version;
+      Alcotest.(check string) "the migrated dump re-emits byte for byte" v2
+        (Pm.to_json d2))
+
+(* Absolute monotonic clocks past 2^53 ns (about 104 days of uptime)
+   are decimal strings in version 2, so they come back exactly. *)
+let big_clock_dump =
+  {|{"version":2,"reason":"r","pid":7,"elapsed_ms":1.002,"t0_ns":"9007199254740993","span_stack":[],"counters":{},"recorded":1,"dropped":0,"events":[{"seq":0,"t_ms":0.001,"t_ns":"9007199254741995","severity":"info","engine":"flow","id":"mspf","message":"pass start","metrics":{}}]}|}
+
+let test_big_clocks () =
+  match Pm.of_json big_clock_dump with
+  | Error msg -> Alcotest.fail msg
+  | Ok d ->
+    Alcotest.(check string) "re-emits byte for byte" big_clock_dump (Pm.to_json d);
+    let text = Fmt.str "%a" (Sbm_report.Inspect.pp ?last:None ~abs:true) d in
+    let needle = "9007199254741995 ns]" in
+    let n = String.length needle in
+    Alcotest.(check bool) "--abs prints the exact clock" true
+      (let rec scan i =
+         i + n <= String.length text && (String.sub text i n = needle || scan (i + 1))
+       in
+       scan 0)
 
 let suite =
   [
@@ -172,4 +200,6 @@ let suite =
     Alcotest.test_case "fingerprint record round-trips" `Quick test_fingerprint_record;
     Alcotest.test_case "status sample round-trips" `Quick test_status_sample;
     Alcotest.test_case "post-mortem dump round-trips" `Quick test_postmortem_dump;
+    Alcotest.test_case "post-mortem clocks past 2^53 ns are exact" `Quick
+      test_big_clocks;
   ]

@@ -1,5 +1,5 @@
-(* The per-pass resource ledger: frame bookkeeping and nested-path
-   construction, the stable JSON projection, the JSONL history
+(* The per-pass resource ledger: a view of a trace's closed pass
+   frames, with nested-path construction, the stable JSON projection, the JSONL history
    round-trip (including torn-final-line tolerance, which also covers
    the `sbm top` reader), per-pass diff verdict classification with
    its strict alignment contract, and the headline determinism
@@ -15,10 +15,6 @@ module Report = Sbm_report.Report
 module History = Sbm_report.History
 module Status = Sbm_obs.Status
 module Json = Sbm_report.Json
-
-let with_ledger f =
-  Ledger.enable ();
-  Fun.protect ~finally:Ledger.disable f
 
 let entry ?(counters = []) ?(wall_ms = 100.0) ?(passes = []) bench size depth
     luts levels =
@@ -56,10 +52,11 @@ let row ?(counters = []) ?(size = 100) ?(luts = -1) ?(levels = -1)
 
 (* --- frame bookkeeping --- *)
 
-(* Ledger rows are projected from closing pass spans; paths are the
-   open pass frames of the one span stack, skipping plain spans. *)
+(* Ledger rows are projected from a trace's closed pass frames; paths
+   are the pass ancestors, skipping plain spans. *)
 let run_passes () =
-  let root = Obs.root (Obs.create ()) "flow" in
+  let trace = Obs.create () in
+  let root = Obs.root trace "flow" in
   let pass parent name = Obs.pass ~size:10 ~depth:4 parent name in
   let close sp = Obs.close_pass ~size:9 ~depth:4 sp in
   let it = pass root "iteration-1" in
@@ -68,30 +65,30 @@ let run_passes () =
   close (pass step "rewrite");
   Obs.close step;
   close it;
-  Obs.close root
+  (* A pass still open (a crashed one) has no row. *)
+  ignore (pass root "unfinished");
+  Obs.close root;
+  trace
 
 let test_ledger_paths () =
-  with_ledger (fun () ->
-      run_passes ();
-      let rows = Ledger.rows () in
-      Alcotest.(check (list string))
-        "nested slash-joined paths, completion order"
-        [ "iteration-1/mspf"; "iteration-1/rewrite"; "iteration-1" ]
-        (List.map (fun (r : Ledger.row) -> r.Ledger.path) rows);
-      Alcotest.(check (list int))
-        "indices follow completion order" [ 0; 1; 2 ]
-        (List.map (fun (r : Ledger.row) -> r.Ledger.index) rows);
-      Alcotest.(check (list (pair int int)))
-        "sizes come from the span" [ (10, 9); (10, 9); (10, 9) ]
-        (List.map
-           (fun (r : Ledger.row) -> (r.Ledger.size_before, r.Ledger.size_after))
-           rows);
-      (* enable resets. *)
-      Ledger.enable ();
-      Alcotest.(check int) "enable clears" 0 (List.length (Ledger.rows ())));
-  (* While disabled the ledger records nothing. *)
-  run_passes ();
-  Alcotest.(check bool) "disabled is inert" true (Ledger.rows () = [])
+  let rows = Obs.ledger (run_passes ()) in
+  Alcotest.(check (list string))
+    "nested slash-joined paths, completion order"
+    [ "iteration-1/mspf"; "iteration-1/rewrite"; "iteration-1" ]
+    (List.map (fun (r : Ledger.row) -> r.Ledger.path) rows);
+  Alcotest.(check (list int))
+    "indices follow completion order" [ 0; 1; 2 ]
+    (List.map (fun (r : Ledger.row) -> r.Ledger.index) rows);
+  Alcotest.(check (list (pair int int)))
+    "sizes come from the span" [ (10, 9); (10, 9); (10, 9) ]
+    (List.map
+       (fun (r : Ledger.row) -> (r.Ledger.size_before, r.Ledger.size_after))
+       rows);
+  Alcotest.(check (list int)) "no probe: luts -1" [ -1; -1; -1 ]
+    (List.map (fun (r : Ledger.row) -> r.Ledger.luts) rows);
+  (* Each trace is its own ledger. *)
+  Alcotest.(check int) "a fresh trace has no rows" 0
+    (List.length (Obs.ledger (Obs.create ())))
 
 let test_stable_projection () =
   let r = row ~counters:[ ("bdd.cache_hits", 7) ] "mspf" 0 in
@@ -304,18 +301,16 @@ let test_per_pass_ignore_time () =
 
 let stable_rows jobs b =
   Helpers.with_jobs jobs (fun () ->
-      with_ledger (fun () ->
-          let aig = Epfl.generate b in
-          let trace = Obs.create () in
-          let root =
-            Obs.root ~size:(Aig.size aig) ~depth:(Aig.depth aig) trace
-              (Epfl.name b)
-          in
-          let optimized =
-            Sbm_core.Flow.run ~obs:root (Sbm_core.Flow.Sbm Sbm_core.Flow.Low) aig
-          in
-          Obs.close ~size:(Aig.size optimized) ~depth:(Aig.depth optimized) root;
-          List.map (Ledger.row_to_json ~stable:true) (Ledger.rows ())))
+      let aig = Epfl.generate b in
+      let trace = Obs.create () in
+      let root =
+        Obs.root ~size:(Aig.size aig) ~depth:(Aig.depth aig) trace (Epfl.name b)
+      in
+      let optimized =
+        Sbm_core.Flow.run ~obs:root (Sbm_core.Flow.Sbm Sbm_core.Flow.Low) aig
+      in
+      Obs.close ~size:(Aig.size optimized) ~depth:(Aig.depth optimized) root;
+      List.map (Ledger.row_to_json ~stable:true) (Obs.ledger trace))
 
 let test_per_pass_jobs_identity () =
   let probe aig =

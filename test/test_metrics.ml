@@ -1,8 +1,9 @@
 (* Metrics registry, live telemetry and exporters: registration
-   semantics (duplicates are hard errors, kinds are enforced), worker
-   capture/replay, Obs.bump reaching span totals through the registry,
-   catalog coverage of a real flow run, the status-file atomic-rename
-   protocol under a concurrent reader, the Chrome trace exporter's
+   semantics (duplicates are hard errors, kinds are enforced), the
+   worker shard's capture/replay, Obs.bump reaching span totals through
+   the registry, catalog coverage of a real flow run, the status-file
+   atomic-rename protocol under a concurrent reader and the samples a
+   real flow run writes, the Chrome trace exporter's
    structural invariants, the DESIGN.md drift gate, inspect's
    delta/--abs timestamp modes, and the non-TTY heartbeat throttle. *)
 
@@ -89,22 +90,33 @@ let test_values () =
   | None -> Alcotest.fail "process.heap_words not registered"
   | Some g -> Alcotest.(check bool) "heap gauge samples" true (M.value g > 0))
 
+(* One shard carries a worker domain's counter deltas and recorder
+   events. *)
 let test_capture_replay () =
-  let v0 = M.value c_capture in
-  let (), deltas =
-    M.capture (fun () ->
-        M.add c_capture 5;
-        M.add c_capture 2)
-  in
-  Alcotest.(check int) "global cell untouched during capture" v0
-    (M.value c_capture);
-  Alcotest.(check (list (pair string int)))
-    "deltas collect the shard" [ ("test.capture", 7) ] deltas;
-  M.replay deltas;
-  Alcotest.(check int) "replay lands on the global cell" (v0 + 7)
-    (M.value c_capture);
-  (* Unknown names are ignored, not errors. *)
-  M.replay [ ("test.never-registered", 3) ]
+  Fun.protect ~finally:FR.disable (fun () ->
+      FR.enable ();
+      let v0 = M.value c_capture in
+      let (), shard =
+        Domain.join
+          (Domain.spawn (fun () ->
+               Obs.capture (fun () ->
+                   M.add c_capture 5;
+                   FR.record ~engine:"worker" "event";
+                   M.add c_capture 2)))
+      in
+      Alcotest.(check int) "global cell untouched during capture" v0
+        (M.value c_capture);
+      Alcotest.(check int) "ring untouched during capture" 0 (FR.recorded ());
+      Alcotest.(check (list (pair string int)))
+        "the shard collects the deltas" [ ("test.capture", 7) ]
+        (Hashtbl.fold (fun k n l -> (k, !n) :: l) shard.M.counts []);
+      Obs.replay shard;
+      Alcotest.(check int) "replay lands on the global cell" (v0 + 7)
+        (M.value c_capture);
+      Alcotest.(check int) "and the event in the ring" 1 (FR.recorded ());
+      (* Unknown names are ignored, not errors. *)
+      Hashtbl.replace shard.M.counts "test.never-registered" (ref 3);
+      Obs.replay { shard with M.deferred = [] })
 
 (* --- Obs.bump: the registry is the one sink --- *)
 
@@ -149,26 +161,36 @@ let test_flow_counters_registered () =
 let test_status_atomicity () =
   let path = Filename.temp_file "sbm_status" ".jsonl" in
   Status.start ~interval_ms:20. path;
-  Alcotest.(check bool) "sampler active" true (Status.active ());
+  Alcotest.(check bool) "status file open" true (Status.active ());
   Alcotest.check_raises "second start refused"
-    (Invalid_argument "Sbm_obs.Status.start: sampler already running")
+    (Invalid_argument "Sbm_obs.Status.start: already running")
     (fun () -> Status.start path);
   let parse_all src =
     String.split_on_char '\n' src
     |> List.filter (fun l -> String.trim l <> "")
     |> List.map Json.parse
   in
-  Fun.protect ~finally:Status.stop (fun () ->
-      (* Hammer the file from this domain while the sampler rewrites
-         it: every observed state must parse line-by-line. *)
-      for i = 1 to 100 do
-        M.add c_status i;
-        (match In_channel.with_open_bin path In_channel.input_all with
-        | src -> ignore (parse_all src)
-        | exception Sys_error _ -> Alcotest.fail "status file vanished");
-        Unix.sleepf 0.001
-      done);
-  (* stop() wrote the final sample. *)
+  (* A reader domain parses the file while this domain bumps counters
+     and polls: every observed state must parse line by line. *)
+  let stop = Atomic.make false in
+  let reader =
+    Domain.spawn (fun () ->
+        let reads = ref 0 in
+        while not (Atomic.get stop) do
+          ignore (parse_all (In_channel.with_open_bin path In_channel.input_all));
+          incr reads;
+          Unix.sleepf 0.0005
+        done;
+        !reads)
+  in
+  for i = 1 to 100 do
+    M.add c_status i;
+    Obs.poll ();
+    Unix.sleepf 0.001
+  done;
+  Atomic.set stop true;
+  Alcotest.(check bool) "the reader read" true (Domain.join reader > 0);
+  Status.stop ();
   let samples =
     match Status.load path with
     | Ok v -> v
@@ -180,12 +202,36 @@ let test_status_atomicity () =
   let seqs = List.map (fun v -> v.Status.seq) samples in
   Alcotest.(check bool) "seq strictly increasing" true
     (List.sort_uniq compare seqs = seqs);
+  Alcotest.(check bool) "polls sampled during the run" true
+    (List.length samples >= 3);
   Alcotest.(check bool) "hammered counter visible in final sample" true
     (match List.assoc_opt "test.status" last.Status.counters with
     | Some v -> v >= 5050 (* sum 1..100; earlier suites may add more *)
     | None -> false);
-  Alcotest.(check bool) "sampler stopped" false (Status.active ());
+  Alcotest.(check bool) "status file closed" false (Status.active ());
+  FR.disable ();
   Sys.remove path
+
+(* A traced ctrl sbm-low run samples at its span boundaries and poll
+   sites, not only at start and stop. *)
+let test_status_flow () =
+  let path = Filename.temp_file "sbm_status_flow" ".jsonl" in
+  Status.start ~interval_ms:20. path;
+  let aig = Sbm_epfl.Epfl.generate Sbm_epfl.Epfl.Ctrl in
+  let root = Obs.root (Obs.create ()) "ctrl" in
+  ignore (Sbm_core.Flow.run ~obs:root (Sbm_core.Flow.Sbm Sbm_core.Flow.Low) aig);
+  Obs.close root;
+  Status.stop ();
+  FR.disable ();
+  match Status.load path with
+  | Error msg -> Alcotest.fail msg
+  | Ok samples ->
+    Sys.remove path;
+    let running = List.filter (fun s -> not s.Status.finished) samples in
+    Alcotest.(check bool) "at least two samples before the final one" true
+      (List.length running >= 2);
+    Alcotest.(check bool) "only the last is finished" true
+      (List.length running = List.length samples - 1)
 
 (* --- Chrome exporter --- *)
 
@@ -202,9 +248,9 @@ let chrome_fixture =
        "gauges":{"process.heap_words":90},"verdicts":0,"abort":false,"finished":true}],
      "events":[
       {"seq":0,"t_ms":1.5,"severity":"info","engine":"sat","id":"restart",
-       "message":"storm","metrics":{"k":2}}],
-     "verdicts":[
-      {"rule":"pass-deadline","detail":"slow","action":"note","t_ms":3.0}]}|}
+       "message":"storm","metrics":{"k":2}},
+      {"seq":1,"t_ms":3.0,"severity":"warn","engine":"watchdog",
+       "id":"pass-deadline","message":"slow","metrics":{}}]}|}
 
 let test_chrome_export () =
   let doc =
@@ -259,8 +305,8 @@ let test_chrome_export () =
   Alcotest.(check bool) "watchdog instant present" true
     (List.exists (fun e -> ph e = "i" && name e = "watchdog:pass-deadline") events)
 
-(* A fired verdict is also a [watchdog] recorder event; the export
-   draws it once, from the verdict. *)
+(* A verdict is its [watchdog] recorder event, drawn once; the
+   "verdicts" key of older traces is not read. *)
 let test_chrome_verdict_once () =
   let doc =
     match
@@ -282,8 +328,8 @@ let test_chrome_verdict_once () =
     |> List.filter (fun e -> Json.str "ph" e = "i")
   in
   Alcotest.(check (list (pair string string)))
-    "one instant per verdict, plus the other event"
-    [ ("flow:mspf", "t"); ("watchdog:pass-deadline", "p") ]
+    "one instant per event, the verdict's included"
+    [ ("watchdog:pass-deadline", "t"); ("flow:mspf", "t") ]
     (List.map (fun e -> (Json.str "name" e, Json.str "s" e)) instants)
 
 let test_chrome_rejects () =
@@ -362,10 +408,12 @@ let test_inspect_timestamps () =
   in
   Alcotest.(check bool) "t0_ns parsed" true (dump.Pm.t0_ns = Some 5_000_000_000L);
   (match dump.Pm.events with
-  | [ e ] ->
+  | [ e; v ] ->
+    Alcotest.(check string) "the verdict becomes an event, in time order" "r"
+      v.FR.id;
     Alcotest.(check int64) "event offset from its absolute t_ns" 123_456_000L
       e.FR.t_ns
-  | _ -> Alcotest.fail "expected one event");
+  | _ -> Alcotest.fail "expected the verdict and one event");
   let plain = render dump in
   Alcotest.(check bool) "default prints deltas" true
     (has_substring plain "+123.5 ms");
@@ -418,25 +466,26 @@ let test_heartbeat_throttle () =
       Wd.force_tty := Some false;
       Wd.arm config;
       Alcotest.(check int) "armed fresh" 0 (Wd.beats ());
+      (* Spans poll as they open and close. *)
       let root = Obs.root (Obs.create ()) "flow" in
+      Alcotest.(check int) "piped: the first path beats" 1 (Wd.beats ());
       let pass parent name = Obs.pass ~size:1 ~depth:1 parent name in
       let alpha = pass root "alpha" in
       Wd.poll ();
       Wd.poll ();
-      Wd.poll ();
-      Alcotest.(check int) "piped: one beat per pass path" 1 (Wd.beats ());
+      Alcotest.(check int) "piped: one beat per pass path" 2 (Wd.beats ());
       let beta = pass alpha "beta" in
       Wd.poll ();
       Wd.poll ();
-      Alcotest.(check int) "piped: new pass, one more beat" 2 (Wd.beats ());
+      Alcotest.(check int) "piped: new pass, one more beat" 3 (Wd.beats ());
       Obs.close_pass ~size:1 ~depth:1 beta;
       Wd.poll ();
-      Alcotest.(check int) "piped: popping back counts as a change" 3 (Wd.beats ());
+      Alcotest.(check int) "piped: popping back counts as a change" 4 (Wd.beats ());
       (* A TTY pulses on every due interval regardless of the pass. *)
       Wd.force_tty := Some true;
       Wd.poll ();
       Wd.poll ();
-      Alcotest.(check int) "tty: every due poll beats" 5 (Wd.beats ());
+      Alcotest.(check int) "tty: every due poll beats" 6 (Wd.beats ());
       Obs.close_pass ~size:1 ~depth:1 alpha;
       Obs.close root)
 
@@ -476,6 +525,7 @@ let suite =
     Alcotest.test_case "Obs.bump feeds span and registry" `Quick test_bump_dual_sink;
     Alcotest.test_case "flow counters all registered" `Slow test_flow_counters_registered;
     Alcotest.test_case "status file atomicity" `Quick test_status_atomicity;
+    Alcotest.test_case "status samples of a traced flow" `Slow test_status_flow;
     Alcotest.test_case "chrome exporter invariants" `Quick test_chrome_export;
     Alcotest.test_case "chrome exporter rejects junk" `Quick test_chrome_rejects;
     Alcotest.test_case "chrome exporter draws each verdict once" `Quick
