@@ -201,7 +201,7 @@ let table3 () =
   List.iter
     (fun (name, aig) ->
       let base, t_base = time (fun () -> Flow.baseline aig) in
-      let sbm_tail, t_tail = time (fun () -> Flow.sbm_once ~effort:Flow.Low base) in
+      let sbm_tail, t_tail = time (fun () -> Flow.sbm_once base) in
       let sbm = sbm_tail in
       let t_sbm = t_base +. t_tail in
       check_equiv aig sbm name;
@@ -289,9 +289,12 @@ let ablation () =
       let config =
         { Sbm_core.Gradient.default_config with budget = 15; selection }
       in
-      let (optimized, stats), dt = time (fun () -> Sbm_core.Gradient.run ~config aig) in
+      let trace = Sbm_obs.create () in
+      let root = Sbm_obs.root trace name in
+      let optimized, dt = time (fun () -> Sbm_core.Gradient.run ~obs:root ~config aig) in
+      Sbm_obs.close root;
       Fmt.pr "  %-9s: size %5d -> %5d, %2d moves, %.1fs@." name (Aig.size aig0)
-        (Aig.size optimized) stats.Sbm_core.Gradient.moves_tried dt)
+        (Aig.size optimized) (Sbm_obs.total trace "gradient.moves_tried") dt)
     [ ("waterfall", Sbm_core.Gradient.Waterfall); ("parallel", Sbm_core.Gradient.Parallel) ];
   Fmt.pr "  (paper: waterfall is \"a good tradeoff between runtime and QoR\")@.";
 
@@ -306,7 +309,7 @@ let ablation () =
       (lits result) (Aig.size result) kept dt
   in
   Fmt.pr "  input: i2c, %d nodes, %d SOP literals@." (Aig.size aig0) (lits aig0);
-  let het, dt_het = time (fun () -> fst (Sbm_core.Hetero_kernel.run aig0)) in
+  let het, dt_het = time (fun () -> Sbm_core.Hetero_kernel.run aig0) in
   report "heterogeneous (best-of-8)" het dt_het;
   List.iter
     (fun threshold ->

@@ -46,24 +46,6 @@ let default_config =
 (* Max pairs tried per node [f] (Section III-B). *)
 let max_pairs = 64
 
-type stats = {
-  gain : int;
-  partitions : int;
-  pairs_tried : int; (** pairs that reached the difference computation *)
-  differences_built : int; (** differences whose BDD stayed in budget *)
-  rewrites : int; (** accepted rewrites (including zero-gain ones) *)
-}
-
-type counters = {
-  mutable c_pairs : int;
-  mutable c_diffs : int;
-  mutable c_rewrites : int;
-  pf : Prefilter.counts;
-}
-
-let zero_counters () =
-  { c_pairs = 0; c_diffs = 0; c_rewrites = 0; pf = Prefilter.zero_counts () }
-
 (* Structural filters of Section III-B: the pair must share support,
    and [f] must not lie in the cone of [g] (a difference implementation
    referencing [g] would then feed [f] back into itself). *)
@@ -217,12 +199,16 @@ let pair_verdict pf ~saving f g =
 
 (* Analysis/commit loop of one partition. Mutates [aig] (candidate
    cones, commits, traversal marks): parallel workers call this on a
-   private snapshot, the sequential path on the live AIG. Returns the
-   partition's BDD context so the caller can flush its stats. *)
-let run_partition_analysis aig config counters store part total =
+   private snapshot, the sequential path on the live AIG. The
+   partition's counts go to the registry from here, so a worker's
+   counts travel in its capture shard. Returns the partition's BDD
+   context (for the caller's stats flush), its committed rewrites and
+   their gain. *)
+let analyze aig config store part =
   let ctx = Bdd_bridge.build ~node_limit:config.bdd_node_limit aig part in
   let members = Bdd_bridge.members ctx in
   let filter = partition_filter store ctx in
+  let tried = ref 0 and built = ref 0 and rewrites = ref 0 and gain = ref 0 in
   Array.iter
     (fun f ->
       if Aig.is_and aig f then begin
@@ -248,7 +234,7 @@ let run_partition_analysis aig config counters store part total =
               (* The pair budget counts every enumerated candidate,
                  filtered or not, so the enumeration (and therefore the
                  committed rewrites) is identical with the prefilter on
-                 or off. Only survivors reach [c_pairs] — the public
+                 or off. Only survivors reach [tried] — the public
                  [diff.pairs_tried] measures work sent to the BDD
                  layer. *)
               incr pairs;
@@ -257,98 +243,76 @@ let run_partition_analysis aig config counters store part total =
                 | None -> Prefilter.Maybe
                 | Some pf ->
                   let v = pair_verdict pf ~saving f g in
-                  Prefilter.note counters.pf v;
+                  Prefilter.count v;
                   v
               in
               match v with
               | Prefilter.Reject_const | Prefilter.Reject_signature -> ()
               | Prefilter.Maybe -> (
-                counters.c_pairs <- counters.c_pairs + 1;
+                incr tried;
                 match Boolean_difference.compute ctx config.diff ~f ~g with
                 | None -> ()
                 | Some candidate ->
-                  counters.c_diffs <- counters.c_diffs + 1;
+                  incr built;
                   (* Alg. 2 line 13: accept when not larger. *)
                   match Sbm_aig.Local.commit aig ~zero_gain:config.accept_zero f candidate with
-                  | Some gain ->
-                    total := !total + gain;
-                    counters.c_rewrites <- counters.c_rewrites + 1;
+                  | Some saved ->
+                    gain := !gain + saved;
+                    incr rewrites;
                     replaced := true
                   | None -> ())
             end)
           members
       end)
     members;
-  ctx
+  M.add m_pairs_tried !tried;
+  M.add m_differences_built !built;
+  M.add m_rewrites !rewrites;
+  M.add m_gain !gain;
+  (ctx, !rewrites, !gain)
 
 (* Main-domain bookkeeping for a finished partition, shared by the
    sequential path and the parallel merge path (which runs it against
    a worker's context but the live [aig]). *)
-let finish_partition aig ctx obs ~index ~rewrites_delta ~pf_rejected =
+let finish_partition aig ctx obs ~index ~rewrites =
   Bdd_bridge.flush_stats ~engine:"diff" ctx obs;
   let bails = Bdd_bridge.limit_bails ctx in
   Sbm_obs.partition_done ~bails ~engine:"diff" ~index
     ~structure:(fun () -> Aig.fold_hash aig)
     [ ("members", Array.length (Bdd_bridge.members ctx)); ("bails", bails);
-      ("rewrites", rewrites_delta); ("pf_rejected", pf_rejected) ]
+      ("rewrites", rewrites) ]
 
-let run_partition aig config counters obs store part index total =
-  let rewrites0 = counters.c_rewrites in
-  let rejected0 = Prefilter.rejected counters.pf in
-  let ctx = run_partition_analysis aig config counters store part total in
-  finish_partition aig ctx obs ~index
-    ~rewrites_delta:(counters.c_rewrites - rewrites0)
-    ~pf_rejected:(Prefilter.rejected counters.pf - rejected0)
-
-let optimize_stats ?(obs = Sbm_obs.null) ?(config = default_config) aig =
+let optimize ?(obs = Sbm_obs.null) ?(config = default_config) aig =
   (* Difference implementations built from here on are this engine's
      nodes — unless a flow script already set a finer-grained tag. *)
   if (Aig.current_origin aig).Aig.Origin.kind = Aig.Origin.Seed then
     Aig.set_origin aig (Aig.Origin.make ~pass:"boolean-difference" Aig.Origin.Diff);
-  let total = ref 0 in
-  let counters = zero_counters () in
   let parts =
     if config.monolithic then [ Partition.whole aig ] else Partition.compute aig config.limits
   in
   let store = Option.map (fun bank -> Prefilter.attach bank aig) config.prefilter in
-  (* Clean (zero-rewrite) worker analyses merge verbatim — counters,
-     prefilter tallies, BDD stats and speculative origin-created
-     counts, exactly what the sequential run would have produced;
-     anything else is redone on the live AIG. *)
+  Sbm_obs.bump obs m_partitions (List.length parts);
+  (* A clean (zero-rewrite) worker analysis merges verbatim: its
+     counts were replayed from its shard, and its speculative
+     origin-created counts fold in here, exactly what the sequential
+     run would have produced. Anything else is redone on the live
+     AIG. *)
+  let total = ref 0 in
   Sbm_par.Sched.partitions parts
     ~analyze:(fun _ part ->
-      Par_merge.on_snapshot aig store (fun snap wstore ->
-          let wc = zero_counters () in
-          (wc, run_partition_analysis snap config wc wstore part (ref 0))))
-    ~clean:(fun ((wc, _), _) -> wc.c_rewrites = 0)
-    ~merge:(fun index _ ((wc, ctx), created) ->
-      counters.c_pairs <- counters.c_pairs + wc.c_pairs;
-      counters.c_diffs <- counters.c_diffs + wc.c_diffs;
-      Par_merge.merge_prefilter counters.pf wc.pf;
+      Par_merge.on_snapshot aig store (fun snap wstore -> analyze snap config wstore part))
+    ~clean:(fun ((_, rewrites, _), _) -> rewrites = 0)
+    ~merge:(fun index _ ((ctx, _, _), created) ->
       Par_merge.merge_created aig created;
-      finish_partition aig ctx obs ~index ~rewrites_delta:0
-        ~pf_rejected:(Prefilter.rejected wc.pf))
+      finish_partition aig ctx obs ~index ~rewrites:0)
     ~redo:(fun index part ->
-      let r0 = counters.c_rewrites in
-      run_partition aig config counters obs store part index total;
-      counters.c_rewrites > r0);
-  Sbm_obs.bump obs m_partitions (List.length parts);
-  Sbm_obs.bump obs m_pairs_tried counters.c_pairs;
-  Sbm_obs.bump obs m_differences_built counters.c_diffs;
-  Sbm_obs.bump obs m_rewrites counters.c_rewrites;
-  Sbm_obs.bump obs m_gain !total;
-  if store <> None then Prefilter.flush obs counters.pf;
-  {
-    gain = !total;
-    partitions = List.length parts;
-    pairs_tried = counters.c_pairs;
-    differences_built = counters.c_diffs;
-    rewrites = counters.c_rewrites;
-  }
-
-let optimize ?obs ?config aig = (optimize_stats ?obs ?config aig).gain
+      let ctx, rewrites, gain = analyze aig config store part in
+      total := !total + gain;
+      finish_partition aig ctx obs ~index ~rewrites;
+      rewrites > 0);
+  !total
 
 let run ?obs ?config aig =
   let copy = Aig.copy aig in
-  let stats = optimize_stats ?obs ?config copy in
-  (fst (Aig.compact copy), stats)
+  ignore (optimize ?obs ?config copy);
+  fst (Aig.compact copy)

@@ -24,21 +24,12 @@ type config = {
 
 val default_config : config
 
-(** Statistics of one run. *)
-type stats = {
-  gain : int;
-  partitions : int;
-  pairs_tried : int; (** pairs that reached the difference computation *)
-  differences_built : int; (** differences whose BDD stayed in budget *)
-  rewrites : int; (** accepted rewrites (including zero-gain ones) *)
-}
-
 (** [run ?obs ?config aig] optimizes a copy of [aig] and returns the
-    compacted result with statistics; the input is not modified.
-    [obs] receives the [diff.*] counters plus per-partition [bdd.*]
-    manager telemetry. *)
-val run :
-  ?obs:Sbm_obs.span -> ?config:config -> Sbm_aig.Aig.t -> Sbm_aig.Aig.t * stats
+    compacted result; the input is not modified. The engine counts
+    into the registry: the [diff.*] counters, the [prefilter.*]
+    verdicts with a bank, and per-partition [bdd.*] manager
+    telemetry. *)
+val run : ?obs:Sbm_obs.span -> ?config:config -> Sbm_aig.Aig.t -> Sbm_aig.Aig.t
 
 (** [optimize ?obs ?config aig] applies the flow in place and returns
     the total size gain (the engine behind {!run}; flow scripts use

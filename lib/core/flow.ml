@@ -241,20 +241,13 @@ let sbm_iteration ~obs ~explain ~effort ~prefilter aig0 =
      budget with the same semantics. *)
   let budget = match effort with Low -> 12 | High -> 30 in
   run_pass "gradient" (fun sp a ->
-      let optimized, _stats =
-        Gradient.optimize ~obs:sp ?explain
-          ~config:{ Gradient.default_config with budget; prefilter }
-          a
-      in
-      keep_better a optimized);
+      keep_better a
+        (Gradient.optimize ~obs:sp ?explain
+           ~config:{ Gradient.default_config with budget; prefilter }
+           a));
   (* 2. Heterogeneous elimination for kernel extraction on
      medium-large partitions. *)
-  run_pass "hetero-kernel" (fun sp a ->
-      keep_better a
-        (fst
-           (Hetero_kernel.run ~obs:sp
-              ~config:{ Hetero_kernel.default_config with prefilter }
-              a)));
+  run_pass "hetero-kernel" (fun sp a -> keep_better a (Hetero_kernel.run ~obs:sp a));
   (* 3. Enhanced MSPF computation on medium partitions with BDDs. *)
   run_pass "mspf" (fun sp a ->
       ignore
@@ -307,11 +300,11 @@ let iteration_pass obs explain name effort prefilter aig =
     (fun sp a -> sbm_iteration ~obs:sp ~explain ~effort ~prefilter a)
     aig
 
-let sbm_once ?(obs = Obs.null) ?explain ?(effort = High) ?(prefilter = true) aig0 =
-  observed obs (to_string (Sbm effort)) @@ fun obs ->
+let sbm_once ?(obs = Obs.null) ?explain ?(prefilter = true) aig0 =
+  observed obs (to_string (Sbm Low)) @@ fun obs ->
   let aig, _ = Aig.compact aig0 in
   let bank = engine_config ~prefilter in
-  iteration_pass obs explain "iteration-1" effort bank aig
+  iteration_pass obs explain "iteration-1" Low bank aig
 
 let sbm ?(obs = Obs.null) ?explain ?(effort = High) ?(prefilter = true) aig0 =
   observed obs (to_string (Sbm effort)) @@ fun obs ->
@@ -338,23 +331,18 @@ let run ?(obs = Obs.null) ?explain ?(prefilter = true) script aig =
     let prefilter = bank () in
     pass obs "gradient"
       (fun sp a ->
-        fst
-          (Gradient.run ~obs:sp ?explain
-             ~config:{ Gradient.default_config with prefilter }
-             a))
+        Gradient.run ~obs:sp ?explain
+          ~config:{ Gradient.default_config with prefilter }
+          a)
       aig
   | Diff ->
     let prefilter = bank () in
     pass obs "boolean-difference"
       (fun sp a ->
-        fst
-          (Diff_resub.run ~obs:sp
-             ~config:{ Diff_resub.default_config with prefilter }
-             a))
+        Diff_resub.run ~obs:sp ~config:{ Diff_resub.default_config with prefilter } a)
       aig
   | Mspf ->
     let prefilter = bank () in
     pass obs "mspf"
-      (fun sp a ->
-        fst (Mspf.run ~obs:sp ~config:{ Mspf.default_config with prefilter } a))
+      (fun sp a -> Mspf.run ~obs:sp ~config:{ Mspf.default_config with prefilter } a)
       aig

@@ -90,13 +90,11 @@ val sbm :
   Sbm_aig.Aig.t ->
   Sbm_aig.Aig.t
 
-(** [sbm_once ?obs ?explain ?effort ?prefilter aig] is a
-    single iteration of the script (the Low-effort half), for
-    runtime-sensitive callers. *)
+(** [sbm_once ?obs ?explain ?prefilter aig] is a single iteration of
+    the script (the Low-effort half), for runtime-sensitive callers. *)
 val sbm_once :
   ?obs:Sbm_obs.span ->
   ?explain:(Gradient.event -> unit) ->
-  ?effort:effort ->
   ?prefilter:bool ->
   Sbm_aig.Aig.t ->
   Sbm_aig.Aig.t

@@ -65,15 +65,6 @@ let default_config =
    attempted moves (paper default). *)
 let k = 20
 
-type stats = {
-  moves_tried : int;
-  moves_gained : int;
-  total_gain : int;
-  budget_spent : int;
-  budget_extensions : int;
-  move_log : (string * int) list;
-}
-
 type event = {
   iteration : int;
   round : int;
@@ -124,10 +115,9 @@ let rebuilding name kind cost build =
   }
 
 (* The Boolean-engine moves call each engine through its own config:
-   every move shares the run's [prefilter] bank, and the move table
+   the MSPF move shares the run's [prefilter] bank, and the move table
    sets the per-move partition sizes. *)
 let moves ~prefilter =
-  let kernel = { Hetero_kernel.default_config with prefilter } in
   let mspf =
     {
       Mspf.default_config with
@@ -143,14 +133,14 @@ let moves ~prefilter =
     in_place "rewrite -z" Aig.Origin.Rewrite 2 (fun _ aig ->
         Sbm_aig.Rewrite.run ~zero_gain:true aig);
     rebuilding "eliminate & kernel" Aig.Origin.Kernel 3 (fun obs aig ->
-        fst (Hetero_kernel.run ~obs ~config:{ kernel with partition_size = 60 } aig));
+        Hetero_kernel.run ~obs ~config:{ Hetero_kernel.partition_size = 60 } aig);
     in_place "refactor -h" Aig.Origin.Refactor 4 (fun _ aig -> Sbm_aig.Refactor.run ~max_leaves:12 aig);
     in_place "resub -h" Aig.Origin.Resub 5 (fun _ aig ->
         Sbm_aig.Resub.run ~max_leaves:9 ~max_divisors:60 aig);
     in_place "mspf resub" Aig.Origin.Mspf 6 (fun obs aig ->
         Mspf.optimize ~obs ~config:mspf aig);
     rebuilding "eliminate & kernel -h" Aig.Origin.Kernel 6 (fun obs aig ->
-        fst (Hetero_kernel.run ~obs ~config:kernel aig));
+        Hetero_kernel.run ~obs aig);
   ]
 
 let optimize ?(obs = Obs.null) ?(explain = fun (_ : event) -> ())
@@ -174,7 +164,6 @@ let optimize ?(obs = Obs.null) ?(explain = fun (_ : event) -> ())
   let total_gain = ref 0 in
   let spent = ref 0 in
   let extensions = ref 0 in
-  let log = ref [] in
   let recent = Queue.create () in
   let initial_size = max 1 (Aig.size aig0) in
   let push_gain g =
@@ -246,7 +235,6 @@ let optimize ?(obs = Obs.null) ?(explain = fun (_ : event) -> ())
         incr gained;
         total_gain := !total_gain + gain
       end;
-      log := (m.name, gain) :: !log;
       emit m ~gain ~accepted:(gain > 0) ~size:(Aig.size !aig);
       gain
     in
@@ -276,7 +264,6 @@ let optimize ?(obs = Obs.null) ?(explain = fun (_ : event) -> ())
               let copy = Aig.copy !aig in
               let next, gain = timed_apply m copy in
               stat m.name (gain > 0);
-              log := (m.name, gain) :: !log;
               attempts := (!tried, m, gain, Aig.size next) :: !attempts;
               match !best with
               | Some (bg, _, _) when bg >= gain -> ()
@@ -353,16 +340,7 @@ let optimize ?(obs = Obs.null) ?(explain = fun (_ : event) -> ())
   Obs.bump obs m_budget_spent !spent;
   Obs.bump obs m_budget_extensions !extensions;
   Obs.bump obs m_rounds !round;
-  ( !aig,
-    {
-      moves_tried = !tried;
-      moves_gained = !gained;
-      total_gain = !total_gain;
-      budget_spent = !spent;
-      budget_extensions = !extensions;
-      move_log = List.rev !log;
-    } )
+  !aig
 
 let run ?obs ?explain ?config aig =
-  let optimized, stats = optimize ?obs ?explain ?config (Aig.copy aig) in
-  (fst (Aig.compact optimized), stats)
+  fst (Aig.compact (optimize ?obs ?explain ?config (Aig.copy aig)))

@@ -27,21 +27,12 @@ type config = {
 
 val default_config : config
 
-(** Statistics of one run (exposed for the ablation bench). *)
-type stats = {
-  moves_tried : int;
-  moves_gained : int;
-  total_gain : int;
-  budget_spent : int; (** total cost charged for attempted moves *)
-  budget_extensions : int;
-  move_log : (string * int) list; (** move name, gain — chronological *)
-}
-
 (** One attempted move, as seen by the selection rule — the unit of
     the [--explain] telemetry stream. Every move the engine charges
     budget for produces exactly one event, in chronological order. *)
 type event = {
-  iteration : int;  (** 1-based attempt index (= [moves_tried] so far) *)
+  iteration : int;
+      (** 1-based attempt index (= [gradient.moves_tried] so far) *)
   round : int;  (** 1-based waterfall/parallel round *)
   tier : int;  (** cost tier the round ran at *)
   move : string;
@@ -65,26 +56,26 @@ type event = {
 val event_to_json : event -> string
 
 (** [run ?obs ?explain ?config aig] optimizes a copy of [aig] and
-    returns the compacted result with run statistics; the input is not
-    modified. The result never has more nodes than the input. When
-    [obs] is an enabled span, every attempted move becomes a child
-    span (with [move.cost]/[move.gain] counters) and the run totals
-    land on [obs] as [gradient.*] counters. When [explain] is given it
+    returns the compacted result; the input is not modified. The
+    result never has more nodes than the input. The run totals go to
+    the registry as [gradient.*] counters. When [obs] is an enabled
+    span, every attempted move also becomes a child span (with
+    [move.cost]/[move.gain] counters). When [explain] is given it
     receives one {!event} per attempted move, in order. *)
 val run :
   ?obs:Sbm_obs.span ->
   ?explain:(event -> unit) ->
   ?config:config ->
   Sbm_aig.Aig.t ->
-  Sbm_aig.Aig.t * stats
+  Sbm_aig.Aig.t
 
 (** [optimize ?obs ?explain ?config aig] is the in-place engine behind
     {!run}: it mutates (and possibly rebuilds) [aig] and returns the
-    network to use plus statistics. Flow scripts use it to avoid
-    copying between passes. *)
+    network to use. Flow scripts use it to avoid copying between
+    passes. *)
 val optimize :
   ?obs:Sbm_obs.span ->
   ?explain:(event -> unit) ->
   ?config:config ->
   Sbm_aig.Aig.t ->
-  Sbm_aig.Aig.t * stats
+  Sbm_aig.Aig.t

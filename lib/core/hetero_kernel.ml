@@ -1,7 +1,6 @@
 module Aig = Sbm_aig.Aig
 module Network = Sbm_sop.Network
 module Sop = Sbm_sop.Sop
-module FR = Sbm_obs.Flight_recorder
 module M = Sbm_obs.Metrics
 
 let m_partitions =
@@ -20,12 +19,9 @@ let m_lits_saved =
   M.counter ~engine:"kernel" ~unit_:"literals" "kernel.lits_saved"
     "SOP literals saved by committed kernel extractions"
 
-type config = {
-  partition_size : int;
-  prefilter : Prefilter.bank option;
-}
+type config = { partition_size : int }
 
-let default_config = { partition_size = 100; prefilter = None }
+let default_config = { partition_size = 100 }
 
 (* The paper's empirical elimination thresholds (Section IV-B). *)
 let thresholds = [ -1; 2; 5; 20; 50; 100; 200; 300 ]
@@ -36,14 +32,6 @@ let max_cubes = 64
 (* Kernel and cube extraction passes per trial. *)
 let extract_passes = 20
 
-type stats = {
-  partitions : int;
-  trials : int; (** thresholds tried across all partitions *)
-  improved_partitions : int; (** partitions that kept a better trial *)
-  lits_before : int;
-  lits_after : int;
-}
-
 (* Literal count restricted to a node set plus nodes created after a
    mark. *)
 let partition_lits net ~member ~mark =
@@ -53,6 +41,10 @@ let partition_lits net ~member ~mark =
     0
     (Network.internal_nodes net)
 
+(* One partition's threshold trials, on the live network or a worker's
+   copy. The partition's counts go to the registry from here, so a
+   worker's counts travel in its capture shard. Returns whether the
+   best trial improved (and was committed). *)
 let optimize_partition net part_nodes =
   let member_set = Hashtbl.create 64 in
   List.iter (fun n -> Hashtbl.replace member_set n ()) part_nodes;
@@ -112,7 +104,9 @@ let optimize_partition net part_nodes =
       true
     | Some _ | None -> false
   in
-  (List.length thresholds, improved)
+  M.add m_trials (List.length thresholds);
+  M.add m_improved_partitions (if improved then 1 else 0);
+  improved
 
 (* Chunk the internal nodes into partitions of bounded size. *)
 let partitions_of net size =
@@ -134,69 +128,20 @@ let fallback_origin aig =
     Aig.Origin.make ~pass:"hetero-kernel" Aig.Origin.Kernel
   else ambient
 
-(* Observational signature census. Kernel trials accept on literal
-   counts, not on a per-pair functional test, so there is no
-   acceptance check for the prefilter to shadow soundly; instead the
-   engine reports what the signatures see before the SOP round-trip —
-   constant-signature nodes ([Reject_const]), nodes certified
-   functionally distinct from everything scanned before them
-   ([Reject_signature]) and potential functional duplicates
-   ([Maybe], the survivors kernel extraction could share). Strictly
-   QoR-neutral: nothing downstream consults the verdicts. *)
-let signature_census store aig counters =
-  let seen = Hashtbl.create 256 in
-  for v = 1 to Aig.num_nodes aig - 1 do
-    if Aig.is_and aig v && not (Aig.is_dead aig v) then begin
-      let raw =
-        Array.init (Prefilter.words store) (fun w -> Prefilter.value store v w)
-      in
-      let const =
-        Array.for_all (fun w -> w = 0L) raw
-        || Array.for_all (fun w -> w = -1L) raw
-      in
-      let key = Prefilter.canonical_of_words raw in
-      let verdict =
-        if const then Prefilter.Reject_const
-        else if Hashtbl.mem seen key then Prefilter.Maybe
-        else begin
-          Hashtbl.replace seen key ();
-          Prefilter.Reject_signature
-        end
-      in
-      Prefilter.note counters verdict
-    end
-  done;
-  if FR.enabled () then
-    FR.record ~severity:FR.Debug ~engine:"kernel" ~id:"signature-census"
-      ~metrics:
-        [ ("duplicates", counters.Prefilter.survivors);
-          ("distinct", counters.Prefilter.rejected_sig);
-          ("constant", counters.Prefilter.rejected_const) ]
-      "signature census"
-
 let run ?(obs = Sbm_obs.null) ?(config = default_config) aig =
   let fallback = fallback_origin aig in
-  let pf_counts = Prefilter.zero_counts () in
-  (match config.prefilter with
-  | None -> ()
-  | Some bank ->
-    let store = Prefilter.attach bank aig in
-    signature_census store aig pf_counts);
   let net = Network.of_aig aig in
   let lits_before = Network.num_lits net in
   let parts = partitions_of net config.partition_size in
-  let trials = ref 0 in
-  let improved = ref 0 in
+  Sbm_obs.bump obs m_partitions (List.length parts);
   (* [note] runs on the main domain in ascending partition index in
      both paths. This engine operates on the SOP network, so the
      trail's structure component is the network-side digest. *)
-  let note idx part t i =
-    trials := !trials + t;
-    if i then incr improved;
+  let note idx part improved =
     Sbm_obs.partition_done ~engine:"kernel" ~index:idx
       ~structure:(fun () -> Network.fold_hash net)
-      [ ("members", List.length part); ("trials", t);
-        ("improved", if i then 1 else 0) ]
+      [ ("members", List.length part); ("trials", List.length thresholds);
+        ("improved", if improved then 1 else 0) ]
   in
   (* Workers run the threshold trials on a private network copy. A
      partition whose best trial did not improve leaves the live
@@ -204,26 +149,14 @@ let run ?(obs = Sbm_obs.null) ?(config = default_config) aig =
      improved or stale partitions are redone on the live network. *)
   Sbm_par.Sched.partitions parts
     ~analyze:(fun _ part -> optimize_partition (Network.copy net) part)
-    ~clean:(fun (_, improved) -> not improved)
-    ~merge:(fun idx part (t, _) -> note idx part t false)
+    ~clean:(fun improved -> not improved)
+    ~merge:(fun idx part _ -> note idx part false)
     ~redo:(fun idx part ->
-      let t, i = optimize_partition net part in
-      note idx part t i;
-      i);
-  let lits_after = Network.num_lits net in
-  Sbm_obs.bump obs m_partitions (List.length parts);
-  Sbm_obs.bump obs m_trials !trials;
-  Sbm_obs.bump obs m_improved_partitions !improved;
-  Sbm_obs.bump obs m_lits_saved (lits_before - lits_after);
-  if config.prefilter <> None then Prefilter.flush obs pf_counts;
-  ( Network.to_aig ~provenance:(aig, fallback) net,
-    {
-      partitions = List.length parts;
-      trials = !trials;
-      improved_partitions = !improved;
-      lits_before;
-      lits_after;
-    } )
+      let improved = optimize_partition net part in
+      note idx part improved;
+      improved);
+  Sbm_obs.bump obs m_lits_saved (lits_before - Network.num_lits net);
+  Network.to_aig ~provenance:(aig, fallback) net
 
 let run_homogeneous ~threshold aig =
   let fallback = fallback_origin aig in

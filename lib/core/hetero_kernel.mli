@@ -8,33 +8,16 @@
     kept. Elimination is restricted to nodes whose fanouts stay inside
     the partition, so trials roll back cleanly. *)
 
-type config = {
-  partition_size : int; (** internal nodes per partition *)
-  prefilter : Prefilter.bank option;
-      (** kernel trials accept on literal counts, so there is no
-          per-candidate test to shadow; with a bank the engine instead
-          reports a QoR-neutral signature census (potential functional
-          duplicates as survivors) under the [prefilter.*] counters *)
-}
+type config = { partition_size : int (** internal nodes per partition *) }
 
 val default_config : config
 
-(** Statistics of one run. *)
-type stats = {
-  partitions : int;
-  trials : int; (** thresholds tried across all partitions *)
-  improved_partitions : int; (** partitions that kept a better trial *)
-  lits_before : int;
-  lits_after : int;
-}
-
 (** [run ?obs ?config aig] round-trips through the SOP network view
-    and returns a fresh optimized AIG with statistics (callers keep
-    the smaller of input/output, making the enclosing move gain
-    >= 0). The input is not modified. [obs] receives the [kernel.*]
+    and returns a fresh optimized AIG (callers keep the smaller of
+    input/output, making the enclosing move gain >= 0). The input is
+    not modified. The engine counts into the registry: the [kernel.*]
     counters. *)
-val run :
-  ?obs:Sbm_obs.span -> ?config:config -> Sbm_aig.Aig.t -> Sbm_aig.Aig.t * stats
+val run : ?obs:Sbm_obs.span -> ?config:config -> Sbm_aig.Aig.t -> Sbm_aig.Aig.t
 
 (** [run_homogeneous ~threshold aig] is the ablation baseline:
     one global threshold for the whole network. *)

@@ -45,27 +45,6 @@ let default_config =
 (* Substitute candidates examined per node. *)
 let max_candidates = 64
 
-type stats = {
-  gain : int;
-  partitions : int;
-  mspf_computed : int;
-  candidates_examined : int;
-  substitutions : int;
-  constant_collapses : int;
-}
-
-(* Mutable accumulator threaded through the partitions. *)
-type counters = {
-  mutable c_mspf : int;
-  mutable c_cands : int;
-  mutable c_subst : int;
-  mutable c_const : int;
-  pf : Prefilter.counts;
-}
-
-let zero_counters () =
-  { c_mspf = 0; c_cands = 0; c_subst = 0; c_const = 0; pf = Prefilter.zero_counts () }
-
 (* Rebuild the BDDs of the partition cone above [n], reading [n] as
    the free variable [vn]. Returns a lookup giving, for each root, its
    function over leaves + vn, or None if anything overran the budget. *)
@@ -150,8 +129,9 @@ let compute_mspf ctx n =
    unconnectable candidates before their two BDD conjunctions are
    built. The candidate budget still counts every examined candidate,
    filtered or not, so the enumeration — and therefore the accepted
-   substitutions — is bit-identical with the filter on or off. *)
-let connectable ctx counters store n mspf =
+   substitutions — is bit-identical with the filter on or off. Only
+   survivors reach [cands], the public [mspf.candidates_examined]. *)
+let connectable ctx cands store n mspf =
   let man = Bdd_bridge.man ctx in
   let aig = Bdd_bridge.aig ctx in
   match Bdd_bridge.bdd_of_node ctx n with
@@ -193,13 +173,13 @@ let connectable ctx counters store n mspf =
                   Prefilter.compatible_masked st ~care:care_words
                     (Aig.lit_of n false) (Aig.lit_of v false)
                 in
-                Prefilter.note counters.pf verdict;
+                Prefilter.count verdict;
                 verdict
             in
             match verdict with
             | Prefilter.Reject_const | Prefilter.Reject_signature -> ()
             | Prefilter.Maybe ->
-              counters.c_cands <- counters.c_cands + 1;
+              incr cands;
               if Bdd.mand man bv care = n_care then
                 candidates := Aig.lit_of v false :: !candidates
               else if Bdd.mand man (Bdd.mnot man bv) care = n_care then
@@ -247,11 +227,16 @@ let members_in_leaf_cones ctx =
 
 (* Analysis/substitution loop of one partition. Mutates [aig]:
    parallel workers call this on a private snapshot, the sequential
-   path on the live AIG. Returns the partition's BDD context. *)
-let run_partition_analysis aig config counters store part total =
+   path on the live AIG. The partition's counts go to the registry
+   from here, so a worker's counts travel in its capture shard.
+   Returns the partition's BDD context, its substitutions and their
+   gain. *)
+let analyze aig config store part =
   let ctx = Bdd_bridge.build ~node_limit:config.bdd_node_limit aig part in
   let tainted = ref (members_in_leaf_cones ctx) in
   let members = Bdd_bridge.members ctx in
+  let computed = ref 0 and cands = ref 0 and subst = ref 0 and consts = ref 0 in
+  let gain = ref 0 in
   (* Sort by estimated saving: larger MFFCs first (Section IV-C). *)
   let by_saving =
     Array.to_list members
@@ -267,10 +252,10 @@ let run_partition_analysis aig config counters store part total =
         match compute_mspf ctx n with
         | None -> ()
         | Some mspf ->
-          counters.c_mspf <- counters.c_mspf + 1;
+          incr computed;
           let man = Bdd_bridge.man ctx in
           if not (Bdd.is_zero man mspf) then begin
-            let candidates = connectable ctx counters store n mspf in
+            let candidates = connectable ctx cands store n mspf in
             (* Among all connectable fanins, try an irredundant
                subset: the best-gain candidate. *)
             let best =
@@ -278,25 +263,24 @@ let run_partition_analysis aig config counters store part total =
                 (fun acc candidate ->
                   if Aig.node_of candidate = n then acc
                   else begin
-                    let gain = Aig.gain_of_replacement aig ~root:n ~candidate in
+                    let g = Aig.gain_of_replacement aig ~root:n ~candidate in
                     match acc with
-                    | Some (bg, _) when bg >= gain -> acc
-                    | Some _ | None -> Some (gain, candidate)
+                    | Some (bg, _) when bg >= g -> acc
+                    | Some _ | None -> Some (g, candidate)
                   end)
                 None candidates
             in
             match best with
-            | Some (gain, candidate) when gain > 0 ->
+            | Some (saved, candidate) when saved > 0 ->
               (* A permissible (not necessarily equivalent)
                  substitution changes the functions of [n]'s fanout
                  cone: invalidate their signatures while the old
                  fanout lists are still in place. *)
               Option.iter (fun st -> Prefilter.note_edit st n) store;
               Aig.replace aig n candidate;
-              total := !total + gain;
-              counters.c_subst <- counters.c_subst + 1;
-              if Aig.node_of candidate = Aig.node_of Aig.const0 then
-                counters.c_const <- counters.c_const + 1;
+              gain := !gain + saved;
+              incr subst;
+              if Aig.node_of candidate = Aig.node_of Aig.const0 then incr consts;
               (* The substitution is permissible but not necessarily
                  equivalence-preserving inside the partition: refresh
                  the cached functions, the member order, the root set
@@ -307,74 +291,50 @@ let run_partition_analysis aig config counters store part total =
           end
       end)
     by_saving;
-  ctx
+  M.add m_computed !computed;
+  M.add m_candidates_examined !cands;
+  M.add m_substitutions !subst;
+  M.add m_constant_collapses !consts;
+  M.add m_gain !gain;
+  (ctx, !subst, !gain)
 
 (* Main-domain bookkeeping for a finished partition, shared by the
    sequential path and the parallel merge path. *)
-let finish_partition aig ctx obs ~index ~subst_delta ~pf_rejected =
+let finish_partition aig ctx obs ~index ~substitutions =
   Bdd_bridge.flush_stats ~engine:"mspf" ctx obs;
   let bails = Bdd_bridge.limit_bails ctx in
   Obs.partition_done ~bails ~engine:"mspf" ~index
     ~structure:(fun () -> Aig.fold_hash aig)
     [ ("members", Array.length (Bdd_bridge.members ctx)); ("bails", bails);
-      ("substitutions", subst_delta); ("pf_rejected", pf_rejected) ]
+      ("substitutions", substitutions) ]
 
-let run_partition aig config counters obs store part index total =
-  let subst0 = counters.c_subst in
-  let rejected0 = Prefilter.rejected counters.pf in
-  let ctx = run_partition_analysis aig config counters store part total in
-  finish_partition aig ctx obs ~index
-    ~subst_delta:(counters.c_subst - subst0)
-    ~pf_rejected:(Prefilter.rejected counters.pf - rejected0)
-
-let optimize_stats ?(obs = Obs.null) ?(config = default_config) aig =
+let optimize ?(obs = Obs.null) ?(config = default_config) aig =
   (* MSPF only substitutes existing literals, but candidate probing
      can still build nodes; tag them unless a flow script already
      set a finer-grained origin. *)
   if (Aig.current_origin aig).Aig.Origin.kind = Aig.Origin.Seed then
     Aig.set_origin aig (Aig.Origin.make ~pass:"mspf" Aig.Origin.Mspf);
-  let total = ref 0 in
-  let counters = zero_counters () in
   let parts = Partition.compute aig config.limits in
   let store = Option.map (fun bank -> Prefilter.attach bank aig) config.prefilter in
+  Obs.bump obs m_partitions (List.length parts);
   (* See Diff_resub: clean (zero-substitution) worker analyses merge
      verbatim, the rest are redone on the live AIG. *)
+  let total = ref 0 in
   Sbm_par.Sched.partitions parts
     ~analyze:(fun _ part ->
-      Par_merge.on_snapshot aig store (fun snap wstore ->
-          let wc = zero_counters () in
-          (wc, run_partition_analysis snap config wc wstore part (ref 0))))
-    ~clean:(fun ((wc, _), _) -> wc.c_subst = 0)
-    ~merge:(fun index _ ((wc, ctx), created) ->
-      counters.c_mspf <- counters.c_mspf + wc.c_mspf;
-      counters.c_cands <- counters.c_cands + wc.c_cands;
-      Par_merge.merge_prefilter counters.pf wc.pf;
+      Par_merge.on_snapshot aig store (fun snap wstore -> analyze snap config wstore part))
+    ~clean:(fun ((_, substitutions, _), _) -> substitutions = 0)
+    ~merge:(fun index _ ((ctx, _, _), created) ->
       Par_merge.merge_created aig created;
-      finish_partition aig ctx obs ~index ~subst_delta:0
-        ~pf_rejected:(Prefilter.rejected wc.pf))
+      finish_partition aig ctx obs ~index ~substitutions:0)
     ~redo:(fun index part ->
-      let s0 = counters.c_subst in
-      run_partition aig config counters obs store part index total;
-      counters.c_subst > s0);
-  Obs.bump obs m_partitions (List.length parts);
-  Obs.bump obs m_computed counters.c_mspf;
-  Obs.bump obs m_candidates_examined counters.c_cands;
-  Obs.bump obs m_substitutions counters.c_subst;
-  Obs.bump obs m_constant_collapses counters.c_const;
-  Obs.bump obs m_gain !total;
-  if store <> None then Prefilter.flush obs counters.pf;
-  {
-    gain = !total;
-    partitions = List.length parts;
-    mspf_computed = counters.c_mspf;
-    candidates_examined = counters.c_cands;
-    substitutions = counters.c_subst;
-    constant_collapses = counters.c_const;
-  }
-
-let optimize ?obs ?config aig = (optimize_stats ?obs ?config aig).gain
+      let ctx, substitutions, gain = analyze aig config store part in
+      total := !total + gain;
+      finish_partition aig ctx obs ~index ~substitutions;
+      substitutions > 0);
+  !total
 
 let run ?obs ?config aig =
   let copy = Aig.copy aig in
-  let stats = optimize_stats ?obs ?config copy in
-  (fst (Aig.compact copy), stats)
+  ignore (optimize ?obs ?config copy);
+  fst (Aig.compact copy)

@@ -32,22 +32,12 @@ type config = {
 
 val default_config : config
 
-(** Statistics of one run. *)
-type stats = {
-  gain : int;
-  partitions : int;
-  mspf_computed : int; (** nodes whose MSPF stayed within budget *)
-  candidates_examined : int; (** connectable-substitute BDD queries *)
-  substitutions : int; (** accepted replacements (gain > 0) *)
-  constant_collapses : int; (** substitutions by a constant *)
-}
-
 (** [run ?obs ?config aig] optimizes a copy of [aig] and returns the
-    compacted result with statistics; the input is not modified.
-    [obs] receives the [mspf.*] counters plus per-partition [bdd.*]
-    manager telemetry. *)
-val run :
-  ?obs:Sbm_obs.span -> ?config:config -> Sbm_aig.Aig.t -> Sbm_aig.Aig.t * stats
+    compacted result; the input is not modified. The engine counts
+    into the registry: the [mspf.*] counters, the [prefilter.*]
+    verdicts with a bank, and per-partition [bdd.*] manager
+    telemetry. *)
+val run : ?obs:Sbm_obs.span -> ?config:config -> Sbm_aig.Aig.t -> Sbm_aig.Aig.t
 
 (** [optimize ?obs ?config aig] applies MSPF-based optimization in
     place and returns the total size gain (the engine behind {!run};

@@ -34,14 +34,3 @@ let on_snapshot aig store analyze =
   let before = Aig.origin_stats snap in
   let r = analyze snap wstore in
   (r, created_delta ~before ~after:(Aig.origin_stats snap))
-
-(* Prefilter verdict tallies ride the same per-partition flush path
-   as the BDD manager stats: a clean worker analysis contributes its
-   counts verbatim, a redone partition contributes the sequential
-   recount — either way the totals match the jobs=1 run bit for
-   bit. *)
-let merge_prefilter (dst : Prefilter.counts) (src : Prefilter.counts) =
-  dst.Prefilter.rejected_sig <- dst.Prefilter.rejected_sig + src.Prefilter.rejected_sig;
-  dst.Prefilter.rejected_const <-
-    dst.Prefilter.rejected_const + src.Prefilter.rejected_const;
-  dst.Prefilter.survivors <- dst.Prefilter.survivors + src.Prefilter.survivors

@@ -7,7 +7,6 @@ type verdict = Reject_const | Reject_signature | Maybe
 (* --- pattern bank --- *)
 
 type bank = {
-  sim_words : int;
   mutable cex : bool array list; (* newest first; rendered oldest first *)
   mutable cex_count : int;
   mutable refinement_count : int;
@@ -20,9 +19,7 @@ let max_cex = 256
 (* Seed of the random-pattern stream. *)
 let seed = 0xd1ff
 
-let create_bank ?(sim_words = Sim.default_words) () =
-  if sim_words < 1 then invalid_arg "Prefilter.create_bank: sim_words must be >= 1";
-  { sim_words; cex = []; cex_count = 0; refinement_count = 0 }
+let create_bank () = { cex = []; cex_count = 0; refinement_count = 0 }
 
 let refine bank bits =
   bank.refinement_count <- bank.refinement_count + 1;
@@ -51,7 +48,7 @@ let fh_finalize z =
 let fh_mix2 a b = fh_finalize (Int64.add (Int64.mul a 0x9E3779B97F4A7C15L) b)
 
 let bank_digest bank =
-  let acc = fh_mix2 (Int64.of_int bank.sim_words) (Int64.of_int max_cex) in
+  let acc = fh_mix2 (Int64.of_int Sim.default_words) (Int64.of_int max_cex) in
   let acc = fh_mix2 acc (Int64.of_int bank.refinement_count) in
   let acc = fh_mix2 acc (Int64.of_int bank.cex_count) in
   List.fold_left
@@ -63,8 +60,8 @@ let bank_digest bank =
     acc
     (List.rev bank.cex)
 
-let bank_seeds bank =
-  fh_mix2 (Int64.of_int seed) (Int64.of_int bank.sim_words)
+let bank_seeds _bank =
+  fh_mix2 (Int64.of_int seed) (Int64.of_int Sim.default_words)
 
 (* Base pattern word for (round, input): an independent SplitMix64
    draw per cell, so the bank renders identically for any input count
@@ -110,12 +107,12 @@ let input_words bank num_inputs =
   else begin
     let cex = Array.of_list (List.rev bank.cex) in
     let cex_words = (Array.length cex + 63) / 64 in
-    Array.init (bank.sim_words + cex_words) (fun w ->
-        if w < bank.sim_words then
+    Array.init (Sim.default_words + cex_words) (fun w ->
+        if w < Sim.default_words then
           Array.init num_inputs (fun i -> base_word ~word:w ~input:i)
         else
           Array.init num_inputs (fun i ->
-              let base = (w - bank.sim_words) * 64 in
+              let base = (w - Sim.default_words) * 64 in
               let word = ref 0L in
               for j = 0 to 63 do
                 let k = base + j in
@@ -301,21 +298,6 @@ let compatible_masked t ~care a b =
 
 (* --- counters --- *)
 
-type counts = {
-  mutable rejected_sig : int;
-  mutable rejected_const : int;
-  mutable survivors : int;
-}
-
-let zero_counts () = { rejected_sig = 0; rejected_const = 0; survivors = 0 }
-
-let note c = function
-  | Maybe -> c.survivors <- c.survivors + 1
-  | Reject_const -> c.rejected_const <- c.rejected_const + 1
-  | Reject_signature -> c.rejected_sig <- c.rejected_sig + 1
-
-let rejected c = c.rejected_sig + c.rejected_const
-
 module M = Sbm_obs.Metrics
 
 let m_rejected_signature =
@@ -335,7 +317,7 @@ let m_cex_refinements =
   M.counter ~engine:"prefilter" ~unit_:"patterns" "prefilter.cex_refinements"
     "SAT counterexample patterns folded back into the signature bank"
 
-let flush obs c =
-  Sbm_obs.bump obs m_rejected_signature c.rejected_sig;
-  Sbm_obs.bump obs m_rejected_const c.rejected_const;
-  Sbm_obs.bump obs m_survivors c.survivors
+let count = function
+  | Maybe -> M.incr m_survivors
+  | Reject_const -> M.incr m_rejected_const
+  | Reject_signature -> M.incr m_rejected_signature

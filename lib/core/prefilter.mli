@@ -37,11 +37,11 @@ type verdict = Reject_const | Reject_signature | Maybe
 
 type bank
 
-(** [create_bank ()] seeds a bank of [sim_words] 64-pattern words per
-    input (default {!Sbm_aig.Sim.default_words}, i.e. 256 patterns). At most 256
+(** [create_bank ()] seeds a bank of {!Sbm_aig.Sim.default_words}
+    64-pattern words per input (256 patterns). At most 256
     counterexamples are retained (further refinements still count but
     are dropped). Deterministic: the random-pattern seed is fixed. *)
-val create_bank : ?sim_words:int -> unit -> bank
+val create_bank : unit -> bank
 
 (** [refine bank bits] folds a disproving input assignment (indexed
     by primary-input position) into the pattern set, so the false
@@ -60,8 +60,8 @@ val refinements : bank -> int
 val bank_digest : bank -> int64
 
 (** [bank_seeds bank] is the RNG-seed component of audit-trail
-    fingerprints: a digest of the fixed seed and [sim_words], pinning the
-    random-pattern stream identity. *)
+    fingerprints: a digest of the fixed seed and the base word count,
+    pinning the random-pattern stream identity. *)
 val bank_seeds : bank -> int64
 
 (** Networks with at most this many primary inputs are simulated on
@@ -142,31 +142,14 @@ val compatible : t -> Sbm_aig.Aig.lit -> Sbm_aig.Aig.lit -> verdict
 val compatible_masked :
   t -> care:int64 array -> Sbm_aig.Aig.lit -> Sbm_aig.Aig.lit -> verdict
 
-(** {1 Counters}
+(** {1 Counters} *)
 
-    One mutable triple per engine run, merged across parallel workers
-    by {!Par_merge.merge_prefilter} and flushed as the
-    [prefilter.rejected_signature] / [prefilter.rejected_const] /
-    [prefilter.survivors] counters. *)
-
-type counts = {
-  mutable rejected_sig : int;
-  mutable rejected_const : int;
-  mutable survivors : int;
-}
-
-val zero_counts : unit -> counts
-
-(** [note counts verdict] tallies a verdict. *)
-val note : counts -> verdict -> unit
-
-(** [rejected counts] is the total of both rejection kinds. *)
-val rejected : counts -> int
-
-(** [flush obs counts] bumps the three registered counters (call only
-    on prefilter-enabled runs, so disabled runs carry no [prefilter.*]
-    keys at all). *)
-val flush : Sbm_obs.span -> counts -> unit
+(** [count verdict] bumps the verdict's registry counter:
+    [prefilter.survivors] for [Maybe], [prefilter.rejected_const] or
+    [prefilter.rejected_signature] for a rejection. The engines count
+    each verdict where they render it, inside a partition's analysis,
+    so a worker domain's verdicts travel in its capture shard. *)
+val count : verdict -> unit
 
 (** Registered handle for [prefilter.cex_refinements], bumped by the
     flow's sat-sweep pass as counterexamples refine the bank. *)

@@ -89,3 +89,14 @@ let with_jobs n f =
   let prev = Sbm_par.Jobs.get () in
   Sbm_par.Jobs.set n;
   Fun.protect ~finally:(fun () -> Sbm_par.Jobs.set prev) f
+
+(* Run [f] under the root span of a fresh trace: [f]'s result and the
+   trace's counter totals, the registry delta over the run. *)
+let with_totals f =
+  let trace = Sbm_obs.create () in
+  let root = Sbm_obs.root trace "test" in
+  let result = Fun.protect ~finally:(fun () -> Sbm_obs.close root) (fun () -> f root) in
+  (result, Sbm_obs.totals trace)
+
+(* One counter of a {!with_totals} list; 0 when never bumped. *)
+let count totals name = Option.value ~default:0 (List.assoc_opt name totals)

@@ -124,7 +124,7 @@ let test_hetero_gate () =
   let rng = Rng.create 206 in
   for _ = 1 to 6 do
     let aig = Helpers.random_xor_aig ~inputs:7 ~gates:40 ~outputs:4 rng in
-    let result = fst (Sbm_core.Hetero_kernel.run aig) in
+    let result = Sbm_core.Hetero_kernel.run aig in
     Aig.check result;
     Helpers.assert_equiv_exhaustive ~msg:"hetero kernel gate" aig result
   done
@@ -134,7 +134,7 @@ let test_hetero_vs_homogeneous () =
      the move wrapper (callers keep the better). *)
   let rng = Rng.create 207 in
   let aig = Helpers.random_xor_aig ~inputs:8 ~gates:60 ~outputs:5 rng in
-  let het = fst (Sbm_core.Hetero_kernel.run aig) in
+  let het = Sbm_core.Hetero_kernel.run aig in
   Helpers.assert_equiv_exhaustive ~msg:"hetero" aig het;
   let hom = Sbm_core.Hetero_kernel.run_homogeneous ~threshold:50 aig in
   Helpers.assert_equiv_exhaustive ~msg:"homogeneous" aig hom
@@ -147,14 +147,16 @@ let test_gradient_gate () =
     let aig = Helpers.random_xor_aig ~inputs:7 ~gates:45 ~outputs:4 rng in
     let original = Aig.copy aig in
     let size_before = Aig.size aig in
-    let optimized, stats =
-      Sbm_core.Gradient.run
-        ~config:{ Sbm_core.Gradient.default_config with budget = 30 }
-        aig
+    let optimized, totals =
+      Helpers.with_totals (fun _ ->
+          Sbm_core.Gradient.run
+            ~config:{ Sbm_core.Gradient.default_config with budget = 30 }
+            aig)
     in
     Aig.check optimized;
     Alcotest.(check bool) "never grows" true (Aig.size optimized <= size_before);
-    Alcotest.(check bool) "tried some moves" true (stats.Sbm_core.Gradient.moves_tried > 0);
+    Alcotest.(check bool) "tried some moves" true
+      (Helpers.count totals "gradient.moves_tried" > 0);
     Helpers.assert_equiv_exhaustive ~msg:"gradient gate" original optimized
   done
 
@@ -162,7 +164,7 @@ let test_gradient_parallel_selection () =
   let rng = Rng.create 209 in
   let aig = Helpers.random_xor_aig ~inputs:7 ~gates:40 ~outputs:4 rng in
   let original = Aig.copy aig in
-  let optimized, _ =
+  let optimized =
     Sbm_core.Gradient.run
       ~config:
         {
@@ -178,15 +180,18 @@ let test_gradient_parallel_selection () =
 let test_gradient_respects_budget () =
   let rng = Rng.create 210 in
   let aig = Helpers.random_xor_aig ~inputs:7 ~gates:40 ~outputs:4 rng in
-  let _, stats =
-    Sbm_core.Gradient.run
-      ~config:
-        { Sbm_core.Gradient.default_config with budget = 5; min_gradient = 2.0 }
-      aig
+  let _, totals =
+    Helpers.with_totals (fun _ ->
+        Sbm_core.Gradient.run
+          ~config:
+            { Sbm_core.Gradient.default_config with budget = 5; min_gradient = 2.0 }
+          aig)
   in
   (* min_gradient = 200% is unreachable, so no extension happens. *)
-  Alcotest.(check int) "no extensions" 0 stats.Sbm_core.Gradient.budget_extensions;
-  Alcotest.(check bool) "few moves" true (stats.Sbm_core.Gradient.moves_tried <= 10)
+  Alcotest.(check int) "no extensions" 0
+    (Helpers.count totals "gradient.budget_extensions");
+  Alcotest.(check bool) "few moves" true
+    (Helpers.count totals "gradient.moves_tried" <= 10)
 
 (* --- Full flow --- *)
 
@@ -204,7 +209,7 @@ let test_flow_sbm () =
   let rng = Rng.create 212 in
   for _ = 1 to 2 do
     let aig = Helpers.random_xor_aig ~inputs:8 ~gates:60 ~outputs:4 rng in
-    let optimized = Sbm_core.Flow.sbm_once ~effort:Sbm_core.Flow.Low aig in
+    let optimized = Sbm_core.Flow.sbm_once aig in
     Aig.check optimized;
     Helpers.assert_equiv_exhaustive ~msg:"sbm flow" aig optimized
   done

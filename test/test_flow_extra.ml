@@ -12,7 +12,7 @@ let all_engines =
     ("balance", fun aig -> Sbm_aig.Balance.run aig);
     ("diff", fun aig -> ignore (Sbm_core.Diff_resub.optimize aig); aig);
     ("mspf", fun aig -> ignore (Sbm_core.Mspf.optimize aig); aig);
-    ("hetero", fun aig -> fst (Sbm_core.Hetero_kernel.run aig));
+    ("hetero", fun aig -> Sbm_core.Hetero_kernel.run aig);
     ("sweep", fun aig -> fst (Sbm_sat.Sweep.run aig));
     ("redundancy", fun aig -> ignore (Sbm_sat.Redundancy.run aig); aig);
     ("baseline", fun aig -> Sbm_core.Flow.baseline aig);
@@ -129,7 +129,7 @@ let test_full_flow_on_structured () =
   List.iter
     (fun (b, scale) ->
       let aig = Sbm_epfl.Epfl.generate ~scale b in
-      let optimized = Sbm_core.Flow.sbm_once ~effort:Sbm_core.Flow.Low aig in
+      let optimized = Sbm_core.Flow.sbm_once aig in
       (match Sbm_cec.Cec.check aig optimized with
       | Sbm_cec.Cec.Equivalent -> ()
       | _ -> Alcotest.failf "flow broke %s" (Sbm_epfl.Epfl.name b));
@@ -167,26 +167,32 @@ let test_flow_idempotent_safety () =
   (* Applying the flow twice keeps equivalence and never grows. *)
   let rng = Rng.create 406 in
   let aig = Helpers.random_xor_aig ~inputs:7 ~gates:40 ~outputs:4 rng in
-  let once = Sbm_core.Flow.sbm_once ~effort:Sbm_core.Flow.Low aig in
-  let twice = Sbm_core.Flow.sbm_once ~effort:Sbm_core.Flow.Low once in
+  let once = Sbm_core.Flow.sbm_once aig in
+  let twice = Sbm_core.Flow.sbm_once once in
   Helpers.assert_equiv_exhaustive ~msg:"idempotent safety" aig twice;
   Alcotest.(check bool) "no growth" true (Aig.size twice <= Aig.size once)
 
 let test_gradient_move_log () =
   let rng = Rng.create 407 in
   let aig = Helpers.random_xor_aig ~inputs:7 ~gates:45 ~outputs:4 rng in
-  let _, stats =
-    Sbm_core.Gradient.run
-      ~config:{ Sbm_core.Gradient.default_config with budget = 20 }
-      aig
+  let moves = ref [] in
+  let _, totals =
+    Helpers.with_totals (fun _ ->
+        Sbm_core.Gradient.run
+          ~explain:(fun e -> moves := (e.Sbm_core.Gradient.move, e.gain) :: !moves)
+          ~config:{ Sbm_core.Gradient.default_config with budget = 20 }
+          aig)
   in
-  (* The move log is chronological and every recorded gain is >= 0
-     (moves revert losing changes). *)
+  (* One explain event per attempted move, and every recorded gain is
+     >= 0 (moves revert losing changes). *)
   List.iter
     (fun (name, gain) ->
       Alcotest.(check bool) (name ^ " gain >= 0") true (gain >= 0))
-    stats.Sbm_core.Gradient.move_log;
-  Alcotest.(check bool) "log nonempty" true (stats.Sbm_core.Gradient.move_log <> [])
+    !moves;
+  Alcotest.(check bool) "log nonempty" true (!moves <> []);
+  Alcotest.(check int) "one event per attempt"
+    (Helpers.count totals "gradient.moves_tried")
+    (List.length !moves)
 
 let suite =
   [

@@ -386,7 +386,7 @@ let test_flow_records_pass_spans () =
   let aig = Helpers.random_xor_aig ~inputs:7 ~gates:45 ~outputs:4 rng in
   let trace = Obs.create () in
   let root = Obs.root ~size:(Aig.size aig) trace "sbm-low" in
-  let optimized = Sbm_core.Flow.sbm_once ~obs:root ~effort:Sbm_core.Flow.Low aig in
+  let optimized = Sbm_core.Flow.sbm_once ~obs:root aig in
   Obs.close ~size:(Aig.size optimized) root;
   match Obs.spans trace with
   | [ r ] -> (

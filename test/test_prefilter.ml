@@ -112,16 +112,17 @@ let test_masked_reference () =
 (* 12 inputs keeps the bank in the random+cex regime (the exhaustive
    cutover is at {!Prefilter.exhaustive_max_inputs}). *)
 let test_refine_patterns () =
-  let bank = Prefilter.create_bank ~sim_words:1 () in
+  let bank = Prefilter.create_bank () in
   Alcotest.(check int) "no refinements yet" 0 (Prefilter.refinements bank);
   Prefilter.refine bank [| true; false; true |];
   Prefilter.refine bank [| false; true |];
   Alcotest.(check int) "two refinements" 2 (Prefilter.refinements bank);
   let words = Prefilter.input_words bank 12 in
-  Alcotest.(check int) "base word + one cex word" 2 (Array.length words);
+  let base = Sbm_aig.Sim.default_words in
+  Alcotest.(check int) "base words + one cex word" (base + 1) (Array.length words);
   (* Cex word: bit k of input i = assignment k's value for input i,
      oldest first; missing bits read as 0. *)
-  let cex = words.(1) in
+  let cex = words.(base) in
   Alcotest.(check int64) "input 0 bits" 1L cex.(0);
   Alcotest.(check int64) "input 1 bits" 2L cex.(1);
   Alcotest.(check int64) "input 2 bits (padded)" 1L cex.(2);
@@ -252,66 +253,83 @@ let test_fork_private () =
 (* --- off vs. on: bit-identical QoR for every engine --- *)
 
 (* The four Boolean engines over their native APIs: [run prefilter
-   aig] optimizes a copy under the pattern bank [prefilter] and returns
-   the result and its size gain. Gradient runs at budget 12, the flow's
-   low-effort budget; every other knob is the engine's default. *)
+   aig] optimizes a copy under the pattern bank [prefilter], and the
+   named counter holds its size gain (the kernel's is the size delta).
+   Gradient runs at budget 12, the flow's low-effort budget; every
+   other knob is the engine's default. *)
 let engines =
   let module C = Sbm_core in
   [
     ( "diff",
+      Some "diff.gain",
       fun prefilter aig ->
-        let out, s =
-          C.Diff_resub.run ~config:{ C.Diff_resub.default_config with prefilter } aig
-        in
-        (out, s.C.Diff_resub.gain) );
+        C.Diff_resub.run ~config:{ C.Diff_resub.default_config with prefilter } aig );
     ( "mspf",
-      fun prefilter aig ->
-        let out, s = C.Mspf.run ~config:{ C.Mspf.default_config with prefilter } aig in
-        (out, s.C.Mspf.gain) );
-    ( "kernel",
-      fun prefilter aig ->
-        let out, _ =
-          C.Hetero_kernel.run
-            ~config:{ C.Hetero_kernel.default_config with prefilter }
-            aig
-        in
-        (out, Aig.size aig - Aig.size out) );
+      Some "mspf.gain",
+      fun prefilter aig -> C.Mspf.run ~config:{ C.Mspf.default_config with prefilter } aig );
+    ("kernel", None, fun _ aig -> C.Hetero_kernel.run aig);
     ( "gradient",
+      Some "gradient.gain",
       fun prefilter aig ->
-        let out, s =
-          C.Gradient.run
-            ~config:{ C.Gradient.default_config with budget = 12; prefilter }
-            aig
-        in
-        (out, s.C.Gradient.total_gain) );
+        C.Gradient.run ~config:{ C.Gradient.default_config with budget = 12; prefilter } aig );
   ]
+
+(* One engine run at [jobs]: the output, its gain and the run's
+   registry deltas. *)
+let run_engine ~jobs (gain, run) bank input =
+  let out, totals =
+    Helpers.with_jobs jobs (fun () -> Helpers.with_totals (fun _ -> run bank input))
+  in
+  let gain =
+    match gain with
+    | Some counter -> Helpers.count totals counter
+    | None -> Aig.size input - Aig.size out
+  in
+  (out, gain, totals)
 
 (* The filter is accept-preserving, so each engine must produce the
    same network and gain with filtering off or on — sequentially and
-   with 4 worker domains. This is the per-engine identity property the
-   API contract promises. *)
+   with 4 worker domains. Its counts are the registry's alone, so the
+   deltas must also agree between jobs 1 and 4 (a clean worker's
+   counts arrive once, in its shard), and a run without a bank bumps
+   no [prefilter.*] counter. This is the per-engine identity property
+   the API contract promises. *)
 let engine_identity bench =
   let input = Epfl.generate bench in
   List.iter
-    (fun (name, engine) ->
+    (fun (name, gain, engine) ->
       let run ~prefilter ~jobs =
         let bank = if prefilter then Some (Prefilter.create_bank ()) else None in
-        let result, gain = Helpers.with_jobs jobs (fun () -> engine bank input) in
-        (Sbm_aig.Aiger.write result, gain)
+        let out, gain, totals = run_engine ~jobs (gain, engine) bank input in
+        (Sbm_aig.Aiger.write out, gain, totals)
       in
-      let reference = run ~prefilter:false ~jobs:1 in
+      let label prefilter jobs what =
+        Printf.sprintf "%s/%s: %s (prefilter=%b jobs=%d)" (Epfl.name bench) name what
+          prefilter jobs
+      in
+      let runs =
+        List.map
+          (fun (prefilter, jobs) -> ((prefilter, jobs), run ~prefilter ~jobs))
+          [ (false, 1); (true, 1); (false, 4); (true, 4) ]
+      in
+      let ref_text, ref_gain, _ = List.assoc (false, 1) runs in
       List.iter
-        (fun (prefilter, jobs) ->
-          let text, gain = run ~prefilter ~jobs in
-          Alcotest.(check string)
-            (Printf.sprintf "%s/%s: network (prefilter=%b jobs=%d)"
-               (Epfl.name bench) name prefilter jobs)
-            (fst reference) text;
-          Alcotest.(check int)
-            (Printf.sprintf "%s/%s: gain (prefilter=%b jobs=%d)"
-               (Epfl.name bench) name prefilter jobs)
-            (snd reference) gain)
-        [ (true, 1); (false, 4); (true, 4) ])
+        (fun ((prefilter, jobs), (text, gain, totals)) ->
+          Alcotest.(check string) (label prefilter jobs "network") ref_text text;
+          Alcotest.(check int) (label prefilter jobs "gain") ref_gain gain;
+          let _, _, totals1 = List.assoc (prefilter, 1) runs in
+          Alcotest.(check (list (pair string int)))
+            (label prefilter jobs "registry deltas vs jobs 1")
+            totals1 totals;
+          if not prefilter then
+            Alcotest.(check (list string))
+              (label prefilter jobs "no prefilter counter")
+              []
+              (List.filter_map
+                 (fun (k, _) ->
+                   if String.starts_with ~prefix:"prefilter." k then Some k else None)
+                 totals))
+        runs)
     engines
 
 (* Every engine's output on ctrl after the baseline script, under the
@@ -331,9 +349,9 @@ let test_engines_pinned () =
   List.iter
     (fun jobs ->
       List.iter
-        (fun (name, run) ->
+        (fun (name, gain, run) ->
           let bank = Some (Prefilter.create_bank ()) in
-          let out, gain = Helpers.with_jobs jobs (fun () -> run bank input) in
+          let out, gain, _ = run_engine ~jobs (gain, run) bank input in
           let hash, expected_gain = List.assoc name pinned in
           Alcotest.(check int64)
             (Printf.sprintf "%s: hash (jobs=%d)" name jobs)
@@ -346,6 +364,12 @@ let test_engines_pinned () =
 
 let test_engine_identity_ctrl () = engine_identity Epfl.Ctrl
 let test_engine_identity_cavlc () = engine_identity Epfl.Cavlc
+
+(* On router the difference and MSPF engines merge clean worker
+   analyses at jobs 4 (on ctrl and cavlc the first partition commits,
+   so every later one is redone): a count added twice at merge shows
+   here. *)
+let test_engine_identity_router () = engine_identity Epfl.Router
 
 (* The full flow: sbm-low with and without the prefilter must agree
    bit for bit (the SAT counterexample feedback only changes what is
@@ -380,5 +404,7 @@ let suite =
       test_engine_identity_ctrl;
     Alcotest.test_case "engines: off==on, jobs 1 and 4 (cavlc)." `Slow
       test_engine_identity_cavlc;
+    Alcotest.test_case "engines: off==on, jobs 1 and 4 (router)." `Quick
+      test_engine_identity_router;
     Alcotest.test_case "flow: sbm-low off==on (ctrl)." `Slow test_flow_identity;
   ]

@@ -353,27 +353,31 @@ let test_gradient_explain_stream () =
   let rng = Rng.create 909 in
   let aig = Helpers.random_xor_aig ~inputs:7 ~gates:60 ~outputs:4 rng in
   let events = ref [] in
-  let _optimized, stats =
-    Gradient.run
+  let trace = Obs.create () in
+  let root = Obs.root trace "gradient" in
+  let _optimized =
+    Gradient.run ~obs:root
       ~explain:(fun e -> events := e :: !events)
       ~config:{ Gradient.default_config with budget = 20 }
       aig
   in
+  Obs.close root;
   let events = List.rev !events in
-  Alcotest.(check bool) "the engine did work" true (stats.Gradient.moves_tried > 0);
+  let total = Obs.total trace in
+  Alcotest.(check bool) "the engine did work" true (total "gradient.moves_tried" > 0);
   (* Exactly one event per attempted move, in order. *)
-  Alcotest.(check int) "one event per attempt" stats.Gradient.moves_tried
+  Alcotest.(check int) "one event per attempt" (total "gradient.moves_tried")
     (List.length events);
   List.iteri
     (fun i (e : Gradient.event) ->
       Alcotest.(check int) "iterations are sequential" (i + 1) e.Gradient.iteration)
     events;
-  (* The waterfall verdict stream matches the run statistics. *)
+  (* The waterfall verdict stream matches the run's counters. *)
   Alcotest.(check int) "accepted events = gaining moves"
-    stats.Gradient.moves_gained
+    (total "gradient.moves_gained")
     (List.length (List.filter (fun (e : Gradient.event) -> e.Gradient.accepted) events));
   Alcotest.(check int) "charged costs sum to budget spent"
-    stats.Gradient.budget_spent
+    (total "gradient.budget_spent")
     (List.fold_left (fun acc (e : Gradient.event) -> acc + e.Gradient.cost) 0 events);
   (* Waterfall: an accepted move gained, a rejected one did not. *)
   List.iter
@@ -383,9 +387,19 @@ let test_gradient_explain_stream () =
         true
         (e.Gradient.accepted = (e.Gradient.gain > 0)))
     events;
-  (* The event log agrees with the chronological move log. *)
+  (* The event log agrees with the trace: one move span per attempt,
+     named after the move, carrying its gain. *)
+  let move_spans =
+    match Obs.spans trace with
+    | [ r ] ->
+      List.map
+        (fun (n : Obs.node) ->
+          (n.Obs.name, Option.value ~default:(-1) (List.assoc_opt "move.gain" n.Obs.counters)))
+        r.Obs.children
+    | l -> Alcotest.failf "expected 1 root, got %d" (List.length l)
+  in
   Alcotest.(check (list (pair string int)))
-    "move log reproduced" stats.Gradient.move_log
+    "move log reproduced" move_spans
     (List.map (fun (e : Gradient.event) -> (e.Gradient.move, e.Gradient.gain)) events);
   (* Every record serializes to standalone JSON carrying the verdict. *)
   List.iter
@@ -407,15 +421,17 @@ let test_gradient_explain_parallel () =
   let rng = Rng.create 910 in
   let aig = Helpers.random_xor_aig ~inputs:6 ~gates:40 ~outputs:3 rng in
   let events = ref [] in
-  let _optimized, stats =
-    Gradient.run
-      ~explain:(fun e -> events := e :: !events)
-      ~config:
-        { Gradient.default_config with budget = 12; selection = Gradient.Parallel }
-      aig
+  let _optimized, totals =
+    Helpers.with_totals (fun _ ->
+        Gradient.run
+          ~explain:(fun e -> events := e :: !events)
+          ~config:
+            { Gradient.default_config with budget = 12; selection = Gradient.Parallel }
+          aig)
   in
   let events = List.rev !events in
-  Alcotest.(check int) "one event per attempt" stats.Gradient.moves_tried
+  Alcotest.(check int) "one event per attempt"
+    (Helpers.count totals "gradient.moves_tried")
     (List.length events);
   let by_round = Hashtbl.create 8 in
   List.iter
@@ -430,7 +446,8 @@ let test_gradient_explain_parallel () =
       end)
     events;
   Alcotest.(check int) "accepted rounds = gaining moves"
-    stats.Gradient.moves_gained (Hashtbl.length by_round)
+    (Helpers.count totals "gradient.moves_gained")
+    (Hashtbl.length by_round)
 
 let suite =
   [
