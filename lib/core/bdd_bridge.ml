@@ -105,40 +105,11 @@ let members t = t.order
 let leaves t = t.leaves
 let roots t = t.roots
 
-(* Current topological order of the live members, against the live
-   graph (partition orders go stale after in-place surgery). *)
-let live_order t =
-  let order = Aig.topo t.aig in
-  Array.of_seq
-    (Seq.filter
-       (fun v -> Hashtbl.mem t.member_set v && Aig.is_and t.aig v)
-       (Array.to_seq order))
-
-(* Members with references from outside the member set (outputs or
-   external fanouts): the observability boundary. *)
-let live_roots t =
-  let aig = t.aig in
-  Array.of_seq
-    (Seq.filter
-       (fun v ->
-         let member_refs =
-           List.fold_left
-             (fun acc fo ->
-               if Hashtbl.mem t.member_set fo then
-                 acc
-                 + (if Aig.node_of (Aig.fanin0 aig fo) = v then 1 else 0)
-                 + (if Aig.node_of (Aig.fanin1 aig fo) = v then 1 else 0)
-               else acc)
-             0 (Aig.fanout_nodes aig v)
-         in
-         Aig.nref aig v > member_refs)
-       (Array.to_seq t.order))
-
 let compute_bdds t =
   Hashtbl.reset t.node_bdd;
   Hashtbl.reset t.by_bdd;
-  t.order <- live_order t;
-  t.roots <- live_roots t;
+  t.order <- Partition.live_members t.aig t.member_set;
+  t.roots <- Partition.live_roots t.aig t.member_set t.order;
   let aig = t.aig in
   try
     Array.iteri

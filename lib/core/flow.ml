@@ -2,13 +2,12 @@ module Aig = Sbm_aig.Aig
 module Obs = Sbm_obs
 module M = Sbm_obs.Metrics
 
-(* "gain" is the bare counter the in-place baseline steps and the
-   collapse-decompose pass have always reported (no engine prefix —
-   historical name, kept for snapshot compatibility). *)
+(* "gain" is the bare counter the in-place baseline steps have always
+   reported (no engine prefix — historical name, kept for snapshot
+   compatibility). *)
 let m_gain =
   M.counter ~engine:"flow" ~unit_:"nodes" "gain"
-    "AIG nodes saved by in-place algebraic steps (rewrite/refactor/\
-     resub/collapse-decompose)"
+    "AIG nodes saved by in-place algebraic steps (rewrite/refactor/resub)"
 
 let m_dead_node_pct =
   M.gauge ~engine:"aig" ~unit_:"pct" "aig.dead_node_pct"
@@ -77,7 +76,7 @@ let origin_of_pass name =
   in
   let kind =
     if prefix "rewrite" then O.Rewrite
-    else if prefix "refactor" || name = "collapse-decompose" then O.Refactor
+    else if prefix "refactor" then O.Refactor
     else if prefix "resub" then O.Resub
     else if name = "balance" then O.Balance
     else if name = "hetero-kernel" || prefix "eliminate" then O.Kernel
@@ -90,30 +89,18 @@ let origin_of_pass name =
 
 (* Failure injection for crash-dump testing: die inside the Nth
    scripted pass, after its span has opened, so the post-mortem shows
-   the pass on the open span stack. [inject_failure_after] is the test
-   hook (counts down, one-shot); [SBM_FAIL_AFTER=N] is the env knob
-   for driving a real process to a crash (counts process-wide). *)
-let inject_failure_after : int option ref = ref None
-
-let env_fail_after =
-  lazy (Option.bind (Sys.getenv_opt "SBM_FAIL_AFTER") int_of_string_opt)
-
-let env_passes = ref 0
+   the pass on the open span stack. Counts down, one-shot;
+   [SBM_FAIL_AFTER=N] seeds it once per process, for driving a real
+   run to a crash. *)
+let inject_failure_after : int option ref =
+  ref (Option.bind (Sys.getenv_opt "SBM_FAIL_AFTER") int_of_string_opt)
 
 let check_injected_failure name =
-  (match !inject_failure_after with
+  match !inject_failure_after with
   | Some n when n <= 1 ->
     inject_failure_after := None;
-    failwith (Printf.sprintf "injected failure in pass '%s' (test hook)" name)
+    failwith (Printf.sprintf "injected failure in pass '%s'" name)
   | Some n -> inject_failure_after := Some (n - 1)
-  | None -> ());
-  match Lazy.force env_fail_after with
-  | Some n ->
-    incr env_passes;
-    if !env_passes = n then
-      failwith
-        (Printf.sprintf "injected failure in pass '%s' (SBM_FAIL_AFTER=%d)"
-           name n)
   | None -> ()
 
 (* Wrap one scripted pass in a pass span recording wall time and the
@@ -253,13 +240,9 @@ let sbm_iteration ~obs ~explain ~effort ~prefilter aig0 =
       ignore
         (Mspf.optimize ~obs:sp ~config:{ Mspf.default_config with prefilter } a);
       fst (Aig.compact a));
-  (* 4. Collapse and Boolean decomposition on reconvergent MFFCs. *)
-  run_pass "collapse-decompose" (fun sp a ->
-      let gain =
-        Sbm_aig.Refactor.run ~max_leaves:(match effort with Low -> 10 | High -> 12) a
-      in
-      Obs.bump sp m_gain gain;
-      a);
+  (* 4. Collapse and Boolean decomposition on reconvergent MFFCs is
+     Refactor.run, which the baseline script (refactor, refactor -z)
+     and the gradient's refactor moves already run. *)
   (* 5. Boolean-difference-based optimization, to unveil hard-to-find
      rewrites and escape local minima. *)
   run_pass "boolean-difference" (fun sp a ->

@@ -7,11 +7,15 @@
     [sbm] is the paper's Boolean resynthesis script: AIG optimization
     (baseline + the gradient engine), heterogeneous elimination for
     kernel extraction on partitioned networks, enhanced MSPF with
-    BDDs, collapse & Boolean decomposition on reconvergent MFFCs
-    (refactoring with wide cuts), Boolean-difference optimization to
-    escape local minima, and SAT sweeping + redundancy removal — the
-    whole sequence iterated twice with different efforts, every step
-    returning to the AIG representation.
+    BDDs, Boolean-difference optimization to escape local minima, and
+    SAT sweeping + redundancy removal — the whole sequence iterated
+    twice with different efforts, every step returning to the AIG
+    representation. The paper's collapse & Boolean decomposition on
+    reconvergent MFFCs is {!Sbm_aig.Refactor.run}, which the baseline
+    script's [refactor]/[refactor -z] steps and the gradient's
+    refactor moves already run; it has no pass of its own. Each
+    iteration is six passes: [baseline], [gradient], [hetero-kernel],
+    [mspf], [boolean-difference], [sat-sweep].
 
     Every entry point takes an optional telemetry span ([?obs],
     default {!Sbm_obs.null}); with an enabled span each scripted pass
@@ -41,8 +45,8 @@ val of_string : string -> script option
     scripted pass from now raise [Failure], after its telemetry span
     has opened — so a post-mortem dump shows the pass on the open span
     stack. One-shot (reset to [None] when it fires). The
-    [SBM_FAIL_AFTER=N] environment variable is the process-wide
-    equivalent for driving a real [sbm] run to a crash. *)
+    [SBM_FAIL_AFTER=N] environment variable seeds it once per process,
+    for driving a real [sbm] run to a crash. *)
 val inject_failure_after : int option ref
 
 (** LUT-6 probe for the per-pass ledger ({!Sbm_obs.Ledger}): maps the

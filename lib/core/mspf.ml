@@ -196,107 +196,83 @@ let connectable ctx cands store n mspf =
       Bdd_bridge.bump_limit_bail ctx;
       [])
 
-(* Members lying in the transitive fanin of a partition leaf: the
-   partition is not convex around them, so the leaf-as-free-variable
-   model would under-approximate their observability. MSPF skips
-   them. *)
-let members_in_leaf_cones ctx =
-  let aig = Bdd_bridge.aig ctx in
-  let tainted = Hashtbl.create 64 in
-  let visited = Hashtbl.create 256 in
-  let stack = ref [] in
-  Array.iter
-    (fun leaf -> if Aig.is_and aig leaf then stack := leaf :: !stack)
-    (Bdd_bridge.leaves ctx);
-  let member_set = Hashtbl.create 64 in
-  Array.iter (fun v -> Hashtbl.replace member_set v ()) (Bdd_bridge.members ctx);
-  while !stack <> [] do
-    match !stack with
-    | [] -> ()
-    | v :: rest ->
-      stack := rest;
-      if not (Hashtbl.mem visited v) then begin
-        Hashtbl.add visited v ();
-        if Hashtbl.mem member_set v then Hashtbl.replace tainted v ();
-        if Aig.is_and aig v then begin
-          stack := Aig.node_of (Aig.fanin0 aig v) :: Aig.node_of (Aig.fanin1 aig v) :: !stack
-        end
-      end
-  done;
-  tainted
-
-(* Analysis/substitution loop of one partition. Mutates [aig]:
-   parallel workers call this on a private snapshot, the sequential
-   path on the live AIG. The partition's counts go to the registry
-   from here, so a worker's counts travel in its capture shard.
-   Returns the partition's BDD context, its substitutions and their
-   gain. *)
-let analyze aig config store part =
-  let ctx = Bdd_bridge.build ~node_limit:config.bdd_node_limit aig part in
-  let tainted = ref (members_in_leaf_cones ctx) in
-  let members = Bdd_bridge.members ctx in
-  let computed = ref 0 and cands = ref 0 and subst = ref 0 and consts = ref 0 in
-  let gain = ref 0 in
-  (* Sort by estimated saving: larger MFFCs first (Section IV-C). *)
+(* See the interface. A substitution is permissible but not
+   necessarily equivalence-preserving inside the partition, hence the
+   refresh and the re-taint after each one. *)
+let substitute aig ~leaves ~members ~mspf ~connectable ~refresh ~commit =
+  let taint () = Partition.leaf_cone_members aig ~leaves (members ()) in
+  let tainted = ref (taint ()) in
   let by_saving =
-    Array.to_list members
+    Array.to_list (members ())
     |> List.filter (fun v -> Aig.is_and aig v)
     |> List.map (fun v -> (Aig.mffc_size aig v, v))
     |> List.sort (fun (a, _) (b, _) -> compare b a)
     |> List.map snd
   in
+  let subst = ref 0 and gain = ref 0 in
   List.iter
     (fun n ->
       if Aig.is_and aig n && (not (Aig.is_dead aig n)) && not (Hashtbl.mem !tainted n)
-      then begin
-        match compute_mspf ctx n with
+      then
+        match mspf n with
         | None -> ()
-        | Some mspf ->
-          incr computed;
-          let man = Bdd_bridge.man ctx in
-          if not (Bdd.is_zero man mspf) then begin
-            let candidates = connectable ctx cands store n mspf in
-            (* Among all connectable fanins, try an irredundant
-               subset: the best-gain candidate. *)
-            let best =
-              List.fold_left
-                (fun acc candidate ->
-                  if Aig.node_of candidate = n then acc
-                  else begin
-                    let g = Aig.gain_of_replacement aig ~root:n ~candidate in
-                    match acc with
-                    | Some (bg, _) when bg >= g -> acc
-                    | Some _ | None -> Some (g, candidate)
-                  end)
-                None candidates
-            in
-            match best with
-            | Some (saved, candidate) when saved > 0 ->
-              (* A permissible (not necessarily equivalent)
-                 substitution changes the functions of [n]'s fanout
-                 cone: invalidate their signatures while the old
-                 fanout lists are still in place. *)
-              Option.iter (fun st -> Prefilter.note_edit st n) store;
-              Aig.replace aig n candidate;
-              gain := !gain + saved;
-              incr subst;
-              if Aig.node_of candidate = Aig.node_of Aig.const0 then incr consts;
-              (* The substitution is permissible but not necessarily
-                 equivalence-preserving inside the partition: refresh
-                 the cached functions, the member order, the root set
-                 and the convexity taint against the new structure. *)
-              Bdd_bridge.refresh ctx;
-              tainted := members_in_leaf_cones ctx
-            | Some _ | None -> ()
-          end
-      end)
+        | Some m -> (
+          let best =
+            List.fold_left
+              (fun acc candidate ->
+                if Aig.node_of candidate = n then acc
+                else begin
+                  let g = Aig.gain_of_replacement aig ~root:n ~candidate in
+                  match acc with
+                  | Some (bg, _) when bg >= g -> acc
+                  | Some _ | None -> Some (g, candidate)
+                end)
+              None (connectable n m)
+          in
+          match best with
+          | Some (saved, candidate) when saved > 0 ->
+            commit n candidate;
+            Aig.replace aig n candidate;
+            gain := !gain + saved;
+            incr subst;
+            refresh ();
+            tainted := taint ()
+          | Some _ | None -> ()))
     by_saving;
+  (!subst, !gain)
+
+(* One partition in the BDD domain. Mutates [aig]: parallel workers
+   call this on a private snapshot, the sequential path on the live
+   AIG. The partition's counts go to the registry from here, so a
+   worker's counts travel in its capture shard. Returns the
+   partition's BDD context, its substitutions and their gain. *)
+let analyze aig config store part =
+  let ctx = Bdd_bridge.build ~node_limit:config.bdd_node_limit aig part in
+  let man = Bdd_bridge.man ctx in
+  let computed = ref 0 and cands = ref 0 and consts = ref 0 in
+  let subst, gain =
+    substitute aig ~leaves:(Bdd_bridge.leaves ctx)
+      ~members:(fun () -> Bdd_bridge.members ctx)
+      ~mspf:(fun n ->
+        match compute_mspf ctx n with
+        | None -> None
+        | Some m ->
+          incr computed;
+          if Bdd.is_zero man m then None else Some m)
+      ~connectable:(fun n m -> connectable ctx cands store n m)
+      ~refresh:(fun () -> Bdd_bridge.refresh ctx)
+      ~commit:(fun n candidate ->
+        (* Invalidate the signatures of [n]'s fanout cone while the
+           old fanout lists are still in place. *)
+        Option.iter (fun st -> Prefilter.note_edit st n) store;
+        if Aig.node_of candidate = Aig.node_of Aig.const0 then incr consts)
+  in
   M.add m_computed !computed;
   M.add m_candidates_examined !cands;
-  M.add m_substitutions !subst;
+  M.add m_substitutions subst;
   M.add m_constant_collapses !consts;
-  M.add m_gain !gain;
-  (ctx, !subst, !gain)
+  M.add m_gain gain;
+  (ctx, subst, gain)
 
 (* Main-domain bookkeeping for a finished partition, shared by the
    sequential path and the parallel merge path. *)

@@ -43,3 +43,24 @@ val run : ?obs:Sbm_obs.span -> ?config:config -> Sbm_aig.Aig.t -> Sbm_aig.Aig.t
     place and returns the total size gain (the engine behind {!run};
     flow scripts use it between passes). *)
 val optimize : ?obs:Sbm_obs.span -> ?config:config -> Sbm_aig.Aig.t -> int
+
+(** [substitute aig ~leaves ~members ~mspf ~connectable ~refresh
+    ~commit] is the substitution loop of one partition, shared by the
+    BDD domain and {!Mspf_tt}'s truth tables. It visits the live
+    AND members ([members ()] at the start) larger-MFFC first,
+    skipping members in the cone of an AND leaf. For each, [mspf n]
+    is its nonzero permissible set ([None] when the domain could not
+    compute one or it is zero); the best-gain literal of
+    [connectable n m] replaces [n] when it saves nodes, after
+    [commit n candidate]. Each replacement is followed by [refresh ()]
+    (the domain recomputes its functions and [members ()]). Returns
+    the number of substitutions and their total gain. *)
+val substitute :
+  Sbm_aig.Aig.t ->
+  leaves:int array ->
+  members:(unit -> int array) ->
+  mspf:(int -> 'f option) ->
+  connectable:(int -> 'f -> Sbm_aig.Aig.lit list) ->
+  refresh:(unit -> unit) ->
+  commit:(int -> Sbm_aig.Aig.lit -> unit) ->
+  int * int

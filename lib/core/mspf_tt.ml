@@ -26,35 +26,10 @@ type ctx = {
   tts : (int, Tt.t) Hashtbl.t;
 }
 
-let live_order ctx =
-  let order = Aig.topo ctx.aig in
-  Array.of_seq
-    (Seq.filter
-       (fun v -> Hashtbl.mem ctx.member_set v && Aig.is_and ctx.aig v)
-       (Array.to_seq order))
-
-let live_roots ctx =
-  let aig = ctx.aig in
-  Array.of_seq
-    (Seq.filter
-       (fun v ->
-         let member_refs =
-           List.fold_left
-             (fun acc fo ->
-               if Hashtbl.mem ctx.member_set fo then
-                 acc
-                 + (if Aig.node_of (Aig.fanin0 aig fo) = v then 1 else 0)
-                 + (if Aig.node_of (Aig.fanin1 aig fo) = v then 1 else 0)
-               else acc)
-             0 (Aig.fanout_nodes aig v)
-         in
-         Aig.nref aig v > member_refs)
-       (Array.to_seq ctx.order))
-
 let compute_tts ctx =
   Hashtbl.reset ctx.tts;
-  ctx.order <- live_order ctx;
-  ctx.roots <- live_roots ctx;
+  ctx.order <- Partition.live_members ctx.aig ctx.member_set;
+  ctx.roots <- Partition.live_roots ctx.aig ctx.member_set ctx.order;
   let aig = ctx.aig in
   Array.iteri
     (fun i v -> Hashtbl.replace ctx.tts v (Tt.var ctx.nvars i))
@@ -91,29 +66,6 @@ let build aig part =
   compute_tts ctx;
   ctx
 
-(* Members inside the cone of a leaf (non-convex partitions): skipped,
-   as in the BDD engine. *)
-let members_in_leaf_cones ctx =
-  let aig = ctx.aig in
-  let tainted = Hashtbl.create 64 in
-  let visited = Hashtbl.create 256 in
-  let stack = ref [] in
-  Array.iter (fun leaf -> if Aig.is_and aig leaf then stack := leaf :: !stack) ctx.leaves;
-  while !stack <> [] do
-    match !stack with
-    | [] -> ()
-    | v :: rest ->
-      stack := rest;
-      if not (Hashtbl.mem visited v) then begin
-        Hashtbl.add visited v ();
-        if Hashtbl.mem ctx.member_set v then Hashtbl.replace tainted v ();
-        if Aig.is_and aig v then
-          stack :=
-            Aig.node_of (Aig.fanin0 aig v) :: Aig.node_of (Aig.fanin1 aig v) :: !stack
-      end
-  done;
-  tainted
-
 (* Root functions over leaves + the free variable modelling node [n]. *)
 let cofactor_functions ctx n =
   let aig = ctx.aig in
@@ -145,6 +97,8 @@ let cofactor_functions ctx n =
     ctx.order;
   if !ok then Some lookup else None
 
+(* [n]'s permissible set; None when a root function is missing or the
+   set is empty (no freedom). *)
 let compute_mspf ctx n =
   match cofactor_functions ctx n with
   | None -> None
@@ -164,7 +118,7 @@ let compute_mspf ctx n =
             mspf := Tt.band !mspf (Tt.bxnor f0 f1)
         end)
       ctx.roots;
-    if !ok then Some !mspf else None)
+    if !ok && not (Tt.is_const0 !mspf) then Some !mspf else None)
 
 let connectable ctx config n mspf =
   let aig = ctx.aig in
@@ -198,53 +152,22 @@ let connectable ctx config n mspf =
     else if Tt.equal n_care care then candidates := Aig.const1 :: !candidates;
     !candidates
 
-let run_partition aig config part total =
+(* One partition in the truth-table domain, through the BDD engine's
+   substitution loop. *)
+let run_partition aig config part =
   let ctx = build aig part in
-  let tainted = ref (members_in_leaf_cones ctx) in
-  let by_saving =
-    Array.to_list ctx.order
-    |> List.filter (fun v -> Aig.is_and aig v)
-    |> List.map (fun v -> (Aig.mffc_size aig v, v))
-    |> List.sort (fun (a, _) (b, _) -> compare b a)
-    |> List.map snd
-  in
-  List.iter
-    (fun n ->
-      if Aig.is_and aig n && (not (Aig.is_dead aig n)) && not (Hashtbl.mem !tainted n)
-      then begin
-        match compute_mspf ctx n with
-        | None -> ()
-        | Some mspf ->
-          if not (Tt.is_const0 mspf) then begin
-            let candidates = connectable ctx config n mspf in
-            let best =
-              List.fold_left
-                (fun acc candidate ->
-                  if Aig.node_of candidate = n then acc
-                  else begin
-                    let gain = Aig.gain_of_replacement aig ~root:n ~candidate in
-                    match acc with
-                    | Some (bg, _) when bg >= gain -> acc
-                    | Some _ | None -> Some (gain, candidate)
-                  end)
-                None candidates
-            in
-            match best with
-            | Some (gain, candidate) when gain > 0 ->
-              Aig.replace aig n candidate;
-              total := !total + gain;
-              compute_tts ctx;
-              tainted := members_in_leaf_cones ctx
-            | Some _ | None -> ()
-          end
-      end)
-    by_saving
+  snd
+    (Mspf.substitute aig ~leaves:ctx.leaves
+       ~members:(fun () -> ctx.order)
+       ~mspf:(compute_mspf ctx)
+       ~connectable:(connectable ctx config)
+       ~refresh:(fun () -> compute_tts ctx)
+       ~commit:(fun _ _ -> ()))
 
 let run ?(config = default_config) aig =
   let limits =
     { config.limits with Partition.max_leaves = min config.limits.Partition.max_leaves (Tt.max_vars - 1) }
   in
-  let total = ref 0 in
-  let parts = Partition.compute aig limits in
-  List.iter (fun part -> run_partition aig config part total) parts;
-  !total
+  List.fold_left
+    (fun total part -> total + run_partition aig config part)
+    0 (Partition.compute aig limits)

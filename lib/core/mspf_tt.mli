@@ -2,8 +2,8 @@
 
     Section IV-C positions the BDD-based MSPF of {!Mspf} against "the
     truth table methods to approximate MSPF" of the prior Boolean
-    resynthesis flow. This module implements that baseline: identical
-    permissible-function optimization, but with bit-packed truth
+    resynthesis flow. This module implements that baseline: the same
+    substitution loop ({!Mspf.substitute}), but with bit-packed truth
     tables as the reasoning engine, which caps windows at
     [Tt.max_vars - 1] leaves (the extra variable models the node under
     analysis). The ablation bench compares reach and QoR of the two

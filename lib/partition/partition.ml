@@ -6,6 +6,21 @@ type limits = { max_levels : int; max_nodes : int; max_leaves : int }
 
 let default_limits = { max_levels = 16; max_nodes = 400; max_leaves = 32 }
 
+(* A member is a root when it has references from outside the member
+   set: an external fanout node or a primary output. *)
+let is_root aig members v =
+  let member_refs =
+    List.fold_left
+      (fun acc fo ->
+        if Hashtbl.mem members fo then
+          acc
+          + (if Aig.node_of (Aig.fanin0 aig fo) = v then 1 else 0)
+          + (if Aig.node_of (Aig.fanin1 aig fo) = v then 1 else 0)
+        else acc)
+      0 (Aig.fanout_nodes aig v)
+  in
+  Aig.nref aig v > member_refs
+
 let derive aig node_list =
   let members = Hashtbl.create 64 in
   List.iter (fun v -> Hashtbl.replace members v ()) node_list;
@@ -18,24 +33,7 @@ let derive aig node_list =
           if w <> 0 && not (Hashtbl.mem members w) then Hashtbl.replace leaves w ())
         [ Aig.fanin0 aig v; Aig.fanin1 aig v ])
     node_list;
-  (* A member is a root when it has references from outside the
-     partition: an external fanout node or a primary output. *)
-  let roots =
-    List.filter
-      (fun v ->
-        let member_refs =
-          List.fold_left
-            (fun acc fo ->
-              if Hashtbl.mem members fo then
-                acc
-                + (if Aig.node_of (Aig.fanin0 aig fo) = v then 1 else 0)
-                + (if Aig.node_of (Aig.fanin1 aig fo) = v then 1 else 0)
-              else acc)
-            0 (Aig.fanout_nodes aig v)
-        in
-        Aig.nref aig v > member_refs)
-      node_list
-  in
+  let roots = List.filter (is_root aig members) node_list in
   let leaves = Hashtbl.fold (fun v () acc -> v :: acc) leaves [] in
   {
     nodes = Array.of_list node_list;
@@ -43,15 +41,41 @@ let derive aig node_list =
     roots = Array.of_list roots;
   }
 
+let live_members aig members =
+  Array.of_seq
+    (Seq.filter
+       (fun v -> Hashtbl.mem members v && Aig.is_and aig v)
+       (Array.to_seq (Aig.topo aig)))
+
+let live_roots aig members order =
+  Array.of_seq (Seq.filter (is_root aig members) (Array.to_seq order))
+
+let leaf_cone_members aig ~leaves members =
+  let member_set = Hashtbl.create 64 in
+  Array.iter (fun v -> Hashtbl.replace member_set v ()) members;
+  let tainted = Hashtbl.create 64 in
+  let visited = Hashtbl.create 256 in
+  let stack = ref [] in
+  Array.iter (fun leaf -> if Aig.is_and aig leaf then stack := leaf :: !stack) leaves;
+  while !stack <> [] do
+    match !stack with
+    | [] -> ()
+    | v :: rest ->
+      stack := rest;
+      if not (Hashtbl.mem visited v) then begin
+        Hashtbl.add visited v ();
+        if Hashtbl.mem member_set v then Hashtbl.replace tainted v ();
+        if Aig.is_and aig v then
+          stack := Aig.node_of (Aig.fanin0 aig v) :: Aig.node_of (Aig.fanin1 aig v) :: !stack
+      end
+  done;
+  tainted
+
 let of_nodes aig nodes =
   (* Keep the given nodes in topological order. *)
   let set = Hashtbl.create 64 in
   List.iter (fun v -> Hashtbl.replace set v ()) nodes;
-  let order = Aig.topo aig in
-  let sorted =
-    Array.to_list order |> List.filter (fun v -> Hashtbl.mem set v && Aig.is_and aig v)
-  in
-  derive aig sorted
+  derive aig (Array.to_list (live_members aig set))
 
 let whole aig =
   let order = Aig.topo aig in

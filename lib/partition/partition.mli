@@ -34,6 +34,28 @@ val compute : Sbm_aig.Aig.t -> limits -> t list
     partition is the whole network). *)
 val of_nodes : Sbm_aig.Aig.t -> int list -> t
 
+(** {1 Live windows}
+
+    After in-place surgery a partition's node order and root set go
+    stale; the window engines (BDD and truth-table MSPF, the BDD
+    bridge) recompute them against the live graph. *)
+
+(** [live_members aig members] is the live AND nodes of the set
+    [members], in current topological order. *)
+val live_members : Sbm_aig.Aig.t -> (int, unit) Hashtbl.t -> int array
+
+(** [live_roots aig members order] is the nodes of [order] with
+    references from outside [members]: external fanouts or primary
+    outputs, the observability boundary. *)
+val live_roots : Sbm_aig.Aig.t -> (int, unit) Hashtbl.t -> int array -> int array
+
+(** [leaf_cone_members aig ~leaves members] is the set of [members]
+    lying in the transitive fanin of an AND leaf. The partition is not
+    convex around them, so the leaves-as-free-variables model would
+    under-approximate their observability. *)
+val leaf_cone_members :
+  Sbm_aig.Aig.t -> leaves:int array -> int array -> (int, unit) Hashtbl.t
+
 (** [whole aig] is the single partition holding every live AND node
     (the "applied monolithically" mode of Section III-B). *)
 val whole : Sbm_aig.Aig.t -> t

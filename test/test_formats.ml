@@ -120,17 +120,41 @@ let test_snapshot () =
     ~of_json:(fun s -> Some (line_reader Ledger.row_of_json s))
     (List.concat_map (fun (e : Snapshot.entry) -> e.passes) snapshot.entries)
 
-(* A committed snapshot without [cec] keys re-emits byte for byte, so
-   the key never appears in a document that did not carry it. *)
+(* The committed gate snapshot re-emits byte for byte. *)
 let test_committed_snapshot () =
   let text = In_channel.with_open_bin "../BENCH_baseline.json" In_channel.input_all in
   match Snapshot.of_json text with
   | Error msg -> Alcotest.fail msg
   | Ok t ->
-    Alcotest.(check bool) "no cec verdicts" true
-      (List.for_all (fun (e : Snapshot.entry) -> e.cec = None) t.entries);
     Alcotest.(check string) "BENCH_baseline.json re-emits byte for byte" text
       (Snapshot.to_json t ^ "\n")
+
+(* Every committed snapshot speaks the current catalog: each counter
+   name, in an entry's totals and in its ledger rows, is a registered
+   metric, and each entry carries its equivalence verdict. *)
+let test_committed_snapshots_current () =
+  List.iter
+    (fun file ->
+      match Snapshot.load ("../" ^ file) with
+      | Error msg -> Alcotest.failf "%s: %s" file msg
+      | Ok t ->
+        List.iter
+          (fun (e : Snapshot.entry) ->
+            let names =
+              List.map fst e.counters
+              @ List.concat_map
+                  (fun (r : Ledger.row) -> List.map fst r.counters)
+                  e.passes
+            in
+            List.iter
+              (fun name ->
+                if Sbm_obs.Metrics.find name = None then
+                  Alcotest.failf "%s/%s: unregistered counter %s" file e.bench name)
+              names;
+            if e.cec = None then
+              Alcotest.failf "%s/%s: no cec verdict" file e.bench)
+          t.entries)
+    [ "BENCH_baseline.json"; "BENCH_sbm.json"; "BENCH_full.json" ]
 
 let test_fingerprint_record () =
   let { records; _ } = Lazy.force ctrl_run in
@@ -197,6 +221,8 @@ let suite =
     Alcotest.test_case "snapshot with ledger rows round-trips" `Quick test_snapshot;
     Alcotest.test_case "committed snapshot re-emits byte for byte" `Quick
       test_committed_snapshot;
+    Alcotest.test_case "committed snapshots: registered counters, cec verdicts" `Quick
+      test_committed_snapshots_current;
     Alcotest.test_case "fingerprint record round-trips" `Quick test_fingerprint_record;
     Alcotest.test_case "status sample round-trips" `Quick test_status_sample;
     Alcotest.test_case "post-mortem dump round-trips" `Quick test_postmortem_dump;

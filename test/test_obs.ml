@@ -377,8 +377,8 @@ let test_csv_escaping_round_trip () =
 
 let flow_pass_names =
   [
-    "baseline"; "gradient"; "hetero-kernel"; "mspf"; "collapse-decompose";
-    "boolean-difference"; "sat-sweep";
+    "baseline"; "gradient"; "hetero-kernel"; "mspf"; "boolean-difference";
+    "sat-sweep";
   ]
 
 let test_flow_records_pass_spans () =
@@ -388,7 +388,7 @@ let test_flow_records_pass_spans () =
   let root = Obs.root ~size:(Aig.size aig) trace "sbm-low" in
   let optimized = Sbm_core.Flow.sbm_once ~obs:root aig in
   Obs.close ~size:(Aig.size optimized) root;
-  match Obs.spans trace with
+  (match Obs.spans trace with
   | [ r ] -> (
     match r.Obs.children with
     | [ iter ] ->
@@ -426,7 +426,26 @@ let test_flow_records_pass_spans () =
       Alcotest.(check bool)
         "kernel counters present" true (Obs.total trace "kernel.trials" > 0)
     | l -> Alcotest.failf "expected 1 iteration span, got %d" (List.length l))
-  | l -> Alcotest.failf "expected 1 root, got %d" (List.length l)
+  | l -> Alcotest.failf "expected 1 root, got %d" (List.length l));
+  (* The full script at High effort: both iterations run the same
+     passes, in script order. *)
+  let aig = Helpers.random_xor_aig ~inputs:6 ~gates:30 ~outputs:3 rng in
+  let trace = Obs.create () in
+  let root = Obs.root trace "sbm" in
+  ignore (Sbm_core.Flow.sbm ~obs:root ~effort:Sbm_core.Flow.High aig);
+  Obs.close root;
+  match Obs.spans trace with
+  | [ r ] ->
+    Alcotest.(check (list string))
+      "two iterations" [ "iteration-1"; "iteration-2" ]
+      (List.map (fun n -> n.Obs.name) r.Obs.children);
+    List.iter
+      (fun (iter : Obs.node) ->
+        Alcotest.(check (list string))
+          (iter.Obs.name ^ " passes at High") flow_pass_names
+          (List.map (fun n -> n.Obs.name) iter.Obs.children))
+      r.Obs.children
+  | l -> Alcotest.failf "expected 1 sbm root, got %d" (List.length l)
 
 let test_flow_disabled_obs_is_null () =
   (* The default path records nothing and still optimizes. *)
