@@ -336,21 +336,22 @@ let generate_cmd =
   in
   Cmd.v (Cmd.info "generate" ~doc:"Generate an EPFL-style benchmark") term
 
+(* The [--flow] option of [opt], [bench] and [attribute]: typed
+   dispatch, so the enum converter rejects unknown flows with a
+   cmdliner error listing the alternatives. *)
+let flow_arg ~verb default =
+  let flows =
+    List.map (fun s -> (Sbm_core.Flow.to_string s, s)) Sbm_core.Flow.all
+  in
+  let doc =
+    "Flow to " ^ verb ^ ": " ^ String.concat " | " (List.map fst flows) ^ "."
+  in
+  Arg.(value & opt (enum flows) default & info [ "flow" ] ~docv:"FLOW" ~doc)
+
 (* --- opt --- *)
 
 let opt_cmd =
-  let flow_arg =
-    (* Typed dispatch: the enum converter rejects unknown flows with a
-       cmdliner error listing the alternatives. *)
-    let flows =
-      List.map (fun s -> (Sbm_core.Flow.to_string s, s)) Sbm_core.Flow.all
-    in
-    let doc =
-      "Flow to run: " ^ String.concat " | " (List.map fst flows) ^ "."
-    in
-    Arg.(value & opt (enum flows) (Sbm_core.Flow.Sbm Sbm_core.Flow.High)
-         & info [ "flow" ] ~docv:"FLOW" ~doc)
-  in
+  let flow_arg = flow_arg ~verb:"run" (Sbm_core.Flow.Sbm Sbm_core.Flow.High) in
   let verify_arg =
     let doc = "Check combinational equivalence of the result." in
     Arg.(value & flag & info [ "verify" ] ~doc)
@@ -550,14 +551,7 @@ let bench_cmd =
     in
     Arg.(value & pos_all string [] & info [] ~docv:"BENCH" ~doc)
   in
-  let flow_arg =
-    let flows =
-      List.map (fun s -> (Sbm_core.Flow.to_string s, s)) Sbm_core.Flow.all
-    in
-    let doc = "Flow to benchmark: " ^ String.concat " | " (List.map fst flows) ^ "." in
-    Arg.(value & opt (enum flows) (Sbm_core.Flow.Sbm Sbm_core.Flow.Low)
-         & info [ "flow" ] ~docv:"FLOW" ~doc)
-  in
+  let flow_arg = flow_arg ~verb:"benchmark" (Sbm_core.Flow.Sbm Sbm_core.Flow.Low) in
   let seed_arg =
     let doc =
       "RNG seed for the structured-random control benchmarks, recorded in \
@@ -952,14 +946,7 @@ let attribute_cmd =
     in
     Arg.(required & pos 0 (some string) None & info [] ~docv:"INPUT" ~doc)
   in
-  let flow_arg =
-    let flows =
-      List.map (fun s -> (Sbm_core.Flow.to_string s, s)) Sbm_core.Flow.all
-    in
-    let doc = "Flow to attribute: " ^ String.concat " | " (List.map fst flows) ^ "." in
-    Arg.(value & opt (enum flows) (Sbm_core.Flow.Sbm Sbm_core.Flow.Low)
-         & info [ "flow" ] ~docv:"FLOW" ~doc)
-  in
+  let flow_arg = flow_arg ~verb:"attribute" (Sbm_core.Flow.Sbm Sbm_core.Flow.Low) in
   let scale_arg = scale_arg "Width scale in (0,1] for generated arithmetic benchmarks." in
   let seed_arg =
     let doc = "RNG seed for generated structured-random benchmarks." in

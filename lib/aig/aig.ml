@@ -1,6 +1,7 @@
 module Vec = Sbm_util.Vec
 module Itab = Sbm_util.Itab
 module Csr = Sbm_util.Csr
+module Hash64 = Sbm_util.Hash64
 
 type lit = int
 
@@ -603,20 +604,10 @@ let size aig =
    live gate (connective, phase, or support) reaches the outputs and
    changes the digest with overwhelming probability. *)
 
-let fh_finalize z =
-  (* SplitMix64 finalizer: full-avalanche 64-bit mix. *)
-  let open Int64 in
-  let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-  let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
-  logxor z (shift_right_logical z 31)
-
-let fh_mix2 a b =
-  fh_finalize (Int64.add (Int64.mul a 0x9E3779B97F4A7C15L) b)
-
-let fh_const_tag = fh_finalize 0x5bd1e995L
-let fh_input_tag = fh_finalize 0xc2b2ae35L
-let fh_and_tag = fh_finalize 0x85ebca77L
-let fh_compl_mask = fh_finalize 0x27d4eb2fL
+let fh_const_tag = Hash64.finalize 0x5bd1e995L
+let fh_input_tag = Hash64.finalize 0xc2b2ae35L
+let fh_and_tag = Hash64.finalize 0x85ebca77L
+let fh_compl_mask = Hash64.finalize 0x27d4eb2fL
 
 let fold_hash aig =
   let h = Array.make aig.n 0L in
@@ -628,21 +619,21 @@ let fold_hash aig =
   Array.iter
     (fun v ->
       if is_input aig v then
-        h.(v) <- fh_mix2 fh_input_tag (Int64.of_int (input_index aig v))
+        h.(v) <- Hash64.mix2 fh_input_tag (Int64.of_int (input_index aig v))
       else begin
         let a = hlit aig.fanin0.(v) and b = hlit aig.fanin1.(v) in
         let lo, hi =
           if Int64.unsigned_compare a b <= 0 then (a, b) else (b, a)
         in
-        h.(v) <- fh_mix2 (fh_mix2 fh_and_tag lo) hi
+        h.(v) <- Hash64.mix2 (Hash64.mix2 fh_and_tag lo) hi
       end)
     (topo aig);
   let acc =
-    fh_mix2
+    Hash64.mix2
       (Int64.of_int (num_inputs aig))
       (Int64.of_int (num_outputs aig))
   in
-  Vec.fold (fun acc l -> fh_mix2 acc (hlit l)) acc aig.outs
+  Vec.fold (fun acc l -> Hash64.mix2 acc (hlit l)) acc aig.outs
 
 (* Per-origin (created, live) tallies. "Live" uses the same
    reachable-from-outputs walk as [size], so the live column sums to

@@ -57,10 +57,7 @@ let check ?(sim_rounds = 16) ?(conflict_limit = 100_000) a b =
       List.init (Aig.num_outputs a) (fun i ->
           let oa = Tseitin.lit_dimacs va (Aig.output_lit a i) in
           let ob = Tseitin.lit_dimacs vb (Aig.output_lit b i) in
-          let d = Solver.new_var solver in
-          ignore (Solver.add_clause solver [ -d; oa; ob ]);
-          ignore (Solver.add_clause solver [ -d; -oa; -ob ]);
-          d)
+          Tseitin.differ solver oa ob)
     in
     ignore (Solver.add_clause solver diffs);
     (match Solver.solve ~conflict_limit solver with

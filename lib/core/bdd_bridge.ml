@@ -1,7 +1,6 @@
 module Aig = Sbm_aig.Aig
 module Bdd = Sbm_bdd.Bdd
 module Partition = Sbm_partition.Partition
-module Obs = Sbm_obs
 module FR = Sbm_obs.Flight_recorder
 module M = Sbm_obs.Metrics
 
@@ -73,7 +72,7 @@ let hit_pct hits misses =
    hit-rate collapse under real traffic — the canonical sign of a
    partition whose BDDs blew past locality — also lands in the flight
    recorder, with this flush's ratios. *)
-let flush_stats ?(engine = "bdd") t obs =
+let flush_stats ?(engine = "bdd") t =
   let bs = Bdd.stats t.man in
   (* The ledger consumes the load gauges through the registry alone.
      flush_stats runs on the main domain in ascending partition order
@@ -82,12 +81,12 @@ let flush_stats ?(engine = "bdd") t obs =
   M.set_max m_unique_load_pct
     (100 * (bs.Bdd.nodes - 2) / bs.Bdd.unique_capacity);
   M.set_max m_cache_load_pct (100 * bs.Bdd.cache_occupied / bs.Bdd.cache_slots);
-  Obs.bump obs m_nodes bs.Bdd.nodes;
-  Obs.bump obs m_unique_hits bs.Bdd.unique_hits;
-  Obs.bump obs m_unique_misses bs.Bdd.unique_misses;
-  Obs.bump obs m_cache_hits bs.Bdd.cache_hits;
-  Obs.bump obs m_cache_misses bs.Bdd.cache_misses;
-  Obs.bump obs m_limit_bails t.bails;
+  M.add m_nodes bs.Bdd.nodes;
+  M.add m_unique_hits bs.Bdd.unique_hits;
+  M.add m_unique_misses bs.Bdd.unique_misses;
+  M.add m_cache_hits bs.Bdd.cache_hits;
+  M.add m_cache_misses bs.Bdd.cache_misses;
+  M.add m_limit_bails t.bails;
   let cpct = hit_pct bs.Bdd.cache_hits bs.Bdd.cache_misses in
   if
     FR.enabled ()

@@ -54,7 +54,7 @@ val refresh : t -> unit
 
     Every [Bdd.Limit] bail-out — the paper's Section III-C/IV-C
     budget discipline — is counted instead of silently swallowed;
-    engines flush the total into their span as [bdd.limit_bails]. *)
+    {!flush_stats} adds the total to [bdd.limit_bails]. *)
 
 (** [limit_bails t] is the number of bail-outs observed so far through
     this context (its own catch sites plus callers'). *)
@@ -66,10 +66,10 @@ val limit_bails : t -> int
     event. *)
 val bump_limit_bail : t -> unit
 
-(** [flush_stats ?engine t obs] flushes the manager's unique-table and
-    computed-cache traffic into [obs] — raw hit/miss counts and
+(** [flush_stats ?engine t] flushes the manager's unique-table and
+    computed-cache traffic into the registry — raw hit/miss counts and
     [bdd.limit_bails] — and reports a cache hit-rate collapse
     (< 20 % over ≥ 10k lookups) to the flight recorder. Engines call
     it once per partition. [engine] labels the recorder event
     (default ["bdd"]). *)
-val flush_stats : ?engine:string -> t -> Sbm_obs.span -> unit
+val flush_stats : ?engine:string -> t -> unit

@@ -274,15 +274,15 @@ let analyze aig config store part =
 (* Main-domain bookkeeping for a finished partition, shared by the
    sequential path and the parallel merge path (which runs it against
    a worker's context but the live [aig]). *)
-let finish_partition aig ctx obs ~index ~rewrites =
-  Bdd_bridge.flush_stats ~engine:"diff" ctx obs;
+let finish_partition aig ctx ~index ~rewrites =
+  Bdd_bridge.flush_stats ~engine:"diff" ctx;
   let bails = Bdd_bridge.limit_bails ctx in
   Sbm_obs.partition_done ~bails ~engine:"diff" ~index
     ~structure:(fun () -> Aig.fold_hash aig)
     [ ("members", Array.length (Bdd_bridge.members ctx)); ("bails", bails);
       ("rewrites", rewrites) ]
 
-let optimize ?(obs = Sbm_obs.null) ?(config = default_config) aig =
+let optimize ?(config = default_config) aig =
   (* Difference implementations built from here on are this engine's
      nodes — unless a flow script already set a finer-grained tag. *)
   if (Aig.current_origin aig).Aig.Origin.kind = Aig.Origin.Seed then
@@ -291,7 +291,7 @@ let optimize ?(obs = Sbm_obs.null) ?(config = default_config) aig =
     if config.monolithic then [ Partition.whole aig ] else Partition.compute aig config.limits
   in
   let store = Option.map (fun bank -> Prefilter.attach bank aig) config.prefilter in
-  Sbm_obs.bump obs m_partitions (List.length parts);
+  M.add m_partitions (List.length parts);
   (* A clean (zero-rewrite) worker analysis merges verbatim: its
      counts were replayed from its shard, and its speculative
      origin-created counts fold in here, exactly what the sequential
@@ -304,15 +304,15 @@ let optimize ?(obs = Sbm_obs.null) ?(config = default_config) aig =
     ~clean:(fun ((_, rewrites, _), _) -> rewrites = 0)
     ~merge:(fun index _ ((ctx, _, _), created) ->
       Par_merge.merge_created aig created;
-      finish_partition aig ctx obs ~index ~rewrites:0)
+      finish_partition aig ctx ~index ~rewrites:0)
     ~redo:(fun index part ->
       let ctx, rewrites, gain = analyze aig config store part in
       total := !total + gain;
-      finish_partition aig ctx obs ~index ~rewrites;
+      finish_partition aig ctx ~index ~rewrites;
       rewrites > 0);
   !total
 
-let run ?obs ?config aig =
+let run ?config aig =
   let copy = Aig.copy aig in
-  ignore (optimize ?obs ?config copy);
+  ignore (optimize ?config copy);
   fst (Aig.compact copy)

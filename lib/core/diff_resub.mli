@@ -24,14 +24,14 @@ type config = {
 
 val default_config : config
 
-(** [run ?obs ?config aig] optimizes a copy of [aig] and returns the
+(** [run ?config aig] optimizes a copy of [aig] and returns the
     compacted result; the input is not modified. The engine counts
     into the registry: the [diff.*] counters, the [prefilter.*]
     verdicts with a bank, and per-partition [bdd.*] manager
     telemetry. *)
-val run : ?obs:Sbm_obs.span -> ?config:config -> Sbm_aig.Aig.t -> Sbm_aig.Aig.t
+val run : ?config:config -> Sbm_aig.Aig.t -> Sbm_aig.Aig.t
 
-(** [optimize ?obs ?config aig] applies the flow in place and returns
+(** [optimize ?config aig] applies the flow in place and returns
     the total size gain (the engine behind {!run}; flow scripts use
     it between passes). *)
-val optimize : ?obs:Sbm_obs.span -> ?config:config -> Sbm_aig.Aig.t -> int
+val optimize : ?config:config -> Sbm_aig.Aig.t -> int

@@ -156,10 +156,10 @@ let observed obs name f =
    fine-grained steps inside [baseline]. *)
 let step obs name f aig =
   Aig.set_origin aig (origin_of_pass name);
-  if not (Obs.enabled obs) then f Obs.null aig
+  if not (Obs.enabled obs) then f aig
   else begin
     let sp = Obs.span ~size:(Aig.size aig) obs name in
-    let aig = f sp aig in
+    let aig = f aig in
     Obs.close ~size:(Aig.size aig) sp;
     aig
   end
@@ -167,13 +167,12 @@ let step obs name f aig =
 (* resyn2rs-like algebraic/AIG script. *)
 let baseline ?(obs = Obs.null) aig0 =
   let aig = ref (fst (Aig.compact aig0)) in
-  let keep name f = aig := step obs name (fun _ a -> keep_better a (f a)) !aig in
+  let keep name f = aig := step obs name (fun a -> keep_better a (f a)) !aig in
   let in_place name f =
     aig :=
       step obs name
-        (fun sp a ->
-          let gain = f a in
-          Obs.bump sp m_gain gain;
+        (fun a ->
+          M.add m_gain (f a);
           a)
         !aig
   in
@@ -234,20 +233,19 @@ let sbm_iteration ~obs ~explain ~effort ~prefilter aig0 =
            a));
   (* 2. Heterogeneous elimination for kernel extraction on
      medium-large partitions. *)
-  run_pass "hetero-kernel" (fun sp a -> keep_better a (Hetero_kernel.run ~obs:sp a));
+  run_pass "hetero-kernel" (fun _ a -> keep_better a (Hetero_kernel.run a));
   (* 3. Enhanced MSPF computation on medium partitions with BDDs. *)
-  run_pass "mspf" (fun sp a ->
-      ignore
-        (Mspf.optimize ~obs:sp ~config:{ Mspf.default_config with prefilter } a);
+  run_pass "mspf" (fun _ a ->
+      ignore (Mspf.optimize ~config:{ Mspf.default_config with prefilter } a);
       fst (Aig.compact a));
   (* 4. Collapse and Boolean decomposition on reconvergent MFFCs is
      Refactor.run, which the baseline script (refactor, refactor -z)
      and the gradient's refactor moves already run. *)
   (* 5. Boolean-difference-based optimization, to unveil hard-to-find
      rewrites and escape local minima. *)
-  run_pass "boolean-difference" (fun sp a ->
+  run_pass "boolean-difference" (fun _ a ->
       ignore
-        (Diff_resub.optimize ~obs:sp
+        (Diff_resub.optimize
            ~config:
              {
                Diff_resub.default_config with
@@ -259,21 +257,20 @@ let sbm_iteration ~obs ~explain ~effort ~prefilter aig0 =
   (* 6. SAT sweeping and redundancy removal. Disproved candidate
      equivalences flow back into the pattern bank so the engines of
      the next iteration never chase the same false positive. *)
-  run_pass "sat-sweep" (fun sp a ->
+  run_pass "sat-sweep" (fun _ a ->
       let refinements0 =
         match prefilter with Some b -> Prefilter.refinements b | None -> 0
       in
       let on_cex = Option.map (fun b bits -> Prefilter.refine b bits) prefilter in
-      let swept, _ = Sbm_sat.Sweep.run ~obs:sp ?on_cex a in
+      let swept, _ = Sbm_sat.Sweep.run ?on_cex a in
       let a = keep_better a swept in
       ignore
-        (Sbm_sat.Redundancy.run ~obs:sp
+        (Sbm_sat.Redundancy.run
            ~max_candidates:(match effort with Low -> 50 | High -> 200)
            ?on_cex a);
       Option.iter
         (fun b ->
-          Obs.bump sp Prefilter.m_cex_refinements
-            (Prefilter.refinements b - refinements0))
+          M.add Prefilter.m_cex_refinements (Prefilter.refinements b - refinements0))
         prefilter;
       fst (Aig.compact a));
   !aig
@@ -321,11 +318,10 @@ let run ?(obs = Obs.null) ?explain ?(prefilter = true) script aig =
   | Diff ->
     let prefilter = bank () in
     pass obs "boolean-difference"
-      (fun sp a ->
-        Diff_resub.run ~obs:sp ~config:{ Diff_resub.default_config with prefilter } a)
+      (fun _ a -> Diff_resub.run ~config:{ Diff_resub.default_config with prefilter } a)
       aig
   | Mspf ->
     let prefilter = bank () in
     pass obs "mspf"
-      (fun sp a -> Mspf.run ~obs:sp ~config:{ Mspf.default_config with prefilter } a)
+      (fun _ a -> Mspf.run ~config:{ Mspf.default_config with prefilter } a)
       aig

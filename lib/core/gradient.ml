@@ -88,18 +88,18 @@ let event_to_json e =
 (* A move transforms the AIG (possibly returning a rebuilt one) and
    reports its exact size gain. All moves guarantee gain >= 0: pure
    in-place passes only commit improving changes, and rebuilding moves
-   fall back to the input when they lose. Moves receive the span of
-   their own attempt, so engine-level counters (BDD traffic, SAT
-   effort) nest under the move that caused them. *)
+   fall back to the input when they lose. Moves take no span: the
+   engine counters they bump land in the registry while the attempt's
+   span is open, so they nest under the move that caused them. *)
 type move = {
   name : string;
   kind : Aig.Origin.kind; (* provenance tag for nodes the move builds *)
   cost : int;
-  apply : Obs.span -> Aig.t -> Aig.t * int;
+  apply : Aig.t -> Aig.t * int;
 }
 
 let in_place name kind cost pass =
-  { name; kind; cost; apply = (fun obs aig -> (aig, pass obs aig)) }
+  { name; kind; cost; apply = (fun aig -> (aig, pass aig)) }
 
 let rebuilding name kind cost build =
   {
@@ -107,9 +107,9 @@ let rebuilding name kind cost build =
     kind;
     cost;
     apply =
-      (fun obs aig ->
+      (fun aig ->
         let before = Aig.size aig in
-        let candidate = build obs aig in
+        let candidate = build aig in
         let after = Aig.size candidate in
         if after <= before then (candidate, before - after) else (aig, 0));
   }
@@ -126,21 +126,19 @@ let moves ~prefilter =
     }
   in
   [
-    in_place "rewrite" Aig.Origin.Rewrite 1 (fun _ aig -> Sbm_aig.Rewrite.run aig);
-    rebuilding "balance" Aig.Origin.Balance 1 (fun _ aig -> Sbm_aig.Balance.run aig);
-    in_place "refactor" Aig.Origin.Refactor 2 (fun _ aig -> Sbm_aig.Refactor.run ~max_leaves:8 aig);
-    in_place "resub" Aig.Origin.Resub 2 (fun _ aig -> Sbm_aig.Resub.run ~max_leaves:6 ~max_divisors:20 aig);
-    in_place "rewrite -z" Aig.Origin.Rewrite 2 (fun _ aig ->
+    in_place "rewrite" Aig.Origin.Rewrite 1 (fun aig -> Sbm_aig.Rewrite.run aig);
+    rebuilding "balance" Aig.Origin.Balance 1 Sbm_aig.Balance.run;
+    in_place "refactor" Aig.Origin.Refactor 2 (fun aig -> Sbm_aig.Refactor.run ~max_leaves:8 aig);
+    in_place "resub" Aig.Origin.Resub 2 (fun aig -> Sbm_aig.Resub.run ~max_leaves:6 ~max_divisors:20 aig);
+    in_place "rewrite -z" Aig.Origin.Rewrite 2 (fun aig ->
         Sbm_aig.Rewrite.run ~zero_gain:true aig);
-    rebuilding "eliminate & kernel" Aig.Origin.Kernel 3 (fun obs aig ->
-        Hetero_kernel.run ~obs ~config:{ Hetero_kernel.partition_size = 60 } aig);
-    in_place "refactor -h" Aig.Origin.Refactor 4 (fun _ aig -> Sbm_aig.Refactor.run ~max_leaves:12 aig);
-    in_place "resub -h" Aig.Origin.Resub 5 (fun _ aig ->
+    rebuilding "eliminate & kernel" Aig.Origin.Kernel 3
+      (Hetero_kernel.run ~config:{ Hetero_kernel.partition_size = 60 });
+    in_place "refactor -h" Aig.Origin.Refactor 4 (fun aig -> Sbm_aig.Refactor.run ~max_leaves:12 aig);
+    in_place "resub -h" Aig.Origin.Resub 5 (fun aig ->
         Sbm_aig.Resub.run ~max_leaves:9 ~max_divisors:60 aig);
-    in_place "mspf resub" Aig.Origin.Mspf 6 (fun obs aig ->
-        Mspf.optimize ~obs ~config:mspf aig);
-    rebuilding "eliminate & kernel -h" Aig.Origin.Kernel 6 (fun obs aig ->
-        Hetero_kernel.run ~obs aig);
+    in_place "mspf resub" Aig.Origin.Mspf 6 (Mspf.optimize ~config:mspf);
+    rebuilding "eliminate & kernel -h" Aig.Origin.Kernel 6 (fun aig -> Hetero_kernel.run aig);
   ]
 
 let optimize ?(obs = Obs.null) ?(explain = fun (_ : event) -> ())
@@ -187,9 +185,9 @@ let optimize ?(obs = Obs.null) ?(explain = fun (_ : event) -> ())
     let sp =
       if traced then Obs.span ~size:(Aig.size target) obs m.name else Obs.null
     in
-    let next, gain = m.apply sp target in
-    Obs.bump sp m_move_cost m.cost;
-    Obs.bump sp m_move_gain gain;
+    let next, gain = m.apply target in
+    M.add m_move_cost m.cost;
+    M.add m_move_gain gain;
     if traced then Obs.close ~size:(Aig.size next) sp;
     (next, gain)
   in
@@ -316,8 +314,8 @@ let optimize ?(obs = Obs.null) ?(explain = fun (_ : event) -> ())
         FR.record ~severity:FR.Warn ~engine:"gradient"
           ~metrics:[ ("budget_forfeited", !budget) ]
           "aborted by watchdog; budget marked exhausted";
-      Obs.bump obs m_gradient_aborts 1;
-      Obs.bump obs m_budget_forfeited !budget;
+      M.add m_gradient_aborts 1;
+      M.add m_budget_forfeited !budget;
       budget := 0;
       continue_ := false
     end;
@@ -334,12 +332,12 @@ let optimize ?(obs = Obs.null) ?(explain = fun (_ : event) -> ())
     end;
     if Queue.length recent >= k && gradient () <= 0.0 then continue_ := false
   done;
-  Obs.bump obs m_moves_tried !tried;
-  Obs.bump obs m_moves_gained !gained;
-  Obs.bump obs m_gain !total_gain;
-  Obs.bump obs m_budget_spent !spent;
-  Obs.bump obs m_budget_extensions !extensions;
-  Obs.bump obs m_rounds !round;
+  M.add m_moves_tried !tried;
+  M.add m_moves_gained !gained;
+  M.add m_gain !total_gain;
+  M.add m_budget_spent !spent;
+  M.add m_budget_extensions !extensions;
+  M.add m_rounds !round;
   !aig
 
 let run ?obs ?explain ?config aig =

@@ -128,12 +128,12 @@ let fallback_origin aig =
     Aig.Origin.make ~pass:"hetero-kernel" Aig.Origin.Kernel
   else ambient
 
-let run ?(obs = Sbm_obs.null) ?(config = default_config) aig =
+let run ?(config = default_config) aig =
   let fallback = fallback_origin aig in
   let net = Network.of_aig aig in
   let lits_before = Network.num_lits net in
   let parts = partitions_of net config.partition_size in
-  Sbm_obs.bump obs m_partitions (List.length parts);
+  M.add m_partitions (List.length parts);
   (* [note] runs on the main domain in ascending partition index in
      both paths. This engine operates on the SOP network, so the
      trail's structure component is the network-side digest. *)
@@ -155,7 +155,7 @@ let run ?(obs = Sbm_obs.null) ?(config = default_config) aig =
       let improved = optimize_partition net part in
       note idx part improved;
       improved);
-  Sbm_obs.bump obs m_lits_saved (lits_before - Network.num_lits net);
+  M.add m_lits_saved (lits_before - Network.num_lits net);
   Network.to_aig ~provenance:(aig, fallback) net
 
 let run_homogeneous ~threshold aig =

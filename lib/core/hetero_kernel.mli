@@ -12,12 +12,12 @@ type config = { partition_size : int (** internal nodes per partition *) }
 
 val default_config : config
 
-(** [run ?obs ?config aig] round-trips through the SOP network view
+(** [run ?config aig] round-trips through the SOP network view
     and returns a fresh optimized AIG (callers keep the smaller of
     input/output, making the enclosing move gain >= 0). The input is
     not modified. The engine counts into the registry: the [kernel.*]
     counters. *)
-val run : ?obs:Sbm_obs.span -> ?config:config -> Sbm_aig.Aig.t -> Sbm_aig.Aig.t
+val run : ?config:config -> Sbm_aig.Aig.t -> Sbm_aig.Aig.t
 
 (** [run_homogeneous ~threshold aig] is the ablation baseline:
     one global threshold for the whole network. *)

@@ -1,6 +1,5 @@
 module Aig = Sbm_aig.Aig
 module Bdd = Sbm_bdd.Bdd
-module Obs = Sbm_obs
 module Partition = Sbm_partition.Partition
 module M = Sbm_obs.Metrics
 
@@ -276,15 +275,15 @@ let analyze aig config store part =
 
 (* Main-domain bookkeeping for a finished partition, shared by the
    sequential path and the parallel merge path. *)
-let finish_partition aig ctx obs ~index ~substitutions =
-  Bdd_bridge.flush_stats ~engine:"mspf" ctx obs;
+let finish_partition aig ctx ~index ~substitutions =
+  Bdd_bridge.flush_stats ~engine:"mspf" ctx;
   let bails = Bdd_bridge.limit_bails ctx in
-  Obs.partition_done ~bails ~engine:"mspf" ~index
+  Sbm_obs.partition_done ~bails ~engine:"mspf" ~index
     ~structure:(fun () -> Aig.fold_hash aig)
     [ ("members", Array.length (Bdd_bridge.members ctx)); ("bails", bails);
       ("substitutions", substitutions) ]
 
-let optimize ?(obs = Obs.null) ?(config = default_config) aig =
+let optimize ?(config = default_config) aig =
   (* MSPF only substitutes existing literals, but candidate probing
      can still build nodes; tag them unless a flow script already
      set a finer-grained origin. *)
@@ -292,7 +291,7 @@ let optimize ?(obs = Obs.null) ?(config = default_config) aig =
     Aig.set_origin aig (Aig.Origin.make ~pass:"mspf" Aig.Origin.Mspf);
   let parts = Partition.compute aig config.limits in
   let store = Option.map (fun bank -> Prefilter.attach bank aig) config.prefilter in
-  Obs.bump obs m_partitions (List.length parts);
+  M.add m_partitions (List.length parts);
   (* See Diff_resub: clean (zero-substitution) worker analyses merge
      verbatim, the rest are redone on the live AIG. *)
   let total = ref 0 in
@@ -302,15 +301,15 @@ let optimize ?(obs = Obs.null) ?(config = default_config) aig =
     ~clean:(fun ((_, substitutions, _), _) -> substitutions = 0)
     ~merge:(fun index _ ((ctx, _, _), created) ->
       Par_merge.merge_created aig created;
-      finish_partition aig ctx obs ~index ~substitutions:0)
+      finish_partition aig ctx ~index ~substitutions:0)
     ~redo:(fun index part ->
       let ctx, substitutions, gain = analyze aig config store part in
       total := !total + gain;
-      finish_partition aig ctx obs ~index ~substitutions;
+      finish_partition aig ctx ~index ~substitutions;
       substitutions > 0);
   !total
 
-let run ?obs ?config aig =
+let run ?config aig =
   let copy = Aig.copy aig in
-  ignore (optimize ?obs ?config copy);
+  ignore (optimize ?config copy);
   fst (Aig.compact copy)

@@ -1,6 +1,7 @@
 module Aig = Sbm_aig.Aig
 module Sim = Sbm_aig.Sim
 module Rng = Sbm_util.Rng
+module Hash64 = Sbm_util.Hash64
 
 type verdict = Reject_const | Reject_signature | Maybe
 
@@ -39,29 +40,21 @@ let refinements bank = bank.refinement_count
    the random-pattern stream identity, which together with the digest
    determines every signature the filter computes. *)
 
-let fh_finalize z =
-  let open Int64 in
-  let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-  let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
-  logxor z (shift_right_logical z 31)
-
-let fh_mix2 a b = fh_finalize (Int64.add (Int64.mul a 0x9E3779B97F4A7C15L) b)
-
 let bank_digest bank =
-  let acc = fh_mix2 (Int64.of_int Sim.default_words) (Int64.of_int max_cex) in
-  let acc = fh_mix2 acc (Int64.of_int bank.refinement_count) in
-  let acc = fh_mix2 acc (Int64.of_int bank.cex_count) in
+  let acc = Hash64.mix2 (Int64.of_int Sim.default_words) (Int64.of_int max_cex) in
+  let acc = Hash64.mix2 acc (Int64.of_int bank.refinement_count) in
+  let acc = Hash64.mix2 acc (Int64.of_int bank.cex_count) in
   List.fold_left
     (fun acc bits ->
       Array.fold_left
-        (fun acc b -> fh_mix2 acc (if b then 1L else 0L))
-        (fh_mix2 acc (Int64.of_int (Array.length bits)))
+        (fun acc b -> Hash64.mix2 acc (if b then 1L else 0L))
+        (Hash64.mix2 acc (Int64.of_int (Array.length bits)))
         bits)
     acc
     (List.rev bank.cex)
 
 let bank_seeds _bank =
-  fh_mix2 (Int64.of_int seed) (Int64.of_int Sim.default_words)
+  Hash64.mix2 (Int64.of_int seed) (Int64.of_int Sim.default_words)
 
 (* Base pattern word for (round, input): an independent SplitMix64
    draw per cell, so the bank renders identically for any input count

@@ -80,7 +80,8 @@ val exhaustive_max_inputs : int
     counterexample's width read as 0 — a real all-zero assignment, so
     no masking is ever needed). Networks at or below
     {!exhaustive_max_inputs} inputs get the exhaustive pattern set
-    instead. Used to hand the same patterns to the SAT sweeper. *)
+    instead. These are the patterns a signature store simulates
+    ({!attach}); SAT sweeping draws its own. *)
 val input_words : bank -> int -> int64 array array
 
 (** {1 Signature store} *)

@@ -4,6 +4,8 @@
    engines) run there in ascending partition index in both the
    sequential and the parallel path. *)
 
+module H = Sbm_util.Hash64
+
 type kind = Pass | Merge
 
 let kind_to_string = function Pass -> "pass" | Merge -> "merge"
@@ -24,17 +26,6 @@ type record = {
   counters : (string * int) list; (* full delta vector (pass records) *)
 }
 
-(* SplitMix64 finalizer / golden-ratio sequence mix — the same
-   construction as Aig.fold_hash, duplicated here because lib/obs
-   sits below lib/aig in the dependency order. *)
-let h64 z =
-  let open Int64 in
-  let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-  let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
-  logxor z (shift_right_logical z 31)
-
-let mix2 a b = h64 (Int64.add (Int64.mul a 0x9E3779B97F4A7C15L) b)
-
 (* FNV-1a 64-bit over a string. *)
 let hash_string s =
   let h = ref 0xcbf29ce484222325L in
@@ -45,12 +36,12 @@ let hash_string s =
     s;
   !h
 
-let chain_init = h64 0x5bd1e9955bd1e995L
+let chain_init = H.finalize 0x5bd1e9955bd1e995L
 
 let counters_hash counters =
   List.fold_left
-    (fun acc (k, v) -> mix2 (mix2 acc (hash_string k)) (Int64.of_int v))
-    (h64 0x9e3779b9L) counters
+    (fun acc (k, v) -> H.mix2 (H.mix2 acc (hash_string k)) (Int64.of_int v))
+    (H.finalize 0x9e3779b9L) counters
 
 type state = {
   mutable enabled : bool;
@@ -114,7 +105,7 @@ let injection () =
   end;
   !inject
 
-let inject_mask = h64 0xbadc0ffee0ddf00dL
+let inject_mask = H.finalize 0xbadc0ffee0ddf00dL
 
 (* --- record assembly --- *)
 
@@ -166,11 +157,11 @@ let emit kind label structure counters =
   let bank, seeds = bank_components () in
   let kind_tag = match kind with Pass -> 1L | Merge -> 2L in
   let chain =
-    mix2
-      (mix2
-         (mix2 (mix2 state.chain (hash_string label)) kind_tag)
-         (mix2 structure counters_digest))
-      (mix2 bank seeds)
+    H.mix2
+      (H.mix2
+         (H.mix2 (H.mix2 state.chain (hash_string label)) kind_tag)
+         (H.mix2 structure counters_digest))
+      (H.mix2 bank seeds)
   in
   let r =
     { seq = state.seq; kind; label; structure; counters_digest; bank; seeds;

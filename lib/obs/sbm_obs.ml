@@ -74,11 +74,6 @@ let close ?size ?depth = function
     Span_stack.pop f;
     poll ()
 
-(* The registry is the one counter store: a span's counters are the
-   registry's activity while it was open, so the span argument only
-   says where the bump happens. *)
-let bump _span m n = Metrics.add m n
-
 (* --- pass spans --- *)
 
 let observing () =
@@ -246,6 +241,7 @@ let ms_of_ns = Json.ms_of_ns
 type dist = {
   count : int;
   total_ms : float;
+  self_ms : float;
   p50_ms : float;
   p90_ms : float;
   max_ms : float;
@@ -262,30 +258,43 @@ let percentile values p =
   let rank = int_of_float (ceil (p *. float_of_int n)) - 1 in
   sorted.(max 0 (min (n - 1) rank))
 
-let dist_of_samples values =
-  let total = Array.fold_left ( +. ) 0.0 values in
-  {
-    count = Array.length values;
-    total_ms = total;
-    p50_ms = percentile values 0.5;
-    p90_ms = percentile values 0.9;
-    max_ms = percentile values 1.0;
-  }
+let wall_ms n = ms_of_ns n.wall_ns
 
-let histograms trace =
-  let acc : (string, float list ref) Hashtbl.t = Hashtbl.create 32 in
+(* Clamped at 0 against clock jitter between a span and its
+   children. *)
+let self_ms n =
+  Float.max 0.0
+    (wall_ms n -. List.fold_left (fun acc c -> acc +. wall_ms c) 0.0 n.children)
+
+(* One depth-first walk; totals sum in visiting order, so every view
+   of the same forest adds the same floats the same way. *)
+let aggregate forest =
+  let acc : (string, int * float * float * float list) Hashtbl.t =
+    Hashtbl.create 32
+  in
   let rec walk n =
-    let ms = ms_of_ns n.wall_ns in
-    (match Hashtbl.find_opt acc n.name with
-    | Some cell -> cell := ms :: !cell
-    | None -> Hashtbl.add acc n.name (ref [ ms ]));
+    let ms = wall_ms n in
+    let calls, total, self, samples =
+      Option.value ~default:(0, 0.0, 0.0, []) (Hashtbl.find_opt acc n.name)
+    in
+    Hashtbl.replace acc n.name
+      (calls + 1, total +. ms, self +. self_ms n, ms :: samples);
     List.iter walk n.children
   in
-  List.iter walk (spans trace);
+  List.iter walk forest;
   Hashtbl.fold
-    (fun name cell l -> (name, dist_of_samples (Array.of_list !cell)) :: l)
+    (fun name (count, total_ms, self, samples) l ->
+      let values = Array.of_list samples in
+      ( name,
+        { count; total_ms; self_ms = self;
+          p50_ms = percentile values 0.5;
+          p90_ms = percentile values 0.9;
+          max_ms = percentile values 1.0 } )
+      :: l)
     acc []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+
+let histograms trace = aggregate (spans trace)
 
 let pp_histograms ppf trace =
   Fmt.pf ppf "%-32s %6s %10s %10s %10s %10s@." "span" "count" "p50 ms"
@@ -302,17 +311,15 @@ let pp ppf trace =
   let rec go indent n =
     let pad = String.make (2 * indent) ' ' in
     Fmt.pf ppf "%s%-*s %8.2fms" pad (max 1 (32 - (2 * indent))) n.name
-      (ms_of_ns n.wall_ns);
-    (match (n.size_before, n.size_after) with
-    | Some b, Some a -> Fmt.pf ppf "  %d -> %d nodes" b a
-    | Some b, None -> Fmt.pf ppf "  %d nodes" b
-    | None, Some a -> Fmt.pf ppf "  -> %d nodes" a
-    | None, None -> ());
-    (match (n.depth_before, n.depth_after) with
-    | Some b, Some a -> Fmt.pf ppf "  %d -> %d levels" b a
-    | Some b, None -> Fmt.pf ppf "  %d levels" b
-    | None, Some a -> Fmt.pf ppf "  -> %d levels" a
-    | None, None -> ());
+      (wall_ms n);
+    let range what = function
+      | Some b, Some a -> Fmt.pf ppf "  %d -> %d %s" b a what
+      | Some b, None -> Fmt.pf ppf "  %d %s" b what
+      | None, Some a -> Fmt.pf ppf "  -> %d %s" a what
+      | None, None -> ()
+    in
+    range "nodes" (n.size_before, n.size_after);
+    range "levels" (n.depth_before, n.depth_after);
     Fmt.pf ppf "@.";
     if n.counters <> [] then begin
       Fmt.pf ppf "%s  | " pad;
@@ -328,7 +335,7 @@ let pp ppf trace =
 let esc = Json.escape
 
 let buf_span_fields b n =
-  Buffer.add_string b (Printf.sprintf "\"wall_ms\":%.6f" (ms_of_ns n.wall_ns));
+  Buffer.add_string b (Printf.sprintf "\"wall_ms\":%.6f" (wall_ms n));
   let field name v =
     match v with
     | Some v -> Buffer.add_string b (Printf.sprintf ",\"%s\":%d" name v)
@@ -348,6 +355,8 @@ let buf_span_fields b n =
     Json.buf_counters b n.counters
   end
 
+let trace_version = 2
+
 let to_json trace =
   let b = Buffer.create 4096 in
   let rec go b n =
@@ -357,7 +366,8 @@ let to_json trace =
     Json.buf_list b go n.children;
     Buffer.add_char b '}'
   in
-  Buffer.add_string b "{\"version\":2,\"totals\":";
+  Buffer.add_string b
+    (Printf.sprintf "{\"version\":%d,\"totals\":" trace_version);
   Json.buf_counters b (totals trace);
   Buffer.add_string b ",\"histograms\":";
   Json.buf_obj b
@@ -386,16 +396,74 @@ let to_json trace =
   Buffer.add_char b '}';
   Buffer.contents b
 
-let to_jsonl trace =
-  let b = Buffer.create 4096 in
+(* --- the trace reader: the inverse of [spans] as [to_json] writes
+   them --- *)
+
+(* A version-1 span has no "gc" object: its delta reads as zero. *)
+let rec node_of_json j =
+  let size key = Json.(to_int (member key j)) in
+  let gc = Option.value ~default:(Json.Obj []) (Json.member "gc" j) in
+  {
+    name = Json.str ~default:"?" "name" j;
+    wall_ns = Json.ns_of_ms (Json.num "wall_ms" j);
+    size_before = size "size_before";
+    size_after = size "size_after";
+    depth_before = size "depth_before";
+    depth_after = size "depth_after";
+    gc =
+      {
+        minor_words = Json.num "minor_words" gc;
+        major_words = Json.num "major_words" gc;
+        minor_collections = Json.int "minor_collections" gc;
+        major_collections = Json.int "major_collections" gc;
+      };
+    counters = Json.counters "counters" j;
+    children = List.map node_of_json (Json.to_list (Json.member "children" j));
+  }
+
+let of_json_value json =
+  match Json.(to_int (member "version" json)) with
+  | Some v when v > trace_version ->
+    Error
+      (Printf.sprintf "trace version %d is newer than supported (%d)" v
+         trace_version)
+  | _ -> (
+    match Json.member "spans" json with
+    | None -> Error "not a trace: missing \"spans\""
+    | Some (Json.List l) -> Ok (List.map node_of_json l)
+    | Some _ -> Error "not a trace: \"spans\" is not an array")
+
+let of_json s =
+  match Json.parse s with
+  | exception Json.Bad msg -> Error ("malformed JSON: " ^ msg)
+  | json -> of_json_value json
+
+(* [of_json] on a file ("-" = stdin); errors name the source. *)
+let load_with of_json path =
+  Result.bind (Json.read_source path) (fun s ->
+      let label = if path = "-" then "stdin" else path in
+      Result.map_error (fun msg -> label ^ ": " ^ msg) (of_json s))
+
+let load =
+  load_with (fun s -> if String.trim s = "" then Error "empty input" else of_json s)
+
+(* Every span depth-first, with its "root/child/grandchild" path. *)
+let iter_paths f trace =
   let rec go path n =
     let path = if path = "" then n.name else path ^ "/" ^ n.name in
-    Buffer.add_string b (Printf.sprintf "{\"path\":\"%s\"," (esc path));
-    buf_span_fields b n;
-    Buffer.add_string b "}\n";
+    f path n;
     List.iter (go path) n.children
   in
-  List.iter (go "") (spans trace);
+  List.iter (go "") (spans trace)
+
+let to_jsonl trace =
+  let b = Buffer.create 4096 in
+  iter_paths
+    (fun path n ->
+      Buffer.add_string b (Printf.sprintf "{\"path\":\"%s\"," (esc path));
+      buf_span_fields b n;
+      Buffer.add_string b "}\n")
+    trace;
   Buffer.contents b
 
 (* RFC 4180 quoting: a cell containing a comma, quote or newline is
@@ -433,21 +501,19 @@ let to_csv trace =
   Buffer.add_string b
     "path,wall_ms,size_before,size_after,depth_before,depth_after,counters\n";
   let cell = function Some v -> string_of_int v | None -> "" in
-  let rec go path n =
-    let path = if path = "" then n.name else path ^ "/" ^ n.name in
-    let counters =
-      String.concat ";"
-        (List.map
-           (fun (k, v) -> Printf.sprintf "%s=%d" (counter_key_escape k) v)
-           n.counters)
-    in
-    Buffer.add_string b
-      (Printf.sprintf "%s,%.6f,%s,%s,%s,%s,%s\n" (csv_cell path)
-         (ms_of_ns n.wall_ns) (cell n.size_before) (cell n.size_after)
-         (cell n.depth_before) (cell n.depth_after) (csv_cell counters));
-    List.iter (go path) n.children
-  in
-  List.iter (go "") (spans trace);
+  iter_paths
+    (fun path n ->
+      let counters =
+        String.concat ";"
+          (List.map
+             (fun (k, v) -> Printf.sprintf "%s=%d" (counter_key_escape k) v)
+             n.counters)
+      in
+      Buffer.add_string b
+        (Printf.sprintf "%s,%.6f,%s,%s,%s,%s,%s\n" (csv_cell path)
+           (wall_ms n) (cell n.size_before) (cell n.size_after)
+           (cell n.depth_before) (cell n.depth_after) (csv_cell counters)))
+    trace;
   Buffer.contents b
 
 let write trace path =
@@ -456,10 +522,7 @@ let write trace path =
     else if Filename.check_suffix path ".csv" then to_csv
     else to_json
   in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (render trace))
+  Out_channel.with_open_text path (fun oc -> output_string oc (render trace))
 
 (* --- QoR snapshots --- *)
 
@@ -539,10 +602,7 @@ module Snapshot = struct
     Buffer.contents b
 
   let write t path =
-    let oc = open_out path in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () ->
+    Out_channel.with_open_text path (fun oc ->
         output_string oc (to_json t);
         output_char oc '\n')
 
@@ -734,10 +794,7 @@ module Postmortem = struct
                  else events);
             }))
 
-  let load path =
-    Result.bind (Json.read_source path) (fun s ->
-        let label = if path = "-" then "stdin" else path in
-        Result.map_error (fun msg -> label ^ ": " ^ msg) (of_json s))
+  let load = load_with of_json
 
   let path () =
     Filename.concat setup.dir

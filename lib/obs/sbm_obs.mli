@@ -4,9 +4,9 @@
     records a name, monotonic-clock wall time, optional network
     size/depth before and after, and its own counters (BDD unique-table
     traffic, SAT decisions/conflicts/propagations, resubstitution
-    candidates tried vs. accepted, gradient move costs, ...). Engines
-    receive a span through their optional [?obs] argument; the flow
-    scripts open one pass span per scripted pass.
+    candidates tried vs. accepted, gradient move costs, ...). Only the
+    flow scripts (pass and step spans) and the gradient engine (move
+    spans) take a span, through [?obs]; other engines just count.
 
     An open span is a frame on the one process-global {!Span_stack}.
     Counters live only in the {!Metrics} registry: a span snapshots the
@@ -22,8 +22,9 @@
     Reporters render a finished trace as a human-readable tree
     ({!pp}), a nested JSON document ({!to_json}), JSON-lines with one
     flattened span per line ({!to_jsonl}), or CSV ({!to_csv}).
-    {!write} picks the format from the file extension. The JSON schema
-    is documented in DESIGN.md (section "Telemetry"). *)
+    {!write} picks the format from the file extension; {!of_json}
+    reads the JSON document back. The JSON schema is documented in
+    DESIGN.md (section "Telemetry"). *)
 
 module Flight_recorder = Flight_recorder
 (** In-flight bounded ring buffer of structured events; see
@@ -95,14 +96,6 @@ val span : ?size:int -> ?depth:int -> span -> string -> span
     the network leaving the span. Closing {!null} or closing twice is a
     no-op (the first close wins). *)
 val close : ?size:int -> ?depth:int -> span -> unit
-
-(** [bump span m n] adds [n] to the registered counter [m]. The
-    {!Metrics} registry is the only counter store: every open span sees
-    the bump in its registry delta, and the innermost one reports it as
-    its own. A bump on {!null} counts all the same, so counters never
-    depend on tracing. Inside {!capture} the bump lands in the worker
-    shard for deterministic replay. *)
-val bump : span -> Metrics.t -> int -> unit
 
 (** {1 The main-domain poll and worker shards} *)
 
@@ -223,25 +216,36 @@ val ledger : trace -> Ledger.row list
 
 (** {1 Value distributions}
 
-    Spans sharing a name (e.g. the per-partition or per-move child
-    spans an engine opens in a loop) form a sample; the histogram view
-    summarizes each sample's wall-time distribution. *)
+    Spans sharing a name (e.g. the per-move child spans the gradient
+    opens in a loop) form a sample; {!aggregate} summarizes each
+    sample's wall time. It is the one per-name view of a forest: the
+    trace's [histograms] block, [sbm bench --histograms] and the
+    [sbm profile] hotspots all read it. *)
 
 type dist = {
   count : int;
-  total_ms : float;
+  total_ms : float;  (** inclusive: nested same-name spans both count *)
+  self_ms : float;  (** summed {!self_ms}: sums to the forest's wall time *)
   p50_ms : float;  (** median (nearest-rank) *)
   p90_ms : float;
   max_ms : float;
 }
+
+val wall_ms : node -> float
+
+(** [self_ms n] is [wall_ms n] minus its children's, clamped at 0. *)
+val self_ms : node -> float
 
 (** [percentile values p] is the nearest-rank [p]-percentile
     ([p] in [0,1]) of an unsorted, non-empty sample. Raises
     [Invalid_argument] on an empty sample or [p] outside [0,1]. *)
 val percentile : float array -> float -> float
 
-(** [histograms trace] groups every span in the forest by name and
-    summarizes each group's wall time; sorted by span name. *)
+(** [aggregate forest] groups every span by name (one depth-first
+    walk), sorted by name. *)
+val aggregate : node list -> (string * dist) list
+
+(** [histograms trace] is [aggregate (spans trace)]. *)
 val histograms : trace -> (string * dist) list
 
 (** Render {!histograms} as an aligned table. *)
@@ -261,6 +265,19 @@ val pp : Format.formatter -> trace -> unit
     ({!Flight_recorder} events, verdicts included) — the Perfetto
     exporter's counter/instant sources. *)
 val to_json : trace -> string
+
+(** [of_json s] is the span forest of a trace document:
+    [of_json (to_json t) = Ok (spans t)] on a closed trace. A version-1
+    span (no [gc] object) reads a zero delta; a newer version, or no
+    ["spans"] array, is an [Error]. *)
+val of_json : string -> (node list, string) result
+
+(** [of_json_value j] is {!of_json} on an already-parsed document. *)
+val of_json_value : Json.t -> (node list, string) result
+
+(** [load path] is {!of_json} on a file (["-"] = stdin); errors name
+    the source. *)
+val load : string -> (node list, string) result
 
 (** One JSON object per line, spans flattened depth-first with a
     [path] field ("root/child/grandchild"). *)

@@ -47,21 +47,6 @@ let record_components (a : FP.record) (b : FP.record) =
       (Seeds, a.FP.seeds = b.FP.seeds);
     ]
 
-let counter_diffs (a : FP.record) (b : FP.record) =
-  if a.FP.counters = [] && b.FP.counters = [] then []
-  else begin
-    let keys =
-      List.sort_uniq String.compare
-        (List.map fst a.FP.counters @ List.map fst b.FP.counters)
-    in
-    List.filter_map
-      (fun k ->
-        let va = List.assoc_opt k a.FP.counters in
-        let vb = List.assoc_opt k b.FP.counters in
-        if va = vb then None else Some (k, va, vb))
-      keys
-  end
-
 let compare_trails (ta : FP.record list) (tb : FP.record list) =
   let rec go i ta tb =
     match (ta, tb) with
@@ -75,7 +60,9 @@ let compare_trails (ta : FP.record list) (tb : FP.record list) =
       | [] -> go (i + 1) ta' tb'
       | components ->
         let counter_diffs =
-          if List.mem Counters components then counter_diffs a b else []
+          if List.mem Counters components then
+            Report.counter_changes a.FP.counters b.FP.counters
+          else []
         in
         Diverged { index = i; a = Some a; b = Some b; components;
                    counter_diffs })

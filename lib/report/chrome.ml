@@ -1,8 +1,8 @@
 (* Chrome/Perfetto trace-event exporter.
 
-   Converts a v2 telemetry trace (the `sbm opt --report trace.json`
-   document) into the Trace Event Format that ui.perfetto.dev and
-   chrome://tracing load directly:
+   Converts a telemetry trace (the `sbm opt --report trace.json`
+   document, read back by Sbm_obs.of_json_value) into the Trace Event
+   Format that ui.perfetto.dev and chrome://tracing load directly:
    - every span becomes a B/E duration-event pair on one thread;
    - every live-telemetry sample ("samples", written when the run had
      `--status`) becomes one "C" counter event per counter and gauge;
@@ -53,34 +53,28 @@ let args_of pairs =
 let number n = Printf.sprintf "%g" (float_of_int n)
 let quoted s = Printf.sprintf "\"%s\"" (escape s)
 
-let span_args j =
+let span_args (n : Sbm_obs.node) =
   let sizes =
     List.filter_map
-      (fun key ->
-        Option.map (fun v -> (key, string_of_int v))
-          (Json.to_int (Json.member key j)))
-      [ "size_before"; "size_after"; "depth_before"; "depth_after" ]
+      (fun (key, v) -> Option.map (fun v -> (key, string_of_int v)) v)
+      [ ("size_before", n.size_before); ("size_after", n.size_after);
+        ("depth_before", n.depth_before); ("depth_after", n.depth_after) ]
   in
-  let counters =
-    List.map (fun (k, n) -> (k, number n)) (Json.counters "counters" j)
-  in
+  let counters = List.map (fun (k, v) -> (k, number v)) n.counters in
   match sizes @ counters with [] -> None | pairs -> Some (args_of pairs)
 
 (* Spans: B at the synthesized start, E at start + wall_ms. Children
    are laid out sequentially from the parent's start (v2 stores no
    per-span start time). Returns this span's end, so the caller can
    place the next sibling after it. *)
-let rec emit_span b ~first ~t0 j =
-  let name = Json.str ~default:"?" "name" j in
-  event b ~first:!first ~ph:"B" ~name ~ts:(t0 *. 1000.)
-    ?args:(span_args j) ();
+let rec emit_span b ~first ~t0 (n : Sbm_obs.node) =
+  event b ~first:!first ~ph:"B" ~name:n.name ~ts:(t0 *. 1000.)
+    ?args:(span_args n) ();
   first := false;
   let child_t = ref t0 in
-  List.iter
-    (fun c -> child_t := emit_span b ~first ~t0:!child_t c)
-    (Json.to_list (Json.member "children" j));
-  let t1 = t0 +. Json.num "wall_ms" j in
-  event b ~first:false ~ph:"E" ~name ~ts:(t1 *. 1000.) ();
+  List.iter (fun c -> child_t := emit_span b ~first ~t0:!child_t c) n.children;
+  let t1 = t0 +. Sbm_obs.wall_ms n in
+  event b ~first:false ~ph:"E" ~name:n.name ~ts:(t1 *. 1000.) ();
   t1
 
 (* Counter series from the status-file history: one C event per
@@ -115,10 +109,11 @@ let emit_events b ~first (events : FR.event list) =
 let convert src =
   match Json.parse src with
   | exception Json.Bad msg -> Error ("trace: " ^ msg)
-  | j ->
-    let spans = Json.to_list (Json.member "spans" j) in
-    if spans = [] then Error "trace: no spans (is this a v2 trace report?)"
-    else begin
+  | j -> (
+    match Sbm_obs.of_json_value j with
+    | Error msg -> Error ("trace: " ^ msg)
+    | Ok [] -> Error "trace: no spans (is this a v2 trace report?)"
+    | Ok spans ->
       let b = Buffer.create 65536 in
       Buffer.add_string b "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
       (* Metadata first: names the process/thread in the Perfetto UI. *)
@@ -133,5 +128,4 @@ let convert src =
       emit_samples b ~first (all "samples" Status.sample_of_json);
       emit_events b ~first (all "events" FR.event_of_json);
       Buffer.add_string b "]}";
-      Ok (Buffer.contents b)
-    end
+      Ok (Buffer.contents b))

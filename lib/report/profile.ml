@@ -1,55 +1,16 @@
-type span = { name : string; wall_ms : float; children : span list }
+type span = Sbm_obs.node
 
-(* --- loading --- *)
-
-let rec span_of_json j =
-  {
-    name = Json.str ~default:"?" "name" j;
-    wall_ms = Json.num "wall_ms" j;
-    children = List.map span_of_json (Json.to_list (Json.member "children" j));
-  }
-
-let of_json s =
-  match Json.parse s with
-  | exception Json.Bad msg -> Error ("malformed JSON: " ^ msg)
-  | json -> (
-    match Json.member "spans" json with
-    | None -> Error "not a trace: missing \"spans\""
-    | Some (Json.List l) -> Ok (List.map span_of_json l)
-    | Some _ -> Error "not a trace: \"spans\" is not an array")
-
-let load path =
-  Result.bind (Json.read_source path) (fun s ->
-      let label = if path = "-" then "stdin" else path in
-      match String.trim s with
-      | "" -> Error (label ^ ": empty input")
-      | s -> Result.map_error (fun msg -> label ^ ": " ^ msg) (of_json s))
-
-(* --- aggregation --- *)
-
-let children_ms s = List.fold_left (fun acc c -> acc +. c.wall_ms) 0.0 s.children
-
-(* Self time = wall time minus time attributed to children; clamped at
-   0 against clock jitter between a span and its children. *)
-let self_ms s = Float.max 0.0 (s.wall_ms -. children_ms s)
+let of_json = Sbm_obs.of_json
+let load = Sbm_obs.load
+let self_ms = Sbm_obs.self_ms
 
 type agg = { agg_name : string; calls : int; total_ms : float; self_ms : float }
 
 let aggregate spans =
-  let tbl : (string, int * float * float) Hashtbl.t = Hashtbl.create 32 in
-  let rec walk s =
-    let calls, total, self =
-      Option.value ~default:(0, 0.0, 0.0) (Hashtbl.find_opt tbl s.name)
-    in
-    Hashtbl.replace tbl s.name
-      (calls + 1, total +. s.wall_ms, self +. self_ms s);
-    List.iter walk s.children
-  in
-  List.iter walk spans;
-  Hashtbl.fold
-    (fun agg_name (calls, total_ms, self_ms) acc ->
-      { agg_name; calls; total_ms; self_ms } :: acc)
-    tbl []
+  List.map
+    (fun (agg_name, (d : Sbm_obs.dist)) ->
+      { agg_name; calls = d.count; total_ms = d.total_ms; self_ms = d.self_ms })
+    (Sbm_obs.aggregate spans)
   |> List.sort (fun a b ->
          let c = compare b.self_ms a.self_ms in
          if c <> 0 then c else String.compare a.agg_name b.agg_name)
@@ -81,7 +42,7 @@ let to_collapsed spans =
   let frame name =
     String.map (fun c -> if c = ';' then ':' else c) name
   in
-  let rec walk path s =
+  let rec walk path (s : span) =
     let stack = if path = "" then frame s.name else path ^ ";" ^ frame s.name in
     (match Hashtbl.find_opt weights stack with
     | Some w -> Hashtbl.replace weights stack (w +. self_ms s)
@@ -99,12 +60,5 @@ let to_collapsed spans =
          if us > 0 then Some (Printf.sprintf "%s %d" stack us) else None)
 
 let write_collapsed spans path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      List.iter
-        (fun line ->
-          output_string oc line;
-          output_char oc '\n')
-        (to_collapsed spans))
+  Out_channel.with_open_text path (fun oc ->
+      List.iter (fun line -> output_string oc (line ^ "\n")) (to_collapsed spans))

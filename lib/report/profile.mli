@@ -1,35 +1,28 @@
 (** Time attribution over telemetry traces.
 
-    Consumes the span tree a trace report ([sbm opt --report FILE.json])
-    contains and answers "where did the milliseconds go": per span
-    name, how much wall time was spent in total (span inclusive) and
-    how much was {e self} time — wall time not attributed to any child
-    span. Also renders collapsed stacks consumable by Brendan Gregg's
+    A view of the span forest {!Sbm_obs.of_json} reads back from a
+    trace report ([sbm opt --report FILE.json]) that answers "where did
+    the milliseconds go": per span name, how much wall time was spent
+    in total (span inclusive) and how much was {e self} time — wall
+    time not attributed to any child span ({!Sbm_obs.aggregate}). Also
+    renders collapsed stacks consumable by Brendan Gregg's
     [flamegraph.pl]. *)
 
-type span = { name : string; wall_ms : float; children : span list }
+type span = Sbm_obs.node
 
-(** [of_json s] parses a trace document (the [{"version":..,
-    "spans":[...]}] format of {!Sbm_obs.write}) into its span forest. *)
+(** {!Sbm_obs.of_json}. *)
 val of_json : string -> (span list, string) result
 
-(** [load path] reads and parses a trace file; [path = "-"] reads
-    stdin. Empty or truncated input is an [Error] naming the source. *)
+(** {!Sbm_obs.load}. *)
 val load : string -> (span list, string) result
 
-(** [self_ms s] is [s]'s wall time minus its children's, clamped at 0. *)
+(** {!Sbm_obs.self_ms}. *)
 val self_ms : span -> float
 
-type agg = {
-  agg_name : string;
-  calls : int;  (** spans with this name anywhere in the forest *)
-  total_ms : float;
-      (** summed inclusive wall time; nested same-name spans are both
-          counted, as in any recursive profile *)
-  self_ms : float;  (** summed self time — sums to the run's wall time *)
-}
+(** One row of {!Sbm_obs.aggregate}; [calls] is its [count]. *)
+type agg = { agg_name : string; calls : int; total_ms : float; self_ms : float }
 
-(** [aggregate spans] groups the forest by span name, self time
+(** [aggregate spans] is {!Sbm_obs.aggregate}, self time
     descending. *)
 val aggregate : span list -> agg list
 

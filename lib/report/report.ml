@@ -54,17 +54,21 @@ let classify ~tol ~old_value ~new_value metric =
   in
   { metric; old_value; new_value; pct; verdict }
 
-let counter_deltas (o : Snapshot.entry) (n : Snapshot.entry) =
-  let names =
-    List.sort_uniq String.compare (List.map fst o.counters @ List.map fst n.counters)
-  in
+let counter_changes a b =
+  List.sort_uniq String.compare (List.map fst a @ List.map fst b)
+  |> List.filter_map (fun k ->
+         let va = List.assoc_opt k a and vb = List.assoc_opt k b in
+         if va = vb then None else Some (k, va, vb))
+
+(* A counter missing on one side reads as 0 there. *)
+let counter_deltas o n =
   List.filter_map
-    (fun counter ->
-      let get e = Option.value ~default:0 (List.assoc_opt counter e.Snapshot.counters) in
-      let old_count = get o and new_count = get n in
+    (fun (counter, o, n) ->
+      let old_count = Option.value ~default:0 o
+      and new_count = Option.value ~default:0 n in
       if old_count = new_count then None
       else Some { counter; old_count; new_count })
-    names
+    (counter_changes o n)
 
 let diff ?(tolerance = default_tolerance) ?(ignore_time = false)
     (o : Snapshot.t) (n : Snapshot.t) =
@@ -97,7 +101,7 @@ let diff ?(tolerance = default_tolerance) ?(ignore_time = false)
            Some (oe.size_before, ne.size_before)
          else None);
       deltas;
-      counter_deltas = counter_deltas oe ne;
+      counter_deltas = counter_deltas oe.counters ne.counters;
       verdict =
         List.fold_left (fun acc (d : delta) -> worst acc d.verdict) Improved deltas;
     }
@@ -269,21 +273,6 @@ type bench_passes = {
 
 type passes_diff = { benches : bench_passes list; verdict : verdict }
 
-let pass_counter_deltas (o : Ledger.row) (n : Ledger.row) =
-  let names =
-    List.sort_uniq String.compare
-      (List.map fst o.Ledger.counters @ List.map fst n.Ledger.counters)
-  in
-  List.filter_map
-    (fun counter ->
-      let get (r : Ledger.row) =
-        Option.value ~default:0 (List.assoc_opt counter r.Ledger.counters)
-      in
-      let old_count = get o and new_count = get n in
-      if old_count = new_count then None
-      else Some { counter; old_count; new_count })
-    names
-
 (* Alignment contract: pass sequences are compared positionally and
    must agree on (index, path) — a flow whose pass sequence changed is
    not comparable pass-by-pass, so any mismatch is Regressed (the
@@ -369,7 +358,7 @@ let diff_bench_passes ~tolerance ~ignore_time (oe : Snapshot.entry)
           path = n.Ledger.path;
           index = n.Ledger.index;
           deltas;
-          counter_deltas = pass_counter_deltas o n;
+          counter_deltas = counter_deltas o.Ledger.counters n.Ledger.counters;
           verdict =
             List.fold_left
               (fun acc (d : delta) -> worst acc d.verdict)

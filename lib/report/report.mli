@@ -42,6 +42,15 @@ type delta = {
 
 type counter_delta = { counter : string; old_count : int; new_count : int }
 
+(** [counter_changes a b] is every counter whose value differs between
+    the two lists, with its value on each side ([None] = absent), in
+    name order. The one counter-list diff: {!diff} and {!diff_passes}
+    read an absent counter as 0, [sbm audit] prints it as [-]. *)
+val counter_changes :
+  (string * int) list ->
+  (string * int) list ->
+  (string * int option * int option) list
+
 type row = {
   bench : string;
   size_in : (int * int) option;

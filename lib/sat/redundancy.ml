@@ -1,6 +1,7 @@
 module Aig = Sbm_aig.Aig
 module Sim = Sbm_aig.Sim
 module Rng = Sbm_util.Rng
+module M = Sbm_obs.Metrics
 
 (* Conflict budget of one miter; an [Unknown] answer keeps the node. *)
 let conflict_limit = 1000
@@ -9,7 +10,7 @@ let conflict_limit = 1000
    output, with one SAT call on a fresh miter. A [Sat] answer carries
    the input assignment under which the bypass flips an output; it is
    handed to [on_cex] (the simulation prefilter's refinement hook). *)
-let bypass_safe obs ?on_cex aig v cand =
+let bypass_safe ?on_cex aig v cand =
   let solver = Solver.create () in
   let vars = Tseitin.encode solver aig in
   (* Encode the modified cones: copy variables for the TFO of [v],
@@ -37,15 +38,11 @@ let bypass_safe obs ?on_cex aig v cand =
   in
   Array.iter
     (fun w ->
-      if in_tfo.(w) && w <> v && Aig.is_and aig w then begin
-        let x = Solver.new_var solver in
-        let a = shadow_lit (Aig.fanin0 aig w) in
-        let b = shadow_lit (Aig.fanin1 aig w) in
-        ignore (Solver.add_clause solver [ -x; a ]);
-        ignore (Solver.add_clause solver [ -x; b ]);
-        ignore (Solver.add_clause solver [ x; -a; -b ]);
-        shadow.(w) <- x
-      end)
+      if in_tfo.(w) && w <> v && Aig.is_and aig w then
+        shadow.(w) <-
+          Tseitin.and_gate solver
+            (shadow_lit (Aig.fanin0 aig w))
+            (shadow_lit (Aig.fanin1 aig w)))
     order;
   (* Miter: some output differs. *)
   let diffs =
@@ -53,25 +50,17 @@ let bypass_safe obs ?on_cex aig v cand =
     |> List.filter_map (fun l ->
            let w = Aig.node_of l in
            if not in_tfo.(w) then None
-           else begin
-             let orig = Tseitin.lit_dimacs vars l in
-             let shad = shadow_lit l in
-             let d = Solver.new_var solver in
-             (* d -> (orig xor shad) *)
-             ignore (Solver.add_clause solver [ -d; orig; shad ]);
-             ignore (Solver.add_clause solver [ -d; -orig; -shad ]);
-             Some d
-           end)
+           else Some (Tseitin.differ solver (Tseitin.lit_dimacs vars l) (shadow_lit l)))
   in
   if diffs = [] then true
   else begin
     ignore (Solver.add_clause solver diffs);
     let result = Solver.solve ~conflict_limit solver in
-    Sbm_obs.bump obs Sat_metrics.redundancy_sat_calls 1;
-    Sbm_obs.bump obs Sat_metrics.conflicts (Solver.num_conflicts solver);
-    Sbm_obs.bump obs Sat_metrics.decisions (Solver.num_decisions solver);
-    Sbm_obs.bump obs Sat_metrics.propagations (Solver.num_propagations solver);
-    Sbm_obs.bump obs Sat_metrics.restarts (Solver.num_restarts solver);
+    M.add Sat_metrics.redundancy_sat_calls 1;
+    M.add Sat_metrics.conflicts (Solver.num_conflicts solver);
+    M.add Sat_metrics.decisions (Solver.num_decisions solver);
+    M.add Sat_metrics.propagations (Solver.num_propagations solver);
+    M.add Sat_metrics.restarts (Solver.num_restarts solver);
     match result with
     | Solver.Unsat -> true
     | Solver.Sat ->
@@ -172,7 +161,7 @@ let disprove f aig v cand =
     word 0
   end
 
-let run ?(obs = Sbm_obs.null) ?(max_candidates = 200) ?on_cex aig =
+let run ?(max_candidates = 200) ?on_cex aig =
   let removed = ref 0 in
   let tried = ref 0 in
   let sim_disproved = ref 0 in
@@ -200,7 +189,7 @@ let run ?(obs = Sbm_obs.null) ?(max_candidates = 200) ?on_cex aig =
               Option.iter (fun f -> f bits) on_cex;
               false
             | None ->
-              if bypass_safe obs ?on_cex aig v cand then begin
+              if bypass_safe ?on_cex aig v cand then begin
                 Aig.replace aig v cand;
                 incr removed;
                 (* [v]'s fanout now reads [cand]: refresh the values. *)
@@ -215,7 +204,7 @@ let run ?(obs = Sbm_obs.null) ?(max_candidates = 200) ?on_cex aig =
         if not (try_cand f0) then ignore (try_cand f1)
       end)
     order;
-  Sbm_obs.bump obs Sat_metrics.redundancy_tried !tried;
-  Sbm_obs.bump obs Sat_metrics.redundancy_removed !removed;
-  Sbm_obs.bump obs Sat_metrics.redundancy_sim_disproved !sim_disproved;
+  M.add Sat_metrics.redundancy_tried !tried;
+  M.add Sat_metrics.redundancy_removed !removed;
+  M.add Sat_metrics.redundancy_sim_disproved !sim_disproved;
   !removed

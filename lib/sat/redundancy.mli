@@ -10,17 +10,17 @@
     candidates the miter would not prove, so the result is the one the
     miters alone give. *)
 
-(** [run ?obs ?max_candidates ?on_cex aig] tries candidates in
+(** [run ?max_candidates ?on_cex aig] tries candidates in
     topological order and returns the number of nodes bypassed. Each
-    miter gets 1000 conflicts; an undecided candidate is kept. The AIG is modified in place. [obs] receives the
-    counters [redundancy.tried], [redundancy.sim_disproved],
+    miter gets 1000 conflicts; an undecided candidate is kept. The AIG
+    is modified in place. The run counts into the registry:
+    [redundancy.tried], [redundancy.sim_disproved],
     [redundancy.sat_calls], [redundancy.removed] and [sat.conflicts]/
     [sat.decisions]/[sat.propagations]. [on_cex] receives the
     primary-input assignment that shows a candidate unsafe: the
     simulation pattern of every rejection and the model of every [Sat]
     answer. It feeds the simulation prefilter's pattern bank. *)
 val run :
-  ?obs:Sbm_obs.span ->
   ?max_candidates:int ->
   ?on_cex:(bool array -> unit) ->
   Sbm_aig.Aig.t ->

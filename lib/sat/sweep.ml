@@ -1,6 +1,7 @@
 module Aig = Sbm_aig.Aig
 module Sim = Sbm_aig.Sim
 module Rng = Sbm_util.Rng
+module M = Sbm_obs.Metrics
 
 (* Signature of a node across simulation rounds, canonicalized so a
    node and its complement land in the same class: if the first bit is
@@ -27,7 +28,7 @@ let signatures aig rng =
 (* Conflict budget of one miter query; an [Unknown] pair is not merged. *)
 let conflict_limit = 1000
 
-let run ?(obs = Sbm_obs.null) ?on_cex aig =
+let run ?on_cex aig =
   let aig, _ = Aig.compact aig in
   let rng = Rng.create 0x5eed in
   let sigs = signatures aig rng in
@@ -103,12 +104,12 @@ let run ?(obs = Sbm_obs.null) ?on_cex aig =
            ("merged", !merged); ("restarts", Solver.num_restarts solver) ]
        "sweep done");
   Sbm_obs.poll ();
-  Sbm_obs.bump obs Sat_metrics.sweep_classes (Hashtbl.length classes);
-  Sbm_obs.bump obs Sat_metrics.sweep_sat_calls !sat_calls;
-  Sbm_obs.bump obs Sat_metrics.sweep_merged !merged;
-  Sbm_obs.bump obs Sat_metrics.conflicts (Solver.num_conflicts solver);
-  Sbm_obs.bump obs Sat_metrics.decisions (Solver.num_decisions solver);
-  Sbm_obs.bump obs Sat_metrics.propagations (Solver.num_propagations solver);
-  Sbm_obs.bump obs Sat_metrics.restarts (Solver.num_restarts solver);
+  M.add Sat_metrics.sweep_classes (Hashtbl.length classes);
+  M.add Sat_metrics.sweep_sat_calls !sat_calls;
+  M.add Sat_metrics.sweep_merged !merged;
+  M.add Sat_metrics.conflicts (Solver.num_conflicts solver);
+  M.add Sat_metrics.decisions (Solver.num_decisions solver);
+  M.add Sat_metrics.propagations (Solver.num_propagations solver);
+  M.add Sat_metrics.restarts (Solver.num_restarts solver);
   let swept, _ = Aig.compact aig in
   (swept, !merged)

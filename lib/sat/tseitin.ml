@@ -5,6 +5,21 @@ let lit_dimacs vars l =
   if v = 0 then invalid_arg "Tseitin.lit_dimacs: unencoded node";
   if Aig.is_compl l then -v else v
 
+let and_gate solver a b =
+  let x = Solver.new_var solver in
+  (* x <-> a & b *)
+  ignore (Solver.add_clause solver [ -x; a ]);
+  ignore (Solver.add_clause solver [ -x; b ]);
+  ignore (Solver.add_clause solver [ x; -a; -b ]);
+  x
+
+let differ solver a b =
+  let d = Solver.new_var solver in
+  (* d -> (a xor b) *)
+  ignore (Solver.add_clause solver [ -d; a; b ]);
+  ignore (Solver.add_clause solver [ -d; -a; -b ]);
+  d
+
 let encode solver aig =
   let vars = Array.make (Aig.num_nodes aig) 0 in
   (* Constant node: a variable forced to 0 keeps literal translation
@@ -16,16 +31,11 @@ let encode solver aig =
   Array.iter
     (fun v ->
       if Aig.is_input aig v then vars.(v) <- Solver.new_var solver
-      else if Aig.is_and aig v then begin
-        let x = Solver.new_var solver in
-        vars.(v) <- x;
-        let a = lit_dimacs vars (Aig.fanin0 aig v) in
-        let b = lit_dimacs vars (Aig.fanin1 aig v) in
-        (* x <-> a & b *)
-        ignore (Solver.add_clause solver [ -x; a ]);
-        ignore (Solver.add_clause solver [ -x; b ]);
-        ignore (Solver.add_clause solver [ x; -a; -b ])
-      end)
+      else if Aig.is_and aig v then
+        vars.(v) <-
+          and_gate solver
+            (lit_dimacs vars (Aig.fanin0 aig v))
+            (lit_dimacs vars (Aig.fanin1 aig v)))
     order;
   vars
 

@@ -1,4 +1,5 @@
 module Aig = Sbm_aig.Aig
+module Hash64 = Sbm_util.Hash64
 
 type node_id = int
 
@@ -609,39 +610,32 @@ let eval t bits =
    only depends on the logic function structure, not on allocation
    order or list ordering. *)
 
-let fh_finalize z =
-  let open Int64 in
-  let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-  let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
-  logxor z (shift_right_logical z 31)
-
-let fh_mix2 a b = fh_finalize (Int64.add (Int64.mul a 0x9E3779B97F4A7C15L) b)
-let fh_pi_tag = fh_finalize 0x9747b28cL
-let fh_node_tag = fh_finalize 0x3c6ef372L
-let fh_compl_mask = fh_finalize 0xa54ff53aL
+let fh_pi_tag = Hash64.finalize 0x9747b28cL
+let fh_node_tag = Hash64.finalize 0x3c6ef372L
+let fh_compl_mask = Hash64.finalize 0xa54ff53aL
 
 let fold_hash t =
   let h = Array.make t.n 0L in
-  Array.iteri (fun i id -> h.(id) <- fh_mix2 fh_pi_tag (Int64.of_int i)) t.inputs;
+  Array.iteri (fun i id -> h.(id) <- Hash64.mix2 fh_pi_tag (Int64.of_int i)) t.inputs;
   let hlit l =
     let base = h.(Sop.var_of l) in
     if Sop.lit_is_compl l then Int64.logxor base fh_compl_mask else base
   in
   let hcube c =
-    fh_finalize (Array.fold_left (fun acc l -> Int64.add acc (fh_finalize (hlit l))) 0L c)
+    Hash64.finalize (Array.fold_left (fun acc l -> Int64.add acc (Hash64.finalize (hlit l))) 0L c)
   in
   let hcover cov =
-    fh_finalize (List.fold_left (fun acc c -> Int64.add acc (hcube c)) 0L cov)
+    Hash64.finalize (List.fold_left (fun acc c -> Int64.add acc (hcube c)) 0L cov)
   in
   List.iter
-    (fun id -> h.(id) <- fh_mix2 fh_node_tag (hcover (node t id).cover))
+    (fun id -> h.(id) <- Hash64.mix2 fh_node_tag (hcover (node t id).cover))
     (internal_nodes t);
   let acc =
-    fh_mix2 (Int64.of_int (num_inputs t)) (Int64.of_int (num_outputs t))
+    Hash64.mix2 (Int64.of_int (num_inputs t)) (Int64.of_int (num_outputs t))
   in
   Array.fold_left
     (fun acc (id, compl) ->
       let base = h.(id) in
       let v = if compl then Int64.logxor base fh_compl_mask else base in
-      fh_mix2 acc v)
+      Hash64.mix2 acc v)
     acc t.outs

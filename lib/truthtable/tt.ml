@@ -108,11 +108,12 @@ let is_const1 a =
   let rec go i = i = n || (Int64.equal (Array.unsafe_get w i) mask && go (i + 1)) in
   go 0
 
+(* Every word goes through the mixer: [Hashtbl] masks the hash to its
+   low bits, and a multiplicative fold leaves those bits equal for every
+   table that does not depend on variable 5. *)
 let hash a =
-  Array.fold_left
-    (fun acc w ->
-      (acc * 1000003) lxor Int64.to_int w lxor Int64.to_int (Int64.shift_right_logical w 32))
-    a.nvars a.words
+  Int64.to_int
+    (Array.fold_left Sbm_util.Hash64.mix2 (Int64.of_int a.nvars) a.words)
   land max_int
 
 (* Positive cofactor: every minterm reads the value it would have with

@@ -166,7 +166,7 @@ let test_dump_round_trip () =
   Obs.Postmortem.configure ~trace ();
   let root = Obs.root trace "sbm" in
   let sp = Obs.span root "gradient" in
-  Obs.bump sp (Option.get (Obs.Metrics.find "gradient.rounds")) 3;
+  Obs.Metrics.add (Option.get (Obs.Metrics.find "gradient.rounds")) 3;
   FR.record ~severity:FR.Debug ~id:"round-1" ~engine:"gradient"
     ~metrics:[ ("gain", 7) ]
     "round done";

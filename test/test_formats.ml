@@ -3,7 +3,9 @@
    survive [of_json (to_json x) = x], and the producer's text must
    survive [to_json (of_json s) = s]; the post-mortem reader also
    migrates a version-1 dump without [t0_ns], and keeps absolute clocks
-   past 2^53 ns exact. *)
+   past 2^53 ns exact. The trace reader gives back the forest of a
+   closed ctrl trace, and the trace's histograms block is the
+   aggregation of its own spans. *)
 
 module Aig = Sbm_aig.Aig
 module Obs = Sbm_obs
@@ -197,6 +199,57 @@ let test_postmortem_dump () =
       Alcotest.(check string) "the migrated dump re-emits byte for byte" v2
         (Pm.to_json d2))
 
+(* A clean sbm-low run of ctrl under a root span that is closed, so
+   the forest no longer moves. *)
+let ctrl_trace =
+  lazy
+    (let aig = Sbm_epfl.Epfl.generate Sbm_epfl.Epfl.Ctrl in
+     let trace = Obs.create () in
+     let root = Obs.root ~size:(Aig.size aig) trace "ctrl" in
+     let out = Flow.run ~obs:root (Flow.Sbm Flow.Low) aig in
+     Obs.close ~size:(Aig.size out) root;
+     trace)
+
+(* The writer's [%.6f], so both sides of the histogram check carry the
+   precision the document holds. *)
+let written x = float_of_string (Printf.sprintf "%.6f" x)
+
+let test_trace () =
+  let trace = Lazy.force ctrl_trace in
+  let doc = Obs.to_json trace in
+  let spans =
+    match Obs.of_json doc with Ok s -> s | Error msg -> Alcotest.fail msg
+  in
+  Alcotest.(check bool) "the trace has pass spans" true
+    (List.exists (fun (n : Obs.node) -> n.children <> []) spans);
+  Alcotest.(check bool) "of_json (to_json t) = spans t" true
+    (spans = Obs.spans trace);
+  let row count total p50 p90 max = (count, List.map written [ total; p50; p90; max ]) in
+  Alcotest.(check (list (pair string (pair int (list (float 0.0))))))
+    "the histograms block is the aggregation of the trace's spans"
+    (List.map
+       (fun (name, (d : Obs.dist)) ->
+         (name, row d.count d.total_ms d.p50_ms d.p90_ms d.max_ms))
+       (Obs.aggregate spans))
+    (List.map
+       (fun (name, d) ->
+         let ms k = Json.num k d in
+         (name, row (Json.int "count" d) (ms "total_ms") (ms "p50_ms") (ms "p90_ms") (ms "max_ms")))
+       (Json.to_obj (Json.member "histograms" (Json.parse doc))));
+  (* A version-1 span has no gc object; a newer version is refused. *)
+  let v1 =
+    {|{"version":1,"totals":{"x":2},"spans":[{"name":"a","wall_ms":1.500000,"counters":{"x":2},"children":[]}]}|}
+  in
+  (match Obs.of_json v1 with
+  | Ok [ a ] ->
+    Alcotest.(check bool) "version 1: wall time, counters, zero gc" true
+      (a.wall_ns = 1_500_000L && a.counters = [ ("x", 2) ]
+      && a.gc.minor_words = 0.0 && a.gc.major_collections = 0)
+  | Ok _ -> Alcotest.fail "version 1: expected one span"
+  | Error msg -> Alcotest.fail msg);
+  Alcotest.(check bool) "version 3 is refused" true
+    (Result.is_error (Obs.of_json {|{"version":3,"spans":[]}|}))
+
 (* Absolute monotonic clocks past 2^53 ns (about 104 days of uptime)
    are decimal strings in version 2, so they come back exactly. *)
 let big_clock_dump =
@@ -228,4 +281,5 @@ let suite =
     Alcotest.test_case "post-mortem dump round-trips" `Quick test_postmortem_dump;
     Alcotest.test_case "post-mortem clocks past 2^53 ns are exact" `Quick
       test_big_clocks;
+    Alcotest.test_case "trace reads back its forest and histograms" `Quick test_trace;
   ]

@@ -1,7 +1,7 @@
 (* Metrics registry, live telemetry and exporters: registration
    semantics (duplicates are hard errors, kinds are enforced), the
-   worker shard's capture/replay, Obs.bump reaching span totals through
-   the registry, catalog coverage of a real flow run, the status-file
+   worker shard's capture/replay, Metrics.add reaching span totals
+   through the registry, catalog coverage of a real flow run, the status-file
    atomic-rename protocol under a concurrent reader and the samples a
    real flow run writes, the Chrome trace exporter's
    structural invariants, the DESIGN.md drift gate, inspect's
@@ -118,21 +118,21 @@ let test_capture_replay () =
       Hashtbl.replace shard.M.counts "test.never-registered" (ref 3);
       Obs.replay { shard with M.deferred = [] })
 
-(* --- Obs.bump: the registry is the one sink --- *)
+(* --- Metrics.add: the registry is the one sink --- *)
 
 let test_bump_dual_sink () =
   let v0 = M.value c_bump in
   let trace = Obs.create () in
   let root = Obs.root trace "bump-test" in
-  Obs.bump root c_bump 3;
+  M.add c_bump 3;
   Obs.close root;
   Alcotest.(check int) "registry side" (v0 + 3) (M.value c_bump);
   Alcotest.(check (option int)) "span-totals side" (Some 3)
     (List.assoc_opt "test.bump" (Obs.totals trace));
-  (* On the Noop span the bump still lands — untraced runs still feed
+  (* With no span open the add still lands — untraced runs still feed
      the dashboard. *)
-  Obs.bump Obs.null c_bump 2;
-  Alcotest.(check int) "noop span still bumps registry" (v0 + 5)
+  M.add c_bump 2;
+  Alcotest.(check int) "untraced add still reaches the registry" (v0 + 5)
     (M.value c_bump)
 
 (* --- catalog coverage: a real flow's counters are all registered --- *)
@@ -522,7 +522,7 @@ let suite =
     Alcotest.test_case "kind enforcement" `Quick test_kinds_enforced;
     Alcotest.test_case "counter/gauge values" `Quick test_values;
     Alcotest.test_case "capture/replay shards" `Quick test_capture_replay;
-    Alcotest.test_case "Obs.bump feeds span and registry" `Quick test_bump_dual_sink;
+    Alcotest.test_case "Metrics.add feeds span and registry" `Quick test_bump_dual_sink;
     Alcotest.test_case "flow counters all registered" `Slow test_flow_counters_registered;
     Alcotest.test_case "status file atomicity" `Quick test_status_atomicity;
     Alcotest.test_case "status samples of a traced flow" `Slow test_status_flow;

@@ -13,7 +13,6 @@ module M = Sbm_obs.Metrics
 (* Counters live only in the registry, so the span tests bump
    registered handles like real call sites do. *)
 let counter name = M.counter ~engine:"test" ("test.obs." ^ name) name
-let m_x = counter "x"
 let m_conflicts = counter "conflicts"
 let m_decisions = counter "decisions"
 let m_nodes = counter "nodes"
@@ -29,8 +28,6 @@ let test_null_sink () =
   let child = Obs.span Obs.null "child" in
   Alcotest.(check bool) "children of null disabled" false (Obs.enabled child);
   (* All operations on the sink are no-ops and must not raise. *)
-  Obs.bump child m_x 5;
-  Obs.bump child m_x 1;
   Obs.close child;
   Obs.close_pass ~size:1 ~depth:1 (Obs.pass ~size:1 ~depth:1 Obs.null "p")
 
@@ -61,11 +58,11 @@ let test_span_nesting () =
 let test_counter_totals () =
   let trace = Obs.create () in
   let root = Obs.root trace "r" in
-  Obs.bump root m_conflicts 3;
+  M.add m_conflicts 3;
   let child = Obs.span root "c" in
-  Obs.bump child m_conflicts 4;
-  Obs.bump child m_decisions 1;
-  Obs.bump child m_decisions 9;
+  M.add m_conflicts 4;
+  M.add m_decisions 1;
+  M.add m_decisions 9;
   Obs.close child;
   Obs.close root;
   Alcotest.(check int) "summed over tree" 7 (Obs.total trace "test.obs.conflicts");
@@ -78,17 +75,17 @@ let test_counter_totals () =
 
 (* The registry is the one counter store: a span's own counters are
    its registry delta minus its children's, the totals are the delta
-   over the root, and a bump on the null sink still counts. *)
+   over the root, and an add made outside every span still counts. *)
 let test_counter_store () =
   let v0 = M.value m_store in
   let trace = Obs.create () in
   let root = Obs.root trace "r" in
-  Obs.bump root m_store 2;
+  M.add m_store 2;
   let child = Obs.span root "c" in
-  Obs.bump child m_store 5;
-  Obs.bump Obs.null m_store 1;
+  M.add m_store 5;
+  M.add m_store 1;
   let grandchild = Obs.span child "g" in
-  Obs.bump grandchild m_store 0;
+  M.add m_store 0;
   Obs.close grandchild;
   Obs.close child;
   Obs.close root;
@@ -99,15 +96,15 @@ let test_counter_store () =
     let g = List.hd c.Obs.children in
     Alcotest.(check (option int)) "root: delta minus child" (Some 2) (own r);
     Alcotest.(check (option int))
-      "child: its delta, null bumps included, minus grandchild" (Some 6) (own c);
+      "child: its delta, every add included, minus grandchild" (Some 6) (own c);
     Alcotest.(check (option int)) "a bump by 0 is still listed" (Some 0) (own g)
   | l -> Alcotest.failf "expected 1 root, got %d" (List.length l));
   Alcotest.(check (list (pair string int)))
     "totals are the registry delta over the root"
     [ ("test.obs.store", M.value m_store - v0) ]
     (Obs.totals trace);
-  Obs.bump Obs.null m_store 4;
-  Alcotest.(check int) "a bump on null reaches the registry" (v0 + 12)
+  M.add m_store 4;
+  Alcotest.(check int) "an add outside every span reaches the registry" (v0 + 12)
     (M.value m_store)
 
 let test_monotonic_clock () =
@@ -121,8 +118,8 @@ let sample_trace () =
   let trace = Obs.create () in
   let root = Obs.root ~size:50 ~depth:7 trace "sbm" in
   let a = Obs.span ~size:50 root "pa\"ss" in
-  Obs.bump a m_nodes 12;
-  Obs.bump a m_conflicts 2;
+  M.add m_nodes 12;
+  M.add m_conflicts 2;
   Obs.close ~size:44 a;
   Obs.close ~size:44 ~depth:6 root;
   trace
@@ -347,9 +344,9 @@ let parse_counters_cell cell =
 let test_csv_escaping_round_trip () =
   let trace = Obs.create () in
   let root = Obs.root ~size:10 trace "pass,one" in
-  Obs.bump root m_weird 7;
-  Obs.bump root m_plain 3;
-  Obs.bump root m_backslash 1;
+  M.add m_weird 7;
+  M.add m_plain 3;
+  M.add m_backslash 1;
   Obs.close ~size:8 root;
   let csv = Obs.to_csv trace in
   match List.filter (fun l -> l <> "") (String.split_on_char '\n' csv) with

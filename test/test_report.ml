@@ -293,9 +293,9 @@ let test_profile_of_json () =
   | Ok spans ->
     (match spans with
     | [ flow ] ->
-      Alcotest.(check string) "root name" "flow" flow.Profile.name;
+      Alcotest.(check string) "root name" "flow" flow.Obs.name;
       Alcotest.(check (float 1e-9)) "root self" 1.0 (Profile.self_ms flow);
-      Alcotest.(check int) "two children" 2 (List.length flow.Profile.children)
+      Alcotest.(check int) "two children" 2 (List.length flow.Obs.children)
     | l -> Alcotest.failf "expected 1 root span, got %d" (List.length l));
     let aggs = Profile.aggregate spans in
     Alcotest.(check (list (pair string (pair (float 1e-9) (float 1e-9)))))
