@@ -285,6 +285,26 @@ let setup_common ?trace c =
   in
   Ok ()
 
+(* The one flow run of opt, bench and attribute: [flow] on [aig] as the
+   root span [name] of [trace] (untraced without one), guarded so a
+   crash leaves a dump. Returns the output and the flow's wall
+   seconds. *)
+let run_flow ?trace ?explain c ~name flow aig =
+  let module Aig = Sbm_aig.Aig in
+  let root =
+    match trace with
+    | None -> Sbm_obs.null
+    | Some t -> Sbm_obs.root ~size:(Aig.size aig) ~depth:(Aig.depth aig) t name
+  in
+  let t0 = Unix.gettimeofday () in
+  let optimized =
+    guarded c.obs (fun () ->
+        Sbm_core.Flow.run ~obs:root ?explain ~prefilter:c.prefilter flow aig)
+  in
+  let dt = Unix.gettimeofday () -. t0 in
+  Sbm_obs.close ~size:(Aig.size optimized) ~depth:(Aig.depth optimized) root;
+  (optimized, dt)
+
 (* --- stats --- *)
 
 let stats_cmd =
@@ -396,15 +416,7 @@ let opt_cmd =
     match opened with
     | Error msg -> `Error (false, msg)
     | Ok (aig, explain_oc, output_oc) ->
-      let obs_opts = common.obs in
       let before = Sbm_aig.Aig.size aig in
-      let obs =
-        match collector with
-        | None -> Sbm_obs.null
-        | Some t ->
-          Sbm_obs.root ~size:before ~depth:(Sbm_aig.Aig.depth aig) t
-            (Sbm_core.Flow.to_string flow)
-      in
       let explain_count = ref 0 in
       let explain_cb =
         Option.map
@@ -414,21 +426,16 @@ let opt_cmd =
             output_char oc '\n')
           explain_oc
       in
-      let t0 = Unix.gettimeofday () in
-      let optimized =
-        guarded obs_opts (fun () ->
-            Sbm_core.Flow.run ~obs ?explain:explain_cb
-              ~prefilter:common.prefilter flow aig)
+      let optimized, dt =
+        run_flow ?trace:collector ?explain:explain_cb common
+          ~name:(Sbm_core.Flow.to_string flow) flow aig
       in
-      let dt = Unix.gettimeofday () -. t0 in
       Option.iter close_out explain_oc;
       Option.iter
         (fun file ->
           Fmt.pr "gradient explain stream (%d records) written to %s@."
             !explain_count file)
         explain;
-      Sbm_obs.close ~size:(Sbm_aig.Aig.size optimized)
-        ~depth:(Sbm_aig.Aig.depth optimized) obs;
       (* The final status sample before the trace is written, so the
          report embeds the full live-telemetry history. *)
       Sbm_obs.Status.stop ();
@@ -617,7 +624,6 @@ let bench_cmd =
       let* () = check_writable "snapshot" out in
       Option.fold ~none:(Ok ()) ~some:(check_writable "ledger") ledger
     in
-    let obs_opts = common.obs in
     let module Epfl = Sbm_epfl.Epfl in
     let module Aig = Sbm_aig.Aig in
     let resolve n =
@@ -676,19 +682,9 @@ let bench_cmd =
           let aig = Epfl.generate ~scale:(eff_scale b) ?seed:seed_opt b in
           let trace = Sbm_obs.create () in
           (* Point a pending crash dump at the benchmark being run. *)
-          if obs_active obs_opts then Sbm_obs.Postmortem.configure ~trace ();
-          let root =
-            Sbm_obs.root ~size:(Aig.size aig) ~depth:(Aig.depth aig) trace
-              bench
-          in
-          let t0 = Unix.gettimeofday () in
-          let optimized =
-            guarded obs_opts (fun () ->
-                Sbm_core.Flow.run ~obs:root ~prefilter:common.prefilter flow aig)
-          in
-          let wall_ms = 1000.0 *. (Unix.gettimeofday () -. t0) in
-          Sbm_obs.close ~size:(Aig.size optimized)
-            ~depth:(Aig.depth optimized) root;
+          if obs_active common.obs then Sbm_obs.Postmortem.configure ~trace ();
+          let optimized, dt = run_flow ~trace common ~name:bench flow aig in
+          let wall_ms = 1000.0 *. dt in
           (* Once per benchmark, outside [wall_ms], at the budget the
              other harnesses use. CEC bumps no registry counter, so
              counters, ledger rows and the trail are unaffected. *)
@@ -959,7 +955,11 @@ let attribute_cmd =
   in
   let run level common input flow scale seed k json =
     setup_logs level;
-    match setup_common common with
+    (* A crash dump carries the counters of the run's collector. *)
+    let collector =
+      if obs_active common.obs then Some (Sbm_obs.create ()) else None
+    in
+    match setup_common ?trace:collector common with
     | Error msg -> `Error (false, msg)
     | Ok () -> (
       let aig =
@@ -972,9 +972,9 @@ let attribute_cmd =
       match aig with
       | `Bad msg -> `Error (false, msg)
       | `Ok aig ->
-        let optimized =
-          guarded common.obs (fun () ->
-              Sbm_core.Flow.run ~prefilter:common.prefilter flow aig)
+        let optimized, _ =
+          run_flow ?trace:collector common
+            ~name:(Sbm_core.Flow.to_string flow) flow aig
         in
         let mapping = Sbm_lutmap.Lut_map.map ~k optimized in
         let att = Sbm_report.Attribution.compute optimized mapping in
@@ -1041,10 +1041,19 @@ let profile_cmd =
       Fmt.epr "sbm: %s@." msg;
       Stdlib.exit 2
     | Ok src -> (
-      match Sbm_report.Profile.of_json src with
-      | Error msg ->
+      let fail msg =
         Fmt.epr "sbm: %s: %s@." label msg;
         Stdlib.exit 2
+      in
+      (* Parsed once: the hotspots and the Chrome export read the same
+         document. *)
+      let doc =
+        match Sbm_report.Json.parse src with
+        | exception Sbm_report.Json.Bad msg -> fail ("malformed JSON: " ^ msg)
+        | doc -> doc
+      in
+      match Sbm_obs.of_json_value doc with
+      | Error msg -> fail msg
       | Ok spans ->
         Fmt.pr "%a" (Sbm_report.Profile.pp_hotspots ~top) spans;
         (match collapsed with
@@ -1058,14 +1067,12 @@ let profile_cmd =
         (match chrome with
         | None -> ()
         | Some file -> (
-          match Sbm_report.Chrome.convert src with
-          | Error msg ->
-            Fmt.epr "sbm: %s: %s@." label msg;
-            Stdlib.exit 2
-          | Ok doc -> (
+          match Sbm_report.Chrome.of_trace doc spans with
+          | Error msg -> fail msg
+          | Ok chrome -> (
             match
               Out_channel.with_open_bin file (fun oc ->
-                  Out_channel.output_string oc doc)
+                  Out_channel.output_string oc chrome)
             with
             | () -> Fmt.pr "Chrome trace written to %s@." file
             | exception Sys_error msg ->

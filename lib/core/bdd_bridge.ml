@@ -51,7 +51,6 @@ type t = {
 }
 
 let man t = t.man
-let limit_bails t = t.bails
 
 let bump_limit_bail t =
   t.bails <- t.bails + 1;
@@ -61,6 +60,11 @@ let bump_limit_bail t =
         [ ("bails", t.bails); ("bdd_nodes", Bdd.num_nodes t.man);
           ("members", Array.length t.order) ]
       "node-budget bail-out"
+
+type summary = { stats : Bdd.stats; bails : int; members : int }
+
+let summary t =
+  { stats = Bdd.stats t.man; bails = t.bails; members = Array.length t.order }
 
 (* Integer percentage, 100 when there was no traffic at all. *)
 let hit_pct hits misses =
@@ -72,8 +76,8 @@ let hit_pct hits misses =
    hit-rate collapse under real traffic — the canonical sign of a
    partition whose BDDs blew past locality — also lands in the flight
    recorder, with this flush's ratios. *)
-let flush_stats ?(engine = "bdd") t =
-  let bs = Bdd.stats t.man in
+let flush_stats ?(engine = "bdd") s =
+  let bs = s.stats in
   (* The ledger consumes the load gauges through the registry alone.
      flush_stats runs on the main domain in ascending partition order
      in every execution path, so the maxima are job-count
@@ -86,7 +90,7 @@ let flush_stats ?(engine = "bdd") t =
   M.add m_unique_misses bs.Bdd.unique_misses;
   M.add m_cache_hits bs.Bdd.cache_hits;
   M.add m_cache_misses bs.Bdd.cache_misses;
-  M.add m_limit_bails t.bails;
+  M.add m_limit_bails s.bails;
   let cpct = hit_pct bs.Bdd.cache_hits bs.Bdd.cache_misses in
   if
     FR.enabled ()

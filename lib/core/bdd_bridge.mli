@@ -56,20 +56,25 @@ val refresh : t -> unit
     budget discipline — is counted instead of silently swallowed;
     {!flush_stats} adds the total to [bdd.limit_bails]. *)
 
-(** [limit_bails t] is the number of bail-outs observed so far through
-    this context (its own catch sites plus callers'). *)
-val limit_bails : t -> int
-
 (** [bump_limit_bail t] records a bail-out caught by a caller (e.g.
     the difference computation or an MSPF cofactor walk). When the
     flight recorder is on, each bail-out also lands there as a [Warn]
     event. *)
 val bump_limit_bail : t -> unit
 
-(** [flush_stats ?engine t] flushes the manager's unique-table and
+(** What a finished partition reports: its manager's counters, the
+    bail-outs observed through the context (its own catch sites plus
+    callers') and its live member count. A partition engine's analysis
+    returns this in place of the context, so a worker's result keeps
+    neither its snapshot nor its manager alive until the merge. *)
+type summary = { stats : Sbm_bdd.Bdd.stats; bails : int; members : int }
+
+val summary : t -> summary
+
+(** [flush_stats ?engine s] flushes the manager's unique-table and
     computed-cache traffic into the registry — raw hit/miss counts and
     [bdd.limit_bails] — and reports a cache hit-rate collapse
     (< 20 % over ≥ 10k lookups) to the flight recorder. Engines call
     it once per partition. [engine] labels the recorder event
     (default ["bdd"]). *)
-val flush_stats : ?engine:string -> t -> unit
+val flush_stats : ?engine:string -> summary -> unit

@@ -201,9 +201,9 @@ let pair_verdict pf ~saving f g =
    cones, commits, traversal marks): parallel workers call this on a
    private snapshot, the sequential path on the live AIG. The
    partition's counts go to the registry from here, so a worker's
-   counts travel in its capture shard. Returns the partition's BDD
-   context (for the caller's stats flush), its committed rewrites and
-   their gain. *)
+   counts travel in its capture shard. Returns the summary of the
+   partition's BDD context (for the caller's stats flush), its
+   committed rewrites and their gain. *)
 let analyze aig config store part =
   let ctx = Bdd_bridge.build ~node_limit:config.bdd_node_limit aig part in
   let members = Bdd_bridge.members ctx in
@@ -269,17 +269,16 @@ let analyze aig config store part =
   M.add m_differences_built !built;
   M.add m_rewrites !rewrites;
   M.add m_gain !gain;
-  (ctx, !rewrites, !gain)
+  (Bdd_bridge.summary ctx, !rewrites, !gain)
 
 (* Main-domain bookkeeping for a finished partition, shared by the
    sequential path and the parallel merge path (which runs it against
-   a worker's context but the live [aig]). *)
-let finish_partition aig ctx ~index ~rewrites =
-  Bdd_bridge.flush_stats ~engine:"diff" ctx;
-  let bails = Bdd_bridge.limit_bails ctx in
-  Sbm_obs.partition_done ~bails ~engine:"diff" ~index
+   a worker's summary but the live [aig]). *)
+let finish_partition aig (s : Bdd_bridge.summary) ~index ~rewrites =
+  Bdd_bridge.flush_stats ~engine:"diff" s;
+  Sbm_obs.partition_done ~bails:s.bails ~engine:"diff" ~index
     ~structure:(fun () -> Aig.fold_hash aig)
-    [ ("members", Array.length (Bdd_bridge.members ctx)); ("bails", bails);
+    [ ("members", s.members); ("bails", s.bails);
       ("rewrites", rewrites) ]
 
 let optimize ?(config = default_config) aig =
@@ -302,13 +301,13 @@ let optimize ?(config = default_config) aig =
     ~analyze:(fun _ part ->
       Par_merge.on_snapshot aig store (fun snap wstore -> analyze snap config wstore part))
     ~clean:(fun ((_, rewrites, _), _) -> rewrites = 0)
-    ~merge:(fun index _ ((ctx, _, _), created) ->
+    ~merge:(fun index _ ((summary, _, _), created) ->
       Par_merge.merge_created aig created;
-      finish_partition aig ctx ~index ~rewrites:0)
+      finish_partition aig summary ~index ~rewrites:0)
     ~redo:(fun index part ->
-      let ctx, rewrites, gain = analyze aig config store part in
+      let summary, rewrites, gain = analyze aig config store part in
       total := !total + gain;
-      finish_partition aig ctx ~index ~rewrites;
+      finish_partition aig summary ~index ~rewrites;
       rewrites > 0);
   !total
 

@@ -41,10 +41,8 @@ let partition_lits net ~member ~mark =
     0
     (Network.internal_nodes net)
 
-(* One partition's threshold trials, on the live network or a worker's
-   copy. The partition's counts go to the registry from here, so a
-   worker's counts travel in its capture shard. Returns whether the
-   best trial improved (and was committed). *)
+(* One partition's threshold trials on the live network. Returns
+   whether the best trial improved (and was committed). *)
 let optimize_partition net part_nodes =
   let member_set = Hashtbl.create 64 in
   List.iter (fun n -> Hashtbl.replace member_set n ()) part_nodes;
@@ -134,27 +132,17 @@ let run ?(config = default_config) aig =
   let lits_before = Network.num_lits net in
   let parts = partitions_of net config.partition_size in
   M.add m_partitions (List.length parts);
-  (* [note] runs on the main domain in ascending partition index in
-     both paths. This engine operates on the SOP network, so the
-     trail's structure component is the network-side digest. *)
-  let note idx part improved =
-    Sbm_obs.partition_done ~engine:"kernel" ~index:idx
-      ~structure:(fun () -> Network.fold_hash net)
-      [ ("members", List.length part); ("trials", List.length thresholds);
-        ("improved", if improved then 1 else 0) ]
-  in
-  (* Workers run the threshold trials on a private network copy. A
-     partition whose best trial did not improve leaves the live
-     network's covers untouched, so its verdict transfers verbatim;
-     improved or stale partitions are redone on the live network. *)
-  Sbm_par.Sched.partitions parts
-    ~analyze:(fun _ part -> optimize_partition (Network.copy net) part)
-    ~clean:(fun improved -> not improved)
-    ~merge:(fun idx part _ -> note idx part false)
-    ~redo:(fun idx part ->
+  (* Partitions run in index order on the live network at every job
+     count: a speculative copy per partition cost more than the second
+     domain won back (EXPERIMENTS.md, "Parallel only where it pays").
+     This engine operates on the SOP network, so the trail's structure
+     component is the network-side digest. *)
+  Sbm_par.Sched.each parts (fun idx part ->
       let improved = optimize_partition net part in
-      note idx part improved;
-      improved);
+      Sbm_obs.partition_done ~engine:"kernel" ~index:idx
+        ~structure:(fun () -> Network.fold_hash net)
+        [ ("members", List.length part); ("trials", List.length thresholds);
+          ("improved", if improved then 1 else 0) ]);
   M.add m_lits_saved (lits_before - Network.num_lits net);
   Network.to_aig ~provenance:(aig, fallback) net
 

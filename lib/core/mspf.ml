@@ -243,8 +243,8 @@ let substitute aig ~leaves ~members ~mspf ~connectable ~refresh ~commit =
 (* One partition in the BDD domain. Mutates [aig]: parallel workers
    call this on a private snapshot, the sequential path on the live
    AIG. The partition's counts go to the registry from here, so a
-   worker's counts travel in its capture shard. Returns the
-   partition's BDD context, its substitutions and their gain. *)
+   worker's counts travel in its capture shard. Returns the summary of
+   the partition's BDD context, its substitutions and their gain. *)
 let analyze aig config store part =
   let ctx = Bdd_bridge.build ~node_limit:config.bdd_node_limit aig part in
   let man = Bdd_bridge.man ctx in
@@ -271,16 +271,15 @@ let analyze aig config store part =
   M.add m_substitutions subst;
   M.add m_constant_collapses !consts;
   M.add m_gain gain;
-  (ctx, subst, gain)
+  (Bdd_bridge.summary ctx, subst, gain)
 
 (* Main-domain bookkeeping for a finished partition, shared by the
    sequential path and the parallel merge path. *)
-let finish_partition aig ctx ~index ~substitutions =
-  Bdd_bridge.flush_stats ~engine:"mspf" ctx;
-  let bails = Bdd_bridge.limit_bails ctx in
-  Sbm_obs.partition_done ~bails ~engine:"mspf" ~index
+let finish_partition aig (s : Bdd_bridge.summary) ~index ~substitutions =
+  Bdd_bridge.flush_stats ~engine:"mspf" s;
+  Sbm_obs.partition_done ~bails:s.bails ~engine:"mspf" ~index
     ~structure:(fun () -> Aig.fold_hash aig)
-    [ ("members", Array.length (Bdd_bridge.members ctx)); ("bails", bails);
+    [ ("members", s.members); ("bails", s.bails);
       ("substitutions", substitutions) ]
 
 let optimize ?(config = default_config) aig =
@@ -299,13 +298,13 @@ let optimize ?(config = default_config) aig =
     ~analyze:(fun _ part ->
       Par_merge.on_snapshot aig store (fun snap wstore -> analyze snap config wstore part))
     ~clean:(fun ((_, substitutions, _), _) -> substitutions = 0)
-    ~merge:(fun index _ ((ctx, _, _), created) ->
+    ~merge:(fun index _ ((summary, _, _), created) ->
       Par_merge.merge_created aig created;
-      finish_partition aig ctx ~index ~substitutions:0)
+      finish_partition aig summary ~index ~substitutions:0)
     ~redo:(fun index part ->
-      let ctx, substitutions, gain = analyze aig config store part in
+      let summary, substitutions, gain = analyze aig config store part in
       total := !total + gain;
-      finish_partition aig ctx ~index ~substitutions;
+      finish_partition aig summary ~index ~substitutions;
       substitutions > 0);
   !total
 

@@ -358,6 +358,7 @@ let buf_span_fields b n =
 let trace_version = 2
 
 let to_json trace =
+  let forest = spans trace in
   let b = Buffer.create 4096 in
   let rec go b n =
     Buffer.add_string b (Printf.sprintf "{\"name\":\"%s\"," (esc n.name));
@@ -376,9 +377,9 @@ let to_json trace =
         (Printf.sprintf
            "{\"count\":%d,\"total_ms\":%.6f,\"p50_ms\":%.6f,\"p90_ms\":%.6f,\"max_ms\":%.6f}"
            d.count d.total_ms d.p50_ms d.p90_ms d.max_ms))
-    (histograms trace);
+    (aggregate forest);
   Buffer.add_string b ",\"spans\":";
-  Json.buf_list b go (spans trace);
+  Json.buf_list b go forest;
   (* Additive live-telemetry payloads (trace version stays 2: readers
      that only know "spans" ignore these keys). Emitted only when the
      corresponding subsystem ran, so plain traces are unchanged. *)

@@ -1,106 +1,29 @@
-(* Fixed-size pool of worker domains for partition-parallel analysis.
+(* Worker domains for partition-parallel analysis, scoped to one batch.
 
-   Workers are spawned once and reused across batches: passes run many
-   small partition fan-outs, and Domain.spawn is far too expensive to
-   pay per batch. A batch is published under [mutex]/[cond]; workers
-   and the calling domain all pull job indices from a shared atomic
-   counter, so the caller participates instead of blocking idle.
+   [run] spawns its helper domains, lets them and the calling domain
+   pull job indices from one atomic counter, and joins them before it
+   returns, so no domain outlives a batch. An idle live domain is not
+   free: OCaml 5 stops every domain at each minor collection, which
+   slowed the purely sequential passes between batches, while a spawn
+   plus join costs well under a millisecond per batch.
 
    Exception protocol: the first failing job (lowest index) wins.
    A failure flips [cancelled], which makes not-yet-started jobs
    no-ops; the caller re-raises the winning exception with its
    original backtrace once the batch has drained. *)
 
-type batch = {
-  total : int;
-  next : int Atomic.t;
-  completed : int Atomic.t;
-  cancelled : bool Atomic.t;
-  run1 : int -> unit;
-}
+type t = { jobs : int }
 
-type t = {
-  jobs : int;
-  mutex : Mutex.t;
-  cond : Condition.t; (* new batch published, or shutdown *)
-  done_cond : Condition.t; (* last job of a batch completed *)
-  mutable current : batch option;
-  mutable generation : int;
-  mutable stopping : bool;
-  mutable workers : unit Domain.t array;
-}
+let create ~jobs =
+  if jobs < 1 then invalid_arg "Sbm_par.Pool.create: jobs must be >= 1";
+  { jobs }
 
-let jobs t = t.jobs
+let global () = create ~jobs:(Jobs.get ())
 
 (* Outstanding jobs of the current batch, for the live dashboard. A
    gauge is observational (never compared across job counts), so
    racing worker updates are fine. *)
 let set_queue_depth n = Sbm_obs.Metrics.set Sbm_obs.Metrics.pool_queue_depth n
-
-let exec_batch t b =
-  let rec loop () =
-    let i = Atomic.fetch_and_add b.next 1 in
-    if i < b.total then begin
-      set_queue_depth (max 0 (b.total - i - 1));
-      (* Peak-heap high-water mark (Gc heap stats describe the shared
-         major heap). set_max is an atomic max, so racing claims from
-         several domains are fine — the ledger samples it per pass. *)
-      Sbm_obs.Metrics.set_max Sbm_obs.Metrics.peak_heap_words
-        (Gc.quick_stat ()).Gc.heap_words;
-      if not (Atomic.get b.cancelled) then b.run1 i;
-      let done_now = 1 + Atomic.fetch_and_add b.completed 1 in
-      if done_now = b.total then begin
-        Mutex.lock t.mutex;
-        Condition.broadcast t.done_cond;
-        Mutex.unlock t.mutex
-      end;
-      loop ()
-    end
-  in
-  loop ()
-
-let worker_loop t =
-  let seen = ref 0 in
-  let rec loop () =
-    Mutex.lock t.mutex;
-    while (not t.stopping) && t.generation = !seen do
-      Condition.wait t.cond t.mutex
-    done;
-    if t.stopping then Mutex.unlock t.mutex
-    else begin
-      seen := t.generation;
-      let b = t.current in
-      Mutex.unlock t.mutex;
-      (match b with Some b -> exec_batch t b | None -> ());
-      loop ()
-    end
-  in
-  loop ()
-
-let create ~jobs =
-  if jobs < 1 then invalid_arg "Sbm_par.Pool.create: jobs must be >= 1";
-  let t =
-    {
-      jobs;
-      mutex = Mutex.create ();
-      cond = Condition.create ();
-      done_cond = Condition.create ();
-      current = None;
-      generation = 0;
-      stopping = false;
-      workers = [||];
-    }
-  in
-  t.workers <- Array.init (jobs - 1) (fun _ -> Domain.spawn (fun () -> worker_loop t));
-  t
-
-let shutdown t =
-  Mutex.lock t.mutex;
-  t.stopping <- true;
-  Condition.broadcast t.cond;
-  Mutex.unlock t.mutex;
-  Array.iter Domain.join t.workers;
-  t.workers <- [||]
 
 let run (type a) t n (f : int -> a) : a array =
   if n = 0 then [||]
@@ -108,59 +31,32 @@ let run (type a) t n (f : int -> a) : a array =
   else begin
     let results : a option array = Array.make n None in
     let errors : (exn * Printexc.raw_backtrace) option array = Array.make n None in
+    let next = Atomic.make 0 in
     let cancelled = Atomic.make false in
-    let run1 i =
-      match f i with
-      | v -> results.(i) <- Some v
-      | exception e ->
-        errors.(i) <- Some (e, Printexc.get_raw_backtrace ());
-        Atomic.set cancelled true
+    let rec work () =
+      let i = Atomic.fetch_and_add next 1 in
+      if i < n then begin
+        set_queue_depth (max 0 (n - i - 1));
+        (* Peak-heap high-water mark (Gc heap stats describe the shared
+           major heap). set_max is an atomic max, so racing claims from
+           several domains are fine — the ledger samples it per pass. *)
+        Sbm_obs.Metrics.set_max Sbm_obs.Metrics.peak_heap_words
+          (Gc.quick_stat ()).Gc.heap_words;
+        (if not (Atomic.get cancelled) then
+           match f i with
+           | v -> results.(i) <- Some v
+           | exception e ->
+             errors.(i) <- Some (e, Printexc.get_raw_backtrace ());
+             Atomic.set cancelled true);
+        work ()
+      end
     in
-    let b =
-      { total = n; next = Atomic.make 0; completed = Atomic.make 0; cancelled; run1 }
-    in
-    Mutex.lock t.mutex;
-    t.current <- Some b;
-    t.generation <- t.generation + 1;
     set_queue_depth n;
-    Condition.broadcast t.cond;
-    Mutex.unlock t.mutex;
-    exec_batch t b;
-    Mutex.lock t.mutex;
-    while Atomic.get b.completed < b.total do
-      Condition.wait t.done_cond t.mutex
-    done;
-    t.current <- None;
+    let helpers = List.init (min (t.jobs - 1) (n - 1)) (fun _ -> Domain.spawn work) in
+    work ();
+    List.iter Domain.join helpers;
     set_queue_depth 0;
-    Mutex.unlock t.mutex;
-    let first_error = Array.find_opt (fun e -> e <> None) errors in
-    match first_error with
+    match Array.find_opt Option.is_some errors with
     | Some (Some (e, bt)) -> Printexc.raise_with_backtrace e bt
     | _ -> Array.map Option.get results
   end
-
-let with_pool ~jobs f =
-  let t = create ~jobs in
-  Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
-
-(* Process-wide pool shared by the partition engines, sized from
-   {!Jobs} and rebuilt if the job count changes. Joined at exit so
-   blocked workers don't keep the process alive. *)
-let global_pool = ref None
-
-let global () =
-  let jobs = Jobs.get () in
-  match !global_pool with
-  | Some p when p.jobs = jobs -> p
-  | prev ->
-    (match prev with Some p -> shutdown p | None -> ());
-    if prev = None then
-      at_exit (fun () ->
-          match !global_pool with
-          | Some p ->
-            global_pool := None;
-            shutdown p
-          | None -> ());
-    let p = create ~jobs in
-    global_pool := Some p;
-    p

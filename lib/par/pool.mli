@@ -1,39 +1,30 @@
-(** Fixed-size pool of worker domains for partition-parallel analysis.
+(** Worker domains for partition-parallel analysis, scoped to one
+    batch.
 
-    Workers are spawned once ([jobs - 1] domains; the calling domain
-    participates in every batch) and reused across batches. With
-    [jobs = 1] no domains are spawned and {!run} degenerates to a plain
-    sequential [Array.init] — the exact code path of a non-parallel
-    build, so sequential runs are bit-identical by construction. *)
+    A pool is a job count. Each {!run} spawns at most [jobs - 1]
+    helper domains (the calling domain works too) and joins them before
+    it returns, so no domain is alive between batches. With [jobs = 1]
+    no domain is spawned and {!run} is a plain sequential
+    [Array.init] — the exact code path of a non-parallel build, so
+    sequential runs are bit-identical by construction. *)
 
 type t
 
-(** [create ~jobs] spawns [jobs - 1] worker domains.
+(** [create ~jobs] is a pool of [jobs] domains, the caller included.
     Raises [Invalid_argument] if [jobs < 1]. *)
 val create : jobs:int -> t
 
-(** The job count the pool was created with. *)
-val jobs : t -> int
-
-(** [run t n f] evaluates [f 0 .. f (n-1)] across the pool and returns
-    the results in index order. Job indices are claimed dynamically, so
-    jobs may execute in any order and on any domain; [f] must only
-    touch data private to its index or immutable shared state.
+(** [run t n f] evaluates [f 0 .. f (n-1)] on [min jobs n] domains and
+    returns the results in index order. Job indices are claimed
+    dynamically, so jobs may execute in any order and on any domain;
+    [f] must only touch data private to its index or immutable shared
+    state.
 
     If any job raises, remaining unstarted jobs are skipped and the
     exception of the lowest failing index is re-raised (with its
     backtrace) on the calling domain after the batch drains. *)
 val run : t -> int -> (int -> 'a) -> 'a array
 
-(** Terminate the worker domains. The pool must not be used after. *)
-val shutdown : t -> unit
-
-(** [with_pool ~jobs f] runs [f] with a fresh pool, guaranteeing
-    shutdown on exit (including exceptional exit). *)
-val with_pool : jobs:int -> (t -> 'a) -> 'a
-
-(** [global ()] is the process-wide pool shared by the partition
-    engines, created on first use with [Jobs.get ()] workers and
-    transparently rebuilt if the job count changes. Shut down
-    automatically at process exit. *)
+(** [global ()] is the pool of the partition engines, sized from
+    {!Jobs.get}. *)
 val global : unit -> t

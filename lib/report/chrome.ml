@@ -106,26 +106,29 @@ let emit_events b ~first (events : FR.event list) =
       first := false)
     events
 
+let of_trace j = function
+  | [] -> Error "trace: no spans (is this a v2 trace report?)"
+  | spans ->
+    let b = Buffer.create 65536 in
+    Buffer.add_string b "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
+    (* Metadata first: names the process/thread in the Perfetto UI. *)
+    event b ~first:true ~ph:"M" ~name:"process_name" ~ts:0.
+      ~args:"{\"name\":\"sbm\"}" ();
+    event b ~first:false ~ph:"M" ~name:"thread_name" ~ts:0.
+      ~args:"{\"name\":\"flow\"}" ();
+    let first = ref false in
+    let t = ref 0.0 in
+    List.iter (fun s -> t := emit_span b ~first ~t0:!t s) spans;
+    let all key f = List.map f (Json.to_list (Json.member key j)) in
+    emit_samples b ~first (all "samples" Status.sample_of_json);
+    emit_events b ~first (all "events" FR.event_of_json);
+    Buffer.add_string b "]}";
+    Ok (Buffer.contents b)
+
 let convert src =
   match Json.parse src with
   | exception Json.Bad msg -> Error ("trace: " ^ msg)
   | j -> (
     match Sbm_obs.of_json_value j with
     | Error msg -> Error ("trace: " ^ msg)
-    | Ok [] -> Error "trace: no spans (is this a v2 trace report?)"
-    | Ok spans ->
-      let b = Buffer.create 65536 in
-      Buffer.add_string b "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-      (* Metadata first: names the process/thread in the Perfetto UI. *)
-      event b ~first:true ~ph:"M" ~name:"process_name" ~ts:0.
-        ~args:"{\"name\":\"sbm\"}" ();
-      event b ~first:false ~ph:"M" ~name:"thread_name" ~ts:0.
-        ~args:"{\"name\":\"flow\"}" ();
-      let first = ref false in
-      let t = ref 0.0 in
-      List.iter (fun s -> t := emit_span b ~first ~t0:!t s) spans;
-      let all key f = List.map f (Json.to_list (Json.member key j)) in
-      emit_samples b ~first (all "samples" Status.sample_of_json);
-      emit_events b ~first (all "events" FR.event_of_json);
-      Buffer.add_string b "]}";
-      Ok (Buffer.contents b))
+    | Ok spans -> of_trace j spans)

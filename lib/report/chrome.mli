@@ -11,3 +11,7 @@ val convert : string -> (string, string) result
 (** [convert src] parses [src] as a v2 trace report and returns the
     Chrome trace JSON document, or [Error msg] when [src] is not valid
     JSON or has no spans. *)
+
+val of_trace : Json.t -> Sbm_obs.node list -> (string, string) result
+(** [of_trace doc spans] is {!convert} on a parsed trace document [doc]
+    whose spans [Sbm_obs.of_json_value] read as [spans]. *)

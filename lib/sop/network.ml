@@ -506,19 +506,6 @@ let to_aig ?provenance t =
     Aig.set_origin aig (Aig.current_origin src));
   aig
 
-(* Deep copy for parallel analysis: node records are fresh; covers,
-   fanin/user lists, kernel memos and the topological order are
-   immutable values and are shared. *)
-let copy t =
-  {
-    nodes =
-      Array.mapi (fun i nd -> if i < t.n then { nd with alive = nd.alive } else nd) t.nodes;
-    n = t.n;
-    inputs = Array.copy t.inputs;
-    outs = Array.copy t.outs;
-    topo_cache = t.topo_cache;
-  }
-
 let mark t = t.n
 
 let set_cover = replace_cover

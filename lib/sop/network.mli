@@ -75,14 +75,6 @@ val extract_cubes : t -> ?only:(node_id -> bool) -> max_passes:int -> unit -> in
     the same partition and keeps the best (paper, Section IV-B); these
     hooks let it roll back a trial. *)
 
-(** [copy t] is a deep, independent copy: mutating either network
-    leaves the other unchanged. Covers, the fanout structure, the
-    per-node kernel memos and the cached topological order carry over
-    (they are immutable values, shared safely across domains), so a
-    copy starts as warm as its source. Used by the parallel scheduler
-    to analyze partitions on private snapshots. *)
-val copy : t -> t
-
 (** [mark t] is a checkpoint covering node allocation. *)
 val mark : t -> int
 

@@ -62,7 +62,6 @@ let band a b = lift2 "band" Int64.logand a b
 let bor a b = lift2 "bor" Int64.logor a b
 let bxor a b = lift2 "bxor" Int64.logxor a b
 let bxnor a b = bnot (bxor a b)
-let bnor a b = bnot (bor a b)
 let ite c a b = bor (band c a) (band (bnot c) b)
 let mux sel a b = ite sel b a
 

@@ -30,7 +30,6 @@ val band : t -> t -> t
 val bor : t -> t -> t
 val bxor : t -> t -> t
 val bxnor : t -> t -> t
-val bnor : t -> t -> t
 
 (** [ite c a b] is if-then-else: [c&a | ~c&b]. *)
 val ite : t -> t -> t -> t

@@ -116,16 +116,9 @@ let test_snapshot_rollback () =
   Network.check net;
   assert_network_matches_aig aig net
 
-(* Truth table of every output over all minterms: the function a
-   mutation of a copy must leave unchanged in the original. *)
-let outputs_table net =
-  let n = Network.num_inputs net in
-  List.init (1 lsl n) (fun m -> Network.eval net (Array.init n (fun i -> (m lsr i) land 1 = 1)))
-
 (* Random edit scripts. After every step the maintained fanout
-   structure must match a from-scratch recomputation ([check]), the
-   function must be preserved, and a mutated copy must leave its
-   source untouched. *)
+   structure must match a from-scratch recomputation ([check]) and the
+   function must be preserved. *)
 let random_step rng net =
   let internal = Array.of_list (Network.internal_nodes net) in
   let only =
@@ -163,16 +156,7 @@ let test_incremental_fanouts () =
     for _ = 1 to 6 do
       random_step rng net;
       Network.check net;
-      assert_network_matches_aig aig net;
-      let table = outputs_table net and hash = Network.fold_hash net in
-      let lits = Network.num_lits net in
-      let c = Network.copy net in
-      random_step rng c;
-      Network.check c;
-      assert_network_matches_aig aig c;
-      Network.check net;
-      if outputs_table net <> table || Network.fold_hash net <> hash || Network.num_lits net <> lits
-      then Alcotest.fail "mutating a copy changed its source"
+      assert_network_matches_aig aig net
     done
   done
 

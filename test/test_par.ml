@@ -2,7 +2,8 @@
    degenerate sizes, exception protocol), flight-recorder worker
    buffering, and the headline determinism contract — running the
    quick benches at jobs=4 must produce byte-identical QoR, counter
-   totals and attribution shares to jobs=1. Also pins the BDD
+   totals and attribution shares to jobs=1, and the kernel engine
+   must return one AIG on bar at any job count. Also pins the BDD
    manager's allocation behaviour on a dec-sized run so the computed
    cache can never silently go unbounded again. *)
 
@@ -16,55 +17,55 @@ module Pool = Sbm_par.Pool
 (* --- pool --- *)
 
 let test_pool_empty () =
-  Pool.with_pool ~jobs:3 (fun pool ->
-      Alcotest.(check int) "no jobs, no results" 0
-        (Array.length (Pool.run pool 0 (fun _ -> Alcotest.fail "ran"))))
+  let pool = Pool.create ~jobs:3 in
+  Alcotest.(check int) "no jobs, no results" 0
+    (Array.length (Pool.run pool 0 (fun _ -> Alcotest.fail "ran")))
 
 let test_pool_ordering () =
-  Pool.with_pool ~jobs:4 (fun pool ->
-      (* More workers than jobs... *)
-      let r = Pool.run pool 2 (fun i -> 10 * i) in
-      Alcotest.(check (array int)) "jobs > partitions" [| 0; 10 |] r;
-      (* ...and more jobs than workers: results stay in index order
-         regardless of which domain ran what. *)
-      let r = Pool.run pool 100 (fun i -> i * i) in
-      Alcotest.(check int) "batch size" 100 (Array.length r);
-      Array.iteri
-        (fun i v -> Alcotest.(check int) (Printf.sprintf "slot %d" i) (i * i) v)
-        r)
+  let pool = Pool.create ~jobs:4 in
+  (* More workers than jobs... *)
+  let r = Pool.run pool 2 (fun i -> 10 * i) in
+  Alcotest.(check (array int)) "jobs > partitions" [| 0; 10 |] r;
+  (* ...and more jobs than workers: results stay in index order
+     regardless of which domain ran what. *)
+  let r = Pool.run pool 100 (fun i -> i * i) in
+  Alcotest.(check int) "batch size" 100 (Array.length r);
+  Array.iteri
+    (fun i v -> Alcotest.(check int) (Printf.sprintf "slot %d" i) (i * i) v)
+    r
 
 let test_pool_sequential_degenerate () =
   (* jobs = 1 spawns no domains and must run inline, in order. *)
-  Pool.with_pool ~jobs:1 (fun pool ->
-      let order = ref [] in
-      let r =
-        Pool.run pool 5 (fun i ->
-            order := i :: !order;
-            i)
-      in
-      Alcotest.(check (array int)) "results" [| 0; 1; 2; 3; 4 |] r;
-      Alcotest.(check (list int)) "strictly sequential" [ 4; 3; 2; 1; 0 ] !order)
+  let pool = Pool.create ~jobs:1 in
+  let order = ref [] in
+  let r =
+    Pool.run pool 5 (fun i ->
+        order := i :: !order;
+        i)
+  in
+  Alcotest.(check (array int)) "results" [| 0; 1; 2; 3; 4 |] r;
+  Alcotest.(check (list int)) "strictly sequential" [ 4; 3; 2; 1; 0 ] !order
 
 let test_pool_exception () =
-  Pool.with_pool ~jobs:4 (fun pool ->
-      let executed = Atomic.make 0 in
-      (* Indices are claimed in ascending order, so of two failing jobs
-         the lower index always starts first and wins the re-raise. *)
-      (match
-         Pool.run pool 1000 (fun i ->
-             Atomic.incr executed;
-             if i = 5 then failwith "err5";
-             if i = 7 then failwith "err7";
-             i)
-       with
-      | _ -> Alcotest.fail "expected the worker exception to propagate"
-      | exception Failure msg ->
-        Alcotest.(check string) "lowest failing index wins" "err5" msg);
-      Alcotest.(check bool) "cancellation skipped pending jobs" true
-        (Atomic.get executed < 1000);
-      (* The pool survives a failed batch. *)
-      let r = Pool.run pool 8 (fun i -> i + 1) in
-      Alcotest.(check int) "usable after failure" 8 (Array.length r))
+  let pool = Pool.create ~jobs:4 in
+  let executed = Atomic.make 0 in
+  (* Indices are claimed in ascending order, so of two failing jobs
+     the lower index always starts first and wins the re-raise. *)
+  (match
+     Pool.run pool 1000 (fun i ->
+         Atomic.incr executed;
+         if i = 5 then failwith "err5";
+         if i = 7 then failwith "err7";
+         i)
+   with
+  | _ -> Alcotest.fail "expected the worker exception to propagate"
+  | exception Failure msg ->
+    Alcotest.(check string) "lowest failing index wins" "err5" msg);
+  Alcotest.(check bool) "cancellation skipped pending jobs" true
+    (Atomic.get executed < 1000);
+  (* The pool survives a failed batch. *)
+  let r = Pool.run pool 8 (fun i -> i + 1) in
+  Alcotest.(check int) "usable after failure" 8 (Array.length r)
 
 let test_jobs_setting () =
   Helpers.with_jobs 1 (fun () ->
@@ -196,8 +197,8 @@ let test_determinism_quick_set () =
    Abort-armed watchdog skips every partition. The skip must look the
    same at any job count: same network, same registry deltas, and
    every partition counted in watchdog.partitions_skipped. At jobs 4
-   the 11 partitions span two chunks: the first chunk's analyses are
-   dropped unreplayed, the second chunk's workers see the flag. *)
+   the abort is pending at the first partition, so no chunk is ever
+   analyzed. *)
 
 (* The partition engines at partition size 10, over their native
    APIs, and the counter that holds each engine's partition count. *)
@@ -261,6 +262,20 @@ let test_abort_skips_partitions () =
         (List.assoc_opt "watchdog.partitions_skipped" deltas1))
     abort_engines
 
+(* --- the kernel engine: one result at any job count --- *)
+
+(* On bar at scale 0.25 the kernel engine once returned a different
+   AIG at jobs 4 than at jobs 1: partitions analysed on a network copy
+   left the live network's node-id counter behind the sequential run's,
+   and the ids reached extract_kernels' tie-breaks. *)
+let test_kernel_jobs_independent () =
+  let input = Epfl.generate ~scale:0.25 Epfl.Bar in
+  let digest jobs =
+    Helpers.with_jobs jobs (fun () ->
+        Printf.sprintf "%016Lx" (Aig.fold_hash (Sbm_core.Hetero_kernel.run input)))
+  in
+  Alcotest.(check string) "bar: jobs 4 equals jobs 1" (digest 1) (digest 4)
+
 (* --- BDD manager allocation stays bounded --- *)
 
 (* The computed cache and unique table are flat preallocated arrays
@@ -302,6 +317,8 @@ let suite =
       `Slow test_determinism_quick_set;
     Alcotest.test_case "watchdog: abort skips partitions at any job count."
       `Quick test_abort_skips_partitions;
+    Alcotest.test_case "kernel: bar gives one AIG at jobs 1 and 4." `Quick
+      test_kernel_jobs_independent;
     Alcotest.test_case "bdd: dec-sized allocation bounded." `Slow
       test_bdd_allocation_bounded;
   ]
