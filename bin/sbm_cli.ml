@@ -104,7 +104,7 @@ let jobs_arg =
 
 let setup_jobs jobs = Option.iter Sbm_par.Jobs.set jobs
 
-(* --- flight recorder / watchdog / crash dumps --- *)
+(* --- record stream / watchdog / crash dumps --- *)
 
 type obs_opts = {
   recorder : bool;
@@ -123,9 +123,10 @@ let obs_opts_term =
         ~doc:"Enable the flight recorder (same as $(b,--recorder))."
     in
     let doc =
-      "Record in-flight events (pass boundaries, partition bail-outs, \
-       gradient rounds, SAT restart storms) in a bounded ring buffer, dumped \
-       to $(b,sbm-crash-<pid>.json) on an uncaught exception or fatal signal."
+      "Keep the tail of the run's record stream (pass boundaries, \
+       partitions and their bail-outs, gradient rounds, SAT restart \
+       storms, watchdog verdicts) in a bounded ring, dumped to \
+       $(b,sbm-crash-<pid>.json) on an uncaught exception or fatal signal."
     in
     Arg.(value & flag & info [ "recorder" ] ~env ~doc)
   in
@@ -187,28 +188,25 @@ let obs_active o =
   o.recorder || o.watchdog || o.watchdog_abort || o.progress
   || o.deadline <> None || o.status <> None
 
-(* Turn the flags into live machinery: recorder on, watchdog armed,
-   crash-dump signal handlers installed (the status file opens in
-   [setup_common]). [trace] is the run's collector trace, so dumps
-   carry its counter totals. *)
+(* Turn the flags into live machinery: the stream's recorder on,
+   watchdog armed, crash-dump signal handlers installed (the status file
+   opens in [setup_common]). [trace] is the run's collector trace, so
+   dumps carry its counter totals. *)
 let setup_obs o trace =
   if obs_active o then begin
-    Sbm_obs.Flight_recorder.enable ();
+    Sbm_obs.Stream.enable_recorder ();
     let thresholds = o.watchdog || o.watchdog_abort || o.deadline <> None in
+    let limit v = if thresholds then Some v else None in
     if thresholds || o.progress then
       Sbm_obs.Watchdog.arm
         {
           Sbm_obs.Watchdog.pass_deadline_ms =
-            (if thresholds then
-               Some (1000.0 *. Option.value ~default:120.0 o.deadline)
-             else None);
-          max_bail_streak = (if thresholds then Some 8 else None);
-          stall_rounds = (if thresholds then Some 8 else None);
-          max_heap_mb = (if thresholds then Some 4096.0 else None);
+            limit (1000.0 *. Option.value ~default:120.0 o.deadline);
+          max_bail_streak = limit 8;
+          stall_rounds = limit 8;
+          max_heap_mb = limit 4096.0;
           heartbeat_ms = (if o.progress then Some 2000.0 else None);
-          action =
-            (if o.watchdog_abort then Sbm_obs.Watchdog.Abort
-             else Sbm_obs.Watchdog.Note);
+          action = Sbm_obs.Watchdog.(if o.watchdog_abort then Abort else Note);
         };
     let dir =
       Option.value ~default:"." (Sys.getenv_opt "SBM_CRASH_DUMP_DIR")
@@ -254,11 +252,12 @@ let common_opts_term =
   in
   let fingerprint_arg =
     let doc =
-      "Stream the determinism audit trail to $(docv) as JSON lines: one \
-       chained state fingerprint per pass and partition-merge boundary \
-       (structure hash, counter digest, prefilter bank, seeds). Two runs' \
-       trails are aligned with $(b,sbm audit) to localize the first \
-       diverging boundary. Fingerprinting never changes QoR or counters."
+      "Write the determinism audit trail to $(docv) as JSON lines: the run's \
+       pass-end and partition-merge records, each with a chained state \
+       fingerprint (structure hash, counter digest, prefilter bank, seeds). \
+       Two runs' trails are aligned with $(b,sbm audit) to localize the \
+       first diverging boundary. Fingerprinting never changes QoR or \
+       counters."
     in
     Arg.(value & opt (some string) None & info [ "fingerprint" ] ~docv:"FILE" ~doc)
   in
@@ -267,16 +266,19 @@ let common_opts_term =
   in
   Term.(const mk $ jobs_arg $ obs_opts_term $ no_prefilter_arg $ fingerprint_arg)
 
-let setup_common ?trace c =
+(* [trail] keeps the audit trail on without a file (`sbm bench`);
+   elsewhere it costs one structural hash per boundary, so it is opt-in
+   via the flag. The trail's file is opened once, here. *)
+let setup_common ?(trail = false) ?trace c =
   setup_jobs c.jobs;
   setup_obs c.obs trace;
-  (* The trail is always collected under `sbm bench` (the bench
-     command re-enables with its own sink); elsewhere it costs one
-     structural hash per boundary, so it is opt-in via the flag. *)
   let* _ =
-    open_with "fingerprint trail"
-      (fun p -> Sbm_obs.Fingerprint.enable ~path:p ())
-      c.fingerprint
+    match c.fingerprint with
+    | None when trail -> Ok (Some (Sbm_obs.Stream.enable_trail ()))
+    | path ->
+      open_with "fingerprint trail"
+        (fun p -> Sbm_obs.Stream.enable_trail ~path:p ())
+        path
   in
   let* _ =
     open_with "status file"
@@ -620,7 +622,7 @@ let bench_cmd =
   let run level common names suite flow seed scale label out hist repeat ledger =
     setup_logs level;
     let setup =
-      let* () = setup_common common in
+      let* () = setup_common ~trail:true common in
       let* () = check_writable "snapshot" out in
       Option.fold ~none:(Ok ()) ~some:(check_writable "ledger") ledger
     in
@@ -667,12 +669,6 @@ let bench_cmd =
           (fun aig ->
             let m = Sbm_lutmap.Lut_map.map ~k:6 aig in
             (m.Sbm_lutmap.Lut_map.lut_count, m.Sbm_lutmap.Lut_map.depth));
-      (* The audit trail is always on under bench — its chain values
-         ride on the ledger rows, and the overhead is one structural
-         hash per boundary. One continuous trail spans every bench
-         (and repeat) of the invocation, so two bench processes are
-         comparable record-for-record with `sbm audit`. *)
-      Sbm_obs.Fingerprint.enable ?path:common.fingerprint ();
       (* A flow whose output differs from its input ends the command. *)
       let exception Not_equivalent of string in
       let entry b =
@@ -779,7 +775,7 @@ let bench_cmd =
           Error (bench ^ ": flow output is not equivalent to its input")
       in
       Sbm_obs.Status.stop ();
-      Sbm_obs.Fingerprint.disable ();
+      Sbm_obs.Stream.close ();
       match entries with
       | Error msg -> `Error (false, msg)
       | Ok entries -> (
@@ -1268,7 +1264,7 @@ let audit_cmd =
   in
   let run a b =
     let load path =
-      match Sbm_obs.Fingerprint.load path with
+      match Sbm_obs.Stream.load_trail path with
       | Error msg ->
         Fmt.epr "sbm: %s: %s@." path msg;
         Stdlib.exit 2

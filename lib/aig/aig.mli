@@ -186,7 +186,7 @@ val size : t -> int
     under {!copy}, {!compact}, and dead-node garbage, and changes
     (with overwhelming probability) under any functional edit to a
     live gate. It is the structure component of the determinism audit
-    trail (DESIGN.md §15). *)
+    trail (DESIGN.md §9). *)
 val fold_hash : t -> int64
 
 val input_lit : t -> int -> lit

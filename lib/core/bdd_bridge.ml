@@ -1,7 +1,7 @@
 module Aig = Sbm_aig.Aig
 module Bdd = Sbm_bdd.Bdd
 module Partition = Sbm_partition.Partition
-module FR = Sbm_obs.Flight_recorder
+module S = Sbm_obs.Stream
 module M = Sbm_obs.Metrics
 
 let m_nodes =
@@ -54,8 +54,8 @@ let man t = t.man
 
 let bump_limit_bail t =
   t.bails <- t.bails + 1;
-  if FR.enabled () then
-    FR.record ~severity:FR.Warn ~engine:"bdd"
+  if S.recorder_on () then
+    S.append ~severity:S.Warn ~engine:"bdd"
       ~metrics:
         [ ("bails", t.bails); ("bdd_nodes", Bdd.num_nodes t.man);
           ("members", Array.length t.order) ]
@@ -74,8 +74,8 @@ let hit_pct hits misses =
 (* Per-partition counter flush: raw unique/cache traffic and the
    bail-out count (hit ratios derive from the hits and misses). A cache
    hit-rate collapse under real traffic — the canonical sign of a
-   partition whose BDDs blew past locality — also lands in the flight
-   recorder, with this flush's ratios. *)
+   partition whose BDDs blew past locality — also lands in the record
+   stream, with this flush's ratios. *)
 let flush_stats ?(engine = "bdd") s =
   let bs = s.stats in
   (* The ledger consumes the load gauges through the registry alone.
@@ -93,11 +93,11 @@ let flush_stats ?(engine = "bdd") s =
   M.add m_limit_bails s.bails;
   let cpct = hit_pct bs.Bdd.cache_hits bs.Bdd.cache_misses in
   if
-    FR.enabled ()
+    S.recorder_on ()
     && bs.Bdd.cache_hits + bs.Bdd.cache_misses >= 10_000
     && cpct < 20
   then
-    FR.record ~severity:FR.Warn ~engine
+    S.append ~severity:S.Warn ~engine
       ~metrics:
         [ ("cache_hit_pct", cpct);
           ("unique_hit_pct", hit_pct bs.Bdd.unique_hits bs.Bdd.unique_misses);

@@ -58,8 +58,8 @@ val refresh : t -> unit
 
 (** [bump_limit_bail t] records a bail-out caught by a caller (e.g.
     the difference computation or an MSPF cofactor walk). When the
-    flight recorder is on, each bail-out also lands there as a [Warn]
-    event. *)
+    record stream is on, each bail-out also lands there as a [Warn]
+    note. *)
 val bump_limit_bail : t -> unit
 
 (** What a finished partition reports: its manager's counters, the
@@ -74,7 +74,7 @@ val summary : t -> summary
 (** [flush_stats ?engine s] flushes the manager's unique-table and
     computed-cache traffic into the registry — raw hit/miss counts and
     [bdd.limit_bails] — and reports a cache hit-rate collapse
-    (< 20 % over ≥ 10k lookups) to the flight recorder. Engines call
-    it once per partition. [engine] labels the recorder event
-    (default ["bdd"]). *)
+    (< 20 % over ≥ 10k lookups) to the record stream. Engines call
+    it once per partition. [engine] labels that note (default
+    ["bdd"]). *)
 val flush_stats : ?engine:string -> summary -> unit

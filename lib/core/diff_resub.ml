@@ -276,7 +276,7 @@ let analyze aig config store part =
    a worker's summary but the live [aig]). *)
 let finish_partition aig (s : Bdd_bridge.summary) ~index ~rewrites =
   Bdd_bridge.flush_stats ~engine:"diff" s;
-  Sbm_obs.partition_done ~bails:s.bails ~engine:"diff" ~index
+  Sbm_obs.partition_done ~engine:"diff" ~index
     ~structure:(fun () -> Aig.fold_hash aig)
     [ ("members", s.members); ("bails", s.bails);
       ("rewrites", rewrites) ]

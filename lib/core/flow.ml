@@ -107,7 +107,7 @@ let check_injected_failure name =
    size/depth delta. Measurement (Aig.depth is O(n)) only happens when
    the span is live; with observability off this is a direct call.
    Every node the pass builds is stamped with the pass's origin. The
-   pass-boundary consumers (recorder, audit trail, ledger, watchdog)
+   pass-boundary consumers (the record stream's views, the ledger)
    hang off the span's open and close. A pass that raises stays on the
    span stack — exactly what the post-mortem dump should show. *)
 let pass obs name f aig =
@@ -201,13 +201,13 @@ let engine_config ~prefilter =
        counterexamples folded back mid-run show up at the next
        boundary. Harmless while the trail is disabled (the closure is
        stored, never invoked). *)
-    Obs.Fingerprint.set_bank_source
+    Obs.Stream.set_bank_source
       (Some
          (fun () -> (Prefilter.bank_digest bank, Prefilter.bank_seeds bank)));
     Some bank
   end
   else begin
-    Obs.Fingerprint.set_bank_source None;
+    Obs.Stream.set_bank_source None;
     None
   end
 
@@ -304,7 +304,7 @@ let run ?(obs = Obs.null) ?explain ?(prefilter = true) script aig =
   | Baseline ->
     (* No engine config, hence no bank: make sure a source installed
        by a previous run in this process doesn't leak into the trail. *)
-    Obs.Fingerprint.set_bank_source None;
+    Obs.Stream.set_bank_source None;
     pass obs "baseline" (fun sp a -> baseline ~obs:sp a) aig
   | Sbm effort -> sbm ~obs ?explain ~effort ~prefilter aig
   | Gradient ->

@@ -297,21 +297,20 @@ let optimize ?(obs = Obs.null) ?(explain = fun (_ : event) -> ())
         (match !best with Some (gain, _, _) when gain > 0 -> gain | _ -> 0)
     in
     push_gain round_gain;
-    let module FR = Obs.Flight_recorder in
-    if FR.enabled () then
-      FR.record ~severity:FR.Debug ~engine:"gradient"
+    let module S = Obs.Stream in
+    if S.recorder_on () then
+      S.append ~kind:S.Round ~severity:S.Debug ~engine:"gradient"
         ~id:(Printf.sprintf "round-%d" !round)
         ~metrics:
           [ ("gain", round_gain); ("tier", !tier); ("budget_left", !budget);
             ("size", Aig.size !aig) ]
         "round done";
-    Obs.Watchdog.note_round ~gain:round_gain;
     Obs.poll ();
     if Obs.Watchdog.abort_requested () then begin
       (* Graceful wind-down: the remaining budget is marked exhausted,
          so the run's accounting shows where the watchdog cut it. *)
-      if FR.enabled () then
-        FR.record ~severity:FR.Warn ~engine:"gradient"
+      if S.recorder_on () then
+        S.append ~severity:S.Warn ~engine:"gradient"
           ~metrics:[ ("budget_forfeited", !budget) ]
           "aborted by watchdog; budget marked exhausted";
       M.add m_gradient_aborts 1;

@@ -277,7 +277,7 @@ let analyze aig config store part =
    sequential path and the parallel merge path. *)
 let finish_partition aig (s : Bdd_bridge.summary) ~index ~substitutions =
   Bdd_bridge.flush_stats ~engine:"mspf" s;
-  Sbm_obs.partition_done ~bails:s.bails ~engine:"mspf" ~index
+  Sbm_obs.partition_done ~engine:"mspf" ~index
     ~structure:(fun () -> Aig.fold_hash aig)
     [ ("members", s.members); ("bails", s.bails);
       ("substitutions", substitutions) ]

@@ -31,7 +31,7 @@ let refine bank bits =
 
 let refinements bank = bank.refinement_count
 
-(* --- audit-trail components (DESIGN.md §15) ---
+(* --- audit-trail components (DESIGN.md §9) ---
 
    [bank_digest] folds the full refinement state — shape parameters
    plus every stored counterexample in arrival order — so the

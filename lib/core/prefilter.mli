@@ -55,7 +55,7 @@ val refinements : bank -> int
 (** [bank_digest bank] is a 64-bit digest of the bank's refinement
     state — shape parameters plus every retained counterexample in
     arrival order. The bank component of audit-trail fingerprints
-    (DESIGN.md §15): each CEGAR refinement changes the digest at the
+    (DESIGN.md §9): each CEGAR refinement changes the digest at the
     next recorded boundary. *)
 val bank_digest : bank -> int64
 

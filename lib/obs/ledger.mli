@@ -19,7 +19,7 @@ type row = {
   luts : int;  (** LUT-6 count after the pass; [-1] = not probed *)
   levels : int;  (** LUT levels after the pass; [-1] = not probed *)
   fingerprint : int64;
-      (** audit-trail chain value at the pass boundary ({!Fingerprint});
+      (** audit-trail chain value at the pass boundary ({!Stream.chain});
           [0L] when the trail was disabled. Deterministic, so part of
           the stable projection (emitted as a 16-hex-digit string). *)
   wall_ns : int64;

@@ -90,8 +90,8 @@ val activity : snapshot -> snapshot -> (string * int * int) list
 type shard = {
   counts : (string, int ref) Hashtbl.t;  (** counter deltas by name *)
   mutable deferred : (unit -> unit) list;
-      (** main-domain writes the worker could not make (recorder
-          events), newest first *)
+      (** main-domain writes the worker could not make (stream
+          records), newest first *)
 }
 (** One worker domain's telemetry, installed by [Sbm_obs.capture] and
     applied by [Sbm_obs.replay]; nothing else touches it. *)

@@ -1,9 +1,8 @@
-module Flight_recorder = Flight_recorder
+module Stream = Stream
 module Watchdog = Watchdog
 module Metrics = Metrics
 module Status = Status
 module Ledger = Ledger
-module Fingerprint = Fingerprint
 module Span_stack = Span_stack
 module Json = Json
 
@@ -34,7 +33,7 @@ let capture f =
     ~finally:(fun () -> Domain.DLS.set Metrics.shard prev)
     (fun () -> (f (), s))
 
-(* Counter deltas first, then the deferred recorder events, oldest
+(* Counter deltas first, then the deferred stream records, oldest
    first. A name the registry no longer knows is skipped. *)
 let replay (s : Metrics.shard) =
   Hashtbl.iter
@@ -43,7 +42,7 @@ let replay (s : Metrics.shard) =
   List.iter (fun f -> f ()) (List.rev s.deferred)
 
 (* Every live span is a frame on the one span stack from open to
-   close, so the recorder, watchdog, audit trail and status file all
+   close, so the stream's records, the watchdog and the status file all
    see the same "where the run is"; each open and close polls. *)
 let root ?size ?depth trace name =
   let f = Span_stack.push ~root:true ?size ?depth name in
@@ -76,9 +75,7 @@ let close ?size ?depth = function
 
 (* --- pass spans --- *)
 
-let observing () =
-  Fingerprint.enabled () || Watchdog.enabled () || Flight_recorder.enabled ()
-  || Status.active ()
+let observing () = Stream.on () || Status.active ()
 
 let pass ~size ~depth parent name =
   match parent with
@@ -87,53 +84,45 @@ let pass ~size ~depth parent name =
     Ledger.drain_gauges ();
     Metrics.set Metrics.live_aig_nodes size;
     let sp = child ~pass:true ~size ~depth parent name in
-    if Flight_recorder.enabled () then
-      Flight_recorder.record ~severity:Flight_recorder.Info ~engine:"flow"
-        ~id:name ~metrics:[ ("size", size) ] "pass start";
+    if Stream.recorder_on () then
+      Stream.append ~kind:Stream.Pass_start ~engine:"flow" ~id:name
+        ~metrics:[ ("size", size) ] "pass start";
     sp
 
-let close_pass ~size ~depth ?(dead_node_pct = 0) ?(structure = fun () -> 0L)
+let close_pass ~size ~depth ?(dead_node_pct = 0) ?structure
     ?(qor = fun () -> (-1, -1)) = function
   | Noop -> ()
   | Span f ->
     Metrics.set Metrics.live_aig_nodes size;
     Metrics.set_max Metrics.peak_heap_words (Gc.quick_stat ()).Gc.heap_words;
-    (* Trail record before the span stops: the record's own counter
-       lands in the pass's registry delta — consistently at any --jobs,
-       hence still deterministic. *)
-    if Fingerprint.enabled () then
-      f.fingerprint <- Fingerprint.record_pass ~structure:(structure ());
+    (* The pass-end record before the span stops: its trail link's
+       counter bump lands in the pass's registry delta, consistently
+       at any --jobs, hence still deterministic. *)
+    if Stream.on () then begin
+      Stream.append ~kind:Stream.Pass ~engine:"flow" ~id:f.name
+        ~metrics:[ ("size", size); ("gain", f.size0 - size) ]
+        ?structure "pass end";
+      f.fingerprint <- Stream.chain ()
+    end;
     finish ~size ~depth f;
     Ledger.drain_gauges ();
     let luts, levels = qor () in
     f.luts <- luts;
     f.levels <- levels;
     f.dead_node_pct <- dead_node_pct;
-    if Flight_recorder.enabled () then
-      Flight_recorder.record ~severity:Flight_recorder.Info ~engine:"flow"
-        ~id:f.name
-        ~metrics:[ ("size", size); ("gain", f.size0 - size) ]
-        "pass end";
-    Watchdog.clear_abort ();
     Span_stack.pop f;
     poll ()
 
 (* One finished partition of a partition engine, on the main domain in
    ascending partition index (sequential and parallel paths alike). *)
-let partition_done ?bails ~engine ~index ~structure metrics =
-  let severity =
-    match bails with
-    | Some b ->
-      Watchdog.note_partition ~engine ~bails:b;
-      if b > 0 then Flight_recorder.Warn else Flight_recorder.Debug
-    | None -> Flight_recorder.Debug
-  in
-  if Flight_recorder.enabled () then
-    Flight_recorder.record ~severity ~engine
-      ~id:(Printf.sprintf "partition-%d" index)
-      ~metrics "partition done";
-  if Fingerprint.enabled () then
-    Fingerprint.record_merge ~engine ~partition:index ~structure:(structure ())
+let partition_done ~engine ~index ~structure metrics =
+  if Stream.on () then
+    Stream.append ~kind:Stream.Merge ~engine ~metrics ~structure
+      ~severity:
+        (match List.assoc_opt "bails" metrics with
+        | Some b when b > 0 -> Stream.Warn
+        | _ -> Stream.Debug)
+      ~id:(Printf.sprintf "partition-%d" index) "partition done"
 
 (* --- freezing --- *)
 
@@ -392,8 +381,7 @@ let to_json trace =
   optional "samples"
     (fun b s -> Buffer.add_string b (Status.sample_to_json s))
     (Status.samples ());
-  optional "events" (Flight_recorder.buf_event ?t0:None)
-    (Flight_recorder.events ());
+  optional "events" Stream.buf_record (Stream.events ());
   Buffer.add_char b '}';
   Buffer.contents b
 
@@ -434,19 +422,25 @@ let of_json_value json =
     | Some (Json.List l) -> Ok (List.map node_of_json l)
     | Some _ -> Error "not a trace: \"spans\" is not an array")
 
-let of_json s =
+let parse s =
   match Json.parse s with
   | exception Json.Bad msg -> Error ("malformed JSON: " ^ msg)
-  | json -> of_json_value json
+  | json -> Ok json
 
-(* [of_json] on a file ("-" = stdin); errors name the source. *)
-let load_with of_json path =
+let of_json s = Result.bind (parse s) of_json_value
+
+(* A non-empty document, read by [of_json_value]. *)
+let of_text of_json_value s =
+  if String.trim s = "" then Error "empty input"
+  else Result.bind (parse s) of_json_value
+
+(* [of_text] on a file ("-" = stdin); errors name the source. *)
+let load_with of_json_value path =
   Result.bind (Json.read_source path) (fun s ->
       let label = if path = "-" then "stdin" else path in
-      Result.map_error (fun msg -> label ^ ": " ^ msg) (of_json s))
+      Result.map_error (fun msg -> label ^ ": " ^ msg) (of_text of_json_value s))
 
-let load =
-  load_with (fun s -> if String.trim s = "" then Error "empty input" else of_json s)
+let load = load_with of_json_value
 
 (* Every span depth-first, with its "root/child/grandchild" path. *)
 let iter_paths f trace =
@@ -650,10 +644,7 @@ module Snapshot = struct
             seed = Json.int "seed" json; entries })
         (entries [] (Json.to_list (Json.member "entries" json)))
 
-  let of_json s =
-    match Json.parse s with
-    | exception Json.Bad msg -> Error ("malformed JSON: " ^ msg)
-    | json -> of_json_value json
+  let of_json s = Result.bind (parse s) of_json_value
 
   let load path =
     Result.bind (Json.read_source path) (fun s ->
@@ -663,9 +654,9 @@ end
 (* --- crash-dump post-mortems --- *)
 
 module Postmortem = struct
-  module FR = Flight_recorder
+  module S = Stream
 
-  let current_version = 2
+  let current_version = 3
 
   type setup = { mutable trace : trace option; mutable dir : string }
 
@@ -687,21 +678,20 @@ module Postmortem = struct
     counters : (string * int) list;
     recorded : int;
     dropped : int;
-    events : Flight_recorder.event list;
+    events : Stream.record list;
   }
 
-  (* Times are rounded to what the document holds, so the captured
-     record equals the one [of_json] reads back. Event offsets keep
-     their nanoseconds: the absolute [t_ns] each event carries restores
-     them exactly. *)
+  (* Times are rounded to the microsecond the document holds, as
+     record times already are, so the captured dump equals the one
+     [of_json] reads back. *)
   let capture ~reason () =
-    let t0 = FR.t0_ns () in
+    let t0 = S.t0_ns () in
     let ms ns = Json.written_ms (ms_of_ns ns) in
     {
       version = current_version;
       reason;
       pid = Unix.getpid ();
-      elapsed_ms = ms (FR.elapsed_ns ());
+      elapsed_ms = ms (S.elapsed_ns ());
       t0_ns = Some t0;
       (* Open spans, outermost first: the path from the flow root down
          to wherever the run died. *)
@@ -711,9 +701,9 @@ module Postmortem = struct
             { name = f.name; opened_ms = ms (Int64.sub f.t0 t0) })
           (Span_stack.frames ());
       counters = (match setup.trace with Some t -> totals t | None -> []);
-      recorded = FR.recorded ();
-      dropped = FR.dropped ();
-      events = FR.events ();
+      recorded = S.recorded ();
+      dropped = S.dropped ();
+      events = S.events ();
     }
 
   let to_json d =
@@ -722,9 +712,8 @@ module Postmortem = struct
       (Printf.sprintf
          "{\"version\":%d,\"reason\":\"%s\",\"pid\":%d,\"elapsed_ms\":%.3f"
          current_version (esc d.reason) d.pid d.elapsed_ms);
-    (* Absolute monotonic origin of the run, a decimal string (exact
-       past 2^53 ns): event [t_ms] values are relative to it, and each
-       event's absolute [t_ns] is written the same way ([--abs]). *)
+    (* The stream's absolute origin, a decimal string (exact past 2^53
+       ns): record [t_ms] values are relative to it ([--abs]). *)
     Option.iter
       (fun t0 -> Buffer.add_string b (Printf.sprintf ",\"t0_ns\":\"%Ld\"" t0))
       d.t0_ns;
@@ -740,7 +729,7 @@ module Postmortem = struct
     Buffer.add_string b
       (Printf.sprintf ",\"recorded\":%d,\"dropped\":%d,\"events\":" d.recorded
          d.dropped);
-    Json.buf_list b (FR.buf_event ?t0:d.t0_ns) d.events;
+    Json.buf_list b S.buf_record d.events;
     Buffer.add_char b '}';
     Buffer.contents b
 
@@ -749,74 +738,77 @@ module Postmortem = struct
      replace the ring's, in time order. *)
   let migrate_v1 verdicts events =
     let verdict v =
-      { FR.seq = -1; t_ns = Json.ns_of_ms (Json.num "t_ms" v);
-        severity = (if Json.str "action" v = "abort" then FR.Error else FR.Warn);
+      { S.seq = -1; t_ns = Json.ns_of_ms (Json.num "t_ms" v); kind = S.Verdict;
+        severity = (if Json.str "action" v = "abort" then S.Error else S.Warn);
         engine = "watchdog"; id = Json.str ~default:"?" "rule" v;
-        message = Json.str "detail" v; metrics = [] }
+        message = Json.str "detail" v; metrics = []; link = None }
     in
     List.stable_sort
-      (fun (a : FR.event) (b : FR.event) -> Int64.compare a.t_ns b.t_ns)
+      (fun (a : S.record) (b : S.record) -> Int64.compare a.t_ns b.t_ns)
       (List.map verdict verdicts
-      @ List.filter (fun e -> not (FR.is_verdict e)) events)
+      @ List.filter (fun e -> not (S.is_verdict e)) events)
 
-  let of_json s =
-    match String.trim s with
-    | "" -> Error "empty input"
-    | s -> (
-      match Json.parse s with
-      | exception Json.Bad msg -> Error ("malformed JSON: " ^ msg)
-      | j -> (
-        match Json.(to_int (member "version" j)) with
-        | None -> Error "not a post-mortem dump: missing \"version\""
-        | Some v when v > current_version ->
-          Error
-            (Printf.sprintf "unsupported dump version %d (this sbm reads <= %d)" v
-               current_version)
-        | Some version ->
-          let t0_ns = FR.ns_of_json (Json.member "t0_ns" j) in
-          let list key f = List.map f (Json.to_list (Json.member key j)) in
-          let events = list "events" (FR.event_of_json ?t0:t0_ns) in
-          Ok
-            {
-              version;
-              reason = Json.str ~default:"?" "reason" j;
-              pid = Json.int "pid" j;
-              elapsed_ms = Json.num "elapsed_ms" j;
-              t0_ns;
-              span_stack =
-                list "span_stack" (fun f ->
-                    { name = Json.str ~default:"?" "name" f;
-                      opened_ms = Json.num "opened_ms" f });
-              counters = Json.counters "counters" j;
-              recorded = Json.int "recorded" j;
-              dropped = Json.int "dropped" j;
-              events =
-                (if version < 2 then migrate_v1 (list "watchdog" Fun.id) events
-                 else events);
-            }))
+  let of_json_value j =
+    match Json.(to_int (member "version" j)) with
+    | None -> Error "not a post-mortem dump: missing \"version\""
+    | Some v when v > current_version ->
+      Error
+        (Printf.sprintf "unsupported dump version %d (this sbm reads <= %d)" v
+           current_version)
+    | Some version ->
+      let list key f = List.map f (Json.to_list (Json.member key j)) in
+      (* An absolute clock reading: a decimal string, exact past 2^53
+         ns, or a number in version-1 dumps. *)
+      let abs_ns key j =
+        match Json.member key j with
+        | Some (Json.Str s) -> Int64.of_string_opt s
+        | Some (Json.Num f) -> Some (Int64.of_float f)
+        | _ -> None
+      in
+      let t0_ns = abs_ns "t0_ns" j in
+      (* A version-1 or -2 record's absolute "t_ns" times it to the ns. *)
+      let events =
+        list "events" (fun e ->
+            let r = S.record_of_json e in
+            match (t0_ns, abs_ns "t_ns" e) with
+            | Some t0, Some t -> { r with t_ns = Int64.sub t t0 }
+            | _ -> r)
+      in
+      Ok
+        {
+          version;
+          reason = Json.str ~default:"?" "reason" j;
+          pid = Json.int "pid" j;
+          elapsed_ms = Json.num "elapsed_ms" j;
+          t0_ns;
+          span_stack =
+            list "span_stack" (fun f ->
+                { name = Json.str ~default:"?" "name" f;
+                  opened_ms = Json.num "opened_ms" f });
+          counters = Json.counters "counters" j;
+          recorded = Json.int "recorded" j;
+          dropped = Json.int "dropped" j;
+          events =
+            (if version < 2 then migrate_v1 (list "watchdog" Fun.id) events
+             else events);
+        }
 
-  let load = load_with of_json
-
-  let path () =
-    Filename.concat setup.dir
-      (Printf.sprintf "sbm-crash-%d.json" (Unix.getpid ()))
-
-  let dump ~reason () =
-    let file = path () in
-    match open_out file with
-    | exception Sys_error msg -> Error msg
-    | oc ->
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () ->
-          output_string oc (to_json (capture ~reason ()));
-          output_char oc '\n');
-      Ok file
+  let of_json = of_text of_json_value
+  let load = load_with of_json_value
 
   let report_dump ~reason () =
-    match dump ~reason () with
-    | Ok file -> Printf.eprintf "sbm: post-mortem dump written to %s\n%!" file
-    | Error msg -> Printf.eprintf "sbm: post-mortem dump failed: %s\n%!" msg
+    let file =
+      Filename.concat setup.dir
+        (Printf.sprintf "sbm-crash-%d.json" (Unix.getpid ()))
+    in
+    match
+      Out_channel.with_open_text file (fun oc ->
+          output_string oc (to_json (capture ~reason ()));
+          output_char oc '\n')
+    with
+    | () -> Printf.eprintf "sbm: post-mortem dump written to %s\n%!" file
+    | exception Sys_error msg ->
+      Printf.eprintf "sbm: post-mortem dump failed: %s\n%!" msg
 
   (* 128 + signal number, the shell convention. *)
   let install ?dir ?trace () =

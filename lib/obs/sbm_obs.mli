@@ -26,13 +26,11 @@
     reads the JSON document back. The JSON schema is documented in
     DESIGN.md (section "Telemetry"). *)
 
-module Flight_recorder = Flight_recorder
-(** In-flight bounded ring buffer of structured events; see
-    {!Flight_recorder}. *)
+module Stream = Stream
+(** The in-flight record stream and its views; see {!Stream}. *)
 
 module Watchdog = Watchdog
-(** Threshold evaluation, heartbeats and graceful aborts; see
-    {!Watchdog}. *)
+(** Thresholds, heartbeats and graceful aborts; see {!Watchdog}. *)
 
 module Metrics = Metrics
 (** Process-global typed metrics registry (counters and gauges with
@@ -47,11 +45,6 @@ module Ledger = Ledger
 (** Per-pass resource ledger: one row per closed pass frame with QoR
     deltas, counter deltas, GC/heap samples and occupancy gauges, a
     view of the trace ({!ledger}); see {!Ledger}. *)
-
-module Fingerprint = Fingerprint
-(** Determinism audit trail: chained 64-bit state fingerprints at
-    every pass and partition-merge boundary, streamed as JSONL and
-    aligned by `sbm audit`; see {!Fingerprint}. *)
 
 module Span_stack = Span_stack
 (** The one process-global stack of open spans; see {!Span_stack}. *)
@@ -106,42 +99,38 @@ val close : ?size:int -> ?depth:int -> span -> unit
 val poll : unit -> unit
 
 (** [capture f] runs [f] with a fresh shard installed on the calling
-    (worker) domain: its counter bumps and recorder events land in the
+    (worker) domain: its counter bumps and stream records land in the
     shard. Returns [f]'s result and the shard. *)
 val capture : (unit -> 'a) -> 'a * Metrics.shard
 
 (** [replay shard] applies a shard on the main domain: its counter
-    deltas, then its recorder events in recording order (fresh sequence
+    deltas, then its stream records in recording order (fresh sequence
     numbers, original timestamps). *)
 val replay : Metrics.shard -> unit
 
-(** {1 Pass spans}
+(** {1 Pass spans and partition boundaries}
 
-    [Flow.pass] opens one {!pass} span per scripted pass and closes it
-    with {!close_pass}. Both are no-ops on {!null}. The pass-boundary
-    consumers hang off these two calls: the flight recorder's pass
-    events, the audit-trail record, the facts a ledger row projects,
-    the watchdog's abort reset and the pass gauges
-    ([process.live_aig_nodes], [process.peak_heap_words], the drained
-    BDD load gauges). *)
+    Each of these appends one {!Stream} record when the stream is on.
+    [Flow.pass] opens a {!pass} span per scripted pass and closes it
+    with {!close_pass}, both no-ops on {!null}; the pass gauges are set
+    at the same two calls. *)
 
-(** [observing ()] is whether a pass-boundary consumer is on (audit
-    trail, watchdog, flight recorder or status file). A flow that is
+(** [observing ()]: the stream or the status file is on. A flow that is
     observed but was handed {!null} opens a root of its own, so the
     consumers always read one span stack. *)
 val observing : unit -> bool
 
-(** [pass ~size ~depth parent name] opens a pass span: a child span
-    flagged as a pass on {!Span_stack}. *)
+(** [pass ~size ~depth parent name] opens a pass span (a child span
+    flagged as a pass on {!Span_stack}) and appends its [Pass_start]
+    record. *)
 val pass : size:int -> depth:int -> span -> string -> span
 
 (** [close_pass ~size ~depth sp] closes a pass span. In order: the
-    audit trail records the boundary ([structure ()] is the network's
-    structural hash, asked for only when the trail is on) and its chain
-    value goes on the frame; the span stops; the BDD load gauges drain
-    into the open pass frames; [qor ()] (LUT count and levels, default
-    [(-1, -1)]) and [dead_node_pct] go on the frame; the span leaves
-    the stack. *)
+    [Pass] record is appended ([structure ()], the network's structural
+    hash, is asked for only by the trail) and its chain value goes on
+    the frame; the span stops; the BDD load gauges drain; [qor ()] (LUT
+    count and levels, default [(-1, -1)]) and [dead_node_pct] go on the
+    frame; the span leaves the stack. *)
 val close_pass :
   size:int ->
   depth:int ->
@@ -151,16 +140,11 @@ val close_pass :
   span ->
   unit
 
-(** [partition_done ?bails ~engine ~index ~structure metrics] is the
-    bookkeeping of one finished partition of a partition engine, called
-    on the main domain in ascending partition index. In order: a BDD
-    engine's limit [bails] feed {!Watchdog.note_partition} (and make
-    the event a warning when nonzero); the flight recorder logs a
-    ["partition done"] event with [metrics]; the audit trail records
-    the merge boundary ([structure ()] is asked for only when the trail
-    is on). *)
+(** [partition_done ~engine ~index ~structure metrics] appends the
+    [Merge] record of a finished partition, on the main domain in
+    ascending partition index. A nonzero ["bails"] metric (BDD limit
+    bails) makes it a warning; [structure] is as for {!close_pass}. *)
 val partition_done :
-  ?bails:int ->
   engine:string ->
   index:int ->
   structure:(unit -> int64) ->
@@ -262,8 +246,8 @@ val pp : Format.formatter -> trace -> unit
     Version 2 adds the top-level [histograms] object and a per-span
     [gc] object. When live telemetry ran, additive optional keys
     follow: ["samples"] ({!Status} history) and ["events"]
-    ({!Flight_recorder} events, verdicts included) — the Perfetto
-    exporter's counter/instant sources. *)
+    (the recorder's {!Stream} records, verdicts included) — the
+    Perfetto exporter's counter/instant sources. *)
 val to_json : trace -> string
 
 (** [of_json s] is the span forest of a trace document:
@@ -373,20 +357,13 @@ end
 
 (** {1 Crash-dump post-mortems}
 
-    When a run dies — uncaught exception, SIGINT, SIGTERM — the
-    post-mortem module freezes the black box into a versioned JSON
-    document: the flight recorder's events, verdicts included (plus how
-    much was lost to wraparound), the {!Span_stack} at the instant of
-    death, and the live counter totals of the attached trace.
-    [sbm inspect] renders the dump; the schema is
-    documented in DESIGN.md (section "In-flight observability"). *)
+    When a run dies (uncaught exception, SIGINT, SIGTERM), the black
+    box is frozen into a versioned JSON document: the recorder's
+    {!Stream} records, verdicts included, the {!Span_stack} at the
+    instant of death, and the counter totals of the attached trace.
+    [sbm inspect] renders it; DESIGN.md §9 has the schema. *)
 
 module Postmortem : sig
-  (** Schema version written by {!to_json} (currently 2). Readers
-      accept any version [<= current_version]; a version-1 dump's
-      ["watchdog"] verdicts become [watchdog] events on load. *)
-  val current_version : int
-
   (** [configure ?dir ?trace ()] sets the dump directory (default
       ["."]) and attaches the trace whose counter totals the dump
       reports. Unset arguments keep their previous value. *)
@@ -396,52 +373,45 @@ module Postmortem : sig
   type frame = { name : string; opened_ms : float  (** since [t0_ns] *) }
 
   type dump = {
-    version : int;  (** as read; {!to_json} writes {!current_version} *)
+    version : int;
+        (** as read; {!to_json} writes 3, where records carry their
+            ["kind"] and link. Versions 1 and 2 load; a version-1
+            dump's ["watchdog"] verdicts become [Verdict] records. *)
     reason : string;
     pid : int;
     elapsed_ms : float;
     t0_ns : int64 option;
-        (** absolute monotonic clock at recorder start; [None] in dumps
-            that predate it *)
+        (** the stream's absolute origin; [None] in dumps that predate
+            it *)
     span_stack : frame list;  (** outermost first *)
     counters : (string * int) list;  (** the attached trace's totals *)
-    recorded : int;  (** events ever recorded, including overwritten ones *)
-    dropped : int;  (** recorded events the dump does not hold *)
-    events : Flight_recorder.event list;
-        (** oldest first; verdicts are the [watchdog] events *)
+    recorded : int;  (** records ever recorded, overwritten ones included *)
+    dropped : int;  (** recorded records the dump does not hold *)
+    events : Stream.record list;  (** oldest first, verdicts included *)
   }
 
-  (** [capture ~reason ()] freezes the black box. Times are rounded to
-      the microsecond the document holds (event offsets keep their
-      nanoseconds, which [t_ns] carries), so
+  (** [capture ~reason ()] freezes the black box, with times rounded to
+      the microsecond the document holds, so
       [of_json (to_json d) = Ok d]. *)
   val capture : reason:string -> unit -> dump
 
-  (** The single-line JSON post-mortem document:
-      [{"version":2,"reason":...,"pid":...,"elapsed_ms":...,"t0_ns":"...",
+  (** The single-line JSON document:
+      [{"version":3,"reason":...,"pid":...,"elapsed_ms":...,"t0_ns":"...",
       "span_stack":[{"name":...,"opened_ms":...}],
-      "counters":{...},"recorded":N,"dropped":N,"events":[...]}].
-      Each event carries run-relative [t_ms] and, when [t0_ns] is
-      known, absolute [t_ns]; both absolute clocks are decimal
-      strings. *)
+      "counters":{...},"recorded":N,"dropped":N,"events":[...]}], the
+      events written by {!Stream.buf_record} and [t0_ns] as a decimal
+      string. *)
   val to_json : dump -> string
 
   (** Inverse of {!to_json}. [Error]s are one-line: empty input,
-      malformed/truncated JSON, missing version, or a version newer
-      than {!current_version}. *)
+      malformed/truncated JSON, missing version, or a newer version. *)
   val of_json : string -> (dump, string) result
 
   (** [load path] reads and parses a dump file; ["-"] reads stdin. *)
   val load : string -> (dump, string) result
 
-  (** [path ()] is where {!dump} writes:
-      [<dir>/sbm-crash-<pid>.json]. *)
-  val path : unit -> string
-
-  (** [dump ~reason ()] writes the {!capture} to {!path}. *)
-  val dump : reason:string -> unit -> (string, string) result
-
-  (** {!dump} plus a one-line stderr notice (both outcomes). *)
+  (** Write the {!capture} to [<dir>/sbm-crash-<pid>.json], with a
+      one-line stderr notice of either outcome. *)
   val report_dump : reason:string -> unit -> unit
 
   (** [install ?dir ?trace ()] is {!configure} plus SIGINT/SIGTERM

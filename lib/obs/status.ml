@@ -4,7 +4,7 @@
 
 type sample = {
   seq : int;
-  t_ms : float; (* since the recorder's origin *)
+  t_ms : float; (* on the stream's clock *)
   pass : string; (* open-span path, outermost first, ">"-joined *)
   counters : (string * int) list;
   gauges : (string * int) list;
@@ -62,7 +62,6 @@ type st = {
   path : string;
   interval_ns : int64;
   mutable next_ns : int64; (* monotonic clock of the next due sample *)
-  mutable seq : int;
   mutable history : sample list; (* newest first, capped *)
   mutable running : bool;
 }
@@ -84,17 +83,16 @@ let tick st ~finished =
   st.next_ns <- Int64.add (Span_stack.monotonic_ns ()) st.interval_ns;
   let s =
     {
-      seq = st.seq;
-      t_ms = Json.written_ms (Json.ms_of_ns (Flight_recorder.elapsed_ns ()));
+      seq = (match st.history with s :: _ -> s.seq + 1 | [] -> 0);
+      t_ms = Json.written_ms (Json.ms_of_ns (Stream.elapsed_ns ()));
       pass = String.concat ">" (Span_stack.names ());
       counters = Metrics.counters_now ();
       gauges = Metrics.gauges_now ();
-      verdicts = List.length (Flight_recorder.verdicts ());
+      verdicts = Stream.verdicts ();
       abort = Watchdog.abort_requested ();
       finished;
     }
   in
-  st.seq <- st.seq + 1;
   st.history <- s :: List.filteri (fun i _ -> i < max_history - 1) st.history;
   write_file st
 
@@ -103,13 +101,11 @@ let active () =
 
 let start ?(interval_ms = 500.) path =
   if active () then invalid_arg "Sbm_obs.Status.start: already running";
-  if not (Flight_recorder.enabled ()) then Flight_recorder.enable ();
   let st =
     {
       path;
       interval_ns = Int64.of_float (Float.max 20. interval_ms *. 1e6);
       next_ns = 0L;
-      seq = 0;
       history = [];
       running = true;
     }

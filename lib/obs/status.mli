@@ -4,7 +4,7 @@
     ([Sbm_obs.poll], at the watchdog's poll sites and at every live
     span open and close) snapshots the {!Metrics} registry, the
     {!Span_stack} of open spans and the verdict count of the
-    {!Flight_recorder} at most once per [interval_ms] into a JSONL
+    {!Stream} at most once per [interval_ms] into a JSONL
     status file — the full retained history, one object per line,
     oldest first — replaced by atomic rename so an external reader
     ([sbm top]) never observes a torn snapshot. A sample is due when
@@ -19,7 +19,7 @@
 
 type sample = {
   seq : int;
-  t_ms : float;  (** since the recorder's origin, to the microsecond *)
+  t_ms : float;  (** on the {!Stream}'s clock, to the microsecond *)
   pass : string;  (** open-span path, outermost first, [">"]-joined *)
   counters : (string * int) list;
   gauges : (string * int) list;
@@ -45,8 +45,7 @@ val active : unit -> bool
 
 val start : ?interval_ms:float -> string -> unit
 (** [start ~interval_ms path] opens the status file and writes the
-    first sample, enabling the {!Flight_recorder} (the samples' clock)
-    if it is off. Later samples come from {!poll}, at most every
+    first sample. Later samples come from {!poll}, at most every
     [interval_ms] (default 500, clamped ≥ 20). While the file is open,
     flows open a span even when the caller passed none, so the pass
     path is always known.

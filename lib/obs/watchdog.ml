@@ -1,4 +1,4 @@
-module FR = Flight_recorder
+module S = Stream
 
 type action = Note | Abort
 
@@ -22,29 +22,20 @@ let default_config =
   }
 
 type state = {
-  mutable config : config option; (* None = disarmed *)
+  config : config;
   mutable bail_streak : int;
   mutable stall_streak : int;
   mutable heap_fired : bool;
   mutable last_beat_ns : int64;
   mutable last_beat_pass : string; (* pass path at the last beat *)
   mutable beats : int;
-  (* Atomic so worker domains can read it lock-free; only the main
-     domain ever writes (workers honour it at partition boundaries). *)
-  abort : bool Atomic.t;
 }
 
-let st =
-  {
-    config = None;
-    bail_streak = 0;
-    stall_streak = 0;
-    heap_fired = false;
-    last_beat_ns = 0L;
-    last_beat_pass = "";
-    beats = 0;
-    abort = Atomic.make false;
-  }
+let armed : state option ref = ref None
+
+(* Atomic so worker domains can read it lock-free; only the main domain
+   ever writes (workers honour it at partition boundaries). *)
+let abort = Atomic.make false
 
 (* When stderr is not a TTY (CI logs, redirects) the heartbeat fires
    once per pass-path change instead of once per interval, so a long
@@ -58,76 +49,71 @@ let stderr_is_tty =
 let tty () =
   match !force_tty with Some b -> b | None -> Lazy.force stderr_is_tty
 
-let beats () = st.beats
+let beats () = match !armed with Some st -> st.beats | None -> 0
 
-let enabled () = st.config <> None
+(* The verdict's one record. *)
+let fire st rule detail =
+  let aborting = st.config.action = Abort in
+  S.append ~kind:S.Verdict ~severity:(if aborting then S.Error else S.Warn)
+    ~engine:"watchdog" ~id:rule detail;
+  if aborting then Atomic.set abort true
+
+(* The record rules: a pass end clears a pending abort, and a streak of
+   bailing partitions or of zero-gain rounds grows on each bad record
+   and restarts on a good one; at its limit the rule fires and the
+   streak restarts. *)
+let observe (r : S.record) =
+  match !armed with
+  | None -> ()
+  | Some st -> (
+    let streak count limit bad rule detail =
+      match limit with
+      | Some l when bad && count + 1 >= l ->
+        fire st rule (detail (count + 1));
+        0
+      | _ -> if bad then count + 1 else 0
+    in
+    let metric = List.assoc_opt (if r.kind = S.Merge then "bails" else "gain") in
+    match (r.kind, metric r.metrics) with
+    | S.Pass, _ -> Atomic.set abort false
+    | S.Merge, Some bails ->
+      st.bail_streak <-
+        streak st.bail_streak st.config.max_bail_streak (bails > 0)
+          "bail-streak" (fun n ->
+            Printf.sprintf
+              "%d consecutive partitions bailed on the BDD budget (engine %s)"
+              n r.engine)
+    | S.Round, Some gain ->
+      st.stall_streak <-
+        streak st.stall_streak st.config.stall_rounds (gain <= 0)
+          "gradient-stall"
+          (Printf.sprintf "%d consecutive zero-gain gradient rounds")
+    | _ -> ())
 
 let arm config =
-  if not (FR.enabled ()) then FR.enable ();
-  st.config <- Some config;
-  st.bail_streak <- 0;
-  st.stall_streak <- 0;
-  st.heap_fired <- false;
-  st.last_beat_ns <- 0L;
-  st.last_beat_pass <- "";
-  st.beats <- 0;
-  Atomic.set st.abort false
+  if not (S.recorder_on ()) then S.enable_recorder ();
+  armed :=
+    Some
+      { config; bail_streak = 0; stall_streak = 0; heap_fired = false;
+        last_beat_ns = 0L; last_beat_pass = ""; beats = 0 };
+  Atomic.set abort false;
+  S.react := observe
 
 let disarm () =
-  st.config <- None;
-  Atomic.set st.abort false
+  armed := None;
+  Atomic.set abort false;
+  S.react := ignore
 
-let abort_requested () = Atomic.get st.abort
-let clear_abort () = Atomic.set st.abort false
-
-(* The recorder event is the verdict's one record. *)
-let fire (config : config) rule detail =
-  let abort = config.action = Abort in
-  FR.record ~severity:(if abort then Error else Warn) ~engine:"watchdog"
-    ~id:rule detail;
-  if abort then Atomic.set st.abort true
+let abort_requested () = Atomic.get abort
 
 let ms_of_ns = Json.ms_of_ns
-
-let note_partition ~engine ~bails =
-  match st.config with
-  | None -> ()
-  | Some config ->
-    if bails > 0 then begin
-      st.bail_streak <- st.bail_streak + 1;
-      match config.max_bail_streak with
-      | Some limit when st.bail_streak >= limit ->
-        fire config "bail-streak"
-          (Printf.sprintf
-             "%d consecutive partitions bailed on the BDD budget (engine %s)"
-             st.bail_streak engine);
-        st.bail_streak <- 0
-      | _ -> ()
-    end
-    else st.bail_streak <- 0
-
-let note_round ~gain =
-  match st.config with
-  | None -> ()
-  | Some config ->
-    if gain > 0 then st.stall_streak <- 0
-    else begin
-      st.stall_streak <- st.stall_streak + 1;
-      match config.stall_rounds with
-      | Some limit when st.stall_streak >= limit ->
-        fire config "gradient-stall"
-          (Printf.sprintf "%d consecutive zero-gain gradient rounds"
-             st.stall_streak);
-        st.stall_streak <- 0
-      | _ -> ()
-    end
 
 let heap_mb () =
   let s = Gc.quick_stat () in
   float_of_int s.Gc.heap_words *. float_of_int (Sys.word_size / 8) /. 1e6
 
-let heartbeat config now =
-  match config.heartbeat_ms with
+let heartbeat st now =
+  match st.config.heartbeat_ms with
   | None -> ()
   | Some interval ->
     let where =
@@ -148,16 +134,16 @@ let heartbeat config now =
       st.last_beat_pass <- where;
       st.beats <- st.beats + 1;
       Printf.eprintf "[sbm %7.1fs] pass=%s heap=%.0fMB events=%d verdicts=%d\n%!"
-        (ms_of_ns now /. 1000.0) where (heap_mb ()) (FR.recorded ())
-        (List.length (FR.verdicts ()))
+        (ms_of_ns now /. 1000.0) where (heap_mb ()) (S.recorded ())
+        (S.verdicts ())
     end
 
 let poll () =
-  match st.config with
+  match !armed with
   | None -> ()
-  | Some config ->
-    let now = FR.elapsed_ns () in
-    (match config.pass_deadline_ms with
+  | Some st ->
+    let now = S.elapsed_ns () in
+    (match st.config.pass_deadline_ms with
     | None -> ()
     | Some deadline ->
       (* Any open pass past its deadline fires, deepest first; a pass
@@ -171,21 +157,19 @@ let poll () =
             let open_ms = ms_of_ns (Int64.sub clock f.t0) in
             if open_ms > deadline then begin
               f.deadline_fired <- true;
-              fire config "pass-deadline"
+              fire st "pass-deadline"
                 (Printf.sprintf "pass '%s' open for %.0fms (deadline %.0fms)"
                    f.name open_ms deadline)
             end
           end)
         (Span_stack.passes ()));
-    (match config.max_heap_mb with
-    | None -> ()
-    | Some limit ->
-      if not st.heap_fired then begin
-        let mb = heap_mb () in
-        if mb > limit then begin
-          st.heap_fired <- true;
-          fire config "heap-growth"
-            (Printf.sprintf "major heap %.0fMB exceeds %.0fMB" mb limit)
-        end
-      end);
-    heartbeat config now
+    (match st.config.max_heap_mb with
+    | Some limit when not st.heap_fired ->
+      let mb = heap_mb () in
+      if mb > limit then begin
+        st.heap_fired <- true;
+        fire st "heap-growth"
+          (Printf.sprintf "major heap %.0fMB exceeds %.0fMB" mb limit)
+      end
+    | _ -> ());
+    heartbeat st now

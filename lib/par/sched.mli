@@ -16,7 +16,7 @@ val each : 'p list -> (int -> 'p -> unit) -> unit
       partition not yet analyzed it analyzes the next [2 × jobs]
       partitions on {!Pool.global}: [analyze i part] runs on a worker
       domain and must only read shared state (or mutate a private
-      snapshot); its registry bumps and flight-recorder events are
+      snapshot); its registry bumps and stream records are
       captured in one shard ([Sbm_obs.capture]). When the result is
       [clean] and no earlier partition of the chunk committed an edit,
       the captured telemetry is replayed and [merge i part result] is

@@ -1,23 +1,20 @@
 (** Divergence auditor over determinism audit trails ([sbm audit]).
 
-    Aligns two fingerprint trails ({!Sbm_obs.Fingerprint.load}ed JSONL
-    streams or in-process record lists) positionally and reports the
-    {e first} record where any deterministic component differs —
-    because each record's chain commits to the whole prefix, that
-    record is exactly the first boundary (pass or partition merge)
+    Aligns two trails (read by {!Sbm_obs.Stream.load_trail}, or held in
+    memory) positionally and reports the first record where any
+    component differs. Each link's chain commits to the whole prefix,
+    so that record is the first boundary (pass or partition merge)
     where the two runs' states disagreed. The drill-down names the
-    diverging components (structure vs counters vs bank vs seeds) and,
-    when the counter vectors are present, the individual counters. *)
+    diverging components and, from the counter vectors, the
+    counters. *)
 
 type component = Label | Structure | Counters | Bank | Seeds
 
-val component_to_string : component -> string
-
 type divergence = {
   index : int;  (** position of the first diverging record *)
-  a : Sbm_obs.Fingerprint.record option;
+  a : Sbm_obs.Stream.link option;
       (** [None] = trail A ended before [index] *)
-  b : Sbm_obs.Fingerprint.record option;
+  b : Sbm_obs.Stream.link option;
   components : component list;
       (** fields that disagree (only when both records are present) *)
   counter_diffs : (string * int option * int option) list;
@@ -27,9 +24,7 @@ type divergence = {
 type outcome = Identical of int | Diverged of divergence
 
 val compare_trails :
-  Sbm_obs.Fingerprint.record list ->
-  Sbm_obs.Fingerprint.record list ->
-  outcome
+  Sbm_obs.Stream.link list -> Sbm_obs.Stream.link list -> outcome
 (** First-divergence scan. Trails of different lengths diverge at the
     end of the shorter one. *)
 

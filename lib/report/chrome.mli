@@ -3,9 +3,9 @@
     Converts a v2 telemetry trace report (the JSON written by
     [--report trace.json]) into the Chrome Trace Event Format accepted
     by ui.perfetto.dev and chrome://tracing: spans become B/E duration
-    events, live-telemetry samples become "C" counter series, and
-    flight-recorder events (watchdog verdicts included) become instant
-    events. *)
+    events, live-telemetry samples become "C" counter series, and the
+    recorder's stream records (watchdog verdicts included) become
+    instant events. *)
 
 val convert : string -> (string, string) result
 (** [convert src] parses [src] as a v2 trace report and returns the

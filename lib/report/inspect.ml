@@ -1,5 +1,5 @@
 module Pm = Sbm_obs.Postmortem
-module FR = Sbm_obs.Flight_recorder
+module S = Sbm_obs.Stream
 
 let pp_metrics ppf = function
   | [] -> ()
@@ -8,26 +8,20 @@ let pp_metrics ppf = function
       (Fmt.list ~sep:(Fmt.any ", ") (fun ppf (k, v) -> Fmt.pf ppf "%s=%d" k v))
       metrics
 
-(* Timestamp column. Default: delta from run start ("+123.4 ms", the
-   dump's t_ms). --abs: the absolute monotonic clock in ns — exact for
-   events, which carry it, reconstructed from t0_ns + t_ms for frames.
-   Dumps predating t0_ns fall back to deltas even under --abs. *)
-let pp_stamp ~abs t0_ns ppf (t_ms, exact_ns) =
+(* Timestamp column, from a time since the stream opened. Default: a
+   delta from run start ("+123.4 ms", the dump's t_ms). --abs: the
+   absolute monotonic clock in ns, t0_ns + the time. Dumps predating
+   t0_ns fall back to deltas even under --abs. *)
+let pp_stamp ~abs t0_ns ppf t_ns =
   match t0_ns with
-  | Some t0 when abs ->
-    let ns = Option.value exact_ns ~default:(Json.ns_of_ms t_ms) in
-    Fmt.pf ppf "[%18Ld ns]" (Int64.add t0 ns)
-  | _ -> Fmt.pf ppf "[%+10.1f ms]" t_ms
-
-(* An event's t_ms as the dump prints it. *)
-let event_ms (e : FR.event) = Json.(written_ms (ms_of_ns e.t_ns))
+  | Some t0 when abs -> Fmt.pf ppf "[%18Ld ns]" (Int64.add t0 t_ns)
+  | _ -> Fmt.pf ppf "[%+10.1f ms]" (Json.ms_of_ns t_ns)
 
 let pp ?(last = 20) ?(abs = false) ppf (d : Pm.dump) =
   let stamp = pp_stamp ~abs d.t0_ns in
-  let pp_event ppf (e : FR.event) =
-    Fmt.pf ppf "  %a %-5s %-10s %-14s %s%a@." stamp
-      (event_ms e, Some e.t_ns)
-      (String.uppercase_ascii (FR.severity_to_string e.severity))
+  let pp_event ppf (e : S.record) =
+    Fmt.pf ppf "  %a %-5s %-10s %-14s %s%a@." stamp e.t_ns
+      (String.uppercase_ascii (S.severity_to_string e.severity))
       e.engine e.id e.message pp_metrics e.metrics
   in
   Fmt.pf ppf "post-mortem dump (version %d)@." d.version;
@@ -39,11 +33,12 @@ let pp ?(last = 20) ?(abs = false) ppf (d : Pm.dump) =
   else
     List.iter
       (fun (f : Pm.frame) ->
-        Fmt.pf ppf "  %-32s opened at %a@." f.name stamp (f.opened_ms, None))
+        Fmt.pf ppf "  %-32s opened at %a@." f.name stamp
+          (Json.ns_of_ms f.opened_ms))
       d.span_stack;
   (* Verdicts (WARN = note, ERROR = abort) are listed whole, the rest
      of the timeline by its tail. *)
-  let verdicts, others = List.partition FR.is_verdict d.events in
+  let verdicts, others = List.partition S.is_verdict d.events in
   Fmt.pf ppf "@.watchdog verdicts:@.";
   if verdicts = [] then Fmt.pf ppf "  (none)@."
   else List.iter (pp_event ppf) verdicts;

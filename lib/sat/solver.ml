@@ -412,11 +412,11 @@ let solve ?(assumptions = []) ?(conflict_limit = max_int) t =
         t.restarts <- t.restarts + 1;
         (* Restart storm: a solver restarting this much on one
            instance is the in-flight signal of a hard miter. Every
-           64th restart lands in the flight recorder (cheap: one
+           64th restart lands in the record stream (cheap: one
            branch per restart, and restarts are rare events). *)
-        (let module FR = Sbm_obs.Flight_recorder in
-         if FR.enabled () && t.restarts land 63 = 0 then
-           FR.record ~severity:FR.Warn ~engine:"sat"
+        (let module S = Sbm_obs.Stream in
+         if S.recorder_on () && t.restarts land 63 = 0 then
+           S.append ~severity:S.Warn ~engine:"sat"
              ~metrics:
                [ ("restarts", t.restarts); ("conflicts", t.conflicts);
                  ("vars", t.nvars); ("clauses", t.nclauses) ]

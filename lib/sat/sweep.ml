@@ -96,9 +96,9 @@ let run ?on_cex aig =
             end)
           rest)
     classes;
-  (let module FR = Sbm_obs.Flight_recorder in
-   if FR.enabled () then
-     FR.record ~severity:FR.Info ~engine:"sat" ~id:"sweep"
+  (let module S = Sbm_obs.Stream in
+   if S.recorder_on () then
+     S.append ~engine:"sat" ~id:"sweep"
        ~metrics:
          [ ("classes", Hashtbl.length classes); ("sat_calls", !sat_calls);
            ("merged", !merged); ("restarts", Solver.num_restarts solver) ]

@@ -591,7 +591,7 @@ let eval t bits =
    Network-side twin of [Aig.fold_hash]: a bottom-up 64-bit fold over
    the reachable cover structure, used as the structure component of
    the heterogeneous-kernel merge-boundary fingerprints (DESIGN.md
-   §15). Node ids never enter the hash — every node hashes from the
+   §9). Node ids never enter the hash — every node hashes from the
    hashes of the nodes its cover references — and literals within a
    cube and cubes within a cover combine commutatively, so the digest
    only depends on the logic function structure, not on allocation

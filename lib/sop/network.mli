@@ -106,5 +106,5 @@ val eval : t -> bool array -> bool array
     [Aig.fold_hash]. Node ids never enter the hash; literals within a
     cube and cubes within a cover combine commutatively. Used as the
     structure component of heterogeneous-kernel merge-boundary
-    fingerprints (DESIGN.md §15). *)
+    fingerprints (DESIGN.md §9). *)
 val fold_hash : t -> int64

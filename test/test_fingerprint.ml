@@ -5,7 +5,7 @@
 
 module Aig = Sbm_aig.Aig
 module Audit = Sbm_report.Audit
-module FP = Sbm_obs.Fingerprint
+module S = Sbm_obs.Stream
 module Obs = Sbm_obs
 module Rng = Sbm_util.Rng
 
@@ -72,8 +72,8 @@ let test_fold_hash_distinguishes () =
 (* The trail labels its records from the open pass frames of the one
    span stack, so trail tests open pass spans under a root. *)
 let with_trail f =
-  FP.enable ();
-  Fun.protect ~finally:FP.disable (fun () ->
+  S.enable_trail ();
+  Fun.protect ~finally:S.close (fun () ->
       let root = Obs.root (Obs.create ()) "t" in
       let r = f root in
       Obs.close root;
@@ -84,18 +84,27 @@ let pass parent name = Obs.pass ~size:0 ~depth:0 parent name
 let close_pass structure sp =
   Obs.close_pass ~size:0 ~depth:0 ~structure:(fun () -> structure) sp
 
+let merge ~engine ~partition structure =
+  Obs.partition_done ~engine ~index:partition ~structure:(fun () -> structure)
+    []
+
+let to_json l =
+  let b = Buffer.create 256 in
+  S.buf_link b l;
+  Buffer.contents b
+
 let test_trail_labels () =
   with_trail (fun root ->
       let it = pass root "iteration-1" in
       let m = pass it "mspf" in
-      FP.record_merge ~engine:"mspf" ~partition:0 ~structure:3L;
-      FP.record_merge ~engine:"mspf" ~partition:1 ~structure:4L;
+      merge ~engine:"mspf" ~partition:0 3L;
+      merge ~engine:"mspf" ~partition:1 4L;
       close_pass 5L m;
       close_pass 6L it;
-      let rs = FP.records () in
+      let rs = S.trail () in
       Alcotest.(check int) "record count" 4 (List.length rs);
       Alcotest.(check (list int)) "seq in trail order" [ 0; 1; 2; 3 ]
-        (List.map (fun r -> r.FP.seq) rs);
+        (List.map (fun (l : S.link) -> l.index) rs);
       Alcotest.(check (list string)) "labels"
         [
           "iteration-1/mspf/mspf-partition-0";
@@ -103,10 +112,10 @@ let test_trail_labels () =
           "iteration-1/mspf";
           "iteration-1";
         ]
-        (List.map (fun r -> r.FP.label) rs);
+        (List.map (fun (l : S.link) -> l.label) rs);
       Alcotest.(check (list string)) "kinds"
         [ "merge"; "merge"; "pass"; "pass" ]
-        (List.map (fun r -> FP.kind_to_string r.FP.kind) rs))
+        (List.map (fun (l : S.link) -> S.kind_to_string l.boundary) rs))
 
 (* Two trails that agree on a prefix agree on its chain values; a
    difference in record 0 flips every later chain even when the later
@@ -116,31 +125,30 @@ let test_chain_commits_to_prefix () =
     with_trail (fun root ->
         close_pass s0 (pass root "a");
         close_pass 2L (pass root "b");
-        FP.records ())
+        S.trail ())
   in
   let t1 = trail 1L and t1' = trail 1L and t9 = trail 9L in
-  let chains t = List.map (fun r -> r.FP.chain) t in
+  let chains t = List.map (fun (l : S.link) -> l.chain) t in
   Alcotest.(check bool) "same inputs, same chains" true
     (chains t1 = chains t1');
-  let r1 = List.nth t1 1 and r9 = List.nth t9 1 in
+  let r1 : S.link = List.nth t1 1 and r9 : S.link = List.nth t9 1 in
   Alcotest.(check bool) "record 1 components identical" true
-    (r1.FP.structure = r9.FP.structure
-    && r1.FP.counters_digest = r9.FP.counters_digest
-    && r1.FP.label = r9.FP.label);
+    (r1.structure = r9.structure
+    && r1.counters_digest = r9.counters_digest
+    && r1.label = r9.label);
   Alcotest.(check bool) "record 1 chains diverge" true
-    (r1.FP.chain <> r9.FP.chain)
+    (r1.chain <> r9.chain)
 
 let test_disabled_is_noop () =
-  FP.disable ();
+  S.close ();
   let root = Obs.root (Obs.create ()) "t" in
   let ghost = pass root "ghost" in
-  Alcotest.(check int64) "record_pass returns 0 while disabled" 0L
-    (FP.record_pass ~structure:1L);
   close_pass 1L ghost;
+  Alcotest.(check int64) "the chain reads 0 while disabled" 0L (S.chain ());
   Obs.close root;
-  FP.record_merge ~engine:"ghost" ~partition:0 ~structure:1L;
+  merge ~engine:"ghost" ~partition:0 1L;
   Alcotest.(check int) "no records while disabled" 0
-    (List.length (FP.records ()))
+    (List.length (S.trail ()))
 
 (* --- the injection hook plants a localizable divergence --- *)
 
@@ -148,16 +156,16 @@ let test_injection_localized () =
   let run () =
     with_trail (fun root ->
         let m = pass root "mspf" in
-        FP.record_merge ~engine:"mspf" ~partition:0 ~structure:10L;
-        FP.record_merge ~engine:"mspf" ~partition:1 ~structure:11L;
-        FP.record_merge ~engine:"mspf" ~partition:2 ~structure:12L;
+        merge ~engine:"mspf" ~partition:0 10L;
+        merge ~engine:"mspf" ~partition:1 11L;
+        merge ~engine:"mspf" ~partition:2 12L;
         close_pass 13L m;
-        FP.records ())
+        S.trail ())
   in
   let clean = run () in
-  FP.inject := Some ("mspf", 1);
+  S.inject := Some ("mspf", 1);
   let dirty =
-    Fun.protect ~finally:(fun () -> FP.inject := None) run
+    Fun.protect ~finally:(fun () -> S.inject := None) run
   in
   match Audit.compare_trails clean dirty with
   | Audit.Identical _ -> Alcotest.fail "injected divergence went unnoticed"
@@ -183,7 +191,7 @@ let test_audit_identical_and_truncated () =
     with_trail (fun root ->
         close_pass 1L (pass root "a");
         close_pass 2L (pass root "b");
-        FP.records ())
+        S.trail ())
   in
   let t = trail () and t' = trail () in
   (match Audit.compare_trails t t' with
@@ -212,26 +220,26 @@ let test_jsonl_roundtrip () =
     with_trail (fun root ->
         let it = pass root "iteration-1" in
         let d = pass it "diff" in
-        FP.record_merge ~engine:"diff" ~partition:0 ~structure:7L;
+        merge ~engine:"diff" ~partition:0 7L;
         close_pass 8L d;
         close_pass 9L it;
-        FP.records ())
+        S.trail ())
   in
   List.iter
-    (fun r ->
-      match FP.record_of_json (Sbm_obs.Json.parse (FP.record_to_json r)) with
-      | None -> Alcotest.failf "unparsable: %s" (FP.record_to_json r)
+    (fun (r : S.link) ->
+      match S.link_of_json (Sbm_obs.Json.parse (to_json r)) with
+      | None -> Alcotest.failf "unparsable: %s" (to_json r)
       | Some p ->
-        Alcotest.(check int) "seq" r.FP.seq p.FP.seq;
-        Alcotest.(check string) "label" r.FP.label p.FP.label;
-        Alcotest.(check string) "kind" (FP.kind_to_string r.FP.kind)
-          (FP.kind_to_string p.FP.kind);
-        Alcotest.(check int64) "structure" r.FP.structure p.FP.structure;
-        Alcotest.(check int64) "counters digest" r.FP.counters_digest
-          p.FP.counters_digest;
-        Alcotest.(check int64) "chain" r.FP.chain p.FP.chain;
+        Alcotest.(check int) "seq" r.index p.index;
+        Alcotest.(check string) "label" r.label p.label;
+        Alcotest.(check string) "kind" (S.kind_to_string r.boundary)
+          (S.kind_to_string p.boundary);
+        Alcotest.(check int64) "structure" r.structure p.structure;
+        Alcotest.(check int64) "counters digest" r.counters_digest
+          p.counters_digest;
+        Alcotest.(check int64) "chain" r.chain p.chain;
         Alcotest.(check (list (pair string int))) "counter vector"
-          r.FP.counters p.FP.counters)
+          r.counters p.counters)
     rs;
   (* A torn final line (killed run) is skipped, not fatal. *)
   let path = Filename.temp_file "sbm_fp" ".jsonl" in
@@ -242,17 +250,17 @@ let test_jsonl_roundtrip () =
       List.iteri
         (fun i r ->
           if i < 2 then begin
-            output_string oc (FP.record_to_json r);
+            output_string oc (to_json r);
             output_char oc '\n'
           end)
         rs;
       output_string oc "{\"seq\":2,\"kind\":\"pa";
       close_out oc;
-      match FP.load path with
+      match S.load_trail path with
       | Error msg -> Alcotest.failf "load failed: %s" msg
       | Ok loaded ->
         Alcotest.(check int) "torn line skipped" 2 (List.length loaded));
-  match FP.load "/nonexistent/sbm_fp.jsonl" with
+  match S.load_trail "/nonexistent/sbm_fp.jsonl" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unreadable file must be an Error"
 
@@ -264,8 +272,8 @@ let test_jsonl_roundtrip () =
 let run_flow_trail ?(traced = true) () =
   let rng = Rng.create 42 in
   let aig = Helpers.random_xor_aig ~inputs:8 ~gates:60 ~outputs:4 rng in
-  FP.enable ();
-  Fun.protect ~finally:FP.disable (fun () ->
+  S.enable_trail ();
+  Fun.protect ~finally:S.close (fun () ->
       let flow = Sbm_core.Flow.Sbm Sbm_core.Flow.Low in
       if traced then begin
         let trace = Obs.create () in
@@ -276,14 +284,14 @@ let run_flow_trail ?(traced = true) () =
         Obs.close ~size:(Aig.size optimized) ~depth:(Aig.depth optimized) root
       end
       else ignore (Sbm_core.Flow.run flow aig);
-      FP.records ())
+      S.trail ())
 
 (* Counters never depend on tracing, so neither does the trail. *)
 let test_untraced_trail_equals_traced () =
   let traced = run_flow_trail () in
   let untraced = run_flow_trail ~traced:false () in
   Alcotest.(check bool) "the flow produced merge records" true
-    (List.exists (fun r -> r.FP.kind = FP.Merge) traced);
+    (List.exists (fun (l : S.link) -> l.boundary = S.Merge) traced);
   match Audit.compare_trails traced untraced with
   | Audit.Identical n -> Alcotest.(check int) "every record" (List.length traced) n
   | Audit.Diverged d -> Alcotest.failf "trails diverge: %s" (Audit.describe d)
@@ -313,18 +321,18 @@ let test_flow_injection_end_to_end () =
   let clean = run_flow_trail () in
   Alcotest.(check bool) "flow produced a trail" true (clean <> []);
   let merge =
-    match List.find_opt (fun r -> r.FP.kind = FP.Merge) clean with
+    match List.find_opt (fun (l : S.link) -> l.boundary = S.Merge) clean with
     | Some r -> r
     | None -> Alcotest.fail "flow produced no merge boundary"
   in
   let engine, partition =
-    match parse_merge_label merge.FP.label with
+    match parse_merge_label merge.label with
     | Some p -> p
-    | None -> Alcotest.failf "unparsable merge label %s" merge.FP.label
+    | None -> Alcotest.failf "unparsable merge label %s" merge.label
   in
-  FP.inject := Some (engine, partition);
+  S.inject := Some (engine, partition);
   let dirty =
-    Fun.protect ~finally:(fun () -> FP.inject := None) run_flow_trail
+    Fun.protect ~finally:(fun () -> S.inject := None) run_flow_trail
   in
   match Audit.compare_trails clean dirty with
   | Audit.Identical _ -> Alcotest.fail "injected flow divergence unnoticed"
@@ -332,7 +340,7 @@ let test_flow_injection_end_to_end () =
     Alcotest.(check int)
       (Printf.sprintf "localized to the first %s partition %d boundary" engine
          partition)
-      merge.FP.seq d.Audit.index;
+      merge.index d.Audit.index;
     Alcotest.(check bool) "structure component named" true
       (List.mem Audit.Structure d.Audit.components)
 

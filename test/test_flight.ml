@@ -1,24 +1,23 @@
-(* The in-flight observability layer: flight-recorder ring semantics,
-   watchdog threshold rules and abort lifecycle, post-mortem dump
-   round-trips through the inspect reader, and the flow's failure
+(* The in-flight observability layer: the record stream's recorder
+   ring, the watchdog's threshold rules and abort lifecycle, post-mortem
+   dump round-trips through the inspect reader, the flow's failure
    injection producing a parseable dump with the failing pass on the
-   open span stack. The recorder and watchdog are process-global, so
-   every test tears them down. *)
+   open span stack, and the stream's views agreeing on one run. The
+   stream and the watchdog are process-global, so every test tears them
+   down. *)
 
 module Aig = Sbm_aig.Aig
 module Obs = Sbm_obs
-module FR = Sbm_obs.Flight_recorder
+module S = Sbm_obs.Stream
 module Wd = Sbm_obs.Watchdog
 module Ledger = Sbm_obs.Ledger
 module Chrome = Sbm_report.Chrome
 module Json = Sbm_report.Json
-module FP = Sbm_obs.Fingerprint
 module Pm = Sbm_obs.Postmortem
 
 let teardown () =
   Wd.disarm ();
-  FR.disable ();
-  FP.disable ();
+  S.close ();
   Sbm_core.Flow.inject_failure_after := None
 
 (* Pass spans opened by hand, the way [Flow.pass] opens them. *)
@@ -28,60 +27,72 @@ let fresh_root name = Obs.root (Obs.create ()) name
 
 let protecting f () = Fun.protect ~finally:teardown f
 
+let verdicts () = List.filter S.is_verdict (S.events ())
+
+(* The boundaries the watchdog's record rules read: a finished
+   partition with its BDD bails, and a finished gradient round. *)
+let partition_done bails =
+  Obs.partition_done ~engine:"mspf" ~index:0 ~structure:(fun () -> 0L)
+    [ ("bails", bails) ]
+
+let round_done gain =
+  S.append ~kind:S.Round ~engine:"gradient" ~metrics:[ ("gain", gain) ]
+    "round done"
+
 (* --- ring buffer --- *)
 
 let test_ring_wraparound () =
-  FR.enable ~capacity:16 ();
-  Alcotest.(check int) "capacity clamped to minimum" 16 (FR.capacity ());
+  S.enable_recorder ~capacity:16 ();
+  Alcotest.(check int) "capacity clamped to minimum" 16 (S.capacity ());
   for i = 0 to 19 do
-    FR.record ~engine:"test" ~metrics:[ ("i", i) ] "tick"
+    S.append ~engine:"test" ~metrics:[ ("i", i) ] "tick"
   done;
-  let events = FR.events () in
+  let events = S.events () in
   Alcotest.(check int) "ring holds capacity" 16 (List.length events);
-  Alcotest.(check int) "recorded counts everything" 20 (FR.recorded ());
-  Alcotest.(check int) "dropped = overwritten" 4 (FR.dropped ());
+  Alcotest.(check int) "recorded counts everything" 20 (S.recorded ());
+  Alcotest.(check int) "dropped = overwritten" 4 (S.dropped ());
   (* Oldest first: the surviving window is seqs 4..19. *)
-  Alcotest.(check int) "oldest surviving seq" 4 (List.hd events).FR.seq;
+  Alcotest.(check int) "oldest surviving seq" 4 (List.hd events).S.seq;
   Alcotest.(check int) "newest seq" 19
-    (List.nth events 15).FR.seq;
+    (List.nth events 15).S.seq;
   Alcotest.(check (list (pair string int)))
     "metrics ride along" [ ("i", 19) ]
-    (List.nth events 15).FR.metrics
+    (List.nth events 15).S.metrics
 
 let test_disabled_is_noop () =
-  FR.disable ();
-  Alcotest.(check bool) "off by default" false (FR.enabled ());
-  FR.record ~engine:"test" "ignored";
+  S.close ();
+  Alcotest.(check bool) "off by default" false (S.on ());
+  S.append ~engine:"test" "ignored";
   let root = fresh_root "flow" in
   close_pass (pass root "ghost");
   Obs.close root;
   Alcotest.(check int) "nothing recorded, pass events included" 0
-    (FR.recorded ());
-  Alcotest.(check int) "no capacity" 0 (FR.capacity ())
+    (S.recorded ());
+  Alcotest.(check int) "no capacity" 0 (S.capacity ())
 
 let test_event_fields () =
-  FR.enable ();
-  FR.record ~severity:FR.Warn ~id:"partition-3"
+  S.enable_recorder ();
+  S.append ~severity:S.Warn ~id:"partition-3"
     ~metrics:[ ("bails", 2); ("members", 41) ]
     ~engine:"mspf" "node-budget bail-out";
-  (match FR.events () with
+  (match S.events () with
   | [ e ] ->
-    Alcotest.(check string) "severity" "warn" (FR.severity_to_string e.FR.severity);
-    Alcotest.(check string) "engine" "mspf" e.FR.engine;
-    Alcotest.(check string) "id" "partition-3" e.FR.id;
-    Alcotest.(check string) "message" "node-budget bail-out" e.FR.message;
+    Alcotest.(check string) "severity" "warn" (S.severity_to_string e.S.severity);
+    Alcotest.(check string) "engine" "mspf" e.S.engine;
+    Alcotest.(check string) "id" "partition-3" e.S.id;
+    Alcotest.(check string) "message" "node-budget bail-out" e.S.message;
     Alcotest.(check (list (pair string int)))
       "metrics in emission order"
       [ ("bails", 2); ("members", 41) ]
-      e.FR.metrics;
-    Alcotest.(check bool) "timestamped" true (e.FR.t_ns >= 0L)
+      e.S.metrics;
+    Alcotest.(check bool) "timestamped" true (e.S.t_ns >= 0L)
   | l -> Alcotest.failf "expected 1 event, got %d" (List.length l));
   (* Re-enabling restarts from empty. *)
-  FR.enable ();
-  Alcotest.(check int) "re-enable resets" 0 (FR.recorded ())
+  S.enable_recorder ();
+  Alcotest.(check int) "re-enable resets" 0 (S.recorded ())
 
 let test_span_stack_follows_obs () =
-  FR.enable ();
+  S.enable_recorder ();
   let names () = Obs.Span_stack.names () in
   let trace = Obs.create () in
   let root = Obs.root trace "flow" in
@@ -96,7 +107,7 @@ let test_span_stack_follows_obs () =
 
 let arm_with f = Wd.arm (f Wd.default_config)
 
-let rules () = List.map (fun e -> e.FR.id) (FR.verdicts ())
+let rules () = List.map (fun e -> e.S.id) (verdicts ())
 
 let test_deadline_fires_once_per_pass () =
   arm_with (fun c -> { c with Wd.pass_deadline_ms = Some 0.0 });
@@ -116,25 +127,25 @@ let test_deadline_fires_once_per_pass () =
   (* The verdict is a recorder event (arm enables the recorder): a
      warning, since the action is a note. *)
   Alcotest.(check bool) "verdict recorded as a warn event" true
-    (List.for_all (fun e -> e.FR.severity = FR.Warn) (FR.verdicts ()))
+    (List.for_all (fun e -> e.S.severity = S.Warn) (verdicts ()))
 
 let test_bail_streak () =
   arm_with (fun c -> { c with Wd.max_bail_streak = Some 3 });
-  Wd.note_partition ~engine:"mspf" ~bails:1;
-  Wd.note_partition ~engine:"mspf" ~bails:2;
+  partition_done 1;
+  partition_done 2;
   Alcotest.(check (list string)) "below threshold" [] (rules ());
-  Wd.note_partition ~engine:"mspf" ~bails:0 (* resets *);
-  Wd.note_partition ~engine:"mspf" ~bails:1;
-  Wd.note_partition ~engine:"mspf" ~bails:1;
-  Wd.note_partition ~engine:"mspf" ~bails:1;
+  partition_done 0 (* resets *);
+  partition_done 1;
+  partition_done 1;
+  partition_done 1;
   Alcotest.(check (list string)) "streak of 3 fires" [ "bail-streak" ] (rules ())
 
 let test_gradient_stall () =
   arm_with (fun c -> { c with Wd.stall_rounds = Some 2 });
-  Wd.note_round ~gain:5;
-  Wd.note_round ~gain:0;
+  round_done 5;
+  round_done 0;
   Alcotest.(check (list string)) "one dry round is fine" [] (rules ());
-  Wd.note_round ~gain:0;
+  round_done 0;
   Alcotest.(check (list string)) "two dry rounds stall" [ "gradient-stall" ] (rules ())
 
 let test_abort_lifecycle () =
@@ -143,53 +154,53 @@ let test_abort_lifecycle () =
   let root = fresh_root "flow" in
   let sp = pass root "mspf" in
   Alcotest.(check bool) "no abort yet" false (Wd.abort_requested ());
-  Wd.note_partition ~engine:"mspf" ~bails:1;
+  partition_done 1;
   Alcotest.(check bool) "abort requested" true (Wd.abort_requested ());
   Alcotest.(check (list string)) "an abort verdict is an error event"
     [ "error" ]
-    (List.map (fun e -> FR.severity_to_string e.FR.severity) (FR.verdicts ()));
+    (List.map (fun e -> S.severity_to_string e.S.severity) (verdicts ()));
   close_pass sp;
   Alcotest.(check bool) "pass end clears abort" false (Wd.abort_requested ());
   Obs.close root;
   Wd.disarm ();
   (* Disarmed hooks are no-ops. *)
-  Wd.note_partition ~engine:"mspf" ~bails:9;
+  partition_done 9;
   Wd.poll ();
   Alcotest.(check bool) "disarmed" false (Wd.abort_requested ())
 
 (* --- post-mortem dumps --- *)
 
 let test_dump_round_trip () =
-  FR.enable ();
+  S.enable_recorder ();
   arm_with (fun c -> { c with Wd.stall_rounds = Some 1 });
   let trace = Obs.create () in
   Obs.Postmortem.configure ~trace ();
   let root = Obs.root trace "sbm" in
   let sp = Obs.span root "gradient" in
   Obs.Metrics.add (Option.get (Obs.Metrics.find "gradient.rounds")) 3;
-  FR.record ~severity:FR.Debug ~id:"round-1" ~engine:"gradient"
+  S.append ~severity:S.Debug ~id:"round-1" ~engine:"gradient"
     ~metrics:[ ("gain", 7) ]
     "round done";
-  Wd.note_round ~gain:0 (* fires gradient-stall *);
+  round_done 0 (* fires gradient-stall *);
   let json = Pm.to_json (Pm.capture ~reason:"unit \"test\"" ()) in
   match Pm.of_json json with
   | Error msg -> Alcotest.failf "dump does not parse: %s" msg
   | Ok d ->
-    Alcotest.(check int) "version" 2 d.Pm.version;
+    Alcotest.(check int) "version" 3 d.Pm.version;
     Alcotest.(check string) "escaped reason survives" "unit \"test\"" d.Pm.reason;
     Alcotest.(check (list string))
       "open spans outermost first" [ "sbm"; "gradient" ]
       (List.map (fun f -> f.Pm.name) d.Pm.span_stack);
-    (match List.filter FR.is_verdict d.Pm.events with
+    (match List.filter S.is_verdict d.Pm.events with
     | [ v ] ->
-      Alcotest.(check string) "verdict rule" "gradient-stall" v.FR.id;
-      Alcotest.(check bool) "verdict action" true (v.FR.severity = FR.Warn)
+      Alcotest.(check string) "verdict rule" "gradient-stall" v.S.id;
+      Alcotest.(check bool) "verdict action" true (v.S.severity = S.Warn)
     | l -> Alcotest.failf "expected 1 verdict, got %d" (List.length l));
     Alcotest.(check int) "counters from the trace" 3
       (List.assoc "gradient.rounds" d.Pm.counters);
     Alcotest.(check bool) "events survive" true
       (List.exists
-         (fun e -> e.FR.id = "round-1" && e.FR.metrics = [ ("gain", 7) ])
+         (fun e -> e.S.id = "round-1" && e.S.metrics = [ ("gain", 7) ])
          d.Pm.events);
     (* Canonical re-emission parses back to the same dump. *)
     (match Pm.of_json (Pm.to_json d) with
@@ -210,11 +221,11 @@ let test_inspect_rejects_bad_input () =
   Alcotest.(check string) "missing version"
     "not a post-mortem dump: missing \"version\"" (err "{\"events\":[]}");
   Alcotest.(check string) "future version"
-    "unsupported dump version 99 (this sbm reads <= 2)"
+    "unsupported dump version 99 (this sbm reads <= 3)"
     (err "{\"version\":99,\"events\":[]}")
 
 let test_injected_failure_dumps () =
-  FR.enable ();
+  S.enable_recorder ();
   let trace = Obs.create () in
   Obs.Postmortem.configure ~trace ();
   let aig = Aig.create () in
@@ -243,8 +254,8 @@ let test_injected_failure_dumps () =
     Alcotest.(check bool) "its start event is buffered" true
       (List.exists
          (fun e ->
-           e.FR.engine = "flow" && e.FR.id = "gradient"
-           && e.FR.message = "pass start")
+           e.S.engine = "flow" && e.S.id = "gradient"
+           && e.S.message = "pass start")
          d.Pm.events);
     (* Closing the root takes the crashed pass off the stack too. *)
     Obs.close root;
@@ -255,22 +266,24 @@ let test_injected_failure_dumps () =
 let count p l = List.length (List.filter p l)
 
 let test_verdict_survives_wraparound () =
-  FR.enable ~capacity:16 ();
+  S.enable_recorder ~capacity:16 ();
   arm_with (fun c -> { c with Wd.stall_rounds = Some 1 });
   let trace = Obs.create () in
   Obs.Postmortem.configure ~trace ();
   let root = Obs.root trace "flow" in
-  Wd.note_round ~gain:0 (* fires gradient-stall *);
+  round_done 0 (* fires gradient-stall *);
   for i = 1 to 120 do
-    FR.record ~engine:"test" ~metrics:[ ("i", i) ] "tick"
+    S.append ~engine:"test" ~metrics:[ ("i", i) ] "tick"
   done;
-  let is_stall (e : FR.event) = FR.is_verdict e && e.FR.id = "gradient-stall" in
+  let is_stall (e : S.record) = S.is_verdict e && e.S.id = "gradient-stall" in
   let dump = Pm.capture ~reason:"probe" () in
   Alcotest.(check int) "once in the post-mortem" 1 (count is_stall dump.Pm.events);
-  Alcotest.(check int) "the ring still wrapped" (121 - 17) dump.Pm.dropped;
+  (* 122 records (the round, its verdict and 120 ticks) in 16 slots,
+     plus the kept verdict. *)
+  Alcotest.(check int) "the ring still wrapped" (122 - 17) dump.Pm.dropped;
   let doc = Obs.to_json trace in
   let events =
-    List.map FR.event_of_json (Json.to_list (Json.member "events" (Json.parse doc)))
+    List.map S.record_of_json (Json.to_list (Json.member "events" (Json.parse doc)))
   in
   Alcotest.(check int) "once in the trace's events" 1 (count is_stall events);
   (match Chrome.convert doc with
@@ -307,15 +320,15 @@ let test_v1_dump_verdicts_once () =
       (occurrences "pass 'mspf' open for");
     Alcotest.(check (list string)) "actions become severities" [ "warn"; "error" ]
       (List.map
-         (fun e -> FR.severity_to_string e.FR.severity)
-         (List.filter FR.is_verdict d.Pm.events))
+         (fun e -> S.severity_to_string e.S.severity)
+         (List.filter S.is_verdict d.Pm.events))
 
 (* --- one stack: every pass-boundary consumer reads the same frames --- *)
 
 let test_one_stack_feeds_every_consumer () =
-  FR.enable ();
+  S.enable_recorder ();
   arm_with (fun c -> { c with Wd.pass_deadline_ms = Some 0.0 });
-  FP.enable ();
+  S.enable_trail ();
   let trace = Obs.create () in
   Obs.Postmortem.configure ~trace ();
   let root = Obs.root trace "flow" in
@@ -323,7 +336,7 @@ let test_one_stack_feeds_every_consumer () =
   (* A plain span between the passes: on the stack, not a pass. *)
   let step = Obs.span outer "step" in
   let inner = pass step "mspf" in
-  FP.record_merge ~engine:"mspf" ~partition:0 ~structure:1L;
+  Obs.partition_done ~engine:"mspf" ~index:0 ~structure:(fun () -> 1L) [];
   Unix.sleepf 0.001;
   Wd.poll ();
   let stack = Obs.Span_stack.names () in
@@ -345,14 +358,89 @@ let test_one_stack_feeds_every_consumer () =
   Alcotest.(check (list string))
     "trail labels are the pass frames"
     [ "iteration-1/mspf/mspf-partition-0"; "iteration-1/mspf"; "iteration-1" ]
-    (List.map (fun (r : FP.record) -> r.FP.label) (FP.records ()));
+    (List.map (fun (l : S.link) -> l.label) (S.trail ()));
   Alcotest.(check (list string))
     "deadline verdicts name the pass frames as each opens"
     [ "iteration-1"; "mspf" ]
     (List.map
-       (fun (e : FR.event) -> List.nth (String.split_on_char '\'' e.FR.message) 1)
-       (FR.verdicts ()));
+       (fun (e : S.record) -> List.nth (String.split_on_char '\'' e.S.message) 1)
+       (verdicts ()));
   Alcotest.(check (list string)) "empty at end" [] (Obs.Span_stack.names ())
+
+(* --- one run, every view on: the views read the same records --- *)
+
+(* sbm-low on ctrl with the recorder (a ring that does not wrap), the
+   trail (in memory and in its file), a status file and a zero-deadline
+   watchdog. Aborting changes the output, since every partition engine
+   then skips its partitions, so the output is compared with a run
+   under the same watchdog alone; a noting watchdog leaves it equal to
+   an unobserved run. *)
+let test_views_agree () =
+  let aig = Sbm_epfl.Epfl.generate Sbm_epfl.Epfl.Ctrl in
+  let flow () =
+    Aig.fold_hash (Sbm_core.Flow.run (Sbm_core.Flow.Sbm Sbm_core.Flow.Low) aig)
+  in
+  let arm action =
+    Wd.arm { Wd.default_config with Wd.pass_deadline_ms = Some 0.0; action }
+  in
+  let observed action =
+    let trail_path = Filename.temp_file "sbm_views" ".jsonl" in
+    let status_path = Filename.temp_file "sbm_views_status" ".jsonl" in
+    Fun.protect
+      ~finally:(fun () ->
+        teardown ();
+        Sys.remove trail_path;
+        Sys.remove status_path)
+      (fun () ->
+        S.enable_recorder ~capacity:100_000 ();
+        S.enable_trail ~path:trail_path ();
+        arm action;
+        Obs.Status.start ~interval_ms:20. status_path;
+        let hash = flow () in
+        let dump = Pm.capture ~reason:"probe" () in
+        Obs.Status.stop ();
+        let samples = Result.get_ok (Obs.Status.load status_path) in
+        (hash, dump, samples, S.trail (), S.load_trail trail_path))
+  in
+  let alone action =
+    Fun.protect ~finally:teardown (fun () ->
+        arm action;
+        flow ())
+  in
+  (* The views of one observed run read the same records. *)
+  let agree what action =
+    let hash, dump, samples, trail, file = observed action in
+    let check msg = Alcotest.(check bool) (what ^ ": " ^ msg) true in
+    check "the ring did not wrap" (dump.Pm.dropped = 0);
+    let seqs = List.map (fun (r : S.record) -> r.seq) dump.Pm.events in
+    check "records in sequence order" (List.sort_uniq compare seqs = seqs);
+    check "the trail has pass records"
+      (List.exists (fun (l : S.link) -> l.boundary = S.Pass) trail);
+    check "exactly the boundary records are linked"
+      (List.for_all
+         (fun (r : S.record) ->
+           (r.kind = S.Pass || r.kind = S.Merge) = (r.link <> None))
+         dump.Pm.events);
+    check "the trail is the stream's boundary records, in order"
+      (trail = List.filter_map (fun (r : S.record) -> r.link) dump.Pm.events
+      && List.for_all2 (fun i (l : S.link) -> l.index = i)
+           (List.init (List.length trail) Fun.id) trail);
+    check "the trail file holds the same records" (file = Ok trail);
+    let captured = List.length (List.filter S.is_verdict dump.Pm.events) in
+    let last = List.nth samples (List.length samples - 1) in
+    check "the zero deadline gave verdicts" (captured > 0);
+    check "the last status sample counts every verdict"
+      (captured = last.Obs.Status.verdicts);
+    (hash, trail)
+  in
+  let aborted, _ = agree "abort" Wd.Abort in
+  Alcotest.(check bool) "observing leaves the aborted output alone" true
+    (aborted = alone Wd.Abort);
+  let noted, trail = agree "note" Wd.Note in
+  Alcotest.(check bool) "note: the trail has merge records" true
+    (List.exists (fun (l : S.link) -> l.boundary = S.Merge) trail);
+  Alcotest.(check bool) "a noting run equals an unobserved run" true
+    (noted = flow ())
 
 let suite =
   [
@@ -377,4 +465,6 @@ let suite =
       (protecting test_verdict_survives_wraparound);
     Alcotest.test_case "version-1 dump verdicts render once" `Quick
       test_v1_dump_verdicts_once;
+    Alcotest.test_case "the stream's views agree on one run" `Quick
+      test_views_agree;
   ]

@@ -10,10 +10,9 @@
 module Aig = Sbm_aig.Aig
 module Obs = Sbm_obs
 module Json = Sbm_obs.Json
-module FR = Sbm_obs.Flight_recorder
+module S = Sbm_obs.Stream
 module Wd = Sbm_obs.Watchdog
 module Ledger = Sbm_obs.Ledger
-module FP = Sbm_obs.Fingerprint
 module Status = Sbm_obs.Status
 module Snapshot = Sbm_obs.Snapshot
 module Pm = Sbm_obs.Postmortem
@@ -21,7 +20,7 @@ module Flow = Sbm_core.Flow
 
 type run = {
   snapshot : Snapshot.t;
-  records : FP.record list;
+  records : S.link list;
   samples : Status.sample list;
   dump : Pm.dump;
 }
@@ -44,11 +43,10 @@ let ctrl_run =
          Flow.ledger_qor_probe := None;
          Flow.inject_failure_after := None;
          Wd.disarm ();
-         FR.disable ();
-         FP.disable ())
+         S.close ())
        (fun () ->
          Flow.ledger_qor_probe := Some probe;
-         FP.enable ();
+         S.enable_trail ();
          Wd.arm { Wd.default_config with Wd.pass_deadline_ms = Some 0.0 };
          Status.start ~interval_ms:20. status_path;
          let aig = Sbm_epfl.Epfl.generate Sbm_epfl.Epfl.Ctrl in
@@ -83,7 +81,7 @@ let ctrl_run =
          in
          {
            snapshot = Snapshot.make ~label:"flow=sbm-low \"ctrl\"" ~seed:3 [ entry ];
-           records = FP.records ();
+           records = S.trail ();
            samples = Status.samples ();
            dump;
          }))
@@ -159,11 +157,19 @@ let test_committed_snapshots_current () =
     [ "BENCH_baseline.json"; "BENCH_sbm.json"; "BENCH_full.json" ]
 
 let test_fingerprint_record () =
-  let { records; _ } = Lazy.force ctrl_run in
+  let { records; dump; _ } = Lazy.force ctrl_run in
   Alcotest.(check bool) "trail has merge records" true
-    (List.exists (fun (r : FP.record) -> r.kind = FP.Merge) records);
-  check_round_trips "fingerprint record" ~to_json:FP.record_to_json
-    ~of_json:(line_reader FP.record_of_json) records
+    (List.exists (fun (l : S.link) -> l.boundary = S.Merge) records);
+  let writer buf x =
+    let b = Buffer.create 256 in
+    buf b x;
+    Buffer.contents b
+  in
+  check_round_trips "fingerprint record" ~to_json:(writer S.buf_link)
+    ~of_json:(line_reader S.link_of_json) records;
+  check_round_trips "stream record" ~to_json:(writer S.buf_record)
+    ~of_json:(fun s -> Some (line_reader S.record_of_json s))
+    dump.events
 
 let test_status_sample () =
   let { samples; _ } = Lazy.force ctrl_run in
@@ -179,7 +185,7 @@ let legacy_dump =
 let test_postmortem_dump () =
   let { dump; _ } = Lazy.force ctrl_run in
   Alcotest.(check bool) "dump has open spans, verdicts and events" true
-    (dump.span_stack <> [] && List.exists FR.is_verdict dump.events);
+    (dump.span_stack <> [] && List.exists S.is_verdict dump.events);
   let of_json s = Result.to_option (Pm.of_json s) in
   check_round_trips "post-mortem dump" ~to_json:Pm.to_json ~of_json [ dump ];
   match Pm.of_json legacy_dump with
@@ -189,14 +195,14 @@ let test_postmortem_dump () =
     Alcotest.(check (list string)) "its verdict is its event, once, an abort"
       [ "error" ]
       (List.map
-         (fun (e : FR.event) -> FR.severity_to_string e.severity)
-         (List.filter FR.is_verdict d.events));
-    let v2 = Pm.to_json d in
-    match Pm.of_json v2 with
+         (fun (e : S.record) -> S.severity_to_string e.severity)
+         (List.filter S.is_verdict d.events));
+    let v3 = Pm.to_json d in
+    match Pm.of_json v3 with
     | Error msg -> Alcotest.fail msg
     | Ok d2 ->
-      Alcotest.(check int) "migrated to version 2" 2 d2.version;
-      Alcotest.(check string) "the migrated dump re-emits byte for byte" v2
+      Alcotest.(check int) "migrated to version 3" 3 d2.version;
+      Alcotest.(check string) "the migrated dump re-emits byte for byte" v3
         (Pm.to_json d2))
 
 (* A clean sbm-low run of ctrl under a root span that is closed, so
@@ -251,23 +257,36 @@ let test_trace () =
     (Result.is_error (Obs.of_json {|{"version":3,"spans":[]}|}))
 
 (* Absolute monotonic clocks past 2^53 ns (about 104 days of uptime)
-   are decimal strings in version 2, so they come back exactly. *)
+   are decimal strings since version 2, so they come back exactly; a
+   record's offset from [t0_ns] is its [t_ms], exact to the
+   microsecond. A version-2 record (no "kind") carries its absolute
+   clock, "t_ns", which [--abs] prints to the nanosecond. *)
 let big_clock_dump =
+  {|{"version":3,"reason":"r","pid":7,"elapsed_ms":1.002,"t0_ns":"9007199254740993","span_stack":[],"counters":{},"recorded":1,"dropped":0,"events":[{"seq":0,"t_ms":0.001,"kind":"pass-start","severity":"info","engine":"flow","id":"mspf","message":"pass start","metrics":{}}]}|}
+
+let big_clock_dump_v2 =
   {|{"version":2,"reason":"r","pid":7,"elapsed_ms":1.002,"t0_ns":"9007199254740993","span_stack":[],"counters":{},"recorded":1,"dropped":0,"events":[{"seq":0,"t_ms":0.001,"t_ns":"9007199254741995","severity":"info","engine":"flow","id":"mspf","message":"pass start","metrics":{}}]}|}
 
 let test_big_clocks () =
-  match Pm.of_json big_clock_dump with
-  | Error msg -> Alcotest.fail msg
-  | Ok d ->
-    Alcotest.(check string) "re-emits byte for byte" big_clock_dump (Pm.to_json d);
-    let text = Fmt.str "%a" (Sbm_report.Inspect.pp ?last:None ~abs:true) d in
-    let needle = "9007199254741995 ns]" in
+  let prints text needle =
     let n = String.length needle in
+    let rec scan i =
+      i + n <= String.length text && (String.sub text i n = needle || scan (i + 1))
+    in
+    scan 0
+  in
+  let abs d = Fmt.str "%a" (Sbm_report.Inspect.pp ?last:None ~abs:true) d in
+  match (Pm.of_json big_clock_dump, Pm.of_json big_clock_dump_v2) with
+  | Error msg, _ | _, Error msg -> Alcotest.fail msg
+  | Ok d, Ok v2 ->
+    Alcotest.(check string) "re-emits byte for byte" big_clock_dump (Pm.to_json d);
     Alcotest.(check bool) "--abs prints the exact clock" true
-      (let rec scan i =
-         i + n <= String.length text && (String.sub text i n = needle || scan (i + 1))
-       in
-       scan 0)
+      (prints (abs d) "9007199254741993 ns]");
+    Alcotest.(check bool) "the version-2 form reads the same records, timed by t_ns"
+      true
+      (v2.events = List.map (fun (e : S.record) -> { e with t_ns = 1002L }) d.events);
+    Alcotest.(check bool) "--abs prints a version-2 record's exact clock" true
+      (prints (abs v2) "9007199254741995 ns]")
 
 let suite =
   [

@@ -11,7 +11,7 @@ module Aig = Sbm_aig.Aig
 module Obs = Sbm_obs
 module M = Sbm_obs.Metrics
 module Status = Sbm_obs.Status
-module FR = Sbm_obs.Flight_recorder
+module S = Sbm_obs.Stream
 module Wd = Sbm_obs.Watchdog
 module Json = Sbm_report.Json
 module Chrome = Sbm_report.Chrome
@@ -93,27 +93,27 @@ let test_values () =
 (* One shard carries a worker domain's counter deltas and recorder
    events. *)
 let test_capture_replay () =
-  Fun.protect ~finally:FR.disable (fun () ->
-      FR.enable ();
+  Fun.protect ~finally:S.close (fun () ->
+      S.enable_recorder ();
       let v0 = M.value c_capture in
       let (), shard =
         Domain.join
           (Domain.spawn (fun () ->
                Obs.capture (fun () ->
                    M.add c_capture 5;
-                   FR.record ~engine:"worker" "event";
+                   S.append ~engine:"worker" "event";
                    M.add c_capture 2)))
       in
       Alcotest.(check int) "global cell untouched during capture" v0
         (M.value c_capture);
-      Alcotest.(check int) "ring untouched during capture" 0 (FR.recorded ());
+      Alcotest.(check int) "ring untouched during capture" 0 (S.recorded ());
       Alcotest.(check (list (pair string int)))
         "the shard collects the deltas" [ ("test.capture", 7) ]
         (Hashtbl.fold (fun k n l -> (k, !n) :: l) shard.M.counts []);
       Obs.replay shard;
       Alcotest.(check int) "replay lands on the global cell" (v0 + 7)
         (M.value c_capture);
-      Alcotest.(check int) "and the event in the ring" 1 (FR.recorded ());
+      Alcotest.(check int) "and the event in the ring" 1 (S.recorded ());
       (* Unknown names are ignored, not errors. *)
       Hashtbl.replace shard.M.counts "test.never-registered" (ref 3);
       Obs.replay { shard with M.deferred = [] })
@@ -209,7 +209,7 @@ let test_status_atomicity () =
     | Some v -> v >= 5050 (* sum 1..100; earlier suites may add more *)
     | None -> false);
   Alcotest.(check bool) "status file closed" false (Status.active ());
-  FR.disable ();
+  S.close ();
   Sys.remove path
 
 (* A traced ctrl sbm-low run samples at its span boundaries and poll
@@ -222,7 +222,7 @@ let test_status_flow () =
   ignore (Sbm_core.Flow.run ~obs:root (Sbm_core.Flow.Sbm Sbm_core.Flow.Low) aig);
   Obs.close root;
   Status.stop ();
-  FR.disable ();
+  S.close ();
   match Status.load path with
   | Error msg -> Alcotest.fail msg
   | Ok samples ->
@@ -410,9 +410,9 @@ let test_inspect_timestamps () =
   (match dump.Pm.events with
   | [ e; v ] ->
     Alcotest.(check string) "the verdict becomes an event, in time order" "r"
-      v.FR.id;
+      v.S.id;
     Alcotest.(check int64) "event offset from its absolute t_ns" 123_456_000L
-      e.FR.t_ns
+      e.S.t_ns
   | _ -> Alcotest.fail "expected the verdict and one event");
   let plain = render dump in
   Alcotest.(check bool) "default prints deltas" true
@@ -430,7 +430,7 @@ let test_inspect_timestamps () =
   | Ok d2 ->
     Alcotest.(check bool) "t0_ns round-trips" true (d2.Pm.t0_ns = dump.Pm.t0_ns);
     Alcotest.(check bool) "t_ns round-trips" true
-      ((List.hd d2.Pm.events).FR.t_ns = (List.hd dump.Pm.events).FR.t_ns)
+      ((List.hd d2.Pm.events).S.t_ns = (List.hd dump.Pm.events).S.t_ns)
 
 (* Dumps that predate t0_ns render deltas even under --abs. *)
 let test_inspect_abs_fallback () =
@@ -454,10 +454,10 @@ let test_heartbeat_throttle () =
   let finally () =
     Wd.force_tty := None;
     Wd.disarm ();
-    FR.disable ()
+    S.close ()
   in
   Fun.protect ~finally (fun () ->
-      FR.enable ();
+      S.enable_recorder ();
       (* interval 0: always due, so the pass-path condition is the only
          throttle under test. *)
       let config =

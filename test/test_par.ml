@@ -9,7 +9,7 @@
 
 module Aig = Sbm_aig.Aig
 module Epfl = Sbm_epfl.Epfl
-module FR = Sbm_obs.Flight_recorder
+module S = Sbm_obs.Stream
 module Jobs = Sbm_par.Jobs
 module Obs = Sbm_obs
 module Pool = Sbm_par.Pool
@@ -89,31 +89,31 @@ let test_with_jobs_restores () =
 
 (* A worker domain records into its shard; the main domain replays it. *)
 let test_fr_capture_replay () =
-  Fun.protect ~finally:FR.disable (fun () ->
-      FR.enable ();
-      FR.record ~engine:"main" "before";
+  Fun.protect ~finally:S.close (fun () ->
+      S.enable_recorder ();
+      S.append ~engine:"main" "before";
       let r, shard =
         Domain.join
           (Domain.spawn (fun () ->
                Obs.capture (fun () ->
-                   FR.record ~engine:"worker" ~metrics:[ ("k", 1) ] "buffered-1";
-                   FR.record ~engine:"worker" "buffered-2";
+                   S.append ~engine:"worker" ~metrics:[ ("k", 1) ] "buffered-1";
+                   S.append ~engine:"worker" "buffered-2";
                    42)))
       in
       Alcotest.(check int) "capture returns the result" 42 r;
-      Alcotest.(check int) "ring untouched while buffering" 1 (FR.recorded ());
+      Alcotest.(check int) "ring untouched while buffering" 1 (S.recorded ());
       Obs.replay shard;
-      Alcotest.(check int) "replay appends to the ring" 3 (FR.recorded ());
-      let seqs = List.map (fun e -> e.FR.seq) (FR.events ()) in
+      Alcotest.(check int) "replay appends to the ring" 3 (S.recorded ());
+      let seqs = List.map (fun e -> e.S.seq) (S.events ()) in
       Alcotest.(check (list int)) "fresh sequence numbers" [ 0; 1; 2 ] seqs;
-      let engines = List.map (fun e -> e.FR.engine) (FR.events ()) in
+      let engines = List.map (fun e -> e.S.engine) (S.events ()) in
       Alcotest.(check (list string)) "merge order is caller-chosen"
         [ "main"; "worker"; "worker" ] engines)
 
 (* --- determinism: jobs=4 == jobs=1, bit for bit --- *)
 
 (* The fingerprint of a run is the library's determinism audit trail
-   (Sbm_obs.Fingerprint): one composite record per pass and merge
+   (the linked records of Sbm_obs.Stream): one composite record per pass and merge
    boundary, so a mismatch names the exact first boundary where the
    two schedules disagreed instead of just "counters differ". QoR and
    attribution ride along as a belt-and-braces check. *)
@@ -124,13 +124,13 @@ type run_fingerprint = {
   levels : int;
   counters : (string * int) list;
   attribution : string;
-  trail : Obs.Fingerprint.record list;
+  trail : Obs.Stream.link list;
 }
 
 let fingerprint jobs b =
   Helpers.with_jobs jobs (fun () ->
-      Obs.Fingerprint.enable ();
-      Fun.protect ~finally:Obs.Fingerprint.disable (fun () ->
+      Obs.Stream.enable_trail ();
+      Fun.protect ~finally:Obs.Stream.close (fun () ->
           let aig = Epfl.generate b in
           let trace = Obs.create () in
           let root =
@@ -153,7 +153,7 @@ let fingerprint jobs b =
             attribution =
               Sbm_report.Attribution.to_json
                 (Sbm_report.Attribution.compute optimized mapping);
-            trail = Obs.Fingerprint.records ();
+            trail = Obs.Stream.trail ();
           }))
 
 let check_deterministic b =
@@ -227,7 +227,7 @@ let abort_run run input jobs =
       Fun.protect
         ~finally:(fun () ->
           Obs.Watchdog.disarm ();
-          FR.disable ())
+          S.close ())
         (fun () ->
           let out, totals =
             Helpers.with_totals (fun _ ->
