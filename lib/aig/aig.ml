@@ -81,6 +81,10 @@ type t = {
   out_uses : Csr.t;
   mutable n : int;
   mutable trav_id : int;
+  (* Transitive-fanout marks ([tfo_mark]), stamped apart from [trav]
+     so the walks in between leave them intact. Sized on first use. *)
+  mutable tfo : int array;
+  mutable tfo_id : int;
   mutable num_live_ands : int;
   inputs : Vec.t; (* node ids *)
   outs : Vec.t; (* literals *)
@@ -126,6 +130,8 @@ let create ?(expected = 64) () =
       out_uses = Csr.create ~nodes:cap ~slot:1 ();
       n = 1;
       trav_id = 0;
+      tfo = [||];
+      tfo_id = 0;
       num_live_ands = 0;
       inputs = Vec.create ();
       outs = Vec.create ();
@@ -416,6 +422,30 @@ let in_tfi aig ~node ~root =
     end
   done;
   !found
+
+let tfo_mark aig node =
+  if Array.length aig.tfo < aig.n then aig.tfo <- Array.make (Array.length aig.fanin0) 0;
+  aig.tfo_id <- aig.tfo_id + 1;
+  let id = aig.tfo_id and tfo = aig.tfo in
+  let stack = Vec.create () in
+  tfo.(node) <- id;
+  Vec.push stack node;
+  while not (Vec.is_empty stack) do
+    let u = Vec.pop stack in
+    (* A live AND with [u] as a fanin is the edge [in_tfi] walks
+       down; checking it keeps the mark exact whatever else the fanout
+       list holds. *)
+    Csr.iter
+      (fun w ->
+        if tfo.(w) <> id && is_and aig w
+           && (node_of aig.fanin0.(w) = u || node_of aig.fanin1.(w) = u)
+        then begin
+          tfo.(w) <- id;
+          Vec.push stack w
+        end)
+      aig.fanouts u
+  done;
+  fun v -> v < Array.length tfo && tfo.(v) = id
 
 let replace aig root lit =
   if not (is_and aig root) then invalid_arg "Aig.replace: root must be a live AND";
@@ -786,6 +816,8 @@ let copy aig =
     out_uses = Csr.copy aig.out_uses ~nodes:n ~node_cap:cap;
     n;
     trav_id = 0;
+    tfo = [||];
+    tfo_id = 0;
     num_live_ands = aig.num_live_ands;
     inputs = Vec.copy aig.inputs;
     outs = Vec.copy aig.outs;

@@ -228,6 +228,13 @@ val depth : t -> int
     fanin cone of [root] (inclusive). *)
 val in_tfi : t -> node:int -> root:int -> bool
 
+(** [tfo_mark aig node] marks the transitive fanout of [node] in one
+    walk and returns its membership test: [tfo_mark aig node v] is
+    [in_tfi aig ~node ~root:v]. The marks have a stamp of their own,
+    so other traversals leave them intact; the test holds until the
+    next [tfo_mark] on [aig] or the next edit. *)
+val tfo_mark : t -> int -> int -> bool
+
 (** [mffc_size aig n] is the size of the maximum fanout-free cone of
     AND node [n]: the count of AND nodes that die if [n] is removed. *)
 val mffc_size : t -> int -> int

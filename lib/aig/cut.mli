@@ -21,7 +21,19 @@ val enumerate : Aig.t -> k:int -> max_cuts:int -> cut list array
     node against the current graph, recursing at most [depth] levels
     below [v] (deeper nodes contribute only their trivial cut). Always
     consistent with the live structure, unlike a stale global
-    enumeration, so optimization passes use it while mutating. *)
+    enumeration, so optimization passes use it while mutating.
+
+    Each node's cut set is computed once per call, at its first visit:
+    the recursion visits fanin 0 before fanin 1, and a node reached
+    again at another depth keeps the set of that first visit, even
+    when the later visit has more (or fewer) levels left. A node's set
+    is its pairwise fanin-cut unions of at most [k] leaves, sorted by
+    leaf count and then by leaf ids, without dominated cuts, cut to
+    the first [max_cuts], with the trivial cut first unless a one-leaf
+    cut is already there. When two pairs give the same leaves with
+    different functions (a leaf free in one and expanded in the
+    other), the set keeps the function [List.sort_uniq] keeps over the
+    unions in reverse generation order. *)
 val local : Aig.t -> int -> k:int -> max_cuts:int -> depth:int -> cut list
 
 (** [cut_tt_full c] is the cut function as a {!Sbm_truthtable.Tt.t} on
@@ -33,5 +45,8 @@ val cut_tt_full : cut -> Sbm_truthtable.Tt.t
 val tt_mask : int -> int64
 
 (** [stretch tt leaves super] re-expresses [tt] (over [leaves]) on the
-    superset leaf list [super]; both must be sorted. *)
+    superset leaf list [super]; both must be sorted, and every leaf
+    must be in [super]. Bits of [tt] above [2^|leaves|] are ignored
+    unless the two lists have the same length, when [tt] is returned
+    as it is. *)
 val stretch : int64 -> int array -> int array -> int64

@@ -8,11 +8,14 @@ let collect_divisors (w : Local.window) root ~max_divisors =
   (* Side fanouts are evaluated under a fuel budget to avoid runaway
      exploration. *)
   w.fuel <- 64 * max_divisors;
+  (* Collection does not edit the AIG, so one mark of the root's
+     transitive fanout answers every exclusion test. *)
+  let in_tfo = Aig.tfo_mark aig root in
   let consider v =
     if v <> root
        && (not (Hashtbl.mem w.tts v))
        && Aig.is_and aig v
-       && not (Aig.in_tfi aig ~node:root ~root:v)
+       && not (in_tfo v)
     then ignore (Local.eval w v)
   in
   (* Seed: everything already evaluated is in the window; explore the
@@ -26,7 +29,7 @@ let collect_divisors (w : Local.window) root ~max_divisors =
   Hashtbl.iter
     (fun v tt ->
       if v <> root && v <> 0 && (not (Array.mem v leaves)) && !count < max_divisors
-         && not (Aig.in_tfi aig ~node:root ~root:v)
+         && not (in_tfo v)
       then begin
         incr count;
         divisors := (v, tt) :: !divisors

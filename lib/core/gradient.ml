@@ -308,13 +308,16 @@ let optimize ?(obs = Obs.null) ?(explain = fun (_ : event) -> ())
     Obs.poll ();
     if Obs.Watchdog.abort_requested () then begin
       (* Graceful wind-down: the remaining budget is marked exhausted,
-         so the run's accounting shows where the watchdog cut it. *)
+         so the run's accounting shows where the watchdog cut it. A
+         move is charged in full while any budget is left, so the
+         budget can stand below 0 here; nothing is forfeited then. *)
+      let forfeited = max 0 !budget in
       if S.recorder_on () then
         S.append ~severity:S.Warn ~engine:"gradient"
-          ~metrics:[ ("budget_forfeited", !budget) ]
+          ~metrics:[ ("budget_forfeited", forfeited) ]
           "aborted by watchdog; budget marked exhausted";
       M.add m_gradient_aborts 1;
-      M.add m_budget_forfeited !budget;
+      M.add m_budget_forfeited forfeited;
       budget := 0;
       continue_ := false
     end;

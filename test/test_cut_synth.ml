@@ -105,6 +105,241 @@ let test_stretch_roundtrip =
       done;
       !ok)
 
+(* --- the list-based enumeration, kept as the oracle --- *)
+
+(* The enumeration as it was first written: a per-minterm [stretch],
+   list merges, [List.sort_uniq] and a list dominance filter. [Cut]
+   must return exactly its lists: the same cuts with the same
+   functions, in the same order. *)
+module Oracle = struct
+  type cut = Cut.cut = { leaves : int array; tt : int64 }
+
+  let stretch tt leaves super =
+    let m = Array.length leaves in
+    let m' = Array.length super in
+    if m = m' then tt
+    else begin
+      let r = ref 0L in
+      for idx = 0 to (1 lsl m') - 1 do
+        let a = ref 0 in
+        let j = ref 0 in
+        for i = 0 to m' - 1 do
+          if !j < m && leaves.(!j) = super.(i) then begin
+            if (idx lsr i) land 1 = 1 then a := !a lor (1 lsl !j);
+            incr j
+          end
+        done;
+        if Int64.logand (Int64.shift_right_logical tt !a) 1L = 1L then
+          r := Int64.logor !r (Int64.shift_left 1L idx)
+      done;
+      !r
+    end
+
+  let merge_leaves k a b =
+    let la = Array.length a and lb = Array.length b in
+    let out = Array.make k 0 in
+    let rec go i j n =
+      if n > k then None
+      else if i = la && j = lb then Some (Array.sub out 0 n)
+      else if n = k then None
+      else if i = la then (out.(n) <- b.(j); go i (j + 1) (n + 1))
+      else if j = lb then (out.(n) <- a.(i); go (i + 1) j (n + 1))
+      else if a.(i) = b.(j) then (out.(n) <- a.(i); go (i + 1) (j + 1) (n + 1))
+      else if a.(i) < b.(j) then (out.(n) <- a.(i); go (i + 1) j (n + 1))
+      else (out.(n) <- b.(j); go i (j + 1) (n + 1))
+    in
+    go 0 0 0
+
+  let cut_compare c1 c2 =
+    let l1 = c1.leaves and l2 = c2.leaves in
+    let n1 = Array.length l1 and n2 = Array.length l2 in
+    if n1 <> n2 then Stdlib.compare n1 n2
+    else begin
+      let rec go i =
+        if i = n1 then 0
+        else
+          let a = Array.unsafe_get l1 i and b = Array.unsafe_get l2 i in
+          if a <> b then Stdlib.compare (a : int) b else go (i + 1)
+      in
+      go 0
+    end
+
+  let dominates c1 c2 =
+    let l1 = c1.leaves and l2 = c2.leaves in
+    let n1 = Array.length l1 and n2 = Array.length l2 in
+    n1 <= n2
+    &&
+    let rec go i j =
+      if i = n1 then true
+      else if j = n2 then false
+      else if l1.(i) = l2.(j) then go (i + 1) (j + 1)
+      else if l1.(i) > l2.(j) then go i (j + 1)
+      else false
+    in
+    go 0 0
+
+  let filter_dominated cuts =
+    let rec go kept = function
+      | [] -> List.rev kept
+      | c :: rest ->
+        if List.exists (fun k -> dominates k c) kept then go kept rest
+        else go (c :: List.filter (fun k -> not (dominates c k)) kept) rest
+    in
+    go [] cuts
+
+  let merge_fanins ~k ~max_cuts f0 cuts0 f1 cuts1 =
+    let results = ref [] in
+    List.iter
+      (fun c0 ->
+        List.iter
+          (fun c1 ->
+            match merge_leaves k c0.leaves c1.leaves with
+            | None -> ()
+            | Some leaves ->
+              let m = Array.length leaves in
+              let t0 = stretch c0.tt c0.leaves leaves in
+              let t1 = stretch c1.tt c1.leaves leaves in
+              let t0 = if Aig.is_compl f0 then Int64.lognot t0 else t0 in
+              let t1 = if Aig.is_compl f1 then Int64.lognot t1 else t1 in
+              let tt = Int64.logand (Int64.logand t0 t1) (Cut.tt_mask m) in
+              results := { leaves; tt } :: !results)
+          cuts1)
+      cuts0;
+    let rec take n = function
+      | [] -> []
+      | _ when n = 0 -> []
+      | c :: rest -> c :: take (n - 1) rest
+    in
+    take max_cuts (filter_dominated (List.sort_uniq cut_compare !results))
+
+  let trivial v = { leaves = [| v |]; tt = 2L }
+  let const_cut = { leaves = [||]; tt = 0L }
+
+  let enumerate aig ~k ~max_cuts =
+    let sets = Array.make (Aig.num_nodes aig) [] in
+    let cuts_of v = if v = 0 then [ const_cut ] else sets.(v) in
+    Array.iter
+      (fun v ->
+        if Aig.is_input aig v then sets.(v) <- [ trivial v ]
+        else if Aig.is_and aig v then begin
+          let f0 = Aig.fanin0 aig v and f1 = Aig.fanin1 aig v in
+          sets.(v) <-
+            trivial v
+            :: merge_fanins ~k ~max_cuts f0 (cuts_of (Aig.node_of f0)) f1
+                 (cuts_of (Aig.node_of f1))
+        end)
+      (Aig.topo aig);
+    sets
+
+  let local aig root ~k ~max_cuts ~depth =
+    let memo = Hashtbl.create 64 in
+    let rec cuts_of v d =
+      match Hashtbl.find_opt memo v with
+      | Some cs -> cs
+      | None ->
+        let cs =
+          if v = 0 then [ const_cut ]
+          else if d = 0 || not (Aig.is_and aig v) then [ trivial v ]
+          else begin
+            let f0 = Aig.fanin0 aig v and f1 = Aig.fanin1 aig v in
+            let cuts0 = cuts_of (Aig.node_of f0) (d - 1) in
+            let cuts1 = cuts_of (Aig.node_of f1) (d - 1) in
+            let cs = merge_fanins ~k ~max_cuts f0 cuts0 f1 cuts1 in
+            if List.exists (fun c -> Array.length c.leaves = 1) cs then cs
+            else trivial v :: cs
+          end
+        in
+        Hashtbl.add memo v cs;
+        cs
+    in
+    cuts_of root depth
+end
+
+(* Random AIGs with reconvergence, then the same AIGs after a rewrite
+   (which leaves dead nodes and non-topological ids behind). *)
+let gen_cut_params =
+  QCheck2.Gen.(
+    quad (int_bound 1_000_000) (int_range 2 6) (int_range 0 8) (int_range 1 12))
+
+let before_and_after_rewrite seed f =
+  let rng = Rng.create seed in
+  let aig = Helpers.random_xor_aig ~inputs:7 ~gates:35 ~outputs:4 rng in
+  let before = f aig in
+  ignore (Sbm_aig.Rewrite.run aig);
+  before && f aig
+
+let test_local_matches_oracle =
+  Helpers.qcheck_case ~count:60 "local cuts equal the list oracle" gen_cut_params
+    (fun (seed, k, depth, max_cuts) ->
+      before_and_after_rewrite seed (fun aig ->
+          Array.for_all
+            (fun v ->
+              (not (Aig.is_and aig v))
+              || Cut.local aig v ~k ~max_cuts ~depth
+                 = Oracle.local aig v ~k ~max_cuts ~depth)
+            (Aig.topo aig)))
+
+let test_enumerate_matches_oracle =
+  Helpers.qcheck_case ~count:60 "global cuts equal the list oracle" gen_cut_params
+    (fun (seed, k, _, max_cuts) ->
+      before_and_after_rewrite seed (fun aig ->
+          Cut.enumerate aig ~k ~max_cuts = Oracle.enumerate aig ~k ~max_cuts))
+
+(* Every sorted subset of every leaf list of up to 6 leaves, on a
+   random 64-bit table (bits above the subset's width included). *)
+let test_stretch_matches_oracle =
+  Helpers.qcheck_case ~count:100 "stretch equals the per-minterm oracle"
+    QCheck2.Gen.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let tt = Rng.next64 rng in
+      List.for_all
+        (fun m' ->
+          let super = Array.init m' (fun i -> (3 * i) + 1 + Rng.int rng 3) in
+          List.for_all
+            (fun subset ->
+              let leaves =
+                Array.of_list
+                  (List.filteri (fun i _ -> (subset lsr i) land 1 = 1) (Array.to_list super))
+              in
+              Cut.stretch tt leaves super = Oracle.stretch tt leaves super)
+            (List.init (1 lsl m') Fun.id))
+        [ 0; 1; 2; 3; 4; 5; 6 ])
+
+(* A deep reconvergent AIG: half the fanins come from the six newest
+   nodes. On these two seeds some node has two fanin-cut pairs with the
+   same leaves and different functions (a leaf free in one, expanded in
+   the other), and the copy [List.sort_uniq] keeps is not the one
+   generated last. *)
+let test_equal_leaves_keep_the_oracle_copy () =
+  List.iter
+    (fun seed ->
+      let rng = Rng.create seed in
+      let aig = Aig.create () in
+      let pool = ref (Array.init (3 + (seed mod 5)) (fun _ -> Aig.add_input aig)) in
+      let pick () =
+        let arr = !pool in
+        let n = Array.length arr in
+        let i = if Rng.bool rng then n - 1 - Rng.int rng (min n 6) else Rng.int rng n in
+        if Rng.bool rng then Aig.lnot arr.(i) else arr.(i)
+      in
+      for _ = 1 to 40 do
+        let l = Aig.band aig (pick ()) (pick ()) in
+        if Aig.node_of l <> 0 then pool := Array.append !pool [| Aig.lpos l |]
+      done;
+      ignore (Aig.add_output aig !pool.(Array.length !pool - 1));
+      Array.iter
+        (fun v ->
+          if Aig.is_and aig v then
+            List.iter
+              (fun k ->
+                if Cut.local aig v ~k ~max_cuts:12 ~depth:8
+                   <> Oracle.local aig v ~k ~max_cuts:12 ~depth:8
+                then Alcotest.failf "seed %d: node %d differs from the oracle at k = %d" seed v k)
+              [ 4; 5; 6 ])
+        (Aig.topo aig))
+    [ 3542; 31184 ]
+
 (* --- Synth --- *)
 
 let gen_tt =
@@ -168,6 +403,11 @@ let suite =
     Alcotest.test_case "local cut functions" `Quick test_local_functions;
     Alcotest.test_case "cut width respected" `Quick test_cut_width_respected;
     test_stretch_roundtrip;
+    test_stretch_matches_oracle;
+    test_local_matches_oracle;
+    test_enumerate_matches_oracle;
+    Alcotest.test_case "equal leaves keep the oracle's copy" `Quick
+      test_equal_leaves_keep_the_oracle_copy;
     test_synth_exact;
     test_synth_cost_bound;
     test_synth_of_sop;

@@ -168,6 +168,47 @@ let test_abort_lifecycle () =
   Wd.poll ();
   Alcotest.(check bool) "disarmed" false (Wd.abort_requested ())
 
+(* A move is charged in full while any budget is left, so a round can
+   end with the budget below 0. On a single AND gate every move gains
+   nothing: round 1 spends 2 of 3 on the tier-1 moves, round 2's first
+   tier-2 move (cost 2) overruns to -1, and the stall rule aborts the
+   run at the end of that round. Nothing is left to forfeit then, so
+   the counter and the stream record both say 0. *)
+let test_abort_after_overrun () =
+  arm_with (fun c -> { c with Wd.stall_rounds = Some 2; action = Wd.Abort });
+  let aig = Aig.create () in
+  let a = Aig.add_input aig and b = Aig.add_input aig in
+  ignore (Aig.add_output aig (Aig.band aig a b));
+  let counter name =
+    match Obs.Metrics.find name with
+    | Some c -> Obs.Metrics.value c
+    | None -> Alcotest.failf "counter %s is not registered" name
+  in
+  let aborts0 = counter "watchdog.gradient_aborts" in
+  let forfeited0 = counter "gradient.budget_forfeited" in
+  let left = ref [] in
+  let module G = Sbm_core.Gradient in
+  ignore
+    (G.run
+       ~explain:(fun e -> left := e.G.budget_left :: !left)
+       ~config:{ G.default_config with budget = 3 }
+       aig);
+  Alcotest.(check int) "the aborted round overran the budget" (-1)
+    (List.hd !left);
+  Alcotest.(check int) "the stall rule aborted the run" (aborts0 + 1)
+    (counter "watchdog.gradient_aborts");
+  Alcotest.(check int) "nothing forfeited" forfeited0
+    (counter "gradient.budget_forfeited");
+  match
+    List.find_opt
+      (fun e -> e.S.engine = "gradient" && List.mem_assoc "budget_forfeited" e.S.metrics)
+      (S.events ())
+  with
+  | Some e ->
+    Alcotest.(check int) "the stream record forfeits 0" 0
+      (List.assoc "budget_forfeited" e.S.metrics)
+  | None -> Alcotest.fail "no abort record in the stream"
+
 (* --- post-mortem dumps --- *)
 
 let test_dump_round_trip () =
@@ -454,6 +495,8 @@ let suite =
     Alcotest.test_case "bail streak" `Quick (protecting test_bail_streak);
     Alcotest.test_case "gradient stall" `Quick (protecting test_gradient_stall);
     Alcotest.test_case "abort lifecycle" `Quick (protecting test_abort_lifecycle);
+    Alcotest.test_case "abort after a budget overrun forfeits 0" `Quick
+      (protecting test_abort_after_overrun);
     Alcotest.test_case "dump round-trip" `Quick (protecting test_dump_round_trip);
     Alcotest.test_case "inspect rejects bad input" `Quick
       (protecting test_inspect_rejects_bad_input);

@@ -242,3 +242,51 @@ let suite =
       Alcotest.test_case "replace rejects cycles" `Quick test_replace_rejects_cycle;
       Alcotest.test_case "local commit contract" `Quick test_local_commit_contract;
     ]
+
+(* Resub's exclusion test: one transitive-fanout mark per root must
+   answer exactly what [in_tfi] answers for every node, on fresh random
+   AIGs and after rewrite and resub have left dead nodes and stale
+   fanout entries behind. *)
+let test_tfo_mark_agrees_with_in_tfi =
+  Helpers.qcheck_case ~count:30 "tfo mark agrees with in_tfi"
+    QCheck2.Gen.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let aig = Helpers.random_xor_aig ~inputs:7 ~gates:30 ~outputs:4 rng in
+      let agrees () =
+        let n = Aig.num_nodes aig in
+        List.for_all
+          (fun root ->
+            let in_tfo = Aig.tfo_mark aig root in
+            List.for_all
+              (fun v -> in_tfo v = Aig.in_tfi aig ~node:root ~root:v)
+              (List.init n Fun.id))
+          (List.init n Fun.id)
+      in
+      let fresh = agrees () in
+      ignore (Sbm_aig.Rewrite.run aig);
+      let rewritten = agrees () in
+      ignore (Sbm_aig.Resub.run aig);
+      fresh && rewritten && agrees ())
+
+(* The networks resub leaves on the quick set, pinned by fold hash:
+   divisor collection may get cheaper, never different. *)
+let test_resub_quick_set_hashes () =
+  List.iter2
+    (fun b want ->
+      let aig = Sbm_epfl.Epfl.generate b in
+      ignore (Sbm_aig.Resub.run aig);
+      Alcotest.(check string) (Sbm_epfl.Epfl.name b)
+        (Printf.sprintf "%016Lx" want)
+        (Printf.sprintf "%016Lx" (Aig.fold_hash aig)))
+    Sbm_epfl.Epfl.quick_set
+    [ 0x9da83a147df86da0L; 0x797d311cc514d2f8L; 0x8d3f7eecf5ba578cL;
+      0x1a39bdbdc452e078L; 0x2dfcadd59c622e51L ]
+
+let suite =
+  suite
+  @ [
+      test_tfo_mark_agrees_with_in_tfi;
+      Alcotest.test_case "resub keeps its quick-set hashes" `Quick
+        test_resub_quick_set_hashes;
+    ]
