@@ -15,105 +15,99 @@ type choice =
 let mux_cost = 3
 let xor_cost = 3
 
-(* Returns (cost, choice) for [tt], memoized in [memo].
+(* [compact tt] is [tt] over its support: the variables it ignores are
+   dropped, highest first, so that the others keep their order. Also
+   returns the support, ascending, as positions of [tt]. *)
+let compact tt =
+  let rec go t v support =
+    if v < 0 then (t, support)
+    else if Tt.depends_on t v then go t (v - 1) (v :: support)
+    else go (Tt.drop t v false) (v - 1) support
+  in
+  go tt (Tt.num_vars tt - 1) []
+
+(* Returns (cost, choice) for a table that depends on all its
+   variables, memoized in [memo]; the choice names a variable of that
+   table. Each sub-function is searched over its own support: renaming
+   variables monotonically keeps every cost, ranking and tie-break, and
+   scales every candidate's agreement by the same factor.
 
    The search is bounded: variables whose cofactors are degenerate
    (constant or complementary) decompose for free and are always
    explored; otherwise only the two most promising split variables
-   (largest cofactor-agreement, a cheap binateness proxy) recurse, so
-   a width-n function costs O(2^n) sub-searches instead of O(n!). *)
+   (largest cofactor-agreement, a cheap binateness proxy) recurse. A
+   sub-function of [m] variables costs one allocation-free pass over
+   its [2^(m-6)] words (one word below 7 variables) per variable, plus
+   the cofactors it recurses on, each half its size: at depth [d] of an
+   [n]-leaf window that is [2^(n-d-6)] words, not the window's
+   [2^(n-6)]. *)
 let rec search memo tt =
   match Tt.Tbl.find_opt memo tt with
   | Some r -> r
   | None ->
+    let n = Tt.num_vars tt in
     let r =
-      if Tt.is_const0 tt then (0, Const false)
-      else if Tt.is_const1 tt then (0, Const true)
+      if n = 0 then (0, Const (Tt.is_const1 tt))
+      else if n = 1 then (0, Literal (0, not (Tt.equal tt (Tt.var 1 0))))
       else begin
-        match Tt.support tt with
-        | [ v ] ->
-          if Tt.equal tt (Tt.var (Tt.num_vars tt) v) then (0, Literal (v, false))
-          else (0, Literal (v, true))
-        | vars ->
-          let best = ref (max_int, Const false) in
-          let consider cost choice = if cost < fst !best then best := (cost, choice) in
-          (* Pass 1: degenerate decompositions (cheap checks, single
-             recursion each). *)
-          let generic = ref [] in
-          List.iter
-            (fun v ->
-              let f0 = Tt.cofactor0 tt v in
-              let f1 = Tt.cofactor1 tt v in
-              if Tt.equal_not f0 f1 then begin
-                let c0, _ = search memo f0 in
-                consider (c0 + xor_cost) (Xor v)
-              end
-              else if Tt.is_const0 f0 then begin
-                let c1, _ = search memo f1 in
-                consider (c1 + 1) (And_pos v)
-              end
-              else if Tt.is_const0 f1 then begin
-                let c0, _ = search memo f0 in
-                consider (c0 + 1) (And_neg v)
-              end
-              else if Tt.is_const1 f0 then begin
-                let c1, _ = search memo f1 in
-                consider (c1 + 1) (Or_neg v)
-              end
-              else if Tt.is_const1 f1 then begin
-                let c0, _ = search memo f0 in
-                consider (c0 + 1) (Or_pos v)
-              end
-              else begin
-                (* Score: prefer splits whose cofactors agree a lot
-                   (they share structure and simplify). *)
-                let agreement = Tt.agreement f0 f1 in
-                generic := (agreement, v, f0, f1) :: !generic
-              end)
-            vars;
-          if fst !best = max_int || !generic <> [] then begin
-            let ranked =
-              List.sort (fun (a, _, _, _) (b, _, _, _) -> compare b a) !generic
-            in
-            let take2 = match ranked with a :: b :: _ -> [ a; b ] | l -> l in
-            List.iter
-              (fun (_, v, f0, f1) ->
-                let c0, _ = search memo f0 in
-                let c1, _ = search memo f1 in
-                consider (c0 + c1 + mux_cost) (Shannon v))
-              take2
-          end;
-          !best
+        let cost v b = fst (search memo (fst (compact (Tt.drop tt v b)))) in
+        let best = ref (max_int, Const false) in
+        let consider c choice = if c < fst !best then best := (c, choice) in
+        (* Pass 1: degenerate decompositions (single recursion each). *)
+        let generic = ref [] in
+        for v = 0 to n - 1 do
+          let p = Tt.split tt v in
+          if p land Tt.split_compl <> 0 then consider (cost v false + xor_cost) (Xor v)
+          else if p land Tt.split_f0_zero <> 0 then consider (cost v true + 1) (And_pos v)
+          else if p land Tt.split_f1_zero <> 0 then consider (cost v false + 1) (And_neg v)
+          else if p land Tt.split_f0_one <> 0 then consider (cost v true + 1) (Or_neg v)
+          else if p land Tt.split_f1_one <> 0 then consider (cost v false + 1) (Or_pos v)
+          else
+            (* Score: prefer splits whose cofactors agree a lot (they
+               share structure and simplify). *)
+            generic := (Tt.split_agreement p, v) :: !generic
+        done;
+        (* Pass 2: Shannon on the two best-scored variables; the stable
+           sort keeps the higher variable first among equal scores. *)
+        let ranked = List.stable_sort (fun (a, _) (b, _) -> compare b a) !generic in
+        let take2 = match ranked with a :: b :: _ -> [ a; b ] | l -> l in
+        List.iter
+          (fun (_, v) ->
+            let c0 = cost v false in
+            let c1 = cost v true in
+            consider (c0 + c1 + mux_cost) (Shannon v))
+          take2;
+        !best
       end
     in
     Tt.Tbl.add memo tt r;
     r
 
+(* [leaves.(i)] drives variable [i] of [tt]; both shrink together, to
+   the support and past each split variable. *)
 let rec build memo aig leaves tt =
+  let tt, support = compact tt in
+  let leaves = Array.of_list (List.map (Array.get leaves) support) in
   let _, choice = search memo tt in
+  let sub v b =
+    let rest =
+      Array.init (Array.length leaves - 1) (fun j -> leaves.(if j < v then j else j + 1))
+    in
+    build memo aig rest (Tt.drop tt v b)
+  in
   match choice with
   | Const false -> Aig.const0
   | Const true -> Aig.const1
   | Literal (v, c) -> if c then Aig.lnot leaves.(v) else leaves.(v)
   | Shannon v ->
-    let hi = build memo aig leaves (Tt.cofactor1 tt v) in
-    let lo = build memo aig leaves (Tt.cofactor0 tt v) in
+    let hi = sub v true in
+    let lo = sub v false in
     Aig.bmux aig leaves.(v) hi lo
-  | Xor v ->
-    let lo = build memo aig leaves (Tt.cofactor0 tt v) in
-    Aig.bxor aig leaves.(v) lo
-  | And_pos v ->
-    let hi = build memo aig leaves (Tt.cofactor1 tt v) in
-    Aig.band aig leaves.(v) hi
-  | And_neg v ->
-    let lo = build memo aig leaves (Tt.cofactor0 tt v) in
-    Aig.band aig (Aig.lnot leaves.(v)) lo
-  | Or_pos v ->
-    let lo = build memo aig leaves (Tt.cofactor0 tt v) in
-    Aig.bor aig leaves.(v) lo
-  | Or_neg v ->
-    let hi = build memo aig leaves (Tt.cofactor1 tt v) in
-    Aig.bor aig (Aig.lnot leaves.(v)) hi
+  | Xor v -> Aig.bxor aig leaves.(v) (sub v false)
+  | And_pos v -> Aig.band aig leaves.(v) (sub v true)
+  | And_neg v -> Aig.band aig (Aig.lnot leaves.(v)) (sub v false)
+  | Or_pos v -> Aig.bor aig leaves.(v) (sub v false)
+  | Or_neg v -> Aig.bor aig (Aig.lnot leaves.(v)) (sub v true)
 
 let of_tt aig tt leaves =
   if Array.length leaves < Tt.num_vars tt then invalid_arg "Synth.of_tt: missing leaves";
@@ -122,16 +116,4 @@ let of_tt aig tt leaves =
 
 let cost_of_tt tt =
   let memo = Tt.Tbl.create 64 in
-  fst (search memo tt)
-
-let of_sop aig cubes ~nvars leaves =
-  if Array.length leaves < nvars then invalid_arg "Synth.of_sop";
-  let cube_lit (c : Tt.cube) =
-    let lits = ref [] in
-    for i = 0 to nvars - 1 do
-      if (c.Tt.pos lsr i) land 1 = 1 then lits := leaves.(i) :: !lits
-      else if (c.Tt.neg lsr i) land 1 = 1 then lits := Aig.lnot leaves.(i) :: !lits
-    done;
-    Aig.band_list aig !lits
-  in
-  Aig.bor_list aig (List.map cube_lit cubes)
+  fst (search memo (fst (compact tt)))

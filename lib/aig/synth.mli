@@ -1,11 +1,11 @@
 (** Resynthesis of truth tables into AIG structure.
 
-    The structural back-end of rewriting, refactoring and of the
-    BDD-merging step of the Boolean-difference engine ("the node is
-    implemented as an AIG obtained using structural hashing", paper
-    Section III-C). The decomposition search is memoized and explores,
-    per top variable, Shannon expansion, XOR factoring and the
-    degenerate single-cofactor cases, keeping the cheapest. *)
+    The structural back-end of rewriting and refactoring (the paper's
+    resynthesis script, Section V-A), which the gradient engine's
+    refactor moves reuse. The decomposition search is memoized and
+    explores, per top variable, Shannon expansion, XOR factoring and
+    the degenerate single-cofactor cases, keeping the cheapest; each
+    sub-function is searched over its own support. *)
 
 (** AND nodes per 2-input XOR, the cost the decomposition search
     charges an XOR factor; technology-dependent (paper Section III-C).
@@ -25,7 +25,3 @@ val of_tt : Aig.t -> Sbm_truthtable.Tt.t -> Aig.lit array -> Aig.lit
     use, ignoring sharing with existing logic (an upper bound on the
     real cost). *)
 val cost_of_tt : Sbm_truthtable.Tt.t -> int
-
-(** [of_sop aig cubes ~nvars leaves] builds two-level logic for an SOP
-    cover (used when an ISOP cover is already available). *)
-val of_sop : Aig.t -> Sbm_truthtable.Tt.cube list -> nvars:int -> Aig.lit array -> Aig.lit

@@ -6,7 +6,7 @@ let max_vars = 16
 let nwords n = if n <= 6 then 1 else 1 lsl (n - 6)
 
 (* Bits of the last word that are meaningful when n < 6. *)
-let word_mask n =
+let[@inline] word_mask n =
   if n >= 6 then -1L
   else Int64.sub (Int64.shift_left 1L (1 lsl n)) 1L
 
@@ -66,9 +66,9 @@ let ite c a b = bor (band c a) (band (bnot c) b)
 let mux sel a b = ite sel b a
 
 (* Equality, constant tests and comparison are on the hot path of the
-   refactoring engines (memo probes, degenerate-cofactor checks, ISOP
-   recursion); hand-rolled word loops keep them allocation-free and
-   off the polymorphic compare_val machinery. *)
+   refactoring engines (memo probes, support compaction); hand-rolled
+   word loops keep them allocation-free and off the polymorphic
+   compare_val machinery. *)
 let words_equal u v =
   let n = Array.length u in
   let rec go i =
@@ -77,22 +77,6 @@ let words_equal u v =
   Array.length v = n && go 0
 
 let equal a b = a.nvars = b.nvars && words_equal a.words b.words
-
-(* [equal_not a b]: a = ~b, without materializing the complement (the
-   decomposition search probes this per split variable). *)
-let equal_not a b =
-  a.nvars = b.nvars
-  &&
-  let mask = word_mask a.nvars in
-  let u = a.words and v = b.words in
-  let n = Array.length u in
-  let rec go i =
-    i = n
-    || (Int64.equal (Array.unsafe_get u i)
-          (Int64.logand (Int64.lognot (Array.unsafe_get v i)) mask)
-       && go (i + 1))
-  in
-  go 0
 
 let is_const0 a =
   let w = a.words in
@@ -160,7 +144,8 @@ let cofactor0 t i =
   end
 
 (* Allocation-free dependence test: compare the two cofactors without
-   materializing them (ISOP and [support] probe this per variable). *)
+   materializing them ([support] and the decomposition search's support
+   compaction probe this per variable). *)
 let depends_on t i =
   if i < 0 || i >= t.nvars then invalid_arg "Tt.depends_on";
   if i < 6 then begin
@@ -192,6 +177,110 @@ let depends_on t i =
     in
     go 0
   end
+
+(* [squeeze w i] packs the bits of [w] at positions whose bit [i] is 0
+   into the low 32 positions, in order. Step [j] moves the bits whose
+   position has bit [j] set down into bit [j - 1], which the step before
+   emptied. *)
+let squeeze w i =
+  let w = ref (Int64.logand w (Int64.lognot var_pattern.(i))) in
+  for j = i + 1 to 5 do
+    let p = var_pattern.(j) in
+    w :=
+      Int64.logor
+        (Int64.logand !w (Int64.lognot p))
+        (Int64.shift_right_logical (Int64.logand !w p) (1 lsl (j - 1)))
+  done;
+  !w
+
+(* Cofactor that removes the variable: [n - 1] variables, half the
+   words. Minterm [m] of the result reads minterm [m] of the source
+   with bit [i] inserted as [b]. *)
+let drop t i b =
+  if i < 0 || i >= t.nvars then invalid_arg "Tt.drop";
+  let n = t.nvars in
+  let src = t.words in
+  let words =
+    if i < 6 then begin
+      let half w = squeeze (if b then Int64.shift_right_logical w (1 lsl i) else w) i in
+      if n <= 6 then [| Int64.logand (half src.(0)) (word_mask (n - 1)) |]
+      else
+        Array.init (nwords (n - 1)) (fun k ->
+            Int64.logor (half src.(2 * k)) (Int64.shift_left (half src.((2 * k) + 1)) 32))
+    end
+    else begin
+      (* Word [k] of the result is the source word whose index is [k]
+         with bit [i - 6] inserted as [b]. *)
+      let s = i - 6 in
+      let low = (1 lsl s) - 1 in
+      let hi = if b then 1 lsl s else 0 in
+      Array.init (nwords (n - 1)) (fun k ->
+          src.((k land low) lor ((k lsr s) lsl (s + 1)) lor hi))
+    end
+  in
+  { nvars = n - 1; words }
+
+let split_compl = 1
+let split_f0_zero = 2
+let split_f1_zero = 4
+let split_f0_one = 8
+let split_f1_one = 16
+let split_agreement p = p lsr 5
+
+(* Population count of a word, on immediate ints (the top half and the
+   low half, SWAR within each) so that it boxes nothing. *)
+let popcount32 x =
+  let x = x - ((x lsr 1) land 0x55555555) in
+  let x = (x land 0x33333333) + ((x lsr 2) land 0x33333333) in
+  let x = (x + (x lsr 4)) land 0x0F0F0F0F in
+  ((x * 0x01010101) lsr 24) land 0xFF
+
+let[@inline] popcount_word w =
+  popcount32 (Int64.to_int w land 0xFFFFFFFF)
+  + popcount32 (Int64.to_int (Int64.shift_right_logical w 32))
+
+(* One pass compares the two cofactors position by position: [lo] and
+   [hi] hold f0 and f1 on the [valid] positions of pair [k]. For [i < 6]
+   pair [k] is word [k], shifted by [2^i] for f1, and the positions
+   where variable [i] is 0; for [i >= 6] it is the word whose index is
+   [k] with bit [i - 6] inserted as 0, against the word [2^(i-6)] above
+   it. Every step is an unboxed word operation: no branch yields an
+   [int64]. *)
+let split t i =
+  if i < 0 || i >= t.nvars then invalid_arg "Tt.split";
+  let w = t.words in
+  let wide = i >= 6 in
+  let s = i - 6 in
+  let low = if wide then (1 lsl s) - 1 else 0 in
+  let above = if wide then low + 1 else 0 in
+  let shift = if wide then 0 else 1 lsl i in
+  let valid =
+    Int64.logand
+      (Int64.lognot (if wide then 0L else var_pattern.(i)))
+      (word_mask t.nvars)
+  in
+  let compl = ref true and f0_zero = ref true and f1_zero = ref true in
+  let f0_one = ref true and f1_one = ref true and agree = ref 0 in
+  for k = 0 to (if wide then Array.length w / 2 else Array.length w) - 1 do
+    let j = if wide then (k land low) lor ((k lsr s) lsl (s + 1)) else k in
+    let lo = Int64.logand (Array.unsafe_get w j) valid in
+    let hi =
+      Int64.logand (Int64.shift_right_logical (Array.unsafe_get w (j + above)) shift) valid
+    in
+    let d = Int64.logxor lo hi in
+    compl := !compl && Int64.equal d valid;
+    f0_zero := !f0_zero && Int64.equal lo 0L;
+    f1_zero := !f1_zero && Int64.equal hi 0L;
+    f0_one := !f0_one && Int64.equal lo valid;
+    f1_one := !f1_one && Int64.equal hi valid;
+    agree := !agree + popcount_word (Int64.logand (Int64.lognot d) valid)
+  done;
+  (if !compl then split_compl else 0)
+  lor (if !f0_zero then split_f0_zero else 0)
+  lor (if !f1_zero then split_f1_zero else 0)
+  lor (if !f0_one then split_f0_one else 0)
+  lor (if !f1_one then split_f1_one else 0)
+  lor (!agree lsl 5)
 
 (* Fused resubstitution probes: compare a 2-input gate of optionally
    complemented divisors against a target without materializing the
@@ -250,30 +339,7 @@ let support t =
   in
   go (t.nvars - 1) []
 
-let popcount64 w =
-  let rec go w acc = if w = 0L then acc else go (Int64.logand w (Int64.sub w 1L)) (acc + 1) in
-  go w 0
-
-let count_ones t = Array.fold_left (fun acc w -> acc + popcount64 w) 0 t.words
-
-(* Number of minterms where [a] and [b] agree: popcount of their XNOR,
-   fused so the scoring loop of the decomposition search allocates
-   nothing. *)
-let agreement a b =
-  if a.nvars <> b.nvars then invalid_arg "Tt.agreement: arity mismatch";
-  let mask = word_mask a.nvars in
-  let u = a.words and v = b.words in
-  let n = Array.length u in
-  let acc = ref 0 in
-  for i = 0 to n - 1 do
-    acc :=
-      !acc
-      + popcount64
-          (Int64.logand
-             (Int64.lognot (Int64.logxor (Array.unsafe_get u i) (Array.unsafe_get v i)))
-             mask)
-  done;
-  !acc
+let count_ones t = Array.fold_left (fun acc w -> acc + popcount_word w) 0 t.words
 
 let get_bit t i =
   if i < 0 || i >= 1 lsl t.nvars then invalid_arg "Tt.get_bit";
@@ -352,62 +418,6 @@ let flip t i =
 let compose t i g =
   if g.nvars <> t.nvars then invalid_arg "Tt.compose";
   ite g (cofactor1 t i) (cofactor0 t i)
-
-type cube = { pos : int; neg : int }
-
-let cube_tt n c =
-  let acc = ref (const1 n) in
-  for i = 0 to n - 1 do
-    if (c.pos lsr i) land 1 = 1 then acc := band !acc (var n i)
-    else if (c.neg lsr i) land 1 = 1 then acc := band !acc (bnot (var n i))
-  done;
-  !acc
-
-let cover_tt n cubes =
-  List.fold_left (fun acc c -> bor acc (cube_tt n c)) (const0 n) cubes
-
-(* Minato-Morreale ISOP: returns (cubes, cover-table) with
-   lower <= cover <= upper. *)
-let isop on dc =
-  if on.nvars <> dc.nvars then invalid_arg "Tt.isop";
-  let n = on.nvars in
-  let rec go lower upper vars =
-    if is_const0 lower then ([], const0 n)
-    else if is_const1 upper then ([ { pos = 0; neg = 0 } ], const1 n)
-    else
-      match vars with
-      | [] ->
-        (* lower is nonzero and upper is not a tautology, yet no
-           variable remains: only possible when lower depends on no
-           listed variable; cover with the full cube of upper's care. *)
-        ([ { pos = 0; neg = 0 } ], const1 n)
-      | x :: rest ->
-        if not (depends_on lower x) && not (depends_on upper x) then go lower upper rest
-        else begin
-          let l0 = cofactor0 lower x and l1 = cofactor1 lower x in
-          let u0 = cofactor0 upper x and u1 = cofactor1 upper x in
-          let cubes0, cov0 = go (band l0 (bnot u1)) u0 rest in
-          let cubes1, cov1 = go (band l1 (bnot u0)) u1 rest in
-          let lnew = bor (band l0 (bnot cov0)) (band l1 (bnot cov1)) in
-          let cubes_rest, cov_rest = go lnew (band u0 u1) rest in
-          let xbit = 1 lsl x in
-          let cubes =
-            List.map (fun c -> { c with neg = c.neg lor xbit }) cubes0
-            @ List.map (fun c -> { c with pos = c.pos lor xbit }) cubes1
-            @ cubes_rest
-          in
-          let vtt = var n x in
-          let cover =
-            bor (bor (band (bnot vtt) cov0) (band vtt cov1)) cov_rest
-          in
-          (cubes, cover)
-        end
-  in
-  let vars = List.init n (fun i -> i) in
-  let cubes, cover = go on (bor on dc) vars in
-  assert (is_const0 (band on (bnot cover)));
-  assert (is_const0 (band cover (bnot (bor on dc))));
-  cubes
 
 let to_string t =
   let buf = Buffer.create (Array.length t.words * 16) in

@@ -59,14 +59,6 @@ module Tbl : Hashtbl.S with type key = t
 val and_match : na:bool -> t -> nb:bool -> t -> t -> int
 val xor_equal : na:bool -> t -> nb:bool -> t -> t -> bool
 
-(** [equal_not a b] is [equal a (bnot b)] without the allocation. *)
-val equal_not : t -> t -> bool
-
-(** [agreement a b] is [count_ones (bxnor a b)] without the
-    allocations: the number of minterms on which the functions
-    agree. *)
-val agreement : t -> t -> int
-
 (** [of_word n w] builds a table on [n <= 6] variables directly from
     its 64-bit value (low [2^n] bits; the rest is ignored). *)
 val of_word : int -> int64 -> t
@@ -76,6 +68,31 @@ val of_word : int -> int64 -> t
     [i]). *)
 val cofactor0 : t -> int -> t
 val cofactor1 : t -> int -> t
+
+(** [drop t i b] fixes variable [i] to [b] and removes it: the result
+    ranges over [n - 1] variables, variables above [i] moving down by
+    one (half the words of [cofactor0]/[cofactor1]). *)
+val drop : t -> int -> bool -> t
+
+(** [split t i] profiles the Shannon split of [t] on variable [i]
+    without building the cofactors [f0 = drop t i false] and
+    [f1 = drop t i true]; allocation-free. The result packs five flags,
+    tested with [split t i land flag <> 0], and the cofactors'
+    agreement. *)
+val split : t -> int -> int
+
+(** The flags of {!split}: [split_compl] is f0 = ¬f1, [split_f0_zero]
+    f0 = 0, [split_f1_zero] f1 = 0, [split_f0_one] f0 = 1 and
+    [split_f1_one] f1 = 1. *)
+val split_compl : int
+val split_f0_zero : int
+val split_f1_zero : int
+val split_f0_one : int
+val split_f1_one : int
+
+(** [split_agreement p] is the number of assignments of the other
+    [n - 1] variables on which f0 and f1 agree. *)
+val split_agreement : int -> int
 
 (** [depends_on t i] is true if the function value changes with
     variable [i]. *)
@@ -119,23 +136,6 @@ val flip : t -> int -> t
 (** [compose t i g] substitutes function [g] (same variable count) for
     variable [i] in [t]. *)
 val compose : t -> int -> t -> t
-
-(** Cubes of an SOP cover over truth-table variables: [pos] and [neg]
-    are bit masks of positively / negatively appearing variables. *)
-type cube = { pos : int; neg : int }
-
-(** [cube_tt n c] is the truth table of cube [c] on [n] variables. *)
-val cube_tt : int -> cube -> t
-
-(** [cover_tt n cubes] is the OR of the cubes' tables. *)
-val cover_tt : int -> cube list -> t
-
-(** [isop on dc] computes an irredundant sum-of-products cover [c]
-    with [on <= c <= on | dc] (Minato-Morreale). The don't-care table
-    [dc] must be disjoint from [on] or a superset; precisely the
-    requirement is [band on dc] arbitrary, the cover satisfies
-    [on <= cover <= bor on dc]. Returns the cube list. *)
-val isop : t -> t -> cube list
 
 (** [to_string t] is the hexadecimal rendering, most-significant word
     first (e.g. ["8"] for AND2 on 2 vars). *)

@@ -371,20 +371,136 @@ let test_synth_cost_bound =
       ignore (Aig.add_output aig root);
       Aig.fresh_since aig cp <= Sbm_aig.Synth.cost_of_tt tt)
 
-let test_synth_of_sop =
-  Helpers.qcheck_case "sop construction matches" gen_tt (fun tt ->
-      let n = Tt.num_vars tt in
-      let cubes = Tt.isop tt (Tt.const0 n) in
-      let aig = Aig.create () in
-      let leaves = Array.init n (fun _ -> Aig.add_input aig) in
-      let root = Sbm_aig.Synth.of_sop aig cubes ~nvars:n leaves in
-      ignore (Aig.add_output aig root);
-      let ok = ref true in
-      for m = 0 to (1 lsl n) - 1 do
-        let bits = Array.init n (fun i -> (m lsr i) land 1 = 1) in
-        if (Sbm_aig.Sim.eval aig bits).(0) <> Tt.get_bit tt m then ok := false
-      done;
-      !ok)
+(* --- the full-width search, kept as the oracle --- *)
+
+(* The decomposition search as it was first written: every cofactor
+   keeps the table's full width, and the choices name variables of
+   that width. [Synth] must build the same literal into the same AIG
+   and report the same cost. *)
+module Synth_oracle = struct
+  type choice =
+    | Const of bool
+    | Literal of int * bool
+    | Shannon of int
+    | Xor of int
+    | And_pos of int
+    | And_neg of int
+    | Or_pos of int
+    | Or_neg of int
+
+  let mux_cost = 3
+  let xor_cost = Sbm_aig.Synth.xor_cost
+
+  let rec search memo tt =
+    match Tt.Tbl.find_opt memo tt with
+    | Some r -> r
+    | None ->
+      let r =
+        if Tt.is_const0 tt then (0, Const false)
+        else if Tt.is_const1 tt then (0, Const true)
+        else begin
+          match Tt.support tt with
+          | [ v ] ->
+            if Tt.equal tt (Tt.var (Tt.num_vars tt) v) then (0, Literal (v, false))
+            else (0, Literal (v, true))
+          | vars ->
+            let best = ref (max_int, Const false) in
+            let consider cost choice = if cost < fst !best then best := (cost, choice) in
+            let generic = ref [] in
+            List.iter
+              (fun v ->
+                let f0 = Tt.cofactor0 tt v in
+                let f1 = Tt.cofactor1 tt v in
+                if Tt.equal f0 (Tt.bnot f1) then
+                  consider (fst (search memo f0) + xor_cost) (Xor v)
+                else if Tt.is_const0 f0 then consider (fst (search memo f1) + 1) (And_pos v)
+                else if Tt.is_const0 f1 then consider (fst (search memo f0) + 1) (And_neg v)
+                else if Tt.is_const1 f0 then consider (fst (search memo f1) + 1) (Or_neg v)
+                else if Tt.is_const1 f1 then consider (fst (search memo f0) + 1) (Or_pos v)
+                else
+                  generic := (Tt.count_ones (Tt.bxnor f0 f1), v, f0, f1) :: !generic)
+              vars;
+            let ranked =
+              List.sort (fun (a, _, _, _) (b, _, _, _) -> compare b a) !generic
+            in
+            let take2 = match ranked with a :: b :: _ -> [ a; b ] | l -> l in
+            List.iter
+              (fun (_, v, f0, f1) ->
+                let c0, _ = search memo f0 in
+                let c1, _ = search memo f1 in
+                consider (c0 + c1 + mux_cost) (Shannon v))
+              take2;
+            !best
+        end
+      in
+      Tt.Tbl.add memo tt r;
+      r
+
+  let rec build memo aig leaves tt =
+    let _, choice = search memo tt in
+    let sub cofactor v = build memo aig leaves (cofactor tt v) in
+    match choice with
+    | Const false -> Aig.const0
+    | Const true -> Aig.const1
+    | Literal (v, c) -> if c then Aig.lnot leaves.(v) else leaves.(v)
+    | Shannon v ->
+      let hi = sub Tt.cofactor1 v in
+      let lo = sub Tt.cofactor0 v in
+      Aig.bmux aig leaves.(v) hi lo
+    | Xor v -> Aig.bxor aig leaves.(v) (sub Tt.cofactor0 v)
+    | And_pos v -> Aig.band aig leaves.(v) (sub Tt.cofactor1 v)
+    | And_neg v -> Aig.band aig (Aig.lnot leaves.(v)) (sub Tt.cofactor0 v)
+    | Or_pos v -> Aig.bor aig leaves.(v) (sub Tt.cofactor0 v)
+    | Or_neg v -> Aig.bor aig (Aig.lnot leaves.(v)) (sub Tt.cofactor1 v)
+
+  let of_tt aig tt leaves = build (Tt.Tbl.create 64) aig leaves tt
+  let cost_of_tt tt = fst (search (Tt.Tbl.create 64) tt)
+end
+
+(* Tables of 1–12 variables that ignore some of them and are wrapped in
+   AND/OR/XOR with literals, so that every degenerate split fires. *)
+let gen_structured_tt =
+  QCheck2.Gen.(
+    pair (int_range 1 12) (int_bound 1_000_000)
+    |> map (fun (n, seed) ->
+           let rng = Rng.create seed in
+           let ignore_some t =
+             List.fold_left
+               (fun t v -> if Rng.int rng 3 = 0 then Tt.cofactor0 t v else t)
+               t (List.init n Fun.id)
+           in
+           let rec wrap t d =
+             if d = 0 then t
+             else begin
+               let x = Tt.var n (Rng.int rng n) in
+               let x = if Rng.bool rng then Tt.bnot x else x in
+               let t =
+                 match Rng.int rng 3 with
+                 | 0 -> Tt.band x t
+                 | 1 -> Tt.bor x t
+                 | _ -> Tt.bxor x t
+               in
+               wrap t (d - 1)
+             end
+           in
+           wrap (ignore_some (Tt.random n rng)) (Rng.int rng 5)))
+
+let build_with of_tt tt =
+  let n = Tt.num_vars tt in
+  let aig = Aig.create () in
+  let leaves = Array.init n (fun _ -> Aig.add_input aig) in
+  let root = of_tt aig tt leaves in
+  ignore (Aig.add_output aig root);
+  (root, Aig.fold_hash aig)
+
+let test_synth_matches_oracle =
+  Helpers.qcheck_case ~count:150 "synth builds the oracle's network" gen_structured_tt
+    (fun tt ->
+      build_with Sbm_aig.Synth.of_tt tt = build_with Synth_oracle.of_tt tt)
+
+let test_synth_cost_matches_oracle =
+  Helpers.qcheck_case ~count:150 "synth cost equals the oracle's" gen_structured_tt
+    (fun tt -> Sbm_aig.Synth.cost_of_tt tt = Synth_oracle.cost_of_tt tt)
 
 let test_synth_trivial () =
   let aig = Aig.create () in
@@ -410,6 +526,7 @@ let suite =
       test_equal_leaves_keep_the_oracle_copy;
     test_synth_exact;
     test_synth_cost_bound;
-    test_synth_of_sop;
+    test_synth_matches_oracle;
+    test_synth_cost_matches_oracle;
     Alcotest.test_case "synth trivial cases" `Quick test_synth_trivial;
   ]

@@ -234,6 +234,43 @@ let test_local_commit_contract () =
   Aig.check aig;
   Helpers.assert_equiv_exhaustive original aig
 
+(* The networks refactor and rewrite leave on the quick set and on sin
+   at 1/4, pinned by fold hash: the decomposition search may get
+   cheaper, never different. *)
+let test_resynthesis_hashes () =
+  let circuits =
+    List.map (fun b -> (Sbm_epfl.Epfl.name b, fun () -> Sbm_epfl.Epfl.generate b))
+      Sbm_epfl.Epfl.quick_set
+    @ [ ("sin", fun () -> Sbm_epfl.Epfl.generate ~scale:0.25 Sbm_epfl.Epfl.Sin) ]
+  in
+  List.iter
+    (fun (pass, run, want) ->
+      List.iter2
+        (fun (name, generate) want ->
+          let aig = generate () in
+          ignore (run aig);
+          Alcotest.(check string) (pass ^ " " ^ name)
+            (Printf.sprintf "%016Lx" want)
+            (Printf.sprintf "%016Lx" (Aig.fold_hash aig)))
+        circuits want)
+    [
+      ( "refactor 8", Sbm_aig.Refactor.run ~zero_gain:false ~max_leaves:8,
+        [ 0x94638511fccb31e6L; 0x58937f976ef8ab29L; 0x8d3f7eecf5ba578cL;
+          0x38f366053f9b4a11L; 0xd1adf152252d2aceL; 0x6c5faba232f32b5cL ] );
+      ( "refactor 10", Sbm_aig.Refactor.run ~zero_gain:false ~max_leaves:10,
+        [ 0x94638511fccb31e6L; 0xd66663eb0b6ef9e1L; 0x8d3f7eecf5ba578cL;
+          0x38f366053f9b4a11L; 0xd1adf152252d2aceL; 0x12cee854e57adbd8L ] );
+      ( "refactor 12", Sbm_aig.Refactor.run ~zero_gain:false ~max_leaves:12,
+        [ 0x94638511fccb31e6L; 0x72b892531434e8a7L; 0x8d3f7eecf5ba578cL;
+          0x38f366053f9b4a11L; 0xd1adf152252d2aceL; 0x893489f2fe499243L ] );
+      ( "rewrite", Sbm_aig.Rewrite.run ~zero_gain:false,
+        [ 0x4bf80e883108f765L; 0x3d65016376442050L; 0x8d3f7eecf5ba578cL;
+          0xa547386318087228L; 0x1b81a7c1aa3a2e4dL; 0x908bd4434ac640a5L ] );
+      ( "rewrite -z", Sbm_aig.Rewrite.run ~zero_gain:true,
+        [ 0xddd39837904526d4L; 0x1ebbec189359af19L; 0x8d3f7eecf5ba578cL;
+          0x3ef65df4ee201dd8L; 0xe19ea4c0c0cc4f44L; 0xf1c1304895d50059L ] );
+    ]
+
 let suite =
   suite
   @ [
@@ -289,4 +326,6 @@ let suite =
       test_tfo_mark_agrees_with_in_tfi;
       Alcotest.test_case "resub keeps its quick-set hashes" `Quick
         test_resub_quick_set_hashes;
+      Alcotest.test_case "refactor and rewrite keep their hashes" `Quick
+        test_resynthesis_hashes;
     ]

@@ -1,4 +1,4 @@
-(* Truth-table engine: algebra laws, cofactors, support, ISOP —
+(* Truth-table engine: algebra laws, cofactors, split profiles, support —
    mostly property-based. *)
 
 module Tt = Sbm_truthtable.Tt
@@ -87,20 +87,58 @@ let test_count_ones =
       done;
       !count = Tt.count_ones t)
 
-let test_isop_covers =
-  Helpers.qcheck_case "isop covers onset exactly (no dc)" gen_tt (fun t ->
-      let n = Tt.num_vars t in
-      let cubes = Tt.isop t (Tt.const0 n) in
-      Tt.equal (Tt.cover_tt n cubes) t)
+(* Tables of 1–12 variables, some ignoring variables (so that the
+   cofactors are constant or complementary on some splits). *)
+let gen_split_case =
+  QCheck2.Gen.(
+    triple (int_range 1 12) (int_bound 1_000_000) (int_range 0 3)
+    |> map (fun (n, seed, shape) ->
+           let rng = Rng.create seed in
+           let t = Tt.random n rng in
+           let x = Tt.var n (Rng.int rng n) in
+           match shape with
+           | 0 -> t
+           | 1 -> Tt.band x (Tt.cofactor0 t (Rng.int rng n))
+           | 2 -> Tt.bor x (Tt.cofactor1 t (Rng.int rng n))
+           | _ -> Tt.bxor x t))
 
-let test_isop_with_dc =
-  Helpers.qcheck_case "isop within bounds (with dc)" gen_tt_pair (fun (f, d) ->
-      let n = Tt.num_vars f in
-      let on = Tt.band f (Tt.bnot d) in
-      let cubes = Tt.isop on d in
-      let cover = Tt.cover_tt n cubes in
-      Tt.is_const0 (Tt.band on (Tt.bnot cover))
-      && Tt.is_const0 (Tt.band cover (Tt.bnot (Tt.bor on d))))
+let test_drop_matches_cofactors =
+  Helpers.qcheck_case "drop reads the cofactor on every minterm" gen_split_case (fun t ->
+      let n = Tt.num_vars t in
+      List.for_all
+        (fun i ->
+          List.for_all
+            (fun b ->
+              let d = Tt.drop t i b in
+              let c = if b then Tt.cofactor1 t i else Tt.cofactor0 t i in
+              let low = (1 lsl i) - 1 in
+              Tt.num_vars d = n - 1
+              && List.for_all
+                   (fun m ->
+                     let m' = (m land low) lor ((m land lnot low) lsl 1) in
+                     Tt.get_bit d m = Tt.get_bit c m')
+                   (List.init (1 lsl (n - 1)) Fun.id))
+            [ false; true ])
+        (List.init n Fun.id))
+
+let test_split_matches_cofactors =
+  Helpers.qcheck_case "split profile matches the materialized cofactors" gen_split_case
+    (fun t ->
+      let n = Tt.num_vars t in
+      List.for_all
+        (fun i ->
+          let p = Tt.split t i in
+          let f0 = Tt.cofactor0 t i and f1 = Tt.cofactor1 t i in
+          let flag bit = p land bit <> 0 in
+          flag Tt.split_compl = Tt.equal f0 (Tt.bnot f1)
+          && flag Tt.split_f0_zero = Tt.is_const0 f0
+          && flag Tt.split_f1_zero = Tt.is_const0 f1
+          && flag Tt.split_f0_one = Tt.is_const1 f0
+          && flag Tt.split_f1_one = Tt.is_const1 f1
+          (* The full-width cofactors count each assignment of the
+             other variables twice. *)
+          && 2 * Tt.split_agreement p = Tt.count_ones (Tt.bxnor f0 f1))
+        (List.init n Fun.id))
 
 let test_permute_roundtrip =
   Helpers.qcheck_case "permute by inverse is identity"
@@ -154,11 +192,11 @@ let test_flip =
       let i = iv mod n in
       Tt.equal t (Tt.flip (Tt.flip t i) i))
 
-(* The decomposition memos key [Tt.Tbl] by the cofactors of the
-   functions they split; a cofactor on variable 5 repeats each word's
-   low half in its high half. Over 200 random tables per width of 7–10
-   inputs and both cofactors on every variable, no bucket holds more
-   than a handful of bindings. *)
+(* [Tt.Tbl] keys memos by cofactor tables; a cofactor on variable 5
+   that keeps the variable repeats each word's low half in its high
+   half. Over 200 random tables per width of 7–10 inputs and both
+   cofactors on every variable, no bucket holds more than a handful of
+   bindings. *)
 let test_tbl_buckets () =
   let tbl = Tt.Tbl.create 64 in
   let rng = Rng.create 25 in
@@ -190,8 +228,8 @@ let suite =
     test_double_negation;
     test_support_only_real_vars;
     test_count_ones;
-    test_isop_covers;
-    test_isop_with_dc;
+    test_drop_matches_cofactors;
+    test_split_matches_cofactors;
     test_permute_roundtrip;
     test_compose_semantics;
     test_expand;
