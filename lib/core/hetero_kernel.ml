@@ -9,7 +9,7 @@ let m_partitions =
 
 let m_trials =
   M.counter ~engine:"kernel" ~unit_:"trials" "kernel.trials"
-    "kernel-extraction threshold trials run"
+    "elimination thresholds decided (run, or known to repeat the previous trial)"
 
 let m_improved_partitions =
   M.counter ~engine:"kernel" ~unit_:"partitions" "kernel.improved_partitions"
@@ -71,9 +71,12 @@ let optimize_partition net part_nodes =
       saved;
     Network.truncate net mark
   in
+  (* A trial's literal count and the least variation its elimination
+     kept. Every trial starts from the same covers and, since rollback
+     hands the trial's node ids back, allocates the same ids: its
+     result depends on the threshold alone. *)
   let trial threshold =
-    ignore
-      (Network.eliminate net ~threshold ~max_cubes ~only:eliminable ());
+    let least_kept = Network.eliminate net ~threshold ~max_cubes ~only:eliminable () in
     ignore
       (Network.extract_kernels net
          ~only:(fun n -> member n || n >= mark)
@@ -82,18 +85,26 @@ let optimize_partition net part_nodes =
       (Network.extract_cubes net
          ~only:(fun n -> member n || n >= mark)
          ~max_passes:extract_passes ());
-    partition_lits net ~member ~mark
+    (partition_lits net ~member ~mark, least_kept)
   in
   let before = partition_lits net ~member ~mark in
-  (* Try each threshold, recording the literal count; keep the best. *)
+  (* Try each threshold, recording the literal count; keep the best.
+     A threshold no larger than the previous trial's least kept
+     variation collapses exactly the nodes that trial collapsed, so it
+     would repeat that trial (the same literal count and the same
+     least kept variation) and is not run. *)
   let best = ref None in
+  let repeats_up_to = ref min_int in
   List.iter
     (fun threshold ->
-      let lits = trial threshold in
-      (match !best with
-      | Some (bl, _) when bl <= lits -> ()
-      | Some _ | None -> best := Some (lits, threshold));
-      rollback ())
+      if threshold > !repeats_up_to then begin
+        let lits, least_kept = trial threshold in
+        repeats_up_to := least_kept;
+        (match !best with
+        | Some (bl, _) when bl <= lits -> ()
+        | Some _ | None -> best := Some (lits, threshold));
+        rollback ()
+      end)
     thresholds;
   let improved =
     match !best with

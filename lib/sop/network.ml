@@ -5,6 +5,16 @@ type node_id = int
 
 type kind = Pi of int | Internal
 
+(* A memoized [eliminate_trial] (below): its result with the inputs it
+   read, the node's cover, the cube bound and each fanout with its
+   cover, in [fanouts] order. *)
+type elim_memo = {
+  e_cover : Sop.cover;
+  e_max_cubes : int;
+  e_fanouts : (node_id * Sop.cover) list;
+  e_result : ((node_id * Sop.cover) list * int) option;
+}
+
 type node = {
   kind : kind;
   mutable cover : Sop.cover;
@@ -26,6 +36,8 @@ type node = {
      valid while that cover is physically the current one (covers are
      replaced wholesale, never mutated in place). *)
   mutable kernels : (Sop.cover * (Sop.cube list * Sop.cube) list) option;
+  (* Valid while every input it records is physically unchanged. *)
+  mutable elim : elim_memo option;
 }
 
 type t = {
@@ -49,6 +61,7 @@ let fresh kind =
     users = [];
     refs = 0;
     kernels = None;
+    elim = None;
   }
 
 let num_inputs t = Array.length t.inputs
@@ -229,7 +242,10 @@ let substitute ~max_cubes cv n cover_n =
 (* The fanout covers collapsing [n] would write and the literal
    variation, or None when [n] cannot be collapsed. The variation is a
    sum and the writes go to distinct nodes, so fanout order does not
-   matter. *)
+   matter. The result depends only on [n]'s cover, [max_cubes] and
+   the fanouts' covers, so it is memoized on them: a re-evaluation in
+   the next elimination sweep, or in the next threshold trial after a
+   rollback restored the same covers, is a lookup. *)
 let eliminate_trial t n ~max_cubes =
   let nd = node t n in
   match nd.kind with
@@ -237,19 +253,41 @@ let eliminate_trial t n ~max_cubes =
   | Internal ->
     if nd.is_output || not nd.alive then None
     else begin
-      let rec go acc delta = function
-        | [] -> Some (acc, delta - Sop.num_lits nd.cover)
-        | m :: rest -> (
-          let cv = cover t m in
-          match substitute ~max_cubes cv n nd.cover with
-          | None -> None
-          | Some cv' -> go ((m, cv') :: acc) (delta + Sop.num_lits cv' - Sop.num_lits cv) rest)
+      let fos = fanouts t n in
+      let rec unchanged fos memo =
+        match (fos, memo) with
+        | [], [] -> true
+        | m :: fos, (m', cv) :: memo -> m = m' && cover t m == cv && unchanged fos memo
+        | _ -> false
       in
-      go [] 0 (fanouts t n)
+      match nd.elim with
+      | Some e
+        when e.e_cover == nd.cover && e.e_max_cubes = max_cubes
+             && unchanged fos e.e_fanouts ->
+        e.e_result
+      | Some _ | None ->
+        let rec go acc delta = function
+          | [] -> Some (acc, delta - Sop.num_lits nd.cover)
+          | m :: rest -> (
+            let cv = cover t m in
+            match substitute ~max_cubes cv n nd.cover with
+            | None -> None
+            | Some cv' -> go ((m, cv') :: acc) (delta + Sop.num_lits cv' - Sop.num_lits cv) rest)
+        in
+        let result = go [] 0 fos in
+        nd.elim <-
+          Some
+            {
+              e_cover = nd.cover;
+              e_max_cubes = max_cubes;
+              e_fanouts = List.map (fun m -> (m, cover t m)) fos;
+              e_result = result;
+            };
+        result
     end
 
 let eliminate t ~threshold ~max_cubes ?(only = fun _ -> true) () =
-  let eliminated = ref 0 in
+  let least_kept = ref max_int in
   let changed = ref true in
   while !changed do
     changed := false;
@@ -261,13 +299,13 @@ let eliminate t ~threshold ~max_cubes ?(only = fun _ -> true) () =
           | Some (updates, v) when v < threshold ->
             List.iter (fun (m, cv) -> replace_cover t m cv) updates;
             (node t n).alive <- false;
-            incr eliminated;
             changed := true
-          | Some _ | None -> ()
+          | Some (_, v) -> least_kept := min !least_kept v
+          | None -> ()
         end)
       candidates
   done;
-  !eliminated
+  !least_kept
 
 (* Value of extracting kernel [k] given its occurrence list
    [(node, cokernel)]. *)
@@ -512,13 +550,19 @@ let set_cover = replace_cover
 
 let revive t n = (node t n).alive <- true
 
+(* Ids from [m] on are handed out again, so no cover may still name
+   one: a reachable node or an output would hold [refs > 0], and a
+   node below the mark would be among its [users]. *)
 let truncate t m =
   for id = m to t.n - 1 do
     let nd = t.nodes.(id) in
-    nd.alive <- false;
-    replace_cover t id [];
-    nd.kernels <- None
-  done
+    if nd.refs > 0 || List.exists (fun u -> u < m) nd.users then
+      invalid_arg (Printf.sprintf "Network.truncate: node %d is still referenced" id)
+  done;
+  for id = m to t.n - 1 do
+    replace_cover t id []
+  done;
+  t.n <- m
 
 let check t =
   (* Acyclicity + live references via DFS with an on-stack mark. *)

@@ -55,8 +55,11 @@ val fanouts : t -> node_id -> node_id list
 (** [eliminate t ~threshold ~max_cubes ?only] repeatedly collapses
     nodes whose literal variation is below [threshold] until a fixed
     point (paper, Section IV-B). [only] restricts candidates to a node
-    subset (the per-partition heterogeneous mode). Returns the number
-    of nodes eliminated. *)
+    subset (the per-partition heterogeneous mode). Returns the least
+    variation among the candidates it evaluated and kept, [max_int]
+    when it kept none: from the same network, any threshold above
+    [threshold] and no larger than that value makes the same
+    decisions. *)
 val eliminate : t -> threshold:int -> max_cubes:int -> ?only:(node_id -> bool) -> unit -> int
 
 (** [extract_kernels t ?only ~max_passes ()] greedily extracts the
@@ -75,7 +78,8 @@ val extract_cubes : t -> ?only:(node_id -> bool) -> max_passes:int -> unit -> in
     the same partition and keeps the best (paper, Section IV-B); these
     hooks let it roll back a trial. *)
 
-(** [mark t] is a checkpoint covering node allocation. *)
+(** [mark t] is a checkpoint covering node allocation: the id the
+    next allocation gets. *)
 val mark : t -> int
 
 (** [set_cover t n cover] overwrites node [n]'s cover. *)
@@ -84,9 +88,13 @@ val set_cover : t -> node_id -> Sop.cover -> unit
 (** [revive t n] marks an eliminated node alive again (rollback). *)
 val revive : t -> node_id -> unit
 
-(** [truncate t mark] kills every node allocated at or after [mark]
-    and clears its cover; callers must first restore any cover
-    referencing them. *)
+(** [truncate t mark] deletes every node allocated at or after [mark]
+    and hands their ids out again: the next allocation gets [mark].
+    Callers must first restore every cover that names one of them
+    (the heterogeneous engine restores the partition's covers, then
+    truncates). Raises [Invalid_argument] when a node at or past
+    [mark] is still referenced: reachable from the outputs
+    ([refs > 0]) or named by the cover of a node below [mark]. *)
 val truncate : t -> int -> unit
 
 (** [check t] validates structural invariants (acyclicity, live

@@ -128,11 +128,6 @@ let support cover =
   List.concat_map (fun c -> Array.to_list (Array.map var_of c)) cover
   |> List.sort_uniq Int.compare
 
-let lit_count cover l =
-  List.fold_left
-    (fun acc c -> if Array.exists (fun x -> x = l) c then acc + 1 else acc)
-    0 cover
-
 let divide_by_cube cover c = List.filter_map (fun cb -> cube_div cb c) cover
 
 let divide cover d =
@@ -164,6 +159,26 @@ let mul a b = List.concat_map (fun ca -> List.filter_map (fun cb -> cube_mul ca 
 
 let is_cube_free cover = Array.length (common_cube cover) = 0 && cover <> []
 
+(* Each literal of [cover] with the number of cubes holding it, in
+   increasing literal order: one sort and one run-length pass per
+   recursion level of [kernels_bounded], where a scan of the cover per
+   literal would be quadratic in the cover size. *)
+let literal_counts cover =
+  let lits = Array.concat cover in
+  Array.sort Int.compare lits;
+  let rec runs i acc =
+    if i < 0 then acc
+    else begin
+      let l = lits.(i) in
+      let j = ref i in
+      while !j > 0 && lits.(!j - 1) = l do
+        decr j
+      done;
+      runs (!j - 1) ((l, i - !j + 1) :: acc)
+    end
+  in
+  runs (Array.length lits - 1) []
+
 let kernels_bounded ~limit cover =
   let results = ref [] in
   let count = ref 0 in
@@ -173,13 +188,12 @@ let kernels_bounded ~limit cover =
       results := (kernel, cokernel) :: !results
     end
   in
-  let literals c = support c |> List.concat_map (fun v -> [ lit_of v false; lit_of v true ]) in
   let rec kernel1 cover min_lit cokernel =
     if !count >= limit then ()
     else
       List.iter
-        (fun l ->
-          if l >= min_lit && lit_count cover l >= 2 then begin
+        (fun (l, occurrences) ->
+          if l >= min_lit && occurrences >= 2 then begin
             let d = divide_by_cube cover [| l |] in
             let c = common_cube d in
             (* Skip if the common cube holds a literal below l: that
@@ -195,7 +209,7 @@ let kernels_bounded ~limit cover =
               kernel1 k (l + 1) cok
             end
           end)
-        (literals cover)
+        (literal_counts cover)
   in
   kernel1 cover 0 [||];
   if is_cube_free cover then add cover [||];

@@ -64,9 +64,6 @@ val num_lits : cover -> int
 (** [support cover] is the sorted list of variables appearing. *)
 val support : cover -> int list
 
-(** [lit_count cover l] counts the cubes containing literal [l]. *)
-val lit_count : cover -> int -> int
-
 (** [divide_by_cube cover c] is the quotient of algebraic division by
     a cube: all cubes containing [c], with [c] removed. *)
 val divide_by_cube : cover -> cube -> cover
