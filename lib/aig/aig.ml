@@ -694,6 +694,14 @@ let origin_stats aig =
   done;
   !rows
 
+let created_counts aig =
+  let rows = ref [] in
+  for i = aig.n_origins - 1 downto 0 do
+    if aig.origin_created.(i) > 0 then
+      rows := (aig.origin_defs.(i), aig.origin_created.(i)) :: !rows
+  done;
+  !rows
+
 let support aig node =
   let id = new_trav aig in
   let stack = Vec.create () in

@@ -109,6 +109,11 @@ val end_rebuild : t -> unit
     (e.g. SOP elimination) expands a pass's cone in place. *)
 val origin_stats : t -> (Origin.t * int * int) list
 
+(** [created_counts aig] is the [created] column of {!origin_stats}
+    for the origins with any, in the same order, without its walk of
+    the live cone: O(origins). *)
+val created_counts : t -> (Origin.t * int) list
+
 (** {1 Construction} *)
 
 (** [create ()] is an empty AIG (constant node only). *)

@@ -12,12 +12,8 @@ module Aig = Sbm_aig.Aig
 
 let created_delta ~before ~after =
   List.filter_map
-    (fun (o, created, _live) ->
-      let prev =
-        match List.find_opt (fun (o', _, _) -> o' = o) before with
-        | Some (_, c, _) -> c
-        | None -> 0
-      in
+    (fun (o, created) ->
+      let prev = Option.value ~default:0 (List.assoc_opt o before) in
       if created > prev then Some (o, created - prev) else None)
     after
 
@@ -31,6 +27,6 @@ let merge_created aig deltas =
 let on_snapshot aig store analyze =
   let snap = Aig.copy aig in
   let wstore = Option.map (fun st -> Prefilter.fork st snap) store in
-  let before = Aig.origin_stats snap in
+  let before = Aig.created_counts snap in
   let r = analyze snap wstore in
-  (r, created_delta ~before ~after:(Aig.origin_stats snap))
+  (r, created_delta ~before ~after:(Aig.created_counts snap))

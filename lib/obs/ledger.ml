@@ -45,50 +45,8 @@ let drain_gauges () =
       (fun (f : Span_stack.frame) ->
         if u > f.unique_max then f.unique_max <- u;
         if c > f.cache_max then f.cache_max <- c)
-      (Span_stack.passes ())
-
-let row ~path ~index (f : Span_stack.frame) =
-  let gc1 = Option.value ~default:f.gc0 f.gc1 in
-  {
-    path;
-    index;
-    size_before = f.size0;
-    size_after = f.size1;
-    depth_before = f.depth0;
-    depth_after = f.depth1;
-    luts = f.luts;
-    levels = f.levels;
-    fingerprint = f.fingerprint;
-    wall_ns = Int64.sub f.t1 f.t0;
-    counters =
-      List.filter_map (fun (k, v, _) -> if v <> 0 then Some (k, v) else None)
-        f.delta;
-    minor_words = gc1.Gc.minor_words -. f.gc0.Gc.minor_words;
-    major_words = gc1.Gc.major_words -. f.gc0.Gc.major_words;
-    heap_words = gc1.Gc.heap_words;
-    unique_load_pct = f.unique_max;
-    cache_load_pct = f.cache_max;
-    dead_node_pct = f.dead_node_pct;
-  }
-
-(* Post-order over the closed pass frames: a pass closes after every
-   pass nested in it, so this is completion order. *)
-let rows roots =
-  let acc = ref [] and index = ref 0 in
-  let rec walk prefix (f : Span_stack.frame) =
-    let prefix =
-      if not f.pass then prefix
-      else if prefix = "" then f.name
-      else prefix ^ "/" ^ f.name
-    in
-    List.iter (walk prefix) (List.rev f.children);
-    if f.pass && f.t1 <> 0L then begin
-      acc := row ~path:prefix ~index:!index f :: !acc;
-      incr index
-    end
-  in
-  List.iter (walk "") roots;
-  List.rev !acc
+      (Span_stack.passes ());
+  (u, c)
 
 (* --- JSON --- *)
 

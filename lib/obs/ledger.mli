@@ -1,10 +1,10 @@
 (** Per-pass resource ledger.
 
-    A view of a trace ({!rows}, [Sbm_obs.ledger]): every closed pass
-    frame projects into one {!row} — QoR before/after, wall time,
-    registry counter deltas, GC allocation, a peak-heap sample and the
-    BDD/AIG occupancy gauges, which [Sbm_obs.close_pass] stores on the
-    frame. Rows are deterministic at any [--jobs] except for the
+    [Sbm_obs.close_pass] builds one {!row} per pass at its close and
+    appends it to the trace ([Sbm_obs.ledger]), in completion order —
+    QoR before/after, wall time, registry counter deltas, GC
+    allocation, a peak-heap sample and the BDD/AIG occupancy gauges.
+    Rows are deterministic at any [--jobs] except for the
     resource samples; [row_to_json ~stable:true] projects onto the
     deterministic subset (the jobs-identity test compares that
     projection byte-for-byte). *)
@@ -35,16 +35,11 @@ type row = {
   dead_node_pct : int;  (** dead AIG node slots after the pass *)
 }
 
-val drain_gauges : unit -> unit
-(** Fold the BDD load gauges into every open pass frame and reset
-    them. Runs whenever a pass opens or closes, so each frame's maxima
-    cover exactly its own extent. *)
-
-val rows : Span_stack.frame list -> row list
-(** The rows of the closed pass frames under [roots] (in opening
-    order), in completion order: post-order, so a nested pass precedes
-    its container. A row's path is its pass ancestors' names and its
-    own, slash-joined; plain spans in between are skipped. *)
+val drain_gauges : unit -> int * int
+(** Fold the BDD load gauges into every open pass frame, reset them and
+    return the drained [(unique, cache)] loads. Runs whenever a pass
+    opens or closes, so each frame's maxima cover exactly its own
+    extent. *)
 
 val row_to_json : ?stable:bool -> row -> string
 (** One row as a JSON object. [~stable:true] omits [wall_ns],

@@ -171,10 +171,6 @@ let live_aig_nodes =
   gauge ~engine:"process" ~unit_:"nodes" "process.live_aig_nodes"
     "live AND nodes of the network at the last pass boundary"
 
-let pool_queue_depth =
-  gauge ~engine:"process" ~unit_:"jobs" "process.pool_queue_depth"
-    "partition-analysis jobs outstanding in the current worker-pool batch"
-
 let peak_heap_words =
   gauge ~engine:"process" ~unit_:"words" "process.peak_heap_words"
     "high-water mark of the major heap sampled at pass and job boundaries"

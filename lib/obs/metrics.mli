@@ -106,9 +106,6 @@ val live_aig_nodes : t
     is already computed ([Aig.size] is a live-node traversal, not
     O(1)). *)
 
-val pool_queue_depth : t
-(** Gauge, set by the [lib/par] pool as batch items are claimed. *)
-
 val peak_heap_words : t
 (** Gauge, raised via {!set_max} when a pass span closes and by
     pool workers as they claim jobs; the per-pass ledger reads it as a

@@ -8,14 +8,46 @@ module Json = Json
 
 let monotonic_ns () = Span_stack.monotonic_ns ()
 
-type span = Noop | Span of Span_stack.frame
+type gc_delta = {
+  minor_words : float;
+  major_words : float;
+  minor_collections : int;
+  major_collections : int;
+}
 
-type trace = { mutable roots : Span_stack.frame list (* reversed *) }
+type node = {
+  name : string;
+  wall_ns : int64;
+  size_before : int option;
+  size_after : int option;
+  depth_before : int option;
+  depth_after : int option;
+  gc : gc_delta;
+  counters : (string * int) list;
+  children : node list;
+}
+
+(* A span is its frame while open; its close freezes it, once, into
+   its node and its registry delta (children included, which its
+   parent's own counters subtract). *)
+type handle = {
+  trace : trace;
+  frame : Span_stack.frame;
+  mutable kids : handle list; (* newest first *)
+  mutable frozen : (node * (string * int * int) list) option;
+}
+
+and trace = {
+  mutable roots : handle list; (* reversed *)
+  mutable rows : Ledger.row list; (* reversed *)
+}
+
+type span = Noop | Span of handle
 
 let null = Noop
 let enabled = function Noop -> false | Span _ -> true
 
-let create () = { roots = [] }
+let create () = { roots = []; rows = [] }
 
 (* --- the one main-domain poll --- *)
 
@@ -41,109 +73,15 @@ let replay (s : Metrics.shard) =
     s.counts;
   List.iter (fun f -> f ()) (List.rev s.deferred)
 
-(* Every live span is a frame on the one span stack from open to
-   close, so the stream's records, the watchdog and the status file all
-   see the same "where the run is"; each open and close polls. *)
-let root ?size ?depth trace name =
-  let f = Span_stack.push ~root:true ?size ?depth name in
-  trace.roots <- f :: trace.roots;
-  poll ();
-  Span f
-
-let child ~pass ?size ?depth parent name =
-  match parent with
-  | Noop -> Noop
-  | Span p ->
-    let f = Span_stack.push ~pass ?size ?depth name in
-    p.children <- f :: p.children;
-    poll ();
-    Span f
-
-let span ?size ?depth parent name = child ~pass:false ?size ?depth parent name
-
-let finish ?size ?depth (f : Span_stack.frame) =
-  Span_stack.stop f;
-  (match size with Some s -> f.size1 <- s | None -> ());
-  (match depth with Some d -> f.depth1 <- d | None -> ())
-
-let close ?size ?depth = function
-  | Noop -> ()
-  | Span f ->
-    finish ?size ?depth f;
-    Span_stack.pop f;
-    poll ()
-
-(* --- pass spans --- *)
-
-let observing () = Stream.on () || Status.active ()
-
-let pass ~size ~depth parent name =
-  match parent with
-  | Noop -> Noop
-  | Span _ ->
-    Ledger.drain_gauges ();
-    Metrics.set Metrics.live_aig_nodes size;
-    let sp = child ~pass:true ~size ~depth parent name in
-    if Stream.recorder_on () then
-      Stream.append ~kind:Stream.Pass_start ~engine:"flow" ~id:name
-        ~metrics:[ ("size", size) ] "pass start";
-    sp
-
-let close_pass ~size ~depth ?(dead_node_pct = 0) ?structure
-    ?(qor = fun () -> (-1, -1)) = function
-  | Noop -> ()
-  | Span f ->
-    Metrics.set Metrics.live_aig_nodes size;
-    Metrics.set_max Metrics.peak_heap_words (Gc.quick_stat ()).Gc.heap_words;
-    (* The pass-end record before the span stops: its trail link's
-       counter bump lands in the pass's registry delta, consistently
-       at any --jobs, hence still deterministic. *)
-    if Stream.on () then begin
-      Stream.append ~kind:Stream.Pass ~engine:"flow" ~id:f.name
-        ~metrics:[ ("size", size); ("gain", f.size0 - size) ]
-        ?structure "pass end";
-      f.fingerprint <- Stream.chain ()
-    end;
-    finish ~size ~depth f;
-    Ledger.drain_gauges ();
-    let luts, levels = qor () in
-    f.luts <- luts;
-    f.levels <- levels;
-    f.dead_node_pct <- dead_node_pct;
-    Span_stack.pop f;
-    poll ()
-
-(* One finished partition of a partition engine, on the main domain in
-   ascending partition index (sequential and parallel paths alike). *)
-let partition_done ~engine ~index ~structure metrics =
-  if Stream.on () then
-    Stream.append ~kind:Stream.Merge ~engine ~metrics ~structure
-      ~severity:
-        (match List.assoc_opt "bails" metrics with
-        | Some b when b > 0 -> Stream.Warn
-        | _ -> Stream.Debug)
-      ~id:(Printf.sprintf "partition-%d" index) "partition done"
-
 (* --- freezing --- *)
 
-type gc_delta = {
-  minor_words : float;
-  major_words : float;
-  minor_collections : int;
-  major_collections : int;
-}
+(* The clock, GC state and registry a freeze reads. *)
+type reading = { t1 : int64; gc1 : Gc.stat; snap : Metrics.snapshot }
 
-type node = {
-  name : string;
-  wall_ns : int64;
-  size_before : int option;
-  size_after : int option;
-  depth_before : int option;
-  depth_after : int option;
-  gc : gc_delta;
-  counters : (string * int) list;
-  children : node list;
-}
+let read () =
+  let t1 = monotonic_ns () in
+  let gc1 = Gc.quick_stat () in
+  { t1; gc1; snap = Metrics.snapshot () }
 
 let opt_of_int i = if i < 0 then None else Some i
 
@@ -154,11 +92,6 @@ let gc_delta_of (g0 : Gc.stat) (g1 : Gc.stat) =
     minor_collections = max 0 (g1.Gc.minor_collections - g0.Gc.minor_collections);
     major_collections = max 0 (g1.Gc.major_collections - g0.Gc.major_collections);
   }
-
-(* Registry activity of a frame: stamped at close, or up to [now]
-   while it is still open. *)
-let delta_at now (f : Span_stack.frame) =
-  if f.t1 = 0L then Metrics.activity f.counters0 now else f.delta
 
 (* A span's own counters: its registry delta minus its children's. A
    counter stays listed while a bump is left to the span, even one
@@ -178,50 +111,178 @@ let self_counters delta children =
       if b > 0 then Some (k, v) else None)
     delta
 
-let rec freeze now snap gc_now (f : Span_stack.frame) =
-  let stop = if f.t1 = 0L then now else f.t1 in
-  let gc_stop = match f.gc1 with Some g -> g | None -> gc_now in
-  {
-    name = f.name;
-    wall_ns = Int64.max 0L (Int64.sub stop f.t0);
-    size_before = opt_of_int f.size0;
-    size_after = opt_of_int f.size1;
-    depth_before = opt_of_int f.depth0;
-    depth_after = opt_of_int f.depth1;
-    gc = gc_delta_of f.gc0 gc_stop;
-    counters =
-      self_counters (delta_at snap f) (List.map (delta_at snap) f.children);
-    (* [children] is stored newest-first; [rev_map] restores opening
+(* A closed span is already frozen; an open one, with its open
+   descendants, is frozen as of [r] and kept only when [keep] (its
+   close). [size]/[depth] are the network leaving it, [-1] = unset. *)
+let rec freeze ~keep ?(size = -1) ?(depth = -1) r s =
+  match s.frozen with
+  | Some fz -> fz
+  | None ->
+    let f = s.frame in
+    (* [kids] is stored newest-first; [rev_map] restores opening
        order. *)
-    children = List.rev_map (freeze now snap gc_now) f.children;
-  }
+    let kids = List.rev_map (freeze ~keep r) s.kids in
+    let delta = Metrics.activity f.counters0 r.snap in
+    let node =
+      {
+        name = f.name;
+        wall_ns = Int64.max 0L (Int64.sub r.t1 f.t0);
+        size_before = opt_of_int f.size0;
+        size_after = opt_of_int size;
+        depth_before = opt_of_int f.depth0;
+        depth_after = opt_of_int depth;
+        gc = gc_delta_of f.gc0 r.gc1;
+        counters = self_counters delta (List.map snd kids);
+        children = List.map fst kids;
+      }
+    in
+    if keep then s.frozen <- Some (node, delta);
+    (node, delta)
 
-let spans trace =
-  let now = monotonic_ns () in
-  let snap = Metrics.snapshot () in
-  let gc_now = Gc.quick_stat () in
-  List.rev_map (freeze now snap gc_now) trace.roots
+(* Every live span is a frame on the one span stack from open to
+   close, so the stream's records, the watchdog and the status file all
+   see the same "where the run is"; each open and close polls. *)
+let root ?size ?depth trace name =
+  let s =
+    { trace; frame = Span_stack.push ~root:true ?size ?depth name;
+      kids = []; frozen = None }
+  in
+  trace.roots <- s :: trace.roots;
+  poll ();
+  Span s
+
+let child ~pass ?size ?depth parent name =
+  match parent with
+  | Noop -> Noop
+  | Span p ->
+    let s =
+      { trace = p.trace; frame = Span_stack.push ~pass ?size ?depth name;
+        kids = []; frozen = None }
+    in
+    p.kids <- s :: p.kids;
+    poll ();
+    Span s
+
+let span ?size ?depth parent name = child ~pass:false ?size ?depth parent name
+
+(* The one freeze of an open span: its close. *)
+let shut ?size ?depth s =
+  let r = read () in
+  let frozen = freeze ~keep:true ?size ?depth r s in
+  Span_stack.pop s.frame;
+  (r, frozen)
+
+let close ?size ?depth = function
+  | Span ({ frozen = None; _ } as s) ->
+    ignore (shut ?size ?depth s);
+    poll ()
+  | Noop | Span _ -> ()
+
+(* --- pass spans --- *)
+
+let observing () = Stream.on () || Status.active ()
+
+let pass ~size ~depth parent name =
+  match parent with
+  | Noop -> Noop
+  | Span _ ->
+    ignore (Ledger.drain_gauges ());
+    Metrics.set Metrics.live_aig_nodes size;
+    let sp = child ~pass:true ~size ~depth parent name in
+    if Stream.recorder_on () then
+      Stream.append ~kind:Stream.Pass_start ~engine:"flow" ~id:name
+        ~metrics:[ ("size", size) ] "pass start";
+    sp
+
+let close_pass ~size ~depth ?(dead_node_pct = 0) ?structure
+    ?(qor = fun () -> (-1, -1)) = function
+  | Span ({ frozen = None; frame = f; trace; _ } as s) ->
+    Metrics.set Metrics.live_aig_nodes size;
+    Metrics.set_max Metrics.peak_heap_words (Gc.quick_stat ()).Gc.heap_words;
+    (* The pass-end record before the span freezes: its trail link's
+       counter bump lands in the pass's registry delta, consistently
+       at any --jobs, hence still deterministic. *)
+    let fingerprint =
+      if not (Stream.on ()) then 0L
+      else begin
+        Stream.append ~kind:Stream.Pass ~engine:"flow" ~id:f.name
+          ~metrics:[ ("size", size); ("gain", f.size0 - size) ]
+          ?structure "pass end";
+        Stream.chain ()
+      end
+    in
+    let r, (node, delta) = shut ~size ~depth s in
+    (* Off the stack, so the last drain folds into the enclosing
+       passes; this pass takes it into its row. *)
+    let unique, cache = Ledger.drain_gauges () in
+    let luts, levels = qor () in
+    trace.rows <-
+      {
+        Ledger.path = f.path;
+        index = List.length trace.rows;
+        size_before = f.size0;
+        size_after = size;
+        depth_before = f.depth0;
+        depth_after = depth;
+        luts;
+        levels;
+        fingerprint;
+        wall_ns = node.wall_ns;
+        counters =
+          List.filter_map
+            (fun (k, v, _) -> if v <> 0 then Some (k, v) else None)
+            delta;
+        minor_words = node.gc.minor_words;
+        major_words = node.gc.major_words;
+        heap_words = r.gc1.Gc.heap_words;
+        unique_load_pct = max f.unique_max unique;
+        cache_load_pct = max f.cache_max cache;
+        dead_node_pct;
+      }
+      :: trace.rows;
+    poll ()
+  | Noop | Span _ -> ()
+
+(* One finished partition of a partition engine, on the main domain in
+   ascending partition index (sequential and parallel paths alike). *)
+let partition_done ~engine ~index ~structure metrics =
+  if Stream.on () then
+    Stream.append ~kind:Stream.Merge ~engine ~metrics ~structure
+      ~severity:
+        (match List.assoc_opt "bails" metrics with
+        | Some b when b > 0 -> Stream.Warn
+        | _ -> Stream.Debug)
+      ~id:(Printf.sprintf "partition-%d" index) "partition done"
+
+(* --- the frozen forest --- *)
+
+(* The roots in opening order; spans still open freeze as of now, and
+   are not kept. *)
+let frozen_roots trace =
+  let r = read () in
+  List.rev_map (freeze ~keep:false r) trace.roots
+
+let spans trace = List.map fst (frozen_roots trace)
 
 (* The registry delta over the roots — the sum of every span's own
    counters. *)
 let totals trace =
-  let snap = Metrics.snapshot () in
   let acc : (string, int) Hashtbl.t = Hashtbl.create 32 in
   List.iter
-    (fun f ->
+    (fun (_, delta) ->
       List.iter
         (fun (k, v, _) ->
           Hashtbl.replace acc k
             (v + Option.value ~default:0 (Hashtbl.find_opt acc k)))
-        (delta_at snap f))
-    trace.roots;
+        delta)
+    (frozen_roots trace);
   Hashtbl.fold (fun k v l -> (k, v) :: l) acc []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let total trace name =
   Option.value ~default:0 (List.assoc_opt name (totals trace))
 
-let ledger trace = Ledger.rows (List.rev trace.roots)
+let ledger trace = List.rev trace.rows
 
 (* --- value distributions --- *)
 

@@ -42,9 +42,9 @@ module Status = Status
     registry + {!Span_stack} + watchdog state; see {!Status}. *)
 
 module Ledger = Ledger
-(** Per-pass resource ledger: one row per closed pass frame with QoR
-    deltas, counter deltas, GC/heap samples and occupancy gauges, a
-    view of the trace ({!ledger}); see {!Ledger}. *)
+(** Per-pass resource ledger: one row per closed pass with QoR deltas,
+    counter deltas, GC/heap samples and occupancy gauges, built at the
+    pass's close ({!ledger}); see {!Ledger}. *)
 
 module Span_stack = Span_stack
 (** The one process-global stack of open spans; see {!Span_stack}. *)
@@ -84,10 +84,11 @@ val root : ?size:int -> ?depth:int -> trace -> string -> span
     {!null}. [size]/[depth] record the network entering the span. *)
 val span : ?size:int -> ?depth:int -> span -> string -> span
 
-(** [close span] stops the span's clock and takes it, with anything
-    still open above it, off the {!Span_stack}; [size]/[depth] record
-    the network leaving the span. Closing {!null} or closing twice is a
-    no-op (the first close wins). *)
+(** [close span] freezes the span, once, into its {!node} and registry
+    delta, and takes it, with anything still open above it, off the
+    {!Span_stack}; [size]/[depth] record the network leaving the span.
+    Spans still open under it freeze with it. Closing {!null} or
+    closing twice is a no-op (the first close wins). *)
 val close : ?size:int -> ?depth:int -> span -> unit
 
 (** {1 The main-domain poll and worker shards} *)
@@ -127,10 +128,11 @@ val pass : size:int -> depth:int -> span -> string -> span
 
 (** [close_pass ~size ~depth sp] closes a pass span. In order: the
     [Pass] record is appended ([structure ()], the network's structural
-    hash, is asked for only by the trail) and its chain value goes on
-    the frame; the span stops; the BDD load gauges drain; [qor ()] (LUT
-    count and levels, default [(-1, -1)]) and [dead_node_pct] go on the
-    frame; the span leaves the stack. *)
+    hash, is asked for only by the trail); the span freezes as {!close}
+    freezes it; the BDD load gauges drain; [qor ()] (LUT count and
+    levels, default [(-1, -1)]) is probed; the pass's {!Ledger.row},
+    with the trail's chain value as its fingerprint, is appended to the
+    trace. Like {!close}, a no-op on a closed span. *)
 val close_pass :
   size:int ->
   depth:int ->
@@ -183,7 +185,8 @@ type node = {
 }
 
 (** [spans trace] is the recorded forest, roots in opening order.
-    Spans still open are frozen with the current clock. *)
+    Closed spans are as they froze at close; spans still open (a crash,
+    an in-flight dump) are frozen with the current clock. *)
 val spans : trace -> node list
 
 (** [totals trace] is the registry delta over the roots — the sum of
@@ -195,7 +198,8 @@ val totals : trace -> (string * int) list
 val total : trace -> string -> int
 
 (** [ledger trace] is the per-pass ledger of the trace: one row per
-    closed pass frame, in completion order ({!Ledger.rows}). *)
+    closed pass, in completion order, so a nested pass precedes its
+    container; a pass that never closed has none. *)
 val ledger : trace -> Ledger.row list
 
 (** {1 Value distributions}

@@ -3,13 +3,16 @@
     Every live span of {!Sbm_obs} is a {!frame} here from open to
     close; frames opened by [Flow.pass] are flagged [pass]. The audit
     trail's labels, the watchdog's deadlines and heartbeat, the status
-    sample's pass path and the post-mortem [span_stack] all read this
-    stack and keep none of their own; ledger rows are a view of the
-    closed pass frames.
+    sample's pass path, the ledger rows' paths and the post-mortem
+    [span_stack] all read this stack and keep none of their own.
+
+    A frame holds only what an open span needs. Nothing is written to
+    it at or after close: [Sbm_obs.close] freezes the span from the
+    frame and the clock, GC and registry readings it takes then.
 
     Counters are not stored per span: a frame snapshots the {!Metrics}
-    registry when it opens and keeps the registry's {!Metrics.activity}
-    when it stops. *)
+    registry when it opens, and the span's delta is the registry's
+    {!Metrics.activity} since. *)
 
 external monotonic_ns : unit -> (int64[@unboxed])
   = "sbm_obs_monotonic_ns_byte" "sbm_obs_monotonic_ns"
@@ -19,26 +22,17 @@ external monotonic_ns : unit -> (int64[@unboxed])
 type frame = {
   name : string;
   pass : bool;
+  path : string;
+      (** pass: its pass ancestors' names and its own, slash-joined
+          (["iteration-1/mspf"]), computed at {!push}; [""] otherwise *)
   t0 : int64;
-  mutable t1 : int64;  (** [0L] until {!stop} *)
-  mutable size0 : int;  (** network size entering; [-1] = unset *)
-  mutable size1 : int;  (** leaving; [-1] = unset *)
-  mutable depth0 : int;
-  mutable depth1 : int;
+  size0 : int;  (** network size entering; [-1] = unset *)
+  depth0 : int;
   gc0 : Gc.stat;
-  mutable gc1 : Gc.stat option;  (** at {!stop} *)
   counters0 : Metrics.snapshot;  (** the registry at open *)
-  mutable delta : (string * int * int) list;
-      (** registry activity from open to {!stop}, children included *)
-  mutable children : frame list;  (** newest first *)
   mutable deadline_fired : bool;  (** watchdog: deadline reported *)
   mutable unique_max : int;  (** pass: max BDD unique-table load *)
   mutable cache_max : int;  (** pass: max computed-cache load *)
-  mutable luts : int;  (** pass: LUT-6 count at close; [-1] = not probed *)
-  mutable levels : int;  (** pass: LUT-6 levels at close; [-1] = not probed *)
-  mutable dead_node_pct : int;  (** pass: dead AIG node slots at close *)
-  mutable fingerprint : int64;
-      (** pass: audit-trail chain value at close; [0L] = trail off *)
 }
 
 val frames : unit -> frame list
@@ -54,10 +48,6 @@ val push :
   ?root:bool -> ?pass:bool -> ?size:int -> ?depth:int -> string -> frame
 (** Open a frame. A [root] frame starts a fresh stack: frames a
     crashed run left open are dropped. *)
-
-val stop : frame -> unit
-(** Stamp close time, GC state and registry activity; the first call
-    wins. The frame stays on the stack. *)
 
 val pop : frame -> unit
 (** Remove the frame and anything still open above it; a frame not on

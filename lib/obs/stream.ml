@@ -223,28 +223,27 @@ let hash_string s =
     s;
   !h
 
-(* A link's label is the slash-joined pass frames of the one span
-   stack; a merge's appends "<engine>-partition-<n>" and may take the
-   planted perturbation. *)
+(* A link's label is the path of the innermost pass frame of the one
+   span stack; a merge's appends "<engine>-partition-<n>" and may take
+   the planted perturbation. *)
 let link_of r structure =
-  let frames = Span_stack.names ~passes_only:true () in
+  let inner = match Span_stack.passes () with [] -> None | f :: _ -> Some f in
   let structure, label =
     if r.kind = Pass then
-      (structure, if frames = [] then "?" else String.concat "/" frames)
+      (structure, match inner with None -> "?" | Some f -> f.path)
     else begin
-      let inner =
-        match Span_stack.passes () with [] -> r.engine | f :: _ -> f.name
-      in
+      let pass_name = match inner with None -> r.engine | Some f -> f.name in
       let planted =
         match !inject with
         | Some (pass, n) ->
           r.id = Printf.sprintf "partition-%d" n
-          && (pass = inner || pass = r.engine)
+          && (pass = pass_name || pass = r.engine)
         | None -> false
       in
       if planted then Metrics.incr m_injected;
+      let merge = r.engine ^ "-" ^ r.id in
       ( (if planted then Int64.logxor structure inject_mask else structure),
-        String.concat "/" (frames @ [ r.engine ^ "-" ^ r.id ]) )
+        match inner with None -> merge | Some f -> f.path ^ "/" ^ merge )
     end
   in
   (* The nonzero counter deltas since the trail started, by name. *)

@@ -37,8 +37,9 @@ type link = {
   index : int;  (** position in the trail, from 0 *)
   boundary : kind;  (** [Pass] or [Merge], the kind of its record *)
   label : string;
-      (** the open pass frames, e.g. ["iteration-1/mspf"]; a merge
-          appends ["/<engine>-partition-<n>"] *)
+      (** the innermost open pass frame's path, e.g.
+          ["iteration-1/mspf"]; a merge appends
+          ["/<engine>-partition-<n>"] *)
   structure : int64;  (** structural hash of the live network *)
   counters_digest : int64;  (** digest of [counters] *)
   bank : int64;  (** prefilter bank digest; [0L] = no bank *)

@@ -20,11 +20,6 @@ let create ~jobs =
 
 let global () = create ~jobs:(Jobs.get ())
 
-(* Outstanding jobs of the current batch, for the live dashboard. A
-   gauge is observational (never compared across job counts), so
-   racing worker updates are fine. *)
-let set_queue_depth n = Sbm_obs.Metrics.set Sbm_obs.Metrics.pool_queue_depth n
-
 let run (type a) t n (f : int -> a) : a array =
   if n = 0 then [||]
   else if t.jobs = 1 || n = 1 then Array.init n f
@@ -36,7 +31,6 @@ let run (type a) t n (f : int -> a) : a array =
     let rec work () =
       let i = Atomic.fetch_and_add next 1 in
       if i < n then begin
-        set_queue_depth (max 0 (n - i - 1));
         (* Peak-heap high-water mark (Gc heap stats describe the shared
            major heap). set_max is an atomic max, so racing claims from
            several domains are fine — the ledger samples it per pass. *)
@@ -51,11 +45,9 @@ let run (type a) t n (f : int -> a) : a array =
         work ()
       end
     in
-    set_queue_depth n;
     let helpers = List.init (min (t.jobs - 1) (n - 1)) (fun _ -> Domain.spawn work) in
     work ();
     List.iter Domain.join helpers;
-    set_queue_depth 0;
     match Array.find_opt Option.is_some errors with
     | Some (Some (e, bt)) -> Printexc.raise_with_backtrace e bt
     | _ -> Array.map Option.get results

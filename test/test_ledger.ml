@@ -1,5 +1,6 @@
-(* The per-pass resource ledger: a view of a trace's closed pass
-   frames, with nested-path construction, the stable JSON projection, the JSONL history
+(* The per-pass resource ledger: one row per pass, built at its close,
+   with nested-path construction, rows tied to the audit trail's pass
+   links, the stable JSON projection, the JSONL history
    round-trip (including torn-final-line tolerance, which also covers
    the `sbm top` reader), per-pass diff verdict classification with
    its strict alignment contract, and the headline determinism
@@ -52,8 +53,8 @@ let row ?(counters = []) ?(size = 100) ?(luts = -1) ?(levels = -1)
 
 (* --- frame bookkeeping --- *)
 
-(* Ledger rows are projected from a trace's closed pass frames; paths
-   are the pass ancestors, skipping plain spans. *)
+(* Each closed pass appends its ledger row; paths are the pass
+   ancestors, skipping plain spans. *)
 let run_passes () =
   let trace = Obs.create () in
   let root = Obs.root trace "flow" in
@@ -312,6 +313,36 @@ let stable_rows jobs b =
       Obs.close ~size:(Aig.size optimized) ~depth:(Aig.depth optimized) root;
       List.map (Ledger.row_to_json ~stable:true) (Obs.ledger trace))
 
+(* The ledger and the audit trail read the same pass boundaries: on a
+   traced run with the trail on, each row's (path, fingerprint) is the
+   matching pass link's (label, chain), in order. *)
+let test_rows_follow_trail () =
+  let module S = Obs.Stream in
+  Fun.protect ~finally:S.close (fun () ->
+      S.enable_trail ();
+      let aig = Epfl.generate Epfl.Ctrl in
+      let trace = Obs.create () in
+      let root = Obs.root trace "ctrl" in
+      ignore (Sbm_core.Flow.run ~obs:root (Sbm_core.Flow.Sbm Sbm_core.Flow.Low) aig);
+      Obs.close root;
+      let rows = Obs.ledger trace in
+      let hex = Printf.sprintf "%016Lx" in
+      Alcotest.(check bool) "the flow produced rows" true (rows <> []);
+      Alcotest.(check (list (pair string string)))
+        "rows are the trail's pass links"
+        (List.filter_map
+           (fun (l : S.link) ->
+             if l.S.boundary = S.Pass then Some (l.S.label, hex l.S.chain)
+             else None)
+           (S.trail ()))
+        (List.map
+           (fun (r : Ledger.row) -> (r.Ledger.path, hex r.Ledger.fingerprint))
+           rows);
+      Alcotest.(check (list int))
+        "index is position"
+        (List.init (List.length rows) Fun.id)
+        (List.map (fun (r : Ledger.row) -> r.Ledger.index) rows))
+
 let test_per_pass_jobs_identity () =
   let probe aig =
     let m = Sbm_lutmap.Lut_map.map ~k:6 aig in
@@ -346,6 +377,8 @@ let suite =
       test_per_pass_alignment;
     Alcotest.test_case "per-pass diff: ignore-time." `Quick
       test_per_pass_ignore_time;
+    Alcotest.test_case "ledger: rows follow the trail's pass links." `Quick
+      test_rows_follow_trail;
     Alcotest.test_case "determinism: per-pass rows jobs=4 equal jobs=1." `Slow
       test_per_pass_jobs_identity;
   ]

@@ -55,6 +55,33 @@ let test_span_nesting () =
     Alcotest.(check bool) "wall time measured" true (r.Obs.wall_ns >= 0L)
   | l -> Alcotest.failf "expected 1 root, got %d" (List.length l)
 
+(* A span freezes once, at its first close: closing it again changes
+   neither its exit size nor its time, counters or ledger row. *)
+let test_second_close_is_noop () =
+  let trace = Obs.create () in
+  let root = Obs.root trace "r" in
+  let c = Obs.span ~size:9 root "c" in
+  Obs.close ~size:5 c;
+  M.add m_plain 1;
+  Obs.close ~size:7 c;
+  let p = Obs.pass ~size:5 ~depth:2 root "p" in
+  Obs.close_pass ~size:4 ~depth:2 p;
+  Obs.close_pass ~size:3 ~depth:2 p;
+  Obs.close root;
+  let first = Obs.spans trace in
+  (match first with
+  | [ { Obs.children = [ c; p ]; _ } ] ->
+    Alcotest.(check (option int)) "first close's size" (Some 5) c.Obs.size_after;
+    Alcotest.(check (list (pair string int)))
+      "no counter after the first close" [] c.Obs.counters;
+    Alcotest.(check (option int)) "first close_pass's size" (Some 4)
+      p.Obs.size_after
+  | _ -> Alcotest.fail "expected one root with two children");
+  Alcotest.(check (list int)) "one row, at the first close_pass" [ 4 ]
+    (List.map (fun (r : Obs.Ledger.row) -> r.Obs.Ledger.size_after)
+       (Obs.ledger trace));
+  Alcotest.(check bool) "a closed trace is frozen" true (first = Obs.spans trace)
+
 let test_counter_totals () =
   let trace = Obs.create () in
   let root = Obs.root trace "r" in
@@ -469,6 +496,7 @@ let suite =
   [
     Alcotest.test_case "null sink" `Quick test_null_sink;
     Alcotest.test_case "span nesting" `Quick test_span_nesting;
+    Alcotest.test_case "second close is a no-op" `Quick test_second_close_is_noop;
     Alcotest.test_case "counter totals" `Quick test_counter_totals;
     Alcotest.test_case "registry is the counter store" `Quick test_counter_store;
     Alcotest.test_case "monotonic clock" `Quick test_monotonic_clock;
