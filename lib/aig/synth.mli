@@ -2,10 +2,16 @@
 
     The structural back-end of rewriting and refactoring (the paper's
     resynthesis script, Section V-A), which the gradient engine's
-    refactor moves reuse. The decomposition search is memoized and
-    explores, per top variable, Shannon expansion, XOR factoring and
-    the degenerate single-cofactor cases, keeping the cheapest; each
-    sub-function is searched over its own support. *)
+    refactor moves reuse. The decomposition search explores, per top
+    variable, Shannon expansion, XOR factoring and the degenerate
+    single-cofactor cases, keeping the cheapest; each sub-function is
+    searched over its own support.
+
+    The search's answer for every function of at most 4 inputs (all
+    of rewrite's cut functions) is read from one read-only table that
+    the module initializer fills: 65 814 slots of 16 bits, 131 KB,
+    shared by all domains. A function of 5 or more inputs (refactor's
+    wider windows) is searched per call, memoized for that call. *)
 
 (** AND nodes per 2-input XOR, the cost the decomposition search
     charges an XOR factor; technology-dependent (paper Section III-C).

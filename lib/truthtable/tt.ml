@@ -360,6 +360,10 @@ let of_word n w =
   if n > 6 then invalid_arg "Tt.of_word: more than 6 variables";
   { nvars = n; words = [| Int64.logand w (word_mask n) |] }
 
+let to_word t =
+  if t.nvars > 6 then invalid_arg "Tt.to_word: more than 6 variables";
+  t.words.(0)
+
 let of_bits n f =
   check_vars n;
   let t = ref (const0 n) in

@@ -63,6 +63,11 @@ val xor_equal : na:bool -> t -> nb:bool -> t -> t -> bool
     its 64-bit value (low [2^n] bits; the rest is ignored). *)
 val of_word : int -> int64 -> t
 
+(** [to_word t] is the 64-bit value of a table on at most 6 variables:
+    its [2^n] bits, the rest zero, so [to_word (of_word n w)] is [w]
+    masked to [2^n] bits. Raises [Invalid_argument] above 6 variables. *)
+val to_word : t -> int64
+
 (** [cofactor0 t i] / [cofactor1 t i] fix variable [i] to 0 / 1; the
     result still ranges over [n] variables (it no longer depends on
     [i]). *)

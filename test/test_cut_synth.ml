@@ -502,6 +502,33 @@ let test_synth_cost_matches_oracle =
   Helpers.qcheck_case ~count:150 "synth cost equals the oracle's" gen_structured_tt
     (fun tt -> Sbm_aig.Synth.cost_of_tt tt = Synth_oracle.cost_of_tt tt)
 
+(* [Synth] answers every table on 0–4 variables from its start-up
+   table. Each such table's cost equals the oracle's. Building all
+   65 536 four-variable networks twice takes seconds, so the networks
+   are checked for every table on 0–3 variables and for a fixed sample
+   of 4 096 four-variable ones. *)
+let tables_on n =
+  Seq.map (fun w -> Tt.of_word n (Int64.of_int w)) (Seq.init (1 lsl (1 lsl n)) Fun.id)
+
+let test_synth_cost_exhaustive () =
+  Seq.iter
+    (fun tt ->
+      let got = Sbm_aig.Synth.cost_of_tt tt and want = Synth_oracle.cost_of_tt tt in
+      if got <> want then
+        Alcotest.failf "cost of %d-variable %s: %d, oracle %d" (Tt.num_vars tt)
+          (Tt.to_string tt) got want)
+    (Seq.concat_map tables_on (Seq.init 5 Fun.id))
+
+let test_synth_build_small_tables () =
+  let rng = Rng.create 0x5EED in
+  let sample = Seq.init 4096 (fun _ -> Tt.of_word 4 (Int64.of_int (Rng.int rng 65536))) in
+  Seq.iter
+    (fun tt ->
+      if build_with Sbm_aig.Synth.of_tt tt <> build_with Synth_oracle.of_tt tt then
+        Alcotest.failf "network of %d-variable %s differs from the oracle's"
+          (Tt.num_vars tt) (Tt.to_string tt))
+    (Seq.append (Seq.concat_map tables_on (Seq.init 4 Fun.id)) sample)
+
 let test_synth_trivial () =
   let aig = Aig.create () in
   let a = Aig.add_input aig in
@@ -528,5 +555,9 @@ let suite =
     test_synth_cost_bound;
     test_synth_matches_oracle;
     test_synth_cost_matches_oracle;
+    Alcotest.test_case "synth cost equals the oracle's on every table below 5 inputs" `Quick
+      test_synth_cost_exhaustive;
+    Alcotest.test_case "synth builds the oracle's network on tables below 5 inputs" `Quick
+      test_synth_build_small_tables;
     Alcotest.test_case "synth trivial cases" `Quick test_synth_trivial;
   ]

@@ -234,14 +234,19 @@ let test_local_commit_contract () =
   Aig.check aig;
   Helpers.assert_equiv_exhaustive original aig
 
-(* The networks refactor and rewrite leave on the quick set and on sin
-   at 1/4, pinned by fold hash: the decomposition search may get
-   cheaper, never different. *)
+(* The networks refactor and rewrite leave on the quick set, on sin at
+   1/4 and on control-3e3e, pinned by fold hash: the decomposition
+   search may get cheaper, never different. *)
 let test_resynthesis_hashes () =
   let circuits =
     List.map (fun b -> (Sbm_epfl.Epfl.name b, fun () -> Sbm_epfl.Epfl.generate b))
       Sbm_epfl.Epfl.quick_set
-    @ [ ("sin", fun () -> Sbm_epfl.Epfl.generate ~scale:0.25 Sbm_epfl.Epfl.Sin) ]
+    @ [
+        ("sin", fun () -> Sbm_epfl.Epfl.generate ~scale:0.25 Sbm_epfl.Epfl.Sin);
+        ( "control-3e3e",
+          fun () ->
+            Sbm_epfl.Epfl.random_control ~seed:0x3E3E ~inputs:105 ~outputs:105 ~gates:700 );
+      ]
   in
   List.iter
     (fun (pass, run, want) ->
@@ -256,19 +261,24 @@ let test_resynthesis_hashes () =
     [
       ( "refactor 8", Sbm_aig.Refactor.run ~zero_gain:false ~max_leaves:8,
         [ 0x94638511fccb31e6L; 0x58937f976ef8ab29L; 0x8d3f7eecf5ba578cL;
-          0x38f366053f9b4a11L; 0xd1adf152252d2aceL; 0x6c5faba232f32b5cL ] );
+          0x38f366053f9b4a11L; 0xd1adf152252d2aceL; 0x6c5faba232f32b5cL;
+          0x8fe9e24ce6627cf3L ] );
       ( "refactor 10", Sbm_aig.Refactor.run ~zero_gain:false ~max_leaves:10,
         [ 0x94638511fccb31e6L; 0xd66663eb0b6ef9e1L; 0x8d3f7eecf5ba578cL;
-          0x38f366053f9b4a11L; 0xd1adf152252d2aceL; 0x12cee854e57adbd8L ] );
+          0x38f366053f9b4a11L; 0xd1adf152252d2aceL; 0x12cee854e57adbd8L;
+          0x8fe9e24ce6627cf3L ] );
       ( "refactor 12", Sbm_aig.Refactor.run ~zero_gain:false ~max_leaves:12,
         [ 0x94638511fccb31e6L; 0x72b892531434e8a7L; 0x8d3f7eecf5ba578cL;
-          0x38f366053f9b4a11L; 0xd1adf152252d2aceL; 0x893489f2fe499243L ] );
+          0x38f366053f9b4a11L; 0xd1adf152252d2aceL; 0x893489f2fe499243L;
+          0x8fe9e24ce6627cf3L ] );
       ( "rewrite", Sbm_aig.Rewrite.run ~zero_gain:false,
         [ 0x4bf80e883108f765L; 0x3d65016376442050L; 0x8d3f7eecf5ba578cL;
-          0xa547386318087228L; 0x1b81a7c1aa3a2e4dL; 0x908bd4434ac640a5L ] );
+          0xa547386318087228L; 0x1b81a7c1aa3a2e4dL; 0x908bd4434ac640a5L;
+          0x79cfdf15799526d1L ] );
       ( "rewrite -z", Sbm_aig.Rewrite.run ~zero_gain:true,
         [ 0xddd39837904526d4L; 0x1ebbec189359af19L; 0x8d3f7eecf5ba578cL;
-          0x3ef65df4ee201dd8L; 0xe19ea4c0c0cc4f44L; 0xf1c1304895d50059L ] );
+          0x3ef65df4ee201dd8L; 0xe19ea4c0c0cc4f44L; 0xf1c1304895d50059L;
+          0xaa0e157e1058da8aL ] );
     ]
 
 let suite =

@@ -192,6 +192,20 @@ let test_flip =
       let i = iv mod n in
       Tt.equal t (Tt.flip (Tt.flip t i) i))
 
+let test_to_word_roundtrip =
+  Helpers.qcheck_case "to_word reads back of_word's low 2^n bits"
+    QCheck2.Gen.(pair (int_range 0 6) int64)
+    (fun (n, w) ->
+      let mask = if n = 6 then -1L else Int64.pred (Int64.shift_left 1L (1 lsl n)) in
+      Tt.to_word (Tt.of_word n w) = Int64.logand w mask)
+
+let test_to_word_rejects_wide_tables () =
+  for n = 7 to Tt.max_vars do
+    Alcotest.check_raises (Printf.sprintf "%d variables" n)
+      (Invalid_argument "Tt.to_word: more than 6 variables") (fun () ->
+        ignore (Tt.to_word (Tt.const1 n)))
+  done
+
 (* [Tt.Tbl] keys memos by cofactor tables; a cofactor on variable 5
    that keeps the variable repeats each word's low half in its high
    half. Over 200 random tables per width of 7–10 inputs and both
@@ -234,4 +248,7 @@ let suite =
     test_compose_semantics;
     test_expand;
     test_flip;
+    test_to_word_roundtrip;
+    Alcotest.test_case "to_word rejects tables above 6 variables" `Quick
+      test_to_word_rejects_wide_tables;
   ]
