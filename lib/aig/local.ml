@@ -71,9 +71,7 @@ let rec eval w v =
         match eval w (Aig.node_of f1) with
         | None -> None
         | Some t1 ->
-          let t0 = if Aig.is_compl f0 then Tt.bnot t0 else t0 in
-          let t1 = if Aig.is_compl f1 then Tt.bnot t1 else t1 in
-          let tt = Tt.band t0 t1 in
+          let tt = Tt.and_phase ~na:(Aig.is_compl f0) t0 ~nb:(Aig.is_compl f1) t1 in
           Hashtbl.replace w.tts v tt;
           Some tt)
     end

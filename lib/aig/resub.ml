@@ -40,29 +40,49 @@ let collect_divisors (w : Local.window) root ~max_divisors =
   Array.iteri (fun i v -> divisors := (v, Tt.var n i) :: !divisors) leaves;
   !divisors
 
-(* 1-resub: the first pair of divisors (in list order, all four input
-   phases) that gives [root_tt] through one AND or XOR gate, built. *)
+(* 1-resub: the first pair of divisors (in list order; per pair the
+   input phases ++, +-, -+, --; per phase AND before its complement
+   before XOR) that gives [root_tt] through one gate. Only that winner
+   is built.
+
+   Each divisor is profiled against the root once, so most pairs and
+   phases are ruled out without a word pass over both tables. An AND
+   (NAND) needs both phased operands to contain the root's onset
+   (offset), {!Tt.and_operand}. An XOR needs the second divisor to
+   equal the first XOR the root, up to complement, so the hashes of
+   the two up to complement ([self], [partner]) must agree. A skipped
+   probe is one {!Tt.gate_match} would have answered [No_gate], so the
+   winner is the same. *)
 let one_resub aig root_tt divisors =
   let arr = Array.of_list divisors in
   let num = Array.length arr in
-  let gate (vi, ti) (vj, tj) (p1, p2) =
-    let li = Aig.lit_of vi p1 and lj = Aig.lit_of vj p2 in
-    match Tt.and_match ~na:p1 ti ~nb:p2 tj root_tt with
-    | 0 -> Some (fun () -> Aig.band aig li lj)
-    | 1 -> Some (fun () -> Aig.lnot (Aig.band aig li lj))
-    | _ when Tt.xor_equal ~na:p1 ti ~nb:p2 tj root_tt -> Some (fun () -> Aig.bxor aig li lj)
-    | _ -> None
-  in
-  let phases = [ (false, false); (false, true); (true, false); (true, true) ] in
-  let rec search i j =
+  let fits = Array.map (fun (_, t) -> Tt.and_operand t root_tt) arr in
+  let key t = Tt.hash (if Tt.get_bit t 0 then Tt.bnot t else t) in
+  let self = Array.map (fun (_, t) -> key t) arr in
+  let partner = Array.map (fun (_, t) -> key (Tt.bxor t root_tt)) arr in
+  let rec search i j phase =
     if i >= num then None
-    else if j >= num then search (i + 1) (i + 2)
-    else
-      match List.find_map (gate arr.(i) arr.(j)) phases with
-      | Some build -> Some (build ())
-      | None -> search i (j + 1)
+    else if j >= num then search (i + 1) (i + 2) 0
+    else if phase = 4 then search i (j + 1) 0
+    else begin
+      let pa = phase lsr 1 and pb = phase land 1 in
+      let fi = fits.(i) and fj = fits.(j) in
+      let and_ = (fi lsr pa) land (fj lsr pb) land 1 = 1 in
+      let nand = (fi lsr (2 + pa)) land (fj lsr (2 + pb)) land 1 = 1 in
+      if not (and_ || nand || partner.(i) = self.(j)) then search i j (phase + 1)
+      else begin
+        let vi, ti = arr.(i) and vj, tj = arr.(j) in
+        let na = pa = 1 and nb = pb = 1 in
+        let li = Aig.lit_of vi na and lj = Aig.lit_of vj nb in
+        match Tt.gate_match ~na ti ~nb tj root_tt with
+        | And -> Some (Aig.band aig li lj)
+        | Nand -> Some (Aig.lnot (Aig.band aig li lj))
+        | Xor -> Some (Aig.bxor aig li lj)
+        | No_gate -> search i j (phase + 1)
+      end
+    end
   in
-  search 0 1
+  search 0 1 0
 
 (* One candidate: an existing divisor matching the root directly
    (0-resub), else one fresh gate over two divisors (1-resub). *)

@@ -9,8 +9,10 @@
 
     The search's answer for every function of at most 4 inputs (all
     of rewrite's cut functions) is read from one read-only table that
-    the module initializer fills: 65 814 slots of 16 bits, 131 KB,
-    shared by all domains. A function of 5 or more inputs (refactor's
+    the build fills, by running the search once
+    ({!Sbm_synth_search.Synth_search}): 65 814 slots of 16 bits,
+    131 KB, compiled in as a string literal and shared by all
+    domains. A function of 5 or more inputs (refactor's
     wider windows) is searched per call, memoized for that call. *)
 
 (** AND nodes per 2-input XOR, the cost the decomposition search

@@ -46,25 +46,38 @@ let default_config =
 (* Max pairs tried per node [f] (Section III-B). *)
 let max_pairs = 64
 
+(* Each member's ascending BDD support, keyed by node; members whose
+   BDD overran the budget are absent. The analysis never refreshes the
+   partition's BDDs, so one traversal per member serves every pair it
+   is part of. *)
+let member_supports ctx =
+  let man = Bdd_bridge.man ctx in
+  let members = Bdd_bridge.members ctx in
+  let supp = Hashtbl.create (Array.length members) in
+  Array.iter
+    (fun v ->
+      Option.iter
+        (fun b -> Hashtbl.replace supp v (Bdd.support man b))
+        (Bdd_bridge.bdd_of_node ctx v))
+    members;
+  supp
+
+(* Whether two ascending lists share an element. *)
+let rec intersects a b =
+  match (a, b) with
+  | [], _ | _, [] -> false
+  | x :: a', y :: b' -> x = y || if x < y then intersects a' b else intersects a b'
+
 (* Structural filters of Section III-B: the pair must share support,
    and [f] must not lie in the cone of [g] (a difference implementation
    referencing [g] would then feed [f] back into itself). *)
-let good_candidates ctx ~f ~g =
-  let aig = Bdd_bridge.aig ctx in
+let good_candidates aig supp ~f ~g =
   (not (Aig.is_dead aig f))
   && (not (Aig.is_dead aig g))
   && f <> g
   &&
-  let man = Bdd_bridge.man ctx in
-  match (Bdd_bridge.bdd_of_node ctx f, Bdd_bridge.bdd_of_node ctx g) with
-  | Some bf, Some bg -> (
-    match (Bdd.support man bf, Bdd.support man bg) with
-    | sf, sg ->
-      let shared = List.exists (fun v -> List.mem v sg) sf in
-      shared && not (Aig.in_tfi aig ~node:f ~root:g)
-    | exception Bdd.Limit ->
-      Bdd_bridge.bump_limit_bail ctx;
-      false)
+  match (Hashtbl.find_opt supp f, Hashtbl.find_opt supp g) with
+  | Some sf, Some sg -> intersects sf sg && not (Aig.in_tfi aig ~node:f ~root:g)
   | _ -> false
 
 (* Simulation prefilter state for one partition: the store plus two
@@ -91,8 +104,8 @@ let good_candidates ctx ~f ~g =
      {- the support bound: a leaf exactly one of [f], [g] depends on
         is necessarily in the support of [f ⊕ g], and a reduced BDD
         carries at least one node per support variable, so
-        [size >= |supp f Δ supp g|] (the [supp] table, precomputed
-        from the members' already-built BDDs).}}
+        [size >= |supp f Δ supp g|] (the partition's
+        {!member_supports}).}}
 
    A rejected pair therefore provably makes [compute] return [None]:
    skipping it drops only the wasted BDD work, never a rewrite, which
@@ -102,7 +115,7 @@ type pair_filter = {
   store : Prefilter.t;
   index : (int64 array, unit) Hashtbl.t;
   pairs2 : (int64 array, unit) Hashtbl.t;
-  supp : (int, int list) Hashtbl.t; (* member node -> ascending BDD support *)
+  supp : (int, int list) Hashtbl.t; (* the partition's [member_supports] *)
 }
 
 (* |a Δ b| for ascending lists. *)
@@ -119,7 +132,7 @@ let rec delta_size a b =
    sound, just a weaker bound). *)
 let max_pairs2_leaves = 128
 
-let partition_filter store ctx =
+let partition_filter store ctx supp =
   match store with
   | None -> None
   | Some st ->
@@ -150,17 +163,6 @@ let partition_filter store ctx =
         done
       done
     end;
-    let supp = Hashtbl.create (Array.length members) in
-    let man = Bdd_bridge.man ctx in
-    Array.iter
-      (fun v ->
-        match Bdd_bridge.bdd_of_node ctx v with
-        | None -> ()
-        | Some b -> (
-          match Bdd.support man b with
-          | s -> Hashtbl.replace supp v s
-          | exception Bdd.Limit -> ()))
-      members;
     Some { store = st; index; pairs2; supp }
 
 let pair_verdict pf ~saving f g =
@@ -207,7 +209,8 @@ let pair_verdict pf ~saving f g =
 let analyze aig config store part =
   let ctx = Bdd_bridge.build ~node_limit:config.bdd_node_limit aig part in
   let members = Bdd_bridge.members ctx in
-  let filter = partition_filter store ctx in
+  let supp = member_supports ctx in
+  let filter = partition_filter store ctx supp in
   let tried = ref 0 and built = ref 0 and rewrites = ref 0 and gain = ref 0 in
   Array.iter
     (fun f ->
@@ -229,7 +232,7 @@ let analyze aig config store part =
               (not !replaced)
               && !pairs < max_pairs
               && Aig.is_and aig g
-              && good_candidates ctx ~f ~g
+              && good_candidates aig supp ~f ~g
             then begin
               (* The pair budget counts every enumerated candidate,
                  filtered or not, so the enumeration (and therefore the

@@ -151,6 +151,9 @@ let connectable ctx cands store n mspf =
           in
           Some (st, care_words)
       in
+      (* The search makes no AIG edit, so one mark of [n]'s transitive
+         fanout answers every candidate's cycle test. *)
+      let in_tfo = Aig.tfo_mark aig n in
       let candidates = ref [] in
       let examined = ref 0 in
       let consider v =
@@ -158,7 +161,7 @@ let connectable ctx cands store n mspf =
           !examined < max_candidates
           && v <> n
           && (not (Aig.is_dead aig v))
-          && not (Aig.in_tfi aig ~node:n ~root:v)
+          && not (in_tfo v)
         then begin
           match Bdd_bridge.bdd_of_node ctx v with
           | None -> ()

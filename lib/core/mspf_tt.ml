@@ -127,6 +127,9 @@ let connectable ctx config n mspf =
   | Some tn ->
     let care = Tt.bnot mspf in
     let n_care = Tt.band tn care in
+    (* The search makes no AIG edit, so one mark of [n]'s transitive
+       fanout answers every candidate's cycle test. *)
+    let in_tfo = Aig.tfo_mark aig n in
     let candidates = ref [] in
     let examined = ref 0 in
     let consider v =
@@ -134,7 +137,7 @@ let connectable ctx config n mspf =
         !examined < config.max_candidates
         && v <> n
         && (not (Aig.is_dead aig v))
-        && not (Aig.in_tfi aig ~node:n ~root:v)
+        && not (in_tfo v)
       then begin
         match Hashtbl.find_opt ctx.tts v with
         | None -> ()

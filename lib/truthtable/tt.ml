@@ -282,48 +282,73 @@ let split t i =
   lor (if !f1_one then split_f1_one else 0)
   lor (!agree lsl 5)
 
-(* Fused resubstitution probes: compare a 2-input gate of optionally
-   complemented divisors against a target without materializing the
-   intermediate table. The 1-resub scan evaluates these for every
-   divisor pair and phase — allocating [band]/[bxor] results there
-   dominated the pass. *)
-let and_match ~na a ~nb b c =
-  if a.nvars <> b.nvars || a.nvars <> c.nvars then
-    invalid_arg "Tt.and_match: arity mismatch";
+(* Phased AND in one allocation: the tables keep the bits above [2^n]
+   clear, so complementing an operand is an XOR with the mask. *)
+let and_phase ~na a ~nb b =
+  if a.nvars <> b.nvars then invalid_arg "Tt.and_phase: arity mismatch";
   let mask = word_mask a.nvars in
+  let ma = if na then mask else 0L and mb = if nb then mask else 0L in
+  let wa = a.words and wb = b.words in
+  let words =
+    Array.init (Array.length wa) (fun i ->
+        Int64.logand
+          (Int64.logxor (Array.unsafe_get wa i) ma)
+          (Int64.logxor (Array.unsafe_get wb i) mb))
+  in
+  { a with words }
+
+type gate = And | Nand | Xor | No_gate
+
+(* The 1-resub probe: one word pass tests the AND, its complement and
+   the XOR of the phased operands against the target at once, without
+   materializing any of them, and stops at the first word where all
+   three fail. The resub scan runs it for every divisor pair and
+   phase. *)
+let gate_match ~na a ~nb b c =
+  if a.nvars <> b.nvars || a.nvars <> c.nvars then
+    invalid_arg "Tt.gate_match: arity mismatch";
+  let mask = word_mask a.nvars in
+  let ma = if na then mask else 0L and mb = if nb then mask else 0L in
   let wa = a.words and wb = b.words and wc = c.words in
   let n = Array.length wa in
-  let rec go i eq eqn =
-    if i = n then if eq then 0 else if eqn then 1 else -1
+  let rec go i and_ nand xor =
+    if i = n then if and_ then And else if nand then Nand else if xor then Xor else No_gate
     else begin
-      let x = Array.unsafe_get wa i in
-      let x = if na then Int64.logand (Int64.lognot x) mask else x in
-      let y = Array.unsafe_get wb i in
-      let y = if nb then Int64.logand (Int64.lognot y) mask else y in
-      let r = Int64.logand x y in
+      let x = Int64.logxor (Array.unsafe_get wa i) ma in
+      let y = Int64.logxor (Array.unsafe_get wb i) mb in
       let z = Array.unsafe_get wc i in
-      let eq = eq && Int64.equal r z in
-      let eqn = eqn && Int64.equal r (Int64.logand (Int64.lognot z) mask) in
-      if eq || eqn then go (i + 1) eq eqn else -1
+      let r = Int64.logand x y in
+      let and_ = and_ && Int64.equal r z in
+      let nand = nand && Int64.equal r (Int64.logxor z mask) in
+      let xor = xor && Int64.equal (Int64.logxor x y) z in
+      if and_ || nand || xor then go (i + 1) and_ nand xor else No_gate
     end
   in
-  go 0 true true
+  go 0 true true true
 
-let xor_equal ~na a ~nb b c =
-  if a.nvars <> b.nvars || a.nvars <> c.nvars then
-    invalid_arg "Tt.xor_equal: arity mismatch";
-  let mask = word_mask a.nvars in
-  let wa = a.words and wb = b.words and wc = c.words in
-  let n = Array.length wa in
-  let rec go i =
-    i = n
-    || (let x = Array.unsafe_get wa i in
-        let x = if na then Int64.logand (Int64.lognot x) mask else x in
-        let y = Array.unsafe_get wb i in
-        let y = if nb then Int64.logand (Int64.lognot y) mask else y in
-        Int64.equal (Int64.logxor x y) (Array.unsafe_get wc i) && go (i + 1))
+let[@inline] flag_nonzero bit w = if Int64.equal w 0L then 0 else bit
+
+(* An AND's output lies inside each of its operands, so [±d] can only
+   be an operand of an AND giving [c] if [c] lies inside it, and of a
+   NAND giving [c] if [¬c] does. The four containments in one pass. *)
+let and_operand d c =
+  if d.nvars <> c.nvars then invalid_arg "Tt.and_operand: arity mismatch";
+  let mask = word_mask d.nvars in
+  let wd = d.words and wc = c.words in
+  let n = Array.length wd in
+  let rec go i fits =
+    if i = n || fits = 0 then fits
+    else begin
+      let x = Array.unsafe_get wd i and z = Array.unsafe_get wc i in
+      let nx = Int64.logxor x mask and nz = Int64.logxor z mask in
+      let lost =
+        flag_nonzero 1 (Int64.logand z nx) lor flag_nonzero 2 (Int64.logand z x)
+        lor flag_nonzero 4 (Int64.logand nz nx) lor flag_nonzero 8 (Int64.logand nz x)
+      in
+      go (i + 1) (fits land lnot lost)
+    end
   in
-  go 0
+  go 0 15
 
 module Tbl = Hashtbl.Make (struct
   type nonrec t = t

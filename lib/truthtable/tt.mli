@@ -51,13 +51,27 @@ val hash : t -> int
     synthesis memo tables). *)
 module Tbl : Hashtbl.S with type key = t
 
-(** Fused gate probes for resubstitution, allocation-free.
-    [and_match ~na a ~nb b c] compares [(±a) & (±b)] (operands
-    complemented per [na]/[nb]) against [c]: [0] on equal, [1] on
-    equal-to-complement, [-1] otherwise. [xor_equal ~na a ~nb b c] is
-    true iff [(±a) xor (±b) = c]. *)
-val and_match : na:bool -> t -> nb:bool -> t -> t -> int
-val xor_equal : na:bool -> t -> nb:bool -> t -> t -> bool
+(** [and_phase ~na a ~nb b] is [(±a) & (±b)], each operand
+    complemented per [na]/[nb], built in one allocation. *)
+val and_phase : na:bool -> t -> nb:bool -> t -> t
+
+(** The 2-input gate, if any, that gives a target from two operands. *)
+type gate = And | Nand | Xor | No_gate
+
+(** [gate_match ~na a ~nb b c] compares the gates over [±a] and [±b]
+    (operands complemented per [na]/[nb]) against [c] in one
+    allocation-free word pass: [And] if [(±a) & (±b) = c], else [Nand]
+    if it equals the complement of [c], else [Xor] if
+    [(±a) xor (±b) = c], else [No_gate]. *)
+val gate_match : na:bool -> t -> nb:bool -> t -> t -> gate
+
+(** [and_operand d c] says which phases of [d] can be an operand of a
+    2-input gate giving [c], as four bits: bit 0 if [c ⊆ d] and bit 1
+    if [c ⊆ ¬d] (an AND operand), bit 2 if [¬c ⊆ d] and bit 3 if
+    [¬c ⊆ ¬d] (a NAND operand). An AND's output lies inside each of
+    its operands, so {!gate_match} can only answer [And] ([Nand]) for
+    operands that both have the bit. One allocation-free word pass. *)
+val and_operand : t -> t -> int
 
 (** [of_word n w] builds a table on [n <= 6] variables directly from
     its 64-bit value (low [2^n] bits; the rest is ignored). *)

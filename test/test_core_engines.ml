@@ -303,3 +303,81 @@ let suite =
     Alcotest.test_case "partition leaves" `Quick test_partition_leaves_feed_members;
     Alcotest.test_case "whole partition" `Quick test_whole_partition;
   ]
+
+(* --- pinned candidate loops --- *)
+
+(* What Boolean difference, MSPF and truth-table MSPF leave on the
+   quick set and on control-3e3e, pinned by fold hash and gain, with
+   and without a prefilter bank, together with the engines' candidate
+   counters ([diff.pairs_tried], [mspf.candidates_examined]) for each:
+   the structural filters in front of the candidate checks may get
+   cheaper, never different. *)
+let test_candidate_loops_pinned () =
+  let module Epfl = Sbm_epfl.Epfl in
+  let module M = Sbm_obs.Metrics in
+  let circuits =
+    List.map (fun b -> (Epfl.name b, fun () -> Epfl.generate b)) Epfl.quick_set
+    @ [
+        ( "control-3e3e",
+          fun () -> Epfl.random_control ~seed:0x3E3E ~inputs:105 ~outputs:105 ~gates:700 );
+      ]
+  in
+  let counter name =
+    match M.find name with
+    | Some c -> M.value c
+    | None -> Alcotest.failf "counter %s is not registered" name
+  in
+  let bank on = if on then Some (Sbm_core.Prefilter.create_bank ()) else None in
+  let diff on aig =
+    Sbm_core.Diff_resub.optimize
+      ~config:{ Sbm_core.Diff_resub.default_config with prefilter = bank on }
+      aig
+  in
+  let mspf on aig =
+    Sbm_core.Mspf.optimize ~config:{ Sbm_core.Mspf.default_config with prefilter = bank on } aig
+  in
+  List.iter
+    (fun (engine, run, count, want) ->
+      List.iter2
+        (fun (name, generate) (hash, gain, off, on) ->
+          List.iter
+            (fun (bank_on, counted) ->
+              let label = Printf.sprintf "%s %s, bank %b" engine name bank_on in
+              let aig = generate () in
+              let c0 = counter count in
+              let got = run bank_on aig in
+              Alcotest.(check string) (label ^ ": hash")
+                (Printf.sprintf "%016Lx" hash)
+                (Printf.sprintf "%016Lx" (Aig.fold_hash aig));
+              Alcotest.(check int) (label ^ ": gain") gain got;
+              Alcotest.(check int) (label ^ ": " ^ count) counted (counter count - c0))
+            [ (false, off); (true, on) ])
+        circuits want)
+    [
+      ( "diff", diff, "diff.pairs_tried",
+        [ (0x5392750bdee2598fL, 3, 4753, 411); (0x0bd76d719b1d6e9cL, 5, 3329, 811);
+          (0x8d3f7eecf5ba578cL, 0, 28600, 177); (0x7539f6dc8c4343d8L, 11, 3785, 514);
+          (0xd8b6b755e6194245L, 0, 1004, 150); (0x4bfbb3575e9b4d2bL, 0, 5504, 620) ] );
+      ( "mspf", mspf, "mspf.candidates_examined",
+        [ (0x188f8d70e6577a7dL, 12, 3459, 45); (0x36d2a74ddd3669a0L, 17, 2675, 94);
+          (0x8d3f7eecf5ba578cL, 0, 0, 0); (0x483e728e01538849L, 5, 3530, 4);
+          (0xd8b6b755e6194245L, 0, 4351, 0); (0x4bfbb3575e9b4d2bL, 0, 15114, 9) ] );
+    ];
+  List.iter2
+    (fun (name, generate) (hash, gain) ->
+      let aig = generate () in
+      let got = Sbm_core.Mspf_tt.run aig in
+      Alcotest.(check string) ("mspf-tt " ^ name ^ ": hash")
+        (Printf.sprintf "%016Lx" hash)
+        (Printf.sprintf "%016Lx" (Aig.fold_hash aig));
+      Alcotest.(check int) ("mspf-tt " ^ name ^ ": gain") gain got)
+    circuits
+    [ (0x7510220bb870408aL, 6); (0x36d2a74ddd3669a0L, 17); (0x8d3f7eecf5ba578cL, 0);
+      (0x74386561a3a1907cL, 9); (0xd8b6b755e6194245L, 0); (0x4bfbb3575e9b4d2bL, 0) ]
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "diff and mspf keep their pinned outputs and counters" `Quick
+        test_candidate_loops_pinned;
+    ]

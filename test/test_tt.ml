@@ -231,6 +231,60 @@ let test_tbl_buckets () =
     true
     (stats.num_bindings > 10_000 && stats.max_bucket_length <= 16)
 
+(* The 1-resub probe against the test it replaced: AND (then its
+   complement) of the phased operands, then their XOR, spelled with
+   the plain operators. Targets are drawn so that every verdict occurs,
+   including an all-zero pair where AND and XOR both hold and AND must
+   win. *)
+let gen_gate_case =
+  QCheck2.Gen.(
+    quad (int_range 1 8) (int_bound 5) (int_bound 3) (triple (int_bound 1_000_000)
+      (int_bound 1_000_000) (int_bound 1_000_000))
+    |> map (fun (n, kind, phase, (s1, s2, s3)) ->
+           let a = Tt.random n (Rng.create s1) and b = Tt.random n (Rng.create s2) in
+           let a, b = if kind = 5 then (Tt.const0 n, Tt.const0 n) else (a, b) in
+           let x = if phase >= 2 then Tt.bnot a else a in
+           let y = if phase land 1 = 1 then Tt.bnot b else b in
+           let c =
+             match kind with
+             | 0 -> Tt.random n (Rng.create s3)
+             | 1 -> Tt.band x y
+             | 2 -> Tt.bnot (Tt.band x y)
+             | 3 -> Tt.bxor x y
+             | _ -> Tt.const0 n
+           in
+           (a, b, c)))
+
+let test_gate_match_oracle =
+  Helpers.qcheck_case ~count:300 "gate_match and and_phase equal the plain operators"
+    gen_gate_case (fun (a, b, c) ->
+      List.for_all
+        (fun (na, nb) ->
+          let x = if na then Tt.bnot a else a and y = if nb then Tt.bnot b else b in
+          let r = Tt.band x y in
+          let want : Tt.gate =
+            if Tt.equal r c then And
+            else if Tt.equal r (Tt.bnot c) then Nand
+            else if Tt.equal (Tt.bxor x y) c then Xor
+            else No_gate
+          in
+          Tt.gate_match ~na a ~nb b c = want && Tt.equal (Tt.and_phase ~na a ~nb b) r)
+        [ (false, false); (false, true); (true, false); (true, true) ])
+
+(* [and_operand d c]'s four bits are the four containments, spelled
+   with the plain operators. *)
+let test_and_operand =
+  Helpers.qcheck_case ~count:300 "and_operand is the four containments" gen_gate_case
+    (fun (a, _, c) ->
+      let inside x y = Tt.is_const0 (Tt.band x (Tt.bnot y)) in
+      let want =
+        List.fold_left
+          (fun acc (bit, x, y) -> if inside x y then acc lor bit else acc)
+          0
+          [ (1, c, a); (2, c, Tt.bnot a); (4, Tt.bnot c, a); (8, Tt.bnot c, Tt.bnot a) ]
+      in
+      Tt.and_operand a c = want)
+
 let suite =
   [
     Alcotest.test_case "Tbl spreads cofactor tables" `Quick test_tbl_buckets;
@@ -251,4 +305,6 @@ let suite =
     test_to_word_roundtrip;
     Alcotest.test_case "to_word rejects tables above 6 variables" `Quick
       test_to_word_rejects_wide_tables;
+    test_gate_match_oracle;
+    test_and_operand;
   ]
