@@ -405,6 +405,29 @@ let fanout_nodes aig node =
       end)
     [] aig.fanouts node
 
+(* The same visit without the list: [fanout_nodes] keeps each node's
+   first entry and returns them last to first, so when no live entry
+   repeats, the live entries from last to first are that list. One
+   stamped pass looks for a repeat, and the rare fanout that has one
+   falls back to the list. *)
+let iter_fanout_nodes aig node f =
+  let id = new_trav aig in
+  let trav = aig.trav and dead = aig.dead and fanouts = aig.fanouts in
+  let len = Csr.length fanouts node in
+  let rec repeats i =
+    i < len
+    &&
+    let fo = Csr.get fanouts node i in
+    if dead.(fo) then repeats (i + 1)
+    else trav.(fo) = id || begin trav.(fo) <- id; repeats (i + 1) end
+  in
+  if repeats 0 then List.iter f (fanout_nodes aig node)
+  else
+    for i = len - 1 downto 0 do
+      let fo = Csr.get fanouts node i in
+      if not dead.(fo) then f fo
+    done
+
 let in_tfi aig ~node ~root =
   let id = new_trav aig in
   let stack = Vec.create () in

@@ -216,6 +216,10 @@ val nref : t -> int -> int
     [n] (each listed once even if both fanins point at [n]). *)
 val fanout_nodes : t -> int -> int list
 
+(** [iter_fanout_nodes aig n f] is [List.iter f (fanout_nodes aig n)]
+    without building the list, for an [f] that does not edit [aig]. *)
+val iter_fanout_nodes : t -> int -> (int -> unit) -> unit
+
 (** {1 Orderings and cones} *)
 
 (** [topo aig] is the array of live node ids (inputs and ANDs) in a

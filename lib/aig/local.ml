@@ -54,27 +54,21 @@ type window = {
   aig : Aig.t;
   leaves : int array;
   tts : (int, Tt.t) Hashtbl.t;
-  mutable fuel : int;
 }
 
+(* The leaves form a cut, so the walk below the root never leaves the
+   memo's leaves and cone. *)
 let rec eval w v =
   match Hashtbl.find_opt w.tts v with
-  | Some tt -> Some tt
+  | Some tt -> tt
   | None ->
-    if (not (Aig.is_and w.aig v)) || w.fuel <= 0 then None
-    else begin
-      w.fuel <- w.fuel - 1;
-      let f0 = Aig.fanin0 w.aig v and f1 = Aig.fanin1 w.aig v in
-      match eval w (Aig.node_of f0) with
-      | None -> None
-      | Some t0 -> (
-        match eval w (Aig.node_of f1) with
-        | None -> None
-        | Some t1 ->
-          let tt = Tt.and_phase ~na:(Aig.is_compl f0) t0 ~nb:(Aig.is_compl f1) t1 in
-          Hashtbl.replace w.tts v tt;
-          Some tt)
-    end
+    if not (Aig.is_and w.aig v) then invalid_arg "Local.eval: cone escapes the cut";
+    let f0 = Aig.fanin0 w.aig v and f1 = Aig.fanin1 w.aig v in
+    let t0 = eval w (Aig.node_of f0) in
+    let t1 = eval w (Aig.node_of f1) in
+    let tt = Tt.and_phase ~na:(Aig.is_compl f0) t0 ~nb:(Aig.is_compl f1) t1 in
+    Hashtbl.add w.tts v tt;
+    tt
 
 let window aig root ~max_leaves =
   let leaves = reconv_cut aig root ~max_leaves in
@@ -84,9 +78,8 @@ let window aig root ~max_leaves =
     let tts = Hashtbl.create 64 in
     Array.iteri (fun i v -> Hashtbl.replace tts v (Tt.var n i)) leaves;
     Hashtbl.replace tts 0 (Tt.const0 n);
-    let w = { aig; leaves; tts; fuel = max_int } in
-    (* The leaves form a cut, so the root cone never escapes them. *)
-    Option.map (fun tt -> (w, tt)) (eval w root)
+    let w = { aig; leaves; tts } in
+    Some (w, eval w root)
   end
 
 (* --- the commit rule and the walk --- *)

@@ -10,27 +10,23 @@
 
 (** {1 Windows} *)
 
-(** A reconvergence-driven window of a root node: its cut and a memo
-    of node functions over the cut. *)
+(** A reconvergence-driven window of a root node: its cut and the
+    functions of the root's cone over it. *)
 type window = {
   aig : Aig.t;
   leaves : int array;  (** sorted; variable [i] is [leaves.(i)] *)
   tts : (int, Sbm_truthtable.Tt.t) Hashtbl.t;
-      (** memo: node -> function over [leaves]; seeded with the leaves
-          and the constant node *)
-  mutable fuel : int;  (** AND evaluations {!eval} may still spend *)
+      (** node -> function over [leaves], for the leaves, the constant
+          node and every node of the root's cone, inserted in that
+          order (the cone fanin0 before fanin1, a node after its
+          fanins) *)
 }
 
 (** [window aig v ~max_leaves] cuts [v] with a reconvergence-driven cut
     of at most [max_leaves] leaves and evaluates [v]'s cone over it.
-    Returns the window (unbounded fuel) and [v]'s function, or [None]
-    when the cut has fewer than two leaves or more than
-    {!Sbm_truthtable.Tt.max_vars}. *)
+    Returns the window and [v]'s function, or [None] when the cut has
+    fewer than two leaves or more than {!Sbm_truthtable.Tt.max_vars}. *)
 val window : Aig.t -> int -> max_leaves:int -> (window * Sbm_truthtable.Tt.t) option
-
-(** [eval w v] is [v]'s function over the window's leaves, memoized.
-    [None] when [v]'s cone escapes the leaves or the fuel runs out. *)
-val eval : window -> int -> Sbm_truthtable.Tt.t option
 
 (** {1 Commit and walk} *)
 

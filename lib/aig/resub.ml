@@ -1,44 +1,102 @@
 module Tt = Sbm_truthtable.Tt
 
+(* Node-indexed scratch of one [run], grown with the AIG. At the
+   current root, [mark] places a node: [base] a window leaf, [base + 1]
+   another node whose table the window memo holds, [base + 2] a side
+   node without a table yet, [base + 3] one with; below [base] it is
+   outside the window. [base] moves by four per root, so no mark is
+   ever cleared. [tables.(v)] is [v]'s table when [v] is marked
+   [base], [base + 1] or [base + 3]. *)
+type scratch = {
+  mutable mark : int array;
+  mutable tables : Tt.t array;
+  mutable base : int;
+}
+
+(* Holds a side node's slot in the window memo: only a kept divisor,
+   and the side nodes below it, get a table. *)
+let unevaluated = Tt.const0 0
+
 (* Collect divisor nodes for a window: nodes in the cone below [root]
    (excluding [root] itself) plus fanouts of cone nodes whose support
-   stays within the leaf set. All truth tables are over the leaves. *)
-let collect_divisors (w : Local.window) root ~max_divisors =
-  let aig = w.aig and leaves = w.leaves in
-  (* Side fanouts are evaluated under a fuel budget to avoid runaway
+   stays within the leaf set. All truth tables are over the leaves.
+
+   The divisors, and which side nodes the fuel budget reaches, follow
+   the window memo's [Hashtbl] order, so every side node joins the
+   memo in the order of the old table-building walk: fanin0 before
+   fanin1, a node after both its fanins, one unit of fuel per AND
+   entered and not yet in the window. Membership is read from the
+   marks, and tables are built only for the divisors kept. *)
+let collect_divisors s (w : Local.window) root ~max_divisors =
+  let aig = w.aig in
+  let num = Aig.num_nodes aig in
+  if Array.length s.mark < num then begin
+    s.mark <- Array.make (2 * num) 0;
+    s.tables <- Array.make (2 * num) unevaluated
+  end;
+  s.base <- s.base + 4;
+  let mark = s.mark and tables = s.tables and leaf = s.base in
+  let inner = leaf + 1 and side = leaf + 2 and built = leaf + 3 in
+  Hashtbl.iter
+    (fun v tt ->
+      mark.(v) <- inner;
+      tables.(v) <- tt)
+    w.tts;
+  Array.iter (fun v -> mark.(v) <- leaf) w.leaves;
+  (* Side fanouts are explored under a fuel budget to avoid runaway
      exploration. *)
-  w.fuel <- 64 * max_divisors;
+  let fuel = ref (64 * max_divisors) in
+  let rec enter v =
+    mark.(v) >= leaf
+    || Aig.is_and aig v && !fuel > 0
+       && begin
+         decr fuel;
+         enter (Aig.node_of (Aig.fanin0 aig v))
+         && enter (Aig.node_of (Aig.fanin1 aig v))
+         && begin
+           mark.(v) <- side;
+           Hashtbl.add w.tts v unevaluated;
+           true
+         end
+       end
+  in
   (* Collection does not edit the AIG, so one mark of the root's
      transitive fanout answers every exclusion test. *)
   let in_tfo = Aig.tfo_mark aig root in
   let consider v =
-    if v <> root
-       && (not (Hashtbl.mem w.tts v))
-       && Aig.is_and aig v
-       && not (in_tfo v)
-    then ignore (Local.eval w v)
+    if v <> root && mark.(v) < leaf && Aig.is_and aig v && not (in_tfo v) then
+      ignore (enter v)
   in
   (* Seed: everything already evaluated is in the window; explore the
      fanouts of leaves and cone nodes once. *)
   let seeds = Hashtbl.fold (fun v _ acc -> v :: acc) w.tts [] in
-  List.iter
-    (fun v -> List.iter consider (Aig.fanout_nodes aig v))
-    seeds;
-  let divisors = ref [] in
+  List.iter (fun v -> Aig.iter_fanout_nodes aig v consider) seeds;
+  let picked = ref [] in
   let count = ref 0 in
   Hashtbl.iter
-    (fun v tt ->
-      if v <> root && v <> 0 && (not (Array.mem v leaves)) && !count < max_divisors
+    (fun v _ ->
+      if !count < max_divisors && v <> root && v <> 0 && mark.(v) <> leaf
          && not (in_tfo v)
       then begin
         incr count;
-        divisors := (v, tt) :: !divisors
+        picked := v :: !picked
       end)
     w.tts;
+  let rec table v =
+    if mark.(v) = side then begin
+      let f0 = Aig.fanin0 aig v and f1 = Aig.fanin1 aig v in
+      tables.(v) <-
+        Tt.and_phase ~na:(Aig.is_compl f0) (table (Aig.node_of f0))
+          ~nb:(Aig.is_compl f1) (table (Aig.node_of f1));
+      mark.(v) <- built
+    end;
+    tables.(v)
+  in
   (* Leaves are divisors too (0-cost). *)
-  let n = Array.length leaves in
-  Array.iteri (fun i v -> divisors := (v, Tt.var n i) :: !divisors) leaves;
-  !divisors
+  Array.fold_left
+    (fun acc v -> (v, tables.(v)) :: acc)
+    (List.map (fun v -> (v, table v)) !picked)
+    w.leaves
 
 (* 1-resub: the first pair of divisors (in list order; per pair the
    input phases ++, +-, -+, --; per phase AND before its complement
@@ -49,17 +107,17 @@ let collect_divisors (w : Local.window) root ~max_divisors =
    phases are ruled out without a word pass over both tables. An AND
    (NAND) needs both phased operands to contain the root's onset
    (offset), {!Tt.and_operand}. An XOR needs the second divisor to
-   equal the first XOR the root, up to complement, so the hashes of
-   the two up to complement ([self], [partner]) must agree. A skipped
+   equal the first XOR the root, up to complement, so their hashes up
+   to complement ([self], [partner], {!Tt.xor_hash}) must agree. A skipped
    probe is one {!Tt.gate_match} would have answered [No_gate], so the
    winner is the same. *)
 let one_resub aig root_tt divisors =
   let arr = Array.of_list divisors in
   let num = Array.length arr in
   let fits = Array.map (fun (_, t) -> Tt.and_operand t root_tt) arr in
-  let key t = Tt.hash (if Tt.get_bit t 0 then Tt.bnot t else t) in
-  let self = Array.map (fun (_, t) -> key t) arr in
-  let partner = Array.map (fun (_, t) -> key (Tt.bxor t root_tt)) arr in
+  let zero = Tt.const0 (Tt.num_vars root_tt) in
+  let self = Array.map (fun (_, t) -> Tt.xor_hash t zero) arr in
+  let partner = Array.map (fun (_, t) -> Tt.xor_hash t root_tt) arr in
   let rec search i j phase =
     if i >= num then None
     else if j >= num then search (i + 1) (i + 2) 0
@@ -86,11 +144,11 @@ let one_resub aig root_tt divisors =
 
 (* One candidate: an existing divisor matching the root directly
    (0-resub), else one fresh gate over two divisors (1-resub). *)
-let candidates ~max_leaves ~max_divisors aig root =
+let candidates scratch ~max_leaves ~max_divisors aig root =
   match Local.window aig root ~max_leaves with
   | None -> Seq.empty
   | Some (w, root_tt) ->
-    let divisors = collect_divisors w root ~max_divisors in
+    let divisors = collect_divisors scratch w root ~max_divisors in
     let not_root_tt = Tt.bnot root_tt in
     let zero_match =
       List.find_map
@@ -105,4 +163,5 @@ let candidates ~max_leaves ~max_divisors aig root =
     | None -> Option.to_seq (one_resub aig root_tt divisors)
 
 let run ?(zero_gain = false) ?(max_leaves = 8) ?(max_divisors = 40) aig =
-  Local.run ~zero_gain (candidates ~max_leaves ~max_divisors) aig
+  let scratch = { mark = [||]; tables = [||]; base = -3 } in
+  Local.run ~zero_gain (candidates scratch ~max_leaves ~max_divisors) aig

@@ -99,6 +99,34 @@ let hash a =
     (Array.fold_left Sbm_util.Hash64.mix2 (Int64.of_int a.nvars) a.words)
   land max_int
 
+(* [Sbm_util.Hash64.mix2], repeated here so that it inlines: dune's
+   default (dev) profile compiles with -opaque, so a call into another
+   module boxes each int64 argument and result. *)
+let[@inline] mix2 h w =
+  let open Int64 in
+  let z = add (mul h Sbm_util.Hash64.golden) w in
+  let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+  let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
+  logxor z (shift_right_logical z 31)
+
+(* [hash] of [a xor b] or of its complement, whichever has bit 0
+   clear, without building either: the mask flips every word when bit
+   0 of [a xor b] is set. *)
+let xor_hash a b =
+  if a.nvars <> b.nvars then invalid_arg "Tt.xor_hash: arity mismatch";
+  let wa = a.words and wb = b.words in
+  let flip =
+    if Int64.equal (Int64.logand (Int64.logxor wa.(0) wb.(0)) 1L) 0L then 0L
+    else word_mask a.nvars
+  in
+  let h = ref (Int64.of_int a.nvars) in
+  for i = 0 to Array.length wa - 1 do
+    h :=
+      mix2 !h
+        (Int64.logxor (Int64.logxor (Array.unsafe_get wa i) (Array.unsafe_get wb i)) flip)
+  done;
+  Int64.to_int !h land max_int
+
 (* Positive cofactor: every minterm reads the value it would have with
    variable [i] forced to 1; likewise for the negative cofactor. *)
 let cofactor1 t i =

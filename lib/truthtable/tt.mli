@@ -45,6 +45,12 @@ val is_const0 : t -> bool
 val is_const1 : t -> bool
 val hash : t -> int
 
+(** [xor_hash a b] is {!hash} of [a xor b] up to complement: the hash
+    of whichever of [a xor b] and its complement has bit 0 clear, so
+    tables whose XOR agrees up to complement hash equal. One
+    allocation-free word pass; neither table is built. *)
+val xor_hash : t -> t -> int
+
 (** Imperative hash tables keyed by truth tables, using {!hash} and
     {!equal} (the polymorphic [Hashtbl] machinery walks and hashes the
     underlying boxed words on every probe — measurably hot under the

@@ -2,7 +2,8 @@
     Flood 2014) and the golden-ratio combine built on it. Every digest
     of the project — [Aig.fold_hash], [Network.fold_hash], the
     prefilter bank's audit components, the audit-trail chain — and
-    {!Rng.next64} use this one copy. *)
+    {!Rng.next64} use this one copy; [Sbm_truthtable.Tt] repeats
+    {!mix2} so that its allocation-free table hashes can inline it. *)
 
 (** [finalize z] is the full-avalanche SplitMix64 finalizer. *)
 val finalize : int64 -> int64

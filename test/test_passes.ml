@@ -330,12 +330,142 @@ let test_resub_quick_set_hashes () =
     [ 0x9da83a147df86da0L; 0x797d311cc514d2f8L; 0x8d3f7eecf5ba578cL;
       0x1a39bdbdc452e078L; 0x2dfcadd59c622e51L ]
 
+(* Resub at the flow's and the gradient engine's parameter sets and at
+   fuel-starved ones (few divisors, wide cuts), pinned by fold hash and
+   gain with and without zero-gain commits, on the quick set,
+   control-3e3e and div at 3/32. Divisor collection's fuel budget
+   decides which side nodes join a window, and so which divisors are
+   kept: it must run out exactly where it always has. Each row is
+   (hash, gain) without and with [~zero_gain], per setting. *)
+let test_resub_fuel_pins () =
+  let settings = [ (6, 20); (8, 30); (9, 60); (10, 40); (6, 1); (8, 2); (12, 3); (16, 4) ] in
+  let circuits =
+    List.map (fun b -> (Sbm_epfl.Epfl.name b, fun () -> Sbm_epfl.Epfl.generate b))
+      Sbm_epfl.Epfl.quick_set
+    @ [
+        ( "control-3e3e",
+          fun () ->
+            Sbm_epfl.Epfl.random_control ~seed:0x3E3E ~inputs:105 ~outputs:105 ~gates:700 );
+        ("div", fun () -> Sbm_epfl.Epfl.generate ~scale:0.09375 Sbm_epfl.Epfl.Div);
+      ]
+  in
+  List.iter2
+    (fun (name, generate) (row, rows) ->
+      Alcotest.(check string) "pinned row" name row;
+      List.iter2
+        (fun (max_leaves, max_divisors) (hash, gain, hash_z, gain_z) ->
+          List.iter
+            (fun (zero_gain, hash, gain) ->
+              let label =
+                Printf.sprintf "%s %d/%d%s" name max_leaves max_divisors
+                  (if zero_gain then " -z" else "")
+              in
+              let aig = generate () in
+              let got = Sbm_aig.Resub.run ~zero_gain ~max_leaves ~max_divisors aig in
+              Alcotest.(check string) (label ^ ": hash")
+                (Printf.sprintf "%016Lx" hash)
+                (Printf.sprintf "%016Lx" (Aig.fold_hash aig));
+              Alcotest.(check int) (label ^ ": gain") gain got)
+            [ (false, hash, gain); (true, hash_z, gain_z) ])
+        settings rows)
+    circuits
+    [
+      ( "cavlc",
+        [ (0x7afd1e8b85ee0e79L, 31, 0x1897663b4e427cc4L, 27);
+          (0x9da83a147df86da0L, 33, 0x65532b10900ec6ffL, 22);
+          (0x9da83a147df86da0L, 33, 0x83d7c85f0d123663L, 27);
+          (0x4f1b66a947827630L, 33, 0xc6bdc99b0a676a1dL, 24);
+          (0x0b77126bca25f3ebL, 18, 0x4f5aa471d768dd11L, 22);
+          (0x7c7ec6cea7227c18L, 20, 0x59d2980f47dd20e4L, 26);
+          (0x1d1f5684fbfc87d3L, 18, 0xfbf792719fed9469L, 18);
+          (0x949b78178aeffb69L, 19, 0xd910bfbb81a412d3L, 15) ] );
+      ( "ctrl",
+        [ (0xfd4aee0df0617d60L, 20, 0x261665e9f35a84a1L, 34);
+          (0x797d311cc514d2f8L, 21, 0x0ed2d52cf7cc43d7L, 37);
+          (0x59e7d3e85137c04eL, 23, 0x0ed2d52cf7cc43d7L, 37);
+          (0xcfd38096e83aabd9L, 21, 0x0ed2d52cf7cc43d7L, 37);
+          (0xe8104f669d833a66L, 8, 0xc3706158f331eb1aL, 18);
+          (0x0cb67a1afc94d601L, 15, 0x660427648c1692cdL, 15);
+          (0x23b9acdd6c76e691L, 14, 0x1884bbe14296d2a9L, 21);
+          (0xae9431563eda9d9dL, 15, 0x2d6da1b23d24b812L, 23) ] );
+      ( "dec",
+        [ (0x8d3f7eecf5ba578cL, 0, 0x8d3f7eecf5ba578cL, 0);
+          (0x8d3f7eecf5ba578cL, 0, 0x8d3f7eecf5ba578cL, 0);
+          (0x8d3f7eecf5ba578cL, 0, 0x8d3f7eecf5ba578cL, 0);
+          (0x8d3f7eecf5ba578cL, 0, 0x8d3f7eecf5ba578cL, 0);
+          (0x8d3f7eecf5ba578cL, 0, 0x8d3f7eecf5ba578cL, 0);
+          (0x8d3f7eecf5ba578cL, 0, 0x8d3f7eecf5ba578cL, 0);
+          (0x8d3f7eecf5ba578cL, 0, 0x8d3f7eecf5ba578cL, 0);
+          (0x8d3f7eecf5ba578cL, 0, 0x8d3f7eecf5ba578cL, 0) ] );
+      ( "int2float",
+        [ (0x915a35b40e4a22aeL, 30, 0x382a23a81af0f95eL, 30);
+          (0x1a39bdbdc452e078L, 26, 0xd8eddf5e56ffec83L, 31);
+          (0x0d0f54c88ab6cfd1L, 27, 0xe279e100a19086aeL, 25);
+          (0xd1b103faa4380efeL, 29, 0x739db3286145082dL, 31);
+          (0xb067ca9eaa81c55dL, 8, 0xfa8168b242b7e9beL, 8);
+          (0xd67928c331a00a1aL, 9, 0x192641b19cc85119L, 9);
+          (0x3818ed58b0a0b847L, 11, 0x1549463088cebd29L, 11);
+          (0x31375a0c7913bc03L, 12, 0xb97207e487ea0dd2L, 14) ] );
+      ( "router",
+        [ (0x2dfcadd59c622e51L, 1, 0xab9dcd4af152b645L, 1);
+          (0x2dfcadd59c622e51L, 1, 0xab9dcd4af152b645L, 1);
+          (0x2dfcadd59c622e51L, 1, 0xab9dcd4af152b645L, 1);
+          (0x2dfcadd59c622e51L, 1, 0xab9dcd4af152b645L, 1);
+          (0x2dfcadd59c622e51L, 1, 0xd3356938246de6e1L, 1);
+          (0x2dfcadd59c622e51L, 1, 0xd3356938246de6e1L, 1);
+          (0x2dfcadd59c622e51L, 1, 0xea02a03131248e38L, 1);
+          (0x2dfcadd59c622e51L, 1, 0xea02a03131248e38L, 1) ] );
+      ( "control-3e3e",
+        [ (0x4bfbb3575e9b4d2bL, 0, 0x3c5be6a0d086183eL, 0);
+          (0x4bfbb3575e9b4d2bL, 0, 0x3c5be6a0d086183eL, 0);
+          (0x4bfbb3575e9b4d2bL, 0, 0xb1ab45442528d9c9L, 0);
+          (0x4bfbb3575e9b4d2bL, 0, 0xb1ab45442528d9c9L, 0);
+          (0x4bfbb3575e9b4d2bL, 0, 0x3cf725873d903cc5L, 0);
+          (0x4bfbb3575e9b4d2bL, 0, 0x0e64bfb7a14ee825L, 0);
+          (0x4bfbb3575e9b4d2bL, 0, 0x0ff51a532f6811b4L, 0);
+          (0x4bfbb3575e9b4d2bL, 0, 0xbdda182d297283dfL, 0) ] );
+      ( "div",
+        [ (0xfac2f6e0d7c6993dL, 80, 0xeec13bb99468c2d3L, 81);
+          (0x921483f57b1de3b5L, 129, 0x9080906eee5836eaL, 131);
+          (0x30e1ec37d2e89665L, 102, 0x995cee44926fcbd4L, 100);
+          (0x172a1457c77e9994L, 106, 0x9f47fec9fcd9c98bL, 102);
+          (0xd3dcbdcea8721337L, 24, 0x04f1f112bdc4facfL, 24);
+          (0x707ad9bd160b903eL, 41, 0x7e9b51c64586b916L, 43);
+          (0xddfde22789f884acL, 51, 0x838846b96fb76d8dL, 50);
+          (0x3daab686d6747c14L, 65, 0xd9513efe5165e732L, 60) ] );
+    ]
+
+(* The list-free fanout walk visits what [fanout_nodes] lists, in its
+   order, on fresh random AIGs and after rewrite and resub have left
+   dead nodes and stale fanout entries behind. *)
+let test_iter_fanout_nodes =
+  Helpers.qcheck_case ~count:30 "iter_fanout_nodes walks the fanout_nodes list"
+    QCheck2.Gen.(int_bound 1_000_000)
+    (fun seed ->
+      let aig = Helpers.random_xor_aig ~inputs:7 ~gates:30 ~outputs:4 (Rng.create seed) in
+      let agrees () =
+        List.for_all
+          (fun v ->
+            let seen = ref [] in
+            Aig.iter_fanout_nodes aig v (fun fo -> seen := fo :: !seen);
+            List.rev !seen = Aig.fanout_nodes aig v)
+          (List.init (Aig.num_nodes aig) Fun.id)
+      in
+      let fresh = agrees () in
+      ignore (Sbm_aig.Rewrite.run aig);
+      let rewritten = agrees () in
+      ignore (Sbm_aig.Resub.run aig);
+      fresh && rewritten && agrees ())
+
 let suite =
   suite
   @ [
       test_tfo_mark_agrees_with_in_tfi;
       Alcotest.test_case "resub keeps its quick-set hashes" `Quick
         test_resub_quick_set_hashes;
+      Alcotest.test_case "resub keeps its hashes where fuel runs out" `Quick
+        test_resub_fuel_pins;
+      test_iter_fanout_nodes;
       Alcotest.test_case "refactor and rewrite keep their hashes" `Quick
         test_resynthesis_hashes;
     ]

@@ -285,6 +285,19 @@ let test_and_operand =
       in
       Tt.and_operand a c = want)
 
+(* [xor_hash a b] depends only on [a xor b] up to complement, so tables
+   equal up to complement hash equal, and it is [hash] of the one with
+   bit 0 clear. *)
+let test_xor_hash =
+  Helpers.qcheck_case ~count:300 "xor_hash agrees up to complement" gen_tt_pair
+    (fun (a, b) ->
+      let x = Tt.bxor a b and zero = Tt.const0 (Tt.num_vars a) in
+      let h = Tt.xor_hash a b in
+      List.for_all (fun h' -> h' = h)
+        [ Tt.xor_hash b a; Tt.xor_hash (Tt.bnot a) b; Tt.xor_hash a (Tt.bnot b);
+          Tt.xor_hash x zero; Tt.xor_hash (Tt.bnot x) zero;
+          Tt.hash (if Tt.get_bit x 0 then Tt.bnot x else x) ])
+
 let suite =
   [
     Alcotest.test_case "Tbl spreads cofactor tables" `Quick test_tbl_buckets;
@@ -307,4 +320,5 @@ let suite =
       test_to_word_rejects_wide_tables;
     test_gate_match_oracle;
     test_and_operand;
+    test_xor_hash;
   ]
