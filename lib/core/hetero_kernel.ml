@@ -44,25 +44,26 @@ let partition_lits net ~member ~mark =
 (* One partition's threshold trials on the live network. Returns
    whether the best trial improved (and was committed). *)
 let optimize_partition net part_nodes =
-  let member_set = Hashtbl.create 64 in
-  List.iter (fun n -> Hashtbl.replace member_set n ()) part_nodes;
-  let member n = Hashtbl.mem member_set n in
+  (* Membership is an array over the ids below the mark: every member
+     is below it, and every node a trial creates is at or past it. *)
+  let mark = Network.mark net in
+  let is_member = Array.make mark false in
+  List.iter (fun n -> is_member.(n) <- true) part_nodes;
+  let member n = n < mark && is_member.(n) in
+  let in_trial n = n >= mark || is_member.(n) in
   (* A node may be eliminated only when its fanouts at partition start
      stay inside the partition (so rollbacks touch member covers only);
      nodes created by the trials are always eligible. *)
-  let mark = Network.mark net in
-  let inside = Hashtbl.create 64 in
+  let inside = Array.make mark false in
   List.iter
-    (fun n ->
-      if List.for_all member (Network.fanouts net n) then Hashtbl.replace inside n ())
+    (fun n -> if List.for_all member (Network.fanouts net n) then inside.(n) <- true)
     part_nodes;
-  let eliminable n = n >= mark || Hashtbl.mem inside n in
-  let snapshot () =
+  let eliminable n = n >= mark || inside.(n) in
+  let saved =
     List.filter_map
       (fun n -> if member n then Some (n, Network.cover net n) else None)
       (Network.internal_nodes net)
   in
-  let saved = snapshot () in
   let rollback () =
     List.iter
       (fun (n, cv) ->
@@ -77,41 +78,45 @@ let optimize_partition net part_nodes =
      result depends on the threshold alone. *)
   let trial threshold =
     let least_kept = Network.eliminate net ~threshold ~max_cubes ~only:eliminable () in
-    ignore
-      (Network.extract_kernels net
-         ~only:(fun n -> member n || n >= mark)
-         ~max_passes:extract_passes ());
-    ignore
-      (Network.extract_cubes net
-         ~only:(fun n -> member n || n >= mark)
-         ~max_passes:extract_passes ());
+    ignore (Network.extract_kernels net ~only:in_trial ~max_passes:extract_passes ());
+    ignore (Network.extract_cubes net ~only:in_trial ~max_passes:extract_passes ());
     (partition_lits net ~member ~mark, least_kept)
   in
   let before = partition_lits net ~member ~mark in
-  (* Try each threshold, recording the literal count; keep the best.
-     A threshold no larger than the previous trial's least kept
-     variation collapses exactly the nodes that trial collapsed, so it
-     would repeat that trial (the same literal count and the same
-     least kept variation) and is not run. *)
-  let best = ref None in
-  let repeats_up_to = ref min_int in
-  List.iter
-    (fun threshold ->
-      if threshold > !repeats_up_to then begin
-        let lits, least_kept = trial threshold in
-        repeats_up_to := least_kept;
-        (match !best with
-        | Some (bl, _) when bl <= lits -> ()
-        | Some _ | None -> best := Some (lits, threshold));
-        rollback ()
-      end)
-    thresholds;
+  (* Try each threshold, recording the literal count; keep the best
+     (the first with the least count). A threshold no larger than the
+     previous trial's least kept variation collapses exactly the nodes
+     that trial collapsed, so it would repeat that trial (the same
+     literal count and the same least kept variation) and is not run.
+     The best trial so far is recorded, since it is reproducible, and
+     replayed at the end instead of re-run; the last trial run stays on
+     the network when it is the best. *)
+  let rec trials best = function
+    | [] -> best
+    | threshold :: rest ->
+      let lits, least_kept = trial threshold in
+      let rec drop = function t :: rest when t <= least_kept -> drop rest | rest -> rest in
+      let rest = drop rest in
+      let is_best = match best with Some (bl, _) -> lits < bl | None -> true in
+      if is_best && rest = [] then Some (lits, None)
+      else begin
+        let best =
+          if is_best then Some (lits, Some (Network.record_trial net (List.map fst saved) ~mark))
+          else best
+        in
+        rollback ();
+        trials best rest
+      end
+  in
   let improved =
-    match !best with
-    | Some (lits, threshold) when lits < before ->
-      ignore (trial threshold);
+    match trials None thresholds with
+    | Some (lits, kept) when lits < before ->
+      Option.iter (Network.replay_trial net) kept;
       true
-    | Some _ | None -> false
+    | Some (_, None) ->
+      rollback ();
+      false
+    | Some (_, Some _) | None -> false
   in
   M.add m_trials (List.length thresholds);
   M.add m_improved_partitions (if improved then 1 else 0);

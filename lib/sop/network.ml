@@ -15,6 +15,19 @@ type elim_memo = {
   e_result : ((node_id * Sop.cover) list * int) option;
 }
 
+(* A canonical kernel with its generic [Hashtbl.hash], taken once when
+   the kernel is enumerated, and the two sizes [kernel_value] reads. *)
+type kernel = { cubes : Sop.cube list; hash : int; lits : int; ncubes : int }
+
+module Ktbl_key = struct
+  type t = kernel
+
+  let equal a b = a.hash = b.hash && List.equal Sop.cube_equal a.cubes b.cubes
+  let hash k = k.hash
+end
+
+module Ktbl = Hashtbl.Make (Ktbl_key)
+
 type node = {
   kind : kind;
   mutable cover : Sop.cover;
@@ -35,7 +48,10 @@ type node = {
   (* Memo of [kernels] (below) with the cover it was computed from;
      valid while that cover is physically the current one (covers are
      replaced wholesale, never mutated in place). *)
-  mutable kernels : (Sop.cover * (Sop.cube list * Sop.cube) list) option;
+  mutable kernels : (Sop.cover * (kernel * Sop.cube) list) option;
+  (* Memo of [Sop.complement] of the cover, with the cover and the cube
+     bound it was computed from, on the same validity rule. *)
+  mutable compl : (Sop.cover * int * Sop.cover option) option;
   (* Valid while every input it records is physically unchanged. *)
   mutable elim : elim_memo option;
 }
@@ -61,6 +77,7 @@ let fresh kind =
     users = [];
     refs = 0;
     kernels = None;
+    compl = None;
     elim = None;
   }
 
@@ -204,21 +221,35 @@ let is_output t id = (node t id).is_output
 let fanouts t id =
   List.filter (fun m -> m <> id && t.nodes.(m).refs > 0) (node t id).users
 
+let complement nd ~max_cubes =
+  match nd.compl with
+  | Some (cv, mc, r) when cv == nd.cover && mc = max_cubes -> r
+  | Some _ | None ->
+    let r = Sop.complement ~max_cubes nd.cover in
+    nd.compl <- Some (nd.cover, max_cubes, r);
+    r
+
 (* Substitute node [n]'s cover into cover [cv]; None on cube-count
-   explosion or un-complementable negative occurrences. *)
-let substitute ~max_cubes cv n cover_n =
-  let pos = Sop.lit_of n false and neg = Sop.lit_of n true in
-  let has_pos = List.exists (fun c -> Array.exists (fun l -> l = pos) c) cv in
-  let has_neg = List.exists (fun c -> Array.exists (fun l -> l = neg) c) cv in
+   explosion or un-complementable negative occurrences. [compl_n ()]
+   is the complement of [n]'s cover, asked for only when [cv] holds
+   the negative literal. *)
+let substitute ~max_cubes cv n cover_n compl_n =
+  let pos = [| Sop.lit_of n false |] and neg = [| Sop.lit_of n true |] in
+  (* The quotients of [cv]'s cubes holding [n] and holding its
+     complement, and the other cubes, in any order: the result below
+     is a normalized set. *)
+  let q_pos, q_neg, rest =
+    List.fold_left
+      (fun (qp, qn, r) c ->
+        match Sop.cube_div c pos with
+        | Some q -> (q :: qp, qn, r)
+        | None -> (
+          match Sop.cube_div c neg with Some q -> (qp, q :: qn, r) | None -> (qp, qn, c :: r)))
+      ([], [], []) cv
+  in
+  let has_pos = q_pos <> [] and has_neg = q_neg <> [] in
   if (not has_pos) && not has_neg then Some cv
   else begin
-    let q_pos = Sop.divide_by_cube cv [| pos |] in
-    let q_neg = Sop.divide_by_cube cv [| neg |] in
-    let rest =
-      List.filter
-        (fun c -> not (Array.exists (fun l -> l = pos || l = neg) c))
-        cv
-    in
     (* Products stay unnormalized: absorption over the union keeps the
        same minimal cubes as absorbing each product first, and the
        bounded pass stops at the first cube past [max_cubes]. *)
@@ -228,7 +259,7 @@ let substitute ~max_cubes cv n cover_n =
     let neg_part =
       if not has_neg then Some []
       else
-        match Sop.complement ~max_cubes cover_n with
+        match compl_n () with
         | None -> None
         | Some compl_n -> Some (product q_neg compl_n)
     in
@@ -270,7 +301,7 @@ let eliminate_trial t n ~max_cubes =
           | [] -> Some (acc, delta - Sop.num_lits nd.cover)
           | m :: rest -> (
             let cv = cover t m in
-            match substitute ~max_cubes cv n nd.cover with
+            match substitute ~max_cubes cv n nd.cover (fun () -> complement nd ~max_cubes) with
             | None -> None
             | Some cv' -> go ((m, cv') :: acc) (delta + Sop.num_lits cv' - Sop.num_lits cv) rest)
         in
@@ -307,19 +338,71 @@ let eliminate t ~threshold ~max_cubes ?(only = fun _ -> true) () =
   done;
   !least_kept
 
+(* The reachable internal nodes [only] admits, in id order: [refs > 0]
+   is reachability, so this is the set the DFS of [internal_nodes]
+   would give, without the DFS. *)
+let reachable t only =
+  let acc = ref [] in
+  for id = t.n - 1 downto 0 do
+    let nd = t.nodes.(id) in
+    if nd.refs > 0 && (match nd.kind with Internal -> true | Pi _ -> false) && only id then
+      acc := id :: !acc
+  done;
+  !acc
+
+(* Extraction takes the best candidate in the order a generic
+   [Hashtbl] filled in DFS order would iterate: the best score first,
+   then the lowest bucket index ([Hashtbl.hash] of the key modulo the
+   final bucket count), then the latest first insertion (a bucket lists
+   its keys from the latest inserted). The table is filled in any order
+   and that order is reproduced: [final_buckets initial d] is the
+   bucket count of a table created at [initial] buckets once it holds
+   [d] keys (it doubles when it holds more than two keys per bucket). *)
+let final_buckets initial d =
+  let rec go size = if d > 2 * size then go (2 * size) else size in
+  go initial
+
+(* The candidates of the best score, then of the lowest bucket, offered
+   in any order. *)
+type 'a leaders = { mutable score : int; mutable bucket : int; mutable tied : 'a list }
+
+let leaders () = { score = min_int; bucket = max_int; tied = [] }
+
+let offer l ~score ~bucket x =
+  if score > l.score || (score = l.score && bucket < l.bucket) then begin
+    l.score <- score;
+    l.bucket <- bucket;
+    l.tied <- [ x ]
+  end
+  else if score = l.score && bucket = l.bucket then l.tied <- x :: l.tied
+
+(* [latest_first ties ~same ~walk] is the candidate of [ties] (of one
+   score and one bucket) whose key is first inserted last: [walk f]
+   calls [f] on the keys in DFS insertion order, and [f] ends the walk
+   once one candidate is left unseen. *)
+let latest_first ties ~same ~walk =
+  match ties with
+  | [ x ] -> x
+  | _ ->
+    let unseen = ref ties in
+    (try
+       walk (fun key ->
+           unseen := List.filter (fun x -> not (same x key)) !unseen;
+           if List.compare_length_with !unseen 1 <= 0 then raise_notrace Exit)
+     with Exit -> ());
+    List.hd !unseen
+
 (* Value of extracting kernel [k] given its occurrence list
    [(node, cokernel)]. *)
 let kernel_value k occs =
-  let lits_k = Sop.num_lits k in
-  let cubes_k = List.length k in
   let per_occ =
     List.fold_left
       (fun acc (_, cok) ->
         let lits_c = Array.length cok in
-        acc + ((cubes_k - 1) * lits_c) + lits_k - 1)
+        acc + ((k.ncubes - 1) * lits_c) + k.lits - 1)
       0 occs
   in
-  per_occ - lits_k
+  per_occ - k.lits
 
 (* The kernels extraction can use: [Sop.kernels_bounded ~limit:30]
    restricted to multi-cube kernels, in canonical form. *)
@@ -332,7 +415,15 @@ let kernels t n =
       if List.length nd.cover < 2 then []
       else
         List.filter_map
-          (fun (k, cok) -> if List.length k >= 2 then Some (Sop.canonical k, cok) else None)
+          (fun (k, cok) ->
+            match k with
+            | [] | [ _ ] -> None
+            | _ ->
+              let cubes = Sop.canonical k in
+              Some
+                ( { cubes; hash = Hashtbl.hash cubes; lits = Sop.num_lits cubes;
+                    ncubes = List.length cubes },
+                  cok ))
           (Sop.kernels_bounded ~limit:30 nd.cover)
     in
     nd.kernels <- Some (nd.cover, ks);
@@ -345,31 +436,40 @@ let extract_kernels t ?(only = fun _ -> true) ~max_passes () =
   while !continue_ && !pass < max_passes do
     incr pass;
     continue_ := false;
-    let table : (Sop.cube list, (node_id * Sop.cube) list) Hashtbl.t = Hashtbl.create 64 in
-    let nodes = List.filter only (internal_nodes t) in
+    let table : (node_id * Sop.cube) list ref Ktbl.t = Ktbl.create 64 in
     List.iter
       (fun n ->
         List.iter
           (fun (key, cok) ->
-            let prev = Option.value ~default:[] (Hashtbl.find_opt table key) in
-            Hashtbl.replace table key ((n, cok) :: prev))
+            match Ktbl.find_opt table key with
+            | Some occs -> occs := (n, cok) :: !occs
+            | None -> Ktbl.add table key (ref [ (n, cok) ]))
           (kernels t n))
-      nodes;
-    (* Pick the best-value kernel. *)
-    let best = ref None in
-    Hashtbl.iter
+      (reachable t only);
+    (* The best-value kernel, in the order of a generic table created at
+       64 buckets. *)
+    let mask = final_buckets 64 (Ktbl.length table) - 1 in
+    let best = leaders () in
+    Ktbl.iter
       (fun k occs ->
-        let v = kernel_value k occs in
-        match !best with
-        | Some (bv, _, _) when bv >= v -> ()
-        | Some _ | None -> if v > 0 then best := Some (v, k, occs))
+        let v = kernel_value k !occs in
+        if v > 0 then offer best ~score:v ~bucket:(k.hash land mask) (k, !occs))
       table;
-    match !best with
-    | None -> ()
-    | Some (_, k, occs) ->
+    match best.tied with
+    | [] -> ()
+    | ties ->
+      let k, occs =
+        latest_first ties
+          ~same:(fun (k, _) key -> Ktbl_key.equal k key)
+          ~walk:(fun f ->
+            List.iter
+              (fun n -> if only n then List.iter (fun (key, _) -> f key) (kernels t n))
+              (internal_nodes t))
+      in
+      let k = k.cubes in
       let y = alloc t Internal k in
       let y_lit = Sop.lit_of y false in
-      let touched = List.sort_uniq Stdlib.compare (List.map fst occs) in
+      let touched = List.sort_uniq Int.compare (List.map fst occs) in
       let applied = ref false in
       List.iter
         (fun n ->
@@ -395,6 +495,34 @@ let extract_kernels t ?(only = fun _ -> true) ~max_passes () =
   done;
   !created
 
+(* Literal pairs [(l1, l2)], [l1 < l2], packed into one int (literals
+   stay below 2^31), under a multiplicative hash. *)
+module Pairtbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal (a : t) b = a = b
+
+  let hash (p : t) =
+    let h = p * 0x9E3779B97F4A7C1 in
+    h lxor (h lsr 29)
+end)
+
+let pair l1 l2 = (l1 lsl 31) lor l2
+let pair_lits p = (p lsr 31, p land 0x7fffffff)
+
+(* Calls [f] on the packed literal pairs of [cover]'s cubes, in cover
+   order. *)
+let iter_pairs f cover =
+  List.iter
+    (fun c ->
+      let len = Array.length c in
+      for i = 0 to len - 1 do
+        for j = i + 1 to len - 1 do
+          f (pair c.(i) c.(j))
+        done
+      done)
+    cover
+
 let extract_cubes t ?(only = fun _ -> true) ~max_passes () =
   let created = ref 0 in
   let continue_ = ref true in
@@ -402,51 +530,60 @@ let extract_cubes t ?(only = fun _ -> true) ~max_passes () =
   while !continue_ && !pass < max_passes do
     incr pass;
     continue_ := false;
-    let counts : (int * int, int) Hashtbl.t = Hashtbl.create 256 in
-    let nodes = List.filter only (internal_nodes t) in
+    let counts : int ref Pairtbl.t = Pairtbl.create 256 in
+    let nodes = reachable t only in
     List.iter
       (fun n ->
-        List.iter
-          (fun c ->
-            let len = Array.length c in
-            for i = 0 to len - 1 do
-              for j = i + 1 to len - 1 do
-                let key = (c.(i), c.(j)) in
-                Hashtbl.replace counts key
-                  (1 + Option.value ~default:0 (Hashtbl.find_opt counts key))
-              done
-            done)
+        iter_pairs
+          (fun key ->
+            match Pairtbl.find_opt counts key with
+            | Some cnt -> incr cnt
+            | None -> Pairtbl.add counts key (ref 1))
           (cover t n))
       nodes;
-    let best = ref None in
-    Hashtbl.iter
+    (* The most shared pair, in the order of a generic table keyed by
+       the pair [(l1, l2)] and created at 256 buckets. *)
+    let mask = final_buckets 256 (Pairtbl.length counts) - 1 in
+    let best = leaders () in
+    Pairtbl.iter
       (fun key cnt ->
-        match !best with
-        | Some (bc, _) when bc >= cnt -> ()
-        | Some _ | None -> if cnt > 2 then best := Some (cnt, key))
+        (* Only a pair that can lead pays for its generic hash. *)
+        if !cnt > 2 && !cnt >= best.score then
+          offer best ~score:!cnt ~bucket:(Hashtbl.hash (pair_lits key) land mask) key)
       counts;
-    match !best with
-    | None -> ()
-    | Some (_, (l1, l2)) ->
+    match best.tied with
+    | [] -> ()
+    | ties ->
+      let l1, l2 =
+        pair_lits
+          (latest_first ties ~same:Int.equal ~walk:(fun f ->
+               List.iter (fun n -> if only n then iter_pairs f (cover t n)) (internal_nodes t)))
+      in
       let y = alloc t Internal [ Sop.cube_of_list [ l1; l2 ] ] in
       let y_lit = Sop.lit_of y false in
+      let has l c = Array.exists (fun x -> x = l) c in
+      let has_pair c = has l1 c && has l2 c in
+      (* Every cover here is in [Sop.normalize] form (DESIGN.md §17),
+         so a cover with no cube holding the pair would normalize to
+         itself: only the covers holding it are rewritten. *)
       List.iter
         (fun n ->
           let cv = cover t n in
-          let replaced =
-            List.map
-              (fun c ->
-                if Array.exists (fun l -> l = l1) c && Array.exists (fun l -> l = l2) c
-                then
-                  Array.to_list c
-                  |> List.filter (fun l -> l <> l1 && l <> l2)
-                  |> List.cons y_lit
-                  |> Sop.cube_of_list
-                else c)
-              cv
-          in
-          let cv' = Sop.normalize replaced in
-          if cv' <> cv then replace_cover t n cv')
+          if List.exists has_pair cv then begin
+            let replaced =
+              List.map
+                (fun c ->
+                  if has_pair c then
+                    Array.to_list c
+                    |> List.filter (fun l -> l <> l1 && l <> l2)
+                    |> List.cons y_lit
+                    |> Sop.cube_of_list
+                  else c)
+                cv
+            in
+            let cv' = Sop.normalize replaced in
+            if cv' <> cv then replace_cover t n cv'
+          end)
         nodes;
       incr created;
       continue_ := true
@@ -549,6 +686,40 @@ let mark t = t.n
 let set_cover = replace_cover
 
 let revive t n = (node t n).alive <- true
+
+type trial = {
+  tr_mark : int;
+  tr_nodes : (node_id * Sop.cover * bool) list;
+  tr_created : (Sop.cover * bool) array; (* ids [tr_mark], [tr_mark + 1], ... *)
+}
+
+let record_trial t nodes ~mark =
+  let state id = let nd = node t id in (nd.cover, nd.alive) in
+  {
+    tr_mark = mark;
+    tr_nodes = List.map (fun id -> let cv, alive = state id in (id, cv, alive)) nodes;
+    tr_created = Array.init (t.n - mark) (fun i -> state (mark + i));
+  }
+
+(* The created nodes are all allocated before any cover is written,
+   since a created cover may name a later created node. They stay
+   unreachable until a listed cover names them, so writing their covers
+   only touches [users] lists. *)
+let replay_trial t r =
+  if t.n <> r.tr_mark then invalid_arg "Network.replay_trial: not at the trial's mark";
+  Array.iter (fun _ -> ignore (alloc t Internal [])) r.tr_created;
+  Array.iteri
+    (fun i (cv, alive) ->
+      let id = r.tr_mark + i in
+      t.nodes.(id).alive <- alive;
+      replace_cover t id cv)
+    r.tr_created;
+  List.iter
+    (fun (id, cv, alive) ->
+      let nd = node t id in
+      nd.alive <- alive;
+      replace_cover t id cv)
+    r.tr_nodes
 
 (* Ids from [m] on are handed out again, so no cover may still name
    one: a reachable node or an output would hold [refs > 0], and a

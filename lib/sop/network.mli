@@ -64,12 +64,14 @@ val eliminate : t -> threshold:int -> max_cubes:int -> ?only:(node_id -> bool) -
 
 (** [extract_kernels t ?only ~max_passes ()] greedily extracts the
     best-value kernel as a new node until no kernel saves literals, at
-    most [max_passes] times. Returns the number of new nodes. *)
+    most [max_passes] times. Among kernels of equal value it takes the
+    first a generic [Hashtbl] filled in [internal_nodes] order would
+    iterate. Returns the number of new nodes. *)
 val extract_kernels : t -> ?only:(node_id -> bool) -> max_passes:int -> unit -> int
 
 (** [extract_cubes t ?only ~max_passes ()] greedily extracts the best
-    common sub-cube (two literals) shared across cubes. Returns the
-    number of new nodes. *)
+    common sub-cube (two literals) shared across cubes, with the same
+    tie-break as [extract_kernels]. Returns the number of new nodes. *)
 val extract_cubes : t -> ?only:(node_id -> bool) -> max_passes:int -> unit -> int
 
 (** {1 Snapshot support}
@@ -82,7 +84,10 @@ val extract_cubes : t -> ?only:(node_id -> bool) -> max_passes:int -> unit -> in
     next allocation gets. *)
 val mark : t -> int
 
-(** [set_cover t n cover] overwrites node [n]'s cover. *)
+(** [set_cover t n cover] overwrites node [n]'s cover. [cover] must be
+    in {!Sop.normalize} form, as every cover the network writes itself
+    is (a rollback passes back covers read with {!cover}): extraction
+    relies on it. *)
 val set_cover : t -> node_id -> Sop.cover -> unit
 
 (** [revive t n] marks an eliminated node alive again (rollback). *)
@@ -96,6 +101,22 @@ val revive : t -> node_id -> unit
     [mark] is still referenced: reachable from the outputs
     ([refs > 0]) or named by the cover of a node below [mark]. *)
 val truncate : t -> int -> unit
+
+(** A trial's outcome: the covers and liveness of a node list and of
+    every node allocated from a mark on. *)
+type trial
+
+(** [record_trial t nodes ~mark] records [nodes]' covers and liveness
+    and the nodes from [mark] to the next allocation. *)
+val record_trial : t -> node_id list -> mark:int -> trial
+
+(** [replay_trial t r] brings the network back to [r]: it re-creates
+    [r]'s nodes from its mark on, in id order, with their covers and
+    liveness, then sets the listed nodes' covers and liveness. Raises
+    [Invalid_argument] unless the next allocation gets [r]'s mark (the
+    heterogeneous engine rolls a trial back, truncating to the mark,
+    then replays the best one). *)
+val replay_trial : t -> trial -> unit
 
 (** [check t] validates structural invariants (acyclicity, live
     references) and recomputes the fanout structure from scratch:

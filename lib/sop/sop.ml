@@ -41,11 +41,31 @@ let cube_contains a b =
   in
   go 0 0
 
+(* [a] without literal [l], or None when [l] is absent: one scan up
+   to [l], then two blits. *)
+let cube_remove a l =
+  let n = Array.length a in
+  let rec find i =
+    if i = n then -1
+    else
+      let x = Array.unsafe_get a i in
+      if x = l then i else if x > l then -1 else find (i + 1)
+  in
+  let i = find 0 in
+  if i < 0 then None
+  else begin
+    let out = Array.make (n - 1) 0 in
+    Array.blit a 0 out 0 i;
+    Array.blit a (i + 1) out i (n - 1 - i);
+    Some out
+  end
+
 (* Literal arrays are sorted, so division and intersection are linear
    merges (the quadratic membership filters dominated kernel
    extraction). *)
 let cube_div a b =
-  if not (cube_contains a b) then None
+  if Array.length b = 1 then cube_remove a b.(0)
+  else if not (cube_contains a b) then None
   else begin
     let la = Array.length a and lb = Array.length b in
     let out = Array.make (la - lb) 0 in
@@ -71,7 +91,12 @@ let cube_inter a b =
 
 let common_cube = function
   | [] -> [||]
-  | first :: rest -> List.fold_left cube_inter first rest
+  | first :: rest ->
+    let rec go acc = function
+      | [] -> acc
+      | c :: rest -> if Array.length acc = 0 then acc else go (cube_inter acc c) rest
+    in
+    go first rest
 
 (* Cube comparison/equality are hand-rolled int-array loops: kernel
    extraction and cover normalization sort and dedupe cube lists
@@ -96,27 +121,43 @@ let cube_compare (a : cube) (b : cube) =
     go 0
   end
 
+(* A 62-bit literal set: [cube_sig d land lnot (cube_sig c) <> 0]
+   proves that [d]'s literals are not all in [c] without the merge
+   scan. *)
+let cube_sig c =
+  let s = ref 0 in
+  for i = 0 to Array.length c - 1 do
+    s := !s lor (1 lsl (Array.unsafe_get c i mod 62))
+  done;
+  !s
+
 (* Absorption: cube [c] is redundant when some other cube's literals
    are a subset of [c]'s. Such a cube is strictly shorter, and
    [cube_compare] orders by length first, so only the prefix of
-   shorter cubes of the sorted cover can absorb [c]. *)
-let rec absorbed c = function
-  | [] -> false
-  | d :: rest ->
-    Array.length d < Array.length c && (cube_contains c d || absorbed c rest)
-
-(* Survivors are final as soon as they are found, so the count can
-   stop at the first survivor past the bound. *)
+   shorter cubes of the sorted cover can absorb [c]. Survivors are
+   final as soon as they are found, so the count can stop at the first
+   survivor past the bound. *)
 let normalize_bounded ~max_cubes cover =
-  let sorted = List.sort_uniq cube_compare cover in
-  let rec keep n acc = function
-    | [] -> Some (List.rev acc)
-    | c :: rest ->
-      if absorbed c sorted then keep n acc rest
-      else if n = max_cubes then None
-      else keep (n + 1) (c :: acc) rest
+  let sorted = Array.of_list (List.sort_uniq cube_compare cover) in
+  let n = Array.length sorted in
+  let sigs = Array.map cube_sig sorted in
+  let absorbed i =
+    let c = sorted.(i) and s = sigs.(i) in
+    let len = Array.length c in
+    let rec go j =
+      let d = sorted.(j) in
+      Array.length d < len
+      && ((sigs.(j) land lnot s = 0 && cube_contains c d) || go (j + 1))
+    in
+    go 0
   in
-  keep 0 [] sorted
+  let rec keep i k acc =
+    if i = n then Some (List.rev acc)
+    else if absorbed i then keep (i + 1) k acc
+    else if k = max_cubes then None
+    else keep (i + 1) (k + 1) (sorted.(i) :: acc)
+  in
+  keep 0 0 []
 
 let normalize cover = Option.get (normalize_bounded ~max_cubes:max_int cover)
 
@@ -159,63 +200,91 @@ let mul a b = List.concat_map (fun ca -> List.filter_map (fun cb -> cube_mul ca 
 
 let is_cube_free cover = Array.length (common_cube cover) = 0 && cover <> []
 
-(* Each literal of [cover] with the number of cubes holding it, in
-   increasing literal order: one sort and one run-length pass per
-   recursion level of [kernels_bounded], where a scan of the cover per
-   literal would be quadratic in the cover size. *)
-let literal_counts cover =
-  let lits = Array.concat cover in
-  Array.sort Int.compare lits;
-  let rec runs i acc =
-    if i < 0 then acc
-    else begin
-      let l = lits.(i) in
+(* The literals of [cover] from [min_lit] on, sorted, in the first [n]
+   slots of the returned buffer: one pass and one sort per recursion
+   level of [kernels_bounded], where a scan of the cover per literal
+   would be quadratic in the cover size. A run of equal literals is
+   that literal's number of cubes. Most covers hold a few dozen
+   literals, which an insertion sort orders fastest. *)
+let sorted_lits cover min_lit =
+  let buf = Array.make (List.fold_left (fun acc c -> acc + Array.length c) 0 cover) 0 in
+  let n = ref 0 in
+  List.iter
+    (fun c ->
+      for i = 0 to Array.length c - 1 do
+        let l = Array.unsafe_get c i in
+        if l >= min_lit then begin
+          buf.(!n) <- l;
+          incr n
+        end
+      done)
+    cover;
+  let n = !n in
+  if n <= 64 then
+    for i = 1 to n - 1 do
+      let l = buf.(i) in
       let j = ref i in
-      while !j > 0 && lits.(!j - 1) = l do
+      while !j > 0 && buf.(!j - 1) > l do
+        buf.(!j) <- buf.(!j - 1);
         decr j
       done;
-      runs (!j - 1) ((l, i - !j + 1) :: acc)
-    end
-  in
-  runs (Array.length lits - 1) []
+      buf.(!j) <- l
+    done
+  else begin
+    let a = Array.sub buf 0 n in
+    Array.stable_sort Int.compare a;
+    Array.blit a 0 buf 0 n
+  end;
+  (buf, n)
 
+(* The enumeration ends at the [limit]-th kernel: every later one
+   would be dropped, and so would the cover itself. *)
 let kernels_bounded ~limit cover =
+  let exception Full in
   let results = ref [] in
   let count = ref 0 in
   let add kernel cokernel =
-    if !count < limit then begin
-      incr count;
-      results := (kernel, cokernel) :: !results
-    end
+    results := (kernel, cokernel) :: !results;
+    incr count;
+    if !count >= limit then raise_notrace Full
   in
+  (* [kernel1] divides by each literal from [min_lit] on that two cubes
+     or more hold, in increasing order. *)
   let rec kernel1 cover min_lit cokernel =
-    if !count >= limit then ()
-    else
-      List.iter
-        (fun (l, occurrences) ->
-          if l >= min_lit && occurrences >= 2 then begin
-            let d = divide_by_cube cover [| l |] in
-            let c = common_cube d in
-            (* Skip if the common cube holds a literal below l: that
-               kernel is found elsewhere. *)
-            if not (Array.exists (fun x -> x < l) c) then begin
-              let k = divide_by_cube d c in
-              let cok =
-                match cube_mul (Array.append [| l |] c |> Array.to_list |> cube_of_list) cokernel with
-                | Some x -> x
-                | None -> cokernel
-              in
-              add k cok;
-              kernel1 k (l + 1) cok
-            end
-          end)
-        (literal_counts cover)
+    let lits, n = sorted_lits cover min_lit in
+    let i = ref 0 in
+    while !i < n do
+      let l = lits.(!i) in
+      let j = ref (!i + 1) in
+      while !j < n && lits.(!j) = l do
+        incr j
+      done;
+      if !j - !i >= 2 then begin
+        let d = divide_by_cube cover [| l |] in
+        let c = common_cube d in
+        (* Skip if the common cube holds a literal below l: that
+           kernel is found elsewhere. Otherwise [c]'s literals all
+           exceed [l], so [l] followed by [c] is the sorted cube. *)
+        if Array.length c = 0 || c.(0) > l then begin
+          let k, lc =
+            if Array.length c = 0 then (d, [| l |])
+            else (divide_by_cube d c, Array.append [| l |] c)
+          in
+          let cok = match cube_mul lc cokernel with Some x -> x | None -> cokernel in
+          add k cok;
+          kernel1 k (l + 1) cok
+        end
+      end;
+      i := !j
+    done
   in
-  kernel1 cover 0 [||];
-  if is_cube_free cover then add cover [||];
+  if limit > 0 then begin
+    try
+      kernel1 cover 0 [||];
+      if is_cube_free cover then add cover [||]
+    with Full -> ()
+  end;
   !results
-
-let kernels cover = kernels_bounded ~limit:max_int cover
 
 let cofactor cover l =
   let nl = lit_compl l in

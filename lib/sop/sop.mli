@@ -35,6 +35,9 @@ val cube_mul : cube -> cube -> cube option
     (so cube [a] implies cube [b]). *)
 val cube_contains : cube -> cube -> bool
 
+(** [cube_equal a b] is structural equality of cubes. *)
+val cube_equal : cube -> cube -> bool
+
 (** [cube_div a b] removes [b]'s literals from [a]; [None] if [b] is
     not contained in [a]. *)
 val cube_div : cube -> cube -> cube option
@@ -80,13 +83,11 @@ val mul : cover -> cover -> cover
     cubes. *)
 val is_cube_free : cover -> bool
 
-(** [kernels cover] enumerates the kernels of the cover together with
-    one co-kernel each. The cover itself is included (with the empty
-    co-kernel) when cube-free. Level-0 kernels have no kernels other
-    than themselves. *)
-val kernels : cover -> (cover * cube) list
-
-(** [kernels_bounded ~limit cover] stops after [limit] kernels. *)
+(** [kernels_bounded ~limit cover] enumerates the kernels of the cover
+    together with one co-kernel each, most recently found first, and
+    stops at the [limit]-th. The cover itself is included (with the
+    empty co-kernel) when cube-free. Level-0 kernels have no kernels
+    other than themselves. *)
 val kernels_bounded : limit:int -> cover -> (cover * cube) list
 
 (** [complement ~max_cubes cover] computes a cover of the Boolean

@@ -308,6 +308,48 @@ let test_kernel_pinned_perf () =
       ("sin", (fun () -> Epfl.generate ~scale:0.25 Epfl.Sin), 0xff9b2b6d71afb208L, 0x9fb27c213e9a16b0L);
     ]
 
+(* Pinned exactness of the homogeneous engine, which runs elimination,
+   kernel and cube extraction over the whole network (no [only]
+   filter): fold hashes after the baseline script at thresholds -1, 5
+   and 50, recorded before kernel and cube extraction stopped walking
+   the network in DFS order for every pass. *)
+let test_homogeneous_pinned_perf () =
+  let module HK = Sbm_core.Hetero_kernel in
+  let module Epfl = Sbm_epfl.Epfl in
+  let control seed () = Epfl.random_control ~seed ~inputs:105 ~outputs:105 ~gates:700 in
+  List.iter
+    (fun (name, gen, want) ->
+      let aig = Sbm_core.Flow.baseline (gen ()) in
+      List.iter2
+        (fun threshold want ->
+          Alcotest.(check int64)
+            (Printf.sprintf "%s, threshold %d" name threshold)
+            want
+            (Aig.fold_hash (HK.run_homogeneous ~threshold aig)))
+        [ -1; 5; 50 ] want)
+    [
+      ( "cavlc", (fun () -> Epfl.generate Epfl.Cavlc),
+        [ 0xa7c74f2d993bec1dL; 0x35b0c89402b30323L; 0x339311ef3f19284cL ] );
+      ( "ctrl", (fun () -> Epfl.generate Epfl.Ctrl),
+        [ 0x520c4c0a63f6a767L; 0xfbc68dfbe2ed9a8bL; 0x9ecc7b3470b20709L ] );
+      ( "dec", (fun () -> Epfl.generate Epfl.Dec),
+        [ 0x8d3f7eecf5ba578cL; 0x929ed86d3879dbfdL; 0x97e81b82eec45f39L ] );
+      ( "int2float", (fun () -> Epfl.generate Epfl.Int2float),
+        [ 0x62c803519bb3927aL; 0x24b42d0720970932L; 0x606bfe0f7c5940c6L ] );
+      ( "router", (fun () -> Epfl.generate Epfl.Router),
+        [ 0xcc17ccbca841331dL; 0x7c4a9bbf6f3fced6L; 0x9613455256f9e76L ] );
+      ( "control-3e3e", control 0x3E3E,
+        [ 0x16c046d9a919e6c3L; 0x662653269cca10a1L; 0x364c04ea95f428daL ] );
+      ( "control-3e3f", control 0x3E3F,
+        [ 0x28316712a9e7b6c7L; 0x70b066333473e9b7L; 0x36037911e37dd28fL ] );
+      ( "div", (fun () -> Epfl.generate ~scale:0.09375 Epfl.Div),
+        [ 0xd175e0cc54f3dac4L; 0x2302d6fa4f9e3cd9L; 0xb09a239418d6294bL ] );
+      ( "sqrt", (fun () -> Epfl.generate ~scale:0.0625 Epfl.Sqrt),
+        [ 0xe03dbe247bd4b630L; 0x5b66b9ed8c3eed89L; 0xc8af04b81e4beb86L ] );
+      ( "sin", (fun () -> Epfl.generate ~scale:0.25 Epfl.Sin),
+        [ 0x11c893868eba7f90L; 0x997875c5de462b7L; 0x17daa03660f93ea1L ] );
+    ]
+
 let suite =
   [
     Alcotest.test_case "aig round-trip" `Quick test_roundtrip;
@@ -324,4 +366,6 @@ let suite =
       test_kernel_pinned;
     Alcotest.test_case "hetero-kernel pinned results on the bench/perf circuits" `Quick
       test_kernel_pinned_perf;
+    Alcotest.test_case "homogeneous engine pinned results on the bench/perf circuits" `Quick
+      test_homogeneous_pinned_perf;
   ]

@@ -107,6 +107,92 @@ let test_kernel_division =
           end)
         (Sop.kernels_bounded ~limit:20 f))
 
+(* [kernels_bounded] as it was before the enumeration stopped at its
+   limit and skipped the empty common cube, with the cube division and
+   the common cube of that time: the sequence the faster enumeration
+   must reproduce, order included. *)
+let reference_kernels_bounded ~limit cover =
+  let mem l c = Array.exists (fun x -> x = l) c in
+  let divide_by_cube cover c =
+    List.filter_map
+      (fun cb ->
+        if Array.for_all (fun l -> mem l cb) c then
+          Some (Array.of_list (List.filter (fun l -> not (mem l c)) (Array.to_list cb)))
+        else None)
+      cover
+  in
+  let common_cube = function
+    | [] -> [||]
+    | first :: rest ->
+      List.fold_left
+        (fun acc c -> Array.of_list (List.filter (fun l -> mem l c) (Array.to_list acc)))
+        first rest
+  in
+  let literal_counts cover =
+    let lits = Array.concat cover in
+    Array.sort Int.compare lits;
+    let rec runs i acc =
+      if i < 0 then acc
+      else begin
+        let l = lits.(i) in
+        let j = ref i in
+        while !j > 0 && lits.(!j - 1) = l do
+          decr j
+        done;
+        runs (!j - 1) ((l, i - !j + 1) :: acc)
+      end
+    in
+    runs (Array.length lits - 1) []
+  in
+  let results = ref [] in
+  let count = ref 0 in
+  let add kernel cokernel =
+    if !count < limit then begin
+      incr count;
+      results := (kernel, cokernel) :: !results
+    end
+  in
+  let rec kernel1 cover min_lit cokernel =
+    if !count >= limit then ()
+    else
+      List.iter
+        (fun (l, occurrences) ->
+          if l >= min_lit && occurrences >= 2 then begin
+            let d = divide_by_cube cover [| l |] in
+            let c = common_cube d in
+            if not (Array.exists (fun x -> x < l) c) then begin
+              let k = divide_by_cube d c in
+              let cok =
+                match Sop.cube_mul (Sop.cube_of_list (l :: Array.to_list c)) cokernel with
+                | Some x -> x
+                | None -> cokernel
+              in
+              add k cok;
+              kernel1 k (l + 1) cok
+            end
+          end)
+        (literal_counts cover)
+  in
+  kernel1 cover 0 [||];
+  if Array.length (common_cube cover) = 0 && cover <> [] then add cover [||];
+  !results
+
+(* Covers with enough shared literals to hold dozens of kernels. *)
+let gen_kernel_cover =
+  QCheck2.Gen.(
+    let* seed = int_bound 1_000_000 in
+    let* nvars = int_range 3 10 in
+    let* ncubes = int_range 1 24 in
+    let rng = Rng.create seed in
+    return (random_cover rng nvars ncubes 5))
+
+let test_kernels_bounded_reference =
+  Helpers.qcheck_case ~count:200 "kernels_bounded: the reference list, in order, at every limit"
+    gen_kernel_cover (fun f ->
+      List.for_all
+        (fun limit -> Sop.kernels_bounded ~limit f = reference_kernels_bounded ~limit f)
+        [ 1; 2; 5; 30; 1000 ])
+
 let test_complement =
   Helpers.qcheck_case "complement is exact" gen_cover (fun (f, n) ->
       match Sop.complement ~max_cubes:2000 f with
@@ -160,7 +246,7 @@ let test_textbook_kernels () =
       Sop.cube_of_list [ g ];
     ]
   in
-  let kernels = Sop.kernels cover |> List.map fst in
+  let kernels = Sop.kernels_bounded ~limit:max_int cover |> List.map fst in
   let has k = List.exists (fun k' -> Sop.canonical k' = Sop.canonical k) kernels in
   let de = [ Sop.cube_of_list [ d ]; Sop.cube_of_list [ e ] ] in
   let abc = [ Sop.cube_of_list [ a ]; Sop.cube_of_list [ b ]; Sop.cube_of_list [ c ] ] in
@@ -175,6 +261,7 @@ let suite =
     test_divide_by_cube;
     test_kernels_are_cube_free;
     test_kernel_division;
+    test_kernels_bounded_reference;
     test_complement;
     test_cofactor;
     Alcotest.test_case "common cube" `Quick test_common_cube;
