@@ -92,12 +92,13 @@ let logs_arg =
 
 let jobs_arg =
   let env =
-    Cmd.Env.info "SBM_JOBS" ~doc:"Default worker count (same as $(b,--jobs))."
+    Cmd.Env.info "SBM_JOBS" ~doc:"Default job count (same as $(b,--jobs))."
   in
   let doc =
-    "Worker domains for partition-parallel analysis. 1 (the default) runs \
-     the exact sequential path; any value produces bit-identical QoR, \
-     counters and attribution."
+    "Job count, at least 1 (default 1). It is recorded in $(b,sbm history) \
+     and changes nothing else: every pass runs its partitions one after \
+     another, so output, counters and attribution are the same at any \
+     value."
   in
   Arg.(value & opt (some (at_least 1)) None
        & info [ "j"; "jobs" ] ~env ~docv:"N" ~doc)

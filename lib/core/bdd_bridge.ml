@@ -25,9 +25,8 @@ let m_limit_bails =
   M.counter ~engine:"bdd" ~unit_:"bails" "bdd.limit_bails"
     "BDD node-budget bail-outs (partition keeps a partial table)"
 
-(* Occupancy gauges, raised via [set_max] so concurrent flushes and
-   the per-pass ledger (which drains them at pass boundaries) never
-   depend on write order. *)
+(* Occupancy gauges, raised via [set_max]: each holds the maximum over
+   the partitions flushed since the per-pass ledger last drained it. *)
 let m_unique_load_pct =
   M.gauge ~engine:"bdd" ~unit_:"pct" "bdd.unique_load_pct"
     "max open-addressing unique-table load factor since the last pass \
@@ -61,10 +60,7 @@ let bump_limit_bail t =
           ("members", Array.length t.order) ]
       "node-budget bail-out"
 
-type summary = { stats : Bdd.stats; bails : int; members : int }
-
-let summary t =
-  { stats = Bdd.stats t.man; bails = t.bails; members = Array.length t.order }
+let bails t = t.bails
 
 (* Integer percentage, 100 when there was no traffic at all. *)
 let hit_pct hits misses =
@@ -76,12 +72,9 @@ let hit_pct hits misses =
    hit-rate collapse under real traffic — the canonical sign of a
    partition whose BDDs blew past locality — also lands in the record
    stream, with this flush's ratios. *)
-let flush_stats ?(engine = "bdd") s =
-  let bs = s.stats in
-  (* The ledger consumes the load gauges through the registry alone.
-     flush_stats runs on the main domain in ascending partition order
-     in every execution path, so the maxima are job-count
-     independent. *)
+let flush_stats ?(engine = "bdd") t =
+  let bs = Bdd.stats t.man in
+  (* The ledger consumes the load gauges through the registry alone. *)
   M.set_max m_unique_load_pct
     (100 * (bs.Bdd.nodes - 2) / bs.Bdd.unique_capacity);
   M.set_max m_cache_load_pct (100 * bs.Bdd.cache_occupied / bs.Bdd.cache_slots);
@@ -90,7 +83,7 @@ let flush_stats ?(engine = "bdd") s =
   M.add m_unique_misses bs.Bdd.unique_misses;
   M.add m_cache_hits bs.Bdd.cache_hits;
   M.add m_cache_misses bs.Bdd.cache_misses;
-  M.add m_limit_bails s.bails;
+  M.add m_limit_bails t.bails;
   let cpct = hit_pct bs.Bdd.cache_hits bs.Bdd.cache_misses in
   if
     S.recorder_on ()

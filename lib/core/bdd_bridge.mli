@@ -62,19 +62,14 @@ val refresh : t -> unit
     note. *)
 val bump_limit_bail : t -> unit
 
-(** What a finished partition reports: its manager's counters, the
-    bail-outs observed through the context (its own catch sites plus
-    callers') and its live member count. A partition engine's analysis
-    returns this in place of the context, so a worker's result keeps
-    neither its snapshot nor its manager alive until the merge. *)
-type summary = { stats : Sbm_bdd.Bdd.stats; bails : int; members : int }
+(** [bails t] is the number of bail-outs observed through the context:
+    its own catch sites plus callers'. *)
+val bails : t -> int
 
-val summary : t -> summary
-
-(** [flush_stats ?engine s] flushes the manager's unique-table and
+(** [flush_stats ?engine t] flushes the manager's unique-table and
     computed-cache traffic into the registry — raw hit/miss counts and
     [bdd.limit_bails] — and reports a cache hit-rate collapse
     (< 20 % over ≥ 10k lookups) to the record stream. Engines call
     it once per partition. [engine] labels that note (default
     ["bdd"]). *)
-val flush_stats : ?engine:string -> summary -> unit
+val flush_stats : ?engine:string -> t -> unit

@@ -199,14 +199,10 @@ let pair_verdict pf ~saving f g =
     end
   end
 
-(* Analysis/commit loop of one partition. Mutates [aig] (candidate
-   cones, commits, traversal marks): parallel workers call this on a
-   private snapshot, the sequential path on the live AIG. The
-   partition's counts go to the registry from here, so a worker's
-   counts travel in its capture shard. Returns the summary of the
-   partition's BDD context (for the caller's stats flush), its
-   committed rewrites and their gain. *)
-let analyze aig config store part =
+(* One partition on the live AIG: the analysis/commit loop, then the
+   partition's counts, BDD statistics and trail record. Returns the
+   gain of its committed rewrites. *)
+let optimize_partition aig config store index part =
   let ctx = Bdd_bridge.build ~node_limit:config.bdd_node_limit aig part in
   let members = Bdd_bridge.members ctx in
   let supp = member_supports ctx in
@@ -272,17 +268,12 @@ let analyze aig config store part =
   M.add m_differences_built !built;
   M.add m_rewrites !rewrites;
   M.add m_gain !gain;
-  (Bdd_bridge.summary ctx, !rewrites, !gain)
-
-(* Main-domain bookkeeping for a finished partition, shared by the
-   sequential path and the parallel merge path (which runs it against
-   a worker's summary but the live [aig]). *)
-let finish_partition aig (s : Bdd_bridge.summary) ~index ~rewrites =
-  Bdd_bridge.flush_stats ~engine:"diff" s;
+  Bdd_bridge.flush_stats ~engine:"diff" ctx;
   Sbm_obs.partition_done ~engine:"diff" ~index
     ~structure:(fun () -> Aig.fold_hash aig)
-    [ ("members", s.members); ("bails", s.bails);
-      ("rewrites", rewrites) ]
+    [ ("members", Array.length (Bdd_bridge.members ctx));
+      ("bails", Bdd_bridge.bails ctx); ("rewrites", !rewrites) ];
+  !gain
 
 let optimize ?(config = default_config) aig =
   (* Difference implementations built from here on are this engine's
@@ -294,24 +285,9 @@ let optimize ?(config = default_config) aig =
   in
   let store = Option.map (fun bank -> Prefilter.attach bank aig) config.prefilter in
   M.add m_partitions (List.length parts);
-  (* A clean (zero-rewrite) worker analysis merges verbatim: its
-     counts were replayed from its shard, and its speculative
-     origin-created counts fold in here, exactly what the sequential
-     run would have produced. Anything else is redone on the live
-     AIG. *)
   let total = ref 0 in
-  Sbm_par.Sched.partitions parts
-    ~analyze:(fun _ part ->
-      Par_merge.on_snapshot aig store (fun snap wstore -> analyze snap config wstore part))
-    ~clean:(fun ((_, rewrites, _), _) -> rewrites = 0)
-    ~merge:(fun index _ ((summary, _, _), created) ->
-      Par_merge.merge_created aig created;
-      finish_partition aig summary ~index ~rewrites:0)
-    ~redo:(fun index part ->
-      let summary, rewrites, gain = analyze aig config store part in
-      total := !total + gain;
-      finish_partition aig summary ~index ~rewrites;
-      rewrites > 0);
+  Sbm_par.Sched.each parts (fun index part ->
+      total := !total + optimize_partition aig config store index part);
   !total
 
 let run ?config aig =

@@ -26,8 +26,7 @@ let m_arena_live_pct =
 
 (* Percentage of allocated node slots that are dead. [num_nodes] is
    all allocated slots, [topo] the live inputs + ANDs; both are
-   deterministic at any --jobs, so ledger rows built from this are
-   too. *)
+   deterministic, so ledger rows built from this are too. *)
 let dead_node_pct aig =
   let total = Aig.num_nodes aig in
   if total = 0 then 0

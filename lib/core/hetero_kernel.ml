@@ -148,11 +148,9 @@ let run ?(config = default_config) aig =
   let lits_before = Network.num_lits net in
   let parts = partitions_of net config.partition_size in
   M.add m_partitions (List.length parts);
-  (* Partitions run in index order on the live network at every job
-     count: a speculative copy per partition cost more than the second
-     domain won back (EXPERIMENTS.md, "Parallel only where it pays").
-     This engine operates on the SOP network, so the trail's structure
-     component is the network-side digest. *)
+  (* Partitions run in index order on the live network. This engine
+     operates on the SOP network, so the trail's structure component
+     is the network-side digest. *)
   Sbm_par.Sched.each parts (fun idx part ->
       let improved = optimize_partition net part in
       Sbm_obs.partition_done ~engine:"kernel" ~index:idx

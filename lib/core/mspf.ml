@@ -243,12 +243,10 @@ let substitute aig ~leaves ~members ~mspf ~connectable ~refresh ~commit =
     by_saving;
   (!subst, !gain)
 
-(* One partition in the BDD domain. Mutates [aig]: parallel workers
-   call this on a private snapshot, the sequential path on the live
-   AIG. The partition's counts go to the registry from here, so a
-   worker's counts travel in its capture shard. Returns the summary of
-   the partition's BDD context, its substitutions and their gain. *)
-let analyze aig config store part =
+(* One partition in the BDD domain, on the live AIG: the
+   substitutions, then the partition's counts, BDD statistics and
+   trail record. Returns the gain of its substitutions. *)
+let optimize_partition aig config store index part =
   let ctx = Bdd_bridge.build ~node_limit:config.bdd_node_limit aig part in
   let man = Bdd_bridge.man ctx in
   let computed = ref 0 and cands = ref 0 and consts = ref 0 in
@@ -274,16 +272,12 @@ let analyze aig config store part =
   M.add m_substitutions subst;
   M.add m_constant_collapses !consts;
   M.add m_gain gain;
-  (Bdd_bridge.summary ctx, subst, gain)
-
-(* Main-domain bookkeeping for a finished partition, shared by the
-   sequential path and the parallel merge path. *)
-let finish_partition aig (s : Bdd_bridge.summary) ~index ~substitutions =
-  Bdd_bridge.flush_stats ~engine:"mspf" s;
+  Bdd_bridge.flush_stats ~engine:"mspf" ctx;
   Sbm_obs.partition_done ~engine:"mspf" ~index
     ~structure:(fun () -> Aig.fold_hash aig)
-    [ ("members", s.members); ("bails", s.bails);
-      ("substitutions", substitutions) ]
+    [ ("members", Array.length (Bdd_bridge.members ctx));
+      ("bails", Bdd_bridge.bails ctx); ("substitutions", subst) ];
+  gain
 
 let optimize ?(config = default_config) aig =
   (* MSPF only substitutes existing literals, but candidate probing
@@ -294,21 +288,9 @@ let optimize ?(config = default_config) aig =
   let parts = Partition.compute aig config.limits in
   let store = Option.map (fun bank -> Prefilter.attach bank aig) config.prefilter in
   M.add m_partitions (List.length parts);
-  (* See Diff_resub: clean (zero-substitution) worker analyses merge
-     verbatim, the rest are redone on the live AIG. *)
   let total = ref 0 in
-  Sbm_par.Sched.partitions parts
-    ~analyze:(fun _ part ->
-      Par_merge.on_snapshot aig store (fun snap wstore -> analyze snap config wstore part))
-    ~clean:(fun ((_, substitutions, _), _) -> substitutions = 0)
-    ~merge:(fun index _ ((summary, _, _), created) ->
-      Par_merge.merge_created aig created;
-      finish_partition aig summary ~index ~substitutions:0)
-    ~redo:(fun index part ->
-      let summary, substitutions, gain = analyze aig config store part in
-      total := !total + gain;
-      finish_partition aig summary ~index ~substitutions;
-      substitutions > 0);
+  Sbm_par.Sched.each parts (fun index part ->
+      total := !total + optimize_partition aig config store index part);
   !total
 
 let run ?config aig =

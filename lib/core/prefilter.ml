@@ -141,14 +141,6 @@ let attach bank aig =
     nwords = Array.length patterns;
   }
 
-let fork t snapshot =
-  {
-    t with
-    aig = snapshot;
-    values = Array.map Array.copy t.values;
-    valid = Bytes.copy t.valid;
-  }
-
 let words t = t.nwords
 
 let grow t v =

@@ -18,9 +18,8 @@
     reject. [Maybe] promises nothing — survivors still go through the
     full BDD/SAT validation. Filtering is therefore a pure pruning of
     the candidate order: QoR is unchanged wherever the engine's
-    acceptance test is an equivalence check, and the jobs=N
-    determinism contract is preserved because verdicts depend only on
-    node {e functions}, never on evaluation order. *)
+    acceptance test is an equivalence check, and verdicts depend only
+    on node {e functions}, never on evaluation order. *)
 
 (** Verdict of a candidate query, coarsest reason first:
     [Reject_const] — the signatures differ and one side is constant
@@ -96,13 +95,6 @@ type t
     patterns and returns a store. *)
 val attach : bank -> Sbm_aig.Aig.t -> t
 
-(** [fork t snapshot] is a private store over [snapshot] (an
-    [Aig.copy] of [t]'s AIG, which preserves node ids), sharing the
-    immutable patterns but copying the mutable value state — worker
-    domains fork one store per partition snapshot, keeping the main
-    store untouched. *)
-val fork : t -> Sbm_aig.Aig.t -> t
-
 (** [words t] is the number of 64-pattern value words per node. *)
 val words : t -> int
 
@@ -148,8 +140,7 @@ val compatible_masked :
 (** [count verdict] bumps the verdict's registry counter:
     [prefilter.survivors] for [Maybe], [prefilter.rejected_const] or
     [prefilter.rejected_signature] for a rejection. The engines count
-    each verdict where they render it, inside a partition's analysis,
-    so a worker domain's verdicts travel in its capture shard. *)
+    each verdict where they render it. *)
 val count : verdict -> unit
 
 (** Registered handle for [prefilter.cex_refinements], bumped by the

@@ -1,8 +1,6 @@
 (* Per-pass resource ledger (contract in the .mli). The BDD load
-   gauges are written by [Bdd_bridge.flush_stats], which only runs in
-   [finish_partition] on the main domain in ascending partition order,
-   so their per-pass maxima are job-count independent like the rest of
-   the stable projection. *)
+   gauges are written by [Bdd_bridge.flush_stats], once per partition
+   in ascending partition order. *)
 
 type row = {
   path : string; (* slash-joined pass path, e.g. "iteration-1/mspf" *)
@@ -51,8 +49,7 @@ let drain_gauges () =
 (* --- JSON --- *)
 
 (* [stable] omits the resource samples that legitimately vary run to
-   run (wall, GC words, heap); everything else is covered by the
-   jobs-identity contract. *)
+   run (wall, GC words, heap). *)
 let buf_row ?(stable = false) b r =
   Buffer.add_string b
     (Printf.sprintf

@@ -4,10 +4,9 @@
     appends it to the trace ([Sbm_obs.ledger]), in completion order —
     QoR before/after, wall time, registry counter deltas, GC
     allocation, a peak-heap sample and the BDD/AIG occupancy gauges.
-    Rows are deterministic at any [--jobs] except for the
-    resource samples; [row_to_json ~stable:true] projects onto the
-    deterministic subset (the jobs-identity test compares that
-    projection byte-for-byte). *)
+    Rows are deterministic from run to run except for the resource
+    samples; [row_to_json ~stable:true] projects onto the
+    deterministic subset. *)
 
 type row = {
   path : string;  (** slash-joined pass path, e.g. ["iteration-1/mspf"] *)
@@ -43,8 +42,8 @@ val drain_gauges : unit -> int * int
 
 val row_to_json : ?stable:bool -> row -> string
 (** One row as a JSON object. [~stable:true] omits [wall_ns],
-    [minor_words], [major_words] and [heap_words] — the fields exempt
-    from the jobs-identity contract. *)
+    [minor_words], [major_words] and [heap_words] — the fields that
+    vary from run to run. *)
 
 val rows_to_json : ?stable:bool -> row list -> string
 (** A JSON array of rows. *)

@@ -74,32 +74,14 @@ let all () =
   Hashtbl.fold (fun _ m acc -> m :: acc) registry []
   |> List.sort (fun a b -> String.compare a.name b.name)
 
-(* --- the worker shard --- *)
-
-type shard = {
-  counts : (string, int ref) Hashtbl.t;
-  mutable deferred : (unit -> unit) list;
-}
-
-let shard : shard option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
-
 let add m n =
   if m.kind <> Counter then
     invalid_arg ("Sbm_obs.Metrics.add on non-counter " ^ m.name);
-  match Domain.DLS.get shard with
-  | Some s -> (
-    match Hashtbl.find_opt s.counts m.name with
-    | Some cell -> cell := !cell + n
-    | None -> Hashtbl.add s.counts m.name (ref n))
-  | None ->
-    ignore (Atomic.fetch_and_add m.cell n);
-    Atomic.incr m.bumps
+  ignore (Atomic.fetch_and_add m.cell n);
+  Atomic.incr m.bumps
 
 let incr m = add m 1
 
-(* Gauges are observational (never compared bit-exactly
-   across job counts), so they write straight to the shared cells even
-   from a worker domain. *)
 let set m v =
   if m.kind <> Gauge then
     invalid_arg ("Sbm_obs.Metrics.set on non-gauge " ^ m.name);

@@ -7,14 +7,8 @@
     [sbm metrics], so silent shadowing would hide drift.
 
     The registry is the only counter store: a span's counters are the
-    registry's {!activity} while it was open (see {!Sbm_obs}).
-
-    Counter bumps normally go straight to a process-global atomic cell
-    (all engine flush sites run on the main domain). Code running on a
-    worker domain runs under [Sbm_obs.capture], which redirects bumps
-    into a domain-local {!shard}; [Sbm_obs.replay] applies it on the
-    main domain in the partition driver's deterministic order, keeping
-    totals bit-identical at any job count. *)
+    registry's {!activity} while it was open (see {!Sbm_obs}). Every
+    counter bump goes straight to a process-global atomic cell. *)
 
 type kind = Counter | Gauge
 
@@ -51,8 +45,7 @@ val all : unit -> t list
 (** {1 Updates} *)
 
 val add : t -> int -> unit
-(** Counter only ([Invalid_argument] otherwise). Under a {!shard} the
-    increment lands in the shard, else in the global cell. *)
+(** Counter only ([Invalid_argument] otherwise). *)
 
 val incr : t -> unit
 val set : t -> int -> unit
@@ -84,20 +77,6 @@ val activity : snapshot -> snapshot -> (string * int * int) list
     counter bumped at least once between the two snapshots, sorted by
     name. A bump by 0 counts, so a span can report a counter it
     touched without moving it. *)
-
-(** {1 The worker shard} *)
-
-type shard = {
-  counts : (string, int ref) Hashtbl.t;  (** counter deltas by name *)
-  mutable deferred : (unit -> unit) list;
-      (** main-domain writes the worker could not make (stream
-          records), newest first *)
-}
-(** One worker domain's telemetry, installed by [Sbm_obs.capture] and
-    applied by [Sbm_obs.replay]; nothing else touches it. *)
-
-val shard : shard option Domain.DLS.key
-(** The calling domain's shard, [None] on the main domain. *)
 
 (** {1 Built-in process metrics} *)
 

@@ -55,24 +55,6 @@ let poll () =
   Watchdog.poll ();
   Status.poll ()
 
-(* --- worker shards --- *)
-
-let capture f =
-  let s = { Metrics.counts = Hashtbl.create 16; deferred = [] } in
-  let prev = Domain.DLS.get Metrics.shard in
-  Domain.DLS.set Metrics.shard (Some s);
-  Fun.protect
-    ~finally:(fun () -> Domain.DLS.set Metrics.shard prev)
-    (fun () -> (f (), s))
-
-(* Counter deltas first, then the deferred stream records, oldest
-   first. A name the registry no longer knows is skipped. *)
-let replay (s : Metrics.shard) =
-  Hashtbl.iter
-    (fun name n -> Option.iter (fun m -> Metrics.add m !n) (Metrics.find name))
-    s.counts;
-  List.iter (fun f -> f ()) (List.rev s.deferred)
-
 (* --- freezing --- *)
 
 (* The clock, GC state and registry a freeze reads. *)
@@ -200,8 +182,8 @@ let close_pass ~size ~depth ?(dead_node_pct = 0) ?structure
     Metrics.set Metrics.live_aig_nodes size;
     Metrics.set_max Metrics.peak_heap_words (Gc.quick_stat ()).Gc.heap_words;
     (* The pass-end record before the span freezes: its trail link's
-       counter bump lands in the pass's registry delta, consistently
-       at any --jobs, hence still deterministic. *)
+       counter bump lands in the pass's registry delta, so the delta
+       stays deterministic. *)
     let fingerprint =
       if not (Stream.on ()) then 0L
       else begin
@@ -243,8 +225,8 @@ let close_pass ~size ~depth ?(dead_node_pct = 0) ?structure
     poll ()
   | Noop | Span _ -> ()
 
-(* One finished partition of a partition engine, on the main domain in
-   ascending partition index (sequential and parallel paths alike). *)
+(* One finished partition of a partition engine, in ascending
+   partition index. *)
 let partition_done ~engine ~index ~structure metrics =
   if Stream.on () then
     Stream.append ~kind:Stream.Merge ~engine ~metrics ~structure

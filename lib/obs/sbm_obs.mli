@@ -91,23 +91,13 @@ val span : ?size:int -> ?depth:int -> span -> string -> span
     closing twice is a no-op (the first close wins). *)
 val close : ?size:int -> ?depth:int -> span -> unit
 
-(** {1 The main-domain poll and worker shards} *)
+(** {1 The main-domain poll} *)
 
 (** [poll ()] is the one poll of the in-flight layer: {!Watchdog.poll}
     (time rules, heartbeat), then {!Status.poll} (a sample if due). The
     engines call it at partition and round boundaries; every live span
     calls it at open and close. *)
 val poll : unit -> unit
-
-(** [capture f] runs [f] with a fresh shard installed on the calling
-    (worker) domain: its counter bumps and stream records land in the
-    shard. Returns [f]'s result and the shard. *)
-val capture : (unit -> 'a) -> 'a * Metrics.shard
-
-(** [replay shard] applies a shard on the main domain: its counter
-    deltas, then its stream records in recording order (fresh sequence
-    numbers, original timestamps). *)
-val replay : Metrics.shard -> unit
 
 (** {1 Pass spans and partition boundaries}
 

@@ -1,8 +1,6 @@
 (* The in-flight record stream (contract in the .mli). Records are
-   stored on the main domain only: pass boundaries run there by
-   construction, merge boundaries run there in ascending partition
-   index in both scheduler paths, and worker records wait in their
-   shard until [Sbm_obs.replay]. *)
+   stored on the main domain only: pass boundaries run there, and
+   merge boundaries run there in ascending partition index. *)
 
 module H = Sbm_util.Hash64
 
@@ -315,20 +313,13 @@ let push ?(structure = fun () -> 0L) (r : record) =
   end
 
 (* A record's time is kept to the microsecond its JSON holds, so it
-   reads back equal. A worker's record keeps its true time and waits in
-   the shard until [Sbm_obs.replay] pushes it, in an order the caller
-   chooses, not the scheduler. *)
+   reads back equal. *)
 let append ?(kind = Note) ?(severity = Info) ?(id = "") ?(metrics = [])
     ?structure ~engine message =
-  if recorder_on () || linked kind then begin
-    let r =
+  if recorder_on () || linked kind then
+    push ?structure
       { seq = -1; t_ns = Int64.mul 1000L (Int64.div (elapsed_ns ()) 1000L);
         kind; severity; engine; id; message; metrics; link = None }
-    in
-    match Domain.DLS.get Metrics.shard with
-    | Some s -> s.deferred <- (fun () -> push r) :: s.deferred
-    | None -> push ?structure r
-  end
 
 (* --- reading --- *)
 

@@ -14,10 +14,8 @@
     Off by default, it costs one branch per boundary: callers check
     {!on} (pass ends, merges) or {!recorder_on} (the records only the
     recorder keeps) before they build a record. A record no view keeps
-    takes no sequence number. On a worker domain under [Sbm_obs.capture],
-    {!append} defers the record to the shard and [Sbm_obs.replay]
-    pushes it on the main domain, in an order the scheduler cannot
-    perturb, so the trail is bit-identical at any [--jobs]. *)
+    takes no sequence number. Records are appended on the main domain
+    only. *)
 
 type severity = Debug | Info | Warn | Error
 

@@ -33,9 +33,7 @@ type state = {
 
 let armed : state option ref = ref None
 
-(* Atomic so worker domains can read it lock-free; only the main domain
-   ever writes (workers honour it at partition boundaries). *)
-let abort = Atomic.make false
+let abort = ref false
 
 (* When stderr is not a TTY (CI logs, redirects) the heartbeat fires
    once per pass-path change instead of once per interval, so a long
@@ -56,7 +54,7 @@ let fire st rule detail =
   let aborting = st.config.action = Abort in
   S.append ~kind:S.Verdict ~severity:(if aborting then S.Error else S.Warn)
     ~engine:"watchdog" ~id:rule detail;
-  if aborting then Atomic.set abort true
+  if aborting then abort := true
 
 (* The record rules: a pass end clears a pending abort, and a streak of
    bailing partitions or of zero-gain rounds grows on each bad record
@@ -75,7 +73,7 @@ let observe (r : S.record) =
     in
     let metric = List.assoc_opt (if r.kind = S.Merge then "bails" else "gain") in
     match (r.kind, metric r.metrics) with
-    | S.Pass, _ -> Atomic.set abort false
+    | S.Pass, _ -> abort := false
     | S.Merge, Some bails ->
       st.bail_streak <-
         streak st.bail_streak st.config.max_bail_streak (bails > 0)
@@ -96,15 +94,15 @@ let arm config =
     Some
       { config; bail_streak = 0; stall_streak = 0; heap_fired = false;
         last_beat_ns = 0L; last_beat_pass = ""; beats = 0 };
-  Atomic.set abort false;
+  abort := false;
   S.react := observe
 
 let disarm () =
   armed := None;
-  Atomic.set abort false;
+  abort := false;
   S.react := ignore
 
-let abort_requested () = Atomic.get abort
+let abort_requested () = !abort
 
 let ms_of_ns = Json.ms_of_ns
 

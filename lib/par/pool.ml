@@ -1,4 +1,4 @@
-(* Worker domains for partition-parallel analysis, scoped to one batch.
+(* Worker domains, scoped to one batch.
 
    [run] spawns its helper domains, lets them and the calling domain
    pull job indices from one atomic counter, and joins them before it

@@ -1,5 +1,5 @@
-(** Worker domains for partition-parallel analysis, scoped to one
-    batch.
+(** Worker domains scoped to one batch. No engine uses them;
+    bench/perf links {!global}.
 
     A pool is a job count. Each {!run} spawns at most [jobs - 1]
     helper domains (the calling domain works too) and joins them before
@@ -25,6 +25,5 @@ val create : jobs:int -> t
     backtrace) on the calling domain after the batch drains. *)
 val run : t -> int -> (int -> 'a) -> 'a array
 
-(** [global ()] is the pool of the partition engines, sized from
-    {!Jobs.get}. *)
+(** [global ()] is the pool sized from {!Jobs.get}. *)
 val global : unit -> t

@@ -83,13 +83,6 @@ let qcheck_case ?(count = 50) name gen prop =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~name ~count gen prop)
 
-(* Run [f] at job count [n], then restore the count it replaced (so a
-   suite run under SBM_JOBS keeps that count for the suites after). *)
-let with_jobs n f =
-  let prev = Sbm_par.Jobs.get () in
-  Sbm_par.Jobs.set n;
-  Fun.protect ~finally:(fun () -> Sbm_par.Jobs.set prev) f
-
 (* Run [f] under the root span of a fresh trace: [f]'s result and the
    trace's counter totals, the registry delta over the run. *)
 let with_totals f =

@@ -1,7 +1,7 @@
 (* Metrics registry, live telemetry and exporters: registration
-   semantics (duplicates are hard errors, kinds are enforced), the
-   worker shard's capture/replay, Metrics.add reaching span totals
-   through the registry, catalog coverage of a real flow run, the status-file
+   semantics (duplicates are hard errors, kinds are enforced),
+   Metrics.add reaching span totals through the registry, catalog
+   coverage of a real flow run, the status-file
    atomic-rename protocol under a concurrent reader and the samples a
    real flow run writes, the Chrome trace exporter's
    structural invariants, the DESIGN.md drift gate, inspect's
@@ -40,7 +40,6 @@ let replace_first hay needle by =
    at module initialization like real call sites. *)
 let c_basic = M.counter ~engine:"test" ~unit_:"widgets" "test.basic" "basic counter"
 let g_basic = M.gauge ~engine:"test" "test.gauge" "basic gauge"
-let c_capture = M.counter ~engine:"test" "test.capture" "capture/replay counter"
 let c_bump = M.counter ~engine:"test" "test.bump" "bump counter"
 let c_status = M.counter ~engine:"test" "test.status" "status hammer counter"
 
@@ -89,34 +88,6 @@ let test_values () =
   (match M.find "process.heap_words" with
   | None -> Alcotest.fail "process.heap_words not registered"
   | Some g -> Alcotest.(check bool) "heap gauge samples" true (M.value g > 0))
-
-(* One shard carries a worker domain's counter deltas and recorder
-   events. *)
-let test_capture_replay () =
-  Fun.protect ~finally:S.close (fun () ->
-      S.enable_recorder ();
-      let v0 = M.value c_capture in
-      let (), shard =
-        Domain.join
-          (Domain.spawn (fun () ->
-               Obs.capture (fun () ->
-                   M.add c_capture 5;
-                   S.append ~engine:"worker" "event";
-                   M.add c_capture 2)))
-      in
-      Alcotest.(check int) "global cell untouched during capture" v0
-        (M.value c_capture);
-      Alcotest.(check int) "ring untouched during capture" 0 (S.recorded ());
-      Alcotest.(check (list (pair string int)))
-        "the shard collects the deltas" [ ("test.capture", 7) ]
-        (Hashtbl.fold (fun k n l -> (k, !n) :: l) shard.M.counts []);
-      Obs.replay shard;
-      Alcotest.(check int) "replay lands on the global cell" (v0 + 7)
-        (M.value c_capture);
-      Alcotest.(check int) "and the event in the ring" 1 (S.recorded ());
-      (* Unknown names are ignored, not errors. *)
-      Hashtbl.replace shard.M.counts "test.never-registered" (ref 3);
-      Obs.replay { shard with M.deferred = [] })
 
 (* --- Metrics.add: the registry is the one sink --- *)
 
@@ -521,7 +492,6 @@ let suite =
     Alcotest.test_case "registration + metadata" `Quick test_registration;
     Alcotest.test_case "kind enforcement" `Quick test_kinds_enforced;
     Alcotest.test_case "counter/gauge values" `Quick test_values;
-    Alcotest.test_case "capture/replay shards" `Quick test_capture_replay;
     Alcotest.test_case "Metrics.add feeds span and registry" `Quick test_bump_dual_sink;
     Alcotest.test_case "flow counters all registered" `Slow test_flow_counters_registered;
     Alcotest.test_case "status file atomicity" `Quick test_status_atomicity;

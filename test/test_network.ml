@@ -257,21 +257,16 @@ let test_kernel_pinned () =
     Sbm_core.Flow.baseline
       (Sbm_epfl.Epfl.random_control ~seed:0x3E3E ~inputs:105 ~outputs:105 ~gates:700)
   in
-  List.iter
-    (fun jobs ->
-      Helpers.with_jobs jobs (fun () ->
-          let out, totals = Helpers.with_totals (fun _ -> HK.run aig) in
-          let count = Helpers.count totals in
-          let lits_before = Network.num_lits (Network.of_aig aig) in
-          let msg what = Printf.sprintf "jobs %d: %s" jobs what in
-          Alcotest.(check int64) (msg "fold_hash") 0x5c21d6cdfa47ff1L (Aig.fold_hash out);
-          Alcotest.(check (list int))
-            (msg "partitions, trials, improved, lits before/after")
-            [ 5; 40; 5; 914; 788 ]
-            [ count "kernel.partitions"; count "kernel.trials";
-              count "kernel.improved_partitions"; lits_before;
-              lits_before - count "kernel.lits_saved" ]))
-    [ 1; 2 ]
+  let out, totals = Helpers.with_totals (fun _ -> HK.run aig) in
+  let count = Helpers.count totals in
+  let lits_before = Network.num_lits (Network.of_aig aig) in
+  Alcotest.(check int64) "fold_hash" 0x5c21d6cdfa47ff1L (Aig.fold_hash out);
+  Alcotest.(check (list int))
+    "partitions, trials, improved, lits before/after"
+    [ 5; 40; 5; 914; 788 ]
+    [ count "kernel.partitions"; count "kernel.trials";
+      count "kernel.improved_partitions"; lits_before;
+      lits_before - count "kernel.lits_saved" ]
 
 (* Pinned exactness on the ten bench/perf circuits: the engine's AIG
    after the baseline script, at the partition sizes the flow uses
@@ -362,7 +357,7 @@ let suite =
     Alcotest.test_case "incremental fanouts under random edit scripts" `Quick
       test_incremental_fanouts;
     Alcotest.test_case "fanouts query" `Quick test_fanouts_query;
-    Alcotest.test_case "hetero-kernel pinned result at jobs 1 and 2" `Quick
+    Alcotest.test_case "hetero-kernel pinned result (control)" `Quick
       test_kernel_pinned;
     Alcotest.test_case "hetero-kernel pinned results on the bench/perf circuits" `Quick
       test_kernel_pinned_perf;

@@ -1,11 +1,9 @@
-(* The domain-parallel partition scheduler: pool semantics (ordering,
-   degenerate sizes, exception protocol), flight-recorder worker
-   buffering, and the headline determinism contract — running the
-   quick benches at jobs=4 must produce byte-identical QoR, counter
-   totals and attribution shares to jobs=1, and the kernel engine
-   must return one AIG on bar at any job count. Also pins the BDD
-   manager's allocation behaviour on a dec-sized run so the computed
-   cache can never silently go unbounded again. *)
+(* The lib/par layer and the partition loop: pool semantics (ordering,
+   degenerate sizes, exception protocol), the job-count setting, a
+   watchdog abort skipping every partition, and the kernel engine's
+   pinned result on bar. Also pins the BDD manager's allocation
+   behaviour on a dec-sized run so the computed cache can never
+   silently go unbounded again. *)
 
 module Aig = Sbm_aig.Aig
 module Epfl = Sbm_epfl.Epfl
@@ -68,137 +66,21 @@ let test_pool_exception () =
   Alcotest.(check int) "usable after failure" 8 (Array.length r)
 
 let test_jobs_setting () =
-  Helpers.with_jobs 1 (fun () ->
+  let prev = Jobs.get () in
+  Fun.protect
+    ~finally:(fun () -> Jobs.set prev)
+    (fun () ->
       Jobs.set 3;
       Alcotest.(check int) "set wins" 3 (Jobs.get ());
       Alcotest.check_raises "rejects zero"
         (Invalid_argument "Sbm_par.Jobs.set: jobs must be >= 1") (fun () ->
           Jobs.set 0))
 
-(* Nested job-count overrides unwind to the enclosing count, not to
-   1: under SBM_JOBS=2 every later suite must still run at 2. *)
-let test_with_jobs_restores () =
-  let outer = Jobs.get () in
-  Helpers.with_jobs 3 (fun () ->
-      Helpers.with_jobs 2 (fun () ->
-          Alcotest.(check int) "inside" 2 (Jobs.get ()));
-      Alcotest.(check int) "inner override restored" 3 (Jobs.get ()));
-  Alcotest.(check int) "outer override restored" outer (Jobs.get ())
-
-(* --- flight recorder worker buffering --- *)
-
-(* A worker domain records into its shard; the main domain replays it. *)
-let test_fr_capture_replay () =
-  Fun.protect ~finally:S.close (fun () ->
-      S.enable_recorder ();
-      S.append ~engine:"main" "before";
-      let r, shard =
-        Domain.join
-          (Domain.spawn (fun () ->
-               Obs.capture (fun () ->
-                   S.append ~engine:"worker" ~metrics:[ ("k", 1) ] "buffered-1";
-                   S.append ~engine:"worker" "buffered-2";
-                   42)))
-      in
-      Alcotest.(check int) "capture returns the result" 42 r;
-      Alcotest.(check int) "ring untouched while buffering" 1 (S.recorded ());
-      Obs.replay shard;
-      Alcotest.(check int) "replay appends to the ring" 3 (S.recorded ());
-      let seqs = List.map (fun e -> e.S.seq) (S.events ()) in
-      Alcotest.(check (list int)) "fresh sequence numbers" [ 0; 1; 2 ] seqs;
-      let engines = List.map (fun e -> e.S.engine) (S.events ()) in
-      Alcotest.(check (list string)) "merge order is caller-chosen"
-        [ "main"; "worker"; "worker" ] engines)
-
-(* --- determinism: jobs=4 == jobs=1, bit for bit --- *)
-
-(* The fingerprint of a run is the library's determinism audit trail
-   (the linked records of Sbm_obs.Stream): one composite record per pass and merge
-   boundary, so a mismatch names the exact first boundary where the
-   two schedules disagreed instead of just "counters differ". QoR and
-   attribution ride along as a belt-and-braces check. *)
-type run_fingerprint = {
-  size : int;
-  depth : int;
-  luts : int;
-  levels : int;
-  counters : (string * int) list;
-  attribution : string;
-  trail : Obs.Stream.link list;
-}
-
-let fingerprint jobs b =
-  Helpers.with_jobs jobs (fun () ->
-      Obs.Stream.enable_trail ();
-      Fun.protect ~finally:Obs.Stream.close (fun () ->
-          let aig = Epfl.generate b in
-          let trace = Obs.create () in
-          let root =
-            Obs.root ~size:(Aig.size aig) ~depth:(Aig.depth aig) trace
-              (Epfl.name b)
-          in
-          let optimized =
-            Sbm_core.Flow.run ~obs:root (Sbm_core.Flow.Sbm Sbm_core.Flow.Low)
-              aig
-          in
-          Obs.close ~size:(Aig.size optimized) ~depth:(Aig.depth optimized)
-            root;
-          let mapping = Sbm_lutmap.Lut_map.map ~k:6 optimized in
-          {
-            size = Aig.size optimized;
-            depth = Aig.depth optimized;
-            luts = mapping.Sbm_lutmap.Lut_map.lut_count;
-            levels = mapping.Sbm_lutmap.Lut_map.depth;
-            counters = Obs.totals trace;
-            attribution =
-              Sbm_report.Attribution.to_json
-                (Sbm_report.Attribution.compute optimized mapping);
-            trail = Obs.Stream.trail ();
-          }))
-
-let check_deterministic b =
-  let name = Epfl.name b in
-  let seq = fingerprint 1 b in
-  let par = fingerprint 4 b in
-  (* Trail comparison first: on failure the auditor names the first
-     diverging pass/partition boundary rather than a bare mismatch. *)
-  (match Sbm_report.Audit.compare_trails seq.trail par.trail with
-  | Sbm_report.Audit.Identical n ->
-    Alcotest.(check bool)
-      (Printf.sprintf "%s: trail non-empty (%d records)" name n)
-      true (n > 0)
-  | Sbm_report.Audit.Diverged d ->
-    Alcotest.failf "%s: jobs=1 vs jobs=4, %s" name
-      (Sbm_report.Audit.describe d));
-  Alcotest.(check int) (name ^ ": size") seq.size par.size;
-  Alcotest.(check int) (name ^ ": depth") seq.depth par.depth;
-  Alcotest.(check int) (name ^ ": luts") seq.luts par.luts;
-  Alcotest.(check int) (name ^ ": levels") seq.levels par.levels;
-  Alcotest.(check (list (pair string int)))
-    (name ^ ": counter totals")
-    seq.counters par.counters;
-  (* The flow defaults the prefilter on, so its counters must appear
-     in the totals — and, being part of the compared lists above, be
-     bit-identical across jobs. *)
-  Alcotest.(check bool)
-    (name ^ ": prefilter counters present")
-    true
-    (List.mem_assoc "prefilter.survivors" seq.counters);
-  Alcotest.(check string)
-    (name ^ ": attribution shares")
-    seq.attribution par.attribution
-
-let test_determinism_quick_set () =
-  List.iter check_deterministic Epfl.quick_set
-
-(* --- watchdog abort: skipped partitions are jobs-independent --- *)
+(* --- watchdog abort: every partition skipped --- *)
 
 (* A heap rule of 0 MB fires on the driver's first poll, so an
-   Abort-armed watchdog skips every partition. The skip must look the
-   same at any job count: same network, same registry deltas, and
-   every partition counted in watchdog.partitions_skipped. At jobs 4
-   the abort is pending at the first partition, so no chunk is ever
-   analyzed. *)
+   Abort-armed watchdog skips every partition: each is counted in
+   watchdog.partitions_skipped, and no partition work is counted. *)
 
 (* The partition engines at partition size 10, over their native
    APIs, and the counter that holds each engine's partition count. *)
@@ -220,61 +102,54 @@ let abort_engines =
       fun aig -> C.Hetero_kernel.run ~config:{ C.Hetero_kernel.partition_size = 10 } aig );
   ]
 
-(* The output and the nonzero registry deltas of [run input] at
-   [jobs], under an Abort-armed 0 MB heap rule. *)
-let abort_run run input jobs =
-  Helpers.with_jobs jobs (fun () ->
-      Fun.protect
-        ~finally:(fun () ->
-          Obs.Watchdog.disarm ();
-          S.close ())
-        (fun () ->
-          let out, totals =
-            Helpers.with_totals (fun _ ->
-                (* Armed after the root's opening poll, so the rule
-                   first fires at the driver's first poll. *)
-                Obs.Watchdog.arm
-                  {
-                    Obs.Watchdog.default_config with
-                    max_heap_mb = Some 0.;
-                    action = Obs.Watchdog.Abort;
-                  };
-                run input)
-          in
-          (Sbm_aig.Aiger.write out, List.filter (fun (_, d) -> d <> 0) totals)))
+(* The nonzero registry deltas of [run input] under an Abort-armed
+   0 MB heap rule. *)
+let abort_run run input =
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.Watchdog.disarm ();
+      S.close ())
+    (fun () ->
+      let _, totals =
+        Helpers.with_totals (fun _ ->
+            (* Armed after the root's opening poll, so the rule first
+               fires at the driver's first poll. *)
+            Obs.Watchdog.arm
+              {
+                Obs.Watchdog.default_config with
+                max_heap_mb = Some 0.;
+                action = Obs.Watchdog.Abort;
+              };
+            run input)
+      in
+      List.filter (fun (_, d) -> d <> 0) totals)
 
 let test_abort_skips_partitions () =
   let input = Epfl.generate Epfl.Ctrl in
   List.iter
     (fun (name, partitions, run) ->
-      let out1, deltas1 = abort_run run input 1 in
-      let out4, deltas4 = abort_run run input 4 in
-      let parts = Helpers.count deltas1 partitions in
+      let deltas = abort_run run input in
+      let parts = Helpers.count deltas partitions in
       Alcotest.(check bool)
         (Printf.sprintf "%s: %d partitions (>= 2)" name parts)
         true (parts >= 2);
-      Alcotest.(check string) (name ^ ": network") out1 out4;
       Alcotest.(check (list (pair string int)))
-        (name ^ ": registry deltas") deltas1 deltas4;
-      Alcotest.(check (option int))
-        (name ^ ": every partition skipped")
-        (Some parts)
-        (List.assoc_opt "watchdog.partitions_skipped" deltas1))
+        (name ^ ": every partition skipped, none worked on")
+        [ (partitions, parts); ("watchdog.partitions_skipped", parts) ]
+        deltas)
     abort_engines
 
-(* --- the kernel engine: one result at any job count --- *)
+(* --- the kernel engine on bar --- *)
 
 (* On bar at scale 0.25 the kernel engine once returned a different
    AIG at jobs 4 than at jobs 1: partitions analysed on a network copy
    left the live network's node-id counter behind the sequential run's,
-   and the ids reached extract_kernels' tie-breaks. *)
-let test_kernel_jobs_independent () =
+   and the ids reached extract_kernels' tie-breaks. The hash is the
+   sequential run's. *)
+let test_kernel_bar_pinned () =
   let input = Epfl.generate ~scale:0.25 Epfl.Bar in
-  let digest jobs =
-    Helpers.with_jobs jobs (fun () ->
-        Printf.sprintf "%016Lx" (Aig.fold_hash (Sbm_core.Hetero_kernel.run input)))
-  in
-  Alcotest.(check string) "bar: jobs 4 equals jobs 1" (digest 1) (digest 4)
+  Alcotest.(check string) "bar: fold_hash" "0dbb95fbb19803e6"
+    (Printf.sprintf "%016Lx" (Aig.fold_hash (Sbm_core.Hetero_kernel.run input)))
 
 (* --- BDD manager allocation stays bounded --- *)
 
@@ -309,16 +184,10 @@ let suite =
     Alcotest.test_case "pool: exception cancels and re-raises." `Quick
       test_pool_exception;
     Alcotest.test_case "jobs: setting and validation." `Quick test_jobs_setting;
-    Alcotest.test_case "jobs: with_jobs restores the enclosing count." `Quick
-      test_with_jobs_restores;
-    Alcotest.test_case "flight recorder: capture and replay." `Quick
-      test_fr_capture_replay;
-    Alcotest.test_case "determinism: jobs=4 equals jobs=1 on the quick set."
-      `Slow test_determinism_quick_set;
     Alcotest.test_case "watchdog: abort skips partitions at any job count."
       `Quick test_abort_skips_partitions;
-    Alcotest.test_case "kernel: bar gives one AIG at jobs 1 and 4." `Quick
-      test_kernel_jobs_independent;
+    Alcotest.test_case "kernel: bar at scale 0.25 is pinned." `Quick
+      test_kernel_bar_pinned;
     Alcotest.test_case "bdd: dec-sized allocation bounded." `Slow
       test_bdd_allocation_bounded;
   ]

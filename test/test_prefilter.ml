@@ -2,7 +2,7 @@
    against exhaustive truth tables, counterexample-guided refinement,
    incremental re-simulation after edits, and the headline contract —
    each of the four Boolean engines produces bit-identical QoR with
-   the prefilter off or on, sequentially and in parallel. *)
+   the prefilter off or on. *)
 
 module Aig = Sbm_aig.Aig
 module Sim = Sbm_aig.Sim
@@ -219,37 +219,6 @@ let test_incremental_resim () =
       done
   done
 
-(* --- fork isolation --- *)
-
-let test_fork_private () =
-  let rng = Rng.create 0xf04c in
-  let aig = Helpers.random_aig ~inputs:8 ~ands:40 ~outputs:4 rng in
-  let bank = Prefilter.create_bank () in
-  let st = Prefilter.attach bank aig in
-  let snap = Aig.copy aig in
-  let forked = Prefilter.fork st snap in
-  (* Edit the snapshot through the forked store; the main store's
-     values over the untouched AIG must be unaffected. *)
-  let v = ref None in
-  for n = Aig.num_nodes snap - 1 downto 1 do
-    if !v = None && Aig.is_and snap n && not (Aig.is_dead snap n) then
-      v := Some n
-  done;
-  (match !v with
-  | None -> ()
-  | Some n ->
-    Prefilter.note_edit forked n;
-    Aig.replace snap n (Aig.fanin0 snap n));
-  let fresh = Prefilter.attach bank aig in
-  for n = 0 to Aig.num_nodes aig - 1 do
-    if not (Aig.is_dead aig n) then
-      for w = 0 to Prefilter.words st - 1 do
-        Alcotest.(check int64)
-          (Printf.sprintf "main store untouched (node %d word %d)" n w)
-          (Prefilter.value fresh n w) (Prefilter.value st n w)
-      done
-  done
-
 (* --- off vs. on: bit-identical QoR for every engine --- *)
 
 (* The four Boolean engines over their native APIs: [run prefilter
@@ -274,12 +243,10 @@ let engines =
         C.Gradient.run ~config:{ C.Gradient.default_config with budget = 12; prefilter } aig );
   ]
 
-(* One engine run at [jobs]: the output, its gain and the run's
-   registry deltas. *)
-let run_engine ~jobs (gain, run) bank input =
-  let out, totals =
-    Helpers.with_jobs jobs (fun () -> Helpers.with_totals (fun _ -> run bank input))
-  in
+(* One engine run: the output, its gain and the run's registry
+   deltas. *)
+let run_engine (gain, run) bank input =
+  let out, totals = Helpers.with_totals (fun _ -> run bank input) in
   let gain =
     match gain with
     | Some counter -> Helpers.count totals counter
@@ -288,54 +255,36 @@ let run_engine ~jobs (gain, run) bank input =
   (out, gain, totals)
 
 (* The filter is accept-preserving, so each engine must produce the
-   same network and gain with filtering off or on — sequentially and
-   with 4 worker domains. Its counts are the registry's alone, so the
-   deltas must also agree between jobs 1 and 4 (a clean worker's
-   counts arrive once, in its shard), and a run without a bank bumps
-   no [prefilter.*] counter. This is the per-engine identity property
-   the API contract promises. *)
+   same network and gain with filtering off or on, and a run without a
+   bank bumps no [prefilter.*] counter. This is the per-engine identity
+   property the API contract promises. *)
 let engine_identity bench =
   let input = Epfl.generate bench in
   List.iter
     (fun (name, gain, engine) ->
-      let run ~prefilter ~jobs =
+      let run prefilter =
         let bank = if prefilter then Some (Prefilter.create_bank ()) else None in
-        let out, gain, totals = run_engine ~jobs (gain, engine) bank input in
+        let out, gain, totals = run_engine (gain, engine) bank input in
         (Sbm_aig.Aiger.write out, gain, totals)
       in
-      let label prefilter jobs what =
-        Printf.sprintf "%s/%s: %s (prefilter=%b jobs=%d)" (Epfl.name bench) name what
-          prefilter jobs
-      in
-      let runs =
-        List.map
-          (fun (prefilter, jobs) -> ((prefilter, jobs), run ~prefilter ~jobs))
-          [ (false, 1); (true, 1); (false, 4); (true, 4) ]
-      in
-      let ref_text, ref_gain, _ = List.assoc (false, 1) runs in
-      List.iter
-        (fun ((prefilter, jobs), (text, gain, totals)) ->
-          Alcotest.(check string) (label prefilter jobs "network") ref_text text;
-          Alcotest.(check int) (label prefilter jobs "gain") ref_gain gain;
-          let _, _, totals1 = List.assoc (prefilter, 1) runs in
-          Alcotest.(check (list (pair string int)))
-            (label prefilter jobs "registry deltas vs jobs 1")
-            totals1 totals;
-          if not prefilter then
-            Alcotest.(check (list string))
-              (label prefilter jobs "no prefilter counter")
-              []
-              (List.filter_map
-                 (fun (k, _) ->
-                   if String.starts_with ~prefix:"prefilter." k then Some k else None)
-                 totals))
-        runs)
+      let label what = Printf.sprintf "%s/%s: %s" (Epfl.name bench) name what in
+      let off_text, off_gain, off_totals = run false in
+      let on_text, on_gain, _ = run true in
+      Alcotest.(check string) (label "network") off_text on_text;
+      Alcotest.(check int) (label "gain") off_gain on_gain;
+      Alcotest.(check (list string))
+        (label "no prefilter counter without a bank")
+        []
+        (List.filter_map
+           (fun (k, _) ->
+             if String.starts_with ~prefix:"prefilter." k then Some k else None)
+           off_totals))
     engines
 
 (* Every engine's output on ctrl after the baseline script, under the
    flow's effective parameters (a prefilter bank, gradient budget 12,
-   kernel partition 100, BDD budget 200 000): structural hash and gain,
-   pinned at jobs 1 and 2. A drift in any engine default shows here. *)
+   kernel partition 100, BDD budget 200 000): structural hash and gain.
+   A drift in any engine default shows here. *)
 let test_engines_pinned () =
   let input = Sbm_core.Flow.baseline (Epfl.generate Epfl.Ctrl) in
   let pinned =
@@ -347,28 +296,16 @@ let test_engines_pinned () =
     ]
   in
   List.iter
-    (fun jobs ->
-      List.iter
-        (fun (name, gain, run) ->
-          let bank = Some (Prefilter.create_bank ()) in
-          let out, gain, _ = run_engine ~jobs (gain, run) bank input in
-          let hash, expected_gain = List.assoc name pinned in
-          Alcotest.(check int64)
-            (Printf.sprintf "%s: hash (jobs=%d)" name jobs)
-            hash (Aig.fold_hash out);
-          Alcotest.(check int)
-            (Printf.sprintf "%s: gain (jobs=%d)" name jobs)
-            expected_gain gain)
-        engines)
-    [ 1; 2 ]
+    (fun (name, gain, run) ->
+      let bank = Some (Prefilter.create_bank ()) in
+      let out, gain, _ = run_engine (gain, run) bank input in
+      let hash, expected_gain = List.assoc name pinned in
+      Alcotest.(check int64) (name ^ ": hash") hash (Aig.fold_hash out);
+      Alcotest.(check int) (name ^ ": gain") expected_gain gain)
+    engines
 
 let test_engine_identity_ctrl () = engine_identity Epfl.Ctrl
 let test_engine_identity_cavlc () = engine_identity Epfl.Cavlc
-
-(* On router the difference and MSPF engines merge clean worker
-   analyses at jobs 4 (on ctrl and cavlc the first partition commits,
-   so every later one is redone): a count added twice at merge shows
-   here. *)
 let test_engine_identity_router () = engine_identity Epfl.Router
 
 (* The full flow: sbm-low with and without the prefilter must agree
@@ -396,15 +333,13 @@ let suite =
       test_refine_kills_false_positive;
     Alcotest.test_case "store: incremental resim equals fresh attach." `Quick
       test_incremental_resim;
-    Alcotest.test_case "store: forked edits stay private." `Quick
-      test_fork_private;
     Alcotest.test_case "engines: outputs pinned (ctrl after baseline)." `Quick
       test_engines_pinned;
-    Alcotest.test_case "engines: off==on, jobs 1 and 4 (ctrl)." `Quick
+    Alcotest.test_case "engines: off==on (ctrl)." `Quick
       test_engine_identity_ctrl;
-    Alcotest.test_case "engines: off==on, jobs 1 and 4 (cavlc)." `Slow
+    Alcotest.test_case "engines: off==on (cavlc)." `Slow
       test_engine_identity_cavlc;
-    Alcotest.test_case "engines: off==on, jobs 1 and 4 (router)." `Quick
+    Alcotest.test_case "engines: off==on (router)." `Quick
       test_engine_identity_router;
     Alcotest.test_case "flow: sbm-low off==on (ctrl)." `Slow test_flow_identity;
   ]
